@@ -48,7 +48,15 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .gwseries import GVTable, GWSeries, InversionResult, gv_to_gw, gw_to_gv, sin_power_coefficient
-from .laurent import LaurentPoly, RationalFn, exact_div, flat, format_poly, weighted_degree
+from .laurent import (
+    LaurentPoly,
+    RationalFn,
+    exact_div,
+    flat,
+    format_poly,
+    rational_sum,
+    weighted_degree,
+)
 from .lefschetz import (
     BispinContent,
     GradedNilpotent,

@@ -30,7 +30,7 @@ from .laurent import format_poly
 from .lefschetz import census_count, census_from_bispin, genus_count, jordan_census
 from .motives import upsilon_rel
 from .stacks import upsilon_stack
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite, suite_results
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -222,9 +222,22 @@ def cmd_gw(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in SUITE_NAMES:
         raise SchemaError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
-    passed, lines = run_suite(args.suite, seed=args.seed, scale=args.cases)
-    for line in lines:
-        print(line)
+    if not args.json:
+        passed, lines = run_suite(args.suite, seed=args.seed, scale=args.cases)
+        for line in lines:
+            print(line)
+        return EXIT_OK if passed else EXIT_PROPERTY
+    results = suite_results(args.suite, seed=args.seed, scale=args.cases)
+    passed = all(entry["ok"] for entry in results)
+    print(dump_json({
+        "v": SCHEMA_VERSION,
+        "kind": "verify_result",
+        "suite": args.suite,
+        "seed": args.seed,
+        "scale": args.cases,
+        "passed": passed,
+        "properties": results,
+    }))
     return EXIT_OK if passed else EXIT_PROPERTY
 
 

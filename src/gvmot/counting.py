@@ -6,6 +6,8 @@ class an exact phase; counts of semistable objects enter as formal words of
 delta letters, their logarithm is the alternating sum over ordered same-phase
 decompositions, and evaluation happens in a split-stratum model where the
 geometry is reduced to per-class atoms and a symmetric ext-defect table.
+Because that evaluation ignores letter order, counting_polynomial sums the
+log over multisets of pieces; the ordered log stays as its reference.
 
 Phase comparisons never touch floating point: two classes share a phase
 exactly when their (Im Z, -Re Z) pairs are proportional with positive ratio.
@@ -13,10 +15,11 @@ exactly when their (Im Z, -Re Z) pairs are proportional with positive ratio.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -28,7 +31,7 @@ from .errors import (
     ResourceLimitError,
     ZeroChargeError,
 )
-from .laurent import LaurentPoly, RationalFn, flat, weighted_degree
+from .laurent import LaurentPoly, RationalFn, flat, rational_sum, weighted_degree
 from .lefschetz import JordanCensus, census_count
 from .motives import upsilon_rel
 from .stacks import StackClass
@@ -333,12 +336,6 @@ class FreeHallElement:
     def commutator(self, other: "FreeHallElement") -> "FreeHallElement":
         return self.star(other) - other.star(self)
 
-    def total_class(self, word: tuple[NumClass, ...]) -> NumClass:
-        total = word[0]
-        for v in word[1:]:
-            total = total + v
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FreeHallElement):
             return NotImplemented
@@ -370,6 +367,68 @@ class _Budget:
 DEFAULT_COMPOSITION_CAP = 10**6
 
 
+def _unit_range_test(lattice: ClassLattice, charge: CentralCharge) -> Callable[[NumClass], bool]:
+    """Membership in the phase-(0,1] effective range: k > 0 when beta = 0, else
+    beta effective.  One membership memo serves every query of the returned test."""
+    lattice.check_positive(charge.omega)
+    memo: dict = {}
+
+    def in_range(c: NumClass) -> bool:
+        if not any(c.beta):
+            return c.k > 0
+        known = memo.get(c.beta)
+        if known is None:
+            known = lattice.is_effective(c.beta, charge.omega, _memo=memo)
+        return known
+
+    return in_range
+
+
+def _same_phase_words(
+    lattice: ClassLattice,
+    charge: CentralCharge,
+    v: NumClass,
+    in_range: Callable[[NumClass], bool],
+    budget: _Budget,
+    multisets: bool,
+) -> list[tuple[NumClass, ...]]:
+    """Words of same-phase pieces summing to an in-range class v.
+
+    For a class of phase one (beta = 0, k > 0) the pieces are the
+    zero-dimensional classes (0, k').  Otherwise each piece's k is forced by
+    phase proportionality and must come out integral.  Every proper remainder
+    must itself be in range.  With multisets, each multiset of pieces is
+    listed once, as the word whose pieces are in non-increasing order.
+    """
+    zero_beta = (0,) * lattice.rank
+    if v.beta == zero_beta:
+        pieces = [NumClass(zero_beta, j) for j in range(1, v.k + 1)]
+    else:
+        re_v, im_v = charge.value(v)
+        slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
+        pieces = []
+        for beta in lattice.monoid_elements(charge.omega, im_v, budget=budget):
+            budget.spend()
+            k_frac = _dot(charge.b_field, beta) + slope * _dot(charge.omega, beta)
+            if k_frac.denominator == 1:
+                pieces.append(NumClass(beta, int(k_frac)))
+
+    words = []
+    walk: list[tuple[NumClass, int, tuple[NumClass, ...]]] = [(v, len(pieces), ())]
+    while walk:
+        rem, bound, acc = walk.pop()
+        for i in range(bound):
+            budget.spend()
+            p = pieces[i]
+            nxt = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k)
+            if nxt.beta == zero_beta and nxt.k == 0:
+                budget.spend()
+                words.append(acc + (p,))
+            elif in_range(nxt):
+                walk.append((nxt, i + 1 if multisets else len(pieces), acc + (p,)))
+    return words
+
+
 def same_phase_decompositions(
     lattice: ClassLattice,
     charge: CentralCharge,
@@ -378,67 +437,16 @@ def same_phase_decompositions(
 ) -> list[tuple[NumClass, ...]]:
     """Ordered decompositions of v into effective classes sharing v's phase.
 
-    For a class of phase one (beta = 0, k > 0) the pieces are the
-    zero-dimensional classes (0, k').  Otherwise each piece's k is forced by
-    phase proportionality and must come out integral.  Finiteness comes from
-    strictly positive omega-degrees; the budget caps pathological inputs.
+    Finiteness comes from strictly positive omega-degrees; the budget caps
+    pathological inputs.
     """
-    lattice.check_positive(charge.omega)
     if len(v.beta) != lattice.rank:
         raise ValueError(f"class {v} has wrong rank for this lattice")
+    in_range = _unit_range_test(lattice, charge)
+    if not in_range(v):
+        raise NotEffectiveError(f"{v} is not in the phase-(0,1] effective range")
     budget = _Budget(max_compositions)
-    zero_beta = (0,) * lattice.rank
-
-    if v.beta == zero_beta:
-        if v.k <= 0:
-            raise NotEffectiveError(f"{v} is not in the phase-(0,1] effective range")
-        result: list[tuple[NumClass, ...]] = []
-        stack: list[tuple[int, tuple[NumClass, ...]]] = [(v.k, ())]
-        while stack:
-            rem, acc = stack.pop()
-            if rem == 0:
-                budget.spend()
-                result.append(acc)
-                continue
-            for j in range(rem, 0, -1):
-                budget.spend()
-                stack.append((rem - j, acc + (NumClass(zero_beta, j),)))
-        return result
-
-    membership_memo: dict = {}
-    if not lattice.is_effective(v.beta, charge.omega, _memo=membership_memo):
-        raise NotEffectiveError(f"beta part of {v} is not effective")
-
-    re_v, im_v = charge.value(v)
-    slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
-
-    pieces: list[NumClass] = []
-    for beta in lattice.monoid_elements(charge.omega, im_v, budget=budget):
-        budget.spend()
-        k_frac = _dot(charge.b_field, beta) + slope * _dot(charge.omega, beta)
-        if k_frac.denominator == 1:
-            pieces.append(NumClass(beta, int(k_frac)))
-
-    effective = {p.beta: True for p in pieces}
-    effective[zero_beta] = True
-
-    result = []
-    walk: list[tuple[tuple[int, ...], int, tuple[NumClass, ...]]] = [(v.beta, v.k, ())]
-    while walk:
-        rem_beta, rem_k, acc = walk.pop()
-        if rem_beta == zero_beta:
-            if rem_k == 0:
-                budget.spend()
-                result.append(acc)
-            continue
-        for p in reversed(pieces):
-            budget.spend()
-            nxt = tuple(x - y for x, y in zip(rem_beta, p.beta))
-            if nxt not in effective:
-                effective[nxt] = lattice.is_effective(nxt, charge.omega, _memo=membership_memo)
-            if effective[nxt]:
-                walk.append((nxt, rem_k - p.k, acc + (p,)))
-    return result
+    return _same_phase_words(lattice, charge, v, in_range, budget, multisets=False)
 
 
 def semistable_log(
@@ -449,12 +457,35 @@ def semistable_log(
 ) -> FreeHallElement:
     """Inclusion-exclusion logarithm: sum over ordered same-phase decompositions
     of (-1)^{n-1}/n times the word of delta letters."""
-    out = FreeHallElement.zero()
+    words = {}
     for decomposition in same_phase_decompositions(lattice, charge, v, max_compositions):
         n = len(decomposition)
-        coeff = RationalFn.from_fraction(Fraction((-1) ** (n - 1), n))
-        out = out + FreeHallElement({decomposition: coeff})
-    return out
+        words[decomposition] = RationalFn.from_fraction(Fraction((-1) ** (n - 1), n))
+    return FreeHallElement(words)
+
+
+def _multiset_log(
+    lattice: ClassLattice,
+    charge: CentralCharge,
+    v: NumClass,
+    in_range: Callable[[NumClass], bool],
+    max_compositions: int,
+) -> FreeHallElement:
+    """The semistable log of v summed over multisets of same-phase pieces.
+
+    A multiset of n pieces with multiplicities m_i stands for n!/prod m_i!
+    ordered words of weight (-1)^{n-1}/n, so it carries (-1)^{n-1} (n-1)!/prod
+    m_i!.  Its value equals theirs only under an evaluation that ignores
+    letter order, which EvalModel's symmetric defects and combinator give.
+    """
+    words = {}
+    budget = _Budget(max_compositions)
+    for word in _same_phase_words(lattice, charge, v, in_range, budget, multisets=True):
+        n = len(word)
+        repeats = prod(factorial(m) for m in Counter(word).values())
+        weight = Fraction((-1) ** (n - 1) * factorial(n - 1), repeats)
+        words[word[::-1]] = RationalFn.from_fraction(weight)
+    return FreeHallElement(words)
 
 
 def semistable_exp(
@@ -537,6 +568,9 @@ class EvalModel:
     The defect e(v1, v2) is the constant difference dim Ext^1 - dim Hom on the
     stratum of the pair; symmetry is forced (Serre duality plus vanishing Euler
     pairing on these classes), so asymmetric tables are rejected outright.
+    The combinator must be symmetric too.  Together they make a word's value
+    independent of letter order, which is what lets counting_polynomial sum
+    the log over multisets of pieces instead of ordered words.
     """
 
     __slots__ = ("atoms", "ext_defect", "combine")
@@ -575,25 +609,33 @@ def evaluate(f: FreeHallElement, model: EvalModel) -> RationalFn:
     A word contributes L^{sum of pairwise defects} times the combined value of
     its letters' atoms, extended bilinearly over the atom parts and linearly
     over words.  A letter with an empty stack class (empty moduli) kills its
-    word; the empty word is the unit and evaluates to 1.
+    word; the empty word is the unit and evaluates to 1.  Every part choice
+    becomes one unnormalised fraction, and rational_sum adds them all.
     """
-    total = RationalFn.zero()
-    for word, coeff in f.items():
-        exponent = 0
-        for i in range(len(word)):
-            for j in range(i + 1, len(word)):
-                exponent += model.defect(word[i], word[j])
-        lefschetz_power = RationalFn.from_poly(LaurentPoly.t(2 * exponent))
-        parts_per_letter = [model.atom(v).parts for v in word]
-        word_value = RationalFn.zero()
-        for choice in _iproduct(*parts_per_letter):
-            part_coeff = RationalFn.one()
-            for c, _ in choice:
-                part_coeff = part_coeff * c
-            combined = model.combine([upsilon_rel(expr) for _, expr in choice])
-            word_value = word_value + part_coeff * RationalFn.from_poly(combined)
-        total = total + coeff * lefschetz_power * word_value
-    return total
+    values: dict[int, LaurentPoly] = {}  # upsilon_rel per expression object
+
+    def value(expr) -> LaurentPoly:
+        key = id(expr)
+        if key not in values:
+            values[key] = upsilon_rel(expr)
+        return values[key]
+
+    def fractions():
+        for word, coeff in f.items():
+            exponent = sum(
+                model.defect(word[i], word[j])
+                for i in range(len(word))
+                for j in range(i + 1, len(word))
+            )
+            scaled = coeff.num.shift(2 * exponent)
+            for choice in _iproduct(*(model.atom(v).parts for v in word)):
+                num, den = scaled, coeff.den
+                for c, _ in choice:
+                    num = num * c.num
+                    den = den * c.den
+                yield num * model.combine([value(expr) for _, expr in choice]), den
+
+    return rational_sum(fractions())
 
 
 def counting_polynomial(
@@ -606,24 +648,17 @@ def counting_polynomial(
     """The motivic count of phase-(0,1] semistables of class v, pushed to its base.
 
     Classes in the shifted range (1, 2] evaluate through their negative, and
-    classes outside both ranges count zero.
+    classes outside both ranges count zero.  The log is summed over multisets
+    of same-phase pieces, which the model's order-independent evaluation allows.
     """
     if len(v.beta) != lattice.rank:
         raise ValueError(f"class {v} has wrong rank for this lattice")
-    zero_beta = (0,) * lattice.rank
-    in_positive = (v.beta != zero_beta and lattice.is_effective(v.beta, charge.omega)) or (
-        v.beta == zero_beta and v.k > 0
-    )
-    if in_positive:
-        gm = RationalFn.from_poly(LaurentPoly.t(2) - LaurentPoly.one())
-        log_elem = semistable_log(lattice, charge, v, max_compositions)
-        return gm * evaluate(log_elem, model)
-    neg = -v
-    in_negative = (neg.beta != zero_beta and lattice.is_effective(neg.beta, charge.omega)) or (
-        neg.beta == zero_beta and neg.k > 0
-    )
-    if in_negative:
-        return counting_polynomial(lattice, charge, neg, model, max_compositions)
+    in_range = _unit_range_test(lattice, charge)
+    for w in (v, -v):
+        if in_range(w):
+            gm = RationalFn.from_poly(LaurentPoly.t(2) - LaurentPoly.one())
+            log_elem = _multiset_log(lattice, charge, w, in_range, max_compositions)
+            return gm * evaluate(log_elem, model)
     return RationalFn.zero()
 
 

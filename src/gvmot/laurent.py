@@ -477,6 +477,39 @@ class RationalFn:
         return f"({format_poly(self.num)}) / ({format_poly(self.den)})"
 
 
+def rational_sum(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> RationalFn:
+    """Exact sum of the fractions num/den over (num, den) pairs, not yet normalised.
+
+    Each denominator is brought to a canonical bucket key -- content divided
+    out, leading coefficient positive, lowest t-exponent shifted to zero --
+    and its numerator takes the same change.  Numerators add within a bucket,
+    each bucket is normalised once, and the buckets add as RationalFn values.
+    Pairs are consumed as they stream in.
+    """
+    buckets: dict[LaurentPoly, dict[tuple[int, int], Coeff]] = {}
+    for num, den in pairs:
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            continue
+        unit = den.content()
+        if den.leading_term()[1] < 0:
+            unit = -unit
+        dt = den.min_t_exponent()
+        key = den.shift(-dt).scale(1 / unit)
+        acc = buckets.setdefault(key, {})
+        for (a, b), c in num.items():
+            term = (a - dt, b)
+            acc[term] = acc.get(term, 0) + c / unit
+    parts = [RationalFn(LaurentPoly(acc), key) for key, acc in buckets.items()]
+    if not parts:
+        return RationalFn.zero()
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
 def _coerce(value) -> RationalFn:
     if isinstance(value, RationalFn):
         return value

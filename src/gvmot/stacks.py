@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import ZeroGroupClassError
-from .laurent import RationalFn
+from .laurent import RationalFn, rational_sum
 from .motives import AbsMotive, MotiveExpr, upsilon_rel
 
 
@@ -60,7 +60,4 @@ def scale_by_variety(t: AbsMotive, c: StackClass) -> StackClass:
 
 def upsilon_stack(c: StackClass) -> RationalFn:
     """Evaluate a stack class in Lambda: the coefficient-weighted sum of values."""
-    total = RationalFn.zero()
-    for coeff, expr in c.parts:
-        total = total + coeff * RationalFn.from_poly(upsilon_rel(expr))
-    return total
+    return rational_sum((coeff.num * upsilon_rel(expr), coeff.den) for coeff, expr in c.parts)

@@ -16,6 +16,7 @@ from gvmot.cli import (
 )
 
 SAMPLES = str(Path(__file__).resolve().parent.parent / "sample_data")
+GOLDEN_GV = Path(__file__).resolve().parent / "data" / "gv_golden.json"
 
 
 def run(capsys, *argv):
@@ -201,6 +202,23 @@ class TestGv:
         assert json.loads(err)["error"]["type"] == "NotPolynomialError"
 
 
+def test_gv_json_matches_golden_bytes(capsys):
+    # stdout of `gv --json` on every atom class of the sample count models and
+    # on its negative, recorded before the log was summed over multisets
+    golden = json.loads(GOLDEN_GV.read_text())
+    models = sorted(Path(SAMPLES).glob("*.count_model.json"))
+    targets = []
+    for model in models:
+        for key in json.loads(model.read_text())["atoms"]:
+            negated = ",".join(str(-int(x)) for x in key.split(","))
+            targets += [(model, key), (model, negated)]
+    assert sorted(f"{model.name} {target}" for model, target in targets) == sorted(golden)
+    for model, target in targets:
+        code, out, _ = run(capsys, "gv", "--input", str(model), f"--target={target}", "--json")
+        assert code == EXIT_OK
+        assert out == golden[f"{model.name} {target}"], (model.name, target)
+
+
 class TestGw:
     def test_forward_conifold(self, capsys):
         code, out, _ = run(
@@ -305,6 +323,27 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "stack", "--seed", "9")
         assert out1 == out2
 
+    def test_json_report(self, capsys):
+        code, out1, _ = run(capsys, "verify", "stack", "--seed", "9", "--json")
+        _, out2, _ = run(capsys, "verify", "stack", "--seed", "9", "--json")
+        assert code == EXIT_OK
+        assert out1 == out2
+        doc = json.loads(out1)
+        assert {key: doc[key] for key in ("v", "kind", "suite", "seed", "scale", "passed")} == {
+            "v": 1,
+            "kind": "verify_result",
+            "suite": "stack",
+            "seed": 9,
+            "scale": 1,
+            "passed": True,
+        }
+        assert [p["name"] for p in doc["properties"]] == [
+            "stack.gm_cancellation",
+            "stack.stack_linearity",
+            "stack.stack_scale",
+        ]
+        assert all(p["ok"] and p["cases"] == 100 for p in doc["properties"])
+
 
 class TestErrorMapping:
     def test_cross_check_maps_to_three(self, capsys):
@@ -336,3 +375,19 @@ def test_property_failure_exit_code_is_one():
         assert any("FAIL" in line for line in lines)
     finally:
         del verify_mod.SUITES["synthetic_suite"]
+
+
+def test_json_property_failure_exit_code_is_one(capsys, monkeypatch):
+    import gvmot.verify as verify_mod
+
+    def always_fails(rng, scale):
+        raise verify_mod.PropertyFailure("synthetic")
+
+    monkeypatch.setitem(verify_mod.SUITES, "stack", [("always_fails", always_fails)])
+    code, out, _ = run(capsys, "verify", "stack", "--json")
+    assert code == EXIT_PROPERTY
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["properties"] == [
+        {"name": "stack.always_fails", "ok": False, "message": "synthetic"}
+    ]

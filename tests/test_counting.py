@@ -12,10 +12,12 @@ from gvmot.counting import (
     EvalModel,
     FreeHallElement,
     NumClass,
+    census_convolution,
     counting_polynomial,
     evaluate,
     gv_from_polynomial,
     phase,
+    product_combinator,
     same_phase_decompositions,
     semistable_exp,
     semistable_log,
@@ -33,7 +35,7 @@ from gvmot.errors import (
 from gvmot.laurent import LaurentPoly, RationalFn
 from gvmot.motives import AbsMotive, over_point_from_betti, point_atom, smooth_from_betti, upsilon_rel
 from gvmot.stacks import StackClass, quotient_by_special_group, upsilon_stack
-from gvmot.verify import random_pointed_setup, random_effective
+from gvmot.verify import random_atom_class, random_effective, random_pointed_setup
 
 
 def rank1() -> tuple[ClassLattice, CentralCharge]:
@@ -381,6 +383,56 @@ class TestCountingPolynomial:
             for w in (Fraction(1), Fraction(3))
         }
         assert len(values) == 1
+
+
+class TestMultisetLog:
+    """counting_polynomial sums the log over multisets of pieces; (L-1) times the
+    evaluated ordered-word log is its oracle."""
+
+    def test_matches_ordered_log_oracle(self):
+        rng = random.Random(55)
+        gm = RationalFn.from_poly(LaurentPoly.t(2) - LaurentPoly.one())
+        split = 0
+        for case in range(30):
+            rank = 1 + case % 2
+            lattice, charge = random_pointed_setup(rng, rank)
+            if case % 5 == 0:
+                v = NumClass((0,) * rank, rng.randint(1, 5))
+            else:
+                beta = random_effective(rng, lattice, charge.omega, bound=6 - 2 * rank)
+                if beta is None:
+                    continue
+                # Re Z = 0 gives every piece an integral k, so the class splits
+                v = NumClass(beta, int(sum(b * c for b, c in zip(charge.b_field, beta))))
+            words = same_phase_decompositions(lattice, charge, v)
+            split += len(words) > 1
+            pieces = sorted({piece for word in words for piece in word})
+            atoms = {piece: random_atom_class(rng) for piece in pieces}
+            defects = [(a, b, rng.randint(-2, 3)) for i, a in enumerate(pieces) for b in pieces[i:]]
+            for combine in (product_combinator, census_convolution):
+                model = EvalModel(atoms, defects, combine)
+                expected = gm * evaluate(semistable_log(lattice, charge, v), model)
+                assert counting_polynomial(lattice, charge, v, model) == expected
+                assert counting_polynomial(lattice, charge, -v, model) == expected
+        assert split >= 10
+
+    def test_membership_decided_once_per_class(self):
+        calls = []
+
+        class CountingLattice(ClassLattice):
+            def is_effective(self, beta, omega, _memo=None, budget=None):
+                calls.append(tuple(beta))
+                return super().is_effective(beta, omega, _memo=_memo, budget=budget)
+
+        lattice = CountingLattice(2, [(1, 0), (0, 1)])
+        charge = CentralCharge([0, 0], [1, 1])
+        v = NumClass((2, 2), 0)
+        pieces = {piece for word in same_phase_decompositions(lattice, charge, v) for piece in word}
+        model = EvalModel({piece: StackClass.of_variety(point_atom()) for piece in pieces})
+        for target in (v, -v):
+            calls.clear()
+            counting_polynomial(lattice, charge, target, model)
+            assert calls and len(calls) == len(set(calls))
 
 
 class TestMultiLetterEvaluation:

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from gvmot.errors import NotPolynomialError, OddWeightedDegreeError, ZeroPolynomialError
-from gvmot.laurent import LaurentPoly, RationalFn, exact_div, flat, format_poly, weighted_degree
+from gvmot.laurent import (
+    LaurentPoly,
+    RationalFn,
+    exact_div,
+    flat,
+    format_poly,
+    rational_sum,
+    weighted_degree,
+)
 
 
 def random_poly(rng, max_terms=6, t_range=(-3, 4), s_range=(0, 3), coeff_range=(-9, 9)):
@@ -205,6 +213,58 @@ class TestRationalFn:
         assert p == r
         assert not (p == RationalFn.zero())
         assert p != RationalFn.zero()
+
+
+class TestRationalSum:
+    @staticmethod
+    def left_fold(pairs):
+        total = RationalFn.zero()
+        for num, den in pairs:
+            total = total + RationalFn(num, den)
+        return total
+
+    def test_matches_left_fold(self):
+        # denominators from a small pool times units (signed and fractional
+        # constants, t-shifts), so many pairs share a bucket and many do not
+        rng = random.Random(11)
+        for _ in range(150):
+            pool = [random_poly(rng, 3) for _ in range(3)]
+            pool = [d for d in pool if not d.is_zero()] or [LaurentPoly.one()]
+            pairs = []
+            for _ in range(rng.randint(0, 6)):
+                unit = Fraction(rng.choice([-3, -1, 1, 2, 6]), rng.choice([1, 2, 5]))
+                den = rng.choice(pool).shift(rng.randint(-3, 3)).scale(unit)
+                num = random_poly(rng, 4)
+                if rng.random() < 0.3:
+                    num = num.scale(Fraction(1, rng.randint(2, 4)))
+                pairs.append((num, den))
+            assert rational_sum(iter(pairs)) == self.left_fold(pairs)
+
+    def test_cancels_to_zero(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            num, den = random_poly(rng, 4), random_poly(rng, 3)
+            if den.is_zero():
+                continue
+            unit = LaurentPoly.monomial(rng.randint(-2, 2), 0, rng.choice([-2, 3]))
+            total = rational_sum([(num, den), (-num * unit, den * unit)])
+            assert total.is_zero()
+            assert total.den == LaurentPoly.one()
+
+    def test_s_terms_and_negative_t_exponents(self):
+        s, t = LaurentPoly.s(1), LaurentPoly.t(1)
+        one = LaurentPoly.one()
+        pairs = [
+            (s, LaurentPoly.t(-2) * (t - one)),
+            (LaurentPoly.t(-3) + s * s, (t - one).scale(-4)),
+            (one, s + t),
+        ]
+        assert rational_sum(pairs) == self.left_fold(pairs)
+
+    def test_empty_and_zero_denominator(self):
+        assert rational_sum([]) == RationalFn.zero()
+        with pytest.raises(ZeroDivisionError):
+            rational_sum([(LaurentPoly.zero(), LaurentPoly.zero())])
 
 
 class TestExactDiv:
