@@ -14,12 +14,10 @@ from .counting import (
     EvalModel,
     FreeHallElement,
     NumClass,
-    Phase,
     census_convolution,
     counting_polynomial,
     evaluate,
     gv_from_polynomial,
-    phase,
     product_combinator,
     same_phase_decompositions,
     semistable_exp,
@@ -34,7 +32,6 @@ from .errors import (
     InsufficientTruncationError,
     MissingAtomError,
     NotEffectiveError,
-    NotNilpotentError,
     NotPolynomialError,
     NotRepresentationError,
     OddWeightedDegreeError,
@@ -43,7 +40,6 @@ from .errors import (
     SchemaError,
     ShapeMismatchError,
     VirtualInputError,
-    ZeroChargeError,
     ZeroGroupClassError,
     ZeroPolynomialError,
 )
@@ -62,7 +58,6 @@ from .lefschetz import (
     GradedNilpotent,
     JordanCensus,
     SpinMultiset,
-    VirtualRightRep,
     census_count,
     census_from_bispin,
     genus_count,

@@ -6,7 +6,8 @@ a stable JSON document with --json.  Every number printed is an exact
 integer or rational string.
 
 Exit codes: 0 ok, 1 property failure, 2 schema or usage error, 3 internal
-cross-check disagreement, 4 missing model data, 5 non-polynomial count.
+cross-check disagreement, 4 missing model data, 5 non-polynomial count,
+6 internal error (an exception that is not a domain error).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 from .gwseries import gv_to_gw, gw_to_gv
 from .jsonio import SCHEMA_VERSION, dump_json
 from .laurent import format_poly
-from .lefschetz import census_count, census_from_bispin, genus_count, jordan_census
+from .lefschetz import SpinMultiset, census_count, census_from_bispin, genus_decompose, jordan_census
 from .motives import upsilon_rel
 from .stacks import upsilon_stack
 from .verify import SUITE_NAMES, run_suite, suite_results
@@ -38,6 +39,7 @@ EXIT_SCHEMA = 2
 EXIT_CROSSCHECK = 3
 EXIT_MISSING_ATOM = 4
 EXIT_NOT_POLYNOMIAL = 5
+EXIT_INTERNAL = 6
 
 
 class CrossCheckError(GvmotError):
@@ -45,7 +47,9 @@ class CrossCheckError(GvmotError):
 
 
 def _emit_error(exc: Exception) -> int:
-    if isinstance(exc, CrossCheckError):
+    if not isinstance(exc, GvmotError):
+        code = EXIT_INTERNAL
+    elif isinstance(exc, CrossCheckError):
         code = EXIT_CROSSCHECK
     elif isinstance(exc, MissingAtomError):
         code = EXIT_MISSING_ATOM
@@ -85,10 +89,11 @@ def cmd_hst(args) -> int:
         genus_max = max((jl for (jl, _) in content.mult), default=0)
     virtual = content.is_virtual()
     census = None if virtual else census_from_bispin(content)
+    right_factors = genus_decompose(content)
     rows = []
     counts = []
     for g in range(genus_max + 1):
-        spin_route = genus_count(content, g)
+        spin_route = right_factors.get(g, SpinMultiset.zero()).signed_dimension()
         if census is None:
             rows.append([str(g), str(spin_route), "n/a"])
         else:
@@ -307,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GvmotError as exc:
+    except Exception as exc:  # a crash must still honour the exit-code contract
         return _emit_error(exc)
 
 

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -29,10 +29,10 @@ from .errors import (
     NotEffectiveError,
     NotPolynomialError,
     ResourceLimitError,
-    ZeroChargeError,
 )
 from .laurent import LaurentPoly, RationalFn, flat, rational_sum, weighted_degree
 from .lefschetz import JordanCensus, census_count
+from .linalg import dot
 from .motives import upsilon_rel
 from .stacks import StackClass
 
@@ -87,7 +87,7 @@ class ClassLattice:
 
     def check_positive(self, omega: tuple[Fraction, ...]) -> None:
         for g in self.generators:
-            if _dot(omega, g) <= 0:
+            if dot(omega, g) <= 0:
                 raise ConeNotPointedError(
                     f"functional {tuple(map(str, omega))} not positive on generator {g}"
                 )
@@ -112,7 +112,7 @@ class ClassLattice:
             raise ValueError(f"class {beta} has wrong rank for this lattice")
         cache = {} if _memo is None else _memo
         zero = (0,) * self.rank
-        generator_degrees = [_dot(omega, g) for g in self.generators]
+        generator_degrees = [dot(omega, g) for g in self.generators]
         # coordinates no generator can move toward zero are dead ends
         sign_floor = [min(g[i] for g in self.generators) for i in range(self.rank)]
         sign_ceil = [max(g[i] for g in self.generators) for i in range(self.rank)]
@@ -126,7 +126,7 @@ class ClassLattice:
             return False
 
         def children(b: tuple[int, ...]) -> list[tuple[int, ...]]:
-            deg = _dot(omega, b)
+            deg = dot(omega, b)
             out = []
             for g, gdeg in zip(self.generators, generator_degrees):
                 if gdeg <= deg:
@@ -187,15 +187,11 @@ class ClassLattice:
                 if budget is not None:
                     budget.spend()
                 candidate = tuple(x + y for x, y in zip(current, g))
-                if candidate not in seen and _dot(omega, candidate) <= bound:
+                if candidate not in seen and dot(omega, candidate) <= bound:
                     seen.add(candidate)
                     frontier.append(candidate)
         seen.discard(zero)
         return sorted(seen)
-
-
-def _dot(omega: tuple[Fraction, ...], beta: tuple[int, ...]) -> Fraction:
-    return sum((Fraction(w) * b for w, b in zip(omega, beta)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -215,80 +211,26 @@ class CentralCharge:
         """Exact (real, imaginary) parts of the charge on v."""
         if len(v.beta) != len(self.omega):
             raise ValueError("class rank does not match the charge")
-        re = -Fraction(v.k) + _dot(self.b_field, v.beta)
-        im = _dot(self.omega, v.beta)
+        re = -Fraction(v.k) + dot(self.b_field, v.beta)
+        im = dot(self.omega, v.beta)
         return re, im
 
 
-class Phase:
-    """Exact phase of a nonzero charge value, normalized to the interval (0, 2].
-
-    Stored as the primitive integer direction of (re, im); equality of phases
-    is equality of directions.
-    """
-
-    __slots__ = ("direction",)
-
-    def __init__(self, re: Fraction, im: Fraction):
-        if re == 0 and im == 0:
-            raise ZeroChargeError("central charge vanishes; phase undefined")
-        mult = lcm(re.denominator, im.denominator)
-        a, b = int(re * mult), int(im * mult)
-        g = gcd(abs(a), abs(b))
-        object.__setattr__(self, "direction", (a // g, b // g))
-
-    @property
-    def re_sign(self) -> int:
-        a, _ = self.direction
-        return (a > 0) - (a < 0)
-
-    @property
-    def im_sign(self) -> int:
-        _, b = self.direction
-        return (b > 0) - (b < 0)
-
-    def in_unit_range(self) -> bool:
-        """True when the phase lies in (0, 1]: upper half plane or negative reals."""
-        return self.im_sign > 0 or (self.im_sign == 0 and self.re_sign < 0)
-
-    def exact_angle(self) -> Fraction | None:
-        """The angle as a multiple of 1/2 when it is one, else None."""
-        table = {
-            (-1, 0): Fraction(1),
-            (0, 1): Fraction(1, 2),
-            (0, -1): Fraction(3, 2),
-            (1, 0): Fraction(2),
-        }
-        return table.get(self.direction)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Phase) and self.direction == other.direction
-
-    def __hash__(self) -> int:
-        return hash(self.direction)
-
-    def __repr__(self) -> str:
-        angle = self.exact_angle()
-        if angle is not None:
-            return f"Phase({angle})"
-        return f"Phase(direction={self.direction})"
-
-
-def phase(z: CentralCharge, v: NumClass) -> Phase:
-    return Phase(*z.value(v))
-
-
 class FreeHallElement:
-    """Lambda-linear combination of words of delta letters (free concatenation)."""
+    """Rational combination of words of delta letters (free concatenation).
+
+    Coefficients are plain Fractions: the log and exp weights are rational
+    numbers, and evaluate() supplies every power of L.
+    """
 
     __slots__ = ("words",)
 
-    def __init__(self, words: Mapping[tuple[NumClass, ...], RationalFn] | None = None):
-        clean: dict[tuple[NumClass, ...], RationalFn] = {}
+    def __init__(self, words: Mapping[tuple[NumClass, ...], Fraction | int] | None = None):
+        clean: dict[tuple[NumClass, ...], Fraction] = {}
         if words:
             for word, coeff in words.items():
                 if coeff:
-                    clean[tuple(word)] = coeff
+                    clean[tuple(word)] = Fraction(coeff)
         object.__setattr__(self, "words", clean)
 
     @classmethod
@@ -297,7 +239,7 @@ class FreeHallElement:
 
     @classmethod
     def letter(cls, v: NumClass) -> "FreeHallElement":
-        return cls({(v,): RationalFn.one()})
+        return cls({(v,): Fraction(1)})
 
     def items(self):
         return self.words.items()
@@ -315,14 +257,12 @@ class FreeHallElement:
     def __sub__(self, other: "FreeHallElement") -> "FreeHallElement":
         return self + other.scale(Fraction(-1))
 
-    def scale(self, c) -> "FreeHallElement":
-        if isinstance(c, (int, Fraction)):
-            c = RationalFn.from_fraction(c)
+    def scale(self, c: Fraction | int) -> "FreeHallElement":
         return FreeHallElement({word: coeff * c for word, coeff in self.words.items()})
 
     def star(self, other: "FreeHallElement") -> "FreeHallElement":
         """Concatenation product, graded by the total class of each word."""
-        out: dict[tuple[NumClass, ...], RationalFn] = {}
+        out: dict[tuple[NumClass, ...], Fraction] = {}
         for w1, c1 in self.words.items():
             for w2, c2 in other.words.items():
                 word = w1 + w2
@@ -339,9 +279,7 @@ class FreeHallElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FreeHallElement):
             return NotImplemented
-        if set(self.words) != set(other.words):
-            return False
-        return all(self.words[w] == other.words[w] for w in self.words)
+        return self.words == other.words
 
     __hash__ = None
 
@@ -409,7 +347,7 @@ def _same_phase_words(
         pieces = []
         for beta in lattice.monoid_elements(charge.omega, im_v, budget=budget):
             budget.spend()
-            k_frac = _dot(charge.b_field, beta) + slope * _dot(charge.omega, beta)
+            k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
             if k_frac.denominator == 1:
                 pieces.append(NumClass(beta, int(k_frac)))
 
@@ -460,7 +398,7 @@ def semistable_log(
     words = {}
     for decomposition in same_phase_decompositions(lattice, charge, v, max_compositions):
         n = len(decomposition)
-        words[decomposition] = RationalFn.from_fraction(Fraction((-1) ** (n - 1), n))
+        words[decomposition] = Fraction((-1) ** (n - 1), n)
     return FreeHallElement(words)
 
 
@@ -484,7 +422,7 @@ def _multiset_log(
         n = len(word)
         repeats = prod(factorial(m) for m in Counter(word).values())
         weight = Fraction((-1) ** (n - 1) * factorial(n - 1), repeats)
-        words[word[::-1]] = RationalFn.from_fraction(weight)
+        words[word[::-1]] = weight
     return FreeHallElement(words)
 
 
@@ -627,9 +565,10 @@ def evaluate(f: FreeHallElement, model: EvalModel) -> RationalFn:
                 for i in range(len(word))
                 for j in range(i + 1, len(word))
             )
-            scaled = coeff.num.shift(2 * exponent)
+            scaled = LaurentPoly({(2 * exponent, 0): coeff.numerator})
+            coeff_den = LaurentPoly.constant(coeff.denominator)
             for choice in _iproduct(*(model.atom(v).parts for v in word)):
-                num, den = scaled, coeff.den
+                num, den = scaled, coeff_den
                 for c, _ in choice:
                     num = num * c.num
                     den = den * c.den

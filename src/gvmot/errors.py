@@ -27,10 +27,6 @@ class NotRepresentationError(GvmotError):
     """Graded dimensions violate the symmetry/unimodality a raising operator forces."""
 
 
-class NotNilpotentError(GvmotError):
-    """Graded operator fails to vanish after composing through the grading."""
-
-
 class ShapeMismatchError(GvmotError):
     """Matrix shapes inconsistent with the declared grading."""
 
@@ -53,10 +49,6 @@ class HardLefschetzError(GvmotError):
 
 class ZeroGroupClassError(GvmotError):
     """Cannot divide by a group whose class evaluates to zero."""
-
-
-class ZeroChargeError(GvmotError):
-    """Central charge vanishes on the class; phase undefined."""
 
 
 class NotEffectiveError(GvmotError):

@@ -18,12 +18,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConeNotPointedError, InsufficientTruncationError
+from .linalg import dot
 
 Beta = tuple[int, ...]
-
-
-def _dot(omega: tuple[Fraction, ...], beta: Beta) -> Fraction:
-    return sum((Fraction(w) * b for w, b in zip(omega, beta)), Fraction(0))
 
 
 # -- exact expansion of (2 sin(u/2))^{2g-2} -----------------------------------
@@ -106,7 +103,7 @@ class GVTable:
                 raise ValueError(f"entry at genus {g} beyond cutoff {genus_max}")
             if all(b == 0 for b in beta):
                 raise ValueError("curve class must be nonzero")
-            deg = _dot(omega, beta)
+            deg = dot(omega, beta)
             if deg <= 0:
                 raise ConeNotPointedError(f"class {beta} has nonpositive degree")
             if deg > degree_max:
@@ -149,7 +146,7 @@ class GWSeries:
                 raise ValueError(f"lambda order {lam} beyond cutoff {lambda_max}")
             if all(b == 0 for b in beta):
                 raise ValueError("curve class must be nonzero")
-            deg = _dot(omega, beta)
+            deg = dot(omega, beta)
             if deg <= 0:
                 raise ConeNotPointedError(f"class {beta} has nonpositive degree")
             if deg > degree_max:
@@ -194,7 +191,7 @@ def gv_to_gw(
         lambda_max = 2 * table.genus_max - 2
     coeffs: dict[tuple[Beta, int], Fraction] = {}
     for (g, beta), n in sorted(table.entries.items()):
-        deg = _dot(table.omega, beta)
+        deg = dot(table.omega, beta)
         k = 1
         while k * deg <= degree_max:
             kbeta = tuple(k * b for b in beta)
@@ -228,7 +225,7 @@ def _candidate_classes(series: GWSeries, degree_max: Fraction) -> list[Beta]:
             for k in range(2, g + 1):
                 if g % k == 0:
                     fresh.add(tuple(b // k for b in beta))
-            deg = _dot(series.omega, beta)
+            deg = dot(series.omega, beta)
             k = 2
             while k * deg <= degree_max:
                 fresh.add(tuple(k * b for b in beta))
@@ -236,7 +233,7 @@ def _candidate_classes(series: GWSeries, degree_max: Fraction) -> list[Beta]:
         if fresh <= current:
             break
         current |= fresh
-    return sorted(current, key=lambda b: (_dot(series.omega, b), b))
+    return sorted(current, key=lambda b: (dot(series.omega, b), b))
 
 
 def gw_to_gv(
@@ -269,7 +266,7 @@ def gw_to_gv(
 
     known: dict[tuple[int, Beta], Fraction] = {}
     for beta in _candidate_classes(series, degree_max):
-        if _dot(series.omega, beta) > degree_max:
+        if dot(series.omega, beta) > degree_max:
             continue
         divisibility = 0
         for b in beta:

@@ -233,13 +233,6 @@ def flat(q: LaurentPoly) -> LaurentPoly:
     return q.shift(-m // 2)
 
 
-def poly_from_int_terms(triples: Iterable[tuple[int, int, int]]) -> LaurentPoly:
-    out: dict[tuple[int, int], Coeff] = {}
-    for a, b, c in triples:
-        out[(a, b)] = out.get((a, b), 0) + c
-    return LaurentPoly(out)
-
-
 # -- printing ---------------------------------------------------------------
 
 
@@ -435,9 +428,6 @@ class RationalFn:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.one() or exact_div(self.num, self.den) is not None
 
     def as_poly(self) -> LaurentPoly:
         """The underlying polynomial, requiring integer coefficients.

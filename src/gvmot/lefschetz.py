@@ -14,12 +14,7 @@ from math import comb
 from typing import Mapping
 
 from . import linalg
-from .errors import (
-    NotNilpotentError,
-    NotRepresentationError,
-    ShapeMismatchError,
-    VirtualInputError,
-)
+from .errors import NotRepresentationError, ShapeMismatchError, VirtualInputError
 
 
 class SpinMultiset:
@@ -71,6 +66,10 @@ class SpinMultiset:
     def dimension(self) -> int:
         return sum(m * (two_j + 1) for two_j, m in self._mult.items())
 
+    def signed_dimension(self) -> int:
+        """sum_j (-1)^{2j} (2j+1) N_j: half-integer spins count negatively."""
+        return sum((-1) ** two_j * (two_j + 1) * m for two_j, m in self._mult.items())
+
     def weight_dims(self) -> dict[int, int]:
         """Multiplicity of each h-weight; inverse of spin_decompose."""
         dims: dict[int, int] = {}
@@ -105,10 +104,6 @@ class SpinMultiset:
             return "SpinMultiset(0)"
         body = ", ".join(f"(2j={k}): {m}" for k, m in self._mult.items())
         return f"SpinMultiset({body})"
-
-
-# VirtualRightRep is a SpinMultiset with possibly negative multiplicities.
-VirtualRightRep = SpinMultiset
 
 
 class BispinContent:
@@ -252,17 +247,6 @@ class GradedNilpotent:
                 raise ShapeMismatchError(f"map at degree {alpha}: {exc}") from exc
         object.__setattr__(self, "dims", dict(sorted(clean_dims.items())))
         object.__setattr__(self, "maps", clean_maps)
-        self._check_nilpotent()
-
-    def _check_nilpotent(self) -> None:
-        # defensive: with validated shapes any long composite hits a missing
-        # degree and vanishes, so this cannot fire on well-formed input
-        if not self.dims:
-            return
-        span = (max(self.dims) - min(self.dims)) // 2 + 1
-        for alpha in self.dims:
-            if self.composite_rank(alpha, span) != 0:
-                raise NotNilpotentError(f"composite from degree {alpha} never vanishes")
 
     def dimension(self) -> int:
         return sum(self.dims.values())
@@ -273,22 +257,6 @@ class GradedNilpotent:
         if alpha in self.maps:
             return self.maps[alpha]
         return linalg.zero_matrix(dst, src)
-
-    def composite_rank(self, alpha: int, k: int) -> int:
-        """Rank of the k-fold composite V_alpha -> V_{alpha+2k}; k=0 gives dim."""
-        src = self.dims.get(alpha, 0)
-        if k == 0:
-            return src
-        if src == 0:
-            return 0
-        acc = self.map_at(alpha)
-        for i in range(1, k):
-            if not acc or not acc[0]:
-                return 0
-            acc = linalg.mat_mul(self.map_at(alpha + 2 * i), acc)
-        if not acc or not acc[0]:
-            return 0
-        return linalg.mat_rank(acc)
 
     def conjugate(self, basis: Mapping[int, linalg.Matrix]) -> "GradedNilpotent":
         """Change basis degreewise: new map = P_{a+2} M_a P_a^{-1}."""
@@ -343,22 +311,24 @@ def tensor(x: SpinMultiset, y: SpinMultiset) -> SpinMultiset:
     return SpinMultiset(out)
 
 
-_TORUS_CACHE: dict[int, SpinMultiset] = {}
-
-
 def torus_rep(g: int) -> SpinMultiset:
-    """Spin content [(1/2) + 2(0)]^{tensor g}: the cohomology of a g-torus."""
+    """Spin content [(1/2) + 2(0)]^{tensor g}: the cohomology of a g-torus.
+
+    Its weight dimensions are the coefficients of (x^-1 + 2 + x)^g =
+    x^-g (1 + x)^{2g}, so weight w has dimension C(2g, g - w), and mult(2j = k)
+    is the difference C(2g, g - k) - C(2g, g - k - 2) of consecutive weight
+    spaces, with C(n, m) = 0 for m < 0.
+    """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    if g not in _TORUS_CACHE:
-        if g == 0:
-            _TORUS_CACHE[g] = SpinMultiset({0: 1})
-        else:
-            _TORUS_CACHE[g] = tensor(torus_rep(g - 1), SpinMultiset({1: 1, 0: 2}))
-    return _TORUS_CACHE[g]
+
+    def c(m: int) -> int:
+        return comb(2 * g, m) if m >= 0 else 0
+
+    return SpinMultiset({k: c(g - k) - c(g - k - 2) for k in range(g + 1)})
 
 
-def genus_decompose(v: BispinContent) -> dict[int, VirtualRightRep]:
+def genus_decompose(v: BispinContent) -> dict[int, SpinMultiset]:
     """Expand left content in the torus basis, collecting right-spin coefficients.
 
     The torus representation of genus g has a unique top left spin g/2, so a
@@ -379,15 +349,8 @@ def genus_decompose(v: BispinContent) -> dict[int, VirtualRightRep]:
 
 
 def genus_count(v: BispinContent, g: int) -> int:
-    """Signed dimension count sum_j (-1)^{2j} (2j+1) N_j of the genus-g right factor."""
-    rep = genus_decompose(v).get(g)
-    if rep is None:
-        return 0
-    total = 0
-    for two_j, n in rep.items():
-        sign = -1 if two_j % 2 else 1
-        total += sign * (two_j + 1) * n
-    return total
+    """Signed dimension of the genus-g right factor; one genus of genus_decompose."""
+    return genus_decompose(v).get(g, SpinMultiset.zero()).signed_dimension()
 
 
 # -- Jordan censuses ----------------------------------------------------------

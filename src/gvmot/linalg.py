@@ -23,6 +23,11 @@ def _norm_entry(c) -> Entry:
     return int(f) if f.denominator == 1 else f
 
 
+def dot(omega, beta) -> Fraction:
+    """Exact pairing of a rational functional with an integer vector."""
+    return sum((Fraction(w) * b for w, b in zip(omega, beta)), Fraction(0))
+
+
 def mat_from_rows(rows, nrows: int, ncols: int) -> Matrix:
     m = [[_norm_entry(c) for c in row] for row in rows]
     if len(m) != nrows or any(len(row) != ncols for row in m):

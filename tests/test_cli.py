@@ -5,6 +5,7 @@ from pathlib import Path
 
 from gvmot.cli import (
     EXIT_CROSSCHECK,
+    EXIT_INTERNAL,
     EXIT_MISSING_ATOM,
     EXIT_NOT_POLYNOMIAL,
     EXIT_OK,
@@ -17,6 +18,7 @@ from gvmot.cli import (
 
 SAMPLES = str(Path(__file__).resolve().parent.parent / "sample_data")
 GOLDEN_GV = Path(__file__).resolve().parent / "data" / "gv_golden.json"
+GOLDEN_HST = Path(__file__).resolve().parent / "data" / "hst_golden.json"
 
 
 def run(capsys, *argv):
@@ -56,6 +58,21 @@ class TestHst:
         code, out, _ = run(capsys, "hst", "--input", path, "--genus-max", "1")
         assert code == EXIT_OK
         assert "n/a" in out
+
+
+def test_hst_json_matches_golden_bytes(capsys, tmp_path):
+    # stdout of `hst --json` on a sample, a virtual and a multi-right-spin
+    # document with 2jL = 60, recorded while each genus re-ran the torus solve
+    golden = json.loads(GOLDEN_HST.read_text())
+    assert len(golden) == 3
+    for name, case in golden.items():
+        if "document" in case:
+            path = write_doc(tmp_path, f"{name}.json", case["document"])
+        else:
+            path = f"{SAMPLES}/{name}"
+        code, out, _ = run(capsys, "hst", "--input", path, "--json", *case["argv"])
+        assert code == EXIT_OK
+        assert out == case["stdout"], name
 
 
 class TestUpsilon:
@@ -359,6 +376,22 @@ class TestErrorMapping:
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run(capsys, "hst", "--input", "no/such/file.json")
         assert code == EXIT_SCHEMA
+
+    def test_internal_error_exit_six_with_one_json_line(self, capsys, tmp_path):
+        # a motive nested 900 deep overflows the recursive evaluation
+        expr = {"kind": "betti", "bettis": [1], "dim": 0}
+        for _ in range(900):
+            expr = {"kind": "int_scale", "factor": 1, "expr": expr}
+        path = write_doc(tmp_path, "deep.motive.json", {"v": 1, "kind": "motive", "expr": expr})
+        code, out, err = run(capsys, "upsilon", "--input", path, "--json")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        body = json.loads(lines[0])
+        assert list(body) == ["error"]
+        assert body["error"]["type"] == "RecursionError"
+        assert "recursion" in body["error"]["message"]
 
 
 def test_property_failure_exit_code_is_one():

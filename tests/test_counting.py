@@ -12,11 +12,11 @@ from gvmot.counting import (
     EvalModel,
     FreeHallElement,
     NumClass,
+    _unit_range_test,
     census_convolution,
     counting_polynomial,
     evaluate,
     gv_from_polynomial,
-    phase,
     product_combinator,
     same_phase_decompositions,
     semistable_exp,
@@ -30,7 +30,6 @@ from gvmot.errors import (
     NotPolynomialError,
     OddWeightedDegreeError,
     ResourceLimitError,
-    ZeroChargeError,
 )
 from gvmot.laurent import LaurentPoly, RationalFn
 from gvmot.motives import AbsMotive, over_point_from_betti, point_atom, smooth_from_betti, upsilon_rel
@@ -89,35 +88,26 @@ def decompositions_rank1_oracle(charge: CentralCharge, v: NumClass, k_bound: int
 
 
 class TestPhase:
-    def test_zero_dimensional_class_has_phase_one(self):
-        lat, z = rank1()
-        assert phase(z, NumClass((0,), 1)).exact_angle() == 1
+    """Membership in the phase-(0,1] range, the one range the counts use."""
 
-    def test_pure_curve_class_has_phase_half(self):
+    def test_zero_dimensional_class_in_unit_range(self):
         lat, z = rank1()
-        assert phase(z, NumClass((3,), 0)).exact_angle() == Fraction(1, 2)
+        in_range = _unit_range_test(lat, z)
+        assert in_range(NumClass((0,), 1)) and in_range(NumClass((0,), 3))
+        assert not in_range(NumClass((0,), 0)) and not in_range(NumClass((0,), -2))
+
+    def test_pure_curve_class_in_unit_range(self):
+        lat, z = rank1()
+        assert _unit_range_test(lat, z)(NumClass((3,), 0))
 
     def test_unit_euler_class_second_octant(self):
-        lat, z = rank1()
-        p = phase(z, NumClass((2,), 1))
         # Re Z = -1 < 0, Im Z > 0: strictly between 1/2 and 1
-        assert p.exact_angle() is None
-        assert p.re_sign < 0 and p.im_sign > 0
-        assert p.in_unit_range()
+        lat, z = rank1()
+        assert _unit_range_test(lat, z)(NumClass((2,), 1))
 
     def test_negated_class_leaves_unit_range(self):
         lat, z = rank1()
-        assert not phase(z, NumClass((-2,), -1)).in_unit_range()
-
-    def test_zero_charge_rejected(self):
-        lat, z = rank1()
-        with pytest.raises(ZeroChargeError):
-            phase(z, NumClass((0,), 0))
-
-    def test_equality_is_proportionality(self):
-        lat, z = rank1()
-        assert phase(z, NumClass((1,), 1)) == phase(z, NumClass((2,), 2))
-        assert phase(z, NumClass((1,), 1)) != phase(z, NumClass((2,), 1))
+        assert not _unit_range_test(lat, z)(NumClass((-2,), -1))
 
 
 class TestDecompositions:
@@ -196,8 +186,8 @@ class TestLogExp:
         v = NumClass((2,), 0)
         expected = FreeHallElement(
             {
-                (v,): RationalFn.one(),
-                (e, e): RationalFn.from_fraction(Fraction(-1, 2)),
+                (v,): 1,
+                (e, e): Fraction(-1, 2),
             }
         )
         assert semistable_log(lat, z, v) == expected
@@ -212,8 +202,8 @@ class TestLogExp:
         }
         expected = FreeHallElement(
             {
-                (v,): RationalFn.one(),
-                (e, e): RationalFn.from_fraction(Fraction(1, 2)),
+                (v,): 1,
+                (e, e): Fraction(1, 2),
             }
         )
         assert semistable_exp(lat, z, v, log_table=log_table) == expected
@@ -282,7 +272,7 @@ class TestEvaluate:
             {v1: StackClass.of_variety(x), v2: StackClass.of_variety(x)},
             [(v1, v2, 3)],
         )
-        word = FreeHallElement({(v1, v2): RationalFn.one()})
+        word = FreeHallElement({(v1, v2): 1})
         expected = RationalFn.from_poly(
             LaurentPoly.t(6) * upsilon_rel(x) * upsilon_rel(x)
         )
@@ -311,8 +301,8 @@ class TestEvaluate:
             word = [rng.choice(classes) for _ in range(rng.randint(2, 4))]
             shuffled = word[:]
             rng.shuffle(shuffled)
-            lhs = evaluate(FreeHallElement({tuple(word): RationalFn.one()}), model)
-            rhs = evaluate(FreeHallElement({tuple(shuffled): RationalFn.one()}), model)
+            lhs = evaluate(FreeHallElement({tuple(word): 1}), model)
+            rhs = evaluate(FreeHallElement({tuple(shuffled): 1}), model)
             assert lhs == rhs
 
 
@@ -449,7 +439,7 @@ class TestMultiLetterEvaluation:
         lat, z, model, v1, v2 = self.setup_model()
         log_elem = semistable_log(lat, z, v2)
         assert set(log_elem.words) == {(v2,), (v1, v1)}
-        assert log_elem.words[(v1, v1)] == RationalFn.from_fraction(Fraction(-1, 2))
+        assert log_elem.words[(v1, v1)] == Fraction(-1, 2)
 
     def test_counting_polynomial_through_two_letter_words(self):
         # hand composition of the stratum formula:

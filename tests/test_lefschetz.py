@@ -36,6 +36,26 @@ def tensor_weight_oracle(x: SpinMultiset, y: SpinMultiset) -> SpinMultiset:
     return spin_decompose(conv)
 
 
+def torus_rep_oracle(g_max: int):
+    """torus_rep(g) for g < g_max by the tensor-power recursion T_g = T_{g-1} x T_1."""
+    rep = SpinMultiset({0: 1})
+    for _ in range(g_max):
+        yield rep
+        rep = tensor(rep, SpinMultiset({1: 1, 0: 2}))
+
+
+def assert_span_fold_composites_vanish(op: GradedNilpotent) -> None:
+    """Composing span = (max - min)/2 + 1 maps out of any degree leaves the support."""
+    if not op.dims:
+        return
+    span = (max(op.dims) - min(op.dims)) // 2 + 1
+    for alpha in op.dims:
+        acc = op.map_at(alpha)
+        for i in range(1, span):
+            acc = linalg.mat_mul(op.map_at(alpha + 2 * i), acc)
+        assert all(c == 0 for row in acc for c in row), (op.dims, alpha)
+
+
 class TestSpinDecompose:
     def test_single_spin_one_string(self):
         assert spin_decompose({-2: 1, 0: 1, 2: 1}) == SpinMultiset({2: 1})
@@ -107,6 +127,16 @@ class TestTorusRep:
     def test_dimension_power_of_four(self):
         for g in range(6):
             assert torus_rep(g).dimension() == 4**g
+
+    def test_closed_form_matches_tensor_recursion(self):
+        for g, expected in enumerate(torus_rep_oracle(60)):
+            assert torus_rep(g) == expected, g
+
+    def test_high_genus_needs_no_recursion(self):
+        rep = torus_rep(1500)
+        assert rep.dimension() == 4**1500
+        assert rep.max_two_j() == 1500 and rep.multiplicity(1500) == 1
+        assert not rep.is_virtual()
 
 
 class TestGenusDecompose:
@@ -284,26 +314,47 @@ def build_from_strings(cells: dict[tuple[int, int], int]) -> GradedNilpotent:
     return GradedNilpotent(dims, maps)
 
 
-class TestGroundTruthStrings:
-    def random_cells(self, rng):
-        cells = {}
-        for _ in range(rng.randint(1, 5)):
-            alpha = rng.randint(-4, 3)
-            l = rng.randint(1, 4)
-            cells[(alpha, l)] = cells.get((alpha, l), 0) + rng.randint(1, 2)
-        return cells
+def random_cells(rng) -> dict[tuple[int, int], int]:
+    cells = {}
+    for _ in range(rng.randint(1, 5)):
+        alpha = rng.randint(-4, 3)
+        l = rng.randint(1, 4)
+        cells[(alpha, l)] = cells.get((alpha, l), 0) + rng.randint(1, 2)
+    return cells
 
+
+class TestGroundTruthStrings:
     def test_census_recovers_chosen_strings(self):
         rng = random.Random(22)
         for _ in range(60):
-            cells = self.random_cells(rng)
+            cells = random_cells(rng)
             op = build_from_strings(cells)
             assert jordan_census(op) == JordanCensus(cells)
 
     def test_census_survives_conjugation_of_ground_truth(self):
         rng = random.Random(23)
         for _ in range(60):
-            cells = self.random_cells(rng)
+            cells = random_cells(rng)
             op = build_from_strings(cells)
             basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
             assert jordan_census(op.conjugate(basis)) == JordanCensus(cells)
+
+
+class TestNilpotentByConstruction:
+    def test_ground_truth_strings(self):
+        rng = random.Random(25)
+        for _ in range(40):
+            assert_span_fold_composites_vanish(build_from_strings(random_cells(rng)))
+
+    def test_realized_bispin(self):
+        rng = random.Random(26)
+        for _ in range(40):
+            assert_span_fold_composites_vanish(realize_bispin(random_bispin(rng, 4, 3)))
+
+    def test_random_and_conjugated(self):
+        rng = random.Random(27)
+        for _ in range(40):
+            op = random_graded_nilpotent(rng)
+            assert_span_fold_composites_vanish(op)
+            basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
+            assert_span_fold_composites_vanish(op.conjugate(basis))
