@@ -5,9 +5,9 @@ are strict JSON (see jsonio); output is an aligned text table by default or
 a stable JSON document with --json.  Every number printed is an exact
 integer or rational string.
 
-Exit codes: 0 ok, 1 property failure, 2 schema or usage error, 3 internal
-cross-check disagreement, 4 missing model data, 5 non-polynomial count,
-6 internal error (an exception that is not a domain error).
+Exit codes: 0 ok, 1 property failure, 2 schema, usage or resource-cap error,
+3 internal cross-check disagreement, 4 missing model data, 5 non-polynomial
+count, 6 internal error (an exception that is not a domain error).
 """
 
 from __future__ import annotations

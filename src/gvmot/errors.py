@@ -68,7 +68,7 @@ class AsymmetricDefectError(GvmotError):
 
 
 class ResourceLimitError(GvmotError):
-    """Decomposition enumeration exceeded the configured cap."""
+    """Work exceeded its cap: decomposition enumeration, or the counted work of a series transform."""
 
 
 class InsufficientTruncationError(GvmotError):

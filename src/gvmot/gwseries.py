@@ -1,84 +1,103 @@
 """The BPS/Gromov-Witten generating-function transform on truncated exact series.
 
-An integer table n_g^beta expands into a rational series via
+One multiple-cover kernel carries a count n_g^beta into the series,
 
     sum n_g^beta / k * (2 sin(k lambda / 2))^{2g-2} q^{k beta},
 
-with the sine powers Laurent-expanded exactly: genus 0 contributes orders
-from lambda^{-2} up, genus 1 exactly lambda^0, higher genus a power series.
-The inverse transform solves triangularly, ordered by omega-degree of beta
-and then genus; integrality of the solved values is conjectural and
-non-integer results are reported alongside the table, never rounded.
+with the sine powers Laurent-expanded exactly.  The forward transform pushes
+every table entry through it.  The inverse is the forward transform minus
+the covers already known: walking classes by omega-degree, then genus, each
+value is its coefficient minus what earlier values pushed onto that key, and
+is pushed in turn.  Integrality of the solved values is conjectural;
+non-integer results are reported alongside the table, never rounded.  Each
+call counts its work from the cuts first and raises ResourceLimitError when
+a count exceeds MAX_SERIES_WORK.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Mapping
 
-from .errors import ConeNotPointedError, InsufficientTruncationError
+from .errors import ConeNotPointedError, InsufficientTruncationError, ResourceLimitError
 from .linalg import dot
 
 Beta = tuple[int, ...]
 
+MAX_SERIES_WORK = 10**6
+"""Cap on each count taken before a transform: kernel terms, candidate classes, sin-table products."""
+
+
+def _check_work(stage: str, what: str, count: int) -> None:
+    if count > MAX_SERIES_WORK:
+        raise ResourceLimitError(f"{stage}: {count} {what} exceed the cap of {MAX_SERIES_WORK}")
+
 
 # -- exact expansion of (2 sin(u/2))^{2g-2} -----------------------------------
-#
-# With y = u^2, (2 sin(u/2))^2 = 2(1 - cos u) = y * V(y) where
-# V(y) = sum_{n>=0} 2 (-1)^n y^n / (2n+2)!, so the genus-g factor is
-# y^{g-1} V(y)^{g-1} and its coefficients are powers of V.
-
-_SERIES_CACHE: dict[int, list[Fraction]] = {}
 
 
-def _v_series(order: int) -> list[Fraction]:
-    from math import factorial
+def _sin_powers(genus_max: int, order: int) -> list[list[Fraction]]:
+    """Rows g = 0..genus_max; row[g][j] is the coefficient of u^{2g-2+2j} in (2 sin(u/2))^{2g-2}.
 
-    return [Fraction(2 * (-1) ** n, factorial(2 * n + 2)) for n in range(order + 1)]
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / a[0]
+    With y = u^2, (2 sin(u/2))^2 = 2(1 - cos u) = y V(y) where V(y) =
+    sum_{n>=0} 2 (-1)^n y^n / (2n+2)!, so row g is V^{g-1} to y^order: row 0
+    inverts V (V(0) = 1), and each further row is the one before times V.
+    """
+    _check_work("sin table", "products", (genus_max + 1) * (order + 1) * (order + 2) // 2)
+    v = [Fraction(2 * (-1) ** n, factorial(2 * n + 2)) for n in range(order + 1)]
+    row = [Fraction(1)]
     for n in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            if i < len(a):
-                acc += a[i] * out[n - i]
-        out[n] = -acc / a[0]
-    return out
+        row.append(-sum(v[i] * row[n - i] for i in range(1, n + 1)))
+    rows = [row]
+    for _ in range(genus_max):
+        rows.append([sum(rows[-1][i] * v[n - i] for i in range(n + 1)) for n in range(order + 1)])
+    return rows
 
 
 def sin_power_coefficient(g: int, j: int) -> Fraction:
     """Coefficient of u^{2g-2+2j} in (2 sin(u/2))^{2g-2}, exact."""
     if g < 0 or j < 0:
         return Fraction(0)
-    series = _SERIES_CACHE.get(g)
-    if series is None or j >= len(series):
-        order = max(j + 8, 16)
-        v = _v_series(order)
-        if g == 0:
-            series = _series_inv(v, order)
-        else:
-            series = [Fraction(1)] + [Fraction(0)] * order
-            for _ in range(g - 1):
-                series = _series_mul(series, v, order)
-        _SERIES_CACHE[g] = series
-    return series[j]
+    return _sin_powers(g, j)[g][j]
+
+
+def _cover_count(omega, beta: Beta, degree_max: Fraction) -> int:
+    """Number of k >= 1 with k beta inside the degree cut."""
+    return max(int(degree_max // dot(omega, beta)), 0)
+
+
+def _order_count(g: int, lambda_max: int) -> int:
+    """Number of j >= 0 with 2g-2+2j inside the lambda cut."""
+    return max((lambda_max - 2 * g + 2) // 2 + 1, 0)
+
+
+def _push(acc: dict, g: int, beta: Beta, n, omega, degree_max: Fraction, lambda_max: int, sin) -> None:
+    """The multiple-cover kernel: add n c(g, j) k^{2g-3+2j} at (k beta, 2g-2+2j) inside the cuts."""
+    for k in range(1, _cover_count(omega, beta, degree_max) + 1):
+        kbeta = tuple(k * b for b in beta)
+        for j in range(_order_count(g, lambda_max)):
+            c = sin[g][j]
+            if c:
+                key = (kbeta, 2 * g - 2 + 2 * j)
+                acc[key] = acc.get(key, 0) + n * c * Fraction(k) ** (2 * g - 3 + 2 * j)
 
 
 # -- tables and series ---------------------------------------------------------
+
+
+def _check_class(beta, omega: tuple[Fraction, ...], degree_max: Fraction) -> Beta:
+    """A nonzero integer class of positive omega-degree inside the degree cut."""
+    beta = tuple(int(b) for b in beta)
+    if all(b == 0 for b in beta):
+        raise ValueError("curve class must be nonzero")
+    deg = dot(omega, beta)
+    if deg <= 0:
+        raise ConeNotPointedError(f"class {beta} has nonpositive degree")
+    if deg > degree_max:
+        raise ValueError(f"class {beta} beyond degree cutoff {degree_max}")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -96,27 +115,17 @@ class GVTable:
         clean: dict[tuple[int, Beta], int] = {}
         for (g, beta), n in entries.items():
             g = int(g)
-            beta = tuple(int(b) for b in beta)
             if g < 0:
                 raise ValueError("genus must be nonnegative")
             if g > genus_max:
                 raise ValueError(f"entry at genus {g} beyond cutoff {genus_max}")
-            if all(b == 0 for b in beta):
-                raise ValueError("curve class must be nonzero")
-            deg = dot(omega, beta)
-            if deg <= 0:
-                raise ConeNotPointedError(f"class {beta} has nonpositive degree")
-            if deg > degree_max:
-                raise ValueError(f"class {beta} beyond degree cutoff {degree_max}")
+            beta = _check_class(beta, omega, degree_max)
             if int(n) != 0:
                 clean[(g, beta)] = int(n)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "genus_max", int(genus_max))
         object.__setattr__(self, "degree_max", degree_max)
         object.__setattr__(self, "omega", omega)
-
-    def count(self, g: int, beta: Beta) -> int:
-        return self.entries.get((g, tuple(beta)), 0)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GVTable) and self.entries == other.entries
@@ -138,19 +147,12 @@ class GWSeries:
         degree_max = Fraction(degree_max)
         clean: dict[tuple[Beta, int], Fraction] = {}
         for (beta, lam), c in coeffs.items():
-            beta = tuple(int(b) for b in beta)
             lam = int(lam)
             if lam < -2 or lam % 2 != 0:
                 raise ValueError("lambda exponents are even integers >= -2")
             if lam > lambda_max:
                 raise ValueError(f"lambda order {lam} beyond cutoff {lambda_max}")
-            if all(b == 0 for b in beta):
-                raise ValueError("curve class must be nonzero")
-            deg = dot(omega, beta)
-            if deg <= 0:
-                raise ConeNotPointedError(f"class {beta} has nonpositive degree")
-            if deg > degree_max:
-                raise ValueError(f"class {beta} beyond degree cutoff {degree_max}")
+            beta = _check_class(beta, omega, degree_max)
             c = Fraction(c)
             if c != 0:
                 clean[(beta, lam)] = c
@@ -189,51 +191,18 @@ def gv_to_gw(
     degree_max = table.degree_max if degree_max is None else Fraction(degree_max)
     if lambda_max is None:
         lambda_max = 2 * table.genus_max - 2
+    terms = genus_top = order = 0
+    for g, beta in table.entries:
+        covers, orders = _cover_count(table.omega, beta, degree_max), _order_count(g, lambda_max)
+        if covers and orders:
+            terms += covers * orders
+            genus_top, order = max(genus_top, g), max(order, orders - 1)
+    _check_work("gw forward", "kernel terms", terms)
+    sin = _sin_powers(genus_top, order)
     coeffs: dict[tuple[Beta, int], Fraction] = {}
-    for (g, beta), n in sorted(table.entries.items()):
-        deg = dot(table.omega, beta)
-        k = 1
-        while k * deg <= degree_max:
-            kbeta = tuple(k * b for b in beta)
-            lam = 2 * g - 2
-            while lam <= lambda_max:
-                j = (lam - (2 * g - 2)) // 2
-                c = sin_power_coefficient(g, j)
-                if c != 0:
-                    key = (kbeta, lam)
-                    coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(n, k) * c * Fraction(k) ** lam
-                lam += 2
-            k += 1
+    for (g, beta), n in table.entries.items():
+        _push(coeffs, g, beta, n, table.omega, degree_max, lambda_max, sin)
     return GWSeries(coeffs, degree_max, lambda_max, table.omega)
-
-
-def _candidate_classes(series: GWSeries, degree_max: Fraction) -> list[Beta]:
-    """Support closed under integer division and multiplication within the cut.
-
-    Closure matters: a class whose whole coefficient column cancels against
-    multiple-cover terms is invisible in the support but still determined.
-    """
-    from math import gcd
-
-    current: set[Beta] = {beta for (beta, _) in series.coeffs}
-    while True:
-        fresh: set[Beta] = set()
-        for beta in current:
-            g = 0
-            for b in beta:
-                g = gcd(g, abs(b))
-            for k in range(2, g + 1):
-                if g % k == 0:
-                    fresh.add(tuple(b // k for b in beta))
-            deg = dot(series.omega, beta)
-            k = 2
-            while k * deg <= degree_max:
-                fresh.add(tuple(k * b for b in beta))
-                k += 1
-        if fresh <= current:
-            break
-        current |= fresh
-    return sorted(current, key=lambda b: (dot(series.omega, b), b))
 
 
 def gw_to_gv(
@@ -243,10 +212,12 @@ def gw_to_gv(
 ) -> InversionResult:
     """Triangular inversion of the forward transform.
 
-    Solves n_g^beta in increasing omega-degree, then genus, subtracting the
-    already-known multiple-cover and lower-genus contributions from each
-    coefficient.  Requesting values beyond the stored truncation raises
-    InsufficientTruncationError.
+    Solves n_g^beta in increasing omega-degree, then genus: each value is
+    its coefficient minus the covers that the values solved before it push
+    onto the same key.  Only multiples of support classes are walked, since
+    a class outside the support gets a nonzero value only as a multiple of
+    one that has one.  Requesting values beyond the stored truncation
+    raises InsufficientTruncationError.
     """
     max_solvable_genus = (series.lambda_max + 2) // 2
     if genus_max is None:
@@ -262,39 +233,29 @@ def gw_to_gv(
             f"degree {degree_max} beyond the stored cutoff {series.degree_max}"
         )
 
-    from math import gcd
+    support = {beta for beta, _ in series.coeffs}
+    _check_work("gw inverse", "candidate classes", sum(_cover_count(series.omega, b, degree_max) for b in support))
+    candidates = {
+        tuple(k * b for b in beta)
+        for beta in support
+        for k in range(1, _cover_count(series.omega, beta, degree_max) + 1)
+    }
+    genera = max(genus_max + 1, 0)
+    terms = sum(_cover_count(series.omega, beta, degree_max) for beta in candidates) * genera * (genera + 1) // 2
+    _check_work("gw inverse", "kernel terms", terms)
+    sin = _sin_powers(genus_max, genus_max) if terms else []
 
-    known: dict[tuple[int, Beta], Fraction] = {}
-    for beta in _candidate_classes(series, degree_max):
-        if dot(series.omega, beta) > degree_max:
-            continue
-        divisibility = 0
-        for b in beta:
-            divisibility = gcd(divisibility, abs(b))
-        for g in range(genus_max + 1):
-            target = series.coefficient(beta, 2 * g - 2)
-            covers = Fraction(0)
-            for g_prime in range(g + 1):
-                c = sin_power_coefficient(g_prime, g - g_prime)
-                if c == 0:
-                    continue
-                for k in range(1, divisibility + 1):
-                    if (k, g_prime) == (1, g) or divisibility % k != 0:
-                        continue
-                    divided = tuple(b // k for b in beta)
-                    prior = known.get((g_prime, divided))
-                    if prior:
-                        covers += Fraction(prior, k) * c * Fraction(k) ** (2 * g - 2)
-            value = target - covers
-            if value:
-                known[(g, beta)] = value
-
+    lambda_max = 2 * genus_max - 2
+    covers: dict[tuple[Beta, int], Fraction] = {}
     entries: dict[tuple[int, Beta], int] = {}
     nonintegral: dict[tuple[int, Beta], Fraction] = {}
-    for key, value in known.items():
-        if value.denominator == 1:
-            entries[key] = int(value)
-        else:
-            nonintegral[key] = value
-    table = GVTable(entries, genus_max, degree_max, series.omega)
-    return InversionResult(table=table, nonintegral=nonintegral)
+    for beta in sorted(candidates, key=lambda b: (dot(series.omega, b), b)):
+        for g in range(genus_max + 1):
+            value = series.coefficient(beta, 2 * g - 2) - covers.get((beta, 2 * g - 2), 0)
+            if value:
+                _push(covers, g, beta, value, series.omega, degree_max, lambda_max, sin)
+                if value.denominator == 1:
+                    entries[(g, beta)] = int(value)
+                else:
+                    nonintegral[(g, beta)] = value
+    return InversionResult(table=GVTable(entries, genus_max, degree_max, series.omega), nonintegral=nonintegral)

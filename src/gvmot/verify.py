@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import Callable
 
 from . import linalg
@@ -27,7 +29,7 @@ from .counting import (
     semistable_log,
 )
 from .errors import AsymmetricDefectError
-from .gwseries import GVTable, gv_to_gw, gw_to_gv, sin_power_coefficient
+from .gwseries import GVTable, GWSeries, gv_to_gw, gw_to_gv, sin_power_coefficient
 from .laurent import LaurentPoly, RationalFn, weighted_degree
 from .lefschetz import (
     BispinContent,
@@ -675,6 +677,41 @@ def prop_gw_roundtrip(rng: random.Random, scale: int) -> int:
     return cases
 
 
+def random_gw_series(rng: random.Random) -> GWSeries:
+    """Arbitrary rational coefficients in rank 1 or 2, with omega entries drawn from 1/2..3."""
+    rank = rng.randint(1, 2)
+    omega = tuple(Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rank))
+    degree_max = Fraction(rng.randint(3, 6))
+    lambda_max = rng.randint(-2, 5)
+    classes = [beta for beta in product(range(-1, 5), repeat=rank) if 0 < linalg.dot(omega, beta) <= degree_max]
+    coeffs = {}
+    for _ in range(rng.randint(1, 8)):
+        lam = 2 * rng.randint(-1, lambda_max // 2)
+        coeffs[(rng.choice(classes), lam)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return GWSeries(coeffs, degree_max, lambda_max, omega)
+
+
+def prop_inverse_is_solution(rng: random.Random, scale: int) -> int:
+    """The solved values, scaled by the lcm D of their denominators, map forward to D times the series."""
+    cases = 100 * scale
+    for _ in range(cases):
+        series = random_gw_series(rng)
+        genus_max = rng.randint(0, (series.lambda_max + 2) // 2)
+        degree_max = series.degree_max - rng.choice([0, 0, 1, 2])
+        result = gw_to_gv(series, genus_max=genus_max, degree_max=degree_max)
+        solved = {**result.table.entries, **result.nonintegral}
+        d = lcm(*(value.denominator for value in solved.values()))
+        table = GVTable({key: int(d * value) for key, value in solved.items()}, genus_max, degree_max, series.omega)
+        expected = {
+            (beta, lam): d * c
+            for (beta, lam), c in series.coeffs.items()
+            if lam <= 2 * genus_max - 2 and linalg.dot(series.omega, beta) <= degree_max
+        }
+        if gv_to_gw(table, lambda_max=2 * genus_max - 2).coeffs != expected:
+            _fail("inverse_is_solution", (series.coeffs, series.omega, genus_max, degree_max))
+    return cases
+
+
 def prop_conifold_column(rng: random.Random, scale: int) -> int:
     omega = (Fraction(1),)
     table = GVTable({(0, (1,)): 1}, 0, Fraction(10), omega)
@@ -750,6 +787,7 @@ SUITES: dict[str, list[tuple[str, Property]]] = {
         ("sin_scaling_oracle", prop_sin_scaling_oracle),
         ("conifold_column", prop_conifold_column),
         ("gw_roundtrip", prop_gw_roundtrip),
+        ("inverse_is_solution", prop_inverse_is_solution),
         ("gv_linearity", prop_gv_linearity),
     ],
 }

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, determinism, error paths."""
 
 import json
+import time
 from pathlib import Path
 
 from gvmot.cli import (
@@ -19,6 +20,7 @@ from gvmot.cli import (
 SAMPLES = str(Path(__file__).resolve().parent.parent / "sample_data")
 GOLDEN_GV = Path(__file__).resolve().parent / "data" / "gv_golden.json"
 GOLDEN_HST = Path(__file__).resolve().parent / "data" / "hst_golden.json"
+GOLDEN_GW = Path(__file__).resolve().parent / "data" / "gw_golden.json"
 
 
 def run(capsys, *argv):
@@ -309,6 +311,42 @@ class TestGw:
         )
         assert code == EXIT_SCHEMA
         assert json.loads(err)["error"]["type"] == "SchemaError"
+
+    def test_json_matches_golden_bytes(self, capsys, tmp_path):
+        # stdout of `gw --json` in both directions, rank 1 and rank 2 with
+        # omega = (1, 2), nonintegral warnings, a lambda order above the
+        # minimum and degree cuts below the document's, recorded while the
+        # inverse ran its own divisor loop over a division-closed class set
+        golden = json.loads(GOLDEN_GW.read_text())
+        assert len(golden) == 8
+        for name, case in golden.items():
+            if "document" in case:
+                path = write_doc(tmp_path, f"{name}.json", case["document"])
+            else:
+                path = f"{SAMPLES}/{case['sample']}"
+            code, out, _ = run(capsys, "gw", "--input", path, "--json", *case["argv"])
+            assert code == EXIT_OK
+            assert out == case["stdout"], name
+
+    def test_huge_cuts_exit_two_quickly(self, capsys, tmp_path):
+        series = json.loads(Path(f"{SAMPLES}/conifold.gw_series.json").read_text())
+        deep = write_doc(tmp_path, "deep.json", {**series, "cuts": {**series["cuts"], "degree": "100000000"}})
+        high = write_doc(tmp_path, "high.json", {**series, "cuts": {**series["cuts"], "lambda": 1000000}})
+        cases = [
+            (["--input", f"{SAMPLES}/conifold.gv_table.json", "--degree-max", "100000000"], "gw forward"),
+            (["--input", deep], "gw inverse"),
+            (["--input", high], "gw inverse"),
+            (["--input", f"{SAMPLES}/conifold.gv_table.json", "--degree-max", "1", "--lambda-order", "1000000"], "sin table"),
+        ]
+        for argv, stage in cases:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "gw", *argv)
+            assert time.perf_counter() - start < 2, argv
+            assert code == EXIT_SCHEMA and out == ""
+            assert len(err.splitlines()) == 1
+            error = json.loads(err)["error"]
+            assert error["type"] == "ResourceLimitError"
+            assert error["message"].startswith(f"{stage}: ") and "cap of 1000000" in error["message"]
 
     def test_byte_identical_runs(self, capsys):
         args = (

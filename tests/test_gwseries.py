@@ -13,7 +13,7 @@ from gvmot.gwseries import (
     gw_to_gv,
     sin_power_coefficient,
 )
-from gvmot.verify import _oracle_sin_power, random_gv_table
+from gvmot.verify import _oracle_sin_power, prop_inverse_is_solution, random_gv_table, random_gw_series
 
 ONE = (Fraction(1),)
 
@@ -138,6 +138,14 @@ class TestInverse:
         assert series.coefficient((2,), -2) == 0
         result = gw_to_gv(series)
         assert result.table == table
+
+    def test_inverse_is_a_solution(self):
+        # rational series solved below their genus and degree cuts, scaled by
+        # the lcm of the solved denominators, map forward onto the scaled series;
+        # the generator must reach nonintegral solutions for that to mean much
+        rng = random.Random(65)
+        assert sum(bool(gw_to_gv(random_gw_series(rng)).nonintegral) for _ in range(100)) > 20
+        assert prop_inverse_is_solution(random.Random(65), 1) == 100
 
     def test_nonintegral_reported_not_rounded(self):
         s = GWSeries({((1,), -2): Fraction(1, 2)}, Fraction(1), -2, ONE)
