@@ -65,6 +65,7 @@ from .lefschetz import (
     jordan_census,
     realize_bispin,
     spin_decompose,
+    strings_operator,
     tensor,
     torus_rep,
 )

@@ -23,15 +23,15 @@ from .errors import (
     MissingAtomError,
     NotPolynomialError,
     OddWeightedDegreeError,
+    ResourceLimitError,
     SchemaError,
 )
 from .gwseries import gv_to_gw, gw_to_gv
 from .jsonio import SCHEMA_VERSION, dump_json
 from .laurent import format_poly
-from .lefschetz import SpinMultiset, census_count, census_from_bispin, genus_decompose, jordan_census
+from .lefschetz import census_count, census_from_bispin, genus_count, jordan_census
 from .motives import upsilon_rel
 from .stacks import upsilon_stack
-from .verify import SUITE_NAMES, run_suite, suite_results
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -40,6 +40,10 @@ EXIT_CROSSCHECK = 3
 EXIT_MISSING_ATOM = 4
 EXIT_NOT_POLYNOMIAL = 5
 EXIT_INTERNAL = 6
+
+# hst work: (genus_max + 2) x sum(2jL + 1), the census cells built once and
+# read once per genus
+MAX_HST_WORK = 10**6
 
 
 class CrossCheckError(GvmotError):
@@ -87,13 +91,15 @@ def cmd_hst(args) -> int:
     genus_max = args.genus_max
     if genus_max is None:
         genus_max = max((jl for (jl, _) in content.mult), default=0)
+    work = (genus_max + 2) * sum(jl + 1 for (jl, _) in content.mult)
+    if work > MAX_HST_WORK:
+        raise ResourceLimitError(f"hst: {work} census terms exceed the cap of {MAX_HST_WORK}")
     virtual = content.is_virtual()
     census = None if virtual else census_from_bispin(content)
-    right_factors = genus_decompose(content)
     rows = []
     counts = []
     for g in range(genus_max + 1):
-        spin_route = right_factors.get(g, SpinMultiset.zero()).signed_dimension()
+        spin_route = genus_count(content, g)
         if census is None:
             rows.append([str(g), str(spin_route), "n/a"])
         else:
@@ -191,6 +197,8 @@ def cmd_gw(args) -> int:
     if direction == "to-gw":
         if kind != "gv_table":
             raise SchemaError("direction to-gw needs a gv_table document")
+        if args.genus_max is not None:
+            raise SchemaError("--genus-max applies only to direction to-gv")
         series = gv_to_gw(payload, degree_max=args.degree_max, lambda_max=args.lambda_order)
         if args.json:
             print(dump_json(jsonio.gw_series_to_json(series)))
@@ -203,6 +211,8 @@ def cmd_gw(args) -> int:
         return EXIT_OK
     if kind != "gw_series":
         raise SchemaError("direction to-gv needs a gw_series document")
+    if args.lambda_order is not None:
+        raise SchemaError("--lambda-order applies only to direction to-gw")
     result = gw_to_gv(payload, genus_max=args.genus_max, degree_max=args.degree_max)
     warnings = [
         [g, list(beta), jsonio.fraction_str(value)]
@@ -225,6 +235,8 @@ def cmd_gw(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITE_NAMES, run_suite, suite_results  # only verify needs it
+
     if args.suite not in SUITE_NAMES:
         raise SchemaError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
     if not args.json:
@@ -298,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gw.set_defaults(func=cmd_gw)
 
     p_verify = sub.add_parser("verify", help="run a randomized property suite")
-    p_verify.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}")
+    p_verify.add_argument("suite", help="name of a property suite, or all")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=int, default=1, help="case-count multiplier")
     p_verify.add_argument("--json", action="store_true")

@@ -68,7 +68,7 @@ class AsymmetricDefectError(GvmotError):
 
 
 class ResourceLimitError(GvmotError):
-    """Work exceeded its cap: decomposition enumeration, or the counted work of a series transform."""
+    """Work exceeded its cap: decomposition enumeration, or the counted work of hst or a series transform."""
 
 
 class InsufficientTruncationError(GvmotError):

@@ -2,9 +2,11 @@
 and Jordan cell censuses of graded nilpotent operators.
 
 Half-integer spins are stored as doubled integers (key 2j), so everything
-stays in exact integer arithmetic.  Multiplicities may be negative: virtual
-representations appear naturally when a bigraded space is expanded in the
-torus basis.
+stays in exact integer arithmetic.  Spin contents, bispin contents and
+censuses are all formal integer combinations (IntegerCombination).
+Multiplicities may be negative: virtual representations appear naturally
+when a bigraded space is expanded in the torus basis, whose coefficients
+are read off in closed form (genus_decompose).
 """
 
 from __future__ import annotations
@@ -17,39 +19,28 @@ from . import linalg
 from .errors import NotRepresentationError, ShapeMismatchError, VirtualInputError
 
 
-class SpinMultiset:
-    """Formal integer combination of irreducible spin representations.
+class IntegerCombination:
+    """Frozen formal integer combination of keyed basis elements.
 
-    Keys are doubled spins (2j >= 0), values are multiplicities (negative
-    allowed for virtual representations).
+    Keys are kept sorted and zero values are dropped, so equal combinations
+    have equal dicts.  Values may be negative (virtual combinations).
+    Each subclass names its basis through a static _check_key, which
+    validates one key and returns it in canonical form.
     """
 
     __slots__ = ("_mult",)
 
-    def __init__(self, mult: Mapping[int, int] | None = None):
-        clean = {}
-        if mult:
-            for two_j, m in mult.items():
-                if two_j < 0:
-                    raise ValueError("doubled spin must be nonnegative")
-                if m != 0:
-                    clean[int(two_j)] = int(m)
-        object.__setattr__(self, "_mult", dict(sorted(clean.items())))
+    def __init__(self, mult: Mapping | None = None):
+        check = self._check_key
+        clean = {check(key): int(m) for key, m in (mult or {}).items()}
+        object.__setattr__(self, "_mult", {k: m for k, m in sorted(clean.items()) if m})
 
-    @classmethod
-    def zero(cls) -> "SpinMultiset":
-        return cls()
-
-    @classmethod
-    def single(cls, two_j: int, mult: int = 1) -> "SpinMultiset":
-        return cls({two_j: mult})
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
-    def mult(self) -> dict[int, int]:
+    def mult(self) -> dict:
         return dict(self._mult)
-
-    def multiplicity(self, two_j: int) -> int:
-        return self._mult.get(two_j, 0)
 
     def items(self):
         return self._mult.items()
@@ -60,8 +51,34 @@ class SpinMultiset:
     def is_virtual(self) -> bool:
         return any(m < 0 for m in self._mult.values())
 
-    def max_two_j(self) -> int:
-        return max(self._mult) if self._mult else -1
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._mult == other._mult
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._mult.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._mult})"
+
+
+class SpinMultiset(IntegerCombination):
+    """Formal integer combination of irreducible spin representations.
+
+    Keys are doubled spins (2j >= 0), values are multiplicities (negative
+    allowed for virtual representations).
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(two_j: int) -> int:
+        if two_j < 0:
+            raise ValueError("doubled spin must be nonnegative")
+        return int(two_j)
+
+    @classmethod
+    def zero(cls) -> "SpinMultiset":
+        return cls()
 
     def dimension(self) -> int:
         return sum(m * (two_j + 1) for two_j, m in self._mult.items())
@@ -78,140 +95,34 @@ class SpinMultiset:
                 dims[w] = dims.get(w, 0) + m
         return {w: d for w, d in sorted(dims.items()) if d != 0}
 
-    def __add__(self, other: "SpinMultiset") -> "SpinMultiset":
-        out = dict(self._mult)
-        for k, m in other._mult.items():
-            out[k] = out.get(k, 0) + m
-        return SpinMultiset(out)
 
-    def __sub__(self, other: "SpinMultiset") -> "SpinMultiset":
-        out = dict(self._mult)
-        for k, m in other._mult.items():
-            out[k] = out.get(k, 0) - m
-        return SpinMultiset(out)
-
-    def scale(self, c: int) -> "SpinMultiset":
-        return SpinMultiset({k: c * m for k, m in self._mult.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SpinMultiset) and self._mult == other._mult
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._mult.items()))
-
-    def __repr__(self) -> str:
-        if not self._mult:
-            return "SpinMultiset(0)"
-        body = ", ".join(f"(2j={k}): {m}" for k, m in self._mult.items())
-        return f"SpinMultiset({body})"
-
-
-class BispinContent:
+class BispinContent(IntegerCombination):
     """Content of a bigraded left x right spin action: (2jL, 2jR) -> multiplicity."""
 
-    __slots__ = ("_mult",)
+    __slots__ = ()
 
-    def __init__(self, mult: Mapping[tuple[int, int], int] | None = None):
-        clean = {}
-        if mult:
-            for (two_jl, two_jr), m in mult.items():
-                if two_jl < 0 or two_jr < 0:
-                    raise ValueError("doubled spins must be nonnegative")
-                if m != 0:
-                    clean[(int(two_jl), int(two_jr))] = int(m)
-        object.__setattr__(self, "_mult", dict(sorted(clean.items())))
-
-    @property
-    def mult(self) -> dict[tuple[int, int], int]:
-        return dict(self._mult)
-
-    def items(self):
-        return self._mult.items()
-
-    def is_zero(self) -> bool:
-        return not self._mult
-
-    def is_virtual(self) -> bool:
-        return any(m < 0 for m in self._mult.values())
-
-    def dimension(self) -> int:
-        return sum(m * (l + 1) * (r + 1) for (l, r), m in self._mult.items())
-
-    def right_spins(self) -> list[int]:
-        return sorted({r for (_, r) in self._mult})
-
-    def left_content(self, two_jr: int) -> SpinMultiset:
-        return SpinMultiset({l: m for (l, r), m in self._mult.items() if r == two_jr})
-
-    def __add__(self, other: "BispinContent") -> "BispinContent":
-        out = dict(self._mult)
-        for k, m in other._mult.items():
-            out[k] = out.get(k, 0) + m
-        return BispinContent(out)
-
-    def __sub__(self, other: "BispinContent") -> "BispinContent":
-        out = dict(self._mult)
-        for k, m in other._mult.items():
-            out[k] = out.get(k, 0) - m
-        return BispinContent(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BispinContent) and self._mult == other._mult
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._mult.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"(2jL={l}, 2jR={r}): {m}" for (l, r), m in self._mult.items())
-        return f"BispinContent({body or '0'})"
+    @staticmethod
+    def _check_key(key: tuple[int, int]) -> tuple[int, int]:
+        two_jl, two_jr = key
+        if two_jl < 0 or two_jr < 0:
+            raise ValueError("doubled spins must be nonnegative")
+        return int(two_jl), int(two_jr)
 
 
-class JordanCensus:
+class JordanCensus(IntegerCombination):
     """Counts of nilpotent strings: (minimal degree alpha, size l) -> count."""
 
-    __slots__ = ("_cells",)
+    __slots__ = ()
 
-    def __init__(self, cells: Mapping[tuple[int, int], int] | None = None):
-        clean = {}
-        if cells:
-            for (alpha, l), n in cells.items():
-                if l < 1:
-                    raise ValueError("cell size must be positive")
-                if n != 0:
-                    clean[(int(alpha), int(l))] = int(n)
-        object.__setattr__(self, "_cells", dict(sorted(clean.items())))
-
-    @property
-    def cells(self) -> dict[tuple[int, int], int]:
-        return dict(self._cells)
-
-    def items(self):
-        return self._cells.items()
-
-    def is_zero(self) -> bool:
-        return not self._cells
-
-    def is_virtual(self) -> bool:
-        return any(n < 0 for n in self._cells.values())
+    @staticmethod
+    def _check_key(key: tuple[int, int]) -> tuple[int, int]:
+        alpha, l = key
+        if l < 1:
+            raise ValueError("cell size must be positive")
+        return int(alpha), int(l)
 
     def total_dimension(self) -> int:
-        return sum(l * n for (_, l), n in self._cells.items())
-
-    def __add__(self, other: "JordanCensus") -> "JordanCensus":
-        out = dict(self._cells)
-        for k, n in other._cells.items():
-            out[k] = out.get(k, 0) + n
-        return JordanCensus(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, JordanCensus) and self._cells == other._cells
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._cells.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"(alpha={a}, l={l}): {n}" for (a, l), n in self._cells.items())
-        return f"JordanCensus({body or '0'})"
+        return sum(l * n for (_, l), n in self._mult.items())
 
 
 class GradedNilpotent:
@@ -328,29 +239,36 @@ def torus_rep(g: int) -> SpinMultiset:
     return SpinMultiset({k: c(g - k) - c(g - k - 2) for k in range(g + 1)})
 
 
+def _right_factor(v: BispinContent, g: int) -> SpinMultiset:
+    """Right-spin coefficient of torus_rep(g) in the torus-basis expansion of v.
+
+    With Y = u + 1/u, the left spin 2jL = l has character U_l(Y/2) and
+    torus_rep(g) has character (Y + 2)^g, so the coefficients are the Taylor
+    coefficients of U_l(Y/2) at Y = -2: (-1)^(l-g) C(l+g+1, 2g+1) for g <= l.
+    """
+    out: dict[int, int] = {}
+    for (l, r), m in v.items():
+        if 0 <= g <= l:
+            out[r] = out.get(r, 0) + (-1) ** (l - g) * comb(l + g + 1, 2 * g + 1) * m
+    return SpinMultiset(out)
+
+
 def genus_decompose(v: BispinContent) -> dict[int, SpinMultiset]:
     """Expand left content in the torus basis, collecting right-spin coefficients.
 
-    The torus representation of genus g has a unique top left spin g/2, so a
-    triangular solve from the top down always succeeds, also on virtual input.
-    The reconstruction sum_g (torus_rep(g) tensor R_g) equals the input.
+    Read off in closed form (see _right_factor), also on virtual input; the
+    genera with a nonzero right factor are returned.  The reconstruction
+    sum_g (torus_rep(g) tensor R_g) equals the input (Hosono-Saito-Takahashi,
+    Katz-Klemm-Vafa).
     """
-    out: dict[int, dict[int, int]] = {}
-    for two_jr in v.right_spins():
-        remaining = v.left_content(two_jr)
-        for g in range(remaining.max_two_j(), -1, -1):
-            c = remaining.multiplicity(g)
-            if c:
-                remaining = remaining - torus_rep(g).scale(c)
-                out.setdefault(g, {})[two_jr] = c
-        if not remaining.is_zero():
-            raise AssertionError("torus-basis solve left a remainder")
-    return {g: SpinMultiset(mult) for g, mult in sorted(out.items())}
+    top = max((l for (l, _), _ in v.items()), default=-1)
+    factors = {g: _right_factor(v, g) for g in range(top + 1)}
+    return {g: right for g, right in factors.items() if not right.is_zero()}
 
 
 def genus_count(v: BispinContent, g: int) -> int:
     """Signed dimension of the genus-g right factor; one genus of genus_decompose."""
-    return genus_decompose(v).get(g, SpinMultiset.zero()).signed_dimension()
+    return _right_factor(v, g).signed_dimension()
 
 
 # -- Jordan censuses ----------------------------------------------------------
@@ -374,13 +292,11 @@ def jordan_census(x: GradedNilpotent) -> JordanCensus:
         ranks[(alpha, 0)] = dim_alpha
         acc = None
         for k in range(1, span + 2):
-            step = x.map_at(alpha + 2 * (k - 1))
-            acc = step if acc is None else linalg.mat_mul(step, acc)
-            if not acc or not acc[0]:
-                acc = None
-            ranks[(alpha, k)] = linalg.mat_rank(acc) if acc is not None else 0
-            if acc is None:
+            step = x.maps.get(alpha + 2 * (k - 1))
+            if step is None:  # a missing map is zero, and so is every longer composite
                 break
+            acc = step if acc is None else linalg.mat_mul(step, acc)
+            ranks[(alpha, k)] = linalg.mat_rank(acc)
 
     def r(alpha: int, k: int) -> int:
         if k < 0:
@@ -436,35 +352,37 @@ def census_count(c: JordanCensus, g: int) -> int:
     return total
 
 
-def realize_bispin(v: BispinContent) -> GradedNilpotent:
-    """Concrete graded nilpotent whose census matches census_from_bispin(v).
+def strings_operator(census: JordanCensus) -> GradedNilpotent:
+    """Direct sum of Jordan strings whose census is the given one.
 
-    Basis vectors are indexed by (summand, left weight, right position); the
-    operator raises the right position with coefficient 1 along each string.
+    Each of the n strings counted at (alpha, l) gets basis vectors in degrees
+    alpha, alpha + 2, ..., alpha + 2(l - 1), and the operator maps each vector
+    to the next one of its string with coefficient 1.
     """
-    if v.is_virtual():
+    if census.is_virtual():
         raise VirtualInputError("cannot realize virtual multiplicities")
-    slots: dict[int, list[tuple]] = {}
-    copies = []
-    for (two_jl, two_jr), m in v.items():
-        for copy in range(m):
-            copies.append((two_jl, two_jr, copy))
-    for two_jl, two_jr, copy in copies:
-        for w in range(-two_jl, two_jl + 1, 2):
-            for pos in range(-two_jr, two_jr + 1, 2):
-                degree = w + pos
-                slots.setdefault(degree, []).append((two_jl, two_jr, copy, w, pos))
-    dims = {d: len(v_list) for d, v_list in slots.items()}
+    slots: dict[int, list[tuple[int, int]]] = {}
+    strings = 0
+    for (alpha, l), n in census.items():
+        for _ in range(n):
+            for pos in range(l):
+                slots.setdefault(alpha + 2 * pos, []).append((strings, pos))
+            strings += 1
     maps = {}
     for degree, basis in slots.items():
-        target = slots.get(degree + 2, [])
+        target = slots.get(degree + 2)
         if not target:
             continue
-        index = {vec: i for i, vec in enumerate(target)}
+        index = {slot: i for i, slot in enumerate(target)}
         mat = linalg.zero_matrix(len(target), len(basis))
-        for j, (two_jl, two_jr, copy, w, pos) in enumerate(basis):
-            nxt = (two_jl, two_jr, copy, w, pos + 2)
-            if pos + 2 <= two_jr and nxt in index:
-                mat[index[nxt]][j] = 1
+        for j, (string, pos) in enumerate(basis):
+            i = index.get((string, pos + 1))
+            if i is not None:
+                mat[i][j] = 1
         maps[degree] = mat
-    return GradedNilpotent(dims, maps)
+    return GradedNilpotent({d: len(basis) for d, basis in slots.items()}, maps)
+
+
+def realize_bispin(v: BispinContent) -> GradedNilpotent:
+    """Concrete graded nilpotent whose census matches census_from_bispin(v)."""
+    return strings_operator(census_from_bispin(v))

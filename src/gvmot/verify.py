@@ -34,6 +34,7 @@ from .laurent import LaurentPoly, RationalFn, weighted_degree
 from .lefschetz import (
     BispinContent,
     GradedNilpotent,
+    JordanCensus,
     SpinMultiset,
     census_count,
     census_from_bispin,
@@ -42,6 +43,7 @@ from .lefschetz import (
     jordan_census,
     realize_bispin,
     spin_decompose,
+    strings_operator,
     tensor,
     torus_rep,
 )
@@ -255,41 +257,14 @@ def prop_census_realize(rng: random.Random, scale: int) -> int:
     return cases
 
 
-def _operator_from_strings(cells: dict[tuple[int, int], int]) -> GradedNilpotent:
-    """Explicit direct sum of strings with a known census, for ground truth."""
-    slots: dict[int, list[tuple[int, int]]] = {}
-    strings = []
-    for (alpha, l), n in cells.items():
-        strings.extend([(alpha, l)] * n)
-    for sid, (alpha, l) in enumerate(strings):
-        for pos in range(l):
-            slots.setdefault(alpha + 2 * pos, []).append((sid, pos))
-    dims = {d: len(v) for d, v in slots.items()}
-    maps = {}
-    for degree, basis in slots.items():
-        target = slots.get(degree + 2)
-        if not target:
-            continue
-        index = {slot: i for i, slot in enumerate(target)}
-        mat = [[Fraction(0)] * len(basis) for _ in range(len(target))]
-        for j, (sid, pos) in enumerate(basis):
-            _, l = strings[sid]
-            if pos + 1 < l:
-                mat[index[(sid, pos + 1)]][j] = Fraction(1)
-        maps[degree] = mat
-    return GradedNilpotent(dims, maps)
-
-
 def prop_census_ground_truth(rng: random.Random, scale: int) -> int:
-    from .lefschetz import JordanCensus
-
     cases = 60 * scale
     for _ in range(cases):
         cells: dict[tuple[int, int], int] = {}
         for _ in range(rng.randint(1, 5)):
             key = (rng.randint(-4, 3), rng.randint(1, 4))
             cells[key] = cells.get(key, 0) + rng.randint(1, 2)
-        op = _operator_from_strings(cells)
+        op = strings_operator(JordanCensus(cells))
         basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
         if jordan_census(op.conjugate(basis)) != JordanCensus(cells):
             _fail("census_ground_truth", cells)

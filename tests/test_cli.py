@@ -1,6 +1,9 @@
 """CLI behavior: outputs, exit codes, determinism, error paths."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -60,6 +63,38 @@ class TestHst:
         code, out, _ = run(capsys, "hst", "--input", path, "--genus-max", "1")
         assert code == EXIT_OK
         assert "n/a" in out
+
+    def test_work_cap_exit_two_quickly(self, capsys, tmp_path):
+        high = write_doc(tmp_path, "high.json", {"v": 1, "kind": "bispin", "content": [[1500, 0, 1]]})
+        cases = [
+            ["--input", high],
+            ["--input", f"{SAMPLES}/point.bispin.json", "--genus-max", "1000000"],
+        ]
+        for argv in cases:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "hst", *argv, "--json")
+            assert time.perf_counter() - start < 2, argv
+            assert code == EXIT_SCHEMA and out == ""
+            assert len(err.splitlines()) == 1
+            error = json.loads(err)["error"]
+            assert error["type"] == "ResourceLimitError"
+            assert error["message"].startswith("hst: ") and "cap of 1000000" in error["message"]
+
+    def test_high_left_spin_under_cap(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "spin600.json", {"v": 1, "kind": "bispin", "content": [[600, 0, 1]]})
+        code, out, _ = run(capsys, "hst", "--input", path, "--json")
+        assert code == EXIT_OK
+        counts = json.loads(out)["counts"]
+        assert counts[0] == [0, 601] and counts[-1] == [600, 1]
+
+    def test_low_genus_cut_bounds_high_left_spin(self, capsys, tmp_path):
+        # only the genera that are printed are expanded
+        path = write_doc(tmp_path, "spin20k.json", {"v": 1, "kind": "bispin", "content": [[20000, 0, 1]]})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hst", "--input", path, "--genus-max", "1", "--json")
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_OK
+        assert json.loads(out)["counts"] == [[0, 20001], [1, -1333533340000]]
 
 
 def test_hst_json_matches_golden_bytes(capsys, tmp_path):
@@ -126,6 +161,15 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "--input", f"{SAMPLES}/left_spin_one.bispin.json", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["census"] == [[-2, 1, 1], [0, 1, 1], [2, 1, 1]]
+
+    def test_missing_maps_cost_no_dense_blocks(self, capsys, tmp_path):
+        doc = {"v": 1, "kind": "graded_nilpotent", "dims": {"0": 15000, "2": 15000}}
+        path = write_doc(tmp_path, "dims_only.json", doc)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "census", "--input", path, "--json")
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_OK
+        assert json.loads(out)["census"] == [[0, 1, 15000], [2, 1, 15000]]
 
 
 class TestStack:
@@ -348,6 +392,17 @@ class TestGw:
             assert error["type"] == "ResourceLimitError"
             assert error["message"].startswith(f"{stage}: ") and "cap of 1000000" in error["message"]
 
+    def test_flag_of_the_other_direction_exit_two(self, capsys):
+        cases = [
+            (f"{SAMPLES}/conifold.gv_table.json", "--genus-max", "5", "--genus-max"),
+            (f"{SAMPLES}/conifold.gw_series.json", "--lambda-order", "8", "--lambda-order"),
+        ]
+        for path, flag, value, named in cases:
+            code, out, err = run(capsys, "gw", "--input", path, flag, value, "--json")
+            assert code == EXIT_SCHEMA and out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "SchemaError" and named in error["message"]
+
     def test_byte_identical_runs(self, capsys):
         args = (
             "gw",
@@ -430,6 +485,13 @@ class TestErrorMapping:
         assert list(body) == ["error"]
         assert body["error"]["type"] == "RecursionError"
         assert "recursion" in body["error"]["message"]
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, gvmot.cli; assert 'gvmot.verify' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_property_failure_exit_code_is_one():

@@ -1,7 +1,6 @@
 """Spin decomposition, tensor products, genus counts, and Jordan censuses."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -19,6 +18,7 @@ from gvmot.lefschetz import (
     jordan_census,
     realize_bispin,
     spin_decompose,
+    strings_operator,
     tensor,
     torus_rep,
 )
@@ -42,6 +42,26 @@ def torus_rep_oracle(g_max: int):
     for _ in range(g_max):
         yield rep
         rep = tensor(rep, SpinMultiset({1: 1, 0: 2}))
+
+
+def genus_decompose_oracle(v: BispinContent) -> dict[int, SpinMultiset]:
+    """Torus-basis expansion by top-down subtraction, one right spin at a time.
+
+    torus_rep(g) has the unique top left spin 2j = g with multiplicity 1, so
+    the coefficient of genus g is what is left at 2j = g after subtracting
+    the higher genera.
+    """
+    out: dict[int, dict[int, int]] = {}
+    for two_jr in sorted({r for (_, r), _ in v.items()}):
+        remaining = {l: m for (l, r), m in v.items() if r == two_jr}
+        for g in range(max(remaining), -1, -1):
+            c = remaining.get(g, 0)
+            if c:
+                for two_jl, t in torus_rep(g).items():
+                    remaining[two_jl] = remaining.get(two_jl, 0) - c * t
+                out.setdefault(g, {})[two_jr] = c
+        assert not any(remaining.values()), "torus-basis solve left a remainder"
+    return {g: SpinMultiset(mult) for g, mult in sorted(out.items())}
 
 
 def assert_span_fold_composites_vanish(op: GradedNilpotent) -> None:
@@ -135,7 +155,7 @@ class TestTorusRep:
     def test_high_genus_needs_no_recursion(self):
         rep = torus_rep(1500)
         assert rep.dimension() == 4**1500
-        assert rep.max_two_j() == 1500 and rep.multiplicity(1500) == 1
+        assert max(rep.mult) == 1500 and rep.mult[1500] == 1
         assert not rep.is_virtual()
 
 
@@ -169,6 +189,20 @@ class TestGenusDecompose:
                         key = (two_jl, two_jr)
                         rebuilt[key] = rebuilt.get(key, 0) + ml * mr
             assert BispinContent(rebuilt) == v
+
+
+class TestClosedFormOracle:
+    def test_random_virtual_contents(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            v = random_bispin(rng, 12, 6, virtual=True)
+            assert genus_decompose(v) == genus_decompose_oracle(v), v
+
+    def test_high_left_spin(self):
+        v = BispinContent({(600, 0): 1})
+        out = genus_decompose(v)
+        assert out == genus_decompose_oracle(v)
+        assert sorted(out) == list(range(601))
 
 
 class TestGenusCount:
@@ -284,36 +318,6 @@ class TestDenseOracle:
             assert sizes == _dense_size_distribution(op)
 
 
-def build_from_strings(cells: dict[tuple[int, int], int]) -> GradedNilpotent:
-    """Ground-truth operator: an explicit direct sum of strings.
-
-    Basis slots are (string id, position); the operator sends each position
-    to the next one along its string with coefficient 1.
-    """
-    slots: dict[int, list[tuple[int, int]]] = {}
-    strings = []
-    for (alpha, l), n in cells.items():
-        for _ in range(n):
-            strings.append((alpha, l))
-    for sid, (alpha, l) in enumerate(strings):
-        for pos in range(l):
-            slots.setdefault(alpha + 2 * pos, []).append((sid, pos))
-    dims = {d: len(v) for d, v in slots.items()}
-    maps = {}
-    for degree, basis in slots.items():
-        target = slots.get(degree + 2)
-        if not target:
-            continue
-        index = {slot: i for i, slot in enumerate(target)}
-        mat = [[Fraction(0)] * len(basis) for _ in range(len(target))]
-        for j, (sid, pos) in enumerate(basis):
-            alpha, l = strings[sid]
-            if pos + 1 < l:
-                mat[index[(sid, pos + 1)]][j] = Fraction(1)
-        maps[degree] = mat
-    return GradedNilpotent(dims, maps)
-
-
 def random_cells(rng) -> dict[tuple[int, int], int]:
     cells = {}
     for _ in range(rng.randint(1, 5)):
@@ -328,14 +332,14 @@ class TestGroundTruthStrings:
         rng = random.Random(22)
         for _ in range(60):
             cells = random_cells(rng)
-            op = build_from_strings(cells)
+            op = strings_operator(JordanCensus(cells))
             assert jordan_census(op) == JordanCensus(cells)
 
     def test_census_survives_conjugation_of_ground_truth(self):
         rng = random.Random(23)
         for _ in range(60):
             cells = random_cells(rng)
-            op = build_from_strings(cells)
+            op = strings_operator(JordanCensus(cells))
             basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
             assert jordan_census(op.conjugate(basis)) == JordanCensus(cells)
 
@@ -344,7 +348,7 @@ class TestNilpotentByConstruction:
     def test_ground_truth_strings(self):
         rng = random.Random(25)
         for _ in range(40):
-            assert_span_fold_composites_vanish(build_from_strings(random_cells(rng)))
+            assert_span_fold_composites_vanish(strings_operator(JordanCensus(random_cells(rng))))
 
     def test_realized_bispin(self):
         rng = random.Random(26)
