@@ -14,11 +14,9 @@ from .counting import (
     EvalModel,
     FreeHallElement,
     NumClass,
-    census_convolution,
     counting_polynomial,
     evaluate,
     gv_from_polynomial,
-    product_combinator,
     same_phase_decompositions,
     semistable_exp,
     semistable_log,

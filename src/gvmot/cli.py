@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import jsonio
-from .counting import MODEL_NOTE, counting_polynomial, gv_from_polynomial
+from .counting import DEFAULT_COMPOSITION_CAP, MODEL_NOTE, counting_polynomial, gv_from_polynomial
 from .errors import (
     GvmotError,
     MissingAtomError,
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_gv)
     p_gv.add_argument("--target", required=True, help="class as comma-joined integers: beta parts, then k")
     p_gv.add_argument("--genus-max", type=int, default=None)
-    p_gv.add_argument("--max-compositions", type=int, default=10**6)
+    p_gv.add_argument("--max-compositions", type=int, default=DEFAULT_COMPOSITION_CAP)
     p_gv.set_defaults(func=cmd_gv)
 
     p_gw = sub.add_parser("gw", help="transform between count tables and generating series")

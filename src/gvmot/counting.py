@@ -4,10 +4,14 @@ A class is a pair (beta, k) in the curve-class lattice plus the holomorphic
 Euler number.  The central charge -k + (B + i omega) . beta assigns each
 class an exact phase; counts of semistable objects enter as formal words of
 delta letters, their logarithm is the alternating sum over ordered same-phase
-decompositions, and evaluation happens in a split-stratum model where the
-geometry is reduced to per-class atoms and a symmetric ext-defect table.
-Because that evaluation ignores letter order, counting_polynomial sums the
-log over multisets of pieces; the ordered log stays as its reference.
+decompositions, and evaluation happens in a split-stratum model: a word is
+worth L^(sum of pairwise ext defects) times the product of its letters'
+values.  Because that value ignores letter order, counting_polynomial sums
+the log over multisets of pieces; the ordered log stays as its reference.
+
+Each count spends one work budget (max_compositions): the membership search,
+the candidate pieces and the decomposition walk all draw on it, and running
+out raises ResourceLimitError naming the stage.
 
 Phase comparisons never touch floating point: two classes share a phase
 exactly when their (Im Z, -Re Z) pairs are proportional with positive ratio.
@@ -30,12 +34,13 @@ from .errors import (
     NotPolynomialError,
     ResourceLimitError,
 )
-from .laurent import LaurentPoly, RationalFn, flat, rational_sum, weighted_degree
+from .laurent import LaurentPoly, RationalFn, flat, rational_sum
 from .lefschetz import JordanCensus, census_count
 from .linalg import dot
 from .motives import upsilon_rel
 from .stacks import StackClass
 
+# printed in every gv output; golden files pin its bytes
 MODEL_NOTE = (
     "evaluation model: split strata with constant ext defect per class pair; "
     "direct sums merge by the model's census combinator"
@@ -150,7 +155,7 @@ class ClassLattice:
                 continue
             if frame[1] is None:
                 if budget is not None:
-                    budget.spend()
+                    budget.spend("membership test")
                 frame[1] = children(b)
             descended = False
             while frame[2] < len(frame[1]):
@@ -185,7 +190,7 @@ class ClassLattice:
             current = frontier.pop()
             for g in self.generators:
                 if budget is not None:
-                    budget.spend()
+                    budget.spend("pieces")
                 candidate = tuple(x + y for x, y in zip(current, g))
                 if candidate not in seen and dot(omega, candidate) <= bound:
                     seen.add(candidate)
@@ -291,23 +296,31 @@ class FreeHallElement:
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    """The work cap of one count, shared by every stage that enumerates."""
+
+    __slots__ = ("cap", "remaining")
 
     def __init__(self, cap: int):
+        self.cap = cap
         self.remaining = cap
 
-    def spend(self, n: int = 1) -> None:
+    def spend(self, stage: str, n: int = 1) -> None:
         self.remaining -= n
         if self.remaining < 0:
-            raise ResourceLimitError("decomposition enumeration exceeded the cap")
+            raise ResourceLimitError(
+                f"{stage}: {self.cap - self.remaining} enumeration steps exceed the cap of {self.cap}"
+            )
 
 
 DEFAULT_COMPOSITION_CAP = 10**6
 
 
-def _unit_range_test(lattice: ClassLattice, charge: CentralCharge) -> Callable[[NumClass], bool]:
+def _unit_range_test(
+    lattice: ClassLattice, charge: CentralCharge, budget: _Budget
+) -> Callable[[NumClass], bool]:
     """Membership in the phase-(0,1] effective range: k > 0 when beta = 0, else
-    beta effective.  One membership memo serves every query of the returned test."""
+    beta effective.  One membership memo and the count's budget serve every
+    query of the returned test."""
     lattice.check_positive(charge.omega)
     memo: dict = {}
 
@@ -316,7 +329,7 @@ def _unit_range_test(lattice: ClassLattice, charge: CentralCharge) -> Callable[[
             return c.k > 0
         known = memo.get(c.beta)
         if known is None:
-            known = lattice.is_effective(c.beta, charge.omega, _memo=memo)
+            known = lattice.is_effective(c.beta, charge.omega, _memo=memo, budget=budget)
         return known
 
     return in_range
@@ -340,13 +353,14 @@ def _same_phase_words(
     """
     zero_beta = (0,) * lattice.rank
     if v.beta == zero_beta:
+        budget.spend("pieces", v.k)
         pieces = [NumClass(zero_beta, j) for j in range(1, v.k + 1)]
     else:
         re_v, im_v = charge.value(v)
         slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
         pieces = []
         for beta in lattice.monoid_elements(charge.omega, im_v, budget=budget):
-            budget.spend()
+            budget.spend("pieces")
             k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
             if k_frac.denominator == 1:
                 pieces.append(NumClass(beta, int(k_frac)))
@@ -356,11 +370,11 @@ def _same_phase_words(
     while walk:
         rem, bound, acc = walk.pop()
         for i in range(bound):
-            budget.spend()
+            budget.spend("decompositions")
             p = pieces[i]
             nxt = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k)
             if nxt.beta == zero_beta and nxt.k == 0:
-                budget.spend()
+                budget.spend("decompositions")
                 words.append(acc + (p,))
             elif in_range(nxt):
                 walk.append((nxt, i + 1 if multisets else len(pieces), acc + (p,)))
@@ -375,15 +389,16 @@ def same_phase_decompositions(
 ) -> list[tuple[NumClass, ...]]:
     """Ordered decompositions of v into effective classes sharing v's phase.
 
-    Finiteness comes from strictly positive omega-degrees; the budget caps
-    pathological inputs.
+    Finiteness comes from strictly positive omega-degrees; one budget of
+    max_compositions steps covers the membership test, the pieces and the
+    walk, so pathological inputs fail fast.
     """
     if len(v.beta) != lattice.rank:
         raise ValueError(f"class {v} has wrong rank for this lattice")
-    in_range = _unit_range_test(lattice, charge)
+    budget = _Budget(max_compositions)
+    in_range = _unit_range_test(lattice, charge, budget)
     if not in_range(v):
         raise NotEffectiveError(f"{v} is not in the phase-(0,1] effective range")
-    budget = _Budget(max_compositions)
     return _same_phase_words(lattice, charge, v, in_range, budget, multisets=False)
 
 
@@ -407,17 +422,16 @@ def _multiset_log(
     charge: CentralCharge,
     v: NumClass,
     in_range: Callable[[NumClass], bool],
-    max_compositions: int,
+    budget: _Budget,
 ) -> FreeHallElement:
     """The semistable log of v summed over multisets of same-phase pieces.
 
     A multiset of n pieces with multiplicities m_i stands for n!/prod m_i!
     ordered words of weight (-1)^{n-1}/n, so it carries (-1)^{n-1} (n-1)!/prod
     m_i!.  Its value equals theirs only under an evaluation that ignores
-    letter order, which EvalModel's symmetric defects and combinator give.
+    letter order, which EvalModel's symmetric defects and commuting product give.
     """
     words = {}
-    budget = _Budget(max_compositions)
     for word in _same_phase_words(lattice, charge, v, in_range, budget, multisets=True):
         n = len(word)
         repeats = prod(factorial(m) for m in Counter(word).values())
@@ -459,65 +473,25 @@ def semistable_exp(
 # -- evaluation model ----------------------------------------------------------
 
 
-def product_combinator(values: list[LaurentPoly]) -> LaurentPoly:
-    """Default direct-sum combinator: multiply the component values."""
-    out = LaurentPoly.one()
-    for value in values:
-        out = out * value
-    return out
-
-
-def census_convolution(values: list[LaurentPoly]) -> LaurentPoly:
-    """Alternative combinator: Clebsch-Gordan convolution of Jordan data.
-
-    Reads each value as a dimension shift times a census, convolves strings
-    pairwise ((a1,l1) x (a2,l2) -> sizes l1+l2-1-2i at degrees a1+a2+2i), and
-    reassembles the polynomial.
-    """
-    out = LaurentPoly.one()
-    for value in values:
-        if out.is_zero() or value.is_zero():
-            return LaurentPoly.zero()
-        out = _convolve_pair(out, value)
-    return out
-
-
-def _census_of(p: LaurentPoly) -> tuple[int, dict[tuple[int, int], int]]:
-    m = weighted_degree(p)
-    cells = {(a, b + 1): c for (a, b), c in flat(p).items()}
-    return m // 2, cells
-
-
-def _convolve_pair(p1: LaurentPoly, p2: LaurentPoly) -> LaurentPoly:
-    d1, c1 = _census_of(p1)
-    d2, c2 = _census_of(p2)
-    cells: dict[tuple[int, int], int] = {}
-    for (a1, l1), n1 in c1.items():
-        for (a2, l2), n2 in c2.items():
-            for i in range(min(l1, l2)):
-                key = (a1 + a2 + 2 * i, l1 + l2 - 1 - 2 * i)
-                cells[key] = cells.get(key, 0) + n1 * n2
-    return LaurentPoly({(d1 + d2 + a, l - 1): n for (a, l), n in cells.items()})
-
-
 class EvalModel:
-    """Per-class atoms plus a symmetric ext-defect table and a census combinator.
+    """Per-class atoms plus a symmetric ext-defect table.
 
     The defect e(v1, v2) is the constant difference dim Ext^1 - dim Hom on the
     stratum of the pair; symmetry is forced (Serre duality plus vanishing Euler
     pairing on these classes), so asymmetric tables are rejected outright.
-    The combinator must be symmetric too.  Together they make a word's value
-    independent of letter order, which is what lets counting_polynomial sum
-    the log over multisets of pieces instead of ordered words.
+    Letters of a word combine by the product of their values, which is exact
+    when each letter's cycle-support base is a point.  Symmetric defects and a
+    commuting product make a word's value independent of letter order, which
+    is what lets counting_polynomial sum the log over multisets of pieces
+    instead of ordered words.
     """
 
-    __slots__ = ("atoms", "ext_defect", "combine")
+    __slots__ = ("atoms", "ext_defect")
 
     def __init__(
         self,
         atoms: Mapping[NumClass, StackClass],
         ext_defect: Iterable[tuple[NumClass, NumClass, int]] = (),
-        combine: Callable[[list[LaurentPoly]], LaurentPoly] | None = None,
     ):
         table: dict[tuple[NumClass, NumClass], int] = {}
         for v1, v2, e in ext_defect:
@@ -529,7 +503,6 @@ class EvalModel:
                 table[key] = int(e)
         object.__setattr__(self, "atoms", dict(atoms))
         object.__setattr__(self, "ext_defect", table)
-        object.__setattr__(self, "combine", combine or product_combinator)
 
     def atom(self, v: NumClass) -> StackClass:
         try:
@@ -544,11 +517,12 @@ class EvalModel:
 def evaluate(f: FreeHallElement, model: EvalModel) -> RationalFn:
     """Value of a free Hall element in the split-stratum model.
 
-    A word contributes L^{sum of pairwise defects} times the combined value of
-    its letters' atoms, extended bilinearly over the atom parts and linearly
-    over words.  A letter with an empty stack class (empty moduli) kills its
-    word; the empty word is the unit and evaluates to 1.  Every part choice
-    becomes one unnormalised fraction, and rational_sum adds them all.
+    A word contributes L^{sum of pairwise defects} times the product of its
+    letters' atom values, extended multilinearly over the atom parts and
+    linearly over words.  A letter with an empty stack class (empty moduli)
+    kills its word; the empty word is the unit and evaluates to 1.  Every
+    part choice becomes one unnormalised fraction, and rational_sum adds
+    them all.
     """
     values: dict[int, LaurentPoly] = {}  # upsilon_rel per expression object
 
@@ -569,10 +543,10 @@ def evaluate(f: FreeHallElement, model: EvalModel) -> RationalFn:
             coeff_den = LaurentPoly.constant(coeff.denominator)
             for choice in _iproduct(*(model.atom(v).parts for v in word)):
                 num, den = scaled, coeff_den
-                for c, _ in choice:
-                    num = num * c.num
+                for c, expr in choice:
+                    num = num * c.num * value(expr)
                     den = den * c.den
-                yield num * model.combine([value(expr) for _, expr in choice]), den
+                yield num, den
 
     return rational_sum(fractions())
 
@@ -589,14 +563,16 @@ def counting_polynomial(
     Classes in the shifted range (1, 2] evaluate through their negative, and
     classes outside both ranges count zero.  The log is summed over multisets
     of same-phase pieces, which the model's order-independent evaluation allows.
+    Both range tests and the walk share one budget of max_compositions steps.
     """
     if len(v.beta) != lattice.rank:
         raise ValueError(f"class {v} has wrong rank for this lattice")
-    in_range = _unit_range_test(lattice, charge)
+    budget = _Budget(max_compositions)
+    in_range = _unit_range_test(lattice, charge, budget)
     for w in (v, -v):
         if in_range(w):
             gm = RationalFn.from_poly(LaurentPoly.t(2) - LaurentPoly.one())
-            log_elem = _multiset_log(lattice, charge, w, in_range, max_compositions)
+            log_elem = _multiset_log(lattice, charge, w, in_range, budget)
             return gm * evaluate(log_elem, model)
     return RationalFn.zero()
 

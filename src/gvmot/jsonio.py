@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from . import motives
 from .counting import CentralCharge, ClassLattice, EvalModel, NumClass
@@ -20,17 +20,6 @@ from .lefschetz import BispinContent, GradedNilpotent, JordanCensus
 from .stacks import StackClass
 
 SCHEMA_VERSION = 1
-
-KINDS = (
-    "bispin",
-    "graded_nilpotent",
-    "betti_variety",
-    "motive",
-    "stack_class",
-    "count_model",
-    "gv_table",
-    "gw_series",
-)
 
 
 def _require(obj: Any, cls, where: str):
@@ -69,6 +58,18 @@ def _fields(obj: dict, where: str, required: tuple[str, ...], optional: tuple[st
     return obj
 
 
+def _rows(doc: Any, where: str, shape: str) -> Iterator[tuple[str, list]]:
+    """Each row of a list of three-item rows, with its location; shape names
+    the items for the error message."""
+    _require(doc, list, where)
+    for i, row in enumerate(doc):
+        at = f"{where}[{i}]"
+        _require(row, list, at)
+        if len(row) != 3:
+            raise SchemaError(f"{at}: expected {shape}")
+        yield at, row
+
+
 def fraction_str(f: Fraction) -> str:
     f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -83,17 +84,13 @@ def poly_to_json(p: LaurentPoly) -> list[list]:
 
 
 def poly_from_json(doc: Any, where: str = "poly") -> LaurentPoly:
-    _require(doc, list, where)
     terms: dict[tuple[int, int], int] = {}
-    for i, triple in enumerate(doc):
-        _require(triple, list, f"{where}[{i}]")
-        if len(triple) != 3:
-            raise SchemaError(f"{where}[{i}]: expected [a, b, coeff]")
-        a = _int(triple[0], f"{where}[{i}].a")
-        b = _int(triple[1], f"{where}[{i}].b")
-        c = _fraction(triple[2], f"{where}[{i}].coeff")
+    for at, (a, b, c) in _rows(doc, where, "[a, b, coeff]"):
+        a = _int(a, f"{at}.a")
+        b = _int(b, f"{at}.b")
+        c = _fraction(c, f"{at}.coeff")
         if c.denominator != 1:
-            raise SchemaError(f"{where}[{i}]: polynomial coefficients are integers")
+            raise SchemaError(f"{at}: polynomial coefficients are integers")
         terms[(a, b)] = terms.get((a, b), 0) + int(c)
     try:
         return LaurentPoly(terms)
@@ -122,33 +119,25 @@ def census_to_json(c: JordanCensus) -> list[list[int]]:
 
 
 def census_from_json(doc: Any, where: str = "census") -> JordanCensus:
-    _require(doc, list, where)
     cells: dict[tuple[int, int], int] = {}
-    for i, triple in enumerate(doc):
-        _require(triple, list, f"{where}[{i}]")
-        if len(triple) != 3:
-            raise SchemaError(f"{where}[{i}]: expected [alpha, l, count]")
-        alpha = _int(triple[0], f"{where}[{i}].alpha")
-        l = _int(triple[1], f"{where}[{i}].l")
-        n = _int(triple[2], f"{where}[{i}].count")
+    for at, (alpha, l, n) in _rows(doc, where, "[alpha, l, count]"):
+        alpha = _int(alpha, f"{at}.alpha")
+        l = _int(l, f"{at}.l")
+        n = _int(n, f"{at}.count")
         if l < 1:
-            raise SchemaError(f"{where}[{i}]: cell size must be positive")
+            raise SchemaError(f"{at}: cell size must be positive")
         cells[(alpha, l)] = cells.get((alpha, l), 0) + n
     return JordanCensus(cells)
 
 
 def bispin_from_json(doc: Any, where: str = "content") -> BispinContent:
-    _require(doc, list, where)
     mult: dict[tuple[int, int], int] = {}
-    for i, triple in enumerate(doc):
-        _require(triple, list, f"{where}[{i}]")
-        if len(triple) != 3:
-            raise SchemaError(f"{where}[{i}]: expected [twoJL, twoJR, mult]")
-        jl = _int(triple[0], f"{where}[{i}].twoJL")
-        jr = _int(triple[1], f"{where}[{i}].twoJR")
-        m = _int(triple[2], f"{where}[{i}].mult")
+    for at, (jl, jr, m) in _rows(doc, where, "[twoJL, twoJR, mult]"):
+        jl = _int(jl, f"{at}.twoJL")
+        jr = _int(jr, f"{at}.twoJR")
+        m = _int(m, f"{at}.mult")
         if jl < 0 or jr < 0:
-            raise SchemaError(f"{where}[{i}]: doubled spins are nonnegative")
+            raise SchemaError(f"{at}: doubled spins are nonnegative")
         mult[(jl, jr)] = mult.get((jl, jr), 0) + m
     return BispinContent(mult)
 
@@ -163,6 +152,8 @@ def graded_nilpotent_from_json(doc: dict, where: str = "graded_nilpotent") -> Gr
         except ValueError as exc:
             raise SchemaError(f"{where}.dims: bad degree key {key!r}") from exc
         dims[degree] = _int(value, f"{where}.dims[{key}]")
+        if dims[degree] < 0:
+            raise SchemaError(f"{where}.dims[{key}]: dimensions must be nonnegative")
     maps = {}
     for key, rows in maps_doc.items():
         try:
@@ -324,14 +315,10 @@ def count_model_from_json(doc: dict, where: str = "count_model") -> tuple[ClassL
         v = class_from_key(key, rank, f"{where}.atoms")
         atoms[v] = stack_class_from_json(parts, f"{where}.atoms[{key}]")
 
-    defects = []
-    for i, triple in enumerate(_require(doc.get("ext_defect", []), list, f"{where}.ext_defect")):
-        _require(triple, list, f"{where}.ext_defect[{i}]")
-        if len(triple) != 3:
-            raise SchemaError(f"{where}.ext_defect[{i}]: expected [v1, v2, e]")
-        v1 = class_from_list(triple[0], rank, f"{where}.ext_defect[{i}][0]")
-        v2 = class_from_list(triple[1], rank, f"{where}.ext_defect[{i}][1]")
-        defects.append((v1, v2, _int(triple[2], f"{where}.ext_defect[{i}][2]")))
+    defects = [
+        (class_from_list(v1, rank, f"{at}[0]"), class_from_list(v2, rank, f"{at}[1]"), _int(e, f"{at}[2]"))
+        for at, (v1, v2, e) in _rows(doc.get("ext_defect", []), f"{where}.ext_defect", "[v1, v2, e]")
+    ]
     model = EvalModel(atoms, defects)
     return lattice, charge, model
 
@@ -343,13 +330,10 @@ def gv_table_from_json(doc: dict, where: str = "gv_table") -> GVTable:
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("genus", "degree", "omega"))
     omega = [_fraction(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")]
     entries = {}
-    for i, triple in enumerate(_require(doc["entries"], list, f"{where}.entries")):
-        _require(triple, list, f"{where}.entries[{i}]")
-        if len(triple) != 3:
-            raise SchemaError(f"{where}.entries[{i}]: expected [g, beta, n]")
-        g = _int(triple[0], f"{where}.entries[{i}].g")
-        beta = tuple(_int(b, f"{where}.entries[{i}].beta") for b in _require(triple[1], list, f"{where}.entries[{i}].beta"))
-        n = _int(triple[2], f"{where}.entries[{i}].n")
+    for at, (g, beta, n) in _rows(doc["entries"], f"{where}.entries", "[g, beta, n]"):
+        g = _int(g, f"{at}.g")
+        beta = tuple(_int(b, f"{at}.beta") for b in _require(beta, list, f"{at}.beta"))
+        n = _int(n, f"{at}.n")
         entries[(g, beta)] = entries.get((g, beta), 0) + n
     try:
         return GVTable(
@@ -380,13 +364,10 @@ def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("degree", "lambda", "omega"))
     omega = [_fraction(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")]
     coeffs = {}
-    for i, triple in enumerate(_require(doc["coeffs"], list, f"{where}.coeffs")):
-        _require(triple, list, f"{where}.coeffs[{i}]")
-        if len(triple) != 3:
-            raise SchemaError(f"{where}.coeffs[{i}]: expected [beta, lambda, coeff]")
-        beta = tuple(_int(b, f"{where}.coeffs[{i}].beta") for b in _require(triple[0], list, f"{where}.coeffs[{i}].beta"))
-        lam = _int(triple[1], f"{where}.coeffs[{i}].lambda")
-        c = _fraction(triple[2], f"{where}.coeffs[{i}].coeff")
+    for at, (beta, lam, c) in _rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]"):
+        beta = tuple(_int(b, f"{at}.beta") for b in _require(beta, list, f"{at}.beta"))
+        lam = _int(lam, f"{at}.lambda")
+        c = _fraction(c, f"{at}.coeff")
         key = (beta, lam)
         coeffs[key] = coeffs.get(key, Fraction(0)) + c
     try:
@@ -419,15 +400,21 @@ def gw_series_to_json(series: GWSeries) -> dict:
 
 # -- top-level documents ----------------------------------------------------------------
 
-_PAYLOAD_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "bispin": (("content",), ()),
-    "graded_nilpotent": (("dims",), ("maps",)),
-    "betti_variety": (("bettis", "dim"), ()),
-    "motive": (("expr",), ()),
-    "stack_class": (("parts",), ()),
-    "count_model": (("lattice", "charge", "atoms"), ("ext_defect",)),
-    "gv_table": (("entries", "cuts"), ()),
-    "gw_series": (("coeffs", "cuts"), ()),
+def _betti_variety_from_json(doc: dict) -> motives.MotiveExpr:
+    bettis = [_int(b, "betti_variety.bettis") for b in _require(doc["bettis"], list, "betti_variety.bettis")]
+    return motives.smooth_from_betti(bettis, _int(doc["dim"], "betti_variety.dim"))
+
+
+# kind -> (required payload fields, optional payload fields, payload parser)
+KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable[[dict], Any]]] = {
+    "bispin": (("content",), (), lambda doc: bispin_from_json(doc["content"])),
+    "graded_nilpotent": (("dims",), ("maps",), graded_nilpotent_from_json),
+    "betti_variety": (("bettis", "dim"), (), _betti_variety_from_json),
+    "motive": (("expr",), (), lambda doc: motive_from_json(doc["expr"])),
+    "stack_class": (("parts",), (), lambda doc: stack_class_from_json(doc["parts"])),
+    "count_model": (("lattice", "charge", "atoms"), ("ext_defect",), count_model_from_json),
+    "gv_table": (("entries", "cuts"), (), gv_table_from_json),
+    "gw_series": (("coeffs", "cuts"), (), gw_series_from_json),
 }
 
 
@@ -437,29 +424,11 @@ def parse_document(doc: Any) -> tuple[str, Any]:
     if doc.get("v") != SCHEMA_VERSION:
         raise SchemaError(f"document: schema version must be {SCHEMA_VERSION}")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError(f"document: unknown kind {kind!r}")
-    required, optional = _PAYLOAD_FIELDS[kind]
+    required, optional, parse = KINDS[kind]
     _fields(doc, "document", ("v", "kind") + required, optional + ("name", "note"))
-
-    if kind == "bispin":
-        return kind, bispin_from_json(doc["content"])
-    if kind == "graded_nilpotent":
-        return kind, graded_nilpotent_from_json(doc)
-    if kind == "betti_variety":
-        bettis = [_int(b, "betti_variety.bettis") for b in _require(doc["bettis"], list, "betti_variety.bettis")]
-        return kind, motives.smooth_from_betti(bettis, _int(doc["dim"], "betti_variety.dim"))
-    if kind == "motive":
-        return kind, motive_from_json(doc["expr"])
-    if kind == "stack_class":
-        return kind, stack_class_from_json(doc["parts"])
-    if kind == "count_model":
-        return kind, count_model_from_json(doc)
-    if kind == "gv_table":
-        return kind, gv_table_from_json(doc)
-    if kind == "gw_series":
-        return kind, gw_series_from_json(doc)
-    raise AssertionError("unreachable")
+    return kind, parse(doc)
 
 
 def load_path(path: str) -> tuple[str, Any]:

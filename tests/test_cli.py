@@ -241,6 +241,35 @@ class TestGv:
         assert code == EXIT_SCHEMA
         assert json.loads(err)["error"]["type"] == "ResourceLimitError"
 
+    def test_membership_and_pieces_spend_the_cap_quickly(self, capsys, tmp_path):
+        # a tiny document whose target is not effective: the membership search
+        # alone would visit ~640k lattice points; a degree-zero target with a
+        # huge k would build one piece per unit of k
+        doc = {
+            "v": 1,
+            "kind": "count_model",
+            "lattice": {"rank": 2, "generators": [[2, 0], [0, 2]]},
+            "charge": {"B": [0, 0], "omega": [1, 1]},
+            "atoms": {},
+        }
+        even = write_doc(tmp_path, "even.json", doc)
+        cases = [
+            (["--input", even, "--target", "1601,1600,0", "--max-compositions", "10"], "membership test", 10),
+            (["--input", f"{SAMPLES}/cy3_degree_zero.count_model.json", "--target", "0,100000000"], "pieces", 10**6),
+        ]
+        for argv, stage, cap in cases:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "gv", *argv, "--json")
+            assert time.perf_counter() - start < 2, argv
+            assert code == EXIT_SCHEMA and out == ""
+            assert len(err.splitlines()) == 1
+            error = json.loads(err)["error"]
+            assert error["type"] == "ResourceLimitError"
+            assert error["message"].startswith(f"{stage}: ") and error["message"].endswith(f"cap of {cap}")
+        code, out, _ = run(capsys, "gv", "--input", even, "--target", "201,200,0", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["counts"] == [[0, 0], [1, 0], [2, 0], [3, 0]]
+
     def test_non_polynomial_exit_five(self, capsys, tmp_path):
         doc = {
             "v": 1,

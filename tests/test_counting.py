@@ -12,12 +12,11 @@ from gvmot.counting import (
     EvalModel,
     FreeHallElement,
     NumClass,
+    _Budget,
     _unit_range_test,
-    census_convolution,
     counting_polynomial,
     evaluate,
     gv_from_polynomial,
-    product_combinator,
     same_phase_decompositions,
     semistable_exp,
     semistable_log,
@@ -92,22 +91,22 @@ class TestPhase:
 
     def test_zero_dimensional_class_in_unit_range(self):
         lat, z = rank1()
-        in_range = _unit_range_test(lat, z)
+        in_range = _unit_range_test(lat, z, _Budget(100))
         assert in_range(NumClass((0,), 1)) and in_range(NumClass((0,), 3))
         assert not in_range(NumClass((0,), 0)) and not in_range(NumClass((0,), -2))
 
     def test_pure_curve_class_in_unit_range(self):
         lat, z = rank1()
-        assert _unit_range_test(lat, z)(NumClass((3,), 0))
+        assert _unit_range_test(lat, z, _Budget(100))(NumClass((3,), 0))
 
     def test_unit_euler_class_second_octant(self):
         # Re Z = -1 < 0, Im Z > 0: strictly between 1/2 and 1
         lat, z = rank1()
-        assert _unit_range_test(lat, z)(NumClass((2,), 1))
+        assert _unit_range_test(lat, z, _Budget(100))(NumClass((2,), 1))
 
     def test_negated_class_leaves_unit_range(self):
         lat, z = rank1()
-        assert not _unit_range_test(lat, z)(NumClass((-2,), -1))
+        assert not _unit_range_test(lat, z, _Budget(100))(NumClass((-2,), -1))
 
 
 class TestDecompositions:
@@ -172,6 +171,34 @@ class TestDecompositions:
         lat, z = rank1()
         with pytest.raises(ResourceLimitError):
             same_phase_decompositions(lat, z, NumClass((4,), 0), max_compositions=2)
+
+    def test_membership_search_spends_the_budget(self):
+        # (41, 40) is not in the monoid of (2,0), (0,2); deciding that visits
+        # hundreds of lattice points, which a cap of 10 must stop
+        lat = ClassLattice(2, [(2, 0), (0, 2)])
+        z = CentralCharge([0, 0], [1, 1])
+        v = NumClass((41, 40), 0)
+        with pytest.raises(NotEffectiveError):
+            same_phase_decompositions(lat, z, v)
+        with pytest.raises(ResourceLimitError, match="^membership test: "):
+            same_phase_decompositions(lat, z, v, max_compositions=10)
+        assert counting_polynomial(lat, z, v, EvalModel({})) == RationalFn.zero()
+        with pytest.raises(ResourceLimitError, match="^membership test: "):
+            counting_polynomial(lat, z, v, EvalModel({}), max_compositions=10)
+
+    @pytest.mark.parametrize(
+        "v, cap, stage",
+        [
+            (NumClass((20,), 0), 25, "pieces"),
+            (NumClass((0,), 10**9), 10, "pieces"),
+            (NumClass((0,), 12), 100, "decompositions"),
+        ],
+    )
+    def test_cap_error_names_stage_and_cap(self, v, cap, stage):
+        # the degree-zero class spends its k pieces before building any
+        lat, z = rank1()
+        with pytest.raises(ResourceLimitError, match=rf"^{stage}: \d+ enumeration steps exceed the cap of {cap}$"):
+            same_phase_decompositions(lat, z, v, max_compositions=cap)
 
 
 class TestLogExp:
@@ -399,11 +426,10 @@ class TestMultisetLog:
             pieces = sorted({piece for word in words for piece in word})
             atoms = {piece: random_atom_class(rng) for piece in pieces}
             defects = [(a, b, rng.randint(-2, 3)) for i, a in enumerate(pieces) for b in pieces[i:]]
-            for combine in (product_combinator, census_convolution):
-                model = EvalModel(atoms, defects, combine)
-                expected = gm * evaluate(semistable_log(lattice, charge, v), model)
-                assert counting_polynomial(lattice, charge, v, model) == expected
-                assert counting_polynomial(lattice, charge, -v, model) == expected
+            model = EvalModel(atoms, defects)
+            expected = gm * evaluate(semistable_log(lattice, charge, v), model)
+            assert counting_polynomial(lattice, charge, v, model) == expected
+            assert counting_polynomial(lattice, charge, -v, model) == expected
         assert split >= 10
 
     def test_membership_decided_once_per_class(self):
@@ -461,45 +487,6 @@ class TestMultiLetterEvaluation:
             counting_polynomial(lat, z, NumClass((1, 0), 1), model)
         with pytest.raises(ValueError):
             same_phase_decompositions(lat, z, NumClass((1, 0), 1))
-
-
-class TestCombinators:
-    def test_default_product_on_point_bases_matches_convolution(self):
-        from gvmot.counting import census_convolution, product_combinator
-
-        values = [
-            upsilon_rel(over_point_from_betti([1, 0, 1])),
-            upsilon_rel(over_point_from_betti([1, 2, 1])),
-        ]
-        assert product_combinator(values) == census_convolution(values)
-
-    def test_convolution_differs_on_long_cells(self):
-        from gvmot.counting import census_convolution, product_combinator
-        from gvmot.lefschetz import JordanCensus
-        from gvmot.motives import Atom
-
-        # a single size-2 string spanning degrees -1, +1: value s; the tensor
-        # of two such strings splits as one size-3 plus one size-1 string
-        cell = upsilon_rel(Atom(name="string", dim=1, census=JordanCensus({(-1, 2): 1})))
-        assert cell == LaurentPoly.s(1)
-        conv = census_convolution([cell, cell])
-        assert conv == LaurentPoly({(0, 2): 1, (2, 0): 1})
-        assert product_combinator([cell, cell]) == LaurentPoly.s(2)
-
-    def test_convolution_is_symmetric(self):
-        from gvmot.counting import census_convolution
-
-        a = upsilon_rel(smooth_from_betti([1, 0, 1, 0, 1], 2))
-        b = upsilon_rel(smooth_from_betti([1, 0, 1], 1))
-        assert census_convolution([a, b]) == census_convolution([b, a])
-
-    def test_model_accepts_custom_combinator(self):
-        from gvmot.counting import census_convolution
-
-        v = NumClass((1,), 1)
-        atom = StackClass.of_variety(point_atom())
-        model = EvalModel({v: atom}, combine=census_convolution)
-        assert evaluate(FreeHallElement.letter(v), model) == RationalFn.one()
 
 
 def test_concurrent_evaluations_agree():

@@ -135,6 +135,11 @@ class TestGradedNilpotentDocs:
                 {"v": 1, "kind": "graded_nilpotent", "dims": {"x": 1}, "maps": {}}
             )
 
+    def test_negative_dimension_is_a_schema_error(self):
+        # a ValueError here would reach the CLI as an internal error (exit 6)
+        with pytest.raises(SchemaError, match=r"^graded_nilpotent\.dims\[0\]: dimensions must be nonnegative$"):
+            parse_document({"v": 1, "kind": "graded_nilpotent", "dims": {"0": -1}})
+
 
 class TestCountModelDocs:
     def test_conifold_model_parses(self):
@@ -183,3 +188,62 @@ class TestTablesAndSeries:
         a = dump_json(gw_series_to_json(series))
         b = dump_json(gw_series_to_json(series))
         assert a == b
+
+
+def _stack_doc(num):
+    coeff = {"num": num, "den": [[0, 0, "1"]]}
+    return {"v": 1, "kind": "stack_class", "parts": [{"coeff": coeff, "expr": {"kind": "betti_over_point", "bettis": [1]}}]}
+
+
+def _count_model_doc(defects):
+    return {
+        "v": 1,
+        "kind": "count_model",
+        "lattice": {"rank": 1, "generators": [[1]]},
+        "charge": {"B": [0], "omega": [1]},
+        "atoms": {},
+        "ext_defect": defects,
+    }
+
+
+# one document per row format, with the row under test spliced in
+ROW_FORMATS = [
+    (_stack_doc, "parts[0].coeff.num[0]", "[a, b, coeff]"),
+    (lambda rows: {"v": 1, "kind": "motive", "expr": {"kind": "atom", "name": "x", "dim": 0, "census": rows}},
+     "expr.census[0]", "[alpha, l, count]"),
+    (lambda rows: {"v": 1, "kind": "bispin", "content": rows}, "content[0]", "[twoJL, twoJR, mult]"),
+    (_count_model_doc, "count_model.ext_defect[0]", "[v1, v2, e]"),
+    (lambda rows: {"v": 1, "kind": "gv_table", "entries": rows, "cuts": {"genus": 0, "degree": 1, "omega": [1]}},
+     "gv_table.entries[0]", "[g, beta, n]"),
+    (lambda rows: {"v": 1, "kind": "gw_series", "coeffs": rows, "cuts": {"degree": 1, "lambda": 0, "omega": [1]}},
+     "gw_series.coeffs[0]", "[beta, lambda, coeff]"),
+]
+
+
+@pytest.mark.parametrize("build, where, shape", ROW_FORMATS)
+def test_bad_row_messages(build, where, shape):
+    with pytest.raises(SchemaError) as short:
+        parse_document(build([[0, 0]]))
+    assert str(short.value) == f"{where}: expected {shape}"
+    with pytest.raises(SchemaError) as scalar:
+        parse_document(build([7]))
+    assert str(scalar.value) == f"{where}: expected list, got int"
+    with pytest.raises(SchemaError) as outer:
+        parse_document(build({}))
+    assert str(outer.value) == f"{where[:-3]}: expected list, got dict"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"v": 1, "kind": "mystery"}, "document: unknown kind 'mystery'"),
+        ({"v": 1, "kind": ["bispin"]}, "document: unknown kind ['bispin']"),
+        ({"v": 1}, "document: unknown kind None"),
+        ({"v": 1, "kind": "bispin", "content": [], "extra": 1}, "document: unknown fields ['extra']"),
+        ({"v": 1, "kind": "gv_table", "entries": []}, "document: missing fields ['cuts']"),
+    ],
+)
+def test_envelope_messages(doc, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == message
