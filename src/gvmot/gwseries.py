@@ -1,17 +1,22 @@
 """The BPS/Gromov-Witten generating-function transform on truncated exact series.
 
-One multiple-cover kernel carries a count n_g^beta into the series,
+One multiple-cover kernel carries the counts of a class beta into the series,
 
-    sum n_g^beta / k * (2 sin(k lambda / 2))^{2g-2} q^{k beta},
+    sum_k (1/k) f_beta(k lambda) q^{k beta},
+    f_beta(lambda) = sum_g n_g^beta (2 sin(lambda / 2))^{2g-2},
 
-with the sine powers Laurent-expanded exactly.  The forward transform pushes
-every table entry through it.  The inverse is the forward transform minus
-the covers already known: walking classes by omega-degree, then genus, each
-value is its coefficient minus what earlier values pushed onto that key, and
-is pushed in turn.  Integrality of the solved values is conjectural;
-non-integer results are reported alongside the table, never rounded.  Each
-call counts its work from the cuts first and raises ResourceLimitError when
-a count exceeds MAX_SERIES_WORK.
+with the sine powers Laurent-expanded exactly.  Since f_beta(k lambda) only
+rescales the coefficient of lambda^e by k^e, the genera of a class are summed
+once and the sum is pushed to every cover k.  The forward transform pushes
+each class of the table through it.  The inverse walks classes by
+omega-degree, then genus: each value is its coefficient minus the covers that
+earlier classes pushed onto that key and minus its own class's k = 1 series
+of the genera solved so far; once a class is solved, its series is pushed for
+k >= 2.  Integrality of the solved values is conjectural; non-integer results
+are reported alongside the table, never rounded.  Each call counts its work
+from the cuts first and raises ResourceLimitError when a count exceeds
+MAX_SERIES_WORK; the counts are per-entry kernel terms, which over-state the
+work of the per-class push.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .linalg import dot
 Beta = tuple[int, ...]
 
 MAX_SERIES_WORK = 10**6
-"""Cap on each count taken before a transform: kernel terms, candidate classes, sin-table products."""
+"""Cap on each count taken before a transform: per-entry kernel terms, candidate classes, sin-table products."""
 
 
 def _check_work(stage: str, what: str, count: int) -> None:
@@ -63,9 +68,9 @@ def sin_power_coefficient(g: int, j: int) -> Fraction:
     return _sin_powers(g, j)[g][j]
 
 
-def _cover_count(omega, beta: Beta, degree_max: Fraction) -> int:
-    """Number of k >= 1 with k beta inside the degree cut."""
-    return max(int(degree_max // dot(omega, beta)), 0)
+def _cover_count(degree: Fraction, degree_max: Fraction) -> int:
+    """Number of k >= 1 with k beta inside the degree cut, for beta of the given omega-degree."""
+    return max(int(degree_max // degree), 0)
 
 
 def _order_count(g: int, lambda_max: int) -> int:
@@ -73,15 +78,23 @@ def _order_count(g: int, lambda_max: int) -> int:
     return max((lambda_max - 2 * g + 2) // 2 + 1, 0)
 
 
-def _push(acc: dict, g: int, beta: Beta, n, omega, degree_max: Fraction, lambda_max: int, sin) -> None:
-    """The multiple-cover kernel: add n c(g, j) k^{2g-3+2j} at (k beta, 2g-2+2j) inside the cuts."""
-    for k in range(1, _cover_count(omega, beta, degree_max) + 1):
+def _add_genus(f: dict[int, Fraction], g: int, n, lambda_max: int, sin) -> None:
+    """Add n (2 sin(lambda/2))^{2g-2} to a class's series f, up to the lambda cut."""
+    for j in range(_order_count(g, lambda_max)):
+        c = sin[g][j]
+        if c:
+            e = 2 * g - 2 + 2 * j
+            f[e] = f.get(e, 0) + n * c
+
+
+def _push(acc: dict, beta: Beta, f: dict[int, Fraction], covers: range) -> None:
+    """The multiple-cover kernel: add f[e] k^{e-1} at (k beta, e) for each k in covers."""
+    for k in covers:
         kbeta = tuple(k * b for b in beta)
-        for j in range(_order_count(g, lambda_max)):
-            c = sin[g][j]
+        for e, c in f.items():
             if c:
-                key = (kbeta, 2 * g - 2 + 2 * j)
-                acc[key] = acc.get(key, 0) + n * c * Fraction(k) ** (2 * g - 3 + 2 * j)
+                key = (kbeta, e)
+                acc[key] = acc.get(key, 0) + c * Fraction(k) ** (e - 1)
 
 
 # -- tables and series ---------------------------------------------------------
@@ -113,13 +126,16 @@ class GVTable:
         omega = tuple(Fraction(x) for x in omega)
         degree_max = Fraction(degree_max)
         clean: dict[tuple[int, Beta], int] = {}
+        checked: dict = {}
         for (g, beta), n in entries.items():
             g = int(g)
             if g < 0:
                 raise ValueError("genus must be nonnegative")
             if g > genus_max:
                 raise ValueError(f"entry at genus {g} beyond cutoff {genus_max}")
-            beta = _check_class(beta, omega, degree_max)
+            if beta not in checked:
+                checked[beta] = _check_class(beta, omega, degree_max)
+            beta = checked[beta]
             if int(n) != 0:
                 clean[(g, beta)] = int(n)
         object.__setattr__(self, "entries", clean)
@@ -146,13 +162,16 @@ class GWSeries:
         omega = tuple(Fraction(x) for x in omega)
         degree_max = Fraction(degree_max)
         clean: dict[tuple[Beta, int], Fraction] = {}
+        checked: dict = {}
         for (beta, lam), c in coeffs.items():
             lam = int(lam)
             if lam < -2 or lam % 2 != 0:
                 raise ValueError("lambda exponents are even integers >= -2")
             if lam > lambda_max:
                 raise ValueError(f"lambda order {lam} beyond cutoff {lambda_max}")
-            beta = _check_class(beta, omega, degree_max)
+            if beta not in checked:
+                checked[beta] = _check_class(beta, omega, degree_max)
+            beta = checked[beta]
             c = Fraction(c)
             if c != 0:
                 clean[(beta, lam)] = c
@@ -191,17 +210,25 @@ def gv_to_gw(
     degree_max = table.degree_max if degree_max is None else Fraction(degree_max)
     if lambda_max is None:
         lambda_max = 2 * table.genus_max - 2
+    genera: dict[Beta, dict[int, int]] = {}
+    for (g, beta), n in table.entries.items():
+        genera.setdefault(beta, {})[g] = n
+    covers = {beta: _cover_count(dot(table.omega, beta), degree_max) for beta in genera}
     terms = genus_top = order = 0
     for g, beta in table.entries:
-        covers, orders = _cover_count(table.omega, beta, degree_max), _order_count(g, lambda_max)
-        if covers and orders:
-            terms += covers * orders
+        orders = _order_count(g, lambda_max)
+        if covers[beta] and orders:
+            terms += covers[beta] * orders
             genus_top, order = max(genus_top, g), max(order, orders - 1)
     _check_work("gw forward", "kernel terms", terms)
     sin = _sin_powers(genus_top, order)
     coeffs: dict[tuple[Beta, int], Fraction] = {}
-    for (g, beta), n in table.entries.items():
-        _push(coeffs, g, beta, n, table.omega, degree_max, lambda_max, sin)
+    for beta, counts in genera.items():
+        if covers[beta]:
+            f: dict[int, Fraction] = {}
+            for g, n in counts.items():
+                _add_genus(f, g, n, lambda_max, sin)
+            _push(coeffs, beta, f, range(1, covers[beta] + 1))
     return GWSeries(coeffs, degree_max, lambda_max, table.omega)
 
 
@@ -213,11 +240,13 @@ def gw_to_gv(
     """Triangular inversion of the forward transform.
 
     Solves n_g^beta in increasing omega-degree, then genus: each value is
-    its coefficient minus the covers that the values solved before it push
-    onto the same key.  Only multiples of support classes are walked, since
-    a class outside the support gets a nonzero value only as a multiple of
-    one that has one.  Requesting values beyond the stored truncation
-    raises InsufficientTruncationError.
+    its coefficient minus the covers (k >= 2) that earlier classes pushed onto
+    the same key, minus the k = 1 series of the class's lower genera.  A
+    solved class pushes its series for k >= 2 only, since its k = 1 cover
+    feeds nothing but its own higher genera.  Only multiples of support
+    classes are walked, since a class outside the support gets a nonzero
+    value only as a multiple of one that has one.  Requesting values beyond
+    the stored truncation raises InsufficientTruncationError.
     """
     max_solvable_genus = (series.lambda_max + 2) // 2
     if genus_max is None:
@@ -233,29 +262,35 @@ def gw_to_gv(
             f"degree {degree_max} beyond the stored cutoff {series.degree_max}"
         )
 
-    support = {beta for beta, _ in series.coeffs}
-    _check_work("gw inverse", "candidate classes", sum(_cover_count(series.omega, b, degree_max) for b in support))
-    candidates = {
-        tuple(k * b for b in beta)
-        for beta in support
-        for k in range(1, _cover_count(series.omega, beta, degree_max) + 1)
-    }
+    degree = {beta: dot(series.omega, beta) for beta, _ in series.coeffs}
+    covers = {beta: _cover_count(d, degree_max) for beta, d in degree.items()}
+    _check_work("gw inverse", "candidate classes", sum(covers.values()))
+    for beta, d in list(degree.items()):
+        for k in range(2, covers[beta] + 1):
+            kbeta = tuple(k * b for b in beta)
+            if kbeta not in degree:
+                degree[kbeta] = k * d
+                covers[kbeta] = _cover_count(k * d, degree_max)
+    candidates = sorted((beta for beta in degree if covers[beta]), key=lambda b: (degree[b], b))
     genera = max(genus_max + 1, 0)
-    terms = sum(_cover_count(series.omega, beta, degree_max) for beta in candidates) * genera * (genera + 1) // 2
+    terms = sum(covers[beta] for beta in candidates) * genera * (genera + 1) // 2
     _check_work("gw inverse", "kernel terms", terms)
     sin = _sin_powers(genus_max, genus_max) if terms else []
 
     lambda_max = 2 * genus_max - 2
-    covers: dict[tuple[Beta, int], Fraction] = {}
+    pushed: dict[tuple[Beta, int], Fraction] = {}
     entries: dict[tuple[int, Beta], int] = {}
     nonintegral: dict[tuple[int, Beta], Fraction] = {}
-    for beta in sorted(candidates, key=lambda b: (dot(series.omega, b), b)):
+    for beta in candidates:
+        f: dict[int, Fraction] = {}
         for g in range(genus_max + 1):
-            value = series.coefficient(beta, 2 * g - 2) - covers.get((beta, 2 * g - 2), 0)
+            e = 2 * g - 2
+            value = series.coefficient(beta, e) - pushed.get((beta, e), 0) - f.get(e, 0)
             if value:
-                _push(covers, g, beta, value, series.omega, degree_max, lambda_max, sin)
+                _add_genus(f, g, value, lambda_max, sin)
                 if value.denominator == 1:
                     entries[(g, beta)] = int(value)
                 else:
                     nonintegral[(g, beta)] = value
+        _push(pushed, beta, f, range(2, covers[beta] + 1))
     return InversionResult(table=GVTable(entries, genus_max, degree_max, series.omega), nonintegral=nonintegral)

@@ -228,15 +228,15 @@ def torus_rep(g: int) -> SpinMultiset:
     Its weight dimensions are the coefficients of (x^-1 + 2 + x)^g =
     x^-g (1 + x)^{2g}, so weight w has dimension C(2g, g - w), and mult(2j = k)
     is the difference C(2g, g - k) - C(2g, g - k - 2) of consecutive weight
-    spaces, with C(n, m) = 0 for m < 0.
+    spaces, with C(n, m) = 0 for m < 0.  The row C(2g, 0..g) is built once by
+    C(2g, m+1) = C(2g, m) (2g - m) / (m + 1).
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-
-    def c(m: int) -> int:
-        return comb(2 * g, m) if m >= 0 else 0
-
-    return SpinMultiset({k: c(g - k) - c(g - k - 2) for k in range(g + 1)})
+    row = [0, 0, 1]  # C(2g, m) at index m + 2
+    for m in range(g):
+        row.append(row[-1] * (2 * g - m) // (m + 1))
+    return SpinMultiset({k: row[g - k + 2] - row[g - k] for k in range(g + 1)})
 
 
 def _right_factor(v: BispinContent, g: int) -> SpinMultiset:

@@ -1,10 +1,14 @@
 """The 2sin transform: exact expansion, truncation, and triangular inversion."""
 
+import json
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
 
+from gvmot.cli import EXIT_OK, main
 from gvmot.errors import ConeNotPointedError, InsufficientTruncationError
 from gvmot.gwseries import (
     GVTable,
@@ -13,9 +17,60 @@ from gvmot.gwseries import (
     gw_to_gv,
     sin_power_coefficient,
 )
+from gvmot.linalg import dot
 from gvmot.verify import _oracle_sin_power, prop_inverse_is_solution, random_gv_table, random_gw_series
 
 ONE = (Fraction(1),)
+
+_sin = cache(sin_power_coefficient)
+
+
+def push_oracle(acc, g, beta, n, omega, degree_max, lambda_max):
+    """Per-entry multiple-cover kernel: add n c(g, j) k^{2g-3+2j} at (k beta, 2g-2+2j) inside the cuts."""
+    for k in range(1, max(int(degree_max // dot(omega, beta)), 0) + 1):
+        kbeta = tuple(k * b for b in beta)
+        for j in range(max((lambda_max - 2 * g + 2) // 2 + 1, 0)):
+            key = (kbeta, 2 * g - 2 + 2 * j)
+            acc[key] = acc.get(key, 0) + n * _sin(g, j) * Fraction(k) ** (2 * g - 3 + 2 * j)
+
+
+def forward_oracle(table, degree_max, lambda_max):
+    """Push every table entry through the per-entry kernel."""
+    acc = {}
+    for (g, beta), n in table.entries.items():
+        push_oracle(acc, g, beta, n, table.omega, degree_max, lambda_max)
+    return {key: c for key, c in acc.items() if c}
+
+
+def inverse_oracle(series, genus_max, degree_max):
+    """Solve multiples of support classes in (omega-degree, beta) order, genus ascending, pushing every value."""
+    candidates = {
+        tuple(k * b for b in beta)
+        for beta, _ in series.coeffs
+        for k in range(1, max(int(degree_max // dot(series.omega, beta)), 0) + 1)
+    }
+    covers, values = {}, {}
+    for beta in sorted(candidates, key=lambda b: (dot(series.omega, b), b)):
+        for g in range(genus_max + 1):
+            value = series.coefficient(beta, 2 * g - 2) - covers.get((beta, 2 * g - 2), 0)
+            if value:
+                push_oracle(covers, g, beta, value, series.omega, degree_max, 2 * genus_max - 2)
+                values[(g, beta)] = value
+    return values
+
+
+def random_table(rng):
+    """Rank 1 or 2, omega entries drawn from 1/2..3, up to six entries of genus up to 3."""
+    rank = rng.randint(1, 2)
+    omega = tuple(Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rank))
+    degree_max = Fraction(rng.randint(3, 8))
+    genus_max = rng.randint(0, 3)
+    classes = [beta for beta in product(range(-1, 5), repeat=rank) if 0 < dot(omega, beta) <= degree_max]
+    entries = {
+        (rng.randint(0, genus_max), rng.choice(classes)): rng.randint(-9, 9)
+        for _ in range(rng.randint(0, 6))
+    }
+    return GVTable(entries, genus_max, degree_max, omega)
 
 
 class TestSinPowerCoefficients:
@@ -173,3 +228,51 @@ class TestValidation:
     def test_beyond_cut_rejected(self):
         with pytest.raises(ValueError):
             GVTable({(0, (7,)): 1}, 0, Fraction(6), ONE)
+
+
+class TestPushOracle:
+    """The per-class kernel against the per-entry push it replaced."""
+
+    def test_forward_matches_oracle(self):
+        rng = random.Random(66)
+        for _ in range(300):
+            table = random_table(rng)
+            degree_max = table.degree_max - rng.choice([0, 0, Fraction(1, 2), 2])
+            lambda_max = rng.randint(-2, 2 * table.genus_max + 2)
+            got = gv_to_gw(table, degree_max=degree_max, lambda_max=lambda_max)
+            assert got.coeffs == forward_oracle(table, degree_max, lambda_max), (table.entries, table.omega)
+
+    def test_inverse_matches_oracle(self):
+        rng = random.Random(67)
+        nonintegral = 0
+        for case in range(300):
+            if case % 2:
+                series = random_gw_series(rng)
+            else:
+                table = random_table(rng)
+                series = gv_to_gw(table, lambda_max=rng.randint(-2, 2 * table.genus_max + 2))
+            genus_max = rng.randint(-1, (series.lambda_max + 2) // 2)
+            degree_max = series.degree_max - rng.choice([0, 0, 1, Fraction(5, 2)])
+            result = gw_to_gv(series, genus_max=genus_max, degree_max=degree_max)
+            expected = inverse_oracle(series, genus_max, degree_max)
+            assert result.table.entries == {key: v for key, v in expected.items() if v.denominator == 1}
+            assert result.nonintegral == {key: v for key, v in expected.items() if v.denominator != 1}
+            nonintegral += bool(result.nonintegral)
+        assert nonintegral > 30
+
+    def test_lambda_cut_below_an_entry_genus(self, capsys, tmp_path):
+        # the genus-3 entries have no kernel terms at lambda order 0 and no sin-table row
+        table = GVTable({(0, (1,)): 2, (1, (1,)): -3, (3, (1,)): 5, (3, (2,)): 1}, 3, Fraction(4), ONE)
+        expected = forward_oracle(table, table.degree_max, 0)
+        assert expected and all(lam <= 0 for _, lam in expected)
+        assert gv_to_gw(table, lambda_max=0).coeffs == expected
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "v": 1,
+            "kind": "gv_table",
+            "entries": [[g, list(beta), n] for (g, beta), n in table.entries.items()],
+            "cuts": {"genus": 3, "degree": "4", "omega": ["1"]},
+        }))
+        assert main(["gw", "--input", str(path), "--lambda-order", "0", "--json"]) == EXIT_OK
+        coeffs = json.loads(capsys.readouterr().out)["coeffs"]
+        assert {(tuple(beta), lam): Fraction(c) for beta, lam, c in coeffs} == expected
