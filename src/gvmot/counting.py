@@ -9,9 +9,15 @@ worth L^(sum of pairwise ext defects) times the product of its letters'
 values.  Because that value ignores letter order, counting_polynomial sums
 the log over multisets of pieces; the ordered log stays as its reference.
 
-Each count spends one work budget (max_compositions): the membership search,
-the candidate pieces and the decomposition walk all draw on it, and running
-out raises ResourceLimitError naming the stage.
+Every piece of a splitting of v lies below v: v minus the piece is
+effective or zero.  So a count walks down from its target once, subtracting
+generators, and labels each class it reaches effective or not; that one
+labelled set says whether the target is in range, whether each remainder is,
+and which classes can be pieces.
+
+Each count spends one work budget (max_compositions): the walk down (stage
+"membership test"), the candidate pieces and the decomposition walk all draw
+on it, and running out raises ResourceLimitError naming the stage.
 
 Phase comparisons never touch floating point: two classes share a phase
 exactly when their (Im Z, -Re Z) pairs are proportional with positive ratio.
@@ -23,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import factorial, prod
-from typing import Callable, Iterable, Mapping
+from math import factorial, lcm, prod
+from typing import Iterable, Mapping
 
 from .errors import (
     AsymmetricDefectError,
@@ -43,7 +49,7 @@ from .stacks import StackClass
 # printed in every gv output; golden files pin its bytes
 MODEL_NOTE = (
     "evaluation model: split strata with constant ext defect per class pair; "
-    "direct sums merge by the model's census combinator"
+    "the letters of a word multiply"
 )
 
 
@@ -71,8 +77,8 @@ class NumClass:
 class ClassLattice:
     """The curve-class lattice with a spanning set of effective-cone generators.
 
-    Immutable after construction; membership memoization is per call, so a
-    lattice can be shared freely across threads.
+    Immutable after construction, and every walk keeps its state in the
+    call, so a lattice can be shared freely across threads.
     """
 
     __slots__ = ("rank", "generators")
@@ -97,90 +103,69 @@ class ClassLattice:
                     f"functional {tuple(map(str, omega))} not positive on generator {g}"
                 )
 
-    def is_effective(
+    def classes_below(
         self,
         beta: tuple[int, ...],
         omega: tuple[Fraction, ...],
-        _memo: dict | None = None,
-        budget: "_Budget | None" = None,
-    ) -> bool:
-        """Membership of beta in the monoid generated by the effective generators.
+        budget: "_Budget",
+    ) -> dict[tuple[int, ...], bool]:
+        """Every class reached from beta by subtracting generators, labelled
+        effective (zero or a sum of generators) or not.
 
-        Bounded search: subtracting a generator strictly lowers the
-        omega-degree, so the explored region is the finite set of lattice
-        points below beta.  Iterative so arbitrarily deep classes cannot
-        overflow the interpreter stack.
+        A generator of omega-degree above the current class's is never
+        subtracted, so the walk stays at or above degree zero and reaches at
+        most the monoid elements m of degree at most beta's, as beta - m.
+        Coordinates no generator can move toward zero are dead ends.  Labels
+        are read bottom-up by degree: b is effective when some b - g is.
+        Each class expanded spends one budget step.  Iterative, so deep
+        classes cannot overflow the interpreter stack.
         """
         self.check_positive(omega)
         beta = tuple(int(b) for b in beta)
         if len(beta) != self.rank:
             raise ValueError(f"class {beta} has wrong rank for this lattice")
-        cache = {} if _memo is None else _memo
+        labels: dict[tuple[int, ...], bool] = {}
         zero = (0,) * self.rank
-        generator_degrees = [dot(omega, g) for g in self.generators]
-        # coordinates no generator can move toward zero are dead ends
+        # integer degrees: omega scaled to a common denominator
+        scale = lcm(*(w.denominator for w in omega))
+        scaled = [int(w * scale) for w in omega]
+
+        def degree(b: tuple[int, ...]) -> int:
+            return sum(w * c for w, c in zip(scaled, b))
+
+        steps = [(g, degree(g)) for g in self.generators]
         sign_floor = [min(g[i] for g in self.generators) for i in range(self.rank)]
         sign_ceil = [max(g[i] for g in self.generators) for i in range(self.rank)]
+        degrees: dict[tuple[int, ...], int] = {}  # expanded class -> scaled degree
 
-        def hopeless(b: tuple[int, ...]) -> bool:
-            for i, c in enumerate(b):
-                if c < 0 and sign_floor[i] >= 0:
-                    return True
-                if c > 0 and sign_ceil[i] <= 0:
-                    return True
-            return False
-
-        def children(b: tuple[int, ...]) -> list[tuple[int, ...]]:
-            deg = dot(omega, b)
-            out = []
-            for g, gdeg in zip(self.generators, generator_degrees):
+        def children(b: tuple[int, ...], deg: int):
+            for g, gdeg in steps:
                 if gdeg <= deg:
-                    out.append(tuple(x - y for x, y in zip(b, g)))
-            return out
+                    yield tuple(x - y for x, y in zip(b, g)), deg - gdeg
 
-        if beta == zero:
-            return True
-        # short-circuiting DFS over the OR-dag, iterative so deep classes
-        # cannot overflow the interpreter stack
-        frames: list[list] = [[beta, None, 0]]
-        while frames:
-            frame = frames[-1]
-            b = frame[0]
-            if b in cache:
-                frames.pop()
-                continue
-            if hopeless(b):
-                cache[b] = False
-                frames.pop()
-                continue
-            if frame[1] is None:
-                if budget is not None:
-                    budget.spend("membership test")
-                frame[1] = children(b)
-            descended = False
-            while frame[2] < len(frame[1]):
-                child = frame[1][frame[2]]
-                if child == zero or cache.get(child) is True:
-                    cache[b] = True
-                    break
-                if child in cache:
-                    frame[2] += 1
-                    continue
-                frames.append([child, None, 0])
-                descended = True
-                break
+        def reach(b: tuple[int, ...], deg: int) -> None:
+            if b in labels or b in degrees:
+                return
+            if b == zero:
+                labels[b] = True
+            elif any(c < 0 <= sign_floor[i] or c > 0 >= sign_ceil[i] for i, c in enumerate(b)):
+                labels[b] = False
             else:
-                cache[b] = False
-            if not descended and b in cache:
-                frames.pop()
-        return cache[beta]
+                budget.spend("membership test")
+                degrees[b] = deg
+                frontier.append(b)
 
-    def monoid_elements(
-        self,
-        omega: tuple[Fraction, ...],
-        bound: Fraction,
-        budget: "_Budget | None" = None,
-    ) -> list[tuple[int, ...]]:
+        frontier: list[tuple[int, ...]] = []
+        reach(beta, degree(beta))
+        while frontier:
+            b = frontier.pop()
+            for child, deg in children(b, degrees[b]):
+                reach(child, deg)
+        for b in sorted(degrees, key=degrees.__getitem__):
+            labels[b] = any(labels[child] for child, _ in children(b, degrees[b]))
+        return labels
+
+    def monoid_elements(self, omega: tuple[Fraction, ...], bound: Fraction) -> list[tuple[int, ...]]:
         """All nonzero monoid elements of omega-degree at most the bound."""
         self.check_positive(omega)
         zero = (0,) * self.rank
@@ -189,8 +174,6 @@ class ClassLattice:
         while frontier:
             current = frontier.pop()
             for g in self.generators:
-                if budget is not None:
-                    budget.spend("pieces")
                 candidate = tuple(x + y for x, y in zip(current, g))
                 if candidate not in seen and dot(omega, candidate) <= bound:
                     seen.add(candidate)
@@ -315,51 +298,44 @@ class _Budget:
 DEFAULT_COMPOSITION_CAP = 10**6
 
 
-def _unit_range_test(
-    lattice: ClassLattice, charge: CentralCharge, budget: _Budget
-) -> Callable[[NumClass], bool]:
-    """Membership in the phase-(0,1] effective range: k > 0 when beta = 0, else
-    beta effective.  One membership memo and the count's budget serve every
-    query of the returned test."""
-    lattice.check_positive(charge.omega)
-    memo: dict = {}
-
-    def in_range(c: NumClass) -> bool:
-        if not any(c.beta):
-            return c.k > 0
-        known = memo.get(c.beta)
-        if known is None:
-            known = lattice.is_effective(c.beta, charge.omega, _memo=memo, budget=budget)
-        return known
-
-    return in_range
-
-
 def _same_phase_words(
     lattice: ClassLattice,
     charge: CentralCharge,
     v: NumClass,
-    in_range: Callable[[NumClass], bool],
     budget: _Budget,
     multisets: bool,
-) -> list[tuple[NumClass, ...]]:
-    """Words of same-phase pieces summing to an in-range class v.
+) -> list[tuple[NumClass, ...]] | None:
+    """Words of same-phase pieces summing to v, or None when v is outside the
+    phase-(0,1] range.
 
-    For a class of phase one (beta = 0, k > 0) the pieces are the
-    zero-dimensional classes (0, k').  Otherwise each piece's k is forced by
-    phase proportionality and must come out integral.  Every proper remainder
-    must itself be in range.  With multisets, each multiset of pieces is
-    listed once, as the word whose pieces are in non-increasing order.
+    A degree-zero class is in range when k > 0, and its pieces are the
+    zero-dimensional classes (0, k').  Any other class is in range when beta
+    is effective, and one walk down from beta (ClassLattice.classes_below)
+    answers that, the range of every remainder and the candidate pieces: a
+    piece p of a splitting leaves an effective or zero remainder, so p.beta
+    is an effective class the walk reaches.  Each piece's k is forced by
+    phase proportionality and must come out integral.  With multisets, each
+    multiset of pieces is listed once, as the word whose pieces are in
+    non-increasing order.
     """
+    if len(v.beta) != lattice.rank:
+        raise ValueError(f"class {v} has wrong rank for this lattice")
+    lattice.check_positive(charge.omega)
     zero_beta = (0,) * lattice.rank
     if v.beta == zero_beta:
+        if v.k <= 0:
+            return None
         budget.spend("pieces", v.k)
         pieces = [NumClass(zero_beta, j) for j in range(1, v.k + 1)]
+        effective = {}
     else:
+        effective = lattice.classes_below(v.beta, charge.omega, budget)
+        if not effective[v.beta]:
+            return None
         re_v, im_v = charge.value(v)
         slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
         pieces = []
-        for beta in lattice.monoid_elements(charge.omega, im_v, budget=budget):
+        for beta in sorted(b for b, label in effective.items() if label and b != zero_beta):
             budget.spend("pieces")
             k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
             if k_frac.denominator == 1:
@@ -376,7 +352,7 @@ def _same_phase_words(
             if nxt.beta == zero_beta and nxt.k == 0:
                 budget.spend("decompositions")
                 words.append(acc + (p,))
-            elif in_range(nxt):
+            elif nxt.k > 0 if nxt.beta == zero_beta else effective.get(nxt.beta, False):
                 walk.append((nxt, i + 1 if multisets else len(pieces), acc + (p,)))
     return words
 
@@ -389,17 +365,15 @@ def same_phase_decompositions(
 ) -> list[tuple[NumClass, ...]]:
     """Ordered decompositions of v into effective classes sharing v's phase.
 
-    Finiteness comes from strictly positive omega-degrees; one budget of
-    max_compositions steps covers the membership test, the pieces and the
-    walk, so pathological inputs fail fast.
+    Finiteness comes from strictly positive omega-degrees.  One walk down
+    from v decides its range, the range of every remainder and the candidate
+    pieces; one budget of max_compositions steps covers that walk, the
+    pieces and the decompositions, so pathological inputs fail fast.
     """
-    if len(v.beta) != lattice.rank:
-        raise ValueError(f"class {v} has wrong rank for this lattice")
-    budget = _Budget(max_compositions)
-    in_range = _unit_range_test(lattice, charge, budget)
-    if not in_range(v):
+    words = _same_phase_words(lattice, charge, v, _Budget(max_compositions), multisets=False)
+    if words is None:
         raise NotEffectiveError(f"{v} is not in the phase-(0,1] effective range")
-    return _same_phase_words(lattice, charge, v, in_range, budget, multisets=False)
+    return words
 
 
 def semistable_log(
@@ -417,27 +391,21 @@ def semistable_log(
     return FreeHallElement(words)
 
 
-def _multiset_log(
-    lattice: ClassLattice,
-    charge: CentralCharge,
-    v: NumClass,
-    in_range: Callable[[NumClass], bool],
-    budget: _Budget,
-) -> FreeHallElement:
-    """The semistable log of v summed over multisets of same-phase pieces.
+def _multiset_log(words: list[tuple[NumClass, ...]]) -> FreeHallElement:
+    """The semistable log summed over multisets of same-phase pieces.
 
     A multiset of n pieces with multiplicities m_i stands for n!/prod m_i!
     ordered words of weight (-1)^{n-1}/n, so it carries (-1)^{n-1} (n-1)!/prod
     m_i!.  Its value equals theirs only under an evaluation that ignores
     letter order, which EvalModel's symmetric defects and commuting product give.
     """
-    words = {}
-    for word in _same_phase_words(lattice, charge, v, in_range, budget, multisets=True):
+    logs = {}
+    for word in words:
         n = len(word)
         repeats = prod(factorial(m) for m in Counter(word).values())
         weight = Fraction((-1) ** (n - 1) * factorial(n - 1), repeats)
-        words[word[::-1]] = weight
-    return FreeHallElement(words)
+        logs[word[::-1]] = weight
+    return FreeHallElement(logs)
 
 
 def semistable_exp(
@@ -563,17 +531,17 @@ def counting_polynomial(
     Classes in the shifted range (1, 2] evaluate through their negative, and
     classes outside both ranges count zero.  The log is summed over multisets
     of same-phase pieces, which the model's order-independent evaluation allows.
-    Both range tests and the walk share one budget of max_compositions steps.
+    The count walks down from v, and from -v only when v is out of range; the
+    two walks share no class, since a walk never goes below omega-degree zero
+    and a start of degree zero or below expands only itself.  Both walks, the
+    pieces and the decompositions share one budget of max_compositions steps.
     """
-    if len(v.beta) != lattice.rank:
-        raise ValueError(f"class {v} has wrong rank for this lattice")
     budget = _Budget(max_compositions)
-    in_range = _unit_range_test(lattice, charge, budget)
     for w in (v, -v):
-        if in_range(w):
+        words = _same_phase_words(lattice, charge, w, budget, multisets=True)
+        if words is not None:
             gm = RationalFn.from_poly(LaurentPoly.t(2) - LaurentPoly.one())
-            log_elem = _multiset_log(lattice, charge, w, in_range, budget)
-            return gm * evaluate(log_elem, model)
+            return gm * evaluate(_multiset_log(words), model)
     return RationalFn.zero()
 
 

@@ -15,7 +15,7 @@ from . import motives
 from .counting import CentralCharge, ClassLattice, EvalModel, NumClass
 from .errors import SchemaError
 from .gwseries import GVTable, GWSeries
-from .laurent import LaurentPoly, RationalFn
+from .laurent import LaurentPoly, RationalFn, _print_order_key
 from .lefschetz import BispinContent, GradedNilpotent, JordanCensus
 from .stacks import StackClass
 
@@ -79,7 +79,7 @@ def fraction_str(f: Fraction) -> str:
 
 
 def poly_to_json(p: LaurentPoly) -> list[list]:
-    terms = sorted(p.items(), key=lambda kv: (-(kv[0][0] + 2 * kv[0][1]), kv[0]))
+    terms = sorted(p.items(), key=_print_order_key)
     return [[a, b, str(c)] for (a, b), c in terms]
 
 
@@ -196,6 +196,10 @@ def abs_motive_from_json(doc: Any, where: str = "abs") -> motives.AbsMotive:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def _bettis(doc: dict, where: str) -> list[int]:
+    return [_int(b, f"{where}.bettis") for b in _require(doc["bettis"], list, f"{where}.bettis")]
+
+
 def motive_from_json(doc: Any, where: str = "expr") -> motives.MotiveExpr:
     _require(doc, dict, where)
     kind = doc.get("kind")
@@ -208,12 +212,10 @@ def motive_from_json(doc: Any, where: str = "expr") -> motives.MotiveExpr:
         )
     if kind == "betti":
         doc = _fields(doc, where, ("kind", "bettis", "dim"))
-        bettis = [_int(b, f"{where}.bettis") for b in _require(doc["bettis"], list, f"{where}.bettis")]
-        return motives.smooth_from_betti(bettis, _int(doc["dim"], f"{where}.dim"))
+        return motives.smooth_from_betti(_bettis(doc, where), _int(doc["dim"], f"{where}.dim"))
     if kind == "betti_over_point":
         doc = _fields(doc, where, ("kind", "bettis"))
-        bettis = [_int(b, f"{where}.bettis") for b in _require(doc["bettis"], list, f"{where}.bettis")]
-        return motives.over_point_from_betti(bettis)
+        return motives.over_point_from_betti(_bettis(doc, where))
     if kind == "sum":
         doc = _fields(doc, where, ("kind", "terms"))
         terms = _require(doc["terms"], list, f"{where}.terms")
@@ -401,8 +403,7 @@ def gw_series_to_json(series: GWSeries) -> dict:
 # -- top-level documents ----------------------------------------------------------------
 
 def _betti_variety_from_json(doc: dict) -> motives.MotiveExpr:
-    bettis = [_int(b, "betti_variety.bettis") for b in _require(doc["bettis"], list, "betti_variety.bettis")]
-    return motives.smooth_from_betti(bettis, _int(doc["dim"], "betti_variety.dim"))
+    return motives.smooth_from_betti(_bettis(doc, "betti_variety"), _int(doc["dim"], "betti_variety.dim"))
 
 
 # kind -> (required payload fields, optional payload fields, payload parser)
@@ -439,6 +440,9 @@ def load_path(path: str) -> tuple[str, Any]:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per nested array or object
+        raise SchemaError(f"{path}: invalid JSON (nested too deeply to decode)") from exc
     return parse_document(doc)
 
 

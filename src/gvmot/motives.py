@@ -230,6 +230,15 @@ def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
     return go(e)
 
 
+def _check_poincare_duality(bettis: list[int], d: int) -> None:
+    """The 2d + 1 betti numbers are nonnegative and palindromic."""
+    if any(b < 0 for b in bettis):
+        raise PoincareDualityError("betti numbers must be nonnegative")
+    for i in range(2 * d + 1):
+        if bettis[i] != bettis[2 * d - i]:
+            raise PoincareDualityError(f"b_{i} != b_{2 * d - i}")
+
+
 def smooth_from_betti(bettis: list[int], d: int) -> Atom:
     """Atom for a smooth projective space of dimension d over itself.
 
@@ -239,11 +248,7 @@ def smooth_from_betti(bettis: list[int], d: int) -> Atom:
     """
     if len(bettis) != 2 * d + 1:
         raise PoincareDualityError(f"need {2 * d + 1} betti numbers for dimension {d}")
-    if any(b < 0 for b in bettis):
-        raise PoincareDualityError("betti numbers must be nonnegative")
-    for i in range(2 * d + 1):
-        if bettis[i] != bettis[2 * d - i]:
-            raise PoincareDualityError(f"b_{i} != b_{2 * d - i}")
+    _check_poincare_duality(bettis, d)
     for i in range(2, d + 1):
         if bettis[i] < bettis[i - 2]:
             raise HardLefschetzError(f"b_{i} < b_{i - 2}")
@@ -264,11 +269,7 @@ def over_point_from_betti(bettis: list[int]) -> Atom:
     if len(bettis) % 2 != 1:
         raise PoincareDualityError("betti list must have odd length 2d + 1")
     d = (len(bettis) - 1) // 2
-    if any(b < 0 for b in bettis):
-        raise PoincareDualityError("betti numbers must be nonnegative")
-    for i in range(2 * d + 1):
-        if bettis[i] != bettis[2 * d - i]:
-            raise PoincareDualityError(f"b_{i} != b_{2 * d - i}")
+    _check_poincare_duality(bettis, d)
     cells = {(i - d, 1): b for i, b in enumerate(bettis) if b}
     return Atom(name=f"pointbase{bettis}", dim=d, census=JordanCensus(cells))
 

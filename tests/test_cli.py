@@ -499,6 +499,14 @@ class TestErrorMapping:
         code, _, _ = run(capsys, "hst", "--input", "no/such/file.json")
         assert code == EXIT_SCHEMA
 
+    def test_json_nested_too_deeply_to_decode_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "upsilon", "--input", str(path), "--json")
+        assert code == EXIT_SCHEMA and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "SchemaError" and "invalid JSON" in error["message"]
+
     def test_internal_error_exit_six_with_one_json_line(self, capsys, tmp_path):
         # a motive nested 900 deep overflows the recursive evaluation
         expr = {"kind": "betti", "bettis": [1], "dim": 0}

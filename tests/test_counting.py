@@ -1,11 +1,13 @@
 """Phases, inclusion-exclusion decompositions, evaluation, and genus extraction."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+from gvmot import counting
 from gvmot.counting import (
     CentralCharge,
     ClassLattice,
@@ -13,7 +15,7 @@ from gvmot.counting import (
     FreeHallElement,
     NumClass,
     _Budget,
-    _unit_range_test,
+    _multiset_log,
     counting_polynomial,
     evaluate,
     gv_from_polynomial,
@@ -31,9 +33,10 @@ from gvmot.errors import (
     ResourceLimitError,
 )
 from gvmot.laurent import LaurentPoly, RationalFn
+from gvmot.linalg import dot
 from gvmot.motives import AbsMotive, over_point_from_betti, point_atom, smooth_from_betti, upsilon_rel
 from gvmot.stacks import StackClass, quotient_by_special_group, upsilon_stack
-from gvmot.verify import random_atom_class, random_effective, random_pointed_setup
+from gvmot.verify import random_atom_class, random_betti, random_effective, random_pointed_setup
 
 
 def rank1() -> tuple[ClassLattice, CentralCharge]:
@@ -86,27 +89,34 @@ def decompositions_rank1_oracle(charge: CentralCharge, v: NumClass, k_bound: int
     return sorted(set(found))
 
 
+def in_unit_range(lattice: ClassLattice, charge: CentralCharge, v: NumClass) -> bool:
+    try:
+        same_phase_decompositions(lattice, charge, v)
+    except NotEffectiveError:
+        return False
+    return True
+
+
 class TestPhase:
     """Membership in the phase-(0,1] range, the one range the counts use."""
 
     def test_zero_dimensional_class_in_unit_range(self):
         lat, z = rank1()
-        in_range = _unit_range_test(lat, z, _Budget(100))
-        assert in_range(NumClass((0,), 1)) and in_range(NumClass((0,), 3))
-        assert not in_range(NumClass((0,), 0)) and not in_range(NumClass((0,), -2))
+        assert in_unit_range(lat, z, NumClass((0,), 1)) and in_unit_range(lat, z, NumClass((0,), 3))
+        assert not in_unit_range(lat, z, NumClass((0,), 0)) and not in_unit_range(lat, z, NumClass((0,), -2))
 
     def test_pure_curve_class_in_unit_range(self):
         lat, z = rank1()
-        assert _unit_range_test(lat, z, _Budget(100))(NumClass((3,), 0))
+        assert in_unit_range(lat, z, NumClass((3,), 0))
 
     def test_unit_euler_class_second_octant(self):
         # Re Z = -1 < 0, Im Z > 0: strictly between 1/2 and 1
         lat, z = rank1()
-        assert _unit_range_test(lat, z, _Budget(100))(NumClass((2,), 1))
+        assert in_unit_range(lat, z, NumClass((2,), 1))
 
     def test_negated_class_leaves_unit_range(self):
         lat, z = rank1()
-        assert not _unit_range_test(lat, z, _Budget(100))(NumClass((-2,), -1))
+        assert not in_unit_range(lat, z, NumClass((-2,), -1))
 
 
 class TestDecompositions:
@@ -138,6 +148,15 @@ class TestDecompositions:
             v = NumClass((rng.randint(1, 4),), rng.randint(-3, 3))
             got = sorted(same_phase_decompositions(lat, z, v))
             assert got == decompositions_rank1_oracle(z, v)
+
+    def test_words_come_in_the_order_of_pieces_sorted_by_beta(self):
+        # (0, 2) sorts before (1, 0) but has the higher degree
+        lat = ClassLattice(2, [(1, 0), (0, 1)])
+        z = CentralCharge([0, 0], [1, 1])
+        v = NumClass((1, 2), 0)
+        words = same_phase_decompositions(lat, z, v)
+        assert len(words) == 8
+        assert words == decompositions_oracle(lat, z, v, _Budget(10**6))
 
     def test_phase_one_pieces_are_integer_compositions(self):
         lat, z = rank1()
@@ -432,23 +451,258 @@ class TestMultisetLog:
             assert counting_polynomial(lattice, charge, -v, model) == expected
         assert split >= 10
 
-    def test_membership_decided_once_per_class(self):
-        calls = []
+    def test_one_walk_down_per_count(self, monkeypatch):
+        walks = []
+        spent = Counter()
 
-        class CountingLattice(ClassLattice):
-            def is_effective(self, beta, omega, _memo=None, budget=None):
-                calls.append(tuple(beta))
-                return super().is_effective(beta, omega, _memo=_memo, budget=budget)
+        class RecordingLattice(ClassLattice):
+            def classes_below(self, beta, omega, budget):
+                walks.append(tuple(beta))
+                return super().classes_below(beta, omega, budget)
 
-        lattice = CountingLattice(2, [(1, 0), (0, 1)])
+        class RecordingBudget(_Budget):
+            def spend(self, stage, n=1):
+                spent[stage] += n
+                super().spend(stage, n)
+
+        monkeypatch.setattr(counting, "_Budget", RecordingBudget)
+        lattice = RecordingLattice(2, [(1, 0), (0, 1)])
         charge = CentralCharge([0, 0], [1, 1])
         v = NumClass((2, 2), 0)
         pieces = {piece for word in same_phase_decompositions(lattice, charge, v) for piece in word}
         model = EvalModel({piece: StackClass.of_variety(point_atom()) for piece in pieces})
-        for target in (v, -v):
-            calls.clear()
+        # -v = (-2, -2) is a dead end that costs no step; v is then walked once
+        for target, expected in ((v, [(2, 2)]), (-v, [(-2, -2), (2, 2)])):
+            walks.clear()
+            spent.clear()
             counting_polynomial(lattice, charge, target, model)
-            assert calls and len(calls) == len(set(calls))
+            assert walks == expected
+            # each of the eight nonzero classes of [0, 2]^2 is expanded once
+            assert spent["membership test"] == 8
+
+
+# -- oracle: the search and the piece list that the walk down replaced ----------
+
+
+def is_effective_oracle(lattice, beta, omega, memo, budget) -> bool:
+    """Membership of beta in the monoid of the generators: a DFS down from
+    beta that stops at the first path to zero, memoised across calls.
+
+    It prunes as ClassLattice.classes_below does and spends one budget step
+    per class it expands.
+    """
+    zero = (0,) * lattice.rank
+    degrees = [dot(omega, g) for g in lattice.generators]
+    floor = [min(g[i] for g in lattice.generators) for i in range(lattice.rank)]
+    ceil = [max(g[i] for g in lattice.generators) for i in range(lattice.rank)]
+
+    def hopeless(b):
+        return any(c < 0 <= floor[i] or c > 0 >= ceil[i] for i, c in enumerate(b))
+
+    def children(b):
+        deg = dot(omega, b)
+        return [tuple(x - y for x, y in zip(b, g)) for g, gdeg in zip(lattice.generators, degrees) if gdeg <= deg]
+
+    if beta == zero:
+        return True
+    frames = [[beta, None, 0]]
+    while frames:
+        frame = frames[-1]
+        b = frame[0]
+        if b in memo:
+            frames.pop()
+            continue
+        if hopeless(b):
+            memo[b] = False
+            frames.pop()
+            continue
+        if frame[1] is None:
+            budget.spend("membership test")
+            frame[1] = children(b)
+        descended = False
+        while frame[2] < len(frame[1]):
+            child = frame[1][frame[2]]
+            if child == zero or memo.get(child) is True:
+                memo[b] = True
+                break
+            if child in memo:
+                frame[2] += 1
+                continue
+            frames.append([child, None, 0])
+            descended = True
+            break
+        else:
+            memo[b] = False
+        if not descended and b in memo:
+            frames.pop()
+    return memo[beta]
+
+
+def degree_ball_oracle(lattice, omega, bound, budget) -> list[tuple[int, ...]]:
+    """Every nonzero monoid element of omega-degree at most the bound, walked
+    up from zero, one budget step per generator tried."""
+    zero = (0,) * lattice.rank
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        current = frontier.pop()
+        for g in lattice.generators:
+            budget.spend("pieces")
+            candidate = tuple(x + y for x, y in zip(current, g))
+            if candidate not in seen and dot(omega, candidate) <= bound:
+                seen.add(candidate)
+                frontier.append(candidate)
+    seen.discard(zero)
+    return sorted(seen)
+
+
+def same_phase_words_oracle(lattice, charge, v, budget, multisets, memo):
+    """Splittings of v over every piece of the degree ball, each remainder
+    tested by is_effective_oracle; None when v is out of range."""
+    lattice.check_positive(charge.omega)
+    zero_beta = (0,) * lattice.rank
+
+    def in_range(c):
+        if c.beta == zero_beta:
+            return c.k > 0
+        return is_effective_oracle(lattice, c.beta, charge.omega, memo, budget)
+
+    if not in_range(v):
+        return None
+    if v.beta == zero_beta:
+        budget.spend("pieces", v.k)
+        pieces = [NumClass(zero_beta, j) for j in range(1, v.k + 1)]
+    else:
+        re_v, im_v = charge.value(v)
+        slope = (-re_v) / im_v
+        pieces = []
+        for beta in degree_ball_oracle(lattice, charge.omega, im_v, budget):
+            budget.spend("pieces")
+            k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
+            if k_frac.denominator == 1:
+                pieces.append(NumClass(beta, int(k_frac)))
+    words = []
+    walk = [(v, len(pieces), ())]
+    while walk:
+        rem, bound, acc = walk.pop()
+        for i in range(bound):
+            budget.spend("decompositions")
+            p = pieces[i]
+            nxt = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k)
+            if nxt.beta == zero_beta and nxt.k == 0:
+                budget.spend("decompositions")
+                words.append(acc + (p,))
+            elif in_range(nxt):
+                walk.append((nxt, i + 1 if multisets else len(pieces), acc + (p,)))
+    return words
+
+
+def decompositions_oracle(lattice, charge, v, budget):
+    words = same_phase_words_oracle(lattice, charge, v, budget, False, {})
+    return NotEffectiveError if words is None else words
+
+
+def counting_polynomial_oracle(lattice, charge, v, model, budget):
+    memo = {}
+    for w in (v, -v):
+        words = same_phase_words_oracle(lattice, charge, w, budget, True, memo)
+        if words is not None:
+            gm = RationalFn.from_poly(LaurentPoly.t(2) - LaurentPoly.one())
+            return gm * evaluate(_multiset_log(words), model)
+    return RationalFn.zero()
+
+
+def random_walk_setup(rng: random.Random):
+    """Rank 1-3, generators with entries -1..3, omega and B entries p/q, a
+    target that is degree-zero, effective or arbitrary, and a cap of 10..10^6."""
+    rank = rng.randint(1, 3)
+    omega = tuple(Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(rank))
+    generators = []
+    for _ in range(rng.randint(1, 3)):
+        g = tuple(rng.randint(-1, 3) for _ in range(rank))
+        if any(g) and dot(omega, g) > 0:
+            generators.append(g)
+    lattice = ClassLattice(rank, generators or [(1,) * rank])
+    b_field = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rank))
+    charge = CentralCharge(b_field, omega)
+    roll = rng.random()
+    if roll < 0.15:
+        v = NumClass((0,) * rank, rng.randint(-4, 4))
+    else:
+        if roll < 0.6:
+            beta = random_effective(rng, lattice, omega, bound=rng.randint(1, 6)) or (1,) * rank
+        else:
+            beta = tuple(rng.randint(-4, 5) for _ in range(rank))
+        b_beta = dot(b_field, beta)
+        # k = B.beta makes Re Z vanish, so every piece's k is integral
+        k = int(b_beta) if b_beta.denominator == 1 and rng.random() < 0.6 else rng.randint(-4, 5)
+        v = NumClass(beta, k)
+    return lattice, charge, v, int(10 ** rng.uniform(1, 6))
+
+
+class TestWalkDownOracle:
+    """One walk down from the target gives the words, counts and verdicts of
+    the membership search and degree-ball piece list it replaced, and never
+    spends more of the budget."""
+
+    def test_matches_oracle_on_random_setups(self, monkeypatch):
+        budgets = []
+
+        class RecordingBudget(_Budget):
+            def __init__(self, cap):
+                super().__init__(cap)
+                budgets.append(self)
+
+        def run(fn, *args, cap):
+            budgets.clear()
+            try:
+                result = fn(*args, cap)
+            except (NotEffectiveError, ResourceLimitError) as exc:
+                result = type(exc)
+            return result, sum(b.cap - b.remaining for b in budgets)
+
+        def run_oracle(fn, *args, cap):
+            budget = _Budget(cap)
+            try:
+                result = fn(*args, budget)
+            except ResourceLimitError:
+                result = ResourceLimitError
+            return result, budget.cap - budget.remaining
+
+        monkeypatch.setattr(counting, "_Budget", RecordingBudget)
+        rng = random.Random(56)
+        finished = split = 0
+        for _ in range(300):
+            lattice, charge, v, cap = random_walk_setup(rng)
+            expected, oracle_spent = run_oracle(decompositions_oracle, lattice, charge, v, cap=cap)
+            if expected is ResourceLimitError:
+                continue
+            got, spent = run(same_phase_decompositions, lattice, charge, v, cap=cap)
+            assert got == expected, (lattice.generators, charge, v, cap)
+            assert spent <= oracle_spent
+            finished += 1
+            # a model over the pieces of whichever of v, -v is in range
+            pieces = set()
+            for w in (v, -v):
+                words, _ = run_oracle(decompositions_oracle, lattice, charge, w, cap=10**6)
+                if isinstance(words, list):
+                    pieces.update(piece for word in words for piece in word)
+                    split += len(words) > 1
+            ordered = sorted(pieces)
+            atoms = {piece: StackClass.of_variety(smooth_from_betti(random_betti(rng, 1), 1)) for piece in ordered}
+            defects = [(a, b, rng.randint(-2, 3)) for i, a in enumerate(ordered) for b in ordered[i:]]
+            model = EvalModel(atoms, defects)
+            counts = []
+            for target in (v, -v):
+                count, oracle_spent = run_oracle(counting_polynomial_oracle, lattice, charge, target, model, cap=cap)
+                if count is ResourceLimitError:
+                    continue
+                got, spent = run(counting_polynomial, lattice, charge, target, model, cap=cap)
+                assert got == count, (lattice.generators, charge, target, cap)
+                assert spent <= oracle_spent
+                counts.append(count)
+            assert all(count == counts[0] for count in counts)
+        assert finished >= 250 and split >= 30
 
 
 class TestMultiLetterEvaluation:
