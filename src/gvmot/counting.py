@@ -552,12 +552,7 @@ def gv_from_polynomial(p: RationalFn | LaurentPoly, g: int) -> int:
     (degree = t-exponent, size = s-exponent + 1), and applies the closed-form
     alternating count.  Requires an honest polynomial in Z[t, s].
     """
-    if isinstance(p, RationalFn):
-        q = p.as_poly()
-    else:
-        q = p
-        if not q.is_integral():
-            raise NotPolynomialError("polynomial has non-integer coefficients")
+    q = p.as_poly() if isinstance(p, RationalFn) else p
     if q.is_zero():
         return 0
     if any(a < 0 for (a, _) in q.terms):

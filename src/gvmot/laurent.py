@@ -2,9 +2,9 @@
 
 A LaurentPoly maps exponent pairs (a, b) to nonzero coefficients, where a is
 the (possibly negative) power of t and b >= 0 is the power of s.  The zero
-polynomial is the empty map.  Coefficients are exact: Python ints, or
-Fractions inside RationalFn components.  Nothing in this module (or package)
-touches floating point.
+polynomial is the empty map.  Coefficients are Python ints, so a
+LaurentPoly lies in Z[t^{+-1}, s]; rationals live in RationalFn as integer
+fractions.  Nothing in this module (or package) touches floating point.
 
 The weighted degree of a term is a + 2b; this weighting drives both the
 canonical printing order and the flattening operation used to read Jordan
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import (
     NotPolynomialError,
@@ -23,31 +23,24 @@ from .errors import (
     ZeroPolynomialError,
 )
 
-Coeff = Union[int, Fraction]
-
-
-def _normalize_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
-
-
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in t (any power) and s (power >= 0)."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Coeff] | None = None):
-        clean: dict[tuple[int, int], Coeff] = {}
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+        clean: dict[tuple[int, int], int] = {}
         if terms:
             for (a, b), c in terms.items():
+                # bool is an int subclass; neither it nor a Fraction is a coefficient
+                if type(c) is not int:
+                    raise TypeError(f"coefficient must be int, got {type(c).__name__}")
+                if type(a) is not int or type(b) is not int:
+                    raise TypeError(f"exponents must be ints, got {(a, b)!r}")
                 if b < 0:
                     raise ValueError("s never appears with negative exponent")
-                c = _normalize_coeff(c)
-                if c != 0:
-                    clean[(int(a), int(b))] = c
+                if c:
+                    clean[(a, b)] = c
         # lex order on (a, b) keeps equality/hash/printing structural
         object.__setattr__(self, "_terms", dict(sorted(clean.items())))
 
@@ -62,11 +55,11 @@ class LaurentPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def constant(cls, c: Coeff) -> "LaurentPoly":
+    def constant(cls, c: int) -> "LaurentPoly":
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, a: int, b: int, c: Coeff = 1) -> "LaurentPoly":
+    def monomial(cls, a: int, b: int, c: int = 1) -> "LaurentPoly":
         return cls({(a, b): c})
 
     @classmethod
@@ -80,20 +73,17 @@ class LaurentPoly:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> dict[tuple[int, int], Coeff]:
+    def terms(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
 
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, a: int, b: int) -> Coeff:
+    def coefficient(self, a: int, b: int) -> int:
         return self._terms.get((a, b), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._terms.values())
 
     def is_t_only(self) -> bool:
         return all(b == 0 for (_, b) in self._terms)
@@ -111,26 +101,16 @@ class LaurentPoly:
             raise ZeroPolynomialError("zero polynomial has no exponents")
         return min(b for (_, b) in self._terms)
 
-    def content(self) -> Fraction:
-        """gcd of numerators over lcm of denominators; 0 for the zero polynomial."""
-        if not self._terms:
-            return Fraction(0)
-        nums = [Fraction(c).numerator for c in self._terms.values()]
-        dens = [Fraction(c).denominator for c in self._terms.values()]
-        g = 0
-        for n in nums:
-            g = gcd(g, abs(n))
-        l = 1
-        for d in dens:
-            l = lcm(l, d)
-        return Fraction(g, l)
+    def content(self) -> int:
+        """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
+        return gcd(*self._terms.values())
 
     def min_lex_exponent(self) -> tuple[int, int]:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no exponents")
         return min(self._terms)
 
-    def leading_term(self) -> tuple[tuple[int, int], Coeff]:
+    def leading_term(self) -> tuple[tuple[int, int], int]:
         """Term with the lex-largest exponent pair (a, b)."""
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
@@ -158,12 +138,12 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({key: -c for key, c in self._terms.items()})
 
-    def __mul__(self, other: Union["LaurentPoly", int, Fraction]) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[tuple[int, int], Coeff] = {}
+        out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
                 key = (a1 + a2, b1 + b2)
@@ -172,8 +152,9 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Coeff) -> "LaurentPoly":
-        c = _normalize_coeff(c)
+    def scale(self, c: int) -> "LaurentPoly":
+        if type(c) is not int:
+            raise TypeError(f"scalar must be int, got {type(c).__name__}")
         if c == 0:
             return LaurentPoly()
         return LaurentPoly({key: v * c for key, v in self._terms.items()})
@@ -236,12 +217,12 @@ def flat(q: LaurentPoly) -> LaurentPoly:
 # -- printing ---------------------------------------------------------------
 
 
-def _print_order_key(term: tuple[tuple[int, int], Coeff]):
+def _print_order_key(term: tuple[tuple[int, int], int]):
     (a, b), _ = term
     return (-(a + 2 * b), (a, b))
 
 
-def _format_monomial(a: int, b: int, c: Coeff) -> str:
+def _format_monomial(a: int, b: int, c: int) -> str:
     parts = []
     if a != 0:
         parts.append("t" if a == 1 else f"t^{a}")
@@ -277,12 +258,13 @@ def format_poly(q: LaurentPoly) -> str:
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """Return num/den when den divides num exactly in Q[t^{+-1}, s], else None.
+    """Return num/den when den divides num exactly in Z[t^{+-1}, s], else None.
 
     Division with remainder by a single divisor under the lex monomial order:
-    the quotient exists iff the remainder comes out zero.  A valid quotient's
-    lex-minimal exponent equals min(num) - min(den) (the lex-minimal term of a
-    product never cancels), which bounds the descent and forces termination.
+    the quotient exists iff every step divides in Z and the remainder comes
+    out zero.  A valid quotient's lex-minimal exponent equals min(num) -
+    min(den) (the lex-minimal term of a product never cancels), which bounds
+    the descent and forces termination.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -292,7 +274,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     na, nb = num.min_lex_exponent()
     ma, mb = den.min_lex_exponent()
     floor = (na - ma, nb - mb)
-    quotient: dict[tuple[int, int], Coeff] = {}
+    quotient: dict[tuple[int, int], int] = {}
     rem = num
     while not rem.is_zero():
         (ra, rb), rc = rem.leading_term()
@@ -300,63 +282,73 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         da = ra - la
         if db < 0 or (da, db) < floor:
             return None
-        factor = Fraction(rc) / Fraction(lc)
-        quotient[(da, db)] = quotient.get((da, db), 0) + factor
+        factor, r = divmod(rc, lc)
+        if r:
+            return None
+        quotient[(da, db)] = factor
         rem = rem - den.shift(da, db).scale(factor)
         if not rem.is_zero() and rem.leading_term()[0] >= (ra, rb):
             return None
     return LaurentPoly(quotient)
 
 
-def _uni_coeffs(p: LaurentPoly, var: str) -> tuple[int, list[Fraction]]:
-    """Dense coefficient list of a polynomial univariate in t or s.
-
-    Returns (offset, coeffs) with p = sum coeffs[i] * var^(offset + i).
-    """
-    exps = {(a if var == "t" else b): Fraction(c) for (a, b), c in p.items()}
-    lo, hi = min(exps), max(exps)
-    return lo, [exps.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+def _divide_content(p: LaurentPoly, c: int) -> LaurentPoly:
+    """p with every coefficient divided by c, which must divide them all."""
+    return LaurentPoly({key: v // c for key, v in p.items()})
 
 
 def _uni_gcd(p: LaurentPoly, q: LaurentPoly, var: str) -> LaurentPoly:
-    """Monic polynomial gcd of two nonzero univariate polynomials (Euclid over Q)."""
+    """Primitive gcd, leading coefficient positive, of two nonzero polynomials
+    univariate in var, ignoring monomial factors.
 
-    def trim(v: list[Fraction]) -> list[Fraction]:
-        while v and v[-1] == 0:
-            v.pop()
-        return v
+    A primitive pseudo-remainder sequence over int (Knuth, TAOCP vol. 2
+    4.6.1; Brown, JACM 1971): each pseudo-remainder is divided by its
+    content, so no step leaves Z and the coefficients stay small.
+    """
 
-    def mod(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        u = u[:]
-        while len(u) >= len(v) and trim(u):
-            factor = u[-1] / v[-1]
+    def primitive(v: list[int]) -> list[int]:
+        g = gcd(*v)
+        return [c // g for c in v]
+
+    def dense(x: LaurentPoly) -> list[int]:
+        # coefficients lowest power first, from the lowest power present
+        exps = {(a if var == "t" else b): c for (a, b), c in x.items()}
+        lo, hi = min(exps), max(exps)
+        return primitive([exps.get(e, 0) for e in range(lo, hi + 1)])
+
+    def prem(u: list[int], v: list[int]) -> list[int]:
+        while len(u) >= len(v):
+            g = gcd(u[-1], v[-1])
+            mu, mv = v[-1] // g, u[-1] // g
             shift = len(u) - len(v)
+            u = [c * mu for c in u]
             for i, c in enumerate(v):
-                u[shift + i] -= factor * c
-            trim(u)
-        return u
+                u[shift + i] -= mv * c
+            while u and u[-1] == 0:
+                u.pop()
+        return primitive(u)
 
-    _, pu = _uni_coeffs(p, var)
-    _, qu = _uni_coeffs(q, var)
-    a, b = trim(pu[:]), trim(qu[:])
+    a, b = dense(p), dense(q)
     while b:
-        a, b = b, trim(mod(a, b))
-    lead = a[-1]
-    mono = [c / lead for c in a]
+        a, b = b, prem(a, b)
+    if a[-1] < 0:
+        a = [-c for c in a]
     if var == "t":
-        return LaurentPoly({(i, 0): c for i, c in enumerate(mono) if c != 0})
-    return LaurentPoly({(0, i): c for i, c in enumerate(mono) if c != 0})
+        return LaurentPoly({(i, 0): c for i, c in enumerate(a) if c})
+    return LaurentPoly({(0, i): c for i, c in enumerate(a) if c})
 
 
 class RationalFn:
     """Element of Q(t, s) as a normalized fraction of Laurent polynomials.
 
-    Normalization: common monomial factors cancelled (den anchored at t- and
-    s-exponent zero), integer coefficients with coprime contents, den's
-    leading coefficient positive, exact polynomial division applied when it
-    succeeds, and a univariate gcd cancelled when both parts share a single
-    variable.  Equal values always compare equal via cross-multiplication,
-    so full canonicity is not required, only compactness.
+    Both parts lie in Z[t^{+-1}, s], so a rational scalar such as 1/2 is the
+    pair (1, 2), and normalization uses integer arithmetic only: common
+    monomial factors cancelled (den anchored at t- and s-exponent zero),
+    coprime contents, den's leading coefficient positive, exact polynomial
+    division applied when it succeeds, and a univariate gcd cancelled when
+    both parts share a single variable.  Equal values always compare equal
+    via cross-multiplication, so full canonicity is not required, only
+    compactness.
     """
 
     __slots__ = ("num", "den")
@@ -436,15 +428,14 @@ class RationalFn:
         a coefficient is not an integer.
         """
         if self.den == LaurentPoly.one():
-            q = self.num
-        else:
-            maybe = exact_div(self.num, self.den)
-            if maybe is None:
-                raise NotPolynomialError(f"{self} is not a polynomial")
-            q = maybe
-        if not q.is_integral():
-            raise NotPolynomialError(f"{self} has non-integer coefficients")
-        return q
+            return self.num
+        q = exact_div(self.num, self.den)
+        if q is not None:
+            return q
+        # den divides num over Q exactly when it divides content(den) * num over Z
+        if exact_div(self.num.scale(self.den.content()), self.den) is None:
+            raise NotPolynomialError(f"{self} is not a polynomial")
+        raise NotPolynomialError(f"{self} has non-integer coefficients")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -472,11 +463,13 @@ def rational_sum(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> RationalFn
 
     Each denominator is brought to a canonical bucket key -- content divided
     out, leading coefficient positive, lowest t-exponent shifted to zero --
-    and its numerator takes the same change.  Numerators add within a bucket,
-    each bucket is normalised once, and the buckets add as RationalFn values.
+    by a signed unit and a shift.  A bucket keeps one integer numerator over
+    key times the lcm m of the units seen in it: a numerator enters shifted
+    and times m / unit, after the bucket is rescaled to a grown lcm.  Each
+    bucket is normalised once, and the buckets add as RationalFn values.
     Pairs are consumed as they stream in.
     """
-    buckets: dict[LaurentPoly, dict[tuple[int, int], Coeff]] = {}
+    buckets: dict[LaurentPoly, tuple[int, dict[tuple[int, int], int]]] = {}
     for num, den in pairs:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
@@ -486,12 +479,19 @@ def rational_sum(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> RationalFn
         if den.leading_term()[1] < 0:
             unit = -unit
         dt = den.min_t_exponent()
-        key = den.shift(-dt).scale(1 / unit)
-        acc = buckets.setdefault(key, {})
+        key = _divide_content(den.shift(-dt), unit)
+        m, acc = buckets.get(key, (1, {}))
+        m_new = lcm(m, unit)
+        if m_new != m:
+            up = m_new // m
+            for term in acc:
+                acc[term] *= up
+        mult = m_new // unit
         for (a, b), c in num.items():
             term = (a - dt, b)
-            acc[term] = acc.get(term, 0) + c / unit
-    parts = [RationalFn(LaurentPoly(acc), key) for key, acc in buckets.items()]
+            acc[term] = acc.get(term, 0) + c * mult
+        buckets[key] = (m_new, acc)
+    parts = [RationalFn(LaurentPoly(acc), key.scale(m)) for key, (m, acc) in buckets.items()]
     if not parts:
         return RationalFn.zero()
     total = parts[0]
@@ -510,28 +510,9 @@ def _coerce(value) -> RationalFn:
     raise TypeError(f"cannot coerce {type(value)!r} to RationalFn")
 
 
-def _clear_denominators(p: LaurentPoly) -> tuple[LaurentPoly, int]:
-    """Scale to integer coefficients; returns (integer poly, multiplier used)."""
-    mult = 1
-    for c in p.terms.values():
-        if isinstance(c, Fraction):
-            mult = lcm(mult, c.denominator)
-    if mult == 1:
-        return p, 1
-    return p.scale(mult), mult
-
-
 def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if num.is_zero():
         return LaurentPoly.zero(), LaurentPoly.one()
-
-    # clear to integer coefficients, compensating on the opposite side
-    num, nmult = _clear_denominators(num)
-    den, dmult = _clear_denominators(den)
-    if dmult != 1:
-        num = num.scale(dmult)
-    if nmult != 1:
-        den = den.scale(nmult)
 
     # anchor the denominator's monomial support at the origin
     dt = den.min_t_exponent()
@@ -540,11 +521,11 @@ def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
         num = num.shift(-dt, -ds)
         den = den.shift(-dt, -ds)
 
-    # coefficient normalization: coprime integer contents, positive den lead
-    g = gcd(int(num.content()), int(den.content()))
+    # coefficient normalization: coprime contents, positive den lead
+    g = gcd(num.content(), den.content())
     if g > 1:
-        num = num.scale(Fraction(1, g))
-        den = den.scale(Fraction(1, g))
+        num = _divide_content(num, g)
+        den = _divide_content(den, g)
     if den.leading_term()[1] < 0:
         num, den = -num, -den
 
@@ -552,7 +533,7 @@ def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
         return num, den
 
     quotient = exact_div(num, den)
-    if quotient is not None and quotient.is_integral():
+    if quotient is not None:
         return quotient, LaurentPoly.one()
 
     shared_var = None

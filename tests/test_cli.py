@@ -24,6 +24,7 @@ SAMPLES = str(Path(__file__).resolve().parent.parent / "sample_data")
 GOLDEN_GV = Path(__file__).resolve().parent / "data" / "gv_golden.json"
 GOLDEN_HST = Path(__file__).resolve().parent / "data" / "hst_golden.json"
 GOLDEN_GW = Path(__file__).resolve().parent / "data" / "gw_golden.json"
+GOLDEN_KERNEL = Path(__file__).resolve().parent / "data" / "kernel_golden.json"
 
 
 def run(capsys, *argv):
@@ -180,6 +181,63 @@ class TestStack:
         assert doc["kind"] == "rational_fn"
 
 
+# classes of Gm, GL2 and GL3 with L = t^2
+GM = [[2, 0, "1"], [0, 0, "-1"]]
+GL2 = [[8, 0, "1"], [6, 0, "-1"], [4, 0, "-1"], [2, 0, "1"]]
+GL3 = [[18, 0, "1"], [16, 0, "-1"], [14, 0, "-1"], [10, 0, "1"], [8, 0, "1"], [6, 0, "-1"]]
+
+
+def _times(poly, c):
+    return [[a, b, str(int(x) * c)] for a, b, x in poly]
+
+
+# group quotients with s terms and signed, non-primitive coefficients, and a
+# sum whose denominator divides out
+KERNEL_STACKS = {
+    "signed": [
+        ({"num": [[0, 0, "-6"]], "den": _times(GM, 4)}, {"kind": "betti", "bettis": [1, 0, 2, 0, 1], "dim": 2}),
+        ({"num": [[0, 1, "3"], [0, 0, "9"]], "den": _times(GL2, -2)}, {"kind": "betti", "bettis": [1, 0, 1, 0, 1], "dim": 2}),
+        ({"num": [[2, 0, "4"]], "den": _times(GL3, 6)}, {"kind": "atom", "name": "X", "dim": 1, "census": [[0, 2, 3], [1, 1, -2]]}),
+    ],
+    "cancel": [
+        ({"num": [[0, 0, "2"]], "den": _times(GM, 2)}, {"kind": "betti_over_point", "bettis": [1, 0, 1]}),
+        ({"num": [[0, 0, "-2"]], "den": GM}, {"kind": "betti_over_point", "bettis": [1]}),
+    ],
+    "s_num": [
+        ({"num": [[0, 2, "-10"], [2, 0, "5"]], "den": _times(GL2, 15)}, {"kind": "betti", "bettis": [1, 0, 3, 0, 1], "dim": 2}),
+        ({"num": [[0, 0, "7"]], "den": _times(GM, -7)}, {"kind": "betti", "bettis": [1, 2, 1], "dim": 1}),
+        ({"num": [[0, 0, "-3"]], "den": _times(GL3, -9)}, {"kind": "betti", "bettis": [1, 0, 1], "dim": 1}),
+    ],
+}
+KERNEL_COMMANDS = {
+    "stack_class": "stack",
+    "motive": "upsilon",
+    "betti_variety": "upsilon",
+    "graded_nilpotent": "census",
+    "bispin": "census",
+}
+
+
+def test_kernel_json_matches_golden_bytes(capsys, tmp_path):
+    # stdout of `stack`, `upsilon` and `census --json` on every sample of
+    # those kinds and on the quotients above, recorded while LaurentPoly
+    # coefficients could still be Fractions
+    golden = json.loads(GOLDEN_KERNEL.read_text())
+    cases = []
+    for sample in sorted(Path(SAMPLES).glob("*.json")):
+        command = KERNEL_COMMANDS.get(json.loads(sample.read_text())["kind"])
+        if command:
+            cases.append((f"{command} {sample.name}", [command, "--input", str(sample)]))
+    for name, parts in KERNEL_STACKS.items():
+        doc = {"v": 1, "kind": "stack_class", "parts": [{"coeff": c, "expr": e} for c, e in parts]}
+        cases.append((f"stack {name}", ["stack", "--input", write_doc(tmp_path, f"{name}.json", doc)]))
+    assert sorted(name for name, _ in cases) == sorted(golden)
+    for name, argv in cases:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK, name
+        assert out == golden[name], name
+
+
 class TestGv:
     def test_conifold_positive(self, capsys):
         code, out, _ = run(
@@ -292,6 +350,34 @@ class TestGv:
         code, _, err = run(capsys, "gv", "--input", path, "--target", "1,1")
         assert code == EXIT_NOT_POLYNOMIAL
         assert json.loads(err)["error"]["type"] == "NotPolynomialError"
+
+    def test_non_polynomial_messages(self, capsys, tmp_path):
+        # the count (L - 1) / den is not a polynomial for den = t^4 - 1 and has
+        # non-integer coefficients for den = 2
+        cases = [
+            ([[4, 0, "1"], [0, 0, "-1"]], "(1) / (t^2 + 1) is not a polynomial"),
+            ([[0, 0, "2"]], "(t^2 - 1) / (2) has non-integer coefficients"),
+        ]
+        for den, message in cases:
+            doc = {
+                "v": 1,
+                "kind": "count_model",
+                "lattice": {"rank": 1, "generators": [[1]]},
+                "charge": {"B": ["0"], "omega": ["1"]},
+                "atoms": {
+                    "1,1": [
+                        {
+                            "coeff": {"num": [[0, 0, "1"]], "den": den},
+                            "expr": {"kind": "betti", "bettis": [1], "dim": 0},
+                        }
+                    ]
+                },
+            }
+            path = write_doc(tmp_path, "count.json", doc)
+            for json_flag in ([], ["--json"]):
+                code, out, err = run(capsys, "gv", "--input", path, "--target", "1,1", *json_flag)
+                assert (code, out) == (EXIT_NOT_POLYNOMIAL, "")
+                assert err == json.dumps({"error": {"message": message, "type": "NotPolynomialError"}}) + "\n"
 
 
 def test_gv_json_matches_golden_bytes(capsys):

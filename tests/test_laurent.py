@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,6 +10,7 @@ from gvmot.errors import NotPolynomialError, OddWeightedDegreeError, ZeroPolynom
 from gvmot.laurent import (
     LaurentPoly,
     RationalFn,
+    _uni_gcd,
     exact_div,
     flat,
     format_poly,
@@ -25,6 +27,74 @@ def random_poly(rng, max_terms=6, t_range=(-3, 4), s_range=(0, 3), coeff_range=(
         c = rng.randint(*coeff_range)
         terms[(a, b)] = terms.get((a, b), 0) + c
     return LaurentPoly(terms)
+
+
+def random_uni(rng, var, max_degree=4, coeff_range=(-5, 5)):
+    terms = {}
+    for e in range(rng.randint(0, max_degree) + 1):
+        terms[(e, 0) if var == "t" else (0, e)] = rng.randint(*coeff_range)
+    return LaurentPoly(terms)
+
+
+def dense(p, var):
+    """Coefficients of a univariate polynomial, lowest power first, from the
+    lowest power present."""
+    exps = {(a if var == "t" else b): Fraction(c) for (a, b), c in p.items()}
+    lo, hi = min(exps), max(exps)
+    return [exps.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+
+
+def oracle_uni_gcd(p, q, var):
+    """Monic gcd of two nonzero univariate polynomials by Euclid over Q, as
+    a Fraction list lowest power first; monomial factors are ignored."""
+
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    def mod(u, v):
+        u = u[:]
+        while len(u) >= len(v) and trim(u):
+            factor = u[-1] / v[-1]
+            shift = len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] -= factor * c
+            trim(u)
+        return u
+
+    a, b = trim(dense(p, var)), trim(dense(q, var))
+    while b:
+        a, b = b, trim(mod(a, b))
+    return [c / a[-1] for c in a]
+
+
+def oracle_exact_div(num, den):
+    """num/den as a dict of Fraction coefficients when den divides num in
+    Q[t^{+-1}, s], else None: lex division with remainder by one divisor."""
+    if num.is_zero():
+        return {}
+    (la, lb), lc = den.leading_term()
+    na, nb = num.min_lex_exponent()
+    ma, mb = den.min_lex_exponent()
+    floor = (na - ma, nb - mb)
+    rem = {key: Fraction(c) for key, c in num.items()}
+    quotient = {}
+    while rem:
+        top = max(rem)
+        da, db = top[0] - la, top[1] - lb
+        if db < 0 or (da, db) < floor:
+            return None
+        factor = rem[top] / lc
+        quotient[(da, db)] = factor
+        for (a, b), c in den.items():
+            key = (a + da, b + db)
+            rem[key] = rem.get(key, 0) - factor * c
+            if rem[key] == 0:
+                del rem[key]
+        if rem and max(rem) >= top:
+            return None
+    return quotient
 
 
 def brute_weighted_degree(q):
@@ -225,18 +295,19 @@ class TestRationalSum:
 
     def test_matches_left_fold(self):
         # denominators from a small pool times units (signed and fractional
-        # constants, t-shifts), so many pairs share a bucket and many do not
+        # constants, t-shifts), so many pairs share a bucket and many do not;
+        # a unit p/q scales den by p and num by q, and num/k scales den by k
         rng = random.Random(11)
         for _ in range(150):
             pool = [random_poly(rng, 3) for _ in range(3)]
             pool = [d for d in pool if not d.is_zero()] or [LaurentPoly.one()]
             pairs = []
             for _ in range(rng.randint(0, 6)):
-                unit = Fraction(rng.choice([-3, -1, 1, 2, 6]), rng.choice([1, 2, 5]))
-                den = rng.choice(pool).shift(rng.randint(-3, 3)).scale(unit)
-                num = random_poly(rng, 4)
+                p, q = rng.choice([-3, -1, 1, 2, 6]), rng.choice([1, 2, 5])
+                den = rng.choice(pool).shift(rng.randint(-3, 3)).scale(p)
+                num = random_poly(rng, 4).scale(q)
                 if rng.random() < 0.3:
-                    num = num.scale(Fraction(1, rng.randint(2, 4)))
+                    den = den.scale(rng.randint(2, 4))
                 pairs.append((num, den))
             assert rational_sum(iter(pairs)) == self.left_fold(pairs)
 
@@ -288,6 +359,95 @@ class TestExactDiv:
             got = exact_div(q * den, den)
             assert got is not None
             assert got * den == q * den
+
+    def test_matches_division_over_q_when_integral(self):
+        # products (some divided by a constant that the quotient does not
+        # absorb) and unrelated pairs: the oracle's quotient comes back exactly
+        # when it is integral, and None otherwise
+        rng = random.Random(14)
+        seen = {"integral": 0, "fractional": 0, "none": 0}
+        for i in range(400):
+            den = random_poly(rng, 3)
+            if den.is_zero():
+                continue
+            num = random_poly(rng, 3) * den if i % 4 else random_poly(rng, 4)
+            if i % 3 == 0:
+                den = den.scale(rng.choice([-4, -2, 2, 3, 6]))
+            expected = oracle_exact_div(num, den)
+            got = exact_div(num, den)
+            if expected is None:
+                seen["none"] += 1
+                assert got is None
+            elif all(c.denominator == 1 for c in expected.values()):
+                seen["integral"] += 1
+                assert got == LaurentPoly({key: int(c) for key, c in expected.items()})
+            else:
+                seen["fractional"] += 1
+                assert got is None
+        assert min(seen.values()) >= 30, seen
+
+
+class TestUniGcd:
+    def test_matches_euclid_over_q(self):
+        # t-only and s-only pairs with a shared factor (two in three) or not,
+        # signed contents and monomial shifts; compared up to a rational unit
+        rng = random.Random(13)
+        nontrivial = coprime = 0
+        for i in range(300):
+            var = "ts"[i % 2]
+            p, q = random_uni(rng, var), random_uni(rng, var)
+            if i % 3:
+                shared = random_uni(rng, var, 3)
+                p, q = p * shared, q * shared
+            shift = (rng.randint(-2, 2), 0) if var == "t" else (0, rng.randint(0, 2))
+            p = p.scale(rng.choice([-6, -2, -1, 1, 3, 4])).shift(*shift)
+            q = q.scale(rng.choice([-6, -2, -1, 1, 3, 4]))
+            if p.is_zero() or q.is_zero():
+                continue
+            g = dense(_uni_gcd(p, q, var), var)
+            assert g[-1] > 0
+            assert gcd(*(int(c) for c in g)) == 1
+            expected = oracle_uni_gcd(p, q, var)
+            assert [c / g[-1] for c in g] == expected
+            if len(expected) > 1:
+                nontrivial += 1
+            else:
+                coprime += 1
+        assert nontrivial >= 100 and coprime >= 50, (nontrivial, coprime)
+
+    def test_primitive_with_positive_lead(self):
+        t, s, one = LaurentPoly.t(), LaurentPoly.s(), LaurentPoly.one()
+        assert _uni_gcd(t * t - one, t * t + one, "t") == one
+        assert _uni_gcd((t - one).scale(2), (t * t - one).scale(-4), "t") == t - one
+        assert _uni_gcd(((s + one) * (s - one.scale(2))).scale(3), (s + one).scale(-6), "s") == s + one
+        assert _uni_gcd((t - one).shift(-3), (one - t).shift(5), "t") == t - one
+
+
+class TestIntegerCoefficients:
+    def test_non_int_coefficients_and_scalars_rejected(self):
+        t = LaurentPoly.t()
+        for bad in (Fraction(1, 2), Fraction(4, 2), 0.5, 2.0, True):
+            with pytest.raises(TypeError):
+                LaurentPoly({(0, 0): bad})
+            with pytest.raises(TypeError):
+                t.scale(bad)
+            with pytest.raises(TypeError):
+                t * bad
+
+    def test_non_int_exponents_rejected(self):
+        for key in ((Fraction(1, 2), 0), (2.7, 0), (0, 1.0), (True, 0)):
+            with pytest.raises(TypeError):
+                LaurentPoly({key: 3})
+
+    def test_as_poly_tells_non_polynomial_from_non_integral(self):
+        t, one = LaurentPoly.t(), LaurentPoly.one()
+        assert RationalFn((t * t - one).scale(3), (t - one).scale(3)).as_poly() == t + one
+        with pytest.raises(NotPolynomialError, match="has non-integer coefficients"):
+            RationalFn(t * t - one, (t - one).scale(2)).as_poly()
+        with pytest.raises(NotPolynomialError, match="is not a polynomial"):
+            RationalFn(one, (t + one).scale(2)).as_poly()
+        with pytest.raises(NotPolynomialError, match="is not a polynomial"):
+            RationalFn(LaurentPoly.s(), (t + one).scale(2)).as_poly()
 
 
 class TestPrinting:
