@@ -3,6 +3,7 @@
 All documents carry {"v": 1, "kind": ...}; unknown fields are rejected so a
 typo cannot silently change mathematical input.  Every number in transit is
 an integer or a rational string "p/q"; nothing is ever parsed as a float.
+A JSON integer stays an int, and only a rational string becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ def _int(obj: Any, where: str) -> int:
     return obj
 
 
-def _fraction(obj: Any, where: str) -> Fraction:
+def _fraction(obj: Any, where: str) -> int | Fraction:
+    """A JSON integer as itself, or a rational string "p/q" as a Fraction."""
     if isinstance(obj, bool):
         raise SchemaError(f"{where}: expected an integer or rational string")
     if isinstance(obj, int):
-        return Fraction(obj)
+        return obj
     if isinstance(obj, str):
         try:
             return Fraction(obj)

@@ -12,7 +12,7 @@ are read off in closed form (genus_decompose).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping
 
 from . import linalg
@@ -125,6 +125,12 @@ class JordanCensus(IntegerCombination):
         return sum(l * n for (_, l), n in self._mult.items())
 
 
+def _denominator(c) -> int:
+    if type(c) is int or isinstance(c, Fraction):
+        return c.denominator
+    raise TypeError(f"matrix entries are int or Fraction, not {type(c).__name__}")
+
+
 class GradedNilpotent:
     """A graded vector space with a degree +2 operator given by exact matrices.
 
@@ -133,6 +139,11 @@ class GradedNilpotent:
     or out of absent degrees must be omitted (they are forced zero), so with a
     finite grading every composite eventually leaves the support and the
     operator is nilpotent by construction.
+
+    Entries are int or Fraction; each map is stored times the lcm of its
+    entries' denominators, so stored maps hold ints and ranks run over Z.
+    Maps are thus kept up to a nonzero scalar per degree, which no rank of a
+    composite (so no census) can see; conjugate can return a scaled operator.
     """
 
     __slots__ = ("dims", "maps")
@@ -144,18 +155,19 @@ class GradedNilpotent:
         clean_maps: dict[int, linalg.Matrix] = {}
         for alpha, rows in (maps or {}).items():
             alpha = int(alpha)
+            scale = lcm(*(_denominator(c) for row in rows for c in row))
+            rows = [[int(c * scale) for c in row] for row in rows]
             src = clean_dims.get(alpha, 0)
             dst = clean_dims.get(alpha + 2, 0)
             if src == 0 or dst == 0:
-                if any(any(Fraction(c) != 0 for c in row) for row in rows):
+                if any(any(row) for row in rows):
                     raise ShapeMismatchError(
                         f"nonzero map out of degree {alpha} with missing source or target"
                     )
                 continue
-            try:
-                clean_maps[alpha] = linalg.mat_from_rows(rows, dst, src)
-            except ValueError as exc:
-                raise ShapeMismatchError(f"map at degree {alpha}: {exc}") from exc
+            if len(rows) != dst or any(len(row) != src for row in rows):
+                raise ShapeMismatchError(f"map at degree {alpha}: expected shape {dst}x{src}")
+            clean_maps[alpha] = rows
         object.__setattr__(self, "dims", dict(sorted(clean_dims.items())))
         object.__setattr__(self, "maps", clean_maps)
 
@@ -170,7 +182,7 @@ class GradedNilpotent:
         return linalg.zero_matrix(dst, src)
 
     def conjugate(self, basis: Mapping[int, linalg.Matrix]) -> "GradedNilpotent":
-        """Change basis degreewise: new map = P_{a+2} M_a P_a^{-1}."""
+        """Change basis degreewise: new map = P_{a+2} M_a P_a^{-1}, up to a scalar."""
         inverses = {d: linalg.mat_inverse(p) for d, p in basis.items()}
         new_maps = {}
         for alpha in self.maps:

@@ -1,38 +1,21 @@
-"""Small exact linear algebra over Q: ranks, products, inverses.
+"""Small exact linear algebra: integer ranks and products, rational inverses.
 
-Matrices are lists of row lists with int or Fraction entries; integer
-entries stay plain ints so the common all-integer case runs at native int
-speed.  Ranks go through fraction-free Bareiss elimination on integer-scaled
-rows, so no intermediate value is ever approximate.
+Matrices are lists of row lists.  Ranks are taken over Z by fraction-free
+Bareiss elimination, so they need int entries; a rational matrix is scaled
+to integers before it gets here (GradedNilpotent does this once per map).
+Products work over any exact ring, and inverses are taken over Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Union
 
-Entry = Union[int, Fraction]
-Matrix = list[list[Entry]]
-
-
-def _norm_entry(c) -> Entry:
-    if isinstance(c, int):
-        return c
-    f = Fraction(c)
-    return int(f) if f.denominator == 1 else f
+Matrix = list[list[int]]
 
 
 def dot(omega, beta) -> Fraction:
     """Exact pairing of a rational functional with an integer vector."""
     return sum((Fraction(w) * b for w, b in zip(omega, beta)), Fraction(0))
-
-
-def mat_from_rows(rows, nrows: int, ncols: int) -> Matrix:
-    m = [[_norm_entry(c) for c in row] for row in rows]
-    if len(m) != nrows or any(len(row) != ncols for row in m):
-        raise ValueError(f"expected shape {nrows}x{ncols}")
-    return m
 
 
 def zero_matrix(nrows: int, ncols: int) -> Matrix:
@@ -43,7 +26,7 @@ def identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: list[list], b: list[list]) -> list[list]:
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions differ")
     n, k = len(a), len(b)
@@ -63,19 +46,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_rank(a: Matrix) -> int:
-    """Rank by Bareiss fraction-free elimination after integer row scaling."""
+    """Rank over Z by Bareiss elimination, whose exact // needs int entries."""
     if not a or not a[0]:
         return 0
-    rows: list[list[int]] = []
-    for row in a:
-        if all(isinstance(c, int) for c in row):
-            rows.append(list(row))
-            continue
-        mult = 1
-        for c in row:
-            if not isinstance(c, int):
-                mult = lcm(mult, c.denominator)
-        rows.append([int(c * mult) for c in row])
+    rows = [list(row) for row in a]
+    if any(type(c) is not int for row in rows for c in row):
+        raise TypeError("mat_rank needs int entries")
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
     prev = 1
@@ -101,8 +77,8 @@ def mat_rank(a: Matrix) -> int:
     return rank
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises ValueError when singular."""
+def mat_inverse(a: Matrix) -> list[list[Fraction]]:
+    """Exact inverse over Fraction by Gauss-Jordan; raises ValueError when singular."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
@@ -127,7 +103,7 @@ def mat_inverse(a: Matrix) -> Matrix:
             lead = work[r][col]
             if lead:
                 work[r] = [c - lead * p for c, p in zip(work[r], work[col])]
-    return [[_norm_entry(c) for c in row[n:]] for row in work]
+    return [row[n:] for row in work]
 
 
 def random_invertible(rng, n: int, spread: int = 2) -> Matrix:

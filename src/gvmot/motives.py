@@ -192,11 +192,12 @@ def _bundle_factor(r: int) -> LaurentPoly:
 
 def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
     """Evaluate an expression to its polynomial invariant in Z[t, s]."""
-    memo: dict = {}
+    # keyed by identity: hashing a frozen node hashes its whole subtree
+    memo: dict[int, LaurentPoly] = {}
 
     def go(node: MotiveExpr) -> LaurentPoly:
-        if node in memo:
-            return memo[node]
+        if id(node) in memo:
+            return memo[id(node)]
         if isinstance(node, Atom):
             value = LaurentPoly(
                 {(node.dim + alpha, l - 1): n for (alpha, l), n in node.census.items()}
@@ -224,7 +225,7 @@ def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
             value = go(node.expr)
         else:
             raise TypeError(f"not a motive expression: {type(node)!r}")
-        memo[node] = value
+        memo[id(node)] = value
         return value
 
     return go(e)

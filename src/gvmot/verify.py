@@ -113,7 +113,7 @@ def random_graded_nilpotent(rng: random.Random, max_dim: int = 4) -> GradedNilpo
     for d in degrees:
         if d + 2 in dims:
             maps[d] = [
-                [Fraction(rng.randint(-2, 2)) for _ in range(dims[d])]
+                [rng.randint(-2, 2) for _ in range(dims[d])]
                 for _ in range(dims[d + 2])
             ]
     return GradedNilpotent(dims, maps)

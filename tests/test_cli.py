@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+from gvmot import cli
 from gvmot.cli import (
     EXIT_CROSSCHECK,
     EXIT_INTERNAL,
@@ -593,21 +594,35 @@ class TestErrorMapping:
         error = json.loads(err)["error"]
         assert error["type"] == "SchemaError" and "invalid JSON" in error["message"]
 
-    def test_internal_error_exit_six_with_one_json_line(self, capsys, tmp_path):
-        # a motive nested 900 deep overflows the recursive evaluation
-        expr = {"kind": "betti", "bettis": [1], "dim": 0}
-        for _ in range(900):
-            expr = {"kind": "int_scale", "factor": 1, "expr": expr}
-        path = write_doc(tmp_path, "deep.motive.json", {"v": 1, "kind": "motive", "expr": expr})
-        code, out, err = run(capsys, "upsilon", "--input", path, "--json")
+    def test_internal_error_exit_six_with_one_json_line(self, capsys, monkeypatch):
+        # any exception that is not a domain error maps to exit 6
+        def broken(expr):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(cli, "upsilon_rel", broken)
+        code, out, err = run(capsys, "upsilon", "--input", f"{SAMPLES}/p2.betti.json", "--json")
         assert code == EXIT_INTERNAL
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
         body = json.loads(lines[0])
         assert list(body) == ["error"]
-        assert body["error"]["type"] == "RecursionError"
-        assert "recursion" in body["error"]["message"]
+        assert body["error"] == {"type": "RuntimeError", "message": "synthetic failure"}
+
+    def test_deep_motive_evaluates(self, tmp_path):
+        # 900 nested int_scale nodes: the evaluation memo must not hash whole
+        # subtrees.  A fresh process, so the test runner's frames do not count
+        # against the recursion limit.
+        expr = {"kind": "betti", "bettis": [1], "dim": 0}
+        for _ in range(900):
+            expr = {"kind": "int_scale", "factor": 1, "expr": expr}
+        path = write_doc(tmp_path, "deep.motive.json", {"v": 1, "kind": "motive", "expr": expr})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gvmot", "upsilon", "--input", path],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "1\n", "")
 
 
 def test_cli_import_leaves_verify_unloaded():

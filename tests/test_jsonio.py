@@ -9,6 +9,7 @@ from gvmot.counting import NumClass
 from gvmot.errors import SchemaError
 from gvmot.gwseries import GVTable, GWSeries
 from gvmot.jsonio import (
+    _fraction,
     class_from_key,
     class_key,
     dump_json,
@@ -114,6 +115,16 @@ class TestMotiveDocs:
 
         _, expr = parse_document(doc)
         assert upsilon_rel(expr) == LaurentPoly.t(2) - LaurentPoly.one()
+
+
+class TestNumbers:
+    def test_integers_stay_ints(self):
+        # only a rational string becomes a Fraction
+        assert type(_fraction(3, "n")) is int
+        assert _fraction("6/4", "n") == Fraction(3, 2)
+        for bad in (True, 0.5, None, "1/0", "x"):
+            with pytest.raises(SchemaError):
+                _fraction(bad, "n")
 
 
 class TestGradedNilpotentDocs:

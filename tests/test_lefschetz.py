@@ -1,11 +1,14 @@
 """Spin decomposition, tensor products, genus counts, and Jordan censuses."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from test_linalg import gauss_rank_oracle
 
 from gvmot import linalg
 from gvmot.errors import NotRepresentationError, ShapeMismatchError, VirtualInputError
+from gvmot.jsonio import parse_document
 from gvmot.lefschetz import (
     BispinContent,
     GradedNilpotent,
@@ -74,6 +77,62 @@ def assert_span_fold_composites_vanish(op: GradedNilpotent) -> None:
         for i in range(1, span):
             acc = linalg.mat_mul(op.map_at(alpha + 2 * i), acc)
         assert all(c == 0 for row in acc for c in row), (op.dims, alpha)
+
+
+def random_rational_operator(rng):
+    """Dims and low-rank maps whose entries are JSON ints or "p/q" strings."""
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-3, 3)
+        den = rng.randint(2, 9)
+        return f"{rng.randint(-2 * den, 2 * den)}/{den}"
+
+    degrees = sorted(rng.sample(range(-4, 5, 2), rng.randint(2, 4)))
+    dims = {d: rng.randint(1, 4) for d in degrees}
+    maps = {}
+    for d in degrees:
+        if d + 2 in dims:
+            k = rng.randint(0, min(dims[d], dims[d + 2]))
+            left = [[Fraction(entry()) for _ in range(k)] for _ in range(dims[d + 2])]
+            right = [[Fraction(entry()) for _ in range(dims[d])] for _ in range(k)]
+            product = linalg.mat_mul(left, right) if k else linalg.zero_matrix(dims[d + 2], dims[d])
+            maps[d] = [[int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in row]
+                       for row in product]
+    return dims, maps
+
+
+def as_fractions(rows):
+    return [[Fraction(c) for c in row] for row in rows]
+
+
+def mixed_entries(rng, rows):
+    """The rows with strings as Fractions, and some ints as integral Fractions."""
+    return [[c if type(c) is int and rng.random() < 0.5 else Fraction(c) for c in row] for row in rows]
+
+
+def census_from_rank_oracle(dims, maps) -> JordanCensus:
+    """Census from Gauss ranks of the unscaled rational composites."""
+    span = (max(dims) - min(dims)) // 2 + 1
+
+    def r(alpha, k):
+        if k < 0 or alpha not in dims:
+            return 0
+        acc = linalg.identity(dims[alpha])
+        for i in range(k):
+            step = maps.get(alpha + 2 * i)
+            if step is None:
+                return 0
+            acc = linalg.mat_mul(step, acc)
+        return gauss_rank_oracle(acc)
+
+    cells = {}
+    for alpha in dims:
+        for l in range(1, span + 1):
+            n = (r(alpha, l - 1) - r(alpha - 2, l)) - (r(alpha, l) - r(alpha - 2, l + 1))
+            if n:
+                cells[(alpha, l)] = n
+    return JordanCensus(cells)
 
 
 class TestSpinDecompose:
@@ -239,6 +298,35 @@ class TestJordanCensus:
     def test_map_into_missing_degree_rejected_when_nonzero(self):
         with pytest.raises(ShapeMismatchError):
             GradedNilpotent({0: 1}, {0: [[1]]})
+
+    def test_entry_types(self):
+        for entry in (True, 0.5, "1/2"):
+            with pytest.raises(TypeError):
+                GradedNilpotent({0: 1, 2: 1}, {0: [[entry]]})
+        with pytest.raises(TypeError):
+            GradedNilpotent({0: 1}, {0: [[0.0]]})
+
+    def test_maps_stored_as_ints(self):
+        op = GradedNilpotent({0: 2, 2: 1}, {0: [[Fraction(4, 2), 3]]})
+        assert op.maps[0] == [[2, 3]] and type(op.maps[0][0][0]) is int
+        op = GradedNilpotent({0: 2, 2: 1}, {0: [[Fraction(1, 2), Fraction(-2, 3)]]})
+        assert op.maps[0] == [[3, -4]]
+
+    def test_rational_entries_match_unscaled_ranks(self):
+        rng = random.Random(19)
+        rational = longer = 0
+        for _ in range(100):
+            dims, maps = random_rational_operator(rng)
+            rational += any(type(c) is str for rows in maps.values() for row in rows for c in row)
+            expected = census_from_rank_oracle(dims, {d: as_fractions(rows) for d, rows in maps.items()})
+            doc = {"v": 1, "kind": "graded_nilpotent", "dims": {str(d): n for d, n in dims.items()},
+                   "maps": {str(d): rows for d, rows in maps.items()}}
+            _, parsed = parse_document(doc)
+            built = GradedNilpotent(dims, {d: mixed_entries(rng, rows) for d, rows in maps.items()})
+            assert jordan_census(parsed) == expected
+            assert jordan_census(built) == expected
+            longer += any(l >= 3 for _, l in expected.mult)
+        assert rational >= 50 and longer >= 15, (rational, longer)
 
     def test_total_dimension(self):
         rng = random.Random(17)
