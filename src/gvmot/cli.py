@@ -7,7 +7,8 @@ integer or rational string.
 
 Exit codes: 0 ok, 1 property failure, 2 schema, usage or resource-cap error,
 3 internal cross-check disagreement, 4 missing model data, 5 non-polynomial
-count, 6 internal error (an exception that is not a domain error).
+count, 6 internal error (an exception that is not a domain error).  Each run
+of gv, gw or hst spends one Ledger, whose cap bounds all of its work.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import json
 import sys
 
 from . import jsonio
-from .counting import DEFAULT_COMPOSITION_CAP, MODEL_NOTE, counting_polynomial, gv_from_polynomial
+from .counting import MODEL_NOTE, counting_polynomial, polynomial_census
 from .errors import (
+    WORK_CAP,
     GvmotError,
+    Ledger,
     MissingAtomError,
     NotPolynomialError,
     OddWeightedDegreeError,
@@ -41,10 +44,6 @@ EXIT_MISSING_ATOM = 4
 EXIT_NOT_POLYNOMIAL = 5
 EXIT_INTERNAL = 6
 
-# hst work: (genus_max + 2) x sum(2jL + 1), the census cells built once and
-# read once per genus
-MAX_HST_WORK = 10**6
-
 
 class CrossCheckError(GvmotError):
     """The two computation routes disagreed; the artifact is inconsistent."""
@@ -62,6 +61,8 @@ def _emit_error(exc: Exception) -> int:
     else:
         code = EXIT_SCHEMA
     body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    if isinstance(exc, ResourceLimitError):
+        body["error"].update(stage=exc.stage, spent=exc.spent, cap=exc.cap)
     print(json.dumps(body, sort_keys=True), file=sys.stderr)
     return code
 
@@ -91,9 +92,10 @@ def cmd_hst(args) -> int:
     genus_max = args.genus_max
     if genus_max is None:
         genus_max = max((jl for (jl, _) in content.mult), default=0)
-    work = (genus_max + 2) * sum(jl + 1 for (jl, _) in content.mult)
-    if work > MAX_HST_WORK:
-        raise ResourceLimitError(f"hst: {work} census terms exceed the cap of {MAX_HST_WORK}")
+    # the census cells are built once and read once per printed row, and a
+    # row costs at least one term even when there are no cells
+    cells = sum(jl + 1 for (jl, _) in content.mult)
+    Ledger().spend("hst", cells + max(genus_max + 1, 0) * max(cells, 1), "census terms")
     virtual = content.is_virtual()
     census = None if virtual else census_from_bispin(content)
     rows = []
@@ -169,10 +171,12 @@ def cmd_gv(args) -> int:
     _, (lattice, charge, model) = _load(args.input, ("count_model",))
     target = jsonio.class_from_key(args.target, lattice.rank, "--target")
     genus_max = args.genus_max if args.genus_max is not None else 3
-    poly = counting_polynomial(
-        lattice, charge, target, model, max_compositions=args.max_compositions
-    )
-    counts = [[g, gv_from_polynomial(poly, g)] for g in range(genus_max + 1)]
+    ledger = Ledger(args.max_compositions)
+    poly = counting_polynomial(lattice, charge, target, model, ledger=ledger)
+    census = polynomial_census(poly)
+    # every printed row reads every cell, and costs at least one term
+    ledger.spend("readout", max(genus_max + 1, 0) * max(len(census.mult), 1), "census terms")
+    counts = [[g, census_count(census, g)] for g in range(genus_max + 1)]
     if args.json:
         print(dump_json({
             "v": SCHEMA_VERSION,
@@ -261,8 +265,28 @@ def cmd_verify(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SchemaError, so they leave as one JSON line like every other failure."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() rejects the text
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gvmot",
         description=(
             "Exact computation of BPS-style genus counts from spin/census data, "
@@ -298,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_gv)
     p_gv.add_argument("--target", required=True, help="class as comma-joined integers: beta parts, then k")
     p_gv.add_argument("--genus-max", type=int, default=None)
-    p_gv.add_argument("--max-compositions", type=int, default=DEFAULT_COMPOSITION_CAP)
+    p_gv.add_argument("--max-compositions", type=_int_at_least(0), default=WORK_CAP)
     p_gv.set_defaults(func=cmd_gv)
 
     p_gw = sub.add_parser("gw", help="transform between count tables and generating series")
@@ -312,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a randomized property suite")
     p_verify.add_argument("suite", help="name of a property suite, or all")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=int, default=1, help="case-count multiplier")
+    p_verify.add_argument("--cases", type=_int_at_least(1), default=1, help="case-count multiplier")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -320,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # a crash must still honour the exit-code contract
         return _emit_error(exc)

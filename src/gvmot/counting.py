@@ -15,9 +15,10 @@ generators, and labels each class it reaches effective or not; that one
 labelled set says whether the target is in range, whether each remainder is,
 and which classes can be pieces.
 
-Each count spends one work budget (max_compositions): the walk down (stage
-"membership test"), the candidate pieces and the decomposition walk all draw
-on it, and running out raises ResourceLimitError naming the stage.
+Each count spends one Ledger (the caller's, or one of max_compositions
+steps): the walk down (stage "membership test"), the candidate pieces and the
+decomposition walk all draw on it, and running out raises ResourceLimitError
+naming the stage.  The gv command spends the same ledger on its readout.
 
 Phase comparisons never touch floating point: two classes share a phase
 exactly when their (Im Z, -Re Z) pairs are proportional with positive ratio.
@@ -33,12 +34,13 @@ from math import factorial, lcm, prod
 from typing import Iterable, Mapping
 
 from .errors import (
+    WORK_CAP,
     AsymmetricDefectError,
     ConeNotPointedError,
+    Ledger,
     MissingAtomError,
     NotEffectiveError,
     NotPolynomialError,
-    ResourceLimitError,
 )
 from .laurent import LaurentPoly, RationalFn, flat, rational_sum
 from .lefschetz import JordanCensus, census_count
@@ -107,7 +109,7 @@ class ClassLattice:
         self,
         beta: tuple[int, ...],
         omega: tuple[Fraction, ...],
-        budget: "_Budget",
+        ledger: Ledger,
     ) -> dict[tuple[int, ...], bool]:
         """Every class reached from beta by subtracting generators, labelled
         effective (zero or a sum of generators) or not.
@@ -117,7 +119,7 @@ class ClassLattice:
         most the monoid elements m of degree at most beta's, as beta - m.
         Coordinates no generator can move toward zero are dead ends.  Labels
         are read bottom-up by degree: b is effective when some b - g is.
-        Each class expanded spends one budget step.  Iterative, so deep
+        Each class expanded spends one ledger step.  Iterative, so deep
         classes cannot overflow the interpreter stack.
         """
         self.check_positive(omega)
@@ -151,7 +153,7 @@ class ClassLattice:
             elif any(c < 0 <= sign_floor[i] or c > 0 >= sign_ceil[i] for i, c in enumerate(b)):
                 labels[b] = False
             else:
-                budget.spend("membership test")
+                ledger.spend("membership test")
                 degrees[b] = deg
                 frontier.append(b)
 
@@ -278,31 +280,11 @@ class FreeHallElement:
 # -- decomposition enumeration ------------------------------------------------
 
 
-class _Budget:
-    """The work cap of one count, shared by every stage that enumerates."""
-
-    __slots__ = ("cap", "remaining")
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.remaining = cap
-
-    def spend(self, stage: str, n: int = 1) -> None:
-        self.remaining -= n
-        if self.remaining < 0:
-            raise ResourceLimitError(
-                f"{stage}: {self.cap - self.remaining} enumeration steps exceed the cap of {self.cap}"
-            )
-
-
-DEFAULT_COMPOSITION_CAP = 10**6
-
-
 def _same_phase_words(
     lattice: ClassLattice,
     charge: CentralCharge,
     v: NumClass,
-    budget: _Budget,
+    ledger: Ledger,
     multisets: bool,
 ) -> list[tuple[NumClass, ...]] | None:
     """Words of same-phase pieces summing to v, or None when v is outside the
@@ -325,18 +307,18 @@ def _same_phase_words(
     if v.beta == zero_beta:
         if v.k <= 0:
             return None
-        budget.spend("pieces", v.k)
+        ledger.spend("pieces", v.k)
         pieces = [NumClass(zero_beta, j) for j in range(1, v.k + 1)]
         effective = {}
     else:
-        effective = lattice.classes_below(v.beta, charge.omega, budget)
+        effective = lattice.classes_below(v.beta, charge.omega, ledger)
         if not effective[v.beta]:
             return None
         re_v, im_v = charge.value(v)
         slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
         pieces = []
         for beta in sorted(b for b, label in effective.items() if label and b != zero_beta):
-            budget.spend("pieces")
+            ledger.spend("pieces")
             k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
             if k_frac.denominator == 1:
                 pieces.append(NumClass(beta, int(k_frac)))
@@ -346,11 +328,11 @@ def _same_phase_words(
     while walk:
         rem, bound, acc = walk.pop()
         for i in range(bound):
-            budget.spend("decompositions")
+            ledger.spend("decompositions")
             p = pieces[i]
             nxt = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k)
             if nxt.beta == zero_beta and nxt.k == 0:
-                budget.spend("decompositions")
+                ledger.spend("decompositions")
                 words.append(acc + (p,))
             elif nxt.k > 0 if nxt.beta == zero_beta else effective.get(nxt.beta, False):
                 walk.append((nxt, i + 1 if multisets else len(pieces), acc + (p,)))
@@ -361,16 +343,16 @@ def same_phase_decompositions(
     lattice: ClassLattice,
     charge: CentralCharge,
     v: NumClass,
-    max_compositions: int = DEFAULT_COMPOSITION_CAP,
+    max_compositions: int = WORK_CAP,
 ) -> list[tuple[NumClass, ...]]:
     """Ordered decompositions of v into effective classes sharing v's phase.
 
     Finiteness comes from strictly positive omega-degrees.  One walk down
     from v decides its range, the range of every remainder and the candidate
-    pieces; one budget of max_compositions steps covers that walk, the
+    pieces; one ledger of max_compositions steps covers that walk, the
     pieces and the decompositions, so pathological inputs fail fast.
     """
-    words = _same_phase_words(lattice, charge, v, _Budget(max_compositions), multisets=False)
+    words = _same_phase_words(lattice, charge, v, Ledger(max_compositions), multisets=False)
     if words is None:
         raise NotEffectiveError(f"{v} is not in the phase-(0,1] effective range")
     return words
@@ -380,7 +362,7 @@ def semistable_log(
     lattice: ClassLattice,
     charge: CentralCharge,
     v: NumClass,
-    max_compositions: int = DEFAULT_COMPOSITION_CAP,
+    max_compositions: int = WORK_CAP,
 ) -> FreeHallElement:
     """Inclusion-exclusion logarithm: sum over ordered same-phase decompositions
     of (-1)^{n-1}/n times the word of delta letters."""
@@ -413,7 +395,7 @@ def semistable_exp(
     charge: CentralCharge,
     v: NumClass,
     log_table: Mapping[NumClass, FreeHallElement] | None = None,
-    max_compositions: int = DEFAULT_COMPOSITION_CAP,
+    max_compositions: int = WORK_CAP,
 ) -> FreeHallElement:
     """Formal exponential inverse: reconstructs the delta generator from logs.
 
@@ -524,7 +506,8 @@ def counting_polynomial(
     charge: CentralCharge,
     v: NumClass,
     model: EvalModel,
-    max_compositions: int = DEFAULT_COMPOSITION_CAP,
+    max_compositions: int = WORK_CAP,
+    ledger: Ledger | None = None,
 ) -> RationalFn:
     """The motivic count of phase-(0,1] semistables of class v, pushed to its base.
 
@@ -534,28 +517,30 @@ def counting_polynomial(
     The count walks down from v, and from -v only when v is out of range; the
     two walks share no class, since a walk never goes below omega-degree zero
     and a start of degree zero or below expands only itself.  Both walks, the
-    pieces and the decompositions share one budget of max_compositions steps.
+    pieces and the decompositions spend one ledger: the caller's, or else a
+    new one of max_compositions steps.
     """
-    budget = _Budget(max_compositions)
+    if ledger is None:
+        ledger = Ledger(max_compositions)
     for w in (v, -v):
-        words = _same_phase_words(lattice, charge, w, budget, multisets=True)
+        words = _same_phase_words(lattice, charge, w, ledger, multisets=True)
         if words is not None:
             gm = RationalFn.from_poly(LaurentPoly.t(2) - LaurentPoly.one())
             return gm * evaluate(_multiset_log(words), model)
     return RationalFn.zero()
 
 
-def gv_from_polynomial(p: RationalFn | LaurentPoly, g: int) -> int:
-    """Genus-g count read off a polynomial invariant.
-
-    Flattens the polynomial, reads the Jordan census from its exponents
-    (degree = t-exponent, size = s-exponent + 1), and applies the closed-form
-    alternating count.  Requires an honest polynomial in Z[t, s].
-    """
+def polynomial_census(p: RationalFn | LaurentPoly) -> JordanCensus:
+    """The Jordan census of an honest polynomial in Z[t, s], flattened: one cell
+    per term, of degree its t-exponent and size its s-exponent + 1."""
     q = p.as_poly() if isinstance(p, RationalFn) else p
     if q.is_zero():
-        return 0
+        return JordanCensus()
     if any(a < 0 for (a, _) in q.terms):
         raise NotPolynomialError("negative t-exponents: not a polynomial invariant")
-    cells = {(a, b + 1): c for (a, b), c in flat(q).items()}
-    return census_count(JordanCensus(cells), g)
+    return JordanCensus({(a, b + 1): c for (a, b), c in flat(q).items()})
+
+
+def gv_from_polynomial(p: RationalFn | LaurentPoly, g: int) -> int:
+    """Genus-g count read off a polynomial invariant, through its census."""
+    return census_count(polynomial_census(p), g)

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the work ledger.
 
 Every domain error derives from GvmotError so the CLI can map failures to
-stable exit codes in one place.
+stable exit codes in one place.  Every cap on work is one Ledger: a command
+run creates one, each stage spends its work on it, and the ledger's spend is
+the one place a ResourceLimitError is raised.
 """
 
 from __future__ import annotations
@@ -68,7 +70,12 @@ class AsymmetricDefectError(GvmotError):
 
 
 class ResourceLimitError(GvmotError):
-    """Work exceeded its cap: decomposition enumeration, or the counted work of hst or a series transform."""
+    """A ledger's work exceeded its cap: the stage whose spend crossed it, the
+    work every stage of the run had spent by then, and the cap."""
+
+    def __init__(self, stage: str, spent: int, cap: int, what: str):
+        super().__init__(f"{stage}: {spent} {what} exceed the cap of {cap}")
+        self.stage, self.spent, self.cap = stage, spent, cap
 
 
 class InsufficientTruncationError(GvmotError):
@@ -77,3 +84,23 @@ class InsufficientTruncationError(GvmotError):
 
 class SchemaError(GvmotError):
     """Input document violates its JSON schema."""
+
+
+WORK_CAP = 10**6
+
+
+class Ledger:
+    """The work of one command run, spent stage by stage against one cap, in
+    the units each stage counts; a stage that can bound its work from the
+    input spends it before starting."""
+
+    __slots__ = ("cap", "spent")
+
+    def __init__(self, cap: int = WORK_CAP):
+        self.cap = cap
+        self.spent = 0
+
+    def spend(self, stage: str, n: int = 1, what: str = "enumeration steps") -> None:
+        self.spent += n
+        if self.spent > self.cap:
+            raise ResourceLimitError(stage, self.spent, self.cap, what)

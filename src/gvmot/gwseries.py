@@ -13,10 +13,10 @@ omega-degree, then genus: each value is its coefficient minus the covers that
 earlier classes pushed onto that key and minus its own class's k = 1 series
 of the genera solved so far; once a class is solved, its series is pushed for
 k >= 2.  Integrality of the solved values is conjectural; non-integer results
-are reported alongside the table, never rounded.  Each call counts its work
-from the cuts first and raises ResourceLimitError when a count exceeds
-MAX_SERIES_WORK; the counts are per-entry kernel terms, which over-state the
-work of the per-class push.
+are reported alongside the table, never rounded.  Each transform spends one
+Ledger, counting its work from the cuts before doing any: per-entry kernel
+terms (an over-count of the per-class push), candidate classes and sin-table
+products all add up against the one cap.
 """
 
 from __future__ import annotations
@@ -26,31 +26,23 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .errors import ConeNotPointedError, InsufficientTruncationError, ResourceLimitError
+from .errors import ConeNotPointedError, InsufficientTruncationError, Ledger
 from .linalg import dot
 
 Beta = tuple[int, ...]
-
-MAX_SERIES_WORK = 10**6
-"""Cap on each count taken before a transform: per-entry kernel terms, candidate classes, sin-table products."""
-
-
-def _check_work(stage: str, what: str, count: int) -> None:
-    if count > MAX_SERIES_WORK:
-        raise ResourceLimitError(f"{stage}: {count} {what} exceed the cap of {MAX_SERIES_WORK}")
 
 
 # -- exact expansion of (2 sin(u/2))^{2g-2} -----------------------------------
 
 
-def _sin_powers(genus_max: int, order: int) -> list[list[Fraction]]:
+def _sin_powers(genus_max: int, order: int, ledger: Ledger) -> list[list[Fraction]]:
     """Rows g = 0..genus_max; row[g][j] is the coefficient of u^{2g-2+2j} in (2 sin(u/2))^{2g-2}.
 
     With y = u^2, (2 sin(u/2))^2 = 2(1 - cos u) = y V(y) where V(y) =
     sum_{n>=0} 2 (-1)^n y^n / (2n+2)!, so row g is V^{g-1} to y^order: row 0
     inverts V (V(0) = 1), and each further row is the one before times V.
     """
-    _check_work("sin table", "products", (genus_max + 1) * (order + 1) * (order + 2) // 2)
+    ledger.spend("sin table", (genus_max + 1) * (order + 1) * (order + 2) // 2, "products")
     v = [Fraction(2 * (-1) ** n, factorial(2 * n + 2)) for n in range(order + 1)]
     row = [Fraction(1)]
     for n in range(1, order + 1):
@@ -65,7 +57,7 @@ def sin_power_coefficient(g: int, j: int) -> Fraction:
     """Coefficient of u^{2g-2+2j} in (2 sin(u/2))^{2g-2}, exact."""
     if g < 0 or j < 0:
         return Fraction(0)
-    return _sin_powers(g, j)[g][j]
+    return _sin_powers(g, j, Ledger())[g][j]
 
 
 def _cover_count(degree: Fraction, degree_max: Fraction) -> int:
@@ -220,8 +212,9 @@ def gv_to_gw(
         if covers[beta] and orders:
             terms += covers[beta] * orders
             genus_top, order = max(genus_top, g), max(order, orders - 1)
-    _check_work("gw forward", "kernel terms", terms)
-    sin = _sin_powers(genus_top, order)
+    ledger = Ledger()
+    ledger.spend("gw forward", terms, "kernel terms")
+    sin = _sin_powers(genus_top, order, ledger)
     coeffs: dict[tuple[Beta, int], Fraction] = {}
     for beta, counts in genera.items():
         if covers[beta]:
@@ -264,7 +257,8 @@ def gw_to_gv(
 
     degree = {beta: dot(series.omega, beta) for beta, _ in series.coeffs}
     covers = {beta: _cover_count(d, degree_max) for beta, d in degree.items()}
-    _check_work("gw inverse", "candidate classes", sum(covers.values()))
+    ledger = Ledger()
+    ledger.spend("gw inverse", sum(covers.values()), "candidate classes")
     for beta, d in list(degree.items()):
         for k in range(2, covers[beta] + 1):
             kbeta = tuple(k * b for b in beta)
@@ -274,8 +268,8 @@ def gw_to_gv(
     candidates = sorted((beta for beta in degree if covers[beta]), key=lambda b: (degree[b], b))
     genera = max(genus_max + 1, 0)
     terms = sum(covers[beta] for beta in candidates) * genera * (genera + 1) // 2
-    _check_work("gw inverse", "kernel terms", terms)
-    sin = _sin_powers(genus_max, genus_max) if terms else []
+    ledger.spend("gw inverse", terms, "kernel terms")
+    sin = _sin_powers(genus_max, genus_max, ledger) if terms else []
 
     lambda_max = 2 * genus_max - 2
     pushed: dict[tuple[Beta, int], Fraction] = {}

@@ -215,10 +215,8 @@ def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
         elif isinstance(node, ProjBundle):
             value = go(node.expr) * _bundle_factor(node.fiber_rank)
         elif isinstance(node, BlowUpRel):
-            center = go(node.center)
-            value = go(node.ambient)
-            for k in range(1, node.codim):
-                value = value + center.shift(2 * k)
+            # the exceptional divisor adds center x (L + ... + L^(codim-1))
+            value = go(node.ambient) + go(node.center) * _bundle_factor(node.codim - 1).shift(2)
         elif isinstance(node, Fibration):
             value = node.fiber.poly * go(node.expr)
         elif isinstance(node, FinitePush):

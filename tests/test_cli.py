@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from gvmot import cli
 from gvmot.cli import (
@@ -151,6 +154,19 @@ class TestUpsilon:
         code, _, err = run(capsys, "upsilon", "--input", path)
         assert code == EXIT_SCHEMA
         assert "error" in json.loads(err)
+
+    def test_high_codim_blow_up_quickly(self, capsys, tmp_path):
+        point = {"kind": "betti", "bettis": [1], "dim": 0}
+        ambient = {"kind": "proj_bundle", "expr": point, "fiber_rank": 30001}
+        expr = {"kind": "blow_up", "ambient": ambient, "center": point, "codim": 30000}
+        path = write_doc(tmp_path, "blow.json", {"v": 1, "kind": "motive", "expr": expr})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "upsilon", "--input", path, "--json")
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_OK
+        # P^30000 plus the exceptional divisor's L + ... + L^29999
+        terms = {a: int(c) for a, b, c in json.loads(out)["terms"]}
+        assert terms == {2 * k: 1 if k in (0, 30000) else 2 for k in range(30001)}
 
 
 class TestCensus:
@@ -569,6 +585,77 @@ class TestVerify:
             "stack.stack_scale",
         ]
         assert all(p["ok"] and p["cases"] == 100 for p in doc["properties"])
+
+
+SERIES = json.loads(Path(f"{SAMPLES}/conifold.gw_series.json").read_text())
+CAP_DOCS = {
+    "even": {
+        "v": 1,
+        "kind": "count_model",
+        "lattice": {"rank": 2, "generators": [[2, 0], [0, 2]]},
+        "charge": {"B": [0, 0], "omega": [1, 1]},
+        "atoms": {},
+    },
+    "deep": {**SERIES, "cuts": {**SERIES["cuts"], "degree": "100000000"}},
+    "spin1500": {"v": 1, "kind": "bispin", "content": [[1500, 0, 1]]},
+    "empty": {"v": 1, "kind": "bispin", "content": []},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, stage, what, cap",
+    [
+        (["gv", "even", "--target", "1601,1600,0", "--max-compositions", "10"], "membership test", "enumeration steps", 10),
+        (["gv", "cy3_degree_zero.count_model.json", "--target", "0,100000000"], "pieces", "enumeration steps", 10**6),
+        (["gv", "conifold.count_model.json", "--target", "1,-1", "--genus-max", "100000000"], "readout", "census terms", 10**6),
+        (["gw", "conifold.gv_table.json", "--degree-max", "100000000"], "gw forward", "kernel terms", 10**6),
+        (["gw", "deep"], "gw inverse", "candidate classes", 10**6),
+        (["gw", "conifold.gv_table.json", "--degree-max", "1", "--lambda-order", "1000000"], "sin table", "products", 10**6),
+        (["hst", "spin1500"], "hst", "census terms", 10**6),
+        (["hst", "empty", "--genus-max", "100000000"], "hst", "census terms", 10**6),
+    ],
+    ids=["walk", "pieces", "readout", "gw-forward", "gw-inverse", "sin-table", "hst-terms", "hst-empty"],
+)
+def test_cap_error_is_one_structured_json_line(capsys, tmp_path, argv, stage, what, cap):
+    command, name, *flags = argv
+    path = write_doc(tmp_path, f"{name}.json", CAP_DOCS[name]) if name in CAP_DOCS else f"{SAMPLES}/{name}"
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--input", path, *flags, "--json")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_SCHEMA and out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ResourceLimitError"
+    assert (error["stage"], error["cap"]) == (stage, cap)
+    match = re.fullmatch(rf"{stage}: (\d+) {what} exceed the cap of {cap}", error["message"])
+    assert match and int(match[1]) == error["spent"] > cap
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gv", "--input", f"{SAMPLES}/conifold.count_model.json"], "--target"),
+        (["bogus"], "bogus"),
+        (["gv", "--input", f"{SAMPLES}/conifold.count_model.json", "--target", "1,1", "--genus-max", "x"], "--genus-max"),
+        (["verify", "sl2", "--cases", "0"], "--cases"),
+        (["verify", "sl2", "--cases", "-1"], "--cases"),
+        (["gv", "--input", f"{SAMPLES}/conifold.count_model.json", "--target", "1,1", "--max-compositions", "-5"], "--max-compositions"),
+    ],
+    ids=["missing-target", "unknown-command", "genus-max-not-int", "cases-zero", "cases-negative", "negative-cap"],
+)
+def test_usage_error_is_one_json_line(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SCHEMA and out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "SchemaError" and named in error["message"]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gv", "--help"])
+    assert exit_info.value.code == 0
+    assert "--max-compositions" in capsys.readouterr().out
 
 
 class TestErrorMapping:

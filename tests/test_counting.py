@@ -14,7 +14,6 @@ from gvmot.counting import (
     EvalModel,
     FreeHallElement,
     NumClass,
-    _Budget,
     _multiset_log,
     counting_polynomial,
     evaluate,
@@ -26,6 +25,7 @@ from gvmot.counting import (
 from gvmot.errors import (
     AsymmetricDefectError,
     ConeNotPointedError,
+    Ledger,
     MissingAtomError,
     NotEffectiveError,
     NotPolynomialError,
@@ -156,7 +156,7 @@ class TestDecompositions:
         v = NumClass((1, 2), 0)
         words = same_phase_decompositions(lat, z, v)
         assert len(words) == 8
-        assert words == decompositions_oracle(lat, z, v, _Budget(10**6))
+        assert words == decompositions_oracle(lat, z, v, Ledger(10**6))
 
     def test_phase_one_pieces_are_integer_compositions(self):
         lat, z = rank1()
@@ -460,12 +460,12 @@ class TestMultisetLog:
                 walks.append(tuple(beta))
                 return super().classes_below(beta, omega, budget)
 
-        class RecordingBudget(_Budget):
+        class RecordingLedger(Ledger):
             def spend(self, stage, n=1):
                 spent[stage] += n
                 super().spend(stage, n)
 
-        monkeypatch.setattr(counting, "_Budget", RecordingBudget)
+        monkeypatch.setattr(counting, "Ledger", RecordingLedger)
         lattice = RecordingLattice(2, [(1, 0), (0, 1)])
         charge = CentralCharge([0, 0], [1, 1])
         v = NumClass((2, 2), 0)
@@ -648,7 +648,7 @@ class TestWalkDownOracle:
     def test_matches_oracle_on_random_setups(self, monkeypatch):
         budgets = []
 
-        class RecordingBudget(_Budget):
+        class RecordingLedger(Ledger):
             def __init__(self, cap):
                 super().__init__(cap)
                 budgets.append(self)
@@ -659,17 +659,17 @@ class TestWalkDownOracle:
                 result = fn(*args, cap)
             except (NotEffectiveError, ResourceLimitError) as exc:
                 result = type(exc)
-            return result, sum(b.cap - b.remaining for b in budgets)
+            return result, sum(b.spent for b in budgets)
 
         def run_oracle(fn, *args, cap):
-            budget = _Budget(cap)
+            budget = Ledger(cap)
             try:
                 result = fn(*args, budget)
             except ResourceLimitError:
                 result = ResourceLimitError
-            return result, budget.cap - budget.remaining
+            return result, budget.spent
 
-        monkeypatch.setattr(counting, "_Budget", RecordingBudget)
+        monkeypatch.setattr(counting, "Ledger", RecordingLedger)
         rng = random.Random(56)
         finished = split = 0
         for _ in range(300):

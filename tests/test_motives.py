@@ -131,6 +131,19 @@ class TestBlowUpRelation:
             ambient = smooth_from_betti(random_betti(rng, dc + r), dc + r)
             assert blowup_relation_check(ambient, center, r)
 
+    def test_closed_form_matches_one_shift_per_codim(self):
+        # oracle: the exceptional divisor added one power of L at a time
+        rng = random.Random(39)
+        for _ in range(100):
+            r = rng.randint(2, 12)
+            dc = rng.randint(0, 3)
+            center = smooth_from_betti(random_betti(rng, dc), dc)
+            ambient = smooth_from_betti(random_betti(rng, dc + r), dc + r)
+            expected = upsilon_rel(ambient)
+            for k in range(1, r):
+                expected = expected + upsilon_rel(center).shift(2 * k)
+            assert upsilon_rel(BlowUpRel(ambient=ambient, center=center, codim=r)) == expected
+
     def test_dim_mismatch(self):
         p2 = smooth_from_betti([1, 0, 1, 0, 1], 2)
         with pytest.raises(DimMismatchError):
