@@ -15,10 +15,9 @@ generators, and labels each class it reaches effective or not; that one
 labelled set says whether the target is in range, whether each remainder is,
 and which classes can be pieces.
 
-Each count spends one Ledger (the caller's, or one of max_compositions
-steps): the walk down (stage "membership test"), the candidate pieces and the
-decomposition walk all draw on it, and running out raises ResourceLimitError
-naming the stage.  The gv command spends the same ledger on its readout.
+Each count spends one Ledger, as gv's readout then does: the walk down (stage
+"membership test"), the candidate pieces and the decomposition walk all draw
+on it, and running out raises ResourceLimitError naming the stage.
 
 Phase comparisons never touch floating point: two classes share a phase
 exactly when their (Im Z, -Re Z) pairs are proportional with positive ratio.
@@ -506,7 +505,6 @@ def counting_polynomial(
     charge: CentralCharge,
     v: NumClass,
     model: EvalModel,
-    max_compositions: int = WORK_CAP,
     ledger: Ledger | None = None,
 ) -> RationalFn:
     """The motivic count of phase-(0,1] semistables of class v, pushed to its base.
@@ -518,10 +516,9 @@ def counting_polynomial(
     two walks share no class, since a walk never goes below omega-degree zero
     and a start of degree zero or below expands only itself.  Both walks, the
     pieces and the decompositions spend one ledger: the caller's, or else a
-    new one of max_compositions steps.
+    new one with the default cap.
     """
-    if ledger is None:
-        ledger = Ledger(max_compositions)
+    ledger = ledger or Ledger()
     for w in (v, -v):
         words = _same_phase_words(lattice, charge, w, ledger, multisets=True)
         if words is not None:

@@ -71,10 +71,13 @@ class AsymmetricDefectError(GvmotError):
 
 class ResourceLimitError(GvmotError):
     """A ledger's work exceeded its cap: the stage whose spend crossed it, the
-    work every stage of the run had spent by then, and the cap."""
+    units of work every stage of the run had spent by then (`spent`, a total
+    across stages), and the cap.  The message counts the crossing stage's own
+    unit, and adds the total when earlier stages spent other units."""
 
-    def __init__(self, stage: str, spent: int, cap: int, what: str):
-        super().__init__(f"{stage}: {spent} {what} exceed the cap of {cap}")
+    def __init__(self, stage: str, n: int, what: str, spent: int, cap: int):
+        total = f" ({spent} units of work in all)" if spent != n else ""
+        super().__init__(f"{stage}: {n} {what}{total} exceed the cap of {cap}")
         self.stage, self.spent, self.cap = stage, spent, cap
 
 
@@ -90,17 +93,16 @@ WORK_CAP = 10**6
 
 
 class Ledger:
-    """The work of one command run, spent stage by stage against one cap, in
-    the units each stage counts; a stage that can bound its work from the
-    input spends it before starting."""
-
-    __slots__ = ("cap", "spent")
+    """The work of one command run, spent stage by stage against one cap, each
+    in its own unit; a stage that can bound its work spends it before starting."""
 
     def __init__(self, cap: int = WORK_CAP):
-        self.cap = cap
-        self.spent = 0
+        self.cap, self.spent = cap, 0
+        self.what, self.before = "", 0  # the unit last spent, and the work spent before it
 
     def spend(self, stage: str, n: int = 1, what: str = "enumeration steps") -> None:
+        if what != self.what:
+            self.what, self.before = what, self.spent
         self.spent += n
         if self.spent > self.cap:
-            raise ResourceLimitError(stage, self.spent, self.cap, what)
+            raise ResourceLimitError(stage, self.spent - self.before, what, self.spent, self.cap)

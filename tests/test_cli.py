@@ -627,8 +627,10 @@ def test_cap_error_is_one_structured_json_line(capsys, tmp_path, argv, stage, wh
     error = json.loads(err)["error"]
     assert error["type"] == "ResourceLimitError"
     assert (error["stage"], error["cap"]) == (stage, cap)
-    match = re.fullmatch(rf"{stage}: (\d+) {what} exceed the cap of {cap}", error["message"])
-    assert match and int(match[1]) == error["spent"] > cap
+    # the stage's own count, then the run's total when earlier stages spent other units
+    total = r"(?: \((\d+) units of work in all\))?"
+    match = re.fullmatch(rf"{stage}: (\d+) {what}{total} exceed the cap of {cap}", error["message"])
+    assert match and int(match[2] or match[1]) == error["spent"] > cap
 
 
 @pytest.mark.parametrize(

@@ -203,7 +203,7 @@ class TestDecompositions:
             same_phase_decompositions(lat, z, v, max_compositions=10)
         assert counting_polynomial(lat, z, v, EvalModel({})) == RationalFn.zero()
         with pytest.raises(ResourceLimitError, match="^membership test: "):
-            counting_polynomial(lat, z, v, EvalModel({}), max_compositions=10)
+            counting_polynomial(lat, z, v, EvalModel({}), ledger=Ledger(10))
 
     @pytest.mark.parametrize(
         "v, cap, stage",
@@ -656,7 +656,8 @@ class TestWalkDownOracle:
         def run(fn, *args, cap):
             budgets.clear()
             try:
-                result = fn(*args, cap)
+                # counting_polynomial spends the caller's ledger; the others build one from the cap
+                result = fn(*args, RecordingLedger(cap) if fn is counting_polynomial else cap)
             except (NotEffectiveError, ResourceLimitError) as exc:
                 result = type(exc)
             return result, sum(b.spent for b in budgets)
