@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import jsonio
@@ -347,6 +348,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early, which is no fault of the run: end
+        # quietly, and point stdout at the null device so the interpreter's
+        # exit-time flush of what is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except Exception as exc:  # a crash must still honour the exit-code contract
         return _emit_error(exc)
 

@@ -373,7 +373,7 @@ def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
         lam = _int(lam, f"{at}.lambda")
         c = _fraction(c, f"{at}.coeff")
         key = (beta, lam)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
+        coeffs[key] = coeffs[key] + c if key in coeffs else c  # only a repeated key is summed
     try:
         return GWSeries(
             coeffs,

@@ -713,6 +713,24 @@ class TestErrorMapping:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "1\n", "")
 
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # a reader that stops early, as `| head -c 300` does, is no fault of the
+        # run: exit 0 and nothing on stderr.  The blow-up prints about 220 kB,
+        # more than a pipe buffers, so the writes meet the closed end.
+        point = {"kind": "betti", "bettis": [1], "dim": 0}
+        ambient = {"kind": "proj_bundle", "expr": point, "fiber_rank": 5001}
+        expr = {"kind": "blow_up", "ambient": ambient, "center": point, "codim": 5000}
+        path = write_doc(tmp_path, "blow.json", {"v": 1, "kind": "motive", "expr": expr})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gvmot", "upsilon", "--input", path, "--json"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+
 
 def test_cli_import_leaves_verify_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")

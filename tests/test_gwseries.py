@@ -5,14 +5,18 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import comb, factorial, gcd
 
 import pytest
 
 from gvmot.cli import EXIT_OK, main
-from gvmot.errors import ConeNotPointedError, InsufficientTruncationError
+from gvmot.errors import ConeNotPointedError, InsufficientTruncationError, Ledger
 from gvmot.gwseries import (
     GVTable,
     GWSeries,
+    _add_genus,
+    _push,
+    _sin_table,
     gv_to_gw,
     gw_to_gv,
     sin_power_coefficient,
@@ -22,7 +26,33 @@ from gvmot.verify import _oracle_sin_power, prop_inverse_is_solution, random_gv_
 
 ONE = (Fraction(1),)
 
-_sin = cache(sin_power_coefficient)
+
+def sin_powers_oracle(genus_max, order):
+    """Rows g = 0..genus_max; row[g][j] is the coefficient of u^{2g-2+2j} in (2 sin(u/2))^{2g-2}.
+
+    The Fraction series recursion the closed-form table replaced.  With y =
+    u^2, (2 sin(u/2))^2 = y V(y), V(y) = sum_{n>=0} 2 (-1)^n y^n / (2n+2)!, so
+    row g is V^{g-1} to y^order: row 0 inverts V, each further row is the one
+    before times V.
+    """
+    v = [Fraction(2 * (-1) ** n, factorial(2 * n + 2)) for n in range(order + 1)]
+    row = [Fraction(1)]
+    for n in range(1, order + 1):
+        row.append(-sum(v[i] * row[n - i] for i in range(1, n + 1)))
+    rows = [row]
+    for _ in range(genus_max):
+        rows.append([sum(rows[-1][i] * v[n - i] for i in range(n + 1)) for n in range(order + 1)])
+    return rows
+
+
+@cache
+def _sin(g, j):
+    return sin_powers_oracle(g, j)[g][j]
+
+
+def table_row(rows, den, g):
+    """Row g of the closed-form sine table as Fractions."""
+    return [Fraction(c, den[g + j]) for j, c in enumerate(rows[g])]
 
 
 def push_oracle(acc, g, beta, n, omega, degree_max, lambda_max):
@@ -73,6 +103,35 @@ def random_table(rng):
     return GVTable(entries, genus_max, degree_max, omega)
 
 
+def random_multiple_table(rng):
+    """Entries on two to four multiples d beta0 (d <= 4) of one primitive class of rank 1 to 3.
+
+    beta0 may have negative entries and omega entries drawn from 1/3..3, and
+    the degree cut admits 4 to 12 covers of beta0, so most keys k beta0 are
+    reached from several (d beta0, k / d) pairs.
+    """
+    rank = rng.randint(1, 3)
+    omega = tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rank))
+    beta0 = (0,) * rank
+    while gcd(*beta0) != 1 or dot(omega, beta0) <= 0:
+        beta0 = tuple(rng.randint(-2, 3) for _ in range(rank))
+    genus_max = rng.randint(0, 3)
+    entries = {
+        (rng.randint(0, genus_max), tuple(d * b for b in beta0)): rng.choice([-1, 1]) * rng.randint(1, 9)
+        for d in rng.sample(range(1, 5), rng.randint(2, 4))
+    }
+    return GVTable(entries, genus_max, dot(omega, beta0) * rng.randint(4, 12), omega)
+
+
+def shared_keys(table):
+    """Classes gamma with gcd > 1 that at least two (beta, k) pairs of the table reach."""
+    sources = {}
+    for _, beta in table.entries:
+        for k in range(1, int(table.degree_max // dot(table.omega, beta)) + 1):
+            sources.setdefault(tuple(k * b for b in beta), set()).add((beta, k))
+    return [gamma for gamma, pairs in sources.items() if len(pairs) > 1 and gcd(*gamma) > 1]
+
+
 class TestSinPowerCoefficients:
     def test_leading_coefficients_are_one(self):
         for g in range(5):
@@ -96,6 +155,39 @@ class TestSinPowerCoefficients:
                 for j in range(4):
                     e = 2 * g - 2 + 2 * j
                     assert oracle.get(e, Fraction(0)) == sin_power_coefficient(g, j) * Fraction(k) ** e
+
+    def test_row_zero_matches_recursion_to_order_300(self):
+        # the oracle's recursion R V = 1, multiplied through by (2n)! so that
+        # its terms stay small: s_n = (2n)! R_n satisfies
+        # (2n+1)(2n+2) s_n = -2 sum_{i=1}^n (-1)^i C(2n+2, 2i+2) s_{n-i}
+        rows, den = _sin_table(0, 300, Ledger())
+        assert table_row(rows, den, 0)[:61] == sin_powers_oracle(0, 60)[0]
+        s = [Fraction(1)]
+        for n in range(1, 301):
+            total = sum((-1) ** i * comb(2 * n + 2, 2 * i + 2) * s[n - i] for i in range(1, n + 1))
+            s.append(Fraction(-2 * total, (2 * n + 1) * (2 * n + 2)))
+        assert table_row(rows, den, 0) == [x / factorial(2 * n) for n, x in enumerate(s)]
+
+    def test_rows_one_to_six_match_recursion_to_order_60(self):
+        rows, den = _sin_table(6, 60, Ledger())
+        oracle = sin_powers_oracle(6, 60)
+        for g in range(7):
+            assert table_row(rows, den, g) == oracle[g], g
+        # and the closed form of row m + 1 = (2 - 2 cos u)^m at u^{2N}:
+        # (-1)^N / (2N)! sum_{|k|<=m} (-1)^k C(2m, m+k) k^{2N}
+        for m in range(6):
+            for j in range(0, 61, 6):
+                n = m + j
+                total = sum((-1) ** abs(k) * comb(2 * m, m + k) * k ** (2 * n) for k in range(-m, m + 1))
+                assert Fraction(rows[m + 1][j], den[m + 1 + j]) == Fraction((-1) ** n * total, factorial(2 * n))
+
+    def test_high_rows_of_a_short_table(self):
+        # a table far deeper than it is long, as a high-genus entry at a low lambda cut asks for
+        rows, den = _sin_table(2000, 2, Ledger())
+        for g in (1, 2, 3, 1000, 2000):
+            m = g - 1
+            # (2 sin(u/2))^{2m} = u^{2m} (1 - m u^2/12 + m (5m - 1) u^4/1440 + ...)
+            assert table_row(rows, den, g) == [1, Fraction(-m, 12), Fraction(m * (5 * m - 1), 1440)]
 
 
 class TestForward:
@@ -276,3 +368,51 @@ class TestPushOracle:
         assert main(["gw", "--input", str(path), "--lambda-order", "0", "--json"]) == EXIT_OK
         coeffs = json.loads(capsys.readouterr().out)["coeffs"]
         assert {(tuple(beta), lam): Fraction(c) for beta, lam, c in coeffs} == expected
+
+
+class TestScaledKernel:
+    """The integer kernel against the per-entry Fraction oracles where the per-key scale matters."""
+
+    def test_kernel_stays_in_ints(self):
+        rows, den = _sin_table(3, 6, Ledger())
+        f = {}
+        _add_genus(f, 2, -7, 10, rows)
+        _add_genus(f, 0, 3, 10, rows)
+        acc = {}
+        _push(acc, (2, -4), f, range(1, 6))
+        assert f and acc
+        assert all(type(c) is int for c in [*den, *f.values(), *acc.values()])
+
+    def test_forward_on_shared_multiples(self):
+        rng = random.Random(68)
+        shared = negative = fractional = 0
+        for _ in range(150):
+            table = random_multiple_table(rng)
+            lambda_max = rng.randint(-2, 2 * table.genus_max + 4)
+            got = gv_to_gw(table, lambda_max=lambda_max)
+            assert got.coeffs == forward_oracle(table, table.degree_max, lambda_max), (table.entries, table.omega)
+            shared += bool(shared_keys(table))
+            negative += any(b < 0 for _, beta in table.entries for b in beta)
+            fractional += any(w.denominator > 1 for w in table.omega)
+        assert shared > 100 and negative > 20 and fractional > 50
+
+    def test_inverse_on_shared_multiples(self):
+        # a forward image, with one coefficient nudged by 1/q half the time so
+        # that the solve meets nonintegral values and pushes them on
+        rng = random.Random(69)
+        nonintegral = 0
+        for case in range(150):
+            table = random_multiple_table(rng)
+            series = gv_to_gw(table, lambda_max=2 * table.genus_max + 2 * rng.randint(-1, 2))
+            coeffs = dict(series.coeffs)
+            if case % 2 and coeffs:
+                key = rng.choice(sorted(coeffs))
+                coeffs[key] += Fraction(1, rng.randint(2, 5))
+            series = GWSeries(coeffs, series.degree_max, series.lambda_max, series.omega)
+            genus_max = rng.randint(-1, (series.lambda_max + 2) // 2)
+            result = gw_to_gv(series, genus_max=genus_max)
+            expected = inverse_oracle(series, genus_max, series.degree_max)
+            assert result.table.entries == {key: v for key, v in expected.items() if v.denominator == 1}
+            assert result.nonintegral == {key: v for key, v in expected.items() if v.denominator != 1}
+            nonintegral += bool(result.nonintegral)
+        assert nonintegral > 30

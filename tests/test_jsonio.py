@@ -194,6 +194,13 @@ class TestTablesAndSeries:
         doc = gw_series_to_json(series)
         assert gw_series_from_json(doc) == series
 
+    def test_gw_series_repeated_keys_are_summed(self):
+        rows = [[[1], -2, 1], [[2], 0, "1/3"], [[1], -2, "1/2"], [[1], 0, "1/12"], [[2], 0, "-2/6"]]
+        doc = {"coeffs": rows, "cuts": {"degree": "2", "lambda": 0, "omega": ["1"]}}
+        series = gw_series_from_json(doc)
+        assert series.coeffs == {((1,), -2): Fraction(3, 2), ((1,), 0): Fraction(1, 12)}
+        assert all(type(c) is Fraction for c in series.coeffs.values())
+
     def test_dump_json_deterministic(self):
         series = GWSeries({((1,), -2): Fraction(1, 8)}, Fraction(2), 0, (Fraction(1),))
         a = dump_json(gw_series_to_json(series))
