@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import jsonio
 from .counting import MODEL_NOTE, counting_polynomial, polynomial_census
@@ -75,6 +76,26 @@ def _load(path: str, expected_kinds: tuple[str, ...]):
     return kind, payload
 
 
+@contextmanager
+def _all_digits():
+    """Format integers of any length while the output is built.
+
+    The interpreter's limit on the digits of an int-str conversion stays in
+    force on input, where int(str) costs time quadratic in the digits; a
+    number that a run was let compute is printed whole.  The old limit comes
+    back afterwards, since one process may call main many times.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _print_table(rows: list[list[str]], header: list[str]) -> None:
     widths = [len(h) for h in header]
     for row in rows:
@@ -99,72 +120,71 @@ def cmd_hst(args) -> int:
     Ledger().spend("hst", cells + max(genus_max + 1, 0) * max(cells, 1), "census terms")
     virtual = content.is_virtual()
     census = None if virtual else census_from_bispin(content)
-    rows = []
-    counts = []
-    for g in range(genus_max + 1):
-        spin_route = genus_count(content, g)
-        if census is None:
-            rows.append([str(g), str(spin_route), "n/a"])
+    routes = [
+        (g, genus_count(content, g), None if census is None else census_count(census, g))
+        for g in range(genus_max + 1)
+    ]
+    with _all_digits():
+        for g, spin_route, census_route in routes:
+            if census_route is not None and census_route != spin_route:
+                raise CrossCheckError(f"genus {g}: spin route {spin_route} != census route {census_route}")
+        if args.json:
+            print(dump_json({
+                "v": SCHEMA_VERSION,
+                "kind": "hst_result",
+                "counts": [[g, spin_route] for g, spin_route, _ in routes],
+                "virtual": virtual,
+            }))
         else:
-            census_route = census_count(census, g)
-            if census_route != spin_route:
-                raise CrossCheckError(
-                    f"genus {g}: spin route {spin_route} != census route {census_route}"
-                )
-            rows.append([str(g), str(spin_route), str(census_route)])
-        counts.append([g, spin_route])
-    if args.json:
-        print(dump_json({
-            "v": SCHEMA_VERSION,
-            "kind": "hst_result",
-            "counts": counts,
-            "virtual": virtual,
-        }))
-    else:
-        _print_table(rows, ["g", "spin", "census"])
+            rows = [[str(g), str(spin_route), "n/a" if census_route is None else str(census_route)]
+                    for g, spin_route, census_route in routes]
+            _print_table(rows, ["g", "spin", "census"])
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
     kind, payload = _load(args.input, ("graded_nilpotent", "bispin"))
     census = jordan_census(payload) if kind == "graded_nilpotent" else census_from_bispin(payload)
-    if args.json:
-        print(dump_json({
-            "v": SCHEMA_VERSION,
-            "kind": "census_result",
-            "census": jsonio.census_to_json(census),
-        }))
-    else:
-        rows = [[str(a), str(l), str(n)] for (a, l), n in census.items()]
-        _print_table(rows, ["alpha", "l", "count"])
+    with _all_digits():
+        if args.json:
+            print(dump_json({
+                "v": SCHEMA_VERSION,
+                "kind": "census_result",
+                "census": jsonio.census_to_json(census),
+            }))
+        else:
+            rows = [[str(a), str(l), str(n)] for (a, l), n in census.items()]
+            _print_table(rows, ["alpha", "l", "count"])
     return EXIT_OK
 
 
 def cmd_upsilon(args) -> int:
     _, expr = _load(args.input, ("motive", "betti_variety"))
     value = upsilon_rel(expr)
-    if args.json:
-        print(dump_json({
-            "v": SCHEMA_VERSION,
-            "kind": "polynomial",
-            "terms": jsonio.poly_to_json(value),
-        }))
-    else:
-        print(format_poly(value))
+    with _all_digits():
+        if args.json:
+            print(dump_json({
+                "v": SCHEMA_VERSION,
+                "kind": "polynomial",
+                "terms": jsonio.poly_to_json(value),
+            }))
+        else:
+            print(format_poly(value))
     return EXIT_OK
 
 
 def cmd_stack(args) -> int:
     _, stack = _load(args.input, ("stack_class",))
     value = upsilon_stack(stack)
-    if args.json:
-        print(dump_json({
-            "v": SCHEMA_VERSION,
-            "kind": "rational_fn",
-            **jsonio.rational_fn_to_json(value),
-        }))
-    else:
-        print(str(value))
+    with _all_digits():
+        if args.json:
+            print(dump_json({
+                "v": SCHEMA_VERSION,
+                "kind": "rational_fn",
+                **jsonio.rational_fn_to_json(value),
+            }))
+        else:
+            print(str(value))
     return EXIT_OK
 
 
@@ -178,19 +198,20 @@ def cmd_gv(args) -> int:
     # every printed row reads every cell, and costs at least one term
     ledger.spend("readout", max(genus_max + 1, 0) * max(len(census.mult), 1), "census terms")
     counts = [[g, census_count(census, g)] for g in range(genus_max + 1)]
-    if args.json:
-        print(dump_json({
-            "v": SCHEMA_VERSION,
-            "kind": "gv_result",
-            "target": [*target.beta, target.k],
-            "counts": counts,
-            "count_polynomial": jsonio.rational_fn_to_json(poly),
-            "note": MODEL_NOTE,
-        }))
-    else:
-        print(f"# {MODEL_NOTE}")
-        print(f"# class {args.target}: count polynomial = {poly}")
-        _print_table([[str(g), str(n)] for g, n in counts], ["g", "n_g"])
+    with _all_digits():
+        if args.json:
+            print(dump_json({
+                "v": SCHEMA_VERSION,
+                "kind": "gv_result",
+                "target": [*target.beta, target.k],
+                "counts": counts,
+                "count_polynomial": jsonio.rational_fn_to_json(poly),
+                "note": MODEL_NOTE,
+            }))
+        else:
+            print(f"# {MODEL_NOTE}")
+            print(f"# class {args.target}: count polynomial = {poly}")
+            _print_table([[str(g), str(n)] for g, n in counts], ["g", "n_g"])
     return EXIT_OK
 
 
@@ -205,37 +226,39 @@ def cmd_gw(args) -> int:
         if args.genus_max is not None:
             raise SchemaError("--genus-max applies only to direction to-gv")
         series = gv_to_gw(payload, degree_max=args.degree_max, lambda_max=args.lambda_order)
-        if args.json:
-            print(dump_json(jsonio.gw_series_to_json(series)))
-        else:
-            rows = [
-                [str(list(beta)), str(lam), jsonio.fraction_str(c)]
-                for (beta, lam), c in sorted(series.coeffs.items())
-            ]
-            _print_table(rows, ["beta", "lambda^e", "coeff"])
+        with _all_digits():
+            if args.json:
+                print(dump_json(jsonio.gw_series_to_json(series)))
+            else:
+                rows = [
+                    [str(list(beta)), str(lam), jsonio.fraction_str(c)]
+                    for (beta, lam), c in sorted(series.coeffs.items())
+                ]
+                _print_table(rows, ["beta", "lambda^e", "coeff"])
         return EXIT_OK
     if kind != "gw_series":
         raise SchemaError("direction to-gv needs a gw_series document")
     if args.lambda_order is not None:
         raise SchemaError("--lambda-order applies only to direction to-gw")
     result = gw_to_gv(payload, genus_max=args.genus_max, degree_max=args.degree_max)
-    warnings = [
-        [g, list(beta), jsonio.fraction_str(value)]
-        for (g, beta), value in sorted(result.nonintegral.items())
-    ]
-    if args.json:
-        doc = jsonio.gv_table_to_json(result.table)
-        if warnings:
-            doc["warnings"] = {"nonintegral": warnings}
-        print(dump_json(doc))
-    else:
-        rows = [
-            [str(g), str(list(beta)), str(n)]
-            for (g, beta), n in sorted(result.table.entries.items())
+    with _all_digits():
+        warnings = [
+            [g, list(beta), jsonio.fraction_str(value)]
+            for (g, beta), value in sorted(result.nonintegral.items())
         ]
-        _print_table(rows, ["g", "beta", "n_g"])
-        for g, beta, value in warnings:
-            print(f"warning: nonintegral n_{g}^{beta} = {value}")
+        if args.json:
+            doc = jsonio.gv_table_to_json(result.table)
+            if warnings:
+                doc["warnings"] = {"nonintegral": warnings}
+            print(dump_json(doc))
+        else:
+            rows = [
+                [str(g), str(list(beta)), str(n)]
+                for (g, beta), n in sorted(result.table.entries.items())
+            ]
+            _print_table(rows, ["g", "beta", "n_g"])
+            for g, beta, value in warnings:
+                print(f"warning: nonintegral n_{g}^{beta} = {value}")
     return EXIT_OK
 
 

@@ -4,11 +4,16 @@ All documents carry {"v": 1, "kind": ...}; unknown fields are rejected so a
 typo cannot silently change mathematical input.  Every number in transit is
 an integer or a rational string "p/q"; nothing is ever parsed as a float.
 A JSON integer stays an int, and only a rational string becomes a Fraction.
+A number with more digits than the interpreter converts to an int
+(sys.get_int_max_str_digits; the conversion costs time quadratic in the
+digits) fails its schema check where it stands.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterator
 
@@ -23,6 +28,23 @@ from .stacks import StackClass
 SCHEMA_VERSION = 1
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on digits converted to an int; 0 where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class _LongInteger:
+    """A JSON integer with more digits than the interpreter converts, kept as
+    a marker so that the schema check that meets it can say where it is."""
+
+    def __init__(self, text: str):
+        self.digits = len(text.lstrip("-"))
+
+
+def _too_long(digits: int, where: str) -> SchemaError:
+    return SchemaError(f"{where}: a number of {digits} digits is over the limit of {_digit_limit()} digits")
+
+
 def _require(obj: Any, cls, where: str):
     if not isinstance(obj, cls):
         raise SchemaError(f"{where}: expected {cls.__name__}, got {type(obj).__name__}")
@@ -31,6 +53,8 @@ def _require(obj: Any, cls, where: str):
 
 def _int(obj: Any, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
+        if isinstance(obj, _LongInteger):
+            raise _too_long(obj.digits, where)
         raise SchemaError(f"{where}: expected an integer")
     return obj
 
@@ -45,7 +69,12 @@ def _fraction(obj: Any, where: str) -> int | Fraction:
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
+            digits = max(map(len, re.findall(r"\d+", obj)), default=0)
+            if digits > _digit_limit() > 0:
+                raise _too_long(digits, where) from exc
             raise SchemaError(f"{where}: bad rational {obj!r}") from exc
+    if isinstance(obj, _LongInteger):
+        raise _too_long(obj.digits, where)
     raise SchemaError(f"{where}: expected an integer or rational string")
 
 
@@ -437,15 +466,36 @@ def parse_document(doc: Any) -> tuple[str, Any]:
 def load_path(path: str) -> tuple[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = _decode(handle.read())
     except FileNotFoundError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         # the decoder recurses once per nested array or object
         raise SchemaError(f"{path}: invalid JSON (nested too deeply to decode)") from exc
     return parse_document(doc)
+
+
+def _decode(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # an integer has more digits than int() converts: decode again with
+        # each such integer kept as a marker, which parse_document rejects
+        # with its location
+        return json.loads(text, parse_int=_json_int)
+
+
+def _json_int(text: str) -> int | _LongInteger:
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(text)
 
 
 def dump_json(doc: Any) -> str:

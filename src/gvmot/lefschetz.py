@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 from typing import Mapping
 
 from . import linalg
@@ -291,30 +292,47 @@ def jordan_census(x: GradedNilpotent) -> JordanCensus:
 
     With r(a, k) the rank of the k-fold composite out of degree a, the number
     of strings of length >= l starting at a is r(a, l-1) - r(a-2, l), and the
-    census is the difference of consecutive tail counts.  Composites extend
-    one factor at a time so each rank costs a single product.
+    census is the difference of consecutive tail counts.
+
+    Every rank comes from one elimination per stored map, in a basis adapted
+    to the flag of images F_k = M^k V_(a-2k) in degree a.  The flag columns
+    carry tags that do not increase along the list, and those tagged >= k
+    span F_k.  Standard vectors e_i complete them to a basis of V_a, for
+    every i that is not a pivot row of the elimination that made the flag.
+    Eliminating M_a applied to that basis, the pivots among the columns
+    tagged >= k number r(a-2k, k+1), for every k at once.  The pivot
+    columns, tags raised by one, are the flag of degree a+2; each is a
+    column of a composite, so entries grow no larger than the composites'.
     """
-    cells: dict[tuple[int, int], int] = {}
     if not x.dims:
         return JordanCensus()
     span = (max(x.dims) - min(x.dims)) // 2 + 1
 
     ranks: dict[tuple[int, int], int] = {}
+    # degree -> (flag columns, their tags, pivot rows of the elimination that made them)
+    flags: dict[int, tuple[list[list[int]], list[int], list[int]]] = {}
     for alpha, dim_alpha in x.dims.items():
         ranks[(alpha, 0)] = dim_alpha
-        acc = None
-        for k in range(1, span + 2):
-            step = x.maps.get(alpha + 2 * (k - 1))
-            if step is None:  # a missing map is zero, and so is every longer composite
-                break
-            acc = step if acc is None else linalg.mat_mul(step, acc)
-            ranks[(alpha, k)] = linalg.mat_rank(acc)
+        flag, tags, taken = flags.pop(alpha, ([], [], []))
+        step = x.maps.get(alpha)
+        if step is None:  # a missing map is zero, and so is every composite through it
+            continue
+        taken = set(taken)
+        free = [i for i in range(dim_alpha) if i not in taken]
+        rows = [[sum(map(mul, row, f)) for f in flag] + [row[i] for i in free] for row in step]
+        tags = tags + [0] * len(free)
+        cols, pivot_rows = linalg.pivots(rows)
+        picked = [tags[j] for j in cols]
+        for k in range(picked[0] + 1 if picked else 0):
+            ranks[(alpha - 2 * k, k + 1)] = sum(t >= k for t in picked)
+        flags[alpha + 2] = ([[row[j] for row in rows] for j in cols], [t + 1 for t in picked], pivot_rows)
 
     def r(alpha: int, k: int) -> int:
         if k < 0:
             return 0
         return ranks.get((alpha, k), 0)
 
+    cells: dict[tuple[int, int], int] = {}
     for alpha in x.dims:
         for l in range(1, span + 1):
             tail_l = r(alpha, l - 1) - r(alpha - 2, l)

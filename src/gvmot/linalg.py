@@ -1,9 +1,12 @@
-"""Small exact linear algebra: integer ranks and products, rational inverses.
+"""Small exact linear algebra: integer eliminations and products, rational inverses.
 
-Matrices are lists of row lists.  Ranks are taken over Z by fraction-free
-Bareiss elimination, so they need int entries; a rational matrix is scaled
-to integers before it gets here (GradedNilpotent does this once per map).
-Products work over any exact ring, and inverses are taken over Fraction.
+Matrices are lists of row lists.  One fraction-free Bareiss elimination over
+Z, pivots, returns the pivot columns (the leftmost independent columns) and
+the original indices of the pivot rows, whose minor is nonsingular; a rank
+is the length of its pivot list.  It needs int entries, so a rational matrix
+is scaled to integers before it gets here (GradedNilpotent does this once per
+map).  Products work over any exact ring, and inverses are taken over
+Fraction.
 """
 
 from __future__ import annotations
@@ -45,36 +48,49 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
     return out
 
 
-def mat_rank(a: Matrix) -> int:
-    """Rank over Z by Bareiss elimination, whose exact // needs int entries."""
+def pivots(a: Matrix) -> tuple[list[int], list[int]]:
+    """Bareiss elimination over Z: (pivot columns, pivot rows).
+
+    The pivot columns are the leftmost independent columns of a, in order,
+    and the pivot rows are indices into a's original rows; the minor on
+    pivot rows x pivot columns is nonsingular.  The exact // of the
+    fraction-free steps needs int entries.
+    """
     if not a or not a[0]:
-        return 0
+        return [], []
     rows = [list(row) for row in a]
     if any(type(c) is not int for row in rows for c in row):
-        raise TypeError("mat_rank needs int entries")
+        raise TypeError("elimination needs int entries")
     nrows, ncols = len(rows), len(rows[0])
-    rank = 0
+    order = list(range(nrows))
+    cols: list[int] = []
     prev = 1
+    start = 0  # rows below the pivots keep only their entries from column start on
     for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
+        rank, j = len(cols), col - start
+        pivot_row = next((r for r in range(rank, nrows) if rows[r][j]), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
+        order[rank], order[pivot_row] = order[pivot_row], order[rank]
+        piv, tail = rows[rank][j], rows[rank][j + 1 :]
         for r in range(rank + 1, nrows):
-            row_r = rows[r]
-            lead = row_r[col]
-            for j in range(col, ncols):
-                row_r[j] = (piv * row_r[j] - lead * rows[rank][j]) // prev
-        prev = piv
-        rank += 1
-        if rank == nrows:
+            row = rows[r]
+            lead = row[j]
+            if lead:
+                rows[r] = [(piv * x - lead * y) // prev for x, y in zip(row[j + 1 :], tail)]
+            else:
+                rows[r] = [piv * x // prev for x in row[j + 1 :]]
+        prev, start = piv, col + 1
+        cols.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+    return cols, order[: len(cols)]
+
+
+def mat_rank(a: Matrix) -> int:
+    """Rank over Z: the number of pivots of the Bareiss elimination."""
+    return len(pivots(a)[0])
 
 
 def mat_inverse(a: Matrix) -> list[list[Fraction]]:

@@ -675,6 +675,13 @@ class TestErrorMapping:
         code, _, _ = run(capsys, "hst", "--input", "no/such/file.json")
         assert code == EXIT_SCHEMA
 
+    def test_not_utf8_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"v": 1, "kind": "bispin", "content": [], "name": "\u00e9"}'.encode("latin-1"))
+        code, out, err = run(capsys, "hst", "--input", str(path), "--json")
+        assert code == EXIT_SCHEMA and out == ""
+        assert json.loads(err)["error"]["type"] == "SchemaError"
+
     def test_json_nested_too_deeply_to_decode_exit_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -730,6 +737,53 @@ class TestErrorMapping:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (EXIT_OK, b"")
+
+
+class TestDigitLimit:
+    """Python converts ints of at most sys.get_int_max_str_digits() digits to and
+    from str; output lifts the limit, input keeps it.  The runs set the limit to
+    its least value, 640 digits, so that small numbers cross it."""
+
+    @staticmethod
+    def gvmot(*argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        return subprocess.run(
+            [sys.executable, "-m", "gvmot", *argv],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "640"},
+            capture_output=True, text=True, timeout=60,
+        )
+
+    def test_long_output_printed_whole(self):
+        proc = self.gvmot("gw", "--input", f"{SAMPLES}/conifold.gv_table.json", "--degree-max", "1",
+                          "--lambda-order", "400", "--json")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        digits = max(len(part.lstrip("-")) for _, _, c in json.loads(proc.stdout)["coeffs"] for part in c.split("/"))
+        assert digits > 640
+
+    def test_limit_restored_after_output(self, capsys, tmp_path):
+        # one process may call main many times
+        limit = sys.get_int_max_str_digits()
+        expr = {"kind": "betti", "bettis": [1], "dim": 0}
+        for _ in range(2):
+            expr = {"kind": "int_scale", "factor": 10**4000, "expr": expr}
+        path = write_doc(tmp_path, "scaled.motive.json", {"v": 1, "kind": "motive", "expr": expr})
+        for flag in ((), ("--json",)):
+            code, out, _ = run(capsys, "upsilon", "--input", path, *flag)
+            assert code == EXIT_OK and "1" + "0" * 8000 in out
+            assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("number", ["1" * 700, '"%s/3"' % ("1" * 700)], ids=["integer", "rational string"])
+    def test_long_input_number_exit_two(self, tmp_path, number):
+        path = tmp_path / "long.json"
+        path.write_text('{"v": 1, "kind": "graded_nilpotent", "dims": {"0": 1, "2": 1}, "maps": {"0": [[%s]]}}' % number)
+        proc = self.gvmot("census", "--input", str(path), "--json")
+        assert (proc.returncode, proc.stdout) == (EXIT_SCHEMA, "")
+        [line] = proc.stderr.splitlines()
+        error = json.loads(line)["error"]
+        assert error == {
+            "type": "SchemaError",
+            "message": "graded_nilpotent.maps[0]: a number of 700 digits is over the limit of 640 digits",
+        }
 
 
 def test_cli_import_leaves_verify_unloaded():

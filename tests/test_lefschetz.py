@@ -111,6 +111,73 @@ def mixed_entries(rng, rows):
     return [[c if type(c) is int and rng.random() < 0.5 else Fraction(c) for c in row] for row in rows]
 
 
+def jordan_census_oracle(x: GradedNilpotent) -> JordanCensus:
+    """Census from one product and one Bareiss rank per composite M^k out of every degree.
+
+    With r(a, k) the rank of the k-fold composite out of degree a, the number
+    of strings of length >= l starting at a is r(a, l-1) - r(a-2, l), and the
+    census is the difference of consecutive tail counts.  Composites extend
+    one factor at a time so each rank costs a single product.
+    """
+    if not x.dims:
+        return JordanCensus()
+    span = (max(x.dims) - min(x.dims)) // 2 + 1
+    ranks: dict[tuple[int, int], int] = {}
+    for alpha, dim_alpha in x.dims.items():
+        ranks[(alpha, 0)] = dim_alpha
+        acc = None
+        for k in range(1, span + 2):
+            step = x.maps.get(alpha + 2 * (k - 1))
+            if step is None:  # a missing map is zero, and so is every longer composite
+                break
+            acc = step if acc is None else linalg.mat_mul(step, acc)
+            ranks[(alpha, k)] = linalg.mat_rank(acc)
+
+    def r(alpha: int, k: int) -> int:
+        return ranks.get((alpha, k), 0) if k >= 0 else 0
+
+    cells = {}
+    for alpha in x.dims:
+        for l in range(1, span + 1):
+            n = (r(alpha, l - 1) - r(alpha - 2, l)) - (r(alpha, l) - r(alpha - 2, l + 1))
+            if n:
+                cells[(alpha, l)] = n
+    return JordanCensus(cells)
+
+
+def json_entry(c):
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def random_flag_operator(rng):
+    """A document of random low-rank maps on degrees of both parities, with gaps.
+
+    Each map that has a source and a target is missing, or a product of
+    random factors through a rank from 0 (all zero) to full; entries are JSON
+    ints or "p/q" strings.
+    """
+
+    def entry():
+        if rng.random() < 0.7:
+            return rng.randint(-3, 3)
+        den = rng.randint(2, 5)
+        return Fraction(rng.randint(-2 * den, 2 * den), den)
+
+    degrees = sorted(rng.sample(range(-5, 6), rng.randint(1, 9)))
+    dims = {d: rng.randint(1, 5) for d in degrees}
+    maps = {}
+    for d in degrees:
+        if d + 2 not in dims or rng.random() < 0.2:
+            continue
+        k = rng.randint(0, min(dims[d], dims[d + 2]))
+        left = [[entry() for _ in range(k)] for _ in range(dims[d + 2])]
+        right = [[entry() for _ in range(dims[d])] for _ in range(k)]
+        product = linalg.mat_mul(left, right) if k else linalg.zero_matrix(dims[d + 2], dims[d])
+        maps[str(d)] = [[json_entry(c) for c in row] for row in product]
+    return {"v": 1, "kind": "graded_nilpotent", "dims": {str(d): n for d, n in dims.items()}, "maps": maps}
+
+
 def census_from_rank_oracle(dims, maps) -> JordanCensus:
     """Census from Gauss ranks of the unscaled rational composites."""
     span = (max(dims) - min(dims)) // 2 + 1
@@ -340,6 +407,58 @@ class TestJordanCensus:
             op = random_graded_nilpotent(rng)
             basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
             assert jordan_census(op) == jordan_census(op.conjugate(basis))
+
+
+class TestFlagCensus:
+    """The one-elimination-per-map census against the composite-by-composite oracle."""
+
+    def test_matches_composite_oracle(self):
+        rng = random.Random(28)
+        seen = dict.fromkeys(("both parities", "gap in a chain", "rational", "rank 0", "partial", "full", "long"), 0)
+        for _ in range(450):
+            doc = random_flag_operator(rng)
+            _, op = parse_document(doc)
+            census = jordan_census(op)
+            assert census == jordan_census_oracle(op), doc
+            ranks = [(linalg.mat_rank(m), min(op.dims[a], op.dims[a + 2])) for a, m in op.maps.items()]
+            seen["both parities"] += len({d % 2 for d in op.dims}) == 2
+            seen["gap in a chain"] += any(a - 2 in op.maps and a + 2 in op.maps and a not in op.maps for a in op.dims)
+            seen["rational"] += any(type(c) is str for rows in doc["maps"].values() for row in rows for c in row)
+            seen["rank 0"] += any(r == 0 for r, _ in ranks)
+            seen["partial"] += any(0 < r < full for r, full in ranks)
+            seen["full"] += any(r == full for r, full in ranks)
+            seen["long"] += any(l >= 3 for _, l in census.mult)
+        assert min(seen.values()) >= 20, seen
+
+    def test_conjugated_strings(self):
+        rng = random.Random(29)
+        for _ in range(150):
+            cells = JordanCensus(random_cells(rng))
+            op = strings_operator(cells)
+            op = op.conjugate({d: linalg.random_invertible(rng, n) for d, n in op.dims.items()})
+            assert jordan_census(op) == jordan_census_oracle(op) == cells
+
+    def test_one_elimination_per_stored_map(self, monkeypatch):
+        rng = random.Random(30)
+        ops = [parse_document(random_flag_operator(rng))[1] for _ in range(100)]
+        ops += [strings_operator(JordanCensus(random_cells(rng))) for _ in range(20)]
+        shapes = []
+        pivots = linalg.pivots
+
+        def counted(a):
+            shapes.append((len(a), len(a[0])))
+            return pivots(a)
+
+        def composite(*args):
+            raise AssertionError("the census multiplies or ranks a composite")
+
+        monkeypatch.setattr(linalg, "pivots", counted)
+        monkeypatch.setattr(linalg, "mat_mul", composite)
+        monkeypatch.setattr(linalg, "mat_rank", composite)
+        for op in ops:
+            shapes.clear()
+            jordan_census(op)
+            assert sorted(shapes) == sorted((op.dims[a + 2], op.dims[a]) for a in op.maps)
 
 
 class TestCensusFromBispin:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvmot.linalg import identity, mat_inverse, mat_mul, mat_rank, random_invertible, zero_matrix
+from gvmot.linalg import identity, mat_inverse, mat_mul, mat_rank, pivots, random_invertible, zero_matrix
 
 
 def gauss_rank_oracle(rows):
@@ -60,6 +60,33 @@ class TestRank:
         assert mat_rank([]) == 0
         assert mat_rank(zero_matrix(3, 4)) == 0
         assert mat_rank(identity(5)) == 5
+
+
+class TestPivots:
+    def test_against_gauss_oracle(self):
+        rng = random.Random(75)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            if rng.random() < 0.5:  # low rank, so that dependent columns and rows turn up
+                k = rng.randint(0, min(nrows, ncols))
+                m = mat_mul(random_matrix(rng, nrows, k), random_matrix(rng, k, ncols)) if k else zero_matrix(nrows, ncols)
+            else:
+                m = random_matrix(rng, nrows, ncols)
+            before = [list(row) for row in m]
+            cols, rows = pivots(m)
+            assert m == before
+            # the leftmost independent columns: each raises the rank of the columns up to it
+            leftmost = [j for j in range(ncols)
+                        if gauss_rank_oracle([row[: j + 1] for row in m]) > gauss_rank_oracle([row[:j] for row in m])]
+            assert cols == leftmost
+            assert len(set(rows)) == len(rows) == len(cols) and all(0 <= i < nrows for i in rows)
+            minor = [[m[i][j] for j in cols] for i in rows]
+            assert gauss_rank_oracle(minor) == len(cols) == gauss_rank_oracle(m)
+
+    def test_empty(self):
+        assert pivots([]) == ([], [])
+        assert pivots([[]]) == ([], [])
+        assert pivots(zero_matrix(2, 3)) == ([], [])
 
 
 class TestInverse:
