@@ -5,6 +5,12 @@ are strict JSON (see jsonio); output is an aligned text table by default or
 a stable JSON document with --json.  Every number printed is an exact
 integer or rational string.
 
+One output path: main loads the input, of a kind the subparser declares; a
+subcommand gets the payload and returns an exit code and two renderings, a
+JSON document and text lines, each built only when called; main prints the
+one asked for.  The interpreter's limit on int-str digits holds on input and
+while the work runs, and main lifts it only to render and print the result.
+
 Exit codes: 0 ok, 1 property failure, 2 schema, usage or resource-cap error,
 3 internal cross-check disagreement, 4 missing model data, 5 non-polynomial
 count, 6 internal error (an exception that is not a domain error).  Each run
@@ -18,6 +24,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from typing import Callable
 
 from . import jsonio
 from .counting import MODEL_NOTE, counting_polynomial, polynomial_census
@@ -32,7 +39,7 @@ from .errors import (
     SchemaError,
 )
 from .gwseries import gv_to_gw, gw_to_gv
-from .jsonio import SCHEMA_VERSION, dump_json
+from .jsonio import dump_json
 from .laurent import format_poly
 from .lefschetz import census_count, census_from_bispin, genus_count, jordan_census
 from .motives import upsilon_rel
@@ -69,21 +76,12 @@ def _emit_error(exc: Exception) -> int:
     return code
 
 
-def _load(path: str, expected_kinds: tuple[str, ...]):
-    kind, payload = jsonio.load_path(path)
-    if kind not in expected_kinds:
-        raise SchemaError(f"{path}: expected kind in {expected_kinds}, got {kind!r}")
-    return kind, payload
-
-
 @contextmanager
 def _all_digits():
-    """Format integers of any length while the output is built.
+    """Lift the limit on int-str digits while a result is built and printed.
 
-    The interpreter's limit on the digits of an int-str conversion stays in
-    force on input, where int(str) costs time quadratic in the digits; a
-    number that a run was let compute is printed whole.  The old limit comes
-    back afterwards, since one process may call main many times.
+    Input keeps the limit, as int(str) costs time quadratic in the digits; the
+    old limit comes back afterwards, since one process may call main many times.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
         yield
@@ -96,24 +94,23 @@ def _all_digits():
         sys.set_int_max_str_digits(old)
 
 
-def _print_table(rows: list[list[str]], header: list[str]) -> None:
+def _table(rows: list[list[str]], header: list[str]) -> list[str]:
+    """Aligned text lines: the header, then one line per row."""
     widths = [len(h) for h in header]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in [header, *rows]]
 
 
 # -- subcommands -----------------------------------------------------------------
 
+# what a subcommand returns: the exit code, its JSON document and its text lines
+Result = tuple[int, Callable[[], dict], Callable[[], list[str]]]
 
-def cmd_hst(args) -> int:
-    _, content = _load(args.input, ("bispin",))
-    genus_max = args.genus_max
-    if genus_max is None:
-        genus_max = max((jl for (jl, _) in content.mult), default=0)
+
+def cmd_hst(args, kind, content) -> Result:
+    genus_max = args.genus_max if args.genus_max is not None else max((jl for (jl, _) in content.mult), default=0)
     # the census cells are built once and read once per printed row, and a
     # row costs at least one term even when there are no cells
     cells = sum(jl + 1 for (jl, _) in content.mult)
@@ -124,72 +121,45 @@ def cmd_hst(args) -> int:
         (g, genus_count(content, g), None if census is None else census_count(census, g))
         for g in range(genus_max + 1)
     ]
-    with _all_digits():
+
+    def checked():
+        # called while main prints, so a disagreement's message shows both counts whole
         for g, spin_route, census_route in routes:
             if census_route is not None and census_route != spin_route:
                 raise CrossCheckError(f"genus {g}: spin route {spin_route} != census route {census_route}")
-        if args.json:
-            print(dump_json({
-                "v": SCHEMA_VERSION,
-                "kind": "hst_result",
-                "counts": [[g, spin_route] for g, spin_route, _ in routes],
-                "virtual": virtual,
-            }))
-        else:
-            rows = [[str(g), str(spin_route), "n/a" if census_route is None else str(census_route)]
-                    for g, spin_route, census_route in routes]
-            _print_table(rows, ["g", "spin", "census"])
-    return EXIT_OK
+        return routes
+
+    return (
+        EXIT_OK,
+        lambda: jsonio.envelope("hst_result", counts=[[g, spin] for g, spin, _ in checked()], virtual=virtual),
+        lambda: _table(
+            [[str(g), str(spin), "n/a" if check is None else str(check)] for g, spin, check in checked()],
+            ["g", "spin", "census"],
+        ),
+    )
 
 
-def cmd_census(args) -> int:
-    kind, payload = _load(args.input, ("graded_nilpotent", "bispin"))
+def cmd_census(args, kind, payload) -> Result:
     census = jordan_census(payload) if kind == "graded_nilpotent" else census_from_bispin(payload)
-    with _all_digits():
-        if args.json:
-            print(dump_json({
-                "v": SCHEMA_VERSION,
-                "kind": "census_result",
-                "census": jsonio.census_to_json(census),
-            }))
-        else:
-            rows = [[str(a), str(l), str(n)] for (a, l), n in census.items()]
-            _print_table(rows, ["alpha", "l", "count"])
-    return EXIT_OK
+    return (
+        EXIT_OK,
+        lambda: jsonio.envelope("census_result", census=jsonio.census_to_json(census)),
+        lambda: _table([[str(a), str(l), str(n)] for (a, l), n in census.items()], ["alpha", "l", "count"]),
+    )
 
 
-def cmd_upsilon(args) -> int:
-    _, expr = _load(args.input, ("motive", "betti_variety"))
+def cmd_upsilon(args, kind, expr) -> Result:
     value = upsilon_rel(expr)
-    with _all_digits():
-        if args.json:
-            print(dump_json({
-                "v": SCHEMA_VERSION,
-                "kind": "polynomial",
-                "terms": jsonio.poly_to_json(value),
-            }))
-        else:
-            print(format_poly(value))
-    return EXIT_OK
+    return EXIT_OK, lambda: jsonio.envelope("polynomial", terms=jsonio.poly_to_json(value)), lambda: [format_poly(value)]
 
 
-def cmd_stack(args) -> int:
-    _, stack = _load(args.input, ("stack_class",))
+def cmd_stack(args, kind, stack) -> Result:
     value = upsilon_stack(stack)
-    with _all_digits():
-        if args.json:
-            print(dump_json({
-                "v": SCHEMA_VERSION,
-                "kind": "rational_fn",
-                **jsonio.rational_fn_to_json(value),
-            }))
-        else:
-            print(str(value))
-    return EXIT_OK
+    return EXIT_OK, lambda: jsonio.envelope("rational_fn", **jsonio.rational_fn_to_json(value)), lambda: [str(value)]
 
 
-def cmd_gv(args) -> int:
-    _, (lattice, charge, model) = _load(args.input, ("count_model",))
+def cmd_gv(args, kind, payload) -> Result:
+    lattice, charge, model = payload
     target = jsonio.class_from_key(args.target, lattice.rank, "--target")
     genus_max = args.genus_max if args.genus_max is not None else 3
     ledger = Ledger(args.max_compositions)
@@ -198,92 +168,82 @@ def cmd_gv(args) -> int:
     # every printed row reads every cell, and costs at least one term
     ledger.spend("readout", max(genus_max + 1, 0) * max(len(census.mult), 1), "census terms")
     counts = [[g, census_count(census, g)] for g in range(genus_max + 1)]
-    with _all_digits():
-        if args.json:
-            print(dump_json({
-                "v": SCHEMA_VERSION,
-                "kind": "gv_result",
-                "target": [*target.beta, target.k],
-                "counts": counts,
-                "count_polynomial": jsonio.rational_fn_to_json(poly),
-                "note": MODEL_NOTE,
-            }))
-        else:
-            print(f"# {MODEL_NOTE}")
-            print(f"# class {args.target}: count polynomial = {poly}")
-            _print_table([[str(g), str(n)] for g, n in counts], ["g", "n_g"])
-    return EXIT_OK
+    return (
+        EXIT_OK,
+        lambda: jsonio.envelope(
+            "gv_result",
+            target=[*target.beta, target.k],
+            counts=counts,
+            count_polynomial=jsonio.rational_fn_to_json(poly),
+            note=MODEL_NOTE,
+        ),
+        lambda: [
+            f"# {MODEL_NOTE}",
+            f"# class {args.target}: count polynomial = {poly}",
+            *_table([[str(g), str(n)] for g, n in counts], ["g", "n_g"]),
+        ],
+    )
 
 
-def cmd_gw(args) -> int:
-    kind, payload = _load(args.input, ("gv_table", "gw_series"))
-    direction = args.direction
-    if direction is None:
-        direction = "to-gw" if kind == "gv_table" else "to-gv"
+def cmd_gw(args, kind, payload) -> Result:
+    direction = args.direction or ("to-gw" if kind == "gv_table" else "to-gv")
     if direction == "to-gw":
         if kind != "gv_table":
             raise SchemaError("direction to-gw needs a gv_table document")
         if args.genus_max is not None:
             raise SchemaError("--genus-max applies only to direction to-gv")
         series = gv_to_gw(payload, degree_max=args.degree_max, lambda_max=args.lambda_order)
-        with _all_digits():
-            if args.json:
-                print(dump_json(jsonio.gw_series_to_json(series)))
-            else:
-                rows = [
-                    [str(list(beta)), str(lam), jsonio.fraction_str(c)]
-                    for (beta, lam), c in sorted(series.coeffs.items())
-                ]
-                _print_table(rows, ["beta", "lambda^e", "coeff"])
-        return EXIT_OK
+        return (
+            EXIT_OK,
+            lambda: jsonio.gw_series_to_json(series),
+            lambda: _table(
+                [[str(list(beta)), str(lam), jsonio.fraction_str(c)] for (beta, lam), c in sorted(series.coeffs.items())],
+                ["beta", "lambda^e", "coeff"],
+            ),
+        )
     if kind != "gw_series":
         raise SchemaError("direction to-gv needs a gw_series document")
     if args.lambda_order is not None:
         raise SchemaError("--lambda-order applies only to direction to-gw")
     result = gw_to_gv(payload, genus_max=args.genus_max, degree_max=args.degree_max)
-    with _all_digits():
-        warnings = [
-            [g, list(beta), jsonio.fraction_str(value)]
-            for (g, beta), value in sorted(result.nonintegral.items())
-        ]
-        if args.json:
-            doc = jsonio.gv_table_to_json(result.table)
-            if warnings:
-                doc["warnings"] = {"nonintegral": warnings}
-            print(dump_json(doc))
-        else:
-            rows = [
-                [str(g), str(list(beta)), str(n)]
-                for (g, beta), n in sorted(result.table.entries.items())
-            ]
-            _print_table(rows, ["g", "beta", "n_g"])
-            for g, beta, value in warnings:
-                print(f"warning: nonintegral n_{g}^{beta} = {value}")
-    return EXIT_OK
+
+    def warnings():
+        return [[g, list(beta), jsonio.fraction_str(v)] for (g, beta), v in sorted(result.nonintegral.items())]
+
+    def doc():
+        doc = jsonio.gv_table_to_json(result.table)
+        if result.nonintegral:
+            doc["warnings"] = {"nonintegral": warnings()}
+        return doc
+
+    def text():
+        rows = [[str(g), str(list(beta)), str(n)] for (g, beta), n in sorted(result.table.entries.items())]
+        return _table(rows, ["g", "beta", "n_g"]) + [f"warning: nonintegral n_{g}^{beta} = {v}" for g, beta, v in warnings()]
+
+    return EXIT_OK, doc, text
 
 
-def cmd_verify(args) -> int:
-    from .verify import SUITE_NAMES, run_suite, suite_results  # only verify needs it
+def cmd_verify(args, kind, payload) -> Result:
+    from .verify import SUITE_NAMES, suite_results  # only verify needs it
 
     if args.suite not in SUITE_NAMES:
         raise SchemaError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
-    if not args.json:
-        passed, lines = run_suite(args.suite, seed=args.seed, scale=args.cases)
-        for line in lines:
-            print(line)
-        return EXIT_OK if passed else EXIT_PROPERTY
     results = suite_results(args.suite, seed=args.seed, scale=args.cases)
     passed = all(entry["ok"] for entry in results)
-    print(dump_json({
-        "v": SCHEMA_VERSION,
-        "kind": "verify_result",
-        "suite": args.suite,
-        "seed": args.seed,
-        "scale": args.cases,
-        "passed": passed,
-        "properties": results,
-    }))
-    return EXIT_OK if passed else EXIT_PROPERTY
+
+    def text():
+        good = [entry for entry in results if entry["ok"]]
+        return [
+            f"suite {args.suite} seed {args.seed} scale {args.cases}",
+            *(f"ok {e['name']} cases={e['cases']}" if e["ok"] else f"FAIL {e['name']}: {e['message']}" for e in results),
+            f"{'PASS' if passed else 'FAIL'} {len(good)} properties, {sum(e['cases'] for e in good)} cases",
+        ]
+
+    return (
+        EXIT_OK if passed else EXIT_PROPERTY,
+        lambda: jsonio.envelope("verify_result", suite=args.suite, seed=args.seed, scale=args.cases, passed=passed, properties=results),
+        text,
+    )
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -320,49 +280,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True, help="path to a JSON input document")
+    def command(name, func, kinds, help):
+        """A subparser whose --input document must be of one of kinds."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--input", required=True, help="path to a JSON input document")
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+        p.set_defaults(func=func, kinds=kinds)
+        return p
 
-    p_hst = sub.add_parser("hst", help="genus counts from bigraded spin content, both routes")
-    add_common(p_hst)
+    p_hst = command("hst", cmd_hst, ("bispin",), "genus counts from bigraded spin content, both routes")
     p_hst.add_argument("--genus-max", type=int, default=None)
-    p_hst.set_defaults(func=cmd_hst)
 
-    p_census = sub.add_parser("census", help="Jordan cell census of a graded operator or spin content")
-    add_common(p_census)
-    p_census.set_defaults(func=cmd_census)
+    command("census", cmd_census, ("graded_nilpotent", "bispin"), "Jordan cell census of a graded operator or spin content")
+    command("upsilon", cmd_upsilon, ("motive", "betti_variety"), "evaluate a motive expression to its polynomial")
+    command("stack", cmd_stack, ("stack_class",), "evaluate a stack class to a rational function")
 
-    p_upsilon = sub.add_parser("upsilon", help="evaluate a motive expression to its polynomial")
-    add_common(p_upsilon)
-    p_upsilon.set_defaults(func=cmd_upsilon)
-
-    p_stack = sub.add_parser("stack", help="evaluate a stack class to a rational function")
-    add_common(p_stack)
-    p_stack.set_defaults(func=cmd_stack)
-
-    p_gv = sub.add_parser("gv", help="genus counts of a class in a counting model")
-    add_common(p_gv)
+    p_gv = command("gv", cmd_gv, ("count_model",), "genus counts of a class in a counting model")
     p_gv.add_argument("--target", required=True, help="class as comma-joined integers: beta parts, then k")
     p_gv.add_argument("--genus-max", type=int, default=None)
     p_gv.add_argument("--max-compositions", type=_int_at_least(0), default=WORK_CAP)
-    p_gv.set_defaults(func=cmd_gv)
 
-    p_gw = sub.add_parser("gw", help="transform between count tables and generating series")
-    add_common(p_gw)
+    p_gw = command("gw", cmd_gw, ("gv_table", "gw_series"), "transform between count tables and generating series")
     p_gw.add_argument("--direction", choices=("to-gw", "to-gv"), default=None)
     p_gw.add_argument("--genus-max", type=int, default=None)
     p_gw.add_argument("--degree-max", type=int, default=None)
     p_gw.add_argument("--lambda-order", type=int, default=None)
-    p_gw.set_defaults(func=cmd_gw)
 
     p_verify = sub.add_parser("verify", help="run a randomized property suite")
     p_verify.add_argument("suite", help="name of a property suite, or all")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=_int_at_least(1), default=1, help="case-count multiplier")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, kinds=())
 
     return parser
 
@@ -370,7 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        kind = payload = None
+        if args.kinds:
+            kind, payload = jsonio.load_path(args.input)
+            if kind not in args.kinds:
+                raise SchemaError(f"{args.input}: expected kind in {args.kinds}, got {kind!r}")
+        code, doc, text = args.func(args, kind, payload)
+        with _all_digits():
+            print(dump_json(doc()) if args.json else "\n".join(text()))
+        return code
     except BrokenPipeError:
         # the reader closed stdout early, which is no fault of the run: end
         # quietly, and point stdout at the null device so the interpreter's

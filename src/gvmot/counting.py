@@ -322,20 +322,31 @@ def _same_phase_words(
             if k_frac.denominator == 1:
                 pieces.append(NumClass(beta, int(k_frac)))
 
-    words = []
-    walk: list[tuple[NumClass, int, tuple[NumClass, ...]]] = [(v, len(pieces), ())]
-    while walk:
-        rem, bound, acc = walk.pop()
+    # only the frames on the current path are kept: a remainder, its word so far and the pieces
+    # it can descend by; a frame spends its steps in ascending order, then descends from its last
+    words, path = [], []
+    rem, acc, bound = v, (), len(pieces)
+    while True:
+        down = []
         for i in range(bound):
             ledger.spend("decompositions")
             p = pieces[i]
-            nxt = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k)
-            if nxt.beta == zero_beta and nxt.k == 0:
+            beta, k = tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k
+            if beta == zero_beta and k == 0:
                 ledger.spend("decompositions")
                 words.append(acc + (p,))
-            elif nxt.k > 0 if nxt.beta == zero_beta else effective.get(nxt.beta, False):
-                walk.append((nxt, i + 1 if multisets else len(pieces), acc + (p,)))
-    return words
+            elif k > 0 if beta == zero_beta else effective.get(beta, False):
+                down.append(i)
+        path.append((rem, acc, down))
+        while path and not path[-1][2]:
+            path.pop()
+        if not path:
+            return words
+        rem, acc, down = path[-1]
+        i = down.pop()
+        p = pieces[i]
+        rem, acc = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k), acc + (p,)
+        bound = i + 1 if multisets else len(pieces)
 
 
 def same_phase_decompositions(

@@ -381,16 +381,12 @@ def gv_table_from_json(doc: dict, where: str = "gv_table") -> GVTable:
 
 def gv_table_to_json(table: GVTable) -> dict:
     entries = [[g, list(beta), n] for (g, beta), n in sorted(table.entries.items())]
-    return {
-        "v": SCHEMA_VERSION,
-        "kind": "gv_table",
-        "entries": entries,
-        "cuts": {
-            "genus": table.genus_max,
-            "degree": fraction_str(table.degree_max),
-            "omega": [fraction_str(w) for w in table.omega],
-        },
+    cuts = {
+        "genus": table.genus_max,
+        "degree": fraction_str(table.degree_max),
+        "omega": [fraction_str(w) for w in table.omega],
     }
+    return envelope("gv_table", entries=entries, cuts=cuts)
 
 
 def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
@@ -419,16 +415,12 @@ def gw_series_to_json(series: GWSeries) -> dict:
         [list(beta), lam, fraction_str(c)]
         for (beta, lam), c in sorted(series.coeffs.items())
     ]
-    return {
-        "v": SCHEMA_VERSION,
-        "kind": "gw_series",
-        "coeffs": coeffs,
-        "cuts": {
-            "degree": fraction_str(series.degree_max),
-            "lambda": series.lambda_max,
-            "omega": [fraction_str(w) for w in series.omega],
-        },
+    cuts = {
+        "degree": fraction_str(series.degree_max),
+        "lambda": series.lambda_max,
+        "omega": [fraction_str(w) for w in series.omega],
     }
+    return envelope("gw_series", coeffs=coeffs, cuts=cuts)
 
 
 # -- top-level documents ----------------------------------------------------------------
@@ -496,6 +488,11 @@ def _json_int(text: str) -> int | _LongInteger:
         return int(text)
     except ValueError:
         return _LongInteger(text)
+
+
+def envelope(kind: str, **fields: Any) -> dict:
+    """A document of the given kind: the schema version, the kind and the fields."""
+    return {"v": SCHEMA_VERSION, "kind": kind, **fields}
 
 
 def dump_json(doc: Any) -> str:

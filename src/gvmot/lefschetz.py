@@ -183,8 +183,8 @@ class GradedNilpotent:
         return linalg.zero_matrix(dst, src)
 
     def conjugate(self, basis: Mapping[int, linalg.Matrix]) -> "GradedNilpotent":
-        """Change basis degreewise: new map = P_{a+2} M_a P_a^{-1}, up to a scalar."""
-        inverses = {d: linalg.mat_inverse(p) for d, p in basis.items()}
+        """Change basis degreewise by int P: new map = P_{a+2} M_a P_a^{-1}, up to a scalar."""
+        inverses = {d: linalg.adjugate(p)[1] for d, p in basis.items()}
         new_maps = {}
         for alpha in self.maps:
             m = self.maps[alpha]

@@ -1,12 +1,13 @@
-"""Small exact linear algebra: integer eliminations and products, rational inverses.
+"""Small exact linear algebra over Z: eliminations, products and adjugates.
 
 Matrices are lists of row lists.  One fraction-free Bareiss elimination over
 Z, pivots, returns the pivot columns (the leftmost independent columns) and
 the original indices of the pivot rows, whose minor is nonsingular; a rank
-is the length of its pivot list.  It needs int entries, so a rational matrix
-is scaled to integers before it gets here (GradedNilpotent does this once per
-map).  Products work over any exact ring, and inverses are taken over
-Fraction.
+is the length of its pivot list.  The fraction-free Gauss-Jordan adjugate
+gives an inverse times its determinant, d a^-1, with no fraction.  Both need
+int entries, so a rational matrix is scaled to integers before it gets here
+(GradedNilpotent does this once per map).  Products work over any exact
+ring; only dot pairs with a rational functional.
 """
 
 from __future__ import annotations
@@ -93,33 +94,33 @@ def mat_rank(a: Matrix) -> int:
     return len(pivots(a)[0])
 
 
-def mat_inverse(a: Matrix) -> list[list[Fraction]]:
-    """Exact inverse over Fraction by Gauss-Jordan; raises ValueError when singular."""
+def adjugate(a: Matrix) -> tuple[int, Matrix]:
+    """(d, d a^-1) with d = +-det a, by fraction-free Gauss-Jordan over Z.
+
+    The matrix is the adjugate of a up to sign.  Every entry met is a minor
+    of [a | I], so each // is exact.  Raises ValueError when a is singular or
+    not square, and TypeError on entries that are not int.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
-        raise ValueError("inverse needs a square matrix")
-    work = [
-        [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
+        raise ValueError("adjugate needs a square matrix")
+    if any(type(c) is not int for row in a for c in row):
+        raise TypeError("elimination needs int entries")
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise ValueError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        piv = work[col][col]
-        work[col] = [c / piv for c in work[col]]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col]
+        piv = pivot[col]
         for r in range(n):
-            if r == col:
-                continue
-            lead = work[r][col]
-            if lead:
-                work[r] = [c - lead * p for c, p in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+            if r != col:
+                lead = rows[r][col]
+                rows[r] = [(piv * x - lead * y) // prev for x, y in zip(rows[r], pivot)]
+        prev = piv
+    return prev, [row[n:] for row in rows]
 
 
 def random_invertible(rng, n: int, spread: int = 2) -> Matrix:

@@ -768,45 +768,18 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def suite_results(name: str, seed: int, scale: int = 1) -> list[dict]:
-    """Run one suite (or all); one entry per property, in registry order.
+    """Run one suite (or all; KeyError for no such suite): one entry per property, in registry order.
 
     An entry is {name, ok, cases} for a pass and {name, ok, message} for a
     counterexample, with name as "suite.property".
     """
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
-        raise KeyError(name)
     results = []
-    for suite_name in names:
+    for suite_name in list(SUITES) if name == "all" else [name]:
         for prop_name, prop in SUITES[suite_name]:
             rng = random.Random((seed, suite_name, prop_name).__str__())
-            entry: dict = {"name": f"{suite_name}.{prop_name}"}
+            label = f"{suite_name}.{prop_name}"
             try:
-                entry["cases"] = prop(rng, scale)
-                entry["ok"] = True
+                results.append({"name": label, "ok": True, "cases": prop(rng, scale)})
             except PropertyFailure as exc:
-                entry["ok"] = False
-                entry["message"] = str(exc)
-            results.append(entry)
+                results.append({"name": label, "ok": False, "message": str(exc)})
     return results
-
-
-def run_suite(name: str, seed: int, scale: int = 1) -> tuple[bool, list[str]]:
-    """Run one suite (or all); returns (passed, report lines)."""
-    results = suite_results(name, seed, scale)
-    lines = [f"suite {name} seed {seed} scale {scale}"]
-    for entry in results:
-        if entry["ok"]:
-            lines.append(f"ok {entry['name']} cases={entry['cases']}")
-        else:
-            lines.append(f"FAIL {entry['name']}: {entry['message']}")
-    passed = all(entry["ok"] for entry in results)
-    good = [entry for entry in results if entry["ok"]]
-    lines.append(
-        f"{'PASS' if passed else 'FAIL'} {len(good)} properties, "
-        f"{sum(entry['cases'] for entry in good)} cases"
-    )
-    return passed, lines

@@ -29,6 +29,7 @@ GOLDEN_GV = Path(__file__).resolve().parent / "data" / "gv_golden.json"
 GOLDEN_HST = Path(__file__).resolve().parent / "data" / "hst_golden.json"
 GOLDEN_GW = Path(__file__).resolve().parent / "data" / "gw_golden.json"
 GOLDEN_KERNEL = Path(__file__).resolve().parent / "data" / "kernel_golden.json"
+GOLDEN_TEXT = Path(__file__).resolve().parent / "data" / "text_golden.json"
 
 
 def run(capsys, *argv):
@@ -253,6 +254,46 @@ def test_kernel_json_matches_golden_bytes(capsys, tmp_path):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == EXIT_OK, name
         assert out == golden[name], name
+
+
+TEXT_COMMANDS = {
+    "bispin": ["hst", "census"],
+    "graded_nilpotent": ["census"],
+    "motive": ["upsilon"],
+    "betti_variety": ["upsilon"],
+    "stack_class": ["stack"],
+    "count_model": ["gv"],
+    "gv_table": ["gw"],
+    "gw_series": ["gw"],
+}
+
+
+def test_text_output_matches_golden_bytes(capsys, monkeypatch, tmp_path):
+    # text stdout and exit code of every subcommand on every sample it
+    # accepts (gv on each atom class and its negative), a virtual hst input,
+    # gw nonintegral warnings, a verify report and a failing property,
+    # recorded while each subcommand printed its own output
+    import gvmot.verify as verify_mod
+
+    def always_fails(rng, scale):
+        raise verify_mod.PropertyFailure("synthetic")
+
+    golden = json.loads(GOLDEN_TEXT.read_text())
+    covered = {(case["argv"][0], case["sample"]) for case in golden.values() if "sample" in case}
+    for sample in sorted(Path(SAMPLES).glob("*.json")):
+        for command in TEXT_COMMANDS[json.loads(sample.read_text())["kind"]]:
+            assert (command, sample.name) in covered
+    for name, case in golden.items():
+        argv = list(case["argv"])
+        if "sample" in case:
+            argv += ["--input", f"{SAMPLES}/{case['sample']}"]
+        elif "document" in case:
+            argv += ["--input", write_doc(tmp_path, "doc.json", case["document"])]
+        with monkeypatch.context() as patch:
+            if case.get("failing_property"):
+                patch.setitem(verify_mod.SUITES, "stack", [("always_fails", always_fails)])
+            code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (case["code"], case["stdout"], ""), name
 
 
 class TestGv:
@@ -793,20 +834,18 @@ def test_cli_import_leaves_verify_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-def test_property_failure_exit_code_is_one():
-    # the registry reports through run_suite; a failing property must exit 1
+def test_property_failure_exit_code_is_one(capsys, monkeypatch):
+    # the text report comes from the same results as --json; a failing property must exit 1
     import gvmot.verify as verify_mod
 
     def always_fails(rng, scale):
         raise verify_mod.PropertyFailure("synthetic")
 
-    verify_mod.SUITES["synthetic_suite"] = [("always_fails", always_fails)]
-    try:
-        passed, lines = verify_mod.run_suite("synthetic_suite", seed=0)
-        assert not passed
-        assert any("FAIL" in line for line in lines)
-    finally:
-        del verify_mod.SUITES["synthetic_suite"]
+    monkeypatch.setitem(verify_mod.SUITES, "stack", [("always_fails", always_fails)])
+    assert not all(entry["ok"] for entry in verify_mod.suite_results("stack", seed=0))
+    code, out, _ = run(capsys, "verify", "stack")
+    assert code == EXIT_PROPERTY
+    assert any("FAIL" in line for line in out.splitlines())
 
 
 def test_json_property_failure_exit_code_is_one(capsys, monkeypatch):

@@ -706,6 +706,111 @@ class TestWalkDownOracle:
         assert finished >= 250 and split >= 30
 
 
+def pushed_walk_oracle(lattice, charge, v, ledger, multisets):
+    """counting._same_phase_words as it was before it kept only the path:
+    each remainder pushes every remainder below it before it descends."""
+    lattice.check_positive(charge.omega)
+    zero_beta = (0,) * lattice.rank
+    if v.beta == zero_beta:
+        if v.k <= 0:
+            return None
+        ledger.spend("pieces", v.k)
+        pieces = [NumClass(zero_beta, j) for j in range(1, v.k + 1)]
+        effective = {}
+    else:
+        effective = lattice.classes_below(v.beta, charge.omega, ledger)
+        if not effective[v.beta]:
+            return None
+        re_v, im_v = charge.value(v)
+        slope = (-re_v) / im_v
+        pieces = []
+        for beta in sorted(b for b, label in effective.items() if label and b != zero_beta):
+            ledger.spend("pieces")
+            k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
+            if k_frac.denominator == 1:
+                pieces.append(NumClass(beta, int(k_frac)))
+    words = []
+    walk = [(v, len(pieces), ())]
+    while walk:
+        rem, bound, acc = walk.pop()
+        for i in range(bound):
+            ledger.spend("decompositions")
+            p = pieces[i]
+            nxt = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k)
+            if nxt.beta == zero_beta and nxt.k == 0:
+                ledger.spend("decompositions")
+                words.append(acc + (p,))
+            elif nxt.k > 0 if nxt.beta == zero_beta else effective.get(nxt.beta, False):
+                walk.append((nxt, i + 1 if multisets else len(pieces), acc + (p,)))
+    return words
+
+
+class SpendLog(Ledger):
+    """A ledger that records every spend, in order."""
+
+    def __init__(self, cap):
+        super().__init__(cap)
+        self.log = []
+
+    def spend(self, stage, n=1, what="enumeration steps"):
+        self.log.append((stage, n, what))
+        super().spend(stage, n, what)
+
+
+class TestPathWalk:
+    """The decomposition walk keeps only the frames along its path, and gives
+    the words, in order, and the ledger spends, in order, of the walk that
+    pushed every remainder before it descended."""
+
+    @staticmethod
+    def outcome(walk, lattice, charge, v, cap, multisets):
+        ledger = SpendLog(cap)
+        try:
+            result = walk(lattice, charge, v, ledger, multisets)
+        except ResourceLimitError as exc:
+            result = str(exc)
+        return result, ledger.log
+
+    def test_matches_pushed_walk_on_random_setups(self):
+        rng = random.Random(61)
+        outcomes = Counter()
+        for _ in range(600):
+            lattice, charge, v, cap = random_walk_setup(rng)
+            beta = random_effective(rng, lattice, charge.omega, bound=rng.randint(2, 8))
+            if beta and rng.random() < 0.5 and dot(charge.b_field, beta).denominator == 1:
+                v = NumClass(beta, int(dot(charge.b_field, beta)))  # a target that splits
+            cap = min(cap, 20000)
+            for multisets in (False, True):
+                expected = self.outcome(pushed_walk_oracle, lattice, charge, v, cap, multisets)
+                got = self.outcome(counting._same_phase_words, lattice, charge, v, cap, multisets)
+                assert got == expected, (lattice.generators, charge, v, cap, multisets)
+                words = expected[0]
+                if isinstance(words, list):
+                    outcomes["finished"] += 1
+                    outcomes["split"] += any(len(word) > 2 for word in words)
+                else:
+                    outcomes["out of range" if words is None else "capped"] += 1
+        assert outcomes["split"] >= 100 and outcomes["capped"] >= 10, outcomes
+
+    def test_capped_walk_keeps_only_its_path(self):
+        # the old walk held every remainder of the first level, each with its
+        # word so far, at once; the path holds one index per remainder
+        import tracemalloc
+
+        lat, z = rank1()
+        v = NumClass((0,), 4000)
+        peaks = []
+        for walk in (pushed_walk_oracle, counting._same_phase_words):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match="^decompositions: "):
+                    walk(lat, z, v, Ledger(12000), multisets=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 2, peaks
+
+
 class TestMultiLetterEvaluation:
     def setup_model(self):
         lat, z = rank1()

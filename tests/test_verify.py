@@ -2,19 +2,25 @@
 
 import pytest
 
-from gvmot.verify import SUITES, run_suite
+from gvmot.cli import main
+from gvmot.verify import SUITES, suite_results
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_suite_passes(suite):
-    passed, lines = run_suite(suite, seed=42)
-    assert passed, "\n".join(lines)
+    results = suite_results(suite, seed=42)
+    assert all(entry["ok"] for entry in results), [entry for entry in results if not entry["ok"]]
 
 
-def test_reports_are_deterministic():
-    assert run_suite("stack", seed=7) == run_suite("stack", seed=7)
+def test_reports_are_deterministic(capsys):
+    assert suite_results("stack", seed=7) == suite_results("stack", seed=7)
+    reports = []
+    for _ in range(2):
+        assert main(["verify", "stack", "--seed", "7"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
-        run_suite("nonsense", seed=0)
+        suite_results("nonsense", seed=0)
