@@ -191,11 +191,9 @@ def graded_nilpotent_from_json(doc: dict, where: str = "graded_nilpotent") -> Gr
             degree = int(key)
         except ValueError as exc:
             raise SchemaError(f"{where}.maps: bad degree key {key!r}") from exc
-        _require(rows, list, f"{where}.maps[{key}]")
-        maps[degree] = [
-            [_fraction(c, f"{where}.maps[{key}]") for c in _require(row, list, f"{where}.maps[{key}]")]
-            for row in rows
-        ]
+        at = f"{where}.maps[{key}]"
+        _require(rows, list, at)
+        maps[degree] = [[c if type(c) is int else _fraction(c, at) for c in _require(row, list, at)] for row in rows]
     return GradedNilpotent(dims, maps)
 
 

@@ -12,8 +12,8 @@ are read off in closed form (genus_decompose).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, lcm
-from operator import mul
 from typing import Mapping
 
 from . import linalg
@@ -156,8 +156,11 @@ class GradedNilpotent:
         clean_maps: dict[int, linalg.Matrix] = {}
         for alpha, rows in (maps or {}).items():
             alpha = int(alpha)
-            scale = lcm(*(_denominator(c) for row in rows for c in row))
-            rows = [[int(c * scale) for c in row] for row in rows]
+            if set(map(type, chain.from_iterable(rows))) <= {int}:
+                rows = [list(row) for row in rows]
+            else:
+                scale = lcm(*(_denominator(c) for row in rows for c in row))
+                rows = [[int(c * scale) for c in row] for row in rows]
             src = clean_dims.get(alpha, 0)
             dst = clean_dims.get(alpha + 2, 0)
             if src == 0 or dst == 0:
@@ -303,38 +306,42 @@ def jordan_census(x: GradedNilpotent) -> JordanCensus:
     tagged >= k number r(a-2k, k+1), for every k at once.  The pivot
     columns, tags raised by one, are the flag of degree a+2; each is a
     column of a composite, so entries grow no larger than the composites'.
+    M_a applied to the flag is one int_product, a sum over packed rows for
+    each row of M_a; the e_i part is columns of M_a.
     """
     if not x.dims:
         return JordanCensus()
-    span = (max(x.dims) - min(x.dims)) // 2 + 1
 
     ranks: dict[tuple[int, int], int] = {}
-    # degree -> (flag columns, their tags, pivot rows of the elimination that made them)
-    flags: dict[int, tuple[list[list[int]], list[int], list[int]]] = {}
+    # degree -> (the flag columns as rows, their tags, pivot rows of the elimination that made them)
+    flags: dict[int, tuple[linalg.Matrix, list[int], list[int]]] = {}
     for alpha, dim_alpha in x.dims.items():
         ranks[(alpha, 0)] = dim_alpha
-        flag, tags, taken = flags.pop(alpha, ([], [], []))
+        flag, tags, taken = flags.pop(alpha, ([[]] * dim_alpha, [], []))
         step = x.maps.get(alpha)
         if step is None:  # a missing map is zero, and so is every composite through it
             continue
         taken = set(taken)
         free = [i for i in range(dim_alpha) if i not in taken]
-        rows = [[sum(map(mul, row, f)) for f in flag] + [row[i] for i in free] for row in step]
+        rows = [f + list(map(row.__getitem__, free)) for f, row in zip(linalg.int_product(step, flag), step)]
         tags = tags + [0] * len(free)
         cols, pivot_rows = linalg.pivots(rows)
         picked = [tags[j] for j in cols]
         for k in range(picked[0] + 1 if picked else 0):
             ranks[(alpha - 2 * k, k + 1)] = sum(t >= k for t in picked)
-        flags[alpha + 2] = ([[row[j] for row in rows] for j in cols], [t + 1 for t in picked], pivot_rows)
+        flags[alpha + 2] = ([list(map(row.__getitem__, cols)) for row in rows], [t + 1 for t in picked], pivot_rows)
 
     def r(alpha: int, k: int) -> int:
-        if k < 0:
-            return 0
         return ranks.get((alpha, k), 0)
 
+    # r(alpha, k) is 0 beyond the longest composite out of alpha that was
+    # ranked, and r(alpha - 2, k + 1) is ranked only where r(alpha, k) is
+    longest: dict[int, int] = {}
+    for alpha, k in ranks:
+        longest[alpha] = max(longest.get(alpha, 0), k)
     cells: dict[tuple[int, int], int] = {}
     for alpha in x.dims:
-        for l in range(1, span + 1):
+        for l in range(1, longest[alpha] + 2):
             tail_l = r(alpha, l - 1) - r(alpha - 2, l)
             tail_next = r(alpha, l) - r(alpha - 2, l + 1)
             n = tail_l - tail_next

@@ -6,13 +6,20 @@ the original indices of the pivot rows, whose minor is nonsingular; a rank
 is the length of its pivot list.  The fraction-free Gauss-Jordan adjugate
 gives an inverse times its determinant, d a^-1, with no fraction.  Both need
 int entries, so a rational matrix is scaled to integers before it gets here
-(GradedNilpotent does this once per map).  Products work over any exact
+(GradedNilpotent does this once per map).  mat_mul works over any exact
 ring; only dot pairs with a rational functional.
+
+pivots and int_product keep a row of ints as one int with a signed slot of
+a fixed number of bits per entry (Kronecker substitution), so one big-int
+operation does the work of a loop over the row's entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import lshift, mul, sub
+from struct import Struct
 
 Matrix = list[list[int]]
 
@@ -49,6 +56,60 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
     return out
 
 
+def _slot_width(bound: int) -> int:
+    """Bits per packed slot, a whole number of bytes, with bound < 2^(width - 1)."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def _ones(width: int, n: int) -> int:
+    """sum(2^(width i) for i < n): 1 in each of n slots."""
+    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * n, "little")
+
+
+def _pack(rows: Matrix, width: int) -> list[int]:
+    """Each row as one int, sum(x_j 2^(width j)) (Kronecker substitution)."""
+    shifts = range(0, width * len(rows[0]), width)
+    return [sum(map(lshift, row, shifts)) for row in rows]
+
+
+def _splitter(width: int, n: int):
+    """A function from a packed row of n slots to their bytes, each slot plus 2^(width - 1).
+
+    The offset makes every slot a nonnegative number below 2^width, so the
+    bytes of the offset row split into the slots with no borrow between them.
+    """
+    k = width // 8
+    offset = (1 << (width - 1)) * _ones(width, n)
+    split = Struct(f"{k}s" * n).unpack
+    return lambda row: split((row + offset).to_bytes(n * k, "little"))
+
+
+def _widen(rows: list[int], width: int, n: int) -> list[int]:
+    """Packed rows of n slots moved to slots of twice the width."""
+    split = _splitter(width, n)
+    spread = Struct(f"{width // 8}s{width // 8}x" * n).pack  # pads each slot with zero bytes
+    offset = (1 << (width - 1)) * _ones(2 * width, n)
+    return [int.from_bytes(spread(*split(row)), "little") - offset for row in rows]
+
+
+def int_product(a: Matrix, b: Matrix) -> Matrix:
+    """a times b over Z, one sum over the packed rows of b per row of a.
+
+    With the rows of b packed, sum(map(mul, row, packed)) is a whole row of
+    the product, packed in the same slots.  Its entries are at most
+    len(b) max|a| max|b| in absolute value, which fixes the slot width.
+    """
+    n = len(b[0]) if b else 0
+    if not n:
+        return [[] for _ in a]
+    bound = len(b) * max(map(abs, chain.from_iterable(a)), default=0) * max(map(abs, chain.from_iterable(b)))
+    width = _slot_width(bound)
+    packed = _pack(b, width)
+    split, half = _splitter(width, n), 1 << (width - 1)
+    slots = (split(sum(map(mul, row, packed))) for row in a)
+    return [list(map(sub, map(int.from_bytes, row, repeat("little")), repeat(half))) for row in slots]
+
+
 def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     """Bareiss elimination over Z: (pivot columns, pivot rows).
 
@@ -56,37 +117,53 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     and the pivot rows are indices into a's original rows; the minor on
     pivot rows x pivot columns is nonsingular.  The exact // of the
     fraction-free steps needs int entries.
+
+    Each row is one int with a signed slot of width bits per column
+    (Kronecker substitution), so a step updates a whole row with
+    ((piv P_r - lead P_k) >> width) // prev: the shift drops the eliminated
+    column, and the division is exact because it is exact in every slot.
+    Before each step the new entries of row r are bounded by
+    (|piv| X_r + |lead| X_k) // |prev|, from the bounds X of the two rows;
+    when a bound could reach 2^(width - 1), every live row is first moved
+    to slots twice as wide, so no slot ever spills into the next.
     """
     if not a or not a[0]:
         return [], []
-    rows = [list(row) for row in a]
-    if any(type(c) is not int for row in rows for c in row):
+    if not set(map(type, chain.from_iterable(a))) <= {int}:
         raise TypeError("elimination needs int entries")
-    nrows, ncols = len(rows), len(rows[0])
-    order = list(range(nrows))
+    ncols = len(a[0])
+    # the rows below the pivots, in the order the row swaps leave them, with
+    # a bound on the entries of each and its index in a
+    bound = [max(map(abs, chain.from_iterable(a)))] * len(a)
+    width = _slot_width(bound[0])
+    rows = _pack(a, width)
+    order = list(range(len(a)))
     cols: list[int] = []
+    taken: list[int] = []
     prev = 1
-    start = 0  # rows below the pivots keep only their entries from column start on
     for col in range(ncols):
-        rank, j = len(cols), col - start
-        pivot_row = next((r for r in range(rank, nrows) if rows[r][j]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        order[rank], order[pivot_row] = order[pivot_row], order[rank]
-        piv, tail = rows[rank][j], rows[rank][j + 1 :]
-        for r in range(rank + 1, nrows):
-            row = rows[r]
-            lead = row[j]
-            if lead:
-                rows[r] = [(piv * x - lead * y) // prev for x, y in zip(row[j + 1 :], tail)]
-            else:
-                rows[r] = [piv * x // prev for x in row[j + 1 :]]
-        prev, start = piv, col + 1
-        cols.append(col)
-        if rank + 1 == nrows:
+        if not any(rows):
             break
-    return cols, order[: len(cols)]
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        leads = [((row & mask) ^ half) - half for row in rows]  # the signed low slots: column col
+        if not any(leads):
+            rows = [row >> width for row in rows]
+            continue
+        p = leads.index(next(filter(None, leads)))
+        pivot, piv, pivot_bound = rows[p], leads[p], bound[p]
+        cols.append(col)
+        taken.append(order[p])
+        # the first live row takes the pivot row's place
+        rows[p], leads[p], bound[p], order[p] = rows[0], leads[0], bound[0], order[0]
+        del rows[0], leads[0], bound[0], order[0]
+        scale, shrink = abs(piv), abs(prev)
+        bound = [(scale * x + abs(lead) * pivot_bound) // shrink for x, lead in zip(bound, leads)]
+        if bound and max(bound) >= half:  # below 2^(2 width - 1), as every factor is below 2^(width - 1)
+            pivot, *rows = _widen([pivot, *rows], width, ncols - col)
+            width *= 2
+        rows = [((piv * row - lead * pivot) >> width) // prev for row, lead in zip(rows, leads)]
+        prev = piv
+    return cols, taken
 
 
 def mat_rank(a: Matrix) -> int:

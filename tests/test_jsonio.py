@@ -146,6 +146,27 @@ class TestGradedNilpotentDocs:
                 {"v": 1, "kind": "graded_nilpotent", "dims": {"x": 1}, "maps": {}}
             )
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, True]], "graded_nilpotent.maps[-1]: expected an integer or rational string"),
+            ([[0.5, 1]], "graded_nilpotent.maps[-1]: expected an integer or rational string"),
+            ([[1, "1/0"]], "graded_nilpotent.maps[-1]: bad rational '1/0'"),
+            ([[1, 2], 3], "graded_nilpotent.maps[-1]: expected list, got int"),
+            ({"0": [1]}, "graded_nilpotent.maps[-1]: expected list, got dict"),
+        ],
+    )
+    def test_map_entry_errors_name_the_map(self, rows, message):
+        doc = {"v": 1, "kind": "graded_nilpotent", "dims": {"-1": 2, "1": 2}, "maps": {"-1": rows}}
+        with pytest.raises(SchemaError) as raised:
+            parse_document(doc)
+        assert str(raised.value) == message
+
+    def test_int_entries_pass_through(self):
+        doc = {"v": 1, "kind": "graded_nilpotent", "dims": {"-1": 2, "1": 1}, "maps": {"-1": [[3, -7]]}}
+        _, op = parse_document(doc)
+        assert op.maps[-1] == [[3, -7]] and all(type(c) is int for c in op.maps[-1][0])
+
     def test_negative_dimension_is_a_schema_error(self):
         # a ValueError here would reach the CLI as an internal error (exit 6)
         with pytest.raises(SchemaError, match=r"^graded_nilpotent\.dims\[0\]: dimensions must be nonnegative$"):

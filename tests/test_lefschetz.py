@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_linalg import gauss_rank_oracle
+from test_linalg import bareiss_oracle, gauss_rank_oracle
 
 from gvmot import linalg
 from gvmot.errors import NotRepresentationError, ShapeMismatchError, VirtualInputError
@@ -117,7 +117,8 @@ def jordan_census_oracle(x: GradedNilpotent) -> JordanCensus:
     With r(a, k) the rank of the k-fold composite out of degree a, the number
     of strings of length >= l starting at a is r(a, l-1) - r(a-2, l), and the
     census is the difference of consecutive tail counts.  Composites extend
-    one factor at a time so each rank costs a single product.
+    one factor at a time so each rank costs a single product, and each rank
+    is the elementwise Bareiss oracle's, not the packed elimination's.
     """
     if not x.dims:
         return JordanCensus()
@@ -131,7 +132,7 @@ def jordan_census_oracle(x: GradedNilpotent) -> JordanCensus:
             if step is None:  # a missing map is zero, and so is every longer composite
                 break
             acc = step if acc is None else linalg.mat_mul(step, acc)
-            ranks[(alpha, k)] = linalg.mat_rank(acc)
+            ranks[(alpha, k)] = len(bareiss_oracle(acc)[0])
 
     def r(alpha: int, k: int) -> int:
         return ranks.get((alpha, k), 0) if k >= 0 else 0
@@ -370,10 +371,16 @@ class TestJordanCensus:
         for entry in (True, 0.5, "1/2"):
             with pytest.raises(TypeError):
                 GradedNilpotent({0: 1, 2: 1}, {0: [[entry]]})
+            with pytest.raises(TypeError):
+                GradedNilpotent({0: 2, 2: 1}, {0: [[1, entry]]})
         with pytest.raises(TypeError):
             GradedNilpotent({0: 1}, {0: [[0.0]]})
 
     def test_maps_stored_as_ints(self):
+        rows = [[4, -6]]
+        op = GradedNilpotent({0: 2, 2: 1}, {0: rows})
+        rows[0][0] = 5  # an int map is stored as it is, not rescaled, but as a copy
+        assert op.maps[0] == [[4, -6]]
         op = GradedNilpotent({0: 2, 2: 1}, {0: [[Fraction(4, 2), 3]]})
         assert op.maps[0] == [[2, 3]] and type(op.maps[0][0][0]) is int
         op = GradedNilpotent({0: 2, 2: 1}, {0: [[Fraction(1, 2), Fraction(-2, 3)]]})
@@ -436,6 +443,13 @@ class TestFlagCensus:
             cells = JordanCensus(random_cells(rng))
             op = strings_operator(cells)
             op = op.conjugate({d: linalg.random_invertible(rng, n) for d, n in op.dims.items()})
+            assert jordan_census(op) == jordan_census_oracle(op) == cells
+        # dense operators of about 50 dims, whose eliminations repack their rows
+        for _ in range(3):
+            cells = JordanCensus({(alpha, l): rng.randint(1, 2) for alpha in range(-6, 1, 2) for l in range(1, 5)})
+            op = strings_operator(cells)
+            op = op.conjugate({d: linalg.random_invertible(rng, n, spread=3) for d, n in op.dims.items()})
+            assert 40 <= op.dimension() <= 80 and max(abs(c) for m in op.maps.values() for row in m for c in row) > 100
             assert jordan_census(op) == jordan_census_oracle(op) == cells
 
     def test_one_elimination_per_stored_map(self, monkeypatch):

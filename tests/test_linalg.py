@@ -1,22 +1,26 @@
-"""Exact linear algebra: rank against a plain Gauss oracle, adjugates against a
-Fraction inverse oracle, unimodularity."""
+"""Exact linear algebra: the packed Bareiss elimination against the elementwise
+one and a plain Gauss oracle, adjugates against a Fraction inverse oracle,
+unimodularity."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from gvmot.linalg import adjugate, identity, mat_mul, mat_rank, pivots, random_invertible, zero_matrix
+from gvmot import linalg
+from gvmot.linalg import adjugate, identity, int_product, mat_mul, mat_rank, pivots, random_invertible, zero_matrix
 
 
-def gauss_rank_oracle(rows):
-    """Textbook Gaussian elimination over Fraction, no fraction-free tricks."""
+def gauss_pivot_columns(rows):
+    """Textbook Gaussian elimination over Fraction, no fraction-free tricks:
+    the columns that get a pivot, which are the leftmost independent ones."""
     m = [[Fraction(c) for c in row] for row in rows]
     if not m or not m[0]:
-        return 0
+        return []
     nrows, ncols = len(m), len(m[0])
-    rank = 0
+    cols = []
     for col in range(ncols):
+        rank = len(cols)
         pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
         if pivot is None:
             continue
@@ -27,8 +31,54 @@ def gauss_rank_oracle(rows):
             if r != rank and m[r][col] != 0:
                 lead = m[r][col]
                 m[r] = [c - lead * p for c, p in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        cols.append(col)
+    return cols
+
+
+def gauss_rank_oracle(rows):
+    return len(gauss_pivot_columns(rows))
+
+
+def bareiss_oracle(a):
+    """Bareiss elimination over Z on lists of entries, one entry at a time.
+
+    The same pivot choice as pivots (the first row at or below the rank
+    with a nonzero entry, swapped up), so the same (pivot columns, pivot
+    rows); rows below the pivots keep only their entries from column start on.
+    """
+    if not a or not a[0]:
+        return [], []
+    rows = [list(row) for row in a]
+    nrows, ncols = len(rows), len(rows[0])
+    order = list(range(nrows))
+    cols = []
+    prev = 1
+    start = 0
+    for col in range(ncols):
+        rank, j = len(cols), col - start
+        pivot_row = next((r for r in range(rank, nrows) if rows[r][j]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        order[rank], order[pivot_row] = order[pivot_row], order[rank]
+        piv, tail = rows[rank][j], rows[rank][j + 1 :]
+        for r in range(rank + 1, nrows):
+            row = rows[r]
+            lead = row[j]
+            rows[r] = [(piv * x - lead * y) // prev for x, y in zip(row[j + 1 :], tail)]
+        prev, start = piv, col + 1
+        cols.append(col)
+        if rank + 1 == nrows:
+            break
+    return cols, order[: len(cols)]
+
+
+def assert_gauss_invariants(m, cols, rows):
+    """Leftmost independent columns, distinct pivot rows, a nonsingular minor."""
+    assert cols == gauss_pivot_columns(m)
+    assert len(set(rows)) == len(rows) == len(cols) and all(0 <= i < len(m) for i in rows)
+    minor = [[m[i][j] for j in cols] for i in rows]
+    assert gauss_rank_oracle(minor) == len(cols)
 
 
 def random_matrix(rng, nrows, ncols):
@@ -84,10 +134,67 @@ class TestPivots:
             minor = [[m[i][j] for j in cols] for i in rows]
             assert gauss_rank_oracle(minor) == len(cols) == gauss_rank_oracle(m)
 
+    def test_packed_rows_against_elementwise_oracle(self, monkeypatch):
+        # shapes up to 40 x 40 with entries of 0-300 bits, entries at the edge
+        # of a slot, zero rows and columns, and low-rank products, so that
+        # rows are repacked wider again and again
+        rng = random.Random(77)
+        widened = []
+        widen = linalg._widen
+        monkeypatch.setattr(linalg, "_widen", lambda rows, *args: widened.append(args) or widen(rows, *args))
+        seen = dict.fromkeys(("edge", "wide", "small", "low rank", "zero row", "zero column", "repacked"), 0)
+
+        def entry(kind):
+            if kind == "edge":  # 2^(8k-1) needs a slot one byte wider than 2^(8k-1) - 1
+                return rng.choice((-1, 1)) * (2 ** (8 * rng.randint(1, 8) - 1) - rng.randint(0, 1))
+            bits = rng.randint(0, 300) if kind == "wide" else rng.randint(0, 6)
+            return rng.randint(-(2**bits), 2**bits)
+
+        for case in range(300):
+            big = case % 5 == 0
+            nrows, ncols = (rng.randint(9, 40), rng.randint(9, 40)) if big else (rng.randint(1, 8), rng.randint(1, 8))
+            kind = rng.choice(("edge", "wide", "small"))
+            if rng.random() < 0.4:
+                k = rng.randint(0, min(nrows, ncols))
+                left = [[entry(kind) for _ in range(k)] for _ in range(nrows)]
+                right = [[entry("small") for _ in range(ncols)] for _ in range(k)]
+                m = mat_mul(left, right) if k else zero_matrix(nrows, ncols)
+                seen["low rank"] += k < min(nrows, ncols)
+            else:
+                m = [[entry(kind) for _ in range(ncols)] for _ in range(nrows)]
+            for i in rng.sample(range(nrows), rng.randint(0, nrows // 3)):
+                m[i] = [0] * ncols
+            for j in rng.sample(range(ncols), rng.randint(0, ncols // 3)):
+                for row in m:
+                    row[j] = 0
+            before = [list(row) for row in m]
+            count = len(widened)
+            cols, rows = pivots(m)
+            assert m == before
+            assert (cols, rows) == bareiss_oracle(m), m
+            if not big or kind == "small":
+                assert_gauss_invariants(m, cols, rows)
+            seen[kind] += 1
+            seen["zero row"] += not all(any(row) for row in m)
+            seen["zero column"] += not all(any(col) for col in zip(*m))
+            seen["repacked"] += len(widened) > count
+        assert min(seen.values()) >= 40, seen
+
     def test_empty(self):
         assert pivots([]) == ([], [])
         assert pivots([[]]) == ([], [])
         assert pivots(zero_matrix(2, 3)) == ([], [])
+
+
+class TestIntProduct:
+    def test_against_mat_mul(self):
+        rng = random.Random(79)
+        for _ in range(300):
+            n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+            bits = rng.choice((1, 8, 64, 200))
+            a = [[rng.randint(-(2**bits), 2**bits) for _ in range(k)] for _ in range(n)]
+            b = [[rng.randint(-(2**bits), 2**bits) for _ in range(m)] for _ in range(k)]
+            assert int_product(a, b) == mat_mul(a, b), (a, b)
 
 
 def mat_inverse(a):
