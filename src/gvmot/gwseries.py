@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, perm
+from math import gcd, lcm, perm
+from operator import mul
 from typing import Mapping
 
 from .errors import ConeNotPointedError, InsufficientTruncationError, Ledger
-from .linalg import dot
 
 Beta = tuple[int, ...]
 
@@ -99,9 +99,9 @@ def sin_power_coefficient(g: int, j: int) -> Fraction:
     return Fraction(rows[g][j], den[g + j])
 
 
-def _cover_count(degree: Fraction, degree_max: Fraction) -> int:
-    """Number of k >= 1 with k beta inside the degree cut, for beta of the given omega-degree."""
-    return max(int(degree_max // degree), 0)
+def _cover_count(degree: int, top: int) -> int:
+    """Number of k >= 1 with k beta inside the degree cut, for beta of the given omega-degree (both as in _weights)."""
+    return max(top // degree, 0)
 
 
 def _order_count(g: int, lambda_max: int) -> int:
@@ -151,15 +151,28 @@ def _quotient(num: int | Fraction, den: int) -> int | Fraction:
 # -- tables and series ---------------------------------------------------------
 
 
-def _check_class(beta, omega: tuple[Fraction, ...], degree_max: Fraction) -> Beta:
-    """A nonzero integer class of positive omega-degree inside the degree cut."""
+def _weights(omega: tuple[Fraction, ...], degree_max: Fraction) -> tuple[tuple[int, ...], int]:
+    """omega and the degree cut as integer numerators over one common denominator."""
+    den = lcm(degree_max.denominator, *(w.denominator for w in omega))
+    return tuple(int(w * den) for w in omega), int(degree_max * den)
+
+
+def _degree(weights: tuple[int, ...], beta: Beta) -> int:
+    """The omega-degree of beta times the denominator of _weights."""
+    return sum(map(mul, weights, beta))
+
+
+def _check_class(beta, weights: tuple[int, ...], top: int, degree_max: Fraction) -> Beta:
+    """A nonzero integer class, one entry per omega entry, of positive omega-degree inside the cut (see _weights)."""
     beta = tuple(int(b) for b in beta)
     if all(b == 0 for b in beta):
         raise ValueError("curve class must be nonzero")
-    deg = dot(omega, beta)
+    if len(beta) != len(weights):
+        raise ValueError(f"class {beta} has {len(beta)} entries, omega has {len(weights)}")
+    deg = _degree(weights, beta)
     if deg <= 0:
         raise ConeNotPointedError(f"class {beta} has nonpositive degree")
-    if deg > degree_max:
+    if deg > top:
         raise ValueError(f"class {beta} beyond degree cutoff {degree_max}")
     return beta
 
@@ -176,6 +189,7 @@ class GVTable:
     def __init__(self, entries: Mapping[tuple[int, Beta], int], genus_max: int, degree_max, omega):
         omega = tuple(Fraction(x) for x in omega)
         degree_max = Fraction(degree_max)
+        weights, top = _weights(omega, degree_max)
         clean: dict[tuple[int, Beta], int] = {}
         checked: dict = {}
         for (g, beta), n in entries.items():
@@ -185,7 +199,7 @@ class GVTable:
             if g > genus_max:
                 raise ValueError(f"entry at genus {g} beyond cutoff {genus_max}")
             if beta not in checked:
-                checked[beta] = _check_class(beta, omega, degree_max)
+                checked[beta] = _check_class(beta, weights, top, degree_max)
             beta = checked[beta]
             if int(n) != 0:
                 clean[(g, beta)] = int(n)
@@ -212,6 +226,7 @@ class GWSeries:
     def __init__(self, coeffs: Mapping[tuple[Beta, int], Fraction], degree_max, lambda_max: int, omega):
         omega = tuple(Fraction(x) for x in omega)
         degree_max = Fraction(degree_max)
+        weights, top = _weights(omega, degree_max)
         clean: dict[tuple[Beta, int], Fraction] = {}
         checked: dict = {}
         for (beta, lam), c in coeffs.items():
@@ -221,10 +236,10 @@ class GWSeries:
             if lam > lambda_max:
                 raise ValueError(f"lambda order {lam} beyond cutoff {lambda_max}")
             if beta not in checked:
-                checked[beta] = _check_class(beta, omega, degree_max)
+                checked[beta] = _check_class(beta, weights, top, degree_max)
             beta = checked[beta]
             c = c if type(c) is Fraction else Fraction(c)
-            if c != 0:
+            if c:
                 clean[(beta, lam)] = c
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "degree_max", degree_max)
@@ -264,7 +279,8 @@ def gv_to_gw(
     genera: dict[Beta, dict[int, int]] = {}
     for (g, beta), n in table.entries.items():
         genera.setdefault(beta, {})[g] = n
-    covers = {beta: _cover_count(dot(table.omega, beta), degree_max) for beta in genera}
+    weights, top = _weights(table.omega, degree_max)
+    covers = {beta: _cover_count(_degree(weights, beta), top) for beta in genera}
     terms = genus_top = order = 0
     for g, beta in table.entries:
         orders = _order_count(g, lambda_max)
@@ -315,8 +331,9 @@ def gw_to_gv(
             f"degree {degree_max} beyond the stored cutoff {series.degree_max}"
         )
 
-    degree = {beta: dot(series.omega, beta) for beta in dict.fromkeys(beta for beta, _ in series.coeffs)}
-    covers = {beta: _cover_count(d, degree_max) for beta, d in degree.items()}
+    weights, top = _weights(series.omega, degree_max)
+    degree = {beta: _degree(weights, beta) for beta in dict.fromkeys(beta for beta, _ in series.coeffs)}
+    covers = {beta: _cover_count(d, top) for beta, d in degree.items()}
     ledger = Ledger()
     ledger.spend("gw inverse", sum(covers.values()), "candidate classes")
     for beta, d in list(degree.items()):
@@ -324,7 +341,7 @@ def gw_to_gv(
             kbeta = tuple(k * b for b in beta)
             if kbeta not in degree:
                 degree[kbeta] = k * d
-                covers[kbeta] = _cover_count(k * d, degree_max)
+                covers[kbeta] = _cover_count(k * d, top)
     candidates = sorted((beta for beta in degree if covers[beta]), key=lambda b: (degree[b], b))
     genera = max(genus_max + 1, 0)
     terms = sum(covers[beta] for beta in candidates) * genera * (genera + 1) // 2

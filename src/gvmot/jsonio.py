@@ -2,11 +2,14 @@
 
 All documents carry {"v": 1, "kind": ...}; unknown fields are rejected so a
 typo cannot silently change mathematical input.  Every number in transit is
-an integer or a rational string "p/q"; nothing is ever parsed as a float.
-A JSON integer stays an int, and only a rational string becomes a Fraction.
-A number with more digits than the interpreter converts to an int
-(sys.get_int_max_str_digits; the conversion costs time quadratic in the
-digits) fails its schema check where it stands.
+an integer or a rational string "p/q", matched by -?[0-9]+(/[0-9]+)?;
+nothing is ever parsed as a float.  A JSON integer stays an int, and only a
+rational string becomes a Fraction.  A number with more digits than the
+interpreter converts to an int (sys.get_int_max_str_digits; the conversion
+costs time quadratic in the digits) fails its schema check where it stands.
+
+Rows are read with one type test per item; a location is formatted only for
+an error.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any, Callable, Iterator
 
 from . import motives
@@ -59,23 +63,47 @@ def _int(obj: Any, where: str) -> int:
     return obj
 
 
+_RATIONAL_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(obj: Any) -> int | Fraction | None:
+    """What _fraction returns, or None where it raises."""
+    if type(obj) is int:
+        return obj
+    match = _RATIONAL_STR.fullmatch(obj) if type(obj) is str else None
+    if match is None:
+        return None
+    num, den = match.groups()
+    try:
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError):  # more digits than int() converts, or a zero denominator
+        return None
+
+
 def _fraction(obj: Any, where: str) -> int | Fraction:
     """A JSON integer as itself, or a rational string "p/q" as a Fraction."""
-    if isinstance(obj, bool):
-        raise SchemaError(f"{where}: expected an integer or rational string")
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            digits = max(map(len, re.findall(r"\d+", obj)), default=0)
-            if digits > _digit_limit() > 0:
-                raise _too_long(digits, where) from exc
-            raise SchemaError(f"{where}: bad rational {obj!r}") from exc
+    value = _rational(obj)
+    if value is not None:
+        return value
+    if type(obj) is str:
+        digits = max(map(len, re.findall(r"\d+", obj)), default=0)
+        if digits > _digit_limit() > 0:
+            raise _too_long(digits, where)
+        raise SchemaError(f"{where}: bad rational {obj!r}")
     if isinstance(obj, _LongInteger):
         raise _too_long(obj.digits, where)
     raise SchemaError(f"{where}: expected an integer or rational string")
+
+
+def _ints(obj: Any, where: str) -> tuple[int, ...]:
+    return tuple(_int(x, where) for x in _require(obj, list, where))
+
+
+# item kinds of a row: a reader that returns the item's value, or None for the
+# check that then says, at the item's location, what is wrong with it
+_INT = (lambda x: x if type(x) is int else None, _int)
+_INTS = (lambda x: tuple(x) if type(x) is list and all(type(b) is int for b in x) else None, _ints)
+_RATIONAL = (_rational, _fraction)
 
 
 def _fields(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
@@ -89,20 +117,30 @@ def _fields(obj: dict, where: str, required: tuple[str, ...], optional: tuple[st
     return obj
 
 
-def _rows(doc: Any, where: str, shape: str) -> Iterator[tuple[str, list]]:
-    """Each row of a list of three-item rows, with its location; shape names
-    the items for the error message."""
-    _require(doc, list, where)
-    for i, row in enumerate(doc):
+def _rows(doc: Any, where: str, shape: str, fields: tuple) -> Iterator[tuple]:
+    """The values of each row of a list of three-item rows.
+
+    fields gives each item's location suffix and kind.  A row is read with
+    one type test per item; only a row that fails it gets a location, and
+    the error of its first bad item (shape names the items for a row that
+    is not a list of three).
+    """
+    (_, (read_a, _)), (_, (read_b, _)), (_, (read_c, _)) = fields
+    for i, row in enumerate(_require(doc, list, where)):
+        if type(row) is list and len(row) == 3:
+            a, b, c = read_a(row[0]), read_b(row[1]), read_c(row[2])
+            if a is not None and b is not None and c is not None:
+                yield a, b, c
+                continue
         at = f"{where}[{i}]"
+        if type(row) is list and len(row) == 3:
+            for item, (suffix, (_, check)) in zip(row, fields):
+                check(item, at + suffix)
         _require(row, list, at)
-        if len(row) != 3:
-            raise SchemaError(f"{at}: expected {shape}")
-        yield at, row
+        raise SchemaError(f"{at}: expected {shape}")
 
 
-def fraction_str(f: Fraction) -> str:
-    f = Fraction(f)
+def fraction_str(f: int | Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -116,12 +154,9 @@ def poly_to_json(p: LaurentPoly) -> list[list]:
 
 def poly_from_json(doc: Any, where: str = "poly") -> LaurentPoly:
     terms: dict[tuple[int, int], int] = {}
-    for at, (a, b, c) in _rows(doc, where, "[a, b, coeff]"):
-        a = _int(a, f"{at}.a")
-        b = _int(b, f"{at}.b")
-        c = _fraction(c, f"{at}.coeff")
+    for i, (a, b, c) in enumerate(_rows(doc, where, "[a, b, coeff]", ((".a", _INT), (".b", _INT), (".coeff", _RATIONAL)))):
         if c.denominator != 1:
-            raise SchemaError(f"{at}: polynomial coefficients are integers")
+            raise SchemaError(f"{where}[{i}]: polynomial coefficients are integers")
         terms[(a, b)] = terms.get((a, b), 0) + int(c)
     try:
         return LaurentPoly(terms)
@@ -151,24 +186,18 @@ def census_to_json(c: JordanCensus) -> list[list[int]]:
 
 def census_from_json(doc: Any, where: str = "census") -> JordanCensus:
     cells: dict[tuple[int, int], int] = {}
-    for at, (alpha, l, n) in _rows(doc, where, "[alpha, l, count]"):
-        alpha = _int(alpha, f"{at}.alpha")
-        l = _int(l, f"{at}.l")
-        n = _int(n, f"{at}.count")
+    for i, (alpha, l, n) in enumerate(_rows(doc, where, "[alpha, l, count]", ((".alpha", _INT), (".l", _INT), (".count", _INT)))):
         if l < 1:
-            raise SchemaError(f"{at}: cell size must be positive")
+            raise SchemaError(f"{where}[{i}]: cell size must be positive")
         cells[(alpha, l)] = cells.get((alpha, l), 0) + n
     return JordanCensus(cells)
 
 
 def bispin_from_json(doc: Any, where: str = "content") -> BispinContent:
     mult: dict[tuple[int, int], int] = {}
-    for at, (jl, jr, m) in _rows(doc, where, "[twoJL, twoJR, mult]"):
-        jl = _int(jl, f"{at}.twoJL")
-        jr = _int(jr, f"{at}.twoJR")
-        m = _int(m, f"{at}.mult")
+    for i, (jl, jr, m) in enumerate(_rows(doc, where, "[twoJL, twoJR, mult]", ((".twoJL", _INT), (".twoJR", _INT), (".mult", _INT)))):
         if jl < 0 or jr < 0:
-            raise SchemaError(f"{at}: doubled spins are nonnegative")
+            raise SchemaError(f"{where}[{i}]: doubled spins are nonnegative")
         mult[(jl, jr)] = mult.get((jl, jr), 0) + m
     return BispinContent(mult)
 
@@ -346,10 +375,12 @@ def count_model_from_json(doc: dict, where: str = "count_model") -> tuple[ClassL
         v = class_from_key(key, rank, f"{where}.atoms")
         atoms[v] = stack_class_from_json(parts, f"{where}.atoms[{key}]")
 
-    defects = [
-        (class_from_list(v1, rank, f"{at}[0]"), class_from_list(v2, rank, f"{at}[1]"), _int(e, f"{at}[2]"))
-        for at, (v1, v2, e) in _rows(doc.get("ext_defect", []), f"{where}.ext_defect", "[v1, v2, e]")
-    ]
+    def read_class(v):
+        numbers = _INTS[0](v)
+        return NumClass(numbers[:-1], numbers[-1]) if numbers is not None and len(numbers) == rank + 1 else None
+
+    cls = (read_class, lambda v, at: class_from_list(v, rank, at))
+    defects = list(_rows(doc.get("ext_defect", []), f"{where}.ext_defect", "[v1, v2, e]", (("[0]", cls), ("[1]", cls), ("[2]", _INT))))
     model = EvalModel(atoms, defects)
     return lattice, charge, model
 
@@ -361,10 +392,7 @@ def gv_table_from_json(doc: dict, where: str = "gv_table") -> GVTable:
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("genus", "degree", "omega"))
     omega = [_fraction(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")]
     entries = {}
-    for at, (g, beta, n) in _rows(doc["entries"], f"{where}.entries", "[g, beta, n]"):
-        g = _int(g, f"{at}.g")
-        beta = tuple(_int(b, f"{at}.beta") for b in _require(beta, list, f"{at}.beta"))
-        n = _int(n, f"{at}.n")
+    for g, beta, n in _rows(doc["entries"], f"{where}.entries", "[g, beta, n]", ((".g", _INT), (".beta", _INTS), (".n", _INT))):
         entries[(g, beta)] = entries.get((g, beta), 0) + n
     try:
         return GVTable(
@@ -391,10 +419,8 @@ def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("degree", "lambda", "omega"))
     omega = [_fraction(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")]
     coeffs = {}
-    for at, (beta, lam, c) in _rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]"):
-        beta = tuple(_int(b, f"{at}.beta") for b in _require(beta, list, f"{at}.beta"))
-        lam = _int(lam, f"{at}.lambda")
-        c = _fraction(c, f"{at}.coeff")
+    fields = ((".beta", _INTS), (".lambda", _INT), (".coeff", _RATIONAL))
+    for beta, lam, c in _rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]", fields):
         key = (beta, lam)
         coeffs[key] = coeffs[key] + c if key in coeffs else c  # only a repeated key is summed
     try:
@@ -494,5 +520,29 @@ def envelope(kind: str, **fields: Any) -> dict:
 
 
 def dump_json(doc: Any) -> str:
-    """Deterministic rendering: sorted keys, no whitespace drift."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    """Deterministic rendering: the text of json.dumps(doc, sort_keys=True,
+    indent=2, ensure_ascii=False), with a row's ints and strings written in
+    place rather than by one call each."""
+    return _json_text(doc, "\n")
+
+
+def _json_text(o: Any, nl: str) -> str:
+    """o's JSON text, where nl is the newline and indent of o's own line."""
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return encode_basestring(o)
+    if o is None or t is bool:
+        return "null" if o is None else "true" if o else "false"
+    if (t is list or t is dict) and not o:
+        return repr(o)
+    inner = nl + "  "
+    if t is list:
+        items = [int.__repr__(x) if type(x) is int else encode_basestring(x) if type(x) is str else _json_text(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        # json.dumps sorts the keys as they are, then writes an int, bool or null key as a string
+        items = [f"{encode_basestring(k if type(k) is str else _json_text(k, nl))}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -1,14 +1,18 @@
 """Strict document parsing: versioning, unknown-field rejection, round trips."""
 
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from gvmot.cli import _all_digits
 from gvmot.counting import NumClass
 from gvmot.errors import SchemaError
 from gvmot.gwseries import GVTable, GWSeries
 from gvmot.jsonio import (
+    _decode,
     _fraction,
     class_from_key,
     class_key,
@@ -126,6 +130,27 @@ class TestNumbers:
             with pytest.raises(SchemaError):
                 _fraction(bad, "n")
 
+    @pytest.mark.parametrize(
+        "text",
+        # forms outside -?[0-9]+(/[0-9]+)?; Fraction(str) of Python 3.11 accepts the first nine, "1e10000000" only after seconds
+        ["1.5", "+3", " 3", "3 ", "1_0", "1e5", "1e5000", "1e10000000", "\u0663", "3/-2", "1/0", "", "-", "1/", "/2", "--1"],
+    )
+    def test_rational_grammar_is_strict(self, text):
+        with pytest.raises(SchemaError) as raised:
+            _fraction(text, "n")
+        assert str(raised.value) == f"n: bad rational {text!r}"
+
+    def test_strict_parse_equals_fraction(self):
+        rng = random.Random(1601)
+        digits = lambda: "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 40)))
+        for _ in range(2000):
+            text = rng.choice(["", "-"]) + digits()
+            if rng.random() < 0.7:
+                den = digits()
+                text += "/" + (den if den.strip("0") else "1" + den)
+            value = _fraction(text, "n")
+            assert type(value) is Fraction and value == Fraction(text), text
+
 
 class TestGradedNilpotentDocs:
     def test_rational_matrix_entries(self):
@@ -228,6 +253,89 @@ class TestTablesAndSeries:
         b = dump_json(gw_series_to_json(series))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "kind, rows, cuts, build",
+        [
+            ("gv_table", {"entries": [[0, [1], 1], [0, [1, 0, 5], 1]]}, {"genus": 0},
+             lambda: GVTable({(0, (1, 0, 5)): 1}, 0, 2, (1, 1))),
+            ("gw_series", {"coeffs": [[[1], -2, "1"], [[1, 0, 5], -2, "1"]]}, {"lambda": 0},
+             lambda: GWSeries({((1, 0, 5), -2): 1}, 2, 0, (1, 1))),
+        ],
+    )
+    def test_class_length_must_match_omega(self, kind, rows, cuts, build):
+        # zip would truncate [1, 0, 5] to degree 1 against omega (1, 1)
+        doc = {"v": 1, "kind": kind, **rows, "cuts": {"degree": "2", "omega": ["1", "1"], **cuts}}
+        with pytest.raises(SchemaError) as raised:
+            parse_document(doc)
+        assert str(raised.value) == f"{kind}: class (1,) has 1 entries, omega has 2"
+        with pytest.raises(ValueError, match=r"class \(1, 0, 5\) has 3 entries, omega has 2"):
+            build()
+
+
+def _oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+_STRINGS = ["", "n", "caf\u00e9 \u00fc\u4e2d", 'say "hi"', "back\\slash", "tab\tline\nfeed\rbell\x07\x00\x1f",
+            "\u2028\u2029", "\U0001f600", "1/3", "-0"]
+
+
+def _random_doc(rng: random.Random, depth: int = 0):
+    """A seeded value of every shape a document holds: scalars, rows, int-keyed and empty containers."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.choice([0, 7, 2**64, 10**rng.randint(4300, 4400) + 3])
+    if kind in (2, 3):
+        return rng.choice(_STRINGS) + chr(rng.choice([rng.randrange(0x20), rng.randrange(0x20, 0x3000)]))
+    if kind == 4:
+        return [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+    if kind == 5:
+        return [[[rng.randint(-9, 99) for _ in range(rng.randint(1, 3))], rng.randint(-2, 40), rng.choice(_STRINGS)]
+                for _ in range(rng.randint(0, 4))]
+    if kind == 6:
+        return [_random_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = rng.choice([
+        lambda: rng.choice(_STRINGS) + str(rng.randint(0, 99)),
+        lambda: rng.randint(-50, 50),
+    ])
+    if rng.random() < 0.1:
+        return {rng.choice([None, True, False]): _random_doc(rng, depth + 1)}
+    return {keys(): _random_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+class TestDumpJson:
+    def test_matches_stdlib_on_seeded_documents(self):
+        rng = random.Random(2028)
+        with _all_digits():  # ints of over 4300 digits print as they do in gvmot's output
+            for _ in range(400):
+                doc = _random_doc(rng)
+                assert dump_json(doc) == _oracle(doc)
+
+    def test_matches_stdlib_on_golden_documents(self):
+        def leaves(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                for v in value:
+                    yield from leaves(v)
+            elif isinstance(value, str) and value.startswith(("[", "{")):
+                yield json.loads(value)
+
+        paths = sorted((Path(__file__).resolve().parent / "data").glob("*_golden.json"))
+        assert len(paths) == 5
+        for path in paths:
+            golden = json.loads(path.read_text())
+            assert dump_json(golden) == _oracle(golden)
+            for doc in leaves(golden):
+                assert dump_json(doc) == _oracle(doc)
+
+    def test_rejects_values_no_document_holds(self):
+        for value in (1.5, (1, 2), {1, 2}):
+            with pytest.raises(TypeError):
+                dump_json({"x": [value]})
+
 
 def _stack_doc(num):
     coeff = {"num": num, "den": [[0, 0, "1"]]}
@@ -270,6 +378,71 @@ def test_bad_row_messages(build, where, shape):
     with pytest.raises(SchemaError) as outer:
         parse_document(build({}))
     assert str(outer.value) == f"{where[:-3]}: expected list, got dict"
+
+
+def _gv(rows, **cuts):
+    return {"v": 1, "kind": "gv_table", "entries": rows, "cuts": {"genus": 0, "degree": 1, "omega": [1], **cuts}}
+
+
+def _gw(rows):
+    return {"v": 1, "kind": "gw_series", "coeffs": rows, "cuts": {"degree": 1, "lambda": 0, "omega": [1]}}
+
+
+LONG = "9" * 5000
+TOO_LONG = "a number of 5000 digits is over the limit of 4300 digits"
+
+
+# the exact message for each way a gv_table or gw_series row, or a cut, can fail
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_gv([7]), "gv_table.entries[0]: expected list, got int"),
+        (_gv([[0, [1]]]), "gv_table.entries[0]: expected [g, beta, n]"),
+        (_gv([[0, [1], 1, 2]]), "gv_table.entries[0]: expected [g, beta, n]"),
+        (_gv([[0, [True], 1]]), "gv_table.entries[0].beta: expected an integer"),
+        (_gv([[0, [1.0], 1]]), "gv_table.entries[0].beta: expected an integer"),
+        (_gv([[0, ["1"], 1]]), "gv_table.entries[0].beta: expected an integer"),
+        (_gv([[0, 1, 1]]), "gv_table.entries[0].beta: expected list, got int"),
+        (_gv([[0.0, [1], 1]]), "gv_table.entries[0].g: expected an integer"),
+        (_gv([[0, [1], True]]), "gv_table.entries[0].n: expected an integer"),
+        (_gv([[0, [1], "1/0"]]), "gv_table.entries[0].n: expected an integer"),
+        (_gv([[0, [1], 1], [0, [1], None]]), "gv_table.entries[1].n: expected an integer"),
+        (_gv([], degree="1/0"), "gv_table.cuts.degree: bad rational '1/0'"),
+        (_gv([], degree="3/-2"), "gv_table.cuts.degree: bad rational '3/-2'"),
+        (_gv([], degree="1e5000"), "gv_table.cuts.degree: bad rational '1e5000'"),
+        (_gv([], omega=["x"]), "gv_table.cuts.omega: bad rational 'x'"),
+        (_gv([], degree=LONG + "/3"), f"gv_table.cuts.degree: {TOO_LONG}"),
+        (_gw([7]), "gw_series.coeffs[0]: expected list, got int"),
+        (_gw([[[1], 0]]), "gw_series.coeffs[0]: expected [beta, lambda, coeff]"),
+        (_gw([[[True], 0, "1"]]), "gw_series.coeffs[0].beta: expected an integer"),
+        (_gw([[[1.5], 0, "1"]]), "gw_series.coeffs[0].beta: expected an integer"),
+        (_gw([[["1"], 0, "1"]]), "gw_series.coeffs[0].beta: expected an integer"),
+        (_gw([[1, 0, "1"]]), "gw_series.coeffs[0].beta: expected list, got int"),
+        (_gw([[[1], 0.5, "1"]]), "gw_series.coeffs[0].lambda: expected an integer"),
+        (_gw([[[1], False, "1"]]), "gw_series.coeffs[0].lambda: expected an integer"),
+        (_gw([[[1], 0, True]]), "gw_series.coeffs[0].coeff: expected an integer or rational string"),
+        (_gw([[[1], 0, 0.5]]), "gw_series.coeffs[0].coeff: expected an integer or rational string"),
+        (_gw([[[1], 0, None]]), "gw_series.coeffs[0].coeff: expected an integer or rational string"),
+        (_gw([[[1], 0, "1/0"]]), "gw_series.coeffs[0].coeff: bad rational '1/0'"),
+        (_gw([[[1], 0, "3/-2"]]), "gw_series.coeffs[0].coeff: bad rational '3/-2'"),
+        (_gw([[[1], 0, "1e5000"]]), "gw_series.coeffs[0].coeff: bad rational '1e5000'"),
+        (_gw([[[1], 0, LONG + "/3"]]), f"gw_series.coeffs[0].coeff: {TOO_LONG}"),
+        (_gw([[[1], 0, "1/" + LONG]]), f"gw_series.coeffs[0].coeff: {TOO_LONG}"),
+        (_gw([[[1], 0, "-" + LONG]]), f"gw_series.coeffs[0].coeff: {TOO_LONG}"),
+        (json.dumps(_gv([[0, [1], 1]])).replace("[[0, [1], 1]]", f"[[{LONG}, [1], 1]]"), f"gv_table.entries[0].g: {TOO_LONG}"),
+        (json.dumps(_gv([[0, [1], 1]])).replace("[[0, [1], 1]]", f"[[0, [-{LONG}], 1]]"), f"gv_table.entries[0].beta: {TOO_LONG}"),
+        (json.dumps(_gv([[0, [1], 1]])).replace("[[0, [1], 1]]", f"[[0, [1], {LONG}]]"), f"gv_table.entries[0].n: {TOO_LONG}"),
+        (json.dumps(_gw([[[1], 0, "1"]])).replace('[[[1], 0, "1"]]', f'[[[{LONG}], 0, "1"]]'), f"gw_series.coeffs[0].beta: {TOO_LONG}"),
+        (json.dumps(_gw([[[1], 0, "1"]])).replace('[[[1], 0, "1"]]', f'[[[1], {LONG}, "1"]]'), f"gw_series.coeffs[0].lambda: {TOO_LONG}"),
+        (json.dumps(_gw([[[1], 0, "1"]])).replace('[[[1], 0, "1"]]', f"[[[1], 0, {LONG}]]"), f"gw_series.coeffs[0].coeff: {TOO_LONG}"),
+    ],
+    ids=lambda value: value if isinstance(value, str) and not value.startswith("{") else "doc",
+)
+def test_bad_table_row_messages(doc, message):
+    # a str is the document's JSON text, for integers the decoder keeps as markers
+    with pytest.raises(SchemaError) as raised:
+        parse_document(_decode(doc) if isinstance(doc, str) else doc)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(
