@@ -8,8 +8,7 @@ rational string becomes a Fraction.  A number with more digits than the
 interpreter converts to an int (sys.get_int_max_str_digits; the conversion
 costs time quadratic in the digits) fails its schema check where it stands.
 
-Rows are read with one type test per item; a location is formatted only for
-an error.
+A row's location is formatted only for an error.
 """
 
 from __future__ import annotations
@@ -56,54 +55,38 @@ def _require(obj: Any, cls, where: str):
 
 
 def _int(obj: Any, where: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
+    if type(obj) is not int:
         if isinstance(obj, _LongInteger):
             raise _too_long(obj.digits, where)
         raise SchemaError(f"{where}: expected an integer")
     return obj
 
 
-_RATIONAL_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+def _ints(obj: Any, where: str) -> tuple[int, ...]:
+    return tuple([_int(x, where) for x in _require(obj, list, where)])
 
 
-def _rational(obj: Any) -> int | Fraction | None:
-    """What _fraction returns, or None where it raises."""
-    if type(obj) is int:
-        return obj
-    match = _RATIONAL_STR.fullmatch(obj) if type(obj) is str else None
-    if match is None:
-        return None
-    num, den = match.groups()
-    try:
-        return Fraction(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError):  # more digits than int() converts, or a zero denominator
-        return None
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _fraction(obj: Any, where: str) -> int | Fraction:
     """A JSON integer as itself, or a rational string "p/q" as a Fraction."""
-    value = _rational(obj)
-    if value is not None:
-        return value
+    if type(obj) is int:
+        return obj
     if type(obj) is str:
-        digits = max(map(len, re.findall(r"\d+", obj)), default=0)
+        match = _RATIONAL.fullmatch(obj)
+        if match:
+            try:
+                return Fraction(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):  # more digits than int() converts, or a zero denominator
+                pass
+        digits = max(map(len, re.findall(r"[0-9]+", obj)), default=0)
         if digits > _digit_limit() > 0:
             raise _too_long(digits, where)
         raise SchemaError(f"{where}: bad rational {obj!r}")
     if isinstance(obj, _LongInteger):
         raise _too_long(obj.digits, where)
     raise SchemaError(f"{where}: expected an integer or rational string")
-
-
-def _ints(obj: Any, where: str) -> tuple[int, ...]:
-    return tuple(_int(x, where) for x in _require(obj, list, where))
-
-
-# item kinds of a row: a reader that returns the item's value, or None for the
-# check that then says, at the item's location, what is wrong with it
-_INT = (lambda x: x if type(x) is int else None, _int)
-_INTS = (lambda x: tuple(x) if type(x) is list and all(type(b) is int for b in x) else None, _ints)
-_RATIONAL = (_rational, _fraction)
 
 
 def _fields(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
@@ -117,27 +100,23 @@ def _fields(obj: dict, where: str, required: tuple[str, ...], optional: tuple[st
     return obj
 
 
-def _rows(doc: Any, where: str, shape: str, fields: tuple) -> Iterator[tuple]:
-    """The values of each row of a list of three-item rows.
+def _rows(doc: Any, where: str, shape: str, items: tuple) -> Iterator[tuple]:
+    """The checked values of each row of a list of three-item rows.
 
-    fields gives each item's location suffix and kind.  A row is read with
-    one type test per item; only a row that fails it gets a location, and
-    the error of its first bad item (shape names the items for a row that
-    is not a list of three).
+    items gives each item's check and its location within the row; shape
+    names the items for a row that is not a list of three.  A row's own
+    location is formatted only for an error.
     """
-    (_, (read_a, _)), (_, (read_b, _)), (_, (read_c, _)) = fields
+    (check_a, at_a), (check_b, at_b), (check_c, at_c) = items
     for i, row in enumerate(_require(doc, list, where)):
-        if type(row) is list and len(row) == 3:
-            a, b, c = read_a(row[0]), read_b(row[1]), read_c(row[2])
-            if a is not None and b is not None and c is not None:
-                yield a, b, c
-                continue
-        at = f"{where}[{i}]"
-        if type(row) is list and len(row) == 3:
-            for item, (suffix, (_, check)) in zip(row, fields):
-                check(item, at + suffix)
-        _require(row, list, at)
-        raise SchemaError(f"{at}: expected {shape}")
+        if type(row) is not list or len(row) != 3:
+            _require(row, list, f"{where}[{i}]")
+            raise SchemaError(f"{where}[{i}]: expected {shape}")
+        try:
+            values = check_a(row[0], at_a), check_b(row[1], at_b), check_c(row[2], at_c)
+        except SchemaError as exc:
+            raise SchemaError(f"{where}[{i}]{exc}") from None
+        yield values
 
 
 def fraction_str(f: int | Fraction) -> str:
@@ -154,7 +133,7 @@ def poly_to_json(p: LaurentPoly) -> list[list]:
 
 def poly_from_json(doc: Any, where: str = "poly") -> LaurentPoly:
     terms: dict[tuple[int, int], int] = {}
-    for i, (a, b, c) in enumerate(_rows(doc, where, "[a, b, coeff]", ((".a", _INT), (".b", _INT), (".coeff", _RATIONAL)))):
+    for i, (a, b, c) in enumerate(_rows(doc, where, "[a, b, coeff]", ((_int, ".a"), (_int, ".b"), (_fraction, ".coeff")))):
         if c.denominator != 1:
             raise SchemaError(f"{where}[{i}]: polynomial coefficients are integers")
         terms[(a, b)] = terms.get((a, b), 0) + int(c)
@@ -186,7 +165,7 @@ def census_to_json(c: JordanCensus) -> list[list[int]]:
 
 def census_from_json(doc: Any, where: str = "census") -> JordanCensus:
     cells: dict[tuple[int, int], int] = {}
-    for i, (alpha, l, n) in enumerate(_rows(doc, where, "[alpha, l, count]", ((".alpha", _INT), (".l", _INT), (".count", _INT)))):
+    for i, (alpha, l, n) in enumerate(_rows(doc, where, "[alpha, l, count]", ((_int, ".alpha"), (_int, ".l"), (_int, ".count")))):
         if l < 1:
             raise SchemaError(f"{where}[{i}]: cell size must be positive")
         cells[(alpha, l)] = cells.get((alpha, l), 0) + n
@@ -195,7 +174,7 @@ def census_from_json(doc: Any, where: str = "census") -> JordanCensus:
 
 def bispin_from_json(doc: Any, where: str = "content") -> BispinContent:
     mult: dict[tuple[int, int], int] = {}
-    for i, (jl, jr, m) in enumerate(_rows(doc, where, "[twoJL, twoJR, mult]", ((".twoJL", _INT), (".twoJR", _INT), (".mult", _INT)))):
+    for i, (jl, jr, m) in enumerate(_rows(doc, where, "[twoJL, twoJR, mult]", ((_int, ".twoJL"), (_int, ".twoJR"), (_int, ".mult")))):
         if jl < 0 or jr < 0:
             raise SchemaError(f"{where}[{i}]: doubled spins are nonnegative")
         mult[(jl, jr)] = mult.get((jl, jr), 0) + m
@@ -375,12 +354,8 @@ def count_model_from_json(doc: dict, where: str = "count_model") -> tuple[ClassL
         v = class_from_key(key, rank, f"{where}.atoms")
         atoms[v] = stack_class_from_json(parts, f"{where}.atoms[{key}]")
 
-    def read_class(v):
-        numbers = _INTS[0](v)
-        return NumClass(numbers[:-1], numbers[-1]) if numbers is not None and len(numbers) == rank + 1 else None
-
-    cls = (read_class, lambda v, at: class_from_list(v, rank, at))
-    defects = list(_rows(doc.get("ext_defect", []), f"{where}.ext_defect", "[v1, v2, e]", (("[0]", cls), ("[1]", cls), ("[2]", _INT))))
+    cls = lambda v, at: class_from_list(v, rank, at)
+    defects = list(_rows(doc.get("ext_defect", []), f"{where}.ext_defect", "[v1, v2, e]", ((cls, "[0]"), (cls, "[1]"), (_int, "[2]"))))
     model = EvalModel(atoms, defects)
     return lattice, charge, model
 
@@ -392,7 +367,7 @@ def gv_table_from_json(doc: dict, where: str = "gv_table") -> GVTable:
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("genus", "degree", "omega"))
     omega = [_fraction(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")]
     entries = {}
-    for g, beta, n in _rows(doc["entries"], f"{where}.entries", "[g, beta, n]", ((".g", _INT), (".beta", _INTS), (".n", _INT))):
+    for g, beta, n in _rows(doc["entries"], f"{where}.entries", "[g, beta, n]", ((_int, ".g"), (_ints, ".beta"), (_int, ".n"))):
         entries[(g, beta)] = entries.get((g, beta), 0) + n
     try:
         return GVTable(
@@ -419,8 +394,8 @@ def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("degree", "lambda", "omega"))
     omega = [_fraction(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")]
     coeffs = {}
-    fields = ((".beta", _INTS), (".lambda", _INT), (".coeff", _RATIONAL))
-    for beta, lam, c in _rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]", fields):
+    items = ((_ints, ".beta"), (_int, ".lambda"), (_fraction, ".coeff"))
+    for beta, lam, c in _rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]", items):
         key = (beta, lam)
         coeffs[key] = coeffs[key] + c if key in coeffs else c  # only a repeated key is summed
     try:
