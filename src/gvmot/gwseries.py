@@ -15,15 +15,22 @@ of the genera solved so far; once a class is solved, its series is pushed for
 k >= 2.  Integrality of the solved values is conjectural; non-integer results
 are reported alongside the table, never rounded.
 
-The kernel works in integers.  The sine table is read off closed forms as
-integer numerators over one denominator D_e per lambda exponent e (Bernoulli
-numbers from tangent numbers for genus 0, central factorial numbers above).
-The series at a key (gamma, e) is held as an int times D_e c(gamma)^max(0, 1-e),
-c(gamma) the gcd of gamma's entries: as c(k beta) = k c(beta), cover k of beta
-adds f[e] k^{e-1} for e >= 2 and f[e] c(beta)^{1-e} for e <= 0, integers both.
-A Fraction is built once per output coefficient; the inverse reads each input
-coefficient times its scale once and divides out the scale with one divmod,
-and a nonintegral value simply stays a Fraction in the same sums.
+The kernel works in integers, on slot rows.  A class's series is a list
+whose slot h holds the coefficient of lambda^e, e = 2h - 2, up to the lambda
+cut.  The sine table is read off closed forms as integer numerators over one
+denominator D_h per slot (Bernoulli numbers from tangent numbers for genus 0,
+central factorial numbers above), and row g of it starts at slot g, so a
+genus is added into a class's series slot by slot.  Slot h of the series at
+gamma is held as an int times D_h c(gamma)^max(0, 1-e), c(gamma) the gcd of
+gamma's entries.  As c(k beta) = k c(beta), cover k of beta adds slot h
+times c(beta)^3 at h = 0, c(beta) at h = 1 and k^{2h-3} above: the multiplier
+row (c^3, c, k, k^3, ..., k^{2h-3}), integers all.  Its class part is
+applied once per class, as a lift of the class's series, and its cover part
+(1, 1, k, k^3, ...) is built once per k.  A Fraction is built once per
+output coefficient; the inverse reads each input coefficient times its scale
+once and divides out the scale with one divmod, and a nonintegral value
+simply stays a Fraction in the same sums.  The results are built inside the
+cuts, so they are returned without a second check (_built).
 
 Each transform spends one Ledger, counting its work from the cuts before
 doing any: per-entry kernel terms (an over-count of the per-class push),
@@ -35,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, perm
-from operator import mul
+from operator import add, mul
 from typing import Mapping
 
 from .errors import ConeNotPointedError, InsufficientTruncationError, Ledger
@@ -104,42 +111,47 @@ def _cover_count(degree: int, top: int) -> int:
     return max(top // degree, 0)
 
 
-def _order_count(g: int, lambda_max: int) -> int:
-    """Number of j >= 0 with 2g-2+2j inside the lambda cut."""
-    return max((lambda_max - 2 * g + 2) // 2 + 1, 0)
+def _lifts(c: int, slots: int) -> list[int]:
+    """(c^3, c, 1, ..., 1) to the given number of slots: the per-class factor c^max(0, 1-e) of the scale at slot h, e = 2h-2."""
+    return ([c**3, c] + [1] * (slots - 2))[:slots]
 
 
-def _lift(beta: Beta, e: int) -> int:
-    """c(beta)^max(0, 1-e): the per-class factor of the scale at (beta, e), c the gcd of beta's entries."""
-    return gcd(*beta) ** max(0, 1 - e)
+def _cover_rows(k_max: int, slots: int) -> list[list[int]]:
+    """Row k (1 <= k <= k_max) is cover k's multiplier (1, 1, k, k^3, ..., k^(2h-3)) on a lifted class series."""
+    rows = [[]]
+    for k in range(1, k_max + 1):
+        row, p = [1, 1], k
+        for _ in range(slots - 2):
+            row.append(p)
+            p *= k * k
+        rows.append(row[:slots])
+    return rows
 
 
-def _add_genus(f: dict[int, int], g: int, n, lambda_max: int, rows: list[list[int]]) -> None:
-    """Add n (2 sin(lambda/2))^{2g-2} to a class's series f, up to the lambda cut.
+def _add_row(f: list, g: int, n, rows: list[list[int]]) -> None:
+    """Add n (2 sin(lambda/2))^{2g-2} to a class series f: sine row g, from slot g on, up to f's last slot.
 
-    f[e] holds the coefficient of lambda^e times the sine table's denominator at e.
+    Every sine row reaches f's last slot, since the table is sized from the cuts.
     """
-    for j in range(_order_count(g, lambda_max)):
-        c = rows[g][j]
-        if c:
-            e = 2 * g - 2 + 2 * j
-            f[e] = f.get(e, 0) + n * c
+    if g < len(f):
+        f[g:] = map(add, f[g:], map(n.__mul__, rows[g]))
 
 
-def _push(acc: dict, beta: Beta, f: dict[int, int], covers: range) -> None:
-    """The multiple-cover kernel: add f[e] k^{e-1} at (k beta, e) for each k in covers.
+def _push(acc: dict[Beta, list], beta: Beta, f: list, covers: range, cover_rows: list[list[int]]) -> None:
+    """The multiple-cover kernel: add cover k of the class series f at k beta, for each k in covers.
 
-    acc holds each key (gamma, e) scaled by c(gamma)^max(0, 1-e) on top of
-    f's scale; as c(k beta) = k c(beta), that turns k^{e-1} into c(beta)^{1-e}
-    for e <= 0, so every term is f[e] times an int.
+    f is lifted once, slot 0 by c(beta)^3 and slot 1 by c(beta); then cover k
+    multiplies it slot by slot with its row (1, 1, k, k^3, ...).  A series
+    of zeros pushes nothing.
     """
-    lifts = {e: _lift(beta, e) for e in f if e <= 0}
+    if not any(f):
+        return
+    lifted = list(map(mul, f, _lifts(gcd(*beta), len(f))))
     for k in covers:
-        kbeta = tuple(k * b for b in beta)
-        for e, c in f.items():
-            if c:
-                key = (kbeta, e)
-                acc[key] = acc.get(key, 0) + c * (lifts[e] if e <= 0 else k ** (e - 1))
+        kbeta = tuple([k * b for b in beta])
+        terms = map(mul, lifted, cover_rows[k])
+        old = acc.get(kbeta)
+        acc[kbeta] = list(terms) if old is None else list(map(add, old, terms))
 
 
 def _quotient(num: int | Fraction, den: int) -> int | Fraction:
@@ -203,10 +215,7 @@ class GVTable:
             beta = checked[beta]
             if int(n) != 0:
                 clean[(g, beta)] = int(n)
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "genus_max", int(genus_max))
-        object.__setattr__(self, "degree_max", degree_max)
-        object.__setattr__(self, "omega", omega)
+        vars(self).update(entries=clean, genus_max=int(genus_max), degree_max=degree_max, omega=omega)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GVTable) and self.entries == other.entries
@@ -241,10 +250,7 @@ class GWSeries:
             c = c if type(c) is Fraction else Fraction(c)
             if c:
                 clean[(beta, lam)] = c
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "degree_max", degree_max)
-        object.__setattr__(self, "lambda_max", int(lambda_max))
-        object.__setattr__(self, "omega", omega)
+        vars(self).update(coeffs=clean, degree_max=degree_max, lambda_max=int(lambda_max), omega=omega)
 
     def coefficient(self, beta: Beta, lam: int) -> Fraction:
         return self.coeffs.get((tuple(beta), int(lam)), Fraction(0))
@@ -253,6 +259,14 @@ class GWSeries:
         return isinstance(other, GWSeries) and self.coeffs == other.coeffs
 
     __hash__ = None
+
+
+def _built(cls, **fields):
+    """A GVTable or GWSeries of fields a transform built inside the cuts, not checked again:
+    int entries or Fraction coefficients, none zero, on classes inside the degree cut."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass
@@ -276,29 +290,34 @@ def gv_to_gw(
     degree_max = table.degree_max if degree_max is None else Fraction(degree_max)
     if lambda_max is None:
         lambda_max = 2 * table.genus_max - 2
+    slots = max(lambda_max // 2 + 2, 0)
     genera: dict[Beta, dict[int, int]] = {}
     for (g, beta), n in table.entries.items():
         genera.setdefault(beta, {})[g] = n
     weights, top = _weights(table.omega, degree_max)
     covers = {beta: _cover_count(_degree(weights, beta), top) for beta in genera}
-    terms = genus_top = order = 0
+    terms = genus_top = order = k_max = 0
     for g, beta in table.entries:
-        orders = _order_count(g, lambda_max)
-        if covers[beta] and orders:
-            terms += covers[beta] * orders
-            genus_top, order = max(genus_top, g), max(order, orders - 1)
+        if covers[beta] and g < slots:
+            terms += covers[beta] * (slots - g)
+            genus_top, order, k_max = max(genus_top, g), max(order, slots - g - 1), max(k_max, covers[beta])
     ledger = Ledger()
     ledger.spend("gw forward", terms, "kernel terms")
     rows, den = _sin_table(genus_top, order, ledger)
-    acc: dict[tuple[Beta, int], int] = {}
+    cover_rows = _cover_rows(k_max, slots)
+    acc: dict[Beta, list[int]] = {}
     for beta, counts in genera.items():
         if covers[beta]:
-            f: dict[int, int] = {}
+            f = [0] * slots
             for g, n in counts.items():
-                _add_genus(f, g, n, lambda_max, rows)
-            _push(acc, beta, f, range(1, covers[beta] + 1))
-    coeffs = {(beta, e): Fraction(c, den[e // 2 + 1] * _lift(beta, e)) for (beta, e), c in acc.items() if c}
-    return GWSeries(coeffs, degree_max, lambda_max, table.omega)
+                _add_row(f, g, n, rows)
+            _push(acc, beta, f, range(1, covers[beta] + 1), cover_rows)
+    coeffs = {}
+    for gamma, series in acc.items():
+        for h, (c, scale) in enumerate(zip(series, map(mul, den, _lifts(gcd(*gamma), slots)))):
+            if c:
+                coeffs[(gamma, 2 * h - 2)] = Fraction(c, scale)
+    return _built(GWSeries, coeffs=coeffs, degree_max=degree_max, lambda_max=int(lambda_max), omega=table.omega)
 
 
 def gw_to_gv(
@@ -343,32 +362,31 @@ def gw_to_gv(
                 degree[kbeta] = k * d
                 covers[kbeta] = _cover_count(k * d, top)
     candidates = sorted((beta for beta in degree if covers[beta]), key=lambda b: (degree[b], b))
-    genera = max(genus_max + 1, 0)
-    terms = sum(covers[beta] for beta in candidates) * genera * (genera + 1) // 2
+    slots = max(genus_max + 1, 0)
+    terms = sum(covers[beta] for beta in candidates) * slots * (slots + 1) // 2
     ledger.spend("gw inverse", terms, "kernel terms")
     rows, den = _sin_table(genus_max, genus_max, ledger) if terms else ([], [])
+    cover_rows = _cover_rows(max(covers.values()) if terms else 0, slots)
 
-    lambda_max = 2 * genus_max - 2
-    pushed: dict[tuple[Beta, int], int] = {}
+    coeffs, zero = series.coeffs, Fraction(0)
+    pushed: dict[Beta, list] = {}
     entries: dict[tuple[int, Beta], int] = {}
     nonintegral: dict[tuple[int, Beta], Fraction] = {}
     for beta in candidates:
-        f: dict[int, int] = {}
-        for g in range(genus_max + 1):
-            e = 2 * g - 2
-            # the key's scale is den[g] * lift, and the class's own k = 1 cover adds f[e] * lift
-            lift = _lift(beta, e)
-            scale = den[g] * lift
-            c = series.coefficient(beta, e)
-            value = _quotient(
-                c.numerator * scale - c.denominator * (pushed.get((beta, e), 0) + f.get(e, 0) * lift),
-                c.denominator * scale,
-            )
+        f = [0] * slots
+        lifts = _lifts(gcd(*beta), slots)
+        covered = pushed.pop(beta, None) or [0] * slots  # no class pushes onto beta once it is reached
+        for g, (lift, d, p) in enumerate(zip(lifts, den, covered)):
+            # the key's scale is den[g] * lift, and the class's own k = 1 cover adds f[g] * lift
+            scale = d * lift
+            c = coeffs.get((beta, 2 * g - 2), zero)
+            value = _quotient(c.numerator * scale - c.denominator * (p + f[g] * lift), c.denominator * scale)
             if value:
-                _add_genus(f, g, value, lambda_max, rows)
+                _add_row(f, g, value, rows)
                 if value.denominator == 1:
-                    entries[(g, beta)] = int(value)
+                    entries[(g, beta)] = value
                 else:
                     nonintegral[(g, beta)] = value
-        _push(pushed, beta, f, range(2, covers[beta] + 1))
-    return InversionResult(table=GVTable(entries, genus_max, degree_max, series.omega), nonintegral=nonintegral)
+        _push(pushed, beta, f, range(2, covers[beta] + 1), cover_rows)
+    table = _built(GVTable, entries=entries, genus_max=int(genus_max), degree_max=degree_max, omega=series.omega)
+    return InversionResult(table=table, nonintegral=nonintegral)

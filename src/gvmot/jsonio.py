@@ -3,10 +3,12 @@
 All documents carry {"v": 1, "kind": ...}; unknown fields are rejected so a
 typo cannot silently change mathematical input.  Every number in transit is
 an integer or a rational string "p/q", matched by -?[0-9]+(/[0-9]+)?;
-nothing is ever parsed as a float.  A JSON integer stays an int, and only a
-rational string becomes a Fraction.  A number with more digits than the
-interpreter converts to an int (sys.get_int_max_str_digits; the conversion
-costs time quadratic in the digits) fails its schema check where it stands.
+nothing is ever parsed as a float.  An integer written in a key (a degree,
+or a part of a class "b1,...,k") matches -?[0-9]+ whole.  A JSON integer
+stays an int, and only a rational string becomes a Fraction.  A number with
+more digits than the interpreter converts to an int
+(sys.get_int_max_str_digits; the conversion costs time quadratic in the
+digits) fails its schema check where it stands.
 
 A row's location is formatted only for an error.
 """
@@ -67,6 +69,14 @@ def _ints(obj: Any, where: str) -> tuple[int, ...]:
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _key_int(key: str) -> int:
+    """An integer written as a document key, matched whole by -?[0-9]+; ValueError otherwise."""
+    if not _INTEGER.fullmatch(key):
+        raise ValueError(key)
+    return int(key)
 
 
 def _fraction(obj: Any, where: str) -> int | Fraction:
@@ -187,7 +197,7 @@ def graded_nilpotent_from_json(doc: dict, where: str = "graded_nilpotent") -> Gr
     dims = {}
     for key, value in dims_doc.items():
         try:
-            degree = int(key)
+            degree = _key_int(key)
         except ValueError as exc:
             raise SchemaError(f"{where}.dims: bad degree key {key!r}") from exc
         dims[degree] = _int(value, f"{where}.dims[{key}]")
@@ -196,7 +206,7 @@ def graded_nilpotent_from_json(doc: dict, where: str = "graded_nilpotent") -> Gr
     maps = {}
     for key, rows in maps_doc.items():
         try:
-            degree = int(key)
+            degree = _key_int(key)
         except ValueError as exc:
             raise SchemaError(f"{where}.maps: bad degree key {key!r}") from exc
         at = f"{where}.maps[{key}]"
@@ -314,7 +324,7 @@ def class_from_key(key: str, rank: int, where: str) -> NumClass:
     if len(pieces) != rank + 1:
         raise SchemaError(f"{where}: class key {key!r} needs {rank} beta parts plus k")
     try:
-        numbers = [int(p) for p in pieces]
+        numbers = [_key_int(p) for p in pieces]
     except ValueError as exc:
         raise SchemaError(f"{where}: bad class key {key!r}") from exc
     return NumClass(tuple(numbers[:-1]), numbers[-1])
@@ -496,8 +506,13 @@ def envelope(kind: str, **fields: Any) -> dict:
 
 def dump_json(doc: Any) -> str:
     """Deterministic rendering: the text of json.dumps(doc, sort_keys=True,
-    indent=2, ensure_ascii=False), with a row's ints and strings written in
-    place rather than by one call each."""
+    indent=2, ensure_ascii=False).
+
+    A list of flat rows, each a nonempty list of ints, strings and nonempty
+    lists of ints and strings (a table row such as [[beta], e, "coeff"]), is
+    written one string per row in a single pass; any other list is written
+    item by item, recursively.
+    """
     return _json_text(doc, "\n")
 
 
@@ -514,10 +529,42 @@ def _json_text(o: Any, nl: str) -> str:
         return repr(o)
     inner = nl + "  "
     if t is list:
-        items = [int.__repr__(x) if type(x) is int else encode_basestring(x) if type(x) is str else _json_text(x, inner) for x in o]
+        items = _flat_rows(o, inner)
+        if items is None:
+            items = [int.__repr__(x) if type(x) is int else encode_basestring(x) if type(x) is str else _json_text(x, inner) for x in o]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
         # json.dumps sorts the keys as they are, then writes an int, bool or null key as a string
         items = [f"{encode_basestring(k if type(k) is str else _json_text(k, nl))}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _flat_rows(rows: list, nl: str) -> list[str] | None:
+    """The text of each item of rows, written at the newline and indent nl, if
+    every item is a flat row (see dump_json); None at the first that is not."""
+    at_item = nl + "  "
+    at_sub = at_item + "  "
+    item_sep, sub_sep = "," + at_item, "," + at_sub
+    open_row, close_row = "[" + at_item, nl + "]"
+    open_sub, close_sub = "[" + at_sub, at_item + "]"
+    texts = []
+    for row in rows:
+        if type(row) is not list or not row:
+            return None
+        items = []
+        for x in row:
+            t = type(x)
+            if t is int:
+                items.append(int.__repr__(x))
+            elif t is str:
+                items.append(encode_basestring(x))
+            elif t is list and x:
+                subs = [int.__repr__(y) if type(y) is int else encode_basestring(y) if type(y) is str else None for y in x]
+                if None in subs:
+                    return None
+                items.append(open_sub + sub_sep.join(subs) + close_sub)
+            else:
+                return None
+        texts.append(open_row + item_sep.join(items) + close_row)
+    return texts

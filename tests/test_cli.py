@@ -323,6 +323,23 @@ class TestGv:
         assert code == EXIT_OK
         assert json.loads(out)["counts"] == [[0, 1], [1, 0], [2, 0]]
 
+    @pytest.mark.parametrize("target", [" +1,0", "+1,0", "1_0,0", "\uff11,0", "1,0 ", "1,", "1,-"])
+    def test_target_parts_match_the_integer_grammar(self, capsys, target):
+        # int() would read " +1,0" and "\uff11,0" as the class (1, 0), which has no atom (exit 4)
+        code, out, err = run(capsys, "gv", "--input", f"{SAMPLES}/conifold.count_model.json", f"--target={target}", "--json")
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert json.loads(err)["error"] == {"message": f"--target: bad class key {target!r}", "type": "SchemaError"}
+
+    def test_atom_keys_match_the_integer_grammar(self, capsys, tmp_path):
+        doc = json.loads(Path(f"{SAMPLES}/conifold.count_model.json").read_text())
+        atoms = doc["atoms"]
+        key = next(iter(atoms))
+        doc["atoms"] = {**atoms, f" +{key}": atoms[key]}
+        path = write_doc(tmp_path, "plus.json", doc)
+        code, out, err = run(capsys, "gv", "--input", path, "--target", "1,1", "--json")
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert json.loads(err)["error"]["message"] == f"count_model.atoms: bad class key {' +' + key!r}"
+
     def test_model_note_in_human_output(self, capsys):
         code, out, _ = run(
             capsys,
@@ -564,6 +581,15 @@ class TestGw:
             error = json.loads(err)["error"]
             assert error["type"] == "ResourceLimitError"
             assert error["message"].startswith(f"{stage}: ") and "cap of 1000000" in error["message"]
+
+    def test_lambda_cut_below_every_genus_walks_no_cover(self, capsys):
+        # no kernel term fits under the cut, so the ledger is charged nothing
+        # and no class may walk its 10^8 covers
+        start = time.perf_counter()
+        argv = ["--input", f"{SAMPLES}/conifold.gv_table.json", "--degree-max", "100000000", "--lambda-order", "-4", "--json"]
+        code, out, err = run(capsys, "gw", *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (EXIT_OK, "") and json.loads(out)["coeffs"] == []
 
     def test_flag_of_the_other_direction_exit_two(self, capsys):
         cases = [

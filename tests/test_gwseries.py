@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, factorial, gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +15,15 @@ from gvmot.errors import ConeNotPointedError, InsufficientTruncationError, Ledge
 from gvmot.gwseries import (
     GVTable,
     GWSeries,
-    _add_genus,
+    _add_row,
+    _cover_rows,
     _push,
     _sin_table,
     gv_to_gw,
     gw_to_gv,
     sin_power_coefficient,
 )
+from gvmot.jsonio import parse_document
 from gvmot.linalg import dot
 from gvmot.verify import _oracle_sin_power, prop_inverse_is_solution, random_gv_table, random_gw_series
 
@@ -104,11 +107,12 @@ def random_table(rng):
 
 
 def random_multiple_table(rng):
-    """Entries on two to four multiples d beta0 (d <= 4) of one primitive class of rank 1 to 3.
+    """Entries on two to four multiples d beta0 (d <= 6) of one primitive class of rank 1 to 3.
 
     beta0 may have negative entries and omega entries drawn from 1/3..3, and
-    the degree cut admits 4 to 12 covers of beta0, so most keys k beta0 are
-    reached from several (d beta0, k / d) pairs.
+    the degree cut admits 6 to 12 covers of beta0, so most keys k beta0 are
+    reached from several (d beta0, k / d) pairs, and the lifts c^3 and c of
+    the lambda^-2 and lambda^0 slots meet gcds 2 to 6 and above.
     """
     rank = rng.randint(1, 3)
     omega = tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rank))
@@ -118,9 +122,9 @@ def random_multiple_table(rng):
     genus_max = rng.randint(0, 3)
     entries = {
         (rng.randint(0, genus_max), tuple(d * b for b in beta0)): rng.choice([-1, 1]) * rng.randint(1, 9)
-        for d in rng.sample(range(1, 5), rng.randint(2, 4))
+        for d in rng.sample(range(1, 7), rng.randint(2, 4))
     }
-    return GVTable(entries, genus_max, dot(omega, beta0) * rng.randint(4, 12), omega)
+    return GVTable(entries, genus_max, dot(omega, beta0) * rng.randint(6, 12), omega)
 
 
 def shared_keys(table):
@@ -130,6 +134,25 @@ def shared_keys(table):
         for k in range(1, int(table.degree_max // dot(table.omega, beta)) + 1):
             sources.setdefault(tuple(k * b for b in beta), set()).add((beta, k))
     return [gamma for gamma, pairs in sources.items() if len(pairs) > 1 and gcd(*gamma) > 1]
+
+
+def assert_trusted(result):
+    """A transform's result equals its rebuild through the checking constructor, types included."""
+    if isinstance(result, GWSeries):
+        rebuilt = GWSeries(result.coeffs, result.degree_max, result.lambda_max, result.omega)
+        values, keys = result.coeffs.values(), [(lam, *beta) for beta, lam in result.coeffs]
+        assert all(type(c) is Fraction for c in values)
+        fields = ("coeffs", "degree_max", "lambda_max", "omega")
+    else:
+        rebuilt = GVTable(result.entries, result.genus_max, result.degree_max, result.omega)
+        values, keys = result.entries.values(), [(g, *beta) for g, beta in result.entries]
+        assert all(type(n) is int for n in values)
+        fields = ("entries", "genus_max", "degree_max", "omega")
+    assert all(values) and all(type(x) is int for key in keys for x in key)
+    for name in fields:
+        got, want = getattr(result, name), getattr(rebuilt, name)
+        assert got == want and type(got) is type(want), name
+    assert type(result.degree_max) is Fraction and all(type(w) is Fraction for w in result.omega)
 
 
 class TestSinPowerCoefficients:
@@ -371,48 +394,81 @@ class TestPushOracle:
 
 
 class TestScaledKernel:
-    """The integer kernel against the per-entry Fraction oracles where the per-key scale matters."""
+    """The integer kernel against the per-entry Fraction oracles where the per-key scale matters.
+
+    Every result also equals its rebuild through the checking constructors.
+    """
 
     def test_kernel_stays_in_ints(self):
+        # slot h holds lambda^(2h-2): seven slots reach lambda^10
         rows, den = _sin_table(3, 6, Ledger())
-        f = {}
-        _add_genus(f, 2, -7, 10, rows)
-        _add_genus(f, 0, 3, 10, rows)
+        f = [0] * 7
+        _add_row(f, 2, -7, rows)
+        _add_row(f, 0, 3, rows)
         acc = {}
-        _push(acc, (2, -4), f, range(1, 6))
-        assert f and acc
-        assert all(type(c) is int for c in [*den, *f.values(), *acc.values()])
+        _push(acc, (2, -4), f, range(1, 6), _cover_rows(5, 7))
+        assert len(f) == 7 and f[0] and f[2] and sorted(acc) == [(2 * k, -4 * k) for k in range(1, 6)]
+        assert all(len(row) == 7 for row in acc.values())
+        assert all(type(c) is int for c in [*den, *f, *(c for row in acc.values() for c in row)])
 
     def test_forward_on_shared_multiples(self):
         rng = random.Random(68)
-        shared = negative = fractional = 0
+        shared = negative = fractional = lifted = below = 0
         for _ in range(150):
             table = random_multiple_table(rng)
-            lambda_max = rng.randint(-2, 2 * table.genus_max + 4)
-            got = gv_to_gw(table, lambda_max=lambda_max)
-            assert got.coeffs == forward_oracle(table, table.degree_max, lambda_max), (table.entries, table.omega)
+            degree_max = table.degree_max - rng.choice([0, 0, Fraction(1, 3), 2])
+            lambda_max = rng.randint(-2, 2 * table.genus_max + 5)
+            got = gv_to_gw(table, degree_max=degree_max, lambda_max=lambda_max)
+            assert got.coeffs == forward_oracle(table, degree_max, lambda_max), (table.entries, table.omega)
+            assert_trusted(got)
             shared += bool(shared_keys(table))
             negative += any(b < 0 for _, beta in table.entries for b in beta)
             fractional += any(w.denominator > 1 for w in table.omega)
-        assert shared > 100 and negative > 20 and fractional > 50
+            lifted += sum(1 for beta, lam in got.coeffs if lam <= 0 and 2 <= gcd(*beta) <= 6)
+            below += degree_max < table.degree_max and lambda_max < 2 * table.genus_max - 2
+        assert shared > 100 and negative > 20 and fractional > 50 and lifted > 400 and below > 5
 
     def test_inverse_on_shared_multiples(self):
         # a forward image, with one coefficient nudged by 1/q half the time so
         # that the solve meets nonintegral values and pushes them on
         rng = random.Random(69)
-        nonintegral = 0
-        for case in range(150):
+        nonintegral = lifted = below = 0
+        for case in range(200):
             table = random_multiple_table(rng)
-            series = gv_to_gw(table, lambda_max=2 * table.genus_max + 2 * rng.randint(-1, 2))
+            series = gv_to_gw(table, lambda_max=2 * table.genus_max + 2 * rng.randint(-1, 2) + rng.randint(0, 1))
             coeffs = dict(series.coeffs)
             if case % 2 and coeffs:
                 key = rng.choice(sorted(coeffs))
                 coeffs[key] += Fraction(1, rng.randint(2, 5))
             series = GWSeries(coeffs, series.degree_max, series.lambda_max, series.omega)
             genus_max = rng.randint(-1, (series.lambda_max + 2) // 2)
-            result = gw_to_gv(series, genus_max=genus_max)
-            expected = inverse_oracle(series, genus_max, series.degree_max)
+            degree_max = series.degree_max - rng.choice([0, 0, Fraction(1, 2), 2])
+            result = gw_to_gv(series, genus_max=genus_max, degree_max=degree_max)
+            expected = inverse_oracle(series, genus_max, degree_max)
             assert result.table.entries == {key: v for key, v in expected.items() if v.denominator == 1}
             assert result.nonintegral == {key: v for key, v in expected.items() if v.denominator != 1}
+            assert_trusted(result.table)
+            assert all(type(v) is Fraction for v in result.nonintegral.values())
             nonintegral += bool(result.nonintegral)
-        assert nonintegral > 30
+            lifted += sum(1 for g, beta in expected if g <= 1 and 2 <= gcd(*beta) <= 6)
+            below += genus_max < (series.lambda_max + 2) // 2 and degree_max < series.degree_max
+        assert nonintegral > 30 and lifted > 150 and below > 40
+
+
+class TestTrustedResults:
+    """The transforms return what they build without a second check: it must pass one."""
+
+    def test_golden_results_are_trusted(self):
+        flags = {"--degree-max": "degree_max", "--lambda-order": "lambda_max", "--genus-max": "genus_max"}
+        golden = json.loads((Path(__file__).resolve().parent / "data" / "gw_golden.json").read_text())
+        samples = Path(__file__).resolve().parent.parent / "sample_data"
+        for name, case in golden.items():
+            doc = case["document"] if "document" in case else json.loads((samples / case["sample"]).read_text())
+            _, payload = parse_document(doc)
+            cuts = {flags[flag]: int(value) for flag, value in zip(case["argv"][::2], case["argv"][1::2])}
+            if isinstance(payload, GVTable):
+                assert_trusted(gv_to_gw(payload, **cuts))
+            else:
+                result = gw_to_gv(payload, **cuts)
+                assert_trusted(result.table)
+                assert all(type(v) is Fraction and v.denominator > 1 for v in result.nonintegral.values()), name

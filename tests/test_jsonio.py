@@ -13,6 +13,7 @@ from gvmot.errors import SchemaError
 from gvmot.gwseries import GVTable, GWSeries
 from gvmot.jsonio import (
     _decode,
+    _flat_rows,
     _fraction,
     class_from_key,
     class_key,
@@ -82,6 +83,15 @@ class TestClassKeys:
     def test_wrong_arity(self):
         with pytest.raises(SchemaError):
             class_from_key("1,2", 2, "test")
+
+    @pytest.mark.parametrize("key", [" 1,+0", "1_0,0", "+1,0", "1 ,0", "\u0661,0", "\uff11,0", "1,0\n", "1.0,0", ",0", ","])
+    def test_parts_match_the_integer_grammar(self, key):
+        # int() reads each of these but the last three as a class, "1_0" as 10
+        with pytest.raises(SchemaError, match=r"^test: bad class key "):
+            class_from_key(key, 1, "test")
+
+    def test_negative_and_zero_parts(self):
+        assert class_from_key("-0,-12", 1, "test") == NumClass((0,), -12)
 
 
 class TestMotiveDocs:
@@ -172,6 +182,16 @@ class TestGradedNilpotentDocs:
             parse_document(
                 {"v": 1, "kind": "graded_nilpotent", "dims": {"x": 1}, "maps": {}}
             )
+
+    @pytest.mark.parametrize("key", [" 1", "+1", "1_0", "\u0661", "1 ", "-"])
+    @pytest.mark.parametrize("field", ["dims", "maps"])
+    def test_degree_keys_match_the_integer_grammar(self, key, field):
+        # int() reads every one of these but "-" as a degree
+        doc = {"v": 1, "kind": "graded_nilpotent", "dims": {"-1": 1, "1": 1}, "maps": {"-1": [[1]]}}
+        doc[field] = {key: doc[field]["-1"], **doc[field]}
+        with pytest.raises(SchemaError) as raised:
+            parse_document(doc)
+        assert str(raised.value) == f"graded_nilpotent.{field}: bad degree key {key!r}"
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -282,20 +302,50 @@ _STRINGS = ["", "n", "caf\u00e9 \u00fc\u4e2d", 'say "hi"', "back\\slash", "tab\t
             "\u2028\u2029", "\U0001f600", "1/3", "-0"]
 
 
+def _random_int(rng: random.Random) -> int:
+    return rng.choice([-1, 1]) * rng.choice([0, 7, 2**64, 10**rng.randint(4300, 4400) + 3])
+
+
+def _random_str(rng: random.Random) -> str:
+    return rng.choice(_STRINGS) + chr(rng.choice([rng.randrange(0x20), rng.randrange(0x20, 0x3000)]))
+
+
+# items that make a row not flat: the writer must fall back to the recursive path
+_NOT_FLAT = [True, False, None, [], {}, {"k": [1]}, [[1]], [[[2, "x"]]], [1, [2]], [1, True], ["x", None], [{}]]
+
+
+def _random_rows(rng: random.Random) -> list:
+    """A list of rows: flat rows of ints, strings and nonempty lists of them,
+    sometimes with an item or a trailing row that is not flat."""
+    def item():
+        kind = rng.randrange(3)
+        if kind == 2:
+            return [_random_int(rng) if rng.random() < 0.7 else _random_str(rng) for _ in range(rng.randint(1, 3))]
+        return _random_int(rng) if kind == 0 else _random_str(rng)
+
+    rows = [[item() for _ in range(rng.randint(1, 4))] for _ in range(rng.choice([1, 3, 30]))]
+    spoil = rng.randrange(4)
+    if spoil == 1:
+        row = rng.choice(rows)
+        row.insert(rng.randint(0, len(row)), rng.choice(_NOT_FLAT))
+    elif spoil == 2:
+        rows.append(rng.choice([7, "row", None, {"k": 1}, []]))
+    return rows
+
+
 def _random_doc(rng: random.Random, depth: int = 0):
     """A seeded value of every shape a document holds: scalars, rows, int-keyed and empty containers."""
     kind = rng.randrange(9 if depth < 4 else 5)
     if kind == 0:
         return rng.choice([None, True, False])
     if kind == 1:
-        return rng.choice([-1, 1]) * rng.choice([0, 7, 2**64, 10**rng.randint(4300, 4400) + 3])
+        return _random_int(rng)
     if kind in (2, 3):
-        return rng.choice(_STRINGS) + chr(rng.choice([rng.randrange(0x20), rng.randrange(0x20, 0x3000)]))
+        return _random_str(rng)
     if kind == 4:
         return [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
     if kind == 5:
-        return [[[rng.randint(-9, 99) for _ in range(rng.randint(1, 3))], rng.randint(-2, 40), rng.choice(_STRINGS)]
-                for _ in range(rng.randint(0, 4))]
+        return _random_rows(rng)
     if kind == 6:
         return [_random_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))]
     keys = rng.choice([
@@ -307,13 +357,33 @@ def _random_doc(rng: random.Random, depth: int = 0):
     return {keys(): _random_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))}
 
 
+def _lists(value):
+    """Every nonempty list inside value, value included."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _lists(v)
+    elif isinstance(value, list) and value:
+        yield value
+        for v in value:
+            yield from _lists(v)
+
+
 class TestDumpJson:
     def test_matches_stdlib_on_seeded_documents(self):
         rng = random.Random(2028)
+        flat = mixed = late = 0
         with _all_digits():  # ints of over 4300 digits print as they do in gvmot's output
-            for _ in range(400):
+            for _ in range(600):
                 doc = _random_doc(rng)
                 assert dump_json(doc) == _oracle(doc)
+                for value in _lists(doc):
+                    if _flat_rows(value, "\n") is not None:
+                        flat += 1
+                    elif any(_flat_rows([row], "\n") for row in value):
+                        # the one-pass path meets flat rows, then gives up
+                        mixed += 1
+                        late += len(value) > 30 and _flat_rows(value[:-1], "\n") is not None
+        assert flat > 100 and mixed > 100 and late > 5
 
     def test_matches_stdlib_on_golden_documents(self):
         def leaves(value):
