@@ -15,9 +15,11 @@ of the genera solved so far; once a class is solved, its series is pushed for
 k >= 2.  Integrality of the solved values is conjectural; non-integer results
 are reported alongside the table, never rounded.
 
-The kernel works in integers, on slot rows.  A class's series is a list
-whose slot h holds the coefficient of lambda^e, e = 2h - 2, up to the lambda
-cut.  The sine table is read off closed forms as integer numerators over one
+The kernel works in integers, on slot rows.  A class's series is a list of
+slots h, slot h holding the coefficient of lambda^e, e = 2h - 2; it runs from
+the class's lowest genus up to the top slot of the lambda cut, so every list
+ends at the top slot and none holds the zero slots below its class.  The
+sine table is read off closed forms as integer numerators over one
 denominator D_h per slot (Bernoulli numbers from tangent numbers for genus 0,
 central factorial numbers above), and row g of it starts at slot g, so a
 genus is added into a class's series slot by slot.  Slot h of the series at
@@ -26,15 +28,18 @@ gamma's entries.  As c(k beta) = k c(beta), cover k of beta adds slot h
 times c(beta)^3 at h = 0, c(beta) at h = 1 and k^{2h-3} above: the multiplier
 row (c^3, c, k, k^3, ..., k^{2h-3}), integers all.  Its class part is
 applied once per class, as a lift of the class's series, and its cover part
-(1, 1, k, k^3, ...) is built once per k.  A Fraction is built once per
-output coefficient; the inverse reads each input coefficient times its scale
-once and divides out the scale with one divmod, and a nonintegral value
-simply stays a Fraction in the same sums.  The results are built inside the
-cuts, so they are returned without a second check (_built).
+(1, 1, k, k^3, ...) is built once per k, from the lowest slot that a class
+with k covers or more holds.  A Fraction is built once per output
+coefficient; the inverse reads each input coefficient times its scale once
+and divides out the scale with one divmod, and a nonintegral value simply
+stays a Fraction in the same sums.  The results are built inside the cuts,
+so they are returned without a second check (_built).
 
 Each transform spends one Ledger, counting its work from the cuts before
-doing any: per-entry kernel terms (an over-count of the per-class push),
-candidate classes and sin-table products all add up against the one cap.
+doing any: per-entry kernel terms, candidate classes and sin-table products
+all add up against the one cap.  The forward's kernel terms, covers times
+slots from the entry's genus up, bound both the products of the per-class
+push and the slots of the cover rows.
 """
 
 from __future__ import annotations
@@ -111,47 +116,64 @@ def _cover_count(degree: int, top: int) -> int:
     return max(top // degree, 0)
 
 
-def _lifts(c: int, slots: int) -> list[int]:
-    """(c^3, c, 1, ..., 1) to the given number of slots: the per-class factor c^max(0, 1-e) of the scale at slot h, e = 2h-2."""
-    return ([c**3, c] + [1] * (slots - 2))[:slots]
+def _lifts(c: int, lo: int, slots: int) -> list[int]:
+    """(c^3, c, 1, ..., 1) on slots lo..slots-1: the per-class factor c^max(0, 1-e) of the scale at slot h, e = 2h-2."""
+    return ([c**3, c][lo:] + [1] * (slots - max(lo, 2)))[: slots - lo]
 
 
-def _cover_rows(k_max: int, slots: int) -> list[list[int]]:
-    """Row k (1 <= k <= k_max) is cover k's multiplier (1, 1, k, k^3, ..., k^(2h-3)) on a lifted class series."""
-    rows = [[]]
-    for k in range(1, k_max + 1):
-        row, p = [1, 1], k
-        for _ in range(slots - 2):
+def _cover_rows(start: Mapping[int, int], slots: int) -> list[list[int]]:
+    """Row k is cover k's multiplier (1, 1, k, k^3, ..., k^(2h-3)) on slots lo_k..slots-1 of a lifted class series.
+
+    start[m] is the lowest slot a class with m covers starts at, and lo_k the
+    lowest start[m] over m >= k, so row k holds exactly the slots that the
+    classes pushing cover k reach.
+    """
+    k_max = max(start, default=0)
+    rows, lo = [[]] * (k_max + 1), slots
+    for k in range(k_max, 0, -1):
+        lo = min(lo, start.get(k, slots))
+        row, p = [1, 1][lo:], k ** (2 * max(lo, 2) - 3)
+        for _ in range(slots - max(lo, 2)):
             row.append(p)
             p *= k * k
-        rows.append(row[:slots])
+        rows[k] = row[: slots - lo]
     return rows
 
 
-def _add_row(f: list, g: int, n, rows: list[list[int]]) -> None:
-    """Add n (2 sin(lambda/2))^{2g-2} to a class series f: sine row g, from slot g on, up to f's last slot.
+def _add_row(f: list, i: int, n, row: list[int]) -> None:
+    """Add n times a sine row to a class series f, the row's first entry at f[i], up to f's last slot.
 
-    Every sine row reaches f's last slot, since the table is sized from the cuts.
+    Every sine row reaches the last slot, since the table is sized from the cuts.
     """
-    if g < len(f):
-        f[g:] = map(add, f[g:], map(n.__mul__, rows[g]))
+    f[i:] = map(add, f[i:], map(n.__mul__, row))
 
 
-def _push(acc: dict[Beta, list], beta: Beta, f: list, covers: range, cover_rows: list[list[int]]) -> None:
+def _push(acc: dict[Beta, list], beta: Beta, f: list, slots: int, covers: range, cover_rows: list[list[int]]) -> None:
     """The multiple-cover kernel: add cover k of the class series f at k beta, for each k in covers.
 
-    f is lifted once, slot 0 by c(beta)^3 and slot 1 by c(beta); then cover k
-    multiplies it slot by slot with its row (1, 1, k, k^3, ...).  A series
-    of zeros pushes nothing.
+    f holds slots slots - len(f) .. slots - 1.  It is lifted once, slot 0 by
+    c(beta)^3 and slot 1 by c(beta); then cover k multiplies it slot by slot
+    with the top len(f) slots of its row (1, 1, k, k^3, ...), and adds the
+    products into the top slots of the series at k beta.  A series of zeros
+    pushes nothing.
     """
     if not any(f):
         return
-    lifted = list(map(mul, f, _lifts(gcd(*beta), len(f))))
+    n = len(f)
+    lifted = list(map(mul, f, _lifts(gcd(*beta), slots - n, slots)))
     for k in covers:
         kbeta = tuple([k * b for b in beta])
-        terms = map(mul, lifted, cover_rows[k])
+        row = cover_rows[k]
+        terms = map(mul, lifted, row if len(row) == n else row[len(row) - n :])
         old = acc.get(kbeta)
-        acc[kbeta] = list(terms) if old is None else list(map(add, old, terms))
+        if old is None:
+            acc[kbeta] = list(terms)
+        elif len(old) == n:
+            acc[kbeta] = list(map(add, old, terms))
+        else:  # both end at the top slot: add the shorter into the top of the longer
+            short, long = sorted((old, list(terms)), key=len)
+            i = len(long) - len(short)
+            acc[kbeta] = long[:i] + list(map(add, long[i:], short))
 
 
 def _quotient(num: int | Fraction, den: int) -> int | Fraction:
@@ -296,25 +318,30 @@ def gv_to_gw(
         genera.setdefault(beta, {})[g] = n
     weights, top = _weights(table.omega, degree_max)
     covers = {beta: _cover_count(_degree(weights, beta), top) for beta in genera}
-    terms = genus_top = order = k_max = 0
+    terms = genus_top = order = 0
+    start: dict[int, int] = {}  # cover count -> the lowest slot a class with that many covers starts at
     for g, beta in table.entries:
-        if covers[beta] and g < slots:
-            terms += covers[beta] * (slots - g)
-            genus_top, order, k_max = max(genus_top, g), max(order, slots - g - 1), max(k_max, covers[beta])
+        m = covers[beta]
+        if m and g < slots:
+            terms += m * (slots - g)
+            genus_top, order, start[m] = max(genus_top, g), max(order, slots - g - 1), min(start.get(m, g), g)
     ledger = Ledger()
     ledger.spend("gw forward", terms, "kernel terms")
     rows, den = _sin_table(genus_top, order, ledger)
-    cover_rows = _cover_rows(k_max, slots)
+    cover_rows = _cover_rows(start, slots)
     acc: dict[Beta, list[int]] = {}
     for beta, counts in genera.items():
         if covers[beta]:
-            f = [0] * slots
+            lo = min(counts)  # the class series starts at its lowest genus; it is empty if that is past the cut
+            f = [0] * (slots - lo)
             for g, n in counts.items():
-                _add_row(f, g, n, rows)
-            _push(acc, beta, f, range(1, covers[beta] + 1), cover_rows)
+                if g < slots:
+                    _add_row(f, g - lo, n, rows[g])
+            _push(acc, beta, f, slots, range(1, covers[beta] + 1), cover_rows)
     coeffs = {}
     for gamma, series in acc.items():
-        for h, (c, scale) in enumerate(zip(series, map(mul, den, _lifts(gcd(*gamma), slots)))):
+        lo = slots - len(series)
+        for h, (c, scale) in enumerate(zip(series, map(mul, den[lo:slots], _lifts(gcd(*gamma), lo, slots))), lo):
             if c:
                 coeffs[(gamma, 2 * h - 2)] = Fraction(c, scale)
     return _built(GWSeries, coeffs=coeffs, degree_max=degree_max, lambda_max=int(lambda_max), omega=table.omega)
@@ -366,7 +393,7 @@ def gw_to_gv(
     terms = sum(covers[beta] for beta in candidates) * slots * (slots + 1) // 2
     ledger.spend("gw inverse", terms, "kernel terms")
     rows, den = _sin_table(genus_max, genus_max, ledger) if terms else ([], [])
-    cover_rows = _cover_rows(max(covers.values()) if terms else 0, slots)
+    cover_rows = _cover_rows({max(covers.values()): 0} if terms else {}, slots)
 
     coeffs, zero = series.coeffs, Fraction(0)
     pushed: dict[Beta, list] = {}
@@ -374,7 +401,7 @@ def gw_to_gv(
     nonintegral: dict[tuple[int, Beta], Fraction] = {}
     for beta in candidates:
         f = [0] * slots
-        lifts = _lifts(gcd(*beta), slots)
+        lifts = _lifts(gcd(*beta), 0, slots)
         covered = pushed.pop(beta, None) or [0] * slots  # no class pushes onto beta once it is reached
         for g, (lift, d, p) in enumerate(zip(lifts, den, covered)):
             # the key's scale is den[g] * lift, and the class's own k = 1 cover adds f[g] * lift
@@ -382,11 +409,11 @@ def gw_to_gv(
             c = coeffs.get((beta, 2 * g - 2), zero)
             value = _quotient(c.numerator * scale - c.denominator * (p + f[g] * lift), c.denominator * scale)
             if value:
-                _add_row(f, g, value, rows)
+                _add_row(f, g, value, rows[g])
                 if value.denominator == 1:
                     entries[(g, beta)] = value
                 else:
                     nonintegral[(g, beta)] = value
-        _push(pushed, beta, f, range(2, covers[beta] + 1), cover_rows)
+        _push(pushed, beta, f, slots, range(2, covers[beta] + 1), cover_rows)
     table = _built(GVTable, entries=entries, genus_max=int(genus_max), degree_max=degree_max, omega=series.omega)
     return InversionResult(table=table, nonintegral=nonintegral)

@@ -508,31 +508,30 @@ def dump_json(doc: Any) -> str:
     """Deterministic rendering: the text of json.dumps(doc, sort_keys=True,
     indent=2, ensure_ascii=False).
 
-    A list of flat rows, each a nonempty list of ints, strings and nonempty
-    lists of ints and strings (a table row such as [[beta], e, "coeff"]), is
-    written one string per row in a single pass; any other list is written
-    item by item, recursively.
+    A flat row, a nonempty list of ints, strings and nonempty lists of ints
+    and strings (a table row such as [[beta], e, "coeff"]), is written in one
+    pass as an item of its list; any other item is written recursively.
     """
     return _json_text(doc, "\n")
+
+
+# The two scalars written inline, by type: the one rule for an int's or a str's text.
+_SCALARS = {int: int.__repr__, str: encode_basestring}
 
 
 def _json_text(o: Any, nl: str) -> str:
     """o's JSON text, where nl is the newline and indent of o's own line."""
     t = type(o)
-    if t is int:
-        return int.__repr__(o)
-    if t is str:
-        return encode_basestring(o)
+    write = _SCALARS.get(t)
+    if write is not None:
+        return write(o)
     if o is None or t is bool:
         return "null" if o is None else "true" if o else "false"
     if (t is list or t is dict) and not o:
         return repr(o)
     inner = nl + "  "
     if t is list:
-        items = _flat_rows(o, inner)
-        if items is None:
-            items = [int.__repr__(x) if type(x) is int else encode_basestring(x) if type(x) is str else _json_text(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return "[" + inner + ("," + inner).join(_item_texts(o, inner)) + nl + "]"
     if t is dict:
         # json.dumps sorts the keys as they are, then writes an int, bool or null key as a string
         items = [f"{encode_basestring(k if type(k) is str else _json_text(k, nl))}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
@@ -540,31 +539,29 @@ def _json_text(o: Any, nl: str) -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _flat_rows(rows: list, nl: str) -> list[str] | None:
-    """The text of each item of rows, written at the newline and indent nl, if
-    every item is a flat row (see dump_json); None at the first that is not."""
+def _item_texts(items: list, nl: str) -> list[str]:
+    """The text of each item of a list, each on a line that starts with nl: a
+    scalar or a flat row (see dump_json) in place, any other item by _json_text."""
     at_item = nl + "  "
     at_sub = at_item + "  "
     item_sep, sub_sep = "," + at_item, "," + at_sub
     open_row, close_row = "[" + at_item, nl + "]"
     open_sub, close_sub = "[" + at_sub, at_item + "]"
     texts = []
-    for row in rows:
-        if type(row) is not list or not row:
-            return None
-        items = []
-        for x in row:
-            t = type(x)
-            if t is int:
-                items.append(int.__repr__(x))
-            elif t is str:
-                items.append(encode_basestring(x))
-            elif t is list and x:
-                subs = [int.__repr__(y) if type(y) is int else encode_basestring(y) if type(y) is str else None for y in x]
-                if None in subs:
-                    return None
-                items.append(open_sub + sub_sep.join(subs) + close_sub)
-            else:
-                return None
-        texts.append(open_row + item_sep.join(items) + close_row)
+    for x in items:
+        write = _SCALARS.get(type(x))
+        if write is not None:
+            texts.append(write(x))
+            continue
+        if type(x) is list and x:
+            try:  # a row item that is neither a scalar nor a nonempty list of scalars has no _SCALARS entry
+                subs = [
+                    open_sub + sub_sep.join([_SCALARS[type(z)](z) for z in y]) + close_sub if type(y) is list and y else _SCALARS[type(y)](y)
+                    for y in x
+                ]
+                texts.append(open_row + item_sep.join(subs) + close_row)
+                continue
+            except KeyError:
+                pass
+        texts.append(_json_text(x, nl))
     return texts

@@ -582,14 +582,29 @@ class TestGw:
             assert error["type"] == "ResourceLimitError"
             assert error["message"].startswith(f"{stage}: ") and "cap of 1000000" in error["message"]
 
-    def test_lambda_cut_below_every_genus_walks_no_cover(self, capsys):
+    def test_lambda_cut_below_every_genus_walks_no_cover(self, capsys, monkeypatch):
         # no kernel term fits under the cut, so the ledger is charged nothing
-        # and no class may walk its 10^8 covers
-        start = time.perf_counter()
+        # and no class may walk its 10^8 covers: every class series it pushes is empty
+        from gvmot import gwseries
+
+        spent, pushed = [], []
+
+        class Ledger(gwseries.Ledger):
+            def spend(self, stage, n=1, what="enumeration steps"):
+                spent.append((what, n))
+                super().spend(stage, n, what)
+
+        def push(acc, beta, f, *rest):
+            pushed.append(len(f))
+            gwseries_push(acc, beta, f, *rest)
+
+        gwseries_push = gwseries._push
+        monkeypatch.setattr(gwseries, "Ledger", Ledger)
+        monkeypatch.setattr(gwseries, "_push", push)
         argv = ["--input", f"{SAMPLES}/conifold.gv_table.json", "--degree-max", "100000000", "--lambda-order", "-4", "--json"]
         code, out, err = run(capsys, "gw", *argv)
-        assert time.perf_counter() - start < 2
         assert (code, err) == (EXIT_OK, "") and json.loads(out)["coeffs"] == []
+        assert ("kernel terms", 0) in spent and pushed and set(pushed) == {0}
 
     def test_flag_of_the_other_direction_exit_two(self, capsys):
         cases = [

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from gvmot.cli import EXIT_OK, main
-from gvmot.errors import ConeNotPointedError, InsufficientTruncationError, Ledger
+from gvmot.errors import ConeNotPointedError, InsufficientTruncationError, Ledger, ResourceLimitError
 from gvmot.gwseries import (
     GVTable,
     GWSeries,
@@ -403,13 +403,51 @@ class TestScaledKernel:
         # slot h holds lambda^(2h-2): seven slots reach lambda^10
         rows, den = _sin_table(3, 6, Ledger())
         f = [0] * 7
-        _add_row(f, 2, -7, rows)
-        _add_row(f, 0, 3, rows)
+        _add_row(f, 2, -7, rows[2])
+        _add_row(f, 0, 3, rows[0])
         acc = {}
-        _push(acc, (2, -4), f, range(1, 6), _cover_rows(5, 7))
+        _push(acc, (2, -4), f, 7, range(1, 6), _cover_rows({5: 0}, 7))
         assert len(f) == 7 and f[0] and f[2] and sorted(acc) == [(2 * k, -4 * k) for k in range(1, 6)]
         assert all(len(row) == 7 for row in acc.values())
         assert all(type(c) is int for c in [*den, *f, *(c for row in acc.values() for c in row)])
+
+    def test_work_stays_within_the_charged_kernel_terms(self, monkeypatch):
+        # at lambda order 60 the genus-30 class reaches slots 30 and 31 only:
+        # cover rows past the 4 covers of the genus-0 class hold those two
+        # slots, and each push multiplies the slots its class series holds
+        import gvmot.gwseries as gwseries
+
+        charged, built, products = [], [], []
+
+        class Ledger(gwseries.Ledger):
+            def spend(self, stage, n=1, what="enumeration steps"):
+                if what == "kernel terms":
+                    charged.append(n)
+                super().spend(stage, n, what)
+
+        def cover_rows(start, slots):
+            rows = gwseries_cover_rows(start, slots)
+            built.append(sum(map(len, rows)))
+            return rows
+
+        def push(acc, beta, f, slots, covers, rows):
+            products.append(len(f) * len(covers))
+            gwseries_push(acc, beta, f, slots, covers, rows)
+
+        gwseries_cover_rows, gwseries_push = gwseries._cover_rows, gwseries._push
+        monkeypatch.setattr(gwseries, "Ledger", Ledger)
+        monkeypatch.setattr(gwseries, "_cover_rows", cover_rows)
+        monkeypatch.setattr(gwseries, "_push", push)
+        table = GVTable({(30, (1,)): 1, (0, (500,)): 2}, 30, Fraction(2000), ONE)
+        got = gv_to_gw(table, lambda_max=60)
+        assert got.coeffs == forward_oracle(table, table.degree_max, 60)
+        assert_trusted(got)
+        assert charged == [2000 * 2 + 4 * 32] and sum(products) == charged[0]
+        assert built == [1996 * 2 + 4 * 32]
+        # past the cap, the charge refuses the run before any row is built
+        with pytest.raises(ResourceLimitError, match="gw forward: 1000002 kernel terms"):
+            gv_to_gw(GVTable({(30, (1,)): 1}, 30, Fraction(500001), ONE), lambda_max=60)
+        assert len(built) == 1
 
     def test_forward_on_shared_multiples(self):
         rng = random.Random(68)

@@ -13,7 +13,6 @@ from gvmot.errors import SchemaError
 from gvmot.gwseries import GVTable, GWSeries
 from gvmot.jsonio import (
     _decode,
-    _flat_rows,
     _fraction,
     class_from_key,
     class_key,
@@ -357,6 +356,14 @@ def _random_doc(rng: random.Random, depth: int = 0):
     return {keys(): _random_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))}
 
 
+def _is_flat_row(row) -> bool:
+    """A nonempty list of ints, strings and nonempty lists of ints and strings, bools excluded."""
+    def scalar(x):
+        return type(x) in (int, str)
+
+    return type(row) is list and bool(row) and all(scalar(x) or type(x) is list and x and all(map(scalar, x)) for x in row)
+
+
 def _lists(value):
     """Every nonempty list inside value, value included."""
     if isinstance(value, dict):
@@ -377,12 +384,13 @@ class TestDumpJson:
                 doc = _random_doc(rng)
                 assert dump_json(doc) == _oracle(doc)
                 for value in _lists(doc):
-                    if _flat_rows(value, "\n") is not None:
+                    rows = list(map(_is_flat_row, value))
+                    if all(rows):
                         flat += 1
-                    elif any(_flat_rows([row], "\n") for row in value):
-                        # the one-pass path meets flat rows, then gives up
+                    elif any(rows):
+                        # flat rows written in one pass beside rows that fall back to the recursive path
                         mixed += 1
-                        late += len(value) > 30 and _flat_rows(value[:-1], "\n") is not None
+                        late += len(value) > 30 and rows.index(False) == len(value) - 1
         assert flat > 100 and mixed > 100 and late > 5
 
     def test_matches_stdlib_on_golden_documents(self):
