@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -240,7 +241,7 @@ def test_kernel_json_matches_golden_bytes(capsys, tmp_path):
     # stdout of `stack`, `upsilon` and `census --json` on every sample of
     # those kinds and on the quotients above, recorded while LaurentPoly
     # coefficients could still be Fractions
-    golden = json.loads(GOLDEN_KERNEL.read_text())
+    golden = {name: out for name, out in json.loads(GOLDEN_KERNEL.read_text()).items() if not name.startswith("gv ")}
     cases = []
     for sample in sorted(Path(SAMPLES).glob("*.json")):
         command = KERNEL_COMMANDS.get(json.loads(sample.read_text())["kind"])
@@ -470,6 +471,70 @@ def test_gv_json_matches_golden_bytes(capsys):
         code, out, _ = run(capsys, "gv", "--input", str(model), f"--target={target}", "--json")
         assert code == EXIT_OK
         assert out == golden[f"{model.name} {target}"], (model.name, target)
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            out[a1 + a2, b1 + b2] = out.get((a1 + a2, b1 + b2), 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def tower_model(bettis: list[int], k_max: int, twisted: bool) -> dict:
+    """The closed-form degree-zero tower of perfbench/workloads.py: with
+    P the Poincare polynomial, the atom of (0,j) has one part per n <= j,
+    C(j-1, n-1) t^(2j^2 if twisted) / (n! (L-1)^n) times the point-based
+    variety with Poincare polynomial P^n; (0,k) counts P, or L^(k^2) P twisted."""
+    p = {(i, 0): b for i, b in enumerate(bettis) if b}
+    atoms = {}
+    for j in range(1, k_max + 1):
+        parts, pn, gmn = [], {(0, 0): 1}, {(0, 0): 1}
+        for n in range(1, j + 1):
+            pn, gmn = _poly_mul(pn, p), _poly_mul(gmn, {(2, 0): 1, (0, 0): -1})
+            num = {(2 * j * j if twisted else 0, 0): comb(j - 1, n - 1)}
+            den = {key: c * factorial(n) for key, c in gmn.items()}
+            parts.append({
+                "coeff": {"num": [[a, b, str(c)] for (a, b), c in sorted(num.items())], "den": [[a, b, str(c)] for (a, b), c in sorted(den.items())]},
+                "expr": {"kind": "betti_over_point", "bettis": [pn.get((i, 0), 0) for i in range(6 * n + 1)]},
+            })
+        atoms[f"0,{j}"] = parts
+    doc = {"v": 1, "kind": "count_model", "lattice": {"rank": 1, "generators": [[1]]}, "charge": {"B": ["0"], "omega": ["1"]}, "atoms": atoms}
+    if twisted:
+        doc["ext_defect"] = [[[0, i], [0, j], 2 * i * j] for i in range(1, k_max + 1) for j in range(i, k_max + 1)]
+    return doc
+
+
+# atom coefficients with s: (1,1) counts (s + 2)(1 + L), and (2,2), which
+# splits as (1,1) + (1,1), keeps a factor L - 1 in its denominator
+S_MODEL = {
+    "v": 1,
+    "kind": "count_model",
+    "lattice": {"rank": 1, "generators": [[1]]},
+    "charge": {"B": ["0"], "omega": ["1"]},
+    "atoms": {
+        "1,1": [{"coeff": {"num": [[0, 1, "1"], [0, 0, "2"]], "den": GM}, "expr": {"kind": "betti_over_point", "bettis": [1, 0, 1]}}],
+        "2,2": [{"coeff": {"num": [[0, 1, "3"]], "den": _times(GM, 2)}, "expr": {"kind": "betti_over_point", "bettis": [1, 0, 2, 0, 1]}}],
+    },
+}
+GV_KERNEL_MODELS = {
+    "flat_tower": (tower_model([1, 0, 3, 5, 3, 0, 1], 8, twisted=False), [f"0,{k}" for k in range(-1, 7)]),
+    "twisted_tower": (tower_model([1, 0, 3, 5, 3, 0, 1], 8, twisted=True), [f"0,{k}" for k in range(-1, 7)]),
+    "s_model": (S_MODEL, ["1,1", "2,2"]),
+}
+
+
+def test_gv_json_on_towers_matches_golden_bytes(capsys, tmp_path):
+    # exit code, stdout and stderr of `gv --json` on the closed-form towers
+    # and on a model with s in its atom coefficients, whose (2,2) count is
+    # not a polynomial; recorded while every atom was normalised on reading
+    golden = {name: case for name, case in json.loads(GOLDEN_KERNEL.read_text()).items() if name.startswith("gv ")}
+    cases = [(name, target) for name, (_, targets) in GV_KERNEL_MODELS.items() for target in targets]
+    assert sorted(f"gv {name} {target}" for name, target in cases) == sorted(golden)
+    paths = {name: write_doc(tmp_path, f"{name}.json", doc) for name, (doc, _) in GV_KERNEL_MODELS.items()}
+    for name, target in cases:
+        code, out, err = run(capsys, "gv", "--input", paths[name], f"--target={target}", "--json")
+        assert {"code": code, "stdout": out, "stderr": err} == golden[f"gv {name} {target}"], (name, target)
 
 
 class TestGw:
