@@ -44,7 +44,7 @@ from .errors import (
 from .laurent import LaurentPoly, RationalFn, flat, rational_sum
 from .lefschetz import JordanCensus, census_count
 from .linalg import dot
-from .motives import upsilon_rel
+from .motives import MotiveExpr, upsilon_rel
 from .stacks import StackClass
 
 # printed in every gv output; golden files pin its bytes
@@ -307,20 +307,18 @@ def _same_phase_words(
         if v.k <= 0:
             return None
         ledger.spend("pieces", v.k)
-        pieces = [NumClass(zero_beta, j) for j in range(1, v.k + 1)]
-        effective = {}
-    else:
-        effective = lattice.classes_below(v.beta, charge.omega, ledger)
-        if not effective[v.beta]:
-            return None
-        re_v, im_v = charge.value(v)
-        slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
-        pieces = []
-        for beta in sorted(b for b, label in effective.items() if label and b != zero_beta):
-            ledger.spend("pieces")
-            k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
-            if k_frac.denominator == 1:
-                pieces.append(NumClass(beta, int(k_frac)))
+        return _degree_zero_words(zero_beta, v.k, ledger, multisets)
+    effective = lattice.classes_below(v.beta, charge.omega, ledger)
+    if not effective[v.beta]:
+        return None
+    re_v, im_v = charge.value(v)
+    slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
+    pieces = []
+    for beta in sorted(b for b, label in effective.items() if label and b != zero_beta):
+        ledger.spend("pieces")
+        k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
+        if k_frac.denominator == 1:
+            pieces.append(NumClass(beta, int(k_frac)))
 
     # only the frames on the current path are kept: a remainder, its word so far and the pieces
     # it can descend by; a frame spends its steps in ascending order, then descends from its last
@@ -335,7 +333,7 @@ def _same_phase_words(
             if beta == zero_beta and k == 0:
                 ledger.spend("decompositions")
                 words.append(acc + (p,))
-            elif k > 0 if beta == zero_beta else effective.get(beta, False):
+            elif effective.get(beta, False):  # a zero-beta remainder has zero charge, so k == 0 there
                 down.append(i)
         path.append((rem, acc, down))
         while path and not path[-1][2]:
@@ -347,6 +345,47 @@ def _same_phase_words(
         p = pieces[i]
         rem, acc = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k), acc + (p,)
         bound = i + 1 if multisets else len(pieces)
+
+
+def _degree_zero_words(
+    zero_beta: tuple[int, ...],
+    k: int,
+    ledger: Ledger,
+    multisets: bool,
+) -> list[tuple[NumClass, ...]]:
+    """The walk of _same_phase_words for the class (0, k), on integers.
+
+    Its pieces are (0, j) for j = 1..k, and piece j leaves a remainder r - j:
+    a word when zero, a frame to descend to when positive.  So a frame
+    descends by the pieces 1..min(bound, r - 1), largest first, and keeps
+    only how many are left.  A piece is made when a word first takes it.
+    """
+    made: dict[int, NumClass] = {}
+
+    def piece(j: int) -> NumClass:
+        p = made.get(j)
+        if p is None:
+            p = made[j] = NumClass(zero_beta, j)
+        return p
+
+    words, path = [], []
+    r, acc, bound = k, (), k
+    while True:
+        for j in range(1, bound + 1):
+            ledger.spend("decompositions")
+            if j == r:
+                ledger.spend("decompositions")
+                words.append(acc + (piece(r),))
+        path.append([r, acc, min(bound, r - 1)])
+        while path and not path[-1][2]:
+            path.pop()
+        if not path:
+            return words
+        frame = path[-1]
+        r, acc, j = frame
+        frame[2] = j - 1
+        r, acc = r - j, acc + (piece(j),)
+        bound = j if multisets else k
 
 
 def same_phase_decompositions(
@@ -444,13 +483,17 @@ class EvalModel:
     commuting product make a word's value independent of letter order, which
     is what lets counting_polynomial sum the log over multisets of pieces
     instead of ordered words.
+
+    An atom may also be given as a tuple of checked (num, den, expr) parts,
+    den nonzero; atom(v) normalises each num/den to its RationalFn the first
+    time a count reaches v, and keeps the StackClass.
     """
 
     __slots__ = ("atoms", "ext_defect")
 
     def __init__(
         self,
-        atoms: Mapping[NumClass, StackClass],
+        atoms: Mapping[NumClass, StackClass | tuple[tuple[LaurentPoly, LaurentPoly, MotiveExpr], ...]],
         ext_defect: Iterable[tuple[NumClass, NumClass, int]] = (),
     ):
         table: dict[tuple[NumClass, NumClass], int] = {}
@@ -466,9 +509,12 @@ class EvalModel:
 
     def atom(self, v: NumClass) -> StackClass:
         try:
-            return self.atoms[v]
+            atom = self.atoms[v]
         except KeyError:
             raise MissingAtomError(f"no atom for class {v}") from None
+        if type(atom) is tuple:
+            atom = self.atoms[v] = StackClass.from_fractions(atom)
+        return atom
 
     def defect(self, v1: NumClass, v2: NumClass) -> int:
         return self.ext_defect.get((v1, v2), 0)
@@ -482,15 +528,22 @@ def evaluate(f: FreeHallElement, model: EvalModel) -> RationalFn:
     linearly over words.  A letter with an empty stack class (empty moduli)
     kills its word; the empty word is the unit and evaluates to 1.  Every
     part choice becomes one unnormalised fraction, and rational_sum adds
-    them all.
+    them all.  Each atom part's numerator times its value is made the first
+    time a part choice takes it, so upsilon_rel runs in the order of the choices.
     """
     values: dict[int, LaurentPoly] = {}  # upsilon_rel per expression object
+    # per atom part, the part itself (kept, so its id is not reused while cached)
+    # and its coefficient numerator times its value
+    terms: dict[int, tuple[tuple, LaurentPoly]] = {}
 
-    def value(expr) -> LaurentPoly:
-        key = id(expr)
-        if key not in values:
-            values[key] = upsilon_rel(expr)
-        return values[key]
+    def term(part) -> LaurentPoly:
+        hit = terms.get(id(part))
+        if hit is None:
+            c, expr = part
+            if id(expr) not in values:
+                values[id(expr)] = upsilon_rel(expr)
+            hit = terms[id(part)] = (part, c.num * values[id(expr)])
+        return hit[1]
 
     def fractions():
         for word, coeff in f.items():
@@ -503,9 +556,9 @@ def evaluate(f: FreeHallElement, model: EvalModel) -> RationalFn:
             coeff_den = LaurentPoly.constant(coeff.denominator)
             for choice in _iproduct(*(model.atom(v).parts for v in word)):
                 num, den = scaled, coeff_den
-                for c, expr in choice:
-                    num = num * c.num * value(expr)
-                    den = den * c.den
+                for part in choice:
+                    num = num * term(part)
+                    den = den * part[0].den
                 yield num, den
 
     return rational_sum(fractions())

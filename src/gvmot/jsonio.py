@@ -157,13 +157,18 @@ def rational_fn_to_json(r: RationalFn) -> dict:
     return {"num": poly_to_json(r.num), "den": poly_to_json(r.den)}
 
 
-def rational_fn_from_json(doc: Any, where: str = "coeff") -> RationalFn:
+def _fraction_polys(doc: Any, where: str) -> tuple[LaurentPoly, LaurentPoly]:
+    """The checked numerator and nonzero denominator of a rational function, not normalised."""
     doc = _fields(doc, where, ("num", "den"))
     num = poly_from_json(doc["num"], f"{where}.num")
     den = poly_from_json(doc["den"], f"{where}.den")
     if den.is_zero():
         raise SchemaError(f"{where}: zero denominator")
-    return RationalFn(num, den)
+    return num, den
+
+
+def rational_fn_from_json(doc: Any, where: str = "coeff") -> RationalFn:
+    return RationalFn(*_fraction_polys(doc, where))
 
 
 # -- censuses and bispin content --------------------------------------------------
@@ -301,15 +306,18 @@ def motive_from_json(doc: Any, where: str = "expr") -> motives.MotiveExpr:
 # -- stack classes -----------------------------------------------------------------
 
 
-def stack_class_from_json(doc: Any, where: str = "parts") -> StackClass:
-    _require(doc, list, where)
+def _stack_parts(doc: Any, where: str) -> tuple[tuple[LaurentPoly, LaurentPoly, motives.MotiveExpr], ...]:
+    """The checked (num, den, expr) of each part of a stack class, coefficients not normalised."""
     parts = []
-    for i, part in enumerate(doc):
+    for i, part in enumerate(_require(doc, list, where)):
         part = _fields(part, f"{where}[{i}]", ("coeff", "expr"))
-        coeff = rational_fn_from_json(part["coeff"], f"{where}[{i}].coeff")
-        expr = motive_from_json(part["expr"], f"{where}[{i}].expr")
-        parts.append((coeff, expr))
-    return StackClass(parts)
+        num, den = _fraction_polys(part["coeff"], f"{where}[{i}].coeff")
+        parts.append((num, den, motive_from_json(part["expr"], f"{where}[{i}].expr")))
+    return tuple(parts)
+
+
+def stack_class_from_json(doc: Any, where: str = "parts") -> StackClass:
+    return StackClass.from_fractions(_stack_parts(doc, where))
 
 
 # -- counting model -----------------------------------------------------------------
@@ -358,11 +366,12 @@ def count_model_from_json(doc: dict, where: str = "count_model") -> tuple[ClassL
     charge = CentralCharge(b_field, omega)
     lattice.check_positive(charge.omega)
 
+    # every atom is checked here, and normalised when a count first reaches its class
     atoms_doc = _require(doc["atoms"], dict, f"{where}.atoms")
     atoms = {}
     for key, parts in atoms_doc.items():
         v = class_from_key(key, rank, f"{where}.atoms")
-        atoms[v] = stack_class_from_json(parts, f"{where}.atoms[{key}]")
+        atoms[v] = _stack_parts(parts, f"{where}.atoms[{key}]")
 
     cls = lambda v, at: class_from_list(v, rank, at)
     defects = list(_rows(doc.get("ext_defect", []), f"{where}.ext_defect", "[v1, v2, e]", ((cls, "[0]"), (cls, "[1]"), (_int, "[2]"))))

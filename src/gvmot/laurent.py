@@ -44,6 +44,15 @@ class LaurentPoly:
         # lex order on (a, b) keeps equality/hash/printing structural
         object.__setattr__(self, "_terms", dict(sorted(clean.items())))
 
+    @classmethod
+    def _built(cls, terms: dict[tuple[int, int], int]) -> "LaurentPoly":
+        """A polynomial of terms a ring op made from checked ones, not checked
+        again: int exponent pairs with s-exponent >= 0 and int coefficients.
+        Zero terms are dropped and the rest sorted, as the constructor does."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_terms", dict(sorted((key, c) for key, c in terms.items() if c)))
+        return obj
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -125,7 +134,7 @@ class LaurentPoly:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly._built(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -133,10 +142,10 @@ class LaurentPoly:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) - c
-        return LaurentPoly(out)
+        return LaurentPoly._built(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({key: -c for key, c in self._terms.items()})
+        return LaurentPoly._built({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -148,7 +157,7 @@ class LaurentPoly:
             for (a2, b2), c2 in other._terms.items():
                 key = (a1 + a2, b1 + b2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._built(out)
 
     __rmul__ = __mul__
 
@@ -157,11 +166,15 @@ class LaurentPoly:
             raise TypeError(f"scalar must be int, got {type(c).__name__}")
         if c == 0:
             return LaurentPoly()
-        return LaurentPoly({key: v * c for key, v in self._terms.items()})
+        return LaurentPoly._built({key: v * c for key, v in self._terms.items()})
 
     def shift(self, dt: int, ds: int = 0) -> "LaurentPoly":
         """Multiply by the monomial t^dt s^ds."""
-        return LaurentPoly({(a + dt, b + ds): c for (a, b), c in self._terms.items()})
+        if type(dt) is not int or type(ds) is not int:
+            raise TypeError(f"exponents must be ints, got {(dt, ds)!r}")
+        if ds < 0 and self._terms and self.min_s_exponent() + ds < 0:
+            raise ValueError("s never appears with negative exponent")
+        return LaurentPoly._built({(a + dt, b + ds): c for (a, b), c in self._terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -289,12 +302,12 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         rem = rem - den.shift(da, db).scale(factor)
         if not rem.is_zero() and rem.leading_term()[0] >= (ra, rb):
             return None
-    return LaurentPoly(quotient)
+    return LaurentPoly._built(quotient)
 
 
 def _divide_content(p: LaurentPoly, c: int) -> LaurentPoly:
     """p with every coefficient divided by c, which must divide them all."""
-    return LaurentPoly({key: v // c for key, v in p.items()})
+    return LaurentPoly._built({key: v // c for key, v in p.items()})
 
 
 def _uni_gcd(p: LaurentPoly, q: LaurentPoly, var: str) -> LaurentPoly:
@@ -491,7 +504,7 @@ def rational_sum(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> RationalFn
             term = (a - dt, b)
             acc[term] = acc.get(term, 0) + c * mult
         buckets[key] = (m_new, acc)
-    parts = [RationalFn(LaurentPoly(acc), key.scale(m)) for key, (m, acc) in buckets.items()]
+    parts = [RationalFn(LaurentPoly._built(acc), key.scale(m)) for key, (m, acc) in buckets.items()]
     if not parts:
         return RationalFn.zero()
     total = parts[0]

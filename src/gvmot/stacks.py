@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import ZeroGroupClassError
-from .laurent import RationalFn, rational_sum
+from .laurent import LaurentPoly, RationalFn, rational_sum
 from .motives import AbsMotive, MotiveExpr, upsilon_rel
 
 
@@ -25,6 +25,11 @@ class StackClass:
     @classmethod
     def zero(cls) -> "StackClass":
         return cls(())
+
+    @classmethod
+    def from_fractions(cls, parts: Iterable[tuple[LaurentPoly, LaurentPoly, MotiveExpr]]) -> "StackClass":
+        """The stack class of (num, den, expr) parts, each num/den normalised."""
+        return cls((RationalFn(num, den), expr) for num, den, expr in parts)
 
     @classmethod
     def of_variety(cls, e: MotiveExpr) -> "StackClass":

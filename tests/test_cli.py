@@ -537,6 +537,47 @@ def test_gv_json_on_towers_matches_golden_bytes(capsys, tmp_path):
         assert {"code": code, "stdout": out, "stderr": err} == golden[f"gv {name} {target}"], (name, target)
 
 
+def test_gv_normalises_only_the_atoms_it_reaches(capsys, monkeypatch, tmp_path):
+    # (0,1) takes only its own atom; the parts of (0,2)..(0,5) stay as read
+    from gvmot import jsonio, laurent
+
+    doc = tower_model([1, 0, 3, 5, 3, 0, 1], 5, twisted=True)
+    path = write_doc(tmp_path, "tower.json", doc)
+    seen = []
+    normalize = laurent._normalize_fraction
+
+    def spy(num, den):
+        seen.append((num, den))
+        return normalize(num, den)
+
+    monkeypatch.setattr(laurent, "_normalize_fraction", spy)
+    code, _, _ = run(capsys, "gv", "--input", path, "--target", "0,1", "--json")
+    assert code == EXIT_OK
+    coeff = lambda part: (jsonio.poly_from_json(part["coeff"]["num"]), jsonio.poly_from_json(part["coeff"]["den"]))
+    reached = {coeff(part) for part in doc["atoms"]["0,1"]}
+    unreached = {coeff(part) for key, parts in doc["atoms"].items() if key != "0,1" for part in parts}
+    assert reached <= set(seen) and not unreached & set(seen)
+
+
+@pytest.mark.parametrize(
+    "key, index, field, value, message",
+    [
+        ("0,4", 1, "den", [], "count_model.atoms[0,4][1].coeff: zero denominator"),
+        ("0,4", 0, "num", [[0, 0, 1.5]], "count_model.atoms[0,4][0].coeff.num[0].coeff: expected an integer or rational string"),
+        ("0,5", 2, "kind", "nope", "count_model.atoms[0,5][2].expr: unknown expression kind 'nope'"),
+    ],
+    ids=["zero-denominator", "float-coefficient", "bad-motive-kind"],
+)
+def test_bad_atom_of_an_unreached_class_is_a_schema_error(capsys, tmp_path, key, index, field, value, message):
+    doc = tower_model([1, 0, 3, 5, 3, 0, 1], 5, twisted=False)
+    part = doc["atoms"][key][index]
+    (part["expr"] if field == "kind" else part["coeff"])[field] = value
+    path = write_doc(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, "gv", "--input", path, "--target", "0,1")
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
+
+
 class TestGw:
     def test_forward_conifold(self, capsys):
         code, out, _ = run(
@@ -798,6 +839,37 @@ def test_usage_error_is_one_json_line(capsys, argv, named):
     assert len(err.splitlines()) == 1
     error = json.loads(err)["error"]
     assert error["type"] == "SchemaError" and named in error["message"]
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    model = f"{SAMPLES}/conifold.count_model.json"
+    usage = ["gv", "--input", model, "--target", "1,1", "--genus-max", "x"]
+    first = run(capsys, *usage)
+    assert first[0] == EXIT_SCHEMA
+    good = run(capsys, "gv", "--input", model, "--target", "1,1", "--json")
+    assert good[0] == EXIT_OK
+    assert run(capsys, *usage) == first
+    assert run(capsys, "gv", "--input", model, "--target", "1,1", "--json") == good
+
+
+def test_cli_import_builds_no_parser():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import gvmot.cli\n"
+        "assert built == [], built\n"
+        "gvmot.cli.build_parser()\n"
+        "assert built, 'the spy saw no parser'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_help_exits_zero(capsys):

@@ -810,6 +810,21 @@ class TestPathWalk:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] / 2, peaks
 
+    def test_degree_zero_walk_makes_pieces_as_words_take_them(self):
+        # all 20000 pieces made before the first step, about 216 B each, peak
+        # above 4 MB; made when a word takes them, the walk's own state is small
+        import tracemalloc
+
+        lat, z = rank1()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^decompositions: "):
+                counting._same_phase_words(lat, z, NumClass((0,), 20000), Ledger(100000), multisets=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
 
 class TestMultiLetterEvaluation:
     def setup_model(self):

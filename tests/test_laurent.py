@@ -10,6 +10,7 @@ from gvmot.errors import NotPolynomialError, OddWeightedDegreeError, ZeroPolynom
 from gvmot.laurent import (
     LaurentPoly,
     RationalFn,
+    _divide_content,
     _uni_gcd,
     exact_div,
     flat,
@@ -448,6 +449,83 @@ class TestIntegerCoefficients:
             RationalFn(one, (t + one).scale(2)).as_poly()
         with pytest.raises(NotPolynomialError, match="is not a polynomial"):
             RationalFn(LaurentPoly.s(), (t + one).scale(2)).as_poly()
+
+
+def big_poly(rng, max_terms=5):
+    """Coefficients of 0 to 300 bits and either sign, t-exponents of either sign."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        key = (rng.randint(-4, 4), rng.randint(0, 2))
+        terms[key] = terms.get(key, 0) + rng.choice([-1, 1]) * rng.getrandbits(rng.randint(0, 300))
+    return LaurentPoly(terms)
+
+
+def assert_public_form(got, terms):
+    """got is what the public constructor makes of terms: the same terms in
+    the same key order, the same hash, and no zero coefficient."""
+    want = LaurentPoly(dict(terms))
+    assert list(got.items()) == list(want.items())
+    assert got == want and hash(got) == hash(want)
+    assert all(c for _, c in got.items())
+
+
+class TestTrustedConstructor:
+    def test_every_built_polynomial_is_the_public_one(self, monkeypatch):
+        # each ring op's _built dict, through the public constructor, gives the same polynomial
+        built = LaurentPoly._built.__func__
+        calls = []
+
+        def checked(cls, terms):
+            got = built(cls, terms)
+            assert_public_form(got, terms)
+            calls.append(len(got.terms))
+            return got
+
+        monkeypatch.setattr(LaurentPoly, "_built", classmethod(checked))
+        rng = random.Random(18)
+        for _ in range(200):
+            p, q = big_poly(rng), big_poly(rng)
+            c = rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 300)) or 1
+            dt = rng.randint(-5, 5)
+            naive = {}
+            for (a1, b1), c1 in p.items():
+                for (a2, b2), c2 in q.items():
+                    naive[(a1 + a2, b1 + b2)] = naive.get((a1 + a2, b1 + b2), 0) + c1 * c2
+            cases = [
+                (p + q, {k: p.coefficient(*k) + q.coefficient(*k) for k in {*p.terms, *q.terms}}),
+                (p - q, {k: p.coefficient(*k) - q.coefficient(*k) for k in {*p.terms, *q.terms}}),
+                (p + (-p), {}),
+                (p - p, {}),
+                ((p + q) - q, p.terms),
+                (-p, {k: -v for k, v in p.items()}),
+                (p * q, naive),
+                (p.scale(c), {k: v * c for k, v in p.items()}),
+                (p.shift(dt, 1), {(a + dt, b + 1): v for (a, b), v in p.items()}),
+                (_divide_content(p.scale(c), c), p.terms),
+            ]
+            if not q.is_zero():
+                cases.append((exact_div(p * q, q), p.terms))
+            for got, terms in cases:
+                assert_public_form(got, terms)
+            if not q.is_zero():
+                total = rational_sum([(p, q), (q, q.scale(c)), (-p, q)])
+                assert total == RationalFn(LaurentPoly.one(), LaurentPoly.constant(c))
+                assert_public_form(total.num, total.num.terms)
+                assert_public_form(total.den, total.den.terms)
+        assert len(calls) > 2000 and 0 in calls
+
+    def test_public_constructor_still_checks(self):
+        for bad in (Fraction(3, 1), 1.0, True):
+            with pytest.raises(TypeError):
+                LaurentPoly({(0, 0): bad})
+            with pytest.raises(TypeError):
+                LaurentPoly({(bad, 0): 1})
+        with pytest.raises(ValueError, match="s never appears with negative exponent"):
+            LaurentPoly({(0, -1): 1})
+        s = LaurentPoly.s()
+        assert s.shift(3, -1) == LaurentPoly.t(3)
+        with pytest.raises(ValueError, match="s never appears with negative exponent"):
+            s.shift(0, -2)
 
 
 class TestPrinting:
