@@ -49,8 +49,11 @@ class LaurentPoly:
         """A polynomial of terms a ring op made from checked ones, not checked
         again: int exponent pairs with s-exponent >= 0 and int coefficients.
         Zero terms are dropped and the rest sorted, as the constructor does."""
+        terms = dict(sorted(terms.items()))
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_terms", dict(sorted((key, c) for key, c in terms.items() if c)))
+        object.__setattr__(obj, "_terms", terms)
         return obj
 
     # -- constructors ------------------------------------------------------
@@ -542,7 +545,10 @@ def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
     if den.leading_term()[1] < 0:
         num, den = -num, -den
 
-    if den == LaurentPoly.one():
+    # a one-term numerator is a multiple of no denominator of two or more
+    # terms, and shares with any denominator only a monomial and the content,
+    # both divided out above: exact division and the gcd would change nothing
+    if len(num._terms) == 1 or den == LaurentPoly.one():
         return num, den
 
     quotient = exact_div(num, den)

@@ -277,6 +277,26 @@ class TestRationalFn:
             if not r.num.is_zero():
                 assert gcd(int(r.num.content()), int(r.den.content())) == 1
 
+    def test_one_term_numerator_is_already_reduced(self):
+        # normalisation stops after the content for a one-term numerator:
+        # exact division and the univariate gcd would leave it as it is
+        rng = random.Random(19)
+        one = LaurentPoly.one()
+        for _ in range(500):
+            num = LaurentPoly.monomial(rng.randint(-4, 4), rng.randint(0, 2), rng.choice([-1, 1]) * rng.randint(1, 60))
+            den = random_poly(rng, 4, coeff_range=(-12, 12))
+            if rng.random() < 0.5:
+                den = LaurentPoly({(a, 0): c for (a, _), c in den.items()})
+            if den.is_zero():
+                continue
+            r = RationalFn(num, den)
+            assert r.num * den == num * r.den and len(r.num.terms) == 1
+            if r.den != one:
+                assert exact_div(r.num, r.den) is None
+                for var, single in (("t", LaurentPoly.is_t_only), ("s", LaurentPoly.is_s_only)):
+                    if single(r.num) and single(r.den):
+                        assert _uni_gcd(r.num, r.den, var) == one
+
     def test_mixed_comparison_symmetric(self):
         p = LaurentPoly.t(2) - LaurentPoly.one()
         r = RationalFn.from_poly(p)
