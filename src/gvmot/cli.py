@@ -24,7 +24,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import cache
 from typing import Callable
 
 from . import jsonio
@@ -270,10 +269,7 @@ def _int_at_least(low: int):
     return parse
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call, since building
-    it costs more than a parse.  Parsing leaves it unchanged; no caller may."""
     parser = _Parser(
         prog="gvmot",
         description=(

@@ -167,10 +167,6 @@ def _fraction_polys(doc: Any, where: str) -> tuple[LaurentPoly, LaurentPoly]:
     return num, den
 
 
-def rational_fn_from_json(doc: Any, where: str = "coeff") -> RationalFn:
-    return RationalFn(*_fraction_polys(doc, where))
-
-
 # -- censuses and bispin content --------------------------------------------------
 
 

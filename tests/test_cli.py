@@ -841,37 +841,6 @@ def test_usage_error_is_one_json_line(capsys, argv, named):
     assert error["type"] == "SchemaError" and named in error["message"]
 
 
-def test_parser_is_built_once_and_reused(capsys):
-    assert cli.build_parser() is cli.build_parser()
-    model = f"{SAMPLES}/conifold.count_model.json"
-    usage = ["gv", "--input", model, "--target", "1,1", "--genus-max", "x"]
-    first = run(capsys, *usage)
-    assert first[0] == EXIT_SCHEMA
-    good = run(capsys, "gv", "--input", model, "--target", "1,1", "--json")
-    assert good[0] == EXIT_OK
-    assert run(capsys, *usage) == first
-    assert run(capsys, "gv", "--input", model, "--target", "1,1", "--json") == good
-
-
-def test_cli_import_builds_no_parser():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    code = (
-        "import argparse\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "def counting(self, *args, **kwargs):\n"
-        "    built.append(kwargs.get('prog'))\n"
-        "    init(self, *args, **kwargs)\n"
-        "argparse.ArgumentParser.__init__ = counting\n"
-        "import gvmot.cli\n"
-        "assert built == [], built\n"
-        "gvmot.cli.build_parser()\n"
-        "assert built, 'the spy saw no parser'\n"
-    )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
-
-
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["gv", "--help"])
