@@ -44,14 +44,16 @@ from .errors import (
 from .laurent import LaurentPoly, RationalFn, flat, rational_sum
 from .lefschetz import JordanCensus, census_count
 from .linalg import dot
-from .motives import MotiveExpr, upsilon_rel
-from .stacks import StackClass
+from .motives import MotiveExpr
+from .stacks import StackClass, part_terms
 
 # printed in every gv output; golden files pin its bytes
 MODEL_NOTE = (
     "evaluation model: split strata with constant ext defect per class pair; "
     "the letters of a word multiply"
 )
+
+AtomParts = tuple[tuple[LaurentPoly, LaurentPoly, MotiveExpr], ...]  # an atom's parts, not normalised
 
 
 @dataclass(frozen=True, order=True)
@@ -67,9 +69,6 @@ class NumClass:
 
     def __neg__(self) -> "NumClass":
         return NumClass(tuple(-b for b in self.beta), -self.k)
-
-    def __add__(self, other: "NumClass") -> "NumClass":
-        return NumClass(tuple(a + b for a, b in zip(self.beta, other.beta)), self.k + other.k)
 
     def __repr__(self) -> str:
         return f"NumClass(beta={self.beta}, k={self.k})"
@@ -484,37 +483,33 @@ class EvalModel:
     is what lets counting_polynomial sum the log over multisets of pieces
     instead of ordered words.
 
-    An atom may also be given as a tuple of checked (num, den, expr) parts,
-    den nonzero; atom(v) normalises each num/den to its RationalFn the first
-    time a count reaches v, and keeps the StackClass.
+    Every atom is a tuple of (num, den, expr) parts, den nonzero: a
+    document's parts as read, or a StackClass's coefficients split once into
+    numerator and denominator.  The model is plain data and never changes.
     """
 
     __slots__ = ("atoms", "ext_defect")
 
     def __init__(
         self,
-        atoms: Mapping[NumClass, StackClass | tuple[tuple[LaurentPoly, LaurentPoly, MotiveExpr], ...]],
+        atoms: Mapping[NumClass, StackClass | AtomParts],
         ext_defect: Iterable[tuple[NumClass, NumClass, int]] = (),
     ):
         table: dict[tuple[NumClass, NumClass], int] = {}
         for v1, v2, e in ext_defect:
             for key in ((v1, v2), (v2, v1)):
                 if key in table and table[key] != int(e):
-                    raise AsymmetricDefectError(
-                        f"ext defect not symmetric on {key[0]} and {key[1]}"
-                    )
+                    raise AsymmetricDefectError(f"ext defect not symmetric on {key[0]} and {key[1]}")
                 table[key] = int(e)
-        object.__setattr__(self, "atoms", dict(atoms))
+        split = lambda a: tuple((c.num, c.den, expr) for c, expr in a.parts) if isinstance(a, StackClass) else a
+        object.__setattr__(self, "atoms", {v: split(a) for v, a in atoms.items()})
         object.__setattr__(self, "ext_defect", table)
 
-    def atom(self, v: NumClass) -> StackClass:
+    def atom(self, v: NumClass) -> AtomParts:
         try:
-            atom = self.atoms[v]
+            return self.atoms[v]
         except KeyError:
             raise MissingAtomError(f"no atom for class {v}") from None
-        if type(atom) is tuple:
-            atom = self.atoms[v] = StackClass.from_fractions(atom)
-        return atom
 
     def defect(self, v1: NumClass, v2: NumClass) -> int:
         return self.ext_defect.get((v1, v2), 0)
@@ -525,40 +520,26 @@ def evaluate(f: FreeHallElement, model: EvalModel) -> RationalFn:
 
     A word contributes L^{sum of pairwise defects} times the product of its
     letters' atom values, extended multilinearly over the atom parts and
-    linearly over words.  A letter with an empty stack class (empty moduli)
-    kills its word; the empty word is the unit and evaluates to 1.  Every
-    part choice becomes one unnormalised fraction, and rational_sum adds
-    them all.  Each atom part's numerator times its value is made the first
-    time a part choice takes it, so upsilon_rel runs in the order of the choices.
+    linearly over words.  A letter with an empty atom (empty moduli) kills
+    its word; the empty word is the unit and evaluates to 1.  Every part
+    choice becomes one unnormalised fraction, and rational_sum adds them
+    all.  The parts of each class the words take are normalised and made
+    into part terms (stacks.part_terms) once per call, in the order the
+    words first take the classes.
     """
-    values: dict[int, LaurentPoly] = {}  # upsilon_rel per expression object
-    # per atom part, the part itself (kept, so its id is not reused while cached)
-    # and its coefficient numerator times its value
-    terms: dict[int, tuple[tuple, LaurentPoly]] = {}
-
-    def term(part) -> LaurentPoly:
-        hit = terms.get(id(part))
-        if hit is None:
-            c, expr = part
-            if id(expr) not in values:
-                values[id(expr)] = upsilon_rel(expr)
-            hit = terms[id(part)] = (part, c.num * values[id(expr)])
-        return hit[1]
+    letters = dict.fromkeys(v for word in f.words for v in word)
+    terms = {v: part_terms(StackClass.from_fractions(model.atom(v))) for v in letters}
 
     def fractions():
         for word, coeff in f.items():
-            exponent = sum(
-                model.defect(word[i], word[j])
-                for i in range(len(word))
-                for j in range(i + 1, len(word))
-            )
+            exponent = sum(model.defect(a, b) for i, a in enumerate(word) for b in word[i + 1 :])
             scaled = LaurentPoly({(2 * exponent, 0): coeff.numerator})
             coeff_den = LaurentPoly.constant(coeff.denominator)
-            for choice in _iproduct(*(model.atom(v).parts for v in word)):
+            for choice in _iproduct(*(terms[v] for v in word)):
                 num, den = scaled, coeff_den
-                for part in choice:
-                    num = num * term(part)
-                    den = den * part[0].den
+                for part_num, part_den in choice:
+                    num = num * part_num
+                    den = den * part_den
                 yield num, den
 
     return rational_sum(fractions())

@@ -196,9 +196,27 @@ def _degree(weights: tuple[int, ...], beta: Beta) -> int:
     return sum(map(mul, weights, beta))
 
 
-def _check_class(beta, weights: tuple[int, ...], top: int, degree_max: Fraction) -> Beta:
-    """A nonzero integer class, one entry per omega entry, of positive omega-degree inside the cut (see _weights)."""
-    beta = tuple(int(b) for b in beta)
+def _int(x, what: str) -> int:
+    if type(x) is not int:  # bool, float, str and Fraction are not
+        raise TypeError(f"{what} must be int, got {type(x).__name__}")
+    return x
+
+
+def _rational(x, what: str) -> Fraction:
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
+
+
+def _check_class(checked: dict, beta, weights: tuple[int, ...], top: int, degree_max: Fraction) -> Beta:
+    """A nonzero integer class, one entry per omega entry, of positive omega-degree inside the cut (see _weights).
+    checked holds the classes seen, whose values need no second check; (1.0,) and (True,) equal (1,), so types do."""
+    for b in beta:
+        _int(b, "class entry")
+    hit = checked.get(beta)
+    if hit is not None:
+        return hit
+    beta = tuple(beta)
     if all(b == 0 for b in beta):
         raise ValueError("curve class must be nonzero")
     if len(beta) != len(weights):
@@ -208,6 +226,7 @@ def _check_class(beta, weights: tuple[int, ...], top: int, degree_max: Fraction)
         raise ConeNotPointedError(f"class {beta} has nonpositive degree")
     if deg > top:
         raise ValueError(f"class {beta} beyond degree cutoff {degree_max}")
+    checked[beta] = beta
     return beta
 
 
@@ -221,23 +240,22 @@ class GVTable:
     omega: tuple[Fraction, ...]
 
     def __init__(self, entries: Mapping[tuple[int, Beta], int], genus_max: int, degree_max, omega):
-        omega = tuple(Fraction(x) for x in omega)
-        degree_max = Fraction(degree_max)
+        omega = tuple(_rational(x, "omega entry") for x in omega)
+        degree_max = _rational(degree_max, "degree_max")
+        genus_max = _int(genus_max, "genus_max")
         weights, top = _weights(omega, degree_max)
         clean: dict[tuple[int, Beta], int] = {}
         checked: dict = {}
         for (g, beta), n in entries.items():
-            g = int(g)
+            g, n = _int(g, "genus"), _int(n, "count")
             if g < 0:
                 raise ValueError("genus must be nonnegative")
             if g > genus_max:
                 raise ValueError(f"entry at genus {g} beyond cutoff {genus_max}")
-            if beta not in checked:
-                checked[beta] = _check_class(beta, weights, top, degree_max)
-            beta = checked[beta]
-            if int(n) != 0:
-                clean[(g, beta)] = int(n)
-        vars(self).update(entries=clean, genus_max=int(genus_max), degree_max=degree_max, omega=omega)
+            beta = _check_class(checked, beta, weights, top, degree_max)
+            if n:
+                clean[(g, beta)] = n
+        vars(self).update(entries=clean, genus_max=genus_max, degree_max=degree_max, omega=omega)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GVTable) and self.entries == other.entries
@@ -255,24 +273,23 @@ class GWSeries:
     omega: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Mapping[tuple[Beta, int], Fraction], degree_max, lambda_max: int, omega):
-        omega = tuple(Fraction(x) for x in omega)
-        degree_max = Fraction(degree_max)
+        omega = tuple(_rational(x, "omega entry") for x in omega)
+        degree_max = _rational(degree_max, "degree_max")
+        lambda_max = _int(lambda_max, "lambda_max")
         weights, top = _weights(omega, degree_max)
         clean: dict[tuple[Beta, int], Fraction] = {}
         checked: dict = {}
         for (beta, lam), c in coeffs.items():
-            lam = int(lam)
+            lam = _int(lam, "lambda exponent")
             if lam < -2 or lam % 2 != 0:
                 raise ValueError("lambda exponents are even integers >= -2")
             if lam > lambda_max:
                 raise ValueError(f"lambda order {lam} beyond cutoff {lambda_max}")
-            if beta not in checked:
-                checked[beta] = _check_class(beta, weights, top, degree_max)
-            beta = checked[beta]
-            c = c if type(c) is Fraction else Fraction(c)
+            beta = _check_class(checked, beta, weights, top, degree_max)
+            c = c if type(c) is Fraction else _rational(c, "coefficient")
             if c:
                 clean[(beta, lam)] = c
-        vars(self).update(coeffs=clean, degree_max=degree_max, lambda_max=int(lambda_max), omega=omega)
+        vars(self).update(coeffs=clean, degree_max=degree_max, lambda_max=lambda_max, omega=omega)
 
     def coefficient(self, beta: Beta, lam: int) -> Fraction:
         return self.coeffs.get((tuple(beta), int(lam)), Fraction(0))

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring
 from typing import Any, Callable, Iterator
 
 from . import motives
-from .counting import CentralCharge, ClassLattice, EvalModel, NumClass
+from .counting import AtomParts, CentralCharge, ClassLattice, EvalModel, NumClass
 from .errors import SchemaError
 from .gwseries import GVTable, GWSeries
 from .laurent import LaurentPoly, RationalFn, _print_order_key
@@ -302,8 +302,9 @@ def motive_from_json(doc: Any, where: str = "expr") -> motives.MotiveExpr:
 # -- stack classes -----------------------------------------------------------------
 
 
-def _stack_parts(doc: Any, where: str) -> tuple[tuple[LaurentPoly, LaurentPoly, motives.MotiveExpr], ...]:
-    """The checked (num, den, expr) of each part of a stack class, coefficients not normalised."""
+def _stack_parts(doc: Any, where: str) -> AtomParts:
+    """The checked (num, den, expr) of each part of a stack class, coefficients not normalised:
+    a stack_class document normalises them, and a count model keeps them as an atom."""
     parts = []
     for i, part in enumerate(_require(doc, list, where)):
         part = _fields(part, f"{where}[{i}]", ("coeff", "expr"))
@@ -317,10 +318,6 @@ def stack_class_from_json(doc: Any, where: str = "parts") -> StackClass:
 
 
 # -- counting model -----------------------------------------------------------------
-
-
-def class_key(v: NumClass) -> str:
-    return ",".join(str(b) for b in (*v.beta, v.k))
 
 
 def class_from_key(key: str, rank: int, where: str) -> NumClass:
@@ -362,7 +359,7 @@ def count_model_from_json(doc: dict, where: str = "count_model") -> tuple[ClassL
     charge = CentralCharge(b_field, omega)
     lattice.check_positive(charge.omega)
 
-    # every atom is checked here, and normalised when a count first reaches its class
+    # every atom is checked here and kept as its parts; a count normalises the classes it reaches
     atoms_doc = _require(doc["atoms"], dict, f"{where}.atoms")
     atoms = {}
     for key, parts in atoms_doc.items():

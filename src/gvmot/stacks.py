@@ -43,9 +43,6 @@ class StackClass:
     def scale(self, c: RationalFn) -> "StackClass":
         return StackClass(tuple((coeff * c, expr) for coeff, expr in self.parts))
 
-    def is_empty(self) -> bool:
-        return not self.parts
-
     def __repr__(self) -> str:
         return f"StackClass({len(self.parts)} parts)"
 
@@ -63,6 +60,12 @@ def scale_by_variety(t: AbsMotive, c: StackClass) -> StackClass:
     return c.scale(RationalFn.from_poly(t.poly))
 
 
+def part_terms(c: StackClass) -> tuple[tuple[LaurentPoly, LaurentPoly], ...]:
+    """Each part of c as an unnormalised fraction: its coefficient's numerator
+    times the value of its expression, over its coefficient's denominator."""
+    return tuple((coeff.num * upsilon_rel(expr), coeff.den) for coeff, expr in c.parts)
+
+
 def upsilon_stack(c: StackClass) -> RationalFn:
     """Evaluate a stack class in Lambda: the coefficient-weighted sum of values."""
-    return rational_sum((coeff.num * upsilon_rel(expr), coeff.den) for coeff, expr in c.parts)
+    return rational_sum(part_terms(c))

@@ -170,6 +170,51 @@ class TestUpsilon:
         terms = {a: int(c) for a, b, c in json.loads(out)["terms"]}
         assert terms == {2 * k: 1 if k in (0, 30000) else 2 for k in range(30001)}
 
+    # atoms worth 1, 3s and 2t: an atom of dimension d and census {(alpha, l): n} is n t^(d+alpha) s^(l-1)
+    ONE = {"kind": "atom", "name": "a", "dim": 0, "census": [[0, 1, 1]]}
+    THREE_S = {"kind": "atom", "name": "b", "dim": 0, "census": [[0, 2, 3]]}
+    TWO_T = {"kind": "atom", "name": "c", "dim": 1, "census": [[0, 1, 2]]}
+    P1 = [[2, 0, "1"], [0, 0, "1"]]
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [
+            ({"kind": "sum", "terms": [ONE, THREE_S, TWO_T]}, {(0, 0): 1, (0, 1): 3, (1, 0): 2}),
+            ({"kind": "diff", "left": THREE_S, "right": ONE}, {(0, 1): 3, (0, 0): -1}),
+            ({"kind": "fibration", "expr": THREE_S, "fiber": {"group": "gm"}}, {(2, 1): 3, (0, 1): -3}),
+            ({"kind": "finite_push", "expr": TWO_T}, {(1, 0): 2}),
+            ({"kind": "abs_product", "abs": {"group": "point"}, "expr": THREE_S}, {(0, 1): 3}),
+            ({"kind": "abs_product", "abs": {"group": "affine_line"}, "expr": ONE}, {(2, 0): 1}),
+            ({"kind": "abs_product", "abs": {"group": "gm"}, "expr": ONE}, {(2, 0): 1, (0, 0): -1}),
+            ({"kind": "abs_product", "abs": {"poly": P1}, "expr": TWO_T}, {(3, 0): 2, (1, 0): 2}),
+            ({"kind": "abs_product", "abs": {"poly": P1, "name": "P1"}, "expr": TWO_T}, {(3, 0): 2, (1, 0): 2}),
+        ],
+        ids=["sum", "diff", "fibration", "finite_push", "point", "affine_line", "gm", "poly", "named-poly"],
+    )
+    def test_expression_kinds(self, capsys, tmp_path, expr, value):
+        from gvmot.jsonio import poly_from_json
+        from gvmot.laurent import LaurentPoly
+
+        path = write_doc(tmp_path, "expr.json", {"v": 1, "kind": "motive", "expr": expr})
+        code, out, err = run(capsys, "upsilon", "--input", path, "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert poly_from_json(json.loads(out)["terms"]) == LaurentPoly(value)
+
+    @pytest.mark.parametrize(
+        "abs_motive, message",
+        [
+            ({"poly": [[0, 1, "1"]]}, "expr.abs: absolute classes cannot involve s"),
+            ({"group": "sl", "n": 2}, "expr.abs: unknown group 'sl'"),
+        ],
+        ids=["poly-with-s", "unknown-group"],
+    )
+    def test_bad_absolute_motive(self, capsys, tmp_path, abs_motive, message):
+        expr = {"kind": "abs_product", "abs": abs_motive, "expr": self.ONE}
+        path = write_doc(tmp_path, "expr.json", {"v": 1, "kind": "motive", "expr": expr})
+        code, out, err = run(capsys, "upsilon", "--input", path, "--json")
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
+
 
 class TestCensus:
     def test_identity_chain(self, capsys):
@@ -458,7 +503,8 @@ class TestGv:
 
 def test_gv_json_matches_golden_bytes(capsys):
     # stdout of `gv --json` on every atom class of the sample count models and
-    # on its negative, recorded before the log was summed over multisets
+    # on its negative, recorded before the log was summed over multisets; a
+    # case that does not exit 0 is recorded with its code and stderr
     golden = json.loads(GOLDEN_GV.read_text())
     models = sorted(Path(SAMPLES).glob("*.count_model.json"))
     targets = []
@@ -468,9 +514,11 @@ def test_gv_json_matches_golden_bytes(capsys):
             targets += [(model, key), (model, negated)]
     assert sorted(f"{model.name} {target}" for model, target in targets) == sorted(golden)
     for model, target in targets:
-        code, out, _ = run(capsys, "gv", "--input", str(model), f"--target={target}", "--json")
-        assert code == EXIT_OK
-        assert out == golden[f"{model.name} {target}"], (model.name, target)
+        code, out, err = run(capsys, "gv", "--input", str(model), f"--target={target}", "--json")
+        expected = golden[f"{model.name} {target}"]
+        if not isinstance(expected, dict):
+            expected = {"code": EXIT_OK, "stdout": expected, "stderr": ""}
+        assert {"code": code, "stdout": out, "stderr": err} == expected, (model.name, target)
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -505,22 +553,12 @@ def tower_model(bettis: list[int], k_max: int, twisted: bool) -> dict:
     return doc
 
 
-# atom coefficients with s: (1,1) counts (s + 2)(1 + L), and (2,2), which
-# splits as (1,1) + (1,1), keeps a factor L - 1 in its denominator
-S_MODEL = {
-    "v": 1,
-    "kind": "count_model",
-    "lattice": {"rank": 1, "generators": [[1]]},
-    "charge": {"B": ["0"], "omega": ["1"]},
-    "atoms": {
-        "1,1": [{"coeff": {"num": [[0, 1, "1"], [0, 0, "2"]], "den": GM}, "expr": {"kind": "betti_over_point", "bettis": [1, 0, 1]}}],
-        "2,2": [{"coeff": {"num": [[0, 1, "3"]], "den": _times(GM, 2)}, "expr": {"kind": "betti_over_point", "bettis": [1, 0, 2, 0, 1]}}],
-    },
-}
 GV_KERNEL_MODELS = {
     "flat_tower": (tower_model([1, 0, 3, 5, 3, 0, 1], 8, twisted=False), [f"0,{k}" for k in range(-1, 7)]),
     "twisted_tower": (tower_model([1, 0, 3, 5, 3, 0, 1], 8, twisted=True), [f"0,{k}" for k in range(-1, 7)]),
-    "s_model": (S_MODEL, ["1,1", "2,2"]),
+    # atom coefficients with s: (1,1) counts (s + 2)(1 + L), and (2,2), which
+    # splits as (1,1) + (1,1), keeps a factor L - 1 in its denominator
+    "s_model": (json.loads(Path(f"{SAMPLES}/s_atoms.count_model.json").read_text()), ["1,1", "2,2"]),
 }
 
 
@@ -858,6 +896,24 @@ class TestErrorMapping:
         path = write_doc(tmp_path, "bad.json", {"v": 1, "kind": "bispin", "content": [], "x": 1})
         code, _, err = run(capsys, "hst", "--input", path)
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["upsilon", "--input", f"{SAMPLES}/conifold.gv_table.json"],
+             f"{SAMPLES}/conifold.gv_table.json: expected kind in ('motive', 'betti_variety'), got 'gv_table'"),
+            (["gw", "--input", f"{SAMPLES}/conifold.gw_series.json", "--direction", "to-gw"],
+             "direction to-gw needs a gv_table document"),
+            (["upsilon", "--input", "{tmp}/not.json"], "{tmp}/not.json: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ],
+        ids=["wrong-kind", "to-gw-on-a-series", "not-json"],
+    )
+    def test_document_errors_exit_two_with_one_line(self, capsys, tmp_path, argv, message):
+        (tmp_path / "not.json").write_text("not json")
+        code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv), "--json")
+        message = message.replace("{tmp}", str(tmp_path))
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
 
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run(capsys, "hst", "--input", "no/such/file.json")

@@ -296,7 +296,7 @@ class TestEvaluate:
         lat, z, model = conifold_model()
         v = NumClass((1,), 1)
         value = evaluate(FreeHallElement.letter(v), model)
-        assert value == upsilon_stack(model.atom(v))
+        assert value == upsilon_stack(StackClass.from_fractions(model.atom(v)))
 
     def test_commutator_vanishes(self):
         v1 = NumClass((1,), 0)

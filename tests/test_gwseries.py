@@ -344,6 +344,51 @@ class TestValidation:
         with pytest.raises(ValueError):
             GVTable({(0, (7,)): 1}, 0, Fraction(6), ONE)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 2.0, "2", Fraction(2)], ids=["bool", "float", "whole-float", "str", "Fraction"])
+    def test_table_ints_are_ints(self, bad):
+        # before, a float count 2.5 was stored as 2 and a float genus or class entry was truncated
+        cases = {
+            "count": lambda: GVTable({(0, (1,)): bad}, 2, 10, ONE),
+            "genus": lambda: GVTable({(bad, (1,)): 1}, 2, 10, ONE),
+            "class entry": lambda: GVTable({(0, (bad,)): 1}, 2, 10, ONE),
+            "genus_max": lambda: GVTable({(0, (1,)): 1}, bad, 10, ONE),
+        }
+        for what, build in cases.items():
+            with pytest.raises(TypeError, match=f"^{what} must be int, got {type(bad).__name__}$"):
+                build()
+
+    @pytest.mark.parametrize("bad", [True, 0.1, 2.0, "1/2"], ids=["bool", "float", "whole-float", "str"])
+    def test_series_numbers_are_ints_or_fractions(self, bad):
+        # before, a float coefficient 0.1 was stored as its binary Fraction
+        rational = {
+            "coefficient": lambda: GWSeries({((1,), 0): bad}, 10, 0, ONE),
+            "degree_max": lambda: GWSeries({((1,), 0): 1}, bad, 0, ONE),
+            "omega entry": lambda: GWSeries({((1,), 0): 1}, 10, 0, (bad,)),
+        }
+        for what, build in rational.items():
+            with pytest.raises(TypeError, match=f"^{what} must be int or Fraction, got {type(bad).__name__}$"):
+                build()
+        integral = {
+            "lambda exponent": lambda: GWSeries({((1,), bad): 1}, 10, 2, ONE),
+            "lambda_max": lambda: GWSeries({((1,), 0): 1}, 10, bad, ONE),
+            "class entry": lambda: GWSeries({((bad,), 0): 1}, 10, 0, ONE),
+        }
+        for what, build in integral.items():
+            with pytest.raises(TypeError, match=f"^{what} must be int, got {type(bad).__name__}$"):
+                build()
+
+    def test_equal_class_of_another_type_rejected(self):
+        # (True,) == (1,), so only a check on every entry sees it once (1,) is known
+        with pytest.raises(TypeError, match="^class entry must be int, got bool$"):
+            GVTable({(0, (1,)): 1, (1, (True,)): 2}, 1, 10, ONE)
+
+    def test_ints_and_fractions_accepted(self):
+        table = GVTable({(0, (1,)): 3}, 0, Fraction(5, 2), (Fraction(1, 2),))
+        assert table.entries == {(0, (1,)): 3} and table.degree_max == Fraction(5, 2)
+        series = GWSeries({((1,), 0): 2, ((2,), 0): Fraction(1, 3)}, 4, 0, (1,))
+        assert series.coeffs == {((1,), 0): Fraction(2), ((2,), 0): Fraction(1, 3)}
+        assert series.omega == (Fraction(1),)
+
 
 class TestPushOracle:
     """The per-class kernel against the per-entry push it replaced."""
