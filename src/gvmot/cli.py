@@ -207,18 +207,16 @@ def cmd_gw(args, kind, payload) -> Result:
         raise SchemaError("--lambda-order applies only to direction to-gw")
     result = gw_to_gv(payload, genus_max=args.genus_max, degree_max=args.degree_max)
 
-    def warnings():
-        return [[g, list(beta), jsonio.fraction_str(v)] for (g, beta), v in sorted(result.nonintegral.items())]
-
     def doc():
         doc = jsonio.gv_table_to_json(result.table)
         if result.nonintegral:
-            doc["warnings"] = {"nonintegral": warnings()}
+            doc["warnings"] = {"nonintegral": jsonio.nonintegral_to_json(result.nonintegral)}
         return doc
 
     def text():
         rows = [[str(g), str(list(beta)), str(n)] for (g, beta), n in sorted(result.table.entries.items())]
-        return _table(rows, ["g", "beta", "n_g"]) + [f"warning: nonintegral n_{g}^{beta} = {v}" for g, beta, v in warnings()]
+        warnings = sorted(result.nonintegral.items())
+        return _table(rows, ["g", "beta", "n_g"]) + [f"warning: nonintegral n_{g}^{list(beta)} = {jsonio.fraction_str(v)}" for (g, beta), v in warnings]
 
     return EXIT_OK, doc, text
 

@@ -208,31 +208,71 @@ def _rational(x, what: str) -> Fraction:
     raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
 
 
-def _check_class(checked: dict, beta, weights: tuple[int, ...], top: int, degree_max: Fraction) -> Beta:
-    """A nonzero integer class, one entry per omega entry, of positive omega-degree inside the cut (see _weights).
-    checked holds the classes seen, whose values need no second check; (1.0,) and (True,) equal (1,), so types do."""
+def check_genus(g: int, genus_max: int) -> None:
+    """The rule of a table's genus: 0 <= g <= genus_max.  Raises ValueError."""
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    if g > genus_max:
+        raise ValueError(f"entry at genus {g} beyond cutoff {genus_max}")
+
+
+def check_lambda(lam: int, lambda_max: int) -> None:
+    """The rule of a series' lambda exponent: even, -2 <= lam <= lambda_max.  Raises ValueError."""
+    if lam < -2 or lam % 2 != 0:
+        raise ValueError("lambda exponents are even integers >= -2")
+    if lam > lambda_max:
+        raise ValueError(f"lambda order {lam} beyond cutoff {lambda_max}")
+
+
+class ClassRule:
+    """The rule of a curve class under the cuts: nonzero, one entry per omega
+    entry, of positive omega-degree inside the degree cut.
+
+    Calling it on a tuple of ints checks the class and returns it, raising
+    ValueError, or ConeNotPointedError for a nonpositive degree.  seen maps
+    each class accepted so far to itself, so a class is checked once; its
+    entries' types are the caller's to check, since (1.0,) and (True,) equal
+    (1,).
+    """
+
+    __slots__ = ("weights", "top", "degree_max", "seen")
+
+    def __init__(self, omega: tuple[Fraction, ...], degree_max: Fraction):
+        self.weights, self.top = _weights(omega, degree_max)
+        self.degree_max = degree_max
+        self.seen: dict[Beta, Beta] = {}
+
+    def __call__(self, beta: Beta) -> Beta:
+        hit = self.seen.get(beta)
+        if hit is not None:
+            return hit
+        if all(b == 0 for b in beta):
+            raise ValueError("curve class must be nonzero")
+        if len(beta) != len(self.weights):
+            raise ValueError(f"class {beta} has {len(beta)} entries, omega has {len(self.weights)}")
+        deg = _degree(self.weights, beta)
+        if deg <= 0:
+            raise ConeNotPointedError(f"class {beta} has nonpositive degree")
+        if deg > self.top:
+            raise ValueError(f"class {beta} beyond degree cutoff {self.degree_max}")
+        self.seen[beta] = beta
+        return beta
+
+
+def _class(rule: ClassRule, beta) -> Beta:
+    """A class given to a constructor: its entries must be ints, then it must keep the rule."""
     for b in beta:
         _int(b, "class entry")
-    hit = checked.get(beta)
-    if hit is not None:
-        return hit
-    beta = tuple(beta)
-    if all(b == 0 for b in beta):
-        raise ValueError("curve class must be nonzero")
-    if len(beta) != len(weights):
-        raise ValueError(f"class {beta} has {len(beta)} entries, omega has {len(weights)}")
-    deg = _degree(weights, beta)
-    if deg <= 0:
-        raise ConeNotPointedError(f"class {beta} has nonpositive degree")
-    if deg > top:
-        raise ValueError(f"class {beta} beyond degree cutoff {degree_max}")
-    checked[beta] = beta
-    return beta
+    return rule(beta)
 
 
 @dataclass(frozen=True)
 class GVTable:
-    """Integer counts indexed by (genus, curve class), with truncation data."""
+    """Integer counts indexed by (genus, curve class), with truncation data.
+
+    The constructor checks every key; a document reader or a transform that
+    has checked them builds the table with _built instead.
+    """
 
     entries: dict[tuple[int, Beta], int]
     genus_max: int
@@ -243,16 +283,12 @@ class GVTable:
         omega = tuple(_rational(x, "omega entry") for x in omega)
         degree_max = _rational(degree_max, "degree_max")
         genus_max = _int(genus_max, "genus_max")
-        weights, top = _weights(omega, degree_max)
+        classes = ClassRule(omega, degree_max)
         clean: dict[tuple[int, Beta], int] = {}
-        checked: dict = {}
         for (g, beta), n in entries.items():
             g, n = _int(g, "genus"), _int(n, "count")
-            if g < 0:
-                raise ValueError("genus must be nonnegative")
-            if g > genus_max:
-                raise ValueError(f"entry at genus {g} beyond cutoff {genus_max}")
-            beta = _check_class(checked, beta, weights, top, degree_max)
+            check_genus(g, genus_max)
+            beta = _class(classes, beta)
             if n:
                 clean[(g, beta)] = n
         vars(self).update(entries=clean, genus_max=genus_max, degree_max=degree_max, omega=omega)
@@ -265,7 +301,11 @@ class GVTable:
 
 @dataclass(frozen=True)
 class GWSeries:
-    """Rational coefficients indexed by (curve class, lambda exponent)."""
+    """Rational coefficients indexed by (curve class, lambda exponent).
+
+    The constructor checks every key; a document reader or a transform that
+    has checked them builds the series with _built instead.
+    """
 
     coeffs: dict[tuple[Beta, int], Fraction]
     degree_max: Fraction
@@ -276,16 +316,12 @@ class GWSeries:
         omega = tuple(_rational(x, "omega entry") for x in omega)
         degree_max = _rational(degree_max, "degree_max")
         lambda_max = _int(lambda_max, "lambda_max")
-        weights, top = _weights(omega, degree_max)
+        classes = ClassRule(omega, degree_max)
         clean: dict[tuple[Beta, int], Fraction] = {}
-        checked: dict = {}
         for (beta, lam), c in coeffs.items():
             lam = _int(lam, "lambda exponent")
-            if lam < -2 or lam % 2 != 0:
-                raise ValueError("lambda exponents are even integers >= -2")
-            if lam > lambda_max:
-                raise ValueError(f"lambda order {lam} beyond cutoff {lambda_max}")
-            beta = _check_class(checked, beta, weights, top, degree_max)
+            check_lambda(lam, lambda_max)
+            beta = _class(classes, beta)
             c = c if type(c) is Fraction else _rational(c, "coefficient")
             if c:
                 clean[(beta, lam)] = c
@@ -301,8 +337,9 @@ class GWSeries:
 
 
 def _built(cls, **fields):
-    """A GVTable or GWSeries of fields a transform built inside the cuts, not checked again:
-    int entries or Fraction coefficients, none zero, on classes inside the degree cut."""
+    """A GVTable or GWSeries whose keys were checked where they were made, not checked again:
+    int entries or Fraction coefficients, none zero, on classes the cuts admit; omega a tuple
+    of Fractions, degree_max a Fraction."""
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj

@@ -10,7 +10,16 @@ more digits than the interpreter converts to an int
 (sys.get_int_max_str_digits; the conversion costs time quadratic in the
 digits) fails its schema check where it stands.
 
-A row's location is formatted only for an error.
+A row's location is formatted only for an error.  A gv_table or gw_series
+document is read in one pass: the loop that reads a row checks its types,
+then its key under the rules GVTable and GWSeries keep (gwseries.ClassRule,
+check_genus, check_lambda: the one copy of those rules), and builds the
+result without the constructors' second pass; errors come in the order of
+a reader that checks every row's types before the cuts and the keys.  It is
+written in one pass too: gv_table_to_json and gw_series_to_json keep the
+rows as Rows, the sorted keys of the result's own mapping, and dump_json
+writes each row into the text with one f-string.  A motive expression nests
+at most MOTIVE_DEPTH_CAP levels deep.
 """
 
 from __future__ import annotations
@@ -20,17 +29,21 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import motives
 from .counting import AtomParts, CentralCharge, ClassLattice, EvalModel, NumClass
-from .errors import SchemaError
-from .gwseries import GVTable, GWSeries
+from .errors import ConeNotPointedError, SchemaError
+from .gwseries import ClassRule, GVTable, GWSeries, _built, check_genus, check_lambda
 from .laurent import LaurentPoly, RationalFn, _print_order_key
 from .lefschetz import BispinContent, GradedNilpotent, JordanCensus
 from .stacks import StackClass
 
 SCHEMA_VERSION = 1
+# how many expressions may enclose a motive expression: each level is a frame of
+# the recursive reader and evaluators, and a gvmot run overflows the default
+# recursion limit of 1000 from about 986 levels, so the cap leaves 85 frames spare
+MOTIVE_DEPTH_CAP = 900
 
 
 def _digit_limit() -> int:
@@ -65,7 +78,11 @@ def _int(obj: Any, where: str) -> int:
 
 
 def _ints(obj: Any, where: str) -> tuple[int, ...]:
-    return tuple([_int(x, where) for x in _require(obj, list, where)])
+    obj = tuple(_require(obj, list, where))
+    for x in obj:
+        if type(x) is not int:
+            _int(x, where)
+    return obj
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -130,7 +147,8 @@ def _rows(doc: Any, where: str, shape: str, items: tuple) -> Iterator[tuple]:
 
 
 def fraction_str(f: int | Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """The text of a rational: "p/q" in lowest terms, or "p" when q is 1, which is str of an int or a Fraction."""
+    return str(f)
 
 
 # -- polynomials ----------------------------------------------------------------
@@ -248,7 +266,10 @@ def _bettis(doc: dict, where: str) -> list[int]:
     return [_int(b, f"{where}.bettis") for b in _require(doc["bettis"], list, f"{where}.bettis")]
 
 
-def motive_from_json(doc: Any, where: str = "expr") -> motives.MotiveExpr:
+def motive_from_json(doc: Any, where: str = "expr", depth: int = 0) -> motives.MotiveExpr:
+    """A motive expression; depth counts the expressions around it, at most MOTIVE_DEPTH_CAP."""
+    if depth > MOTIVE_DEPTH_CAP:
+        raise SchemaError(f"{where}: a motive expression is nested more than {MOTIVE_DEPTH_CAP} levels deep")
     _require(doc, dict, where)
     kind = doc.get("kind")
     if kind == "atom":
@@ -267,35 +288,35 @@ def motive_from_json(doc: Any, where: str = "expr") -> motives.MotiveExpr:
     if kind == "sum":
         doc = _fields(doc, where, ("kind", "terms"))
         terms = _require(doc["terms"], list, f"{where}.terms")
-        return motives.Sum(tuple(motive_from_json(t, f"{where}.terms[{i}]") for i, t in enumerate(terms)))
+        return motives.Sum(tuple(motive_from_json(t, f"{where}.terms[{i}]", depth + 1) for i, t in enumerate(terms)))
     if kind == "diff":
         doc = _fields(doc, where, ("kind", "left", "right"))
         return motives.Diff(
-            motive_from_json(doc["left"], f"{where}.left"),
-            motive_from_json(doc["right"], f"{where}.right"),
+            motive_from_json(doc["left"], f"{where}.left", depth + 1),
+            motive_from_json(doc["right"], f"{where}.right", depth + 1),
         )
     if kind == "int_scale":
         doc = _fields(doc, where, ("kind", "factor", "expr"))
-        return motives.IntScale(_int(doc["factor"], f"{where}.factor"), motive_from_json(doc["expr"], f"{where}.expr"))
+        return motives.IntScale(_int(doc["factor"], f"{where}.factor"), motive_from_json(doc["expr"], f"{where}.expr", depth + 1))
     if kind == "abs_product":
         doc = _fields(doc, where, ("kind", "abs", "expr"))
-        return motives.AbsProduct(abs_motive_from_json(doc["abs"], f"{where}.abs"), motive_from_json(doc["expr"], f"{where}.expr"))
+        return motives.AbsProduct(abs_motive_from_json(doc["abs"], f"{where}.abs"), motive_from_json(doc["expr"], f"{where}.expr", depth + 1))
     if kind == "proj_bundle":
         doc = _fields(doc, where, ("kind", "expr", "fiber_rank"))
-        return motives.ProjBundle(motive_from_json(doc["expr"], f"{where}.expr"), _int(doc["fiber_rank"], f"{where}.fiber_rank"))
+        return motives.ProjBundle(motive_from_json(doc["expr"], f"{where}.expr", depth + 1), _int(doc["fiber_rank"], f"{where}.fiber_rank"))
     if kind == "blow_up":
         doc = _fields(doc, where, ("kind", "ambient", "center", "codim"))
         return motives.BlowUpRel(
-            ambient=motive_from_json(doc["ambient"], f"{where}.ambient"),
-            center=motive_from_json(doc["center"], f"{where}.center"),
+            ambient=motive_from_json(doc["ambient"], f"{where}.ambient", depth + 1),
+            center=motive_from_json(doc["center"], f"{where}.center", depth + 1),
             codim=_int(doc["codim"], f"{where}.codim"),
         )
     if kind == "fibration":
         doc = _fields(doc, where, ("kind", "expr", "fiber"))
-        return motives.Fibration(motive_from_json(doc["expr"], f"{where}.expr"), abs_motive_from_json(doc["fiber"], f"{where}.fiber"))
+        return motives.Fibration(motive_from_json(doc["expr"], f"{where}.expr", depth + 1), abs_motive_from_json(doc["fiber"], f"{where}.fiber"))
     if kind == "finite_push":
         doc = _fields(doc, where, ("kind", "expr"))
-        return motives.FinitePush(motive_from_json(doc["expr"], f"{where}.expr"))
+        return motives.FinitePush(motive_from_json(doc["expr"], f"{where}.expr", depth + 1))
     raise SchemaError(f"{where}: unknown expression kind {kind!r}")
 
 
@@ -375,63 +396,167 @@ def count_model_from_json(doc: dict, where: str = "count_model") -> tuple[ClassL
 # -- GV tables and GW series ----------------------------------------------------------
 
 
+def _rational(obj: Any, where: str) -> Fraction:
+    """_fraction's value, as a Fraction."""
+    value = _fraction(obj, where)
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _omega(cuts: dict, where: str) -> tuple[Fraction, ...]:
+    return tuple([_rational(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")])
+
+
+def _read_rest(rows: Iterator) -> None:
+    """Read the rows left, so that a row's type error is raised before an error met earlier:
+    the error order of a reader that checks every row's types before the cuts and keys."""
+    for _ in rows:
+        pass
+
+
+def _summed(rows: Iterator[tuple], key: Callable, where: str) -> dict:
+    """The values of a table's or series' rows (a, b, value), summed by key(a, b) in one pass.
+
+    key applies the rules of the document's keys, raising ValueError or
+    ConeNotPointedError; the first key it rejects is raised once every row
+    has been read.  Keys whose values sum to zero are dropped.
+    """
+    out: dict = {}
+    zeros = False
+    for a, b, value in rows:
+        try:
+            k = key(a, b)
+        except (ValueError, ConeNotPointedError) as exc:
+            _read_rest(rows)
+            raise SchemaError(f"{where}: {exc}") if isinstance(exc, ValueError) else exc
+        if k in out:
+            out[k] += value
+            zeros = True
+        else:
+            out[k] = value
+            zeros = zeros or not value
+    return {k: v for k, v in out.items() if v} if zeros else out
+
+
 def gv_table_from_json(doc: dict, where: str = "gv_table") -> GVTable:
+    """A gv_table document, read in one pass: each row's types, then its key
+    under the rules GVTable keeps (check_genus, ClassRule), repeated keys
+    summed; the table is built without a second check."""
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("genus", "degree", "omega"))
-    omega = [_fraction(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")]
-    entries = {}
-    for g, beta, n in _rows(doc["entries"], f"{where}.entries", "[g, beta, n]", ((_int, ".g"), (_ints, ".beta"), (_int, ".n"))):
-        entries[(g, beta)] = entries.get((g, beta), 0) + n
+    omega = _omega(cuts, where)
+    rows = _rows(doc["entries"], f"{where}.entries", "[g, beta, n]", ((_int, ".g"), (_ints, ".beta"), (_int, ".n")))
     try:
-        return GVTable(
-            entries,
-            genus_max=_int(cuts["genus"], f"{where}.cuts.genus"),
-            degree_max=_fraction(cuts["degree"], f"{where}.cuts.degree"),
-            omega=omega,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        genus_max = _int(cuts["genus"], f"{where}.cuts.genus")
+        degree_max = _rational(cuts["degree"], f"{where}.cuts.degree")
+    except SchemaError:
+        _read_rest(rows)
+        raise
+    classes = ClassRule(omega, degree_max)
+
+    def key(g: int, beta: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        check_genus(g, genus_max)
+        return g, classes(beta)
+
+    entries = _summed(rows, key, where)
+    return _built(GVTable, entries=entries, genus_max=genus_max, degree_max=degree_max, omega=omega)
+
+
+class Rows:
+    """The rows of a table or series, kept as its mapping and its sorted keys:
+    dump_json writes each row straight into the document's text with one
+    f-string, so no list is built per row.  It is not a JSON value to
+    json.dumps; json.loads(dump_json(doc)) gives the plain rows."""
+
+    __slots__ = ("values", "keys", "write")
+
+    def __init__(self, values: Mapping, write: Callable[[Iterable, str, str, "_ClassTexts"], list[str]]):
+        self.values, self.keys, self.write = values, sorted(values), write
+
+    def text(self, nl: str) -> str:
+        """The rows' JSON text as a list, where nl is the newline and indent of the list's own line."""
+        if not self.keys:
+            return "[]"
+        at = nl + "  "
+        items = zip(self.keys, map(self.values.__getitem__, self.keys))
+        return "[" + at + ("," + at).join(self.write(items, at, at + "  ", _ClassTexts("," + at + "    "))) + nl + "]"
+
+
+class _ClassTexts(dict):
+    """The text of each class's entries, one per line, made the first time a row asks."""
+
+    def __init__(self, sep: str):
+        self.sep = sep
+
+    def __missing__(self, beta: tuple[int, ...]) -> str:
+        text = self[beta] = self.sep.join(map(str, beta))
+        return text
+
+
+# one f-string per row; each row starts on a line at, its items on lines sub, a class's entries on the lines
+# of texts, and a rational is written as fraction_str writes it, str(c)
+
+def _entry_rows(items: Iterable, at: str, sub: str, texts: _ClassTexts) -> list[str]:
+    """[g, [beta], n] per ((g, beta), n), n an int."""
+    deeper = sub + "  "
+    return [f"[{sub}{g},{sub}[{deeper}{texts[beta]}{sub}],{sub}{n}{at}]" for (g, beta), n in items]
+
+
+def _value_rows(items: Iterable, at: str, sub: str, texts: _ClassTexts) -> list[str]:
+    """[g, [beta], "v"] per ((g, beta), v), v a rational."""
+    deeper = sub + "  "
+    return [f'[{sub}{g},{sub}[{deeper}{texts[beta]}{sub}],{sub}"{v!s}"{at}]' for (g, beta), v in items]
+
+
+def _coeff_rows(items: Iterable, at: str, sub: str, texts: _ClassTexts) -> list[str]:
+    """[[beta], e, "c"] per ((beta, e), c), c a rational."""
+    deeper = sub + "  "
+    return [f'[{sub}[{deeper}{texts[beta]}{sub}],{sub}{lam},{sub}"{c!s}"{at}]' for (beta, lam), c in items]
 
 
 def gv_table_to_json(table: GVTable) -> dict:
-    entries = [[g, list(beta), n] for (g, beta), n in sorted(table.entries.items())]
     cuts = {
         "genus": table.genus_max,
         "degree": fraction_str(table.degree_max),
         "omega": [fraction_str(w) for w in table.omega],
     }
-    return envelope("gv_table", entries=entries, cuts=cuts)
+    return envelope("gv_table", entries=Rows(table.entries, _entry_rows), cuts=cuts)
+
+
+def nonintegral_to_json(values: dict[tuple[int, tuple[int, ...]], Fraction]) -> Rows:
+    """The rows [g, [beta], "v"] of the values an inverse transform found nonintegral."""
+    return Rows(values, _value_rows)
 
 
 def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
+    """A gw_series document, read in one pass as gv_table_from_json reads a
+    table, under the rules GWSeries keeps (check_lambda, ClassRule); each
+    coefficient is a Fraction."""
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("degree", "lambda", "omega"))
-    omega = [_fraction(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")]
-    coeffs = {}
-    items = ((_ints, ".beta"), (_int, ".lambda"), (_fraction, ".coeff"))
-    for beta, lam, c in _rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]", items):
-        key = (beta, lam)
-        coeffs[key] = coeffs[key] + c if key in coeffs else c  # only a repeated key is summed
+    omega = _omega(cuts, where)
+    items = ((_ints, ".beta"), (_int, ".lambda"), (_rational, ".coeff"))
+    rows = _rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]", items)
     try:
-        return GWSeries(
-            coeffs,
-            degree_max=_fraction(cuts["degree"], f"{where}.cuts.degree"),
-            lambda_max=_int(cuts["lambda"], f"{where}.cuts.lambda"),
-            omega=omega,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        degree_max = _rational(cuts["degree"], f"{where}.cuts.degree")
+        lambda_max = _int(cuts["lambda"], f"{where}.cuts.lambda")
+    except SchemaError:
+        _read_rest(rows)
+        raise
+    classes = ClassRule(omega, degree_max)
+
+    def key(beta: tuple[int, ...], lam: int) -> tuple[tuple[int, ...], int]:
+        check_lambda(lam, lambda_max)
+        return classes(beta), lam
+
+    coeffs = _summed(rows, key, where)
+    return _built(GWSeries, coeffs=coeffs, degree_max=degree_max, lambda_max=lambda_max, omega=omega)
 
 
 def gw_series_to_json(series: GWSeries) -> dict:
-    coeffs = [
-        [list(beta), lam, fraction_str(c)]
-        for (beta, lam), c in sorted(series.coeffs.items())
-    ]
     cuts = {
         "degree": fraction_str(series.degree_max),
         "lambda": series.lambda_max,
         "omega": [fraction_str(w) for w in series.omega],
     }
-    return envelope("gw_series", coeffs=coeffs, cuts=cuts)
+    return envelope("gw_series", coeffs=Rows(series.coeffs, _coeff_rows), cuts=cuts)
 
 
 # -- top-level documents ----------------------------------------------------------------
@@ -538,6 +663,8 @@ def _json_text(o: Any, nl: str) -> str:
         # json.dumps sorts the keys as they are, then writes an int, bool or null key as a string
         items = [f"{encode_basestring(k if type(k) is str else _json_text(k, nl))}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is Rows:
+        return o.text(nl)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 

@@ -14,6 +14,7 @@ cell data off a polynomial invariant.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -281,6 +282,12 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     out zero.  A valid quotient's lex-minimal exponent equals min(num) -
     min(den) (the lex-minimal term of a product never cancels), which bounds
     the descent and forces termination.
+
+    One remainder is updated in place, so a step costs the divisor's length
+    plus a heap operation per new remainder term: a heap of negated
+    exponents finds the leading term, and an exponent whose term has
+    cancelled is skipped when it comes up.  Each step cancels the leading
+    term and adds only terms below it, so the leading term falls.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -290,21 +297,32 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     na, nb = num.min_lex_exponent()
     ma, mb = den.min_lex_exponent()
     floor = (na - ma, nb - mb)
+    below = list(den.items())[:-1]  # the terms sort lex, so the leading one is last
     quotient: dict[tuple[int, int], int] = {}
-    rem = num
-    while not rem.is_zero():
-        (ra, rb), rc = rem.leading_term()
-        db = rb - lb
-        da = ra - la
+    rem = dict(num.items())
+    heap = [(-a, -b) for a, b in rem]
+    heapify(heap)
+    while heap:
+        ra, rb = heappop(heap)
+        rc = rem.pop((-ra, -rb), 0)
+        if not rc:
+            continue
+        da, db = -ra - la, -rb - lb
         if db < 0 or (da, db) < floor:
             return None
         factor, r = divmod(rc, lc)
         if r:
             return None
         quotient[(da, db)] = factor
-        rem = rem - den.shift(da, db).scale(factor)
-        if not rem.is_zero() and rem.leading_term()[0] >= (ra, rb):
-            return None
+        for (a, b), c in below:  # factor times the leading term cancels rc
+            key = (a + da, b + db)
+            value = rem.get(key, 0) - factor * c
+            if value:
+                if key not in rem:
+                    heappush(heap, (-key[0], -key[1]))
+                rem[key] = value
+            else:
+                del rem[key]
     return LaurentPoly._built(quotient)
 
 

@@ -696,7 +696,7 @@ class TestGw:
         # minimum and degree cuts below the document's, recorded while the
         # inverse ran its own divisor loop over a division-closed class set
         golden = json.loads(GOLDEN_GW.read_text())
-        assert len(golden) == 8
+        assert len(golden) == 9
         for name, case in golden.items():
             if "document" in case:
                 path = write_doc(tmp_path, f"{name}.json", case["document"])
@@ -963,6 +963,29 @@ class TestErrorMapping:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "1\n", "")
+
+    def test_motive_past_the_nesting_cap_exits_two(self, tmp_path):
+        # one int_scale past the cap: a schema error naming where and the cap,
+        # before any recursion can overflow.  A fresh process, as above.
+        from gvmot.jsonio import MOTIVE_DEPTH_CAP
+
+        expr = {"kind": "betti", "bettis": [1], "dim": 0}
+        for _ in range(MOTIVE_DEPTH_CAP + 1):
+            expr = {"kind": "int_scale", "factor": 1, "expr": expr}
+        path = write_doc(tmp_path, "deep.motive.json", {"v": 1, "kind": "motive", "expr": expr})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gvmot", "upsilon", "--input", path, "--json"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_SCHEMA, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error == {
+            "type": "SchemaError",
+            "message": "expr" + ".expr" * (MOTIVE_DEPTH_CAP + 1) + f": a motive expression is nested more than {MOTIVE_DEPTH_CAP} levels deep",
+        }
 
     def test_closed_stdout_ends_quietly(self, tmp_path):
         # a reader that stops early, as `| head -c 300` does, is no fault of the

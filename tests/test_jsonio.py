@@ -127,6 +127,26 @@ class TestMotiveDocs:
         _, expr = parse_document(doc)
         assert upsilon_rel(expr) == LaurentPoly.t(2) - LaurentPoly.one()
 
+    @pytest.mark.parametrize("wrap, step", [
+        (lambda e: {"kind": "int_scale", "factor": 2, "expr": e}, ".expr"),
+        (lambda e: {"kind": "diff", "left": e, "right": {"kind": "sum", "terms": []}}, ".left"),
+        (lambda e: {"kind": "sum", "terms": [e, {"kind": "sum", "terms": []}]}, ".terms[0]"),
+        (lambda e: {"kind": "proj_bundle", "expr": e, "fiber_rank": 1}, ".expr"),
+        (lambda e: {"kind": "fibration", "expr": e, "fiber": {"group": "gm"}}, ".expr"),
+    ])
+    def test_nesting_cap(self, monkeypatch, wrap, step):
+        # the cap counts the expressions around one; one level past it fails where it stands
+        import gvmot.jsonio as jsonio
+
+        monkeypatch.setattr(jsonio, "MOTIVE_DEPTH_CAP", 6)
+        expr = {"kind": "betti_over_point", "bettis": [1]}
+        for _ in range(6):
+            expr = wrap(expr)
+        parse_document({"v": 1, "kind": "motive", "expr": expr})
+        with pytest.raises(SchemaError) as raised:
+            parse_document({"v": 1, "kind": "motive", "expr": wrap(expr)})
+        assert str(raised.value) == "expr" + step * 7 + ": a motive expression is nested more than 6 levels deep"
+
 
 class TestNumbers:
     def test_integers_stay_ints(self):
@@ -258,8 +278,10 @@ class TestCountModelDocs:
 
 class TestTablesAndSeries:
     def test_gv_table_roundtrip(self):
+        # the document's rows are written straight into its text, so the round trip goes through the text
         table = GVTable({(0, (1,)): 1, (2, (3,)): -5}, 3, Fraction(6), (Fraction(1),))
-        doc = gv_table_to_json(table)
+        doc = json.loads(dump_json(gv_table_to_json(table)))
+        assert doc["entries"] == [[0, [1], 1], [2, [3], -5]]
         assert gv_table_from_json(doc) == table
 
     def test_gw_series_roundtrip(self):
@@ -269,7 +291,8 @@ class TestTablesAndSeries:
             2,
             (Fraction(1),),
         )
-        doc = gw_series_to_json(series)
+        doc = json.loads(dump_json(gw_series_to_json(series)))
+        assert doc["coeffs"] == [[[1], -2, "1"], [[2], 0, "-7/24"]]
         assert gw_series_from_json(doc) == series
 
     def test_gw_series_repeated_keys_are_summed(self):

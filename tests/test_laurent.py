@@ -98,6 +98,33 @@ def oracle_exact_div(num, den):
     return quotient
 
 
+def old_exact_div(num, den):
+    """The division loop exact_div ran before it kept one remainder: every
+    step rebuilds the whole remainder, so it takes time quadratic in it."""
+    if num.is_zero():
+        return LaurentPoly()
+    (la, lb), lc = den.leading_term()
+    na, nb = num.min_lex_exponent()
+    ma, mb = den.min_lex_exponent()
+    floor = (na - ma, nb - mb)
+    quotient = {}
+    rem = num
+    while not rem.is_zero():
+        (ra, rb), rc = rem.leading_term()
+        db = rb - lb
+        da = ra - la
+        if db < 0 or (da, db) < floor:
+            return None
+        factor, r = divmod(rc, lc)
+        if r:
+            return None
+        quotient[(da, db)] = factor
+        rem = rem - den.shift(da, db).scale(factor)
+        if not rem.is_zero() and rem.leading_term()[0] >= (ra, rb):
+            return None
+    return LaurentPoly(quotient)
+
+
 def brute_weighted_degree(q):
     # independent oracle: enumerate terms and take the max by definition
     return max(a + 2 * b for (a, b), c in q.items() if c != 0)
@@ -406,6 +433,49 @@ class TestExactDiv:
                 seen["fractional"] += 1
                 assert got is None
         assert min(seen.values()) >= 30, seen
+
+    def test_matches_the_rebuilding_loop(self):
+        # divisible pairs, pairs off by a term or a scalar, and unrelated ones, with s-terms and negative t-exponents
+        rng = random.Random(2049)
+        seen = {"divides": 0, "not": 0}
+        for i in range(600):
+            den = random_poly(rng, rng.randint(1, 5), t_range=(-6, 6), s_range=(0, 3))
+            if den.is_zero():
+                continue
+            q = random_poly(rng, rng.randint(1, 8), t_range=(-6, 6), s_range=(0, 3))
+            num = [q * den, q * den + random_poly(rng, 2), (q * den).scale(rng.choice([2, -3])), random_poly(rng, 8)][i % 4]
+            if i % 5 == 0:
+                den = den.scale(rng.choice([-2, 3]))
+            expected = old_exact_div(num, den)
+            assert exact_div(num, den) == expected, (num, den)
+            seen["divides" if expected is not None else "not"] += 1
+        assert min(seen.values()) > 150, seen
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_each_step_updates_one_remainder(self, monkeypatch, n):
+        # (t^n - 1) / (t - 1) takes n steps of one update each: only the
+        # quotient is built as a polynomial, and the leading-term heap is
+        # popped once per remainder term, never per term per step
+        import gvmot.laurent as laurent
+
+        pops, built = [0], []
+        real_pop, real_built = laurent.heappop, LaurentPoly._built.__func__
+
+        def counting_pop(heap):
+            pops[0] += 1
+            return real_pop(heap)
+
+        def counting_built(cls, terms):
+            built.append(len(terms))
+            return real_built(cls, terms)
+
+        monkeypatch.setattr(laurent, "heappop", counting_pop)
+        monkeypatch.setattr(LaurentPoly, "_built", classmethod(counting_built))
+        num = LaurentPoly({(n, 0): 1, (0, 0): -1})
+        q = exact_div(num, LaurentPoly({(1, 0): 1, (0, 0): -1}))
+        assert q == LaurentPoly({(a, 0): 1 for a in range(n)})
+        assert built == [n]
+        assert pops[0] <= n + 2
 
 
 class TestUniGcd:
