@@ -116,11 +116,11 @@ def cmd_hst(args, kind, content) -> Result:
     cells = sum(jl + 1 for (jl, _) in content.mult)
     Ledger().spend("hst", cells + max(genus_max + 1, 0) * max(cells, 1), "census terms")
     virtual = content.is_virtual()
-    census = None if virtual else census_from_bispin(content)
-    routes = [
-        (g, genus_count(content, g), None if census is None else census_count(census, g))
-        for g in range(genus_max + 1)
-    ]
+    if virtual:
+        census_routes = [None] * (genus_max + 1)
+    else:
+        census_routes = census_count(census_from_bispin(content), genus_max, upto=True)
+    routes = [(g, genus_count(content, g), census_route) for g, census_route in enumerate(census_routes)]
 
     def checked():
         # called while main prints, so a disagreement's message shows both counts whole
@@ -167,7 +167,7 @@ def cmd_gv(args, kind, payload) -> Result:
     census = polynomial_census(poly)
     # every printed row reads every cell, and costs at least one term
     ledger.spend("readout", max(genus_max + 1, 0) * max(len(census.mult), 1), "census terms")
-    counts = [[g, census_count(census, g)] for g in range(genus_max + 1)]
+    counts = [[g, n] for g, n in enumerate(census_count(census, genus_max, upto=True))]
     return (
         EXIT_OK,
         lambda: jsonio.envelope(

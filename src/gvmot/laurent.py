@@ -331,6 +331,32 @@ def _divide_content(p: LaurentPoly, c: int) -> LaurentPoly:
     return LaurentPoly._built({key: v // c for key, v in p.items()})
 
 
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return [c // g for c in v]
+
+
+def _prem(u: list[int], v: list[int]) -> list[int]:
+    """Primitive pseudo-remainder of u by v, dense coefficients lowest power first.
+
+    A step scales u by v's lead over the gcd of the two leads and subtracts
+    a shifted multiple of v; the scaling is skipped when it is 1, so dividing
+    by a monic v costs len(v) per step.
+    """
+    u = u[:]
+    while len(u) >= len(v):
+        g = gcd(u[-1], v[-1])
+        mu, mv = v[-1] // g, u[-1] // g
+        shift = len(u) - len(v)
+        if mu != 1:
+            u = [c * mu for c in u]
+        for i, c in enumerate(v):
+            u[shift + i] -= mv * c
+        while u and u[-1] == 0:
+            u.pop()
+    return _primitive(u)
+
+
 def _uni_gcd(p: LaurentPoly, q: LaurentPoly, var: str) -> LaurentPoly:
     """Primitive gcd, leading coefficient positive, of two nonzero polynomials
     univariate in var, ignoring monomial factors.
@@ -340,31 +366,15 @@ def _uni_gcd(p: LaurentPoly, q: LaurentPoly, var: str) -> LaurentPoly:
     content, so no step leaves Z and the coefficients stay small.
     """
 
-    def primitive(v: list[int]) -> list[int]:
-        g = gcd(*v)
-        return [c // g for c in v]
-
     def dense(x: LaurentPoly) -> list[int]:
         # coefficients lowest power first, from the lowest power present
         exps = {(a if var == "t" else b): c for (a, b), c in x.items()}
         lo, hi = min(exps), max(exps)
-        return primitive([exps.get(e, 0) for e in range(lo, hi + 1)])
-
-    def prem(u: list[int], v: list[int]) -> list[int]:
-        while len(u) >= len(v):
-            g = gcd(u[-1], v[-1])
-            mu, mv = v[-1] // g, u[-1] // g
-            shift = len(u) - len(v)
-            u = [c * mu for c in u]
-            for i, c in enumerate(v):
-                u[shift + i] -= mv * c
-            while u and u[-1] == 0:
-                u.pop()
-        return primitive(u)
+        return _primitive([exps.get(e, 0) for e in range(lo, hi + 1)])
 
     a, b = dense(p), dense(q)
     while b:
-        a, b = b, prem(a, b)
+        a, b = b, _prem(a, b)
     if a[-1] < 0:
         a = [-c for c in a]
     if var == "t":

@@ -306,6 +306,11 @@ def jordan_census(x: GradedNilpotent) -> JordanCensus:
     tagged >= k number r(a-2k, k+1), for every k at once.  The pivot
     columns, tags raised by one, are the flag of degree a+2; each is a
     column of a composite, so entries grow no larger than the composites'.
+    The census asks of the pivot rows only that their minor be nonsingular,
+    so pivots may take, of the rows that could serve, the one whose entries
+    are bounded smallest: every later entry of the elimination is a minor
+    through it, which keeps the packed rows short, and the e_i completing
+    the next flag are those of the rows left.
     M_a applied to the flag is one int_product, a sum over packed rows for
     each row of M_a; the e_i part is columns of M_a.
     """
@@ -367,26 +372,39 @@ def census_from_bispin(v: BispinContent) -> JordanCensus:
     return JordanCensus(cells)
 
 
-def census_count(c: JordanCensus, g: int) -> int:
+def census_count(c: JordanCensus, g: int, *, upto: bool = False) -> int | list[int]:
     """Closed-form count from a census: alternating binomial-weighted cell sum.
 
+    The genus-g count is the sum over cells (alpha, l) x n with N = alpha + l
+    >= 1 of (-1)^(alpha + g) l n (C(N + g, 2g + 1) - C(N + g - 2, 2g + 1)).
     Convention: C(n, k) = 0 unless 0 <= k <= n.  This is forced by the point
-    census {(0,1): 1} giving 1 at genus 0.
+    census {(0,1): 1} giving 1 at genus 0.  With upto, the list of the counts
+    of genera 0..g.
+
+    With w_N the sum of (-1)^alpha l n over the cells of one N, the count is
+    (-1)^g sum_N (w_N - w_(N+2)) C(N + g, 2g + 1), and each N gives the
+    binomials of every genus in one row: C(N, 1) = N and
+    C(N+g+1, 2g+3) = C(N+g, 2g+1) (N+g+1) (N-g-1) / ((2g+2) (2g+3)),
+    which is 0 from g = N - 1 on.
     """
-
-    def binom(n: int, k: int) -> int:
-        if k < 0 or n < 0 or k > n:
-            return 0
-        return comb(n, k)
-
-    total = 0
+    if g < 0:
+        return [] if upto else 0
+    weights: dict[int, int] = {}
     for (alpha, l), n in c.items():
-        if alpha + l < 1:
+        if alpha + l >= 1:
+            w = -l * n if alpha % 2 else l * n
+            weights[alpha + l] = weights.get(alpha + l, 0) + w
+            weights[alpha + l - 2] = weights.get(alpha + l - 2, 0) - w
+    counts = [0] * (g + 1)
+    for big_n, w in weights.items():
+        if big_n < 1 or not w:
             continue
-        sign = -1 if (alpha + g) % 2 else 1
-        weight = binom(alpha + l + g, 2 * g + 1) - binom(alpha + l + g - 2, 2 * g + 1)
-        total += sign * l * n * weight
-    return total
+        binom = big_n
+        for h in range(min(big_n, g + 1)):
+            counts[h] += w * binom
+            binom = binom * (big_n + h + 1) * (big_n - h - 1) // ((2 * h + 2) * (2 * h + 3))
+    counts = [-x if h % 2 else x for h, x in enumerate(counts)]
+    return counts if upto else counts[g]
 
 
 def strings_operator(census: JordanCensus) -> GradedNilpotent:

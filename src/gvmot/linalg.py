@@ -3,11 +3,13 @@
 Matrices are lists of row lists.  One fraction-free Bareiss elimination over
 Z, pivots, returns the pivot columns (the leftmost independent columns) and
 the original indices of the pivot rows, whose minor is nonsingular; a rank
-is the length of its pivot list.  The fraction-free Gauss-Jordan adjugate
-gives an inverse times its determinant, d a^-1, with no fraction.  Both need
-int entries, so a rational matrix is scaled to integers before it gets here
-(GradedNilpotent does this once per map).  mat_mul works over any exact
-ring; only dot pairs with a rational functional.
+is the length of its pivot list.  Its pivot row is the live row with the
+smallest bound on its entries, since every later entry is a minor through
+the pivot rows.  The fraction-free Gauss-Jordan adjugate gives an inverse
+times its determinant, d a^-1, with no fraction.  Both need int entries, so
+a rational matrix is scaled to integers before it gets here (GradedNilpotent
+does this once per map).  mat_mul works over any exact ring; only dot pairs
+with a rational functional.
 
 pivots and int_product keep a row of ints as one int with a signed slot of
 a fixed number of bits per entry (Kronecker substitution), so one big-int
@@ -17,7 +19,7 @@ operation does the work of a loop over the row's entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import lshift, mul, sub
 from struct import Struct
 
@@ -118,11 +120,23 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     pivot rows x pivot columns is nonsingular.  The exact // of the
     fraction-free steps needs int entries.
 
+    The pivot row of a column is the row with the smallest entry bound
+    among the live rows with a nonzero entry there, the first in the
+    current row order on a tie.  After k steps the entry of row r in column
+    j is the minor of a on the k pivot rows and row r, the k pivot columns
+    and column j (Bareiss, Math. Comp. 22, 1968), so rows whose entries
+    stayed small keep the later minors, the slots and the divisions small.
+    Any row with a nonzero entry gives the same pivot columns and a
+    nonsingular minor, so only which rows are taken depends on the rule.
+
     Each row is one int with a signed slot of width bits per column
-    (Kronecker substitution), so a step updates a whole row with
-    ((piv P_r - lead P_k) >> width) // prev: the shift drops the eliminated
-    column, and the division is exact because it is exact in every slot.
-    Before each step the new entries of row r are bounded by
+    (Kronecker substitution), column j in slot ncols - j and slot 0 empty,
+    so the column being eliminated is the top slot of every live row.  Its
+    entry is read by rounding the row's top off, one short shift, as the
+    slots below it add up to less than half its unit.  A step updates a
+    whole row with (piv P_r - lead P_k) // prev: the top slot cancels, and
+    the division is exact because it is exact in every slot.  Before each
+    step the new entries of row r are bounded by
     (|piv| X_r + |lead| X_k) // |prev|, from the bounds X of the two rows;
     when a bound could reach 2^(width - 1), every live row is first moved
     to slots twice as wide, so no slot ever spills into the next.
@@ -136,7 +150,8 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     # a bound on the entries of each and its index in a
     bound = [max(map(abs, chain.from_iterable(a)))] * len(a)
     width = _slot_width(bound[0])
-    rows = _pack(a, width)
+    shifts = range(width * ncols, 0, -width)  # column j in slot ncols - j; slot 0 stays empty
+    rows = [sum(map(lshift, row, shifts)) for row in a]
     order = list(range(len(a)))
     cols: list[int] = []
     taken: list[int] = []
@@ -144,12 +159,11 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     for col in range(ncols):
         if not any(rows):
             break
-        mask, half = (1 << width) - 1, 1 << (width - 1)
-        leads = [((row & mask) ^ half) - half for row in rows]  # the signed low slots: column col
+        shift = width * (ncols - col) - 1
+        leads = [(row >> shift) + 1 >> 1 for row in rows]  # column col: the top slot, rounded off
         if not any(leads):
-            rows = [row >> width for row in rows]
             continue
-        p = leads.index(next(filter(None, leads)))
+        p = min(compress(range(len(leads)), leads), key=bound.__getitem__)
         pivot, piv, pivot_bound = rows[p], leads[p], bound[p]
         cols.append(col)
         taken.append(order[p])
@@ -158,10 +172,10 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
         del rows[0], leads[0], bound[0], order[0]
         scale, shrink = abs(piv), abs(prev)
         bound = [(scale * x + abs(lead) * pivot_bound) // shrink for x, lead in zip(bound, leads)]
-        if bound and max(bound) >= half:  # below 2^(2 width - 1), as every factor is below 2^(width - 1)
-            pivot, *rows = _widen([pivot, *rows], width, ncols - col)
+        if bound and max(bound) >> (width - 1):  # below 2^(2 width - 1), as every factor is below 2^(width - 1)
+            pivot, *rows = _widen([pivot, *rows], width, ncols - col + 1)
             width *= 2
-        rows = [((piv * row - lead * pivot) >> width) // prev for row, lead in zip(rows, leads)]
+        rows = [(piv * row - lead * pivot) // prev for row, lead in zip(rows, leads)]
         prev = piv
     return cols, taken
 

@@ -11,6 +11,7 @@ from gvmot.laurent import (
     LaurentPoly,
     RationalFn,
     _divide_content,
+    _prem,
     _uni_gcd,
     exact_div,
     flat,
@@ -476,6 +477,47 @@ class TestExactDiv:
         assert q == LaurentPoly({(a, 0): 1 for a in range(n)})
         assert built == [n]
         assert pops[0] <= n + 2
+
+
+def old_prem(u, v):
+    """The pseudo-remainder as it was before the unit scaling was skipped:
+    every step scales the whole of u."""
+
+    def primitive(w):
+        g = gcd(*w)
+        return [c // g for c in w]
+
+    while len(u) >= len(v):
+        g = gcd(u[-1], v[-1])
+        mu, mv = v[-1] // g, u[-1] // g
+        shift = len(u) - len(v)
+        u = [c * mu for c in u]
+        for i, c in enumerate(v):
+            u[shift + i] -= mv * c
+        while u and u[-1] == 0:
+            u.pop()
+    return primitive(u)
+
+
+class TestPrem:
+    def test_matches_scaling_every_step(self):
+        # divisors with lead 1, -1, a divisor of u's lead, or anything, and
+        # dividends shorter and longer than the divisor
+        rng = random.Random(14)
+        seen = dict.fromkeys(("monic", "unit -1", "lead divides", "general", "short"), 0)
+        for i in range(400):
+            kind = ("monic", "unit -1", "lead divides", "general")[i % 4]
+            v = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+            lead = {"monic": 1, "unit -1": -1}.get(kind, rng.choice([-6, -3, 2, 5, 12]))
+            v.append(lead)
+            u = [rng.randint(-9, 9) for _ in range(rng.randint(0, 12))]
+            u.append(lead * rng.choice([-4, -1, 1, 3]) if kind == "lead divides" else rng.choice([-7, -1, 1, 4, 9]))
+            before = (u[:], v[:])
+            assert _prem(u, v) == old_prem(u, v), (u, v)
+            assert (u, v) == before
+            seen[kind] += 1
+            seen["short"] += len(u) < len(v)
+        assert min(seen.values()) >= 40, seen
 
 
 class TestUniGcd:

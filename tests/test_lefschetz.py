@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from test_linalg import bareiss_oracle, gauss_rank_oracle
@@ -452,6 +453,26 @@ class TestFlagCensus:
             assert 40 <= op.dimension() <= 80 and max(abs(c) for m in op.maps.values() for row in m for c in row) > 100
             assert jordan_census(op) == jordan_census_oracle(op) == cells
 
+    def test_benchmark_size_conjugated_strings(self):
+        # every string shape in degrees -6..6 six times (504 dims); each
+        # degree's basis is shuffled, then changed by P = I + N with N dense on
+        # the top-right quarter, so N^2 = 0 and P^-1 = I - N
+        rng = random.Random(31)
+        cells = JordanCensus({(alpha, l): 6 for alpha in range(-6, 7, 2) for l in range(1, (10 - alpha) // 2)})
+        op = strings_operator(cells)
+        shuffled = {d: rng.sample(range(n), n) for d, n in op.dims.items()}
+        quarter = {d: [[rng.randint(-2, 2) if i < n // 2 <= j else 0 for j in range(n)] for i in range(n)]
+                   for d, n in op.dims.items()}
+        basis = {d: [[int(i == j) + c for j, c in enumerate(row)] for i, row in enumerate(q)] for d, q in quarter.items()}
+        inverse = {d: [[int(i == j) - c for j, c in enumerate(row)] for i, row in enumerate(q)] for d, q in quarter.items()}
+        maps = {}
+        for a, m in op.maps.items():
+            m = [[m[i][j] for j in shuffled[a]] for i in shuffled[a + 2]]
+            maps[a] = linalg.int_product(linalg.int_product(basis[a + 2], m), inverse[a])
+        dense = GradedNilpotent(op.dims, maps)
+        assert dense.dimension() == 504 and max(abs(c) for m in maps.values() for row in m for c in row) > 20
+        assert jordan_census(dense) == cells
+
     def test_one_elimination_per_stored_map(self, monkeypatch):
         rng = random.Random(30)
         ops = [parse_document(random_flag_operator(rng))[1] for _ in range(100)]
@@ -497,6 +518,20 @@ class TestCensusFromBispin:
             assert jordan_census(realize_bispin(v)) == census_from_bispin(v)
 
 
+def census_count_oracle(c: JordanCensus, g: int) -> int:
+    """The genus-g count cell by cell, two math.comb binomials per cell."""
+
+    def binom(n: int, k: int) -> int:
+        return comb(n, k) if 0 <= k <= n else 0
+
+    total = 0
+    for (alpha, l), n in c.items():
+        if alpha + l >= 1:
+            sign = -1 if (alpha + g) % 2 else 1
+            total += sign * l * n * (binom(alpha + l + g, 2 * g + 1) - binom(alpha + l + g - 2, 2 * g + 1))
+    return total
+
+
 class TestCensusCount:
     def test_point_validates_binomial_convention(self):
         # with the generalized binomial C(-1, 1) = -1 this would give 2
@@ -516,6 +551,30 @@ class TestCensusCount:
         census = JordanCensus({(-1, 3): 1})
         assert census_count(census, 0) == -6
         assert census_count(JordanCensus({(-3, 1): 1}), 0) == 0
+
+    def test_binomial_rows_match_comb_oracle(self):
+        # virtual and honest cells of both parities, some below N = 1 and some
+        # long, against two math.comb binomials per cell and genus
+        rng = random.Random(32)
+        for _ in range(300):
+            cells = {}
+            for _ in range(rng.randint(0, 8)):
+                key = (rng.randint(-12, 12), rng.randint(1, rng.choice([3, 30])))
+                cells[key] = cells.get(key, 0) + rng.choice([-3, -1, 1, 2, 5])
+            census = JordanCensus(cells)
+            genus_max = rng.randint(0, 25)
+            expected = [census_count_oracle(census, g) for g in range(genus_max + 1)]
+            assert census_count(census, genus_max, upto=True) == expected, cells
+            g = rng.randint(-2, genus_max)
+            assert census_count(census, g) == (expected[g] if g >= 0 else 0)
+        assert census_count(JordanCensus({(0, 1): 1}), -1, upto=True) == []
+
+    def test_high_left_spin_census_route(self):
+        # hst on [[998, 0, 1]]: 999 cells, each genus up to 998
+        v = BispinContent({(998, 0): 1})
+        counts = census_count(census_from_bispin(v), 998, upto=True)
+        assert [counts[g] for g in (0, 1, 500, 997, 998)] == [genus_count(v, g) for g in (0, 1, 500, 997, 998)]
+        assert counts[0] == 999 and counts[998] == 1
 
     def test_routes_agree_randomized(self):
         rng = random.Random(20)

@@ -42,30 +42,36 @@ def gauss_rank_oracle(rows):
 def bareiss_oracle(a):
     """Bareiss elimination over Z on lists of entries, one entry at a time.
 
-    The same pivot choice as pivots (the first row at or below the rank
-    with a nonzero entry, swapped up), so the same (pivot columns, pivot
-    rows); rows below the pivots keep only their entries from column start on.
+    The same pivot choice as pivots, so the same (pivot columns, pivot rows):
+    of the rows at or below the rank with a nonzero entry, the one with the
+    smallest entry bound, the first such in the current order on a tie,
+    swapped up.  Every bound starts at the largest |entry| of a and a step
+    makes row r's (|piv| X_r + |lead| X_pivot) // |prev|.  Rows below the
+    pivots keep only their entries from column start on.
     """
     if not a or not a[0]:
         return [], []
     rows = [list(row) for row in a]
     nrows, ncols = len(rows), len(rows[0])
     order = list(range(nrows))
+    bound = [max(abs(c) for row in a for c in row)] * nrows
     cols = []
     prev = 1
     start = 0
     for col in range(ncols):
         rank, j = len(cols), col - start
-        pivot_row = next((r for r in range(rank, nrows) if rows[r][j]), None)
-        if pivot_row is None:
+        live = [r for r in range(rank, nrows) if rows[r][j]]
+        if not live:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        order[rank], order[pivot_row] = order[pivot_row], order[rank]
+        pivot_row = min(live, key=lambda r: (bound[r], r))
+        for seq in (rows, order, bound):
+            seq[rank], seq[pivot_row] = seq[pivot_row], seq[rank]
         piv, tail = rows[rank][j], rows[rank][j + 1 :]
         for r in range(rank + 1, nrows):
             row = rows[r]
             lead = row[j]
             rows[r] = [(piv * x - lead * y) // prev for x, y in zip(row[j + 1 :], tail)]
+            bound[r] = (abs(piv) * bound[r] + abs(lead) * bound[rank]) // abs(prev)
         prev, start = piv, col + 1
         cols.append(col)
         if rank + 1 == nrows:
@@ -179,6 +185,13 @@ class TestPivots:
             seen["zero column"] += not all(any(col) for col in zip(*m))
             seen["repacked"] += len(widened) > count
         assert min(seen.values()) >= 40, seen
+
+    def test_smallest_bound_row_is_the_pivot(self):
+        # every bound starts at 5, so column 0 takes the first row; the step
+        # leaves row 1 a bound of 1*5 + 5*5 = 30 and row 2 one of 5, so
+        # column 1 takes row 2 although row 1 comes first
+        a = [[1, 0, 0], [5, 1, 0], [0, 1, 0]]
+        assert pivots(a) == bareiss_oracle(a) == ([0, 1], [0, 2])
 
     def test_empty(self):
         assert pivots([]) == ([], [])
