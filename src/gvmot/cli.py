@@ -119,7 +119,7 @@ def cmd_hst(args, kind, content) -> Result:
     if virtual:
         census_routes = [None] * (genus_max + 1)
     else:
-        census_routes = census_count(census_from_bispin(content), genus_max, upto=True)
+        census_routes = census_count(census_from_bispin(content), genus_max)
     routes = [(g, genus_count(content, g), census_route) for g, census_route in enumerate(census_routes)]
 
     def checked():
@@ -167,7 +167,7 @@ def cmd_gv(args, kind, payload) -> Result:
     census = polynomial_census(poly)
     # every printed row reads every cell, and costs at least one term
     ledger.spend("readout", max(genus_max + 1, 0) * max(len(census.mult), 1), "census terms")
-    counts = [[g, n] for g, n in enumerate(census_count(census, genus_max, upto=True))]
+    counts = [[g, n] for g, n in enumerate(census_count(census, genus_max))]
     return (
         EXIT_OK,
         lambda: jsonio.envelope(

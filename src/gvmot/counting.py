@@ -585,4 +585,5 @@ def polynomial_census(p: RationalFn | LaurentPoly) -> JordanCensus:
 
 def gv_from_polynomial(p: RationalFn | LaurentPoly, g: int) -> int:
     """Genus-g count read off a polynomial invariant, through its census."""
-    return census_count(polynomial_census(p), g)
+    counts = census_count(polynomial_census(p), g)
+    return counts[g] if counts else 0

@@ -372,14 +372,14 @@ def census_from_bispin(v: BispinContent) -> JordanCensus:
     return JordanCensus(cells)
 
 
-def census_count(c: JordanCensus, g: int, *, upto: bool = False) -> int | list[int]:
-    """Closed-form count from a census: alternating binomial-weighted cell sum.
+def census_count(c: JordanCensus, g: int) -> list[int]:
+    """Closed-form counts of genera 0..g from a census: alternating
+    binomial-weighted cell sums ([] when g < 0).
 
     The genus-g count is the sum over cells (alpha, l) x n with N = alpha + l
     >= 1 of (-1)^(alpha + g) l n (C(N + g, 2g + 1) - C(N + g - 2, 2g + 1)).
     Convention: C(n, k) = 0 unless 0 <= k <= n.  This is forced by the point
-    census {(0,1): 1} giving 1 at genus 0.  With upto, the list of the counts
-    of genera 0..g.
+    census {(0,1): 1} giving 1 at genus 0.
 
     With w_N the sum of (-1)^alpha l n over the cells of one N, the count is
     (-1)^g sum_N (w_N - w_(N+2)) C(N + g, 2g + 1), and each N gives the
@@ -387,8 +387,6 @@ def census_count(c: JordanCensus, g: int, *, upto: bool = False) -> int | list[i
     C(N+g+1, 2g+3) = C(N+g, 2g+1) (N+g+1) (N-g-1) / ((2g+2) (2g+3)),
     which is 0 from g = N - 1 on.
     """
-    if g < 0:
-        return [] if upto else 0
     weights: dict[int, int] = {}
     for (alpha, l), n in c.items():
         if alpha + l >= 1:
@@ -403,8 +401,7 @@ def census_count(c: JordanCensus, g: int, *, upto: bool = False) -> int | list[i
         for h in range(min(big_n, g + 1)):
             counts[h] += w * binom
             binom = binom * (big_n + h + 1) * (big_n - h - 1) // ((2 * h + 2) * (2 * h + 3))
-    counts = [-x if h % 2 else x for h, x in enumerate(counts)]
-    return counts if upto else counts[g]
+    return [-x if h % 2 else x for h, x in enumerate(counts)]
 
 
 def strings_operator(census: JordanCensus) -> GradedNilpotent:

@@ -130,13 +130,10 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     nonsingular minor, so only which rows are taken depends on the rule.
 
     Each row is one int with a signed slot of width bits per column
-    (Kronecker substitution), column j in slot ncols - j and slot 0 empty,
-    so the column being eliminated is the top slot of every live row.  Its
-    entry is read by rounding the row's top off, one short shift, as the
-    slots below it add up to less than half its unit.  A step updates a
-    whole row with (piv P_r - lead P_k) // prev: the top slot cancels, and
-    the division is exact because it is exact in every slot.  Before each
-    step the new entries of row r are bounded by
+    (Kronecker substitution), so a step updates a whole row with
+    ((piv P_r - lead P_k) >> width) // prev: the shift drops the eliminated
+    column, and the division is exact because it is exact in every slot.
+    Before each step the new entries of row r are bounded by
     (|piv| X_r + |lead| X_k) // |prev|, from the bounds X of the two rows;
     when a bound could reach 2^(width - 1), every live row is first moved
     to slots twice as wide, so no slot ever spills into the next.
@@ -150,8 +147,7 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     # a bound on the entries of each and its index in a
     bound = [max(map(abs, chain.from_iterable(a)))] * len(a)
     width = _slot_width(bound[0])
-    shifts = range(width * ncols, 0, -width)  # column j in slot ncols - j; slot 0 stays empty
-    rows = [sum(map(lshift, row, shifts)) for row in a]
+    rows = _pack(a, width)
     order = list(range(len(a)))
     cols: list[int] = []
     taken: list[int] = []
@@ -159,9 +155,10 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     for col in range(ncols):
         if not any(rows):
             break
-        shift = width * (ncols - col) - 1
-        leads = [(row >> shift) + 1 >> 1 for row in rows]  # column col: the top slot, rounded off
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        leads = [((row & mask) ^ half) - half for row in rows]  # the signed low slots: column col
         if not any(leads):
+            rows = [row >> width for row in rows]
             continue
         p = min(compress(range(len(leads)), leads), key=bound.__getitem__)
         pivot, piv, pivot_bound = rows[p], leads[p], bound[p]
@@ -172,10 +169,10 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
         del rows[0], leads[0], bound[0], order[0]
         scale, shrink = abs(piv), abs(prev)
         bound = [(scale * x + abs(lead) * pivot_bound) // shrink for x, lead in zip(bound, leads)]
-        if bound and max(bound) >> (width - 1):  # below 2^(2 width - 1), as every factor is below 2^(width - 1)
-            pivot, *rows = _widen([pivot, *rows], width, ncols - col + 1)
+        if bound and max(bound) >= half:  # below 2^(2 width - 1), as every factor is below 2^(width - 1)
+            pivot, *rows = _widen([pivot, *rows], width, ncols - col)
             width *= 2
-        rows = [(piv * row - lead * pivot) // prev for row, lead in zip(rows, leads)]
+        rows = [((piv * row - lead * pivot) >> width) // prev for row, lead in zip(rows, leads)]
         prev = piv
     return cols, taken
 
