@@ -186,10 +186,7 @@ def cmd_gv(args, kind, payload) -> Result:
 
 
 def cmd_gw(args, kind, payload) -> Result:
-    direction = args.direction or ("to-gw" if kind == "gv_table" else "to-gv")
-    if direction == "to-gw":
-        if kind != "gv_table":
-            raise SchemaError("direction to-gw needs a gv_table document")
+    if kind == "gv_table":
         if args.genus_max is not None:
             raise SchemaError("--genus-max applies only to direction to-gv")
         series = gv_to_gw(payload, degree_max=args.degree_max, lambda_max=args.lambda_order)
@@ -201,8 +198,6 @@ def cmd_gw(args, kind, payload) -> Result:
                 ["beta", "lambda^e", "coeff"],
             ),
         )
-    if kind != "gw_series":
-        raise SchemaError("direction to-gv needs a gw_series document")
     if args.lambda_order is not None:
         raise SchemaError("--lambda-order applies only to direction to-gw")
     result = gw_to_gv(payload, genus_max=args.genus_max, degree_max=args.degree_max)
@@ -299,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gv.add_argument("--max-compositions", type=_int_at_least(0), default=WORK_CAP)
 
     p_gw = command("gw", cmd_gw, ("gv_table", "gw_series"), "transform between count tables and generating series")
-    p_gw.add_argument("--direction", choices=("to-gw", "to-gv"), default=None)
     p_gw.add_argument("--genus-max", type=int, default=None)
     p_gw.add_argument("--degree-max", type=int, default=None)
     p_gw.add_argument("--lambda-order", type=int, default=None)

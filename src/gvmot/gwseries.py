@@ -2,18 +2,19 @@
 
 One multiple-cover kernel carries the counts of a class beta into the series,
 
-    sum_k (1/k) f_beta(k lambda) q^{k beta},
+    F_gamma = sum_{k | gamma} T_k f_{gamma/k},   (T_k f)(lambda) = f(k lambda) / k,
     f_beta(lambda) = sum_g n_g^beta (2 sin(lambda / 2))^{2g-2},
 
 with the sine powers Laurent-expanded exactly.  Since f_beta(k lambda) only
 rescales the coefficient of lambda^e by k^e, the genera of a class are summed
 once and the sum is pushed to every cover k.  The forward transform pushes
-each class of the table through it.  The inverse walks classes by
-omega-degree, then genus: each value is its coefficient minus the covers that
-earlier classes pushed onto that key and minus its own class's k = 1 series
-of the genera solved so far; once a class is solved, its series is pushed for
-k >= 2.  Integrality of the solved values is conjectural; non-integer results
-are reported alongside the table, never rounded.
+each class of the table through it.  As T_a T_b = T_ab, Moebius inversion
+gives the inverse in closed form, f_gamma = sum_{k | gamma} mu(k) T_k
+F_{gamma/k}: the inverse pushes each class's input series through the same
+kernel to its squarefree covers, signed by mu(k), and solves each class it
+reaches for its genera against its own sine rows.  No class waits on
+another's solved values.  Integrality of the solved values is conjectural;
+non-integer results are reported alongside the table, never rounded.
 
 The kernel works in integers, on slot rows.  A class's series is a list of
 slots h, slot h holding the coefficient of lambda^e, e = 2h - 2; it runs from
@@ -27,28 +28,32 @@ gamma is held as an int times D_h c(gamma)^max(0, 1-e), c(gamma) the gcd of
 gamma's entries.  As c(k beta) = k c(beta), cover k of beta adds slot h
 times c(beta)^3 at h = 0, c(beta) at h = 1 and k^{2h-3} above: the multiplier
 row (c^3, c, k, k^3, ..., k^{2h-3}), integers all.  Its class part is
-applied once per class, as a lift of the class's series, and its cover part
-(1, 1, k, k^3, ...) is built once per k, from the lowest slot that a class
-with k covers or more holds.  A Fraction is built once per output
-coefficient; the inverse reads each input coefficient times its scale once
-and divides out the scale with one divmod, and a nonintegral value simply
-stays a Fraction in the same sums.  The results are built inside the cuts,
-so they are returned without a second check (_built).
+applied once per class, as a lift of the class's series before the kernel
+takes it, and its cover part (1, 1, k, k^3, ...), signed by mu(k) in the
+inverse, is built once per k, from the lowest slot that a class with k
+covers or more holds.  A Fraction is built once per output coefficient; the
+inverse reads each input coefficient times its scale once, so a series the
+forward made stays in ints, and divides out the scale with one divmod per
+solved value; a nonintegral value simply stays a Fraction in the same sums.
+The results are built inside the cuts, so they are returned without a
+second check (_built).
 
 Each transform spends one Ledger, counting its work from the cuts before
-doing any: per-entry kernel terms, candidate classes and sin-table products
-all add up against the one cap.  The forward's kernel terms, covers times
-slots from the entry's genus up, bound both the products of the per-class
-push and the slots of the cover rows.
+doing any: candidate classes, kernel terms and sin-table products all add
+up against the one cap.  The forward's kernel terms, covers times slots from
+the entry's genus up, bound both the products of the per-class push and the
+slots of the cover rows.  The inverse's are one push per (class, squarefree
+cover) and one triangular solve per class it may reach.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, perm
 from operator import add, mul
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ConeNotPointedError, InsufficientTruncationError, Ledger
 
@@ -121,22 +126,35 @@ def _lifts(c: int, lo: int, slots: int) -> list[int]:
     return ([c**3, c][lo:] + [1] * (slots - max(lo, 2)))[: slots - lo]
 
 
-def _cover_rows(start: Mapping[int, int], slots: int) -> list[list[int]]:
+def _mobius(n: int) -> list[int]:
+    """mu(0), ..., mu(n), mu(0) = 0, by the Dirichlet-inverse sieve: sum_{d | m} mu(d) is 0 for every m > 1."""
+    mu = [0, 1, *[0] * (n - 1)][: n + 1]
+    for i in range(1, n // 2 + 1):
+        s = mu[i]
+        if s:  # mu(i) is final here, as every proper divisor of i came before it
+            mu[2 * i :: i] = [m - s for m in mu[2 * i :: i]]
+    return mu
+
+
+def _cover_rows(start: Mapping[int, int], slots: int, mu: list[int] | None = None) -> list[list[int]]:
     """Row k is cover k's multiplier (1, 1, k, k^3, ..., k^(2h-3)) on slots lo_k..slots-1 of a lifted class series.
 
     start[m] is the lowest slot a class with m covers starts at, and lo_k the
     lowest start[m] over m >= k, so row k holds exactly the slots that the
-    classes pushing cover k reach.
+    classes pushing cover k reach.  Given mu, row k is signed by mu[k], and
+    left empty where mu[k] is 0: the inverse's rows.
     """
     k_max = max(start, default=0)
     rows, lo = [[]] * (k_max + 1), slots
     for k in range(k_max, 0, -1):
         lo = min(lo, start.get(k, slots))
-        row, p = [1, 1][lo:], k ** (2 * max(lo, 2) - 3)
-        for _ in range(slots - max(lo, 2)):
-            row.append(p)
-            p *= k * k
-        rows[k] = row[: slots - lo]
+        sign = 1 if mu is None else mu[k]
+        if sign:
+            row, p = [sign, sign][lo:], sign * k ** (2 * max(lo, 2) - 3)
+            for _ in range(slots - max(lo, 2)):
+                row.append(p)
+                p *= k * k
+            rows[k] = row[: slots - lo]
     return rows
 
 
@@ -148,19 +166,18 @@ def _add_row(f: list, i: int, n, row: list[int]) -> None:
     f[i:] = map(add, f[i:], map(n.__mul__, row))
 
 
-def _push(acc: dict[Beta, list], beta: Beta, f: list, slots: int, covers: range, cover_rows: list[list[int]]) -> None:
-    """The multiple-cover kernel: add cover k of the class series f at k beta, for each k in covers.
+def _push(acc: dict[Beta, list], beta: Beta, lifted: list, covers: Iterable[int], cover_rows: list[list[int]]) -> None:
+    """The multiple-cover kernel: add cover k of a lifted class series at k beta, for each k in covers.
 
-    f holds slots slots - len(f) .. slots - 1.  It is lifted once, slot 0 by
-    c(beta)^3 and slot 1 by c(beta); then cover k multiplies it slot by slot
-    with the top len(f) slots of its row (1, 1, k, k^3, ...), and adds the
+    lifted holds the top len(lifted) slots of beta's series, slot h times
+    its class factor c(beta)^max(0, 1-e) (_lifts).  Cover k multiplies it
+    slot by slot with the top len(lifted) slots of its row, and adds the
     products into the top slots of the series at k beta.  A series of zeros
     pushes nothing.
     """
-    if not any(f):
+    if not any(lifted):
         return
-    n = len(f)
-    lifted = list(map(mul, f, _lifts(gcd(*beta), slots - n, slots)))
+    n = len(lifted)
     for k in covers:
         kbeta = tuple([k * b for b in beta])
         row = cover_rows[k]
@@ -391,7 +408,7 @@ def gv_to_gw(
             for g, n in counts.items():
                 if g < slots:
                     _add_row(f, g - lo, n, rows[g])
-            _push(acc, beta, f, slots, range(1, covers[beta] + 1), cover_rows)
+            _push(acc, beta, list(map(mul, f, _lifts(gcd(*beta), lo, slots))), range(1, covers[beta] + 1), cover_rows)
     coeffs = {}
     for gamma, series in acc.items():
         lo = slots - len(series)
@@ -406,16 +423,15 @@ def gw_to_gv(
     genus_max: int | None = None,
     degree_max=None,
 ) -> InversionResult:
-    """Triangular inversion of the forward transform.
+    """Inverse of the forward transform by its Moebius divisor sum.
 
-    Solves n_g^beta in increasing omega-degree, then genus: each value is
-    its coefficient minus the covers (k >= 2) that earlier classes pushed onto
-    the same key, minus the k = 1 series of the class's lower genera.  A
-    solved class pushes its series for k >= 2 only, since its k = 1 cover
-    feeds nothing but its own higher genera.  Only multiples of support
-    classes are walked, since a class outside the support gets a nonzero
-    value only as a multiple of one that has one.  Requesting values beyond
-    the stored truncation raises InsufficientTruncationError.
+    Each class of the series with a cover inside the degree cut is read once
+    and pushed to its squarefree covers k, its own series at k = 1, signed by
+    mu(k): the sum at gamma is then f_gamma, the class series of gamma's
+    counts, and its genera are solved in increasing order against gamma's own
+    sine rows.  A class outside every squarefree multiple of the series'
+    classes gets no value.  Requesting values beyond the stored truncation
+    raises InsufficientTruncationError.
     """
     max_solvable_genus = (series.lambda_max + 2) // 2
     if genus_max is None:
@@ -432,42 +448,45 @@ def gw_to_gv(
         )
 
     weights, top = _weights(series.omega, degree_max)
-    degree = {beta: _degree(weights, beta) for beta in dict.fromkeys(beta for beta, _ in series.coeffs)}
-    covers = {beta: _cover_count(d, top) for beta, d in degree.items()}
+    covers = {beta: _cover_count(_degree(weights, beta), top) for beta in dict.fromkeys(beta for beta, _ in series.coeffs)}
     ledger = Ledger()
     ledger.spend("gw inverse", sum(covers.values()), "candidate classes")
-    for beta, d in list(degree.items()):
-        for k in range(2, covers[beta] + 1):
-            kbeta = tuple(k * b for b in beta)
-            if kbeta not in degree:
-                degree[kbeta] = k * d
-                covers[kbeta] = _cover_count(k * d, top)
-    candidates = sorted((beta for beta in degree if covers[beta]), key=lambda b: (degree[b], b))
+    k_max = max(covers.values(), default=0)
+    mu = _mobius(k_max)
+    squarefree = [k for k, m in enumerate(mu) if m]
+    pairs = sum(bisect(squarefree, m) for m in covers.values())
     slots = max(genus_max + 1, 0)
-    terms = sum(covers[beta] for beta in candidates) * slots * (slots + 1) // 2
+    terms = pairs * slots * (slots + 3) // 2  # per pair, a push of every slot and a triangular solve of the class it may reach
     ledger.spend("gw inverse", terms, "kernel terms")
     rows, den = _sin_table(genus_max, genus_max, ledger) if terms else ([], [])
-    cover_rows = _cover_rows({max(covers.values()): 0} if terms else {}, slots)
+    cover_rows = _cover_rows({k_max: 0} if terms else {}, slots, mu)
 
-    coeffs, zero = series.coeffs, Fraction(0)
-    pushed: dict[Beta, list] = {}
+    read: dict[Beta, list] = {}
+    for (beta, lam), c in series.coeffs.items():
+        h = lam // 2 + 1
+        if h < slots and covers[beta]:
+            f = read.get(beta)
+            if f is None:
+                f = read[beta] = [0] * slots
+            f[h] = c
+    acc: dict[Beta, list] = {}
+    for beta, f in read.items():
+        scales = map(mul, den, _lifts(gcd(*beta), 0, slots))
+        lifted = [_quotient(c.numerator * scale, c.denominator) for c, scale in zip(f, scales)]
+        _push(acc, beta, lifted, squarefree[: bisect(squarefree, covers[beta])], cover_rows)
+
     entries: dict[tuple[int, Beta], int] = {}
     nonintegral: dict[tuple[int, Beta], Fraction] = {}
-    for beta in candidates:
+    for gamma, total in acc.items():
         f = [0] * slots
-        lifts = _lifts(gcd(*beta), 0, slots)
-        covered = pushed.pop(beta, None) or [0] * slots  # no class pushes onto beta once it is reached
-        for g, (lift, d, p) in enumerate(zip(lifts, den, covered)):
-            # the key's scale is den[g] * lift, and the class's own k = 1 cover adds f[g] * lift
-            scale = d * lift
-            c = coeffs.get((beta, 2 * g - 2), zero)
-            value = _quotient(c.numerator * scale - c.denominator * (p + f[g] * lift), c.denominator * scale)
+        for g, (lift, d, p) in enumerate(zip(_lifts(gcd(*gamma), 0, slots), den, total)):
+            # slot g holds f_gamma at lambda^(2g-2) times d * lift, and the genera below g add f[g] * lift
+            value = _quotient(p - f[g] * lift, d * lift)
             if value:
                 _add_row(f, g, value, rows[g])
                 if value.denominator == 1:
-                    entries[(g, beta)] = value
+                    entries[(g, gamma)] = value
                 else:
-                    nonintegral[(g, beta)] = value
-        _push(pushed, beta, f, slots, range(2, covers[beta] + 1), cover_rows)
+                    nonintegral[(g, gamma)] = value
     table = _built(GVTable, entries=entries, genus_max=int(genus_max), degree_max=degree_max, omega=series.omega)
     return InversionResult(table=table, nonintegral=nonintegral)

@@ -634,10 +634,6 @@ def envelope(kind: str, **fields: Any) -> dict:
 def dump_json(doc: Any) -> str:
     """Deterministic rendering: the text of json.dumps(doc, sort_keys=True,
     indent=2, ensure_ascii=False).
-
-    A flat row, a nonempty list of ints, strings and nonempty lists of ints
-    and strings (a table row such as [[beta], e, "coeff"]), is written in one
-    pass as an item of its list; any other item is written recursively.
     """
     return _json_text(doc, "\n")
 
@@ -658,7 +654,7 @@ def _json_text(o: Any, nl: str) -> str:
         return repr(o)
     inner = nl + "  "
     if t is list:
-        return "[" + inner + ("," + inner).join(_item_texts(o, inner)) + nl + "]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in o]) + nl + "]"
     if t is dict:
         # json.dumps sorts the keys as they are, then writes an int, bool or null key as a string
         items = [f"{encode_basestring(k if type(k) is str else _json_text(k, nl))}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
@@ -667,30 +663,3 @@ def _json_text(o: Any, nl: str) -> str:
         return o.text(nl)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-
-def _item_texts(items: list, nl: str) -> list[str]:
-    """The text of each item of a list, each on a line that starts with nl: a
-    scalar or a flat row (see dump_json) in place, any other item by _json_text."""
-    at_item = nl + "  "
-    at_sub = at_item + "  "
-    item_sep, sub_sep = "," + at_item, "," + at_sub
-    open_row, close_row = "[" + at_item, nl + "]"
-    open_sub, close_sub = "[" + at_sub, at_item + "]"
-    texts = []
-    for x in items:
-        write = _SCALARS.get(type(x))
-        if write is not None:
-            texts.append(write(x))
-            continue
-        if type(x) is list and x:
-            try:  # a row item that is neither a scalar nor a nonempty list of scalars has no _SCALARS entry
-                subs = [
-                    open_sub + sub_sep.join([_SCALARS[type(z)](z) for z in y]) + close_sub if type(y) is list and y else _SCALARS[type(y)](y)
-                    for y in x
-                ]
-                texts.append(open_row + item_sep.join(subs) + close_row)
-                continue
-            except KeyError:
-                pass
-        texts.append(_json_text(x, nl))
-    return texts

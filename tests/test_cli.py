@@ -643,7 +643,7 @@ class TestGw:
         assert code == EXIT_OK
         series_path = tmp_path / "series.json"
         series_path.write_text(out)
-        code, out, _ = run(capsys, "gw", "--input", str(series_path), "--direction", "to-gv", "--json")
+        code, out, _ = run(capsys, "gw", "--input", str(series_path), "--json")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["entries"] == [[0, [1], 1]]
@@ -675,20 +675,18 @@ class TestGw:
                 "cuts": {"degree": "1", "lambda": -2, "omega": ["1"]},
             },
         )
-        code, out, _ = run(capsys, "gw", "--input", path, "--direction", "to-gv", "--json")
+        code, out, _ = run(capsys, "gw", "--input", path, "--json")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["warnings"]["nonintegral"] == [[0, [1], "1/2"]]
 
-    def test_direction_kind_mismatch_exit_two(self, capsys):
-        code, _, err = run(
-            capsys,
-            "gw",
-            "--input", f"{SAMPLES}/conifold.gv_table.json",
-            "--direction", "to-gv",
-        )
-        assert code == EXIT_SCHEMA
-        assert json.loads(err)["error"]["type"] == "SchemaError"
+    def test_direction_flag_is_a_usage_error(self, capsys):
+        # the document's kind picks the direction, so there is no flag to agree or disagree with it
+        for path, direction in [("conifold.gv_table.json", "to-gv"), ("conifold.gw_series.json", "to-gw"), ("conifold.gv_table.json", "to-gw")]:
+            code, out, err = run(capsys, "gw", "--input", f"{SAMPLES}/{path}", "--direction", direction, "--json")
+            assert (code, out) == (EXIT_SCHEMA, "")
+            message = f"gvmot: unrecognized arguments: --direction {direction}"
+            assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
 
     def test_json_matches_golden_bytes(self, capsys, tmp_path):
         # stdout of `gw --json` in both directions, rank 1 and rank 2 with
@@ -902,11 +900,9 @@ class TestErrorMapping:
         [
             (["upsilon", "--input", f"{SAMPLES}/conifold.gv_table.json"],
              f"{SAMPLES}/conifold.gv_table.json: expected kind in ('motive', 'betti_variety'), got 'gv_table'"),
-            (["gw", "--input", f"{SAMPLES}/conifold.gw_series.json", "--direction", "to-gw"],
-             "direction to-gw needs a gv_table document"),
             (["upsilon", "--input", "{tmp}/not.json"], "{tmp}/not.json: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
         ],
-        ids=["wrong-kind", "to-gw-on-a-series", "not-json"],
+        ids=["wrong-kind", "not-json"],
     )
     def test_document_errors_exit_two_with_one_line(self, capsys, tmp_path, argv, message):
         (tmp_path / "not.json").write_text("not json")

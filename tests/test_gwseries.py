@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -17,6 +18,7 @@ from gvmot.gwseries import (
     GWSeries,
     _add_row,
     _cover_rows,
+    _mobius,
     _push,
     _sin_table,
     gv_to_gw,
@@ -125,6 +127,38 @@ def random_multiple_table(rng):
         for d in rng.sample(range(1, 7), rng.randint(2, 4))
     }
     return GVTable(entries, genus_max, dot(omega, beta0) * rng.randint(6, 12), omega)
+
+
+def random_covered_table(rng):
+    """Rank 1 to 3, omega entries 1 or 2 with the first 1, and a degree cut of 15 to 18.
+
+    The class (1, 0, ...) of omega-degree 1 always holds a count, so even
+    after a cut lowered by 5/2 it has 12 covers or more: the inverse reaches
+    its non-squarefree covers 4, 8, 9 and 12, where mu vanishes.
+    """
+    rank = rng.randint(1, 3)
+    omega = (Fraction(1),) + tuple(Fraction(rng.randint(1, 2)) for _ in range(rank - 1))
+    genus_max = rng.randint(0, 2)
+    unit = (1,) + (0,) * (rank - 1)
+    classes = [beta for beta in product(range(-1, 4), repeat=rank) if 0 < dot(omega, beta) <= 4]
+    entries = {(rng.randint(0, genus_max), rng.choice(classes)): rng.randint(-9, 9) for _ in range(rng.randint(0, 4))}
+    entries[(rng.randint(0, genus_max), unit)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return GVTable(entries, genus_max, Fraction(rng.randint(15, 18)), omega)
+
+
+def mobius_oracle(n):
+    """mu(n) by trial division: 0 if a square of a prime divides n, else (-1)^(number of prime factors); mu(0) = 0."""
+    if n == 0:
+        return 0
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
 
 def shared_keys(table):
@@ -403,13 +437,15 @@ class TestPushOracle:
             assert got.coeffs == forward_oracle(table, degree_max, lambda_max), (table.entries, table.omega)
 
     def test_inverse_matches_oracle(self):
+        # a third of the cases are rank 1 to 3 with a degree-1 class of 12 covers
+        # or more, so the Moebius sum meets mu(k) = 0 at k = 4, 8, 9 and 12
         rng = random.Random(67)
-        nonintegral = 0
+        nonintegral = rank3 = deep = 0
         for case in range(300):
-            if case % 2:
+            if case % 3 == 1:
                 series = random_gw_series(rng)
             else:
-                table = random_table(rng)
+                table = random_table(rng) if case % 3 == 0 else random_covered_table(rng)
                 series = gv_to_gw(table, lambda_max=rng.randint(-2, 2 * table.genus_max + 2))
             genus_max = rng.randint(-1, (series.lambda_max + 2) // 2)
             degree_max = series.degree_max - rng.choice([0, 0, 1, Fraction(5, 2)])
@@ -418,7 +454,14 @@ class TestPushOracle:
             assert result.table.entries == {key: v for key, v in expected.items() if v.denominator == 1}
             assert result.nonintegral == {key: v for key, v in expected.items() if v.denominator != 1}
             nonintegral += bool(result.nonintegral)
-        assert nonintegral > 30
+            rank3 += len(series.omega) == 3 and bool(expected)
+            deep += genus_max >= 0 and any(dot(series.omega, beta) == 1 and degree_max >= 12 for beta, _ in series.coeffs)
+        assert nonintegral > 30 and rank3 > 20 and deep > 50
+
+    def test_mobius_matches_trial_division(self):
+        mu = [mobius_oracle(n) for n in range(2001)]
+        assert _mobius(2000) == mu
+        assert all(_mobius(n) == mu[: n + 1] for n in range(40))
 
     def test_lambda_cut_below_an_entry_genus(self, capsys, tmp_path):
         # the genus-3 entries have no kernel terms at lambda order 0 and no sin-table row
@@ -444,17 +487,35 @@ class TestScaledKernel:
     Every result also equals its rebuild through the checking constructors.
     """
 
-    def test_kernel_stays_in_ints(self):
-        # slot h holds lambda^(2h-2): seven slots reach lambda^10
+    def test_kernel_stays_in_ints(self, monkeypatch):
+        # slot h holds lambda^(2h-2): seven slots reach lambda^10; the class
+        # (2, -4) has gcd 2, so its series is lifted by 2^3 and 2 at slots 0 and 1
         rows, den = _sin_table(3, 6, Ledger())
         f = [0] * 7
         _add_row(f, 2, -7, rows[2])
         _add_row(f, 0, 3, rows[0])
         acc = {}
-        _push(acc, (2, -4), f, 7, range(1, 6), _cover_rows({5: 0}, 7))
+        _push(acc, (2, -4), [8 * f[0], 2 * f[1], *f[2:]], range(1, 6), _cover_rows({5: 0}, 7))
         assert len(f) == 7 and f[0] and f[2] and sorted(acc) == [(2 * k, -4 * k) for k in range(1, 6)]
         assert all(len(row) == 7 for row in acc.values())
         assert all(type(c) is int for c in [*den, *f, *(c for row in acc.values() for c in row)])
+        # the inverse reads a series the forward made times its scales: every
+        # slot it lifts, and every slot its signed covers add up, is an int
+        import gvmot.gwseries as gwseries
+
+        pushed = []
+
+        def push(acc, beta, lifted, covers, rows):
+            gwseries_push(acc, beta, lifted, covers, rows)
+            pushed.append([*lifted, *(c for row in acc.values() for c in row)])
+
+        gwseries_push = gwseries._push
+        monkeypatch.setattr(gwseries, "_push", push)
+        table = GVTable({(0, (2, -4)): 3, (2, (2, -4)): -7, (1, (1, -2)): 5, (3, (3, -6)): 2}, 3, Fraction(30), (Fraction(1), Fraction(1, 4)))
+        series = gv_to_gw(table, lambda_max=10)
+        assert any(c.denominator > 1 for c in series.coeffs.values())
+        assert gw_to_gv(series, genus_max=3).table == table
+        assert len(pushed) > 10 and all(type(c) is int for slots in pushed for c in slots)
 
     def test_work_stays_within_the_charged_kernel_terms(self, monkeypatch):
         # at lambda order 60 the genus-30 class reaches slots 30 and 31 only:
@@ -475,9 +536,9 @@ class TestScaledKernel:
             built.append(sum(map(len, rows)))
             return rows
 
-        def push(acc, beta, f, slots, covers, rows):
-            products.append(len(f) * len(covers))
-            gwseries_push(acc, beta, f, slots, covers, rows)
+        def push(acc, beta, lifted, covers, rows):
+            products.append(len(lifted) * len(covers))
+            gwseries_push(acc, beta, lifted, covers, rows)
 
         gwseries_cover_rows, gwseries_push = gwseries._cover_rows, gwseries._push
         monkeypatch.setattr(gwseries, "Ledger", Ledger)
@@ -493,6 +554,58 @@ class TestScaledKernel:
         with pytest.raises(ResourceLimitError, match="gw forward: 1000002 kernel terms"):
             gv_to_gw(GVTable({(30, (1,)): 1}, 30, Fraction(500001), ONE), lambda_max=60)
         assert len(built) == 1
+
+    def test_inverse_work_stays_within_the_charged_kernel_terms(self, monkeypatch):
+        # the inverse charges one push of every slot per (class, squarefree
+        # cover) and one triangular solve per class it may reach; the pushes
+        # and the sine rows added in the solves stay under that, and so do the
+        # slots of the signed cover rows, built for squarefree k only
+        import gvmot.gwseries as gwseries
+
+        charged, built, products = [], [], []
+
+        class Ledger(gwseries.Ledger):
+            def spend(self, stage, n=1, what="enumeration steps"):
+                if what == "kernel terms":
+                    charged.append(n)
+                super().spend(stage, n, what)
+
+        def cover_rows(start, slots, mu):
+            rows = gwseries_cover_rows(start, slots, mu)
+            built.append(sum(map(len, rows)))
+            return rows
+
+        def push(acc, beta, lifted, covers, rows):
+            products.append(len(lifted) * len(covers))
+            gwseries_push(acc, beta, lifted, covers, rows)
+
+        def add_row(f, i, n, row):
+            products.append(len(f) - i)
+            gwseries_add_row(f, i, n, row)
+
+        table = GVTable({(g, (d,)): d - 3 * g for d in (1, 2, 4, 6) for g in range(4)}, 3, Fraction(60), ONE)
+        series = gv_to_gw(table)
+        gwseries_cover_rows, gwseries_push, gwseries_add_row = gwseries._cover_rows, gwseries._push, gwseries._add_row
+        for name, spy in [("Ledger", Ledger), ("_cover_rows", cover_rows), ("_push", push), ("_add_row", add_row)]:
+            monkeypatch.setattr(gwseries, name, spy)
+        result = gw_to_gv(series)
+        assert result.table == table and not result.nonintegral
+        # the series holds every class (d) up to 60, with squarefree covers k <= 60 / d: a pair
+        # pushes 4 slots and may reach a class whose solve adds rows of 4 + 3 + 2 + 1 products
+        support = {beta for beta, _ in series.coeffs}
+        pairs = sum(sum(1 for k in range(1, 60 // d + 1) if mobius_oracle(k)) for (d,) in support)
+        assert len(support) == 60 and charged == [pairs * (4 + 10)]
+        assert sum(products) <= charged[0] and built == [37 * 4]  # 37 squarefree k <= 60, 4 slots each
+        # past the cap, the charge refuses the run before any row is built:
+        # squarefree k <= n number sum_{d*d <= n} mu(d) floor(n / d^2)
+        n, slots = 200001, 3
+        squarefree = sum(mobius_oracle(d) * (n // (d * d)) for d in range(1, 448))
+        terms = squarefree * slots * (slots + 3) // 2
+        message = f"gw inverse: {terms} kernel terms ({terms + n} units of work in all) exceed the cap of 1000000"
+        done = len(products)
+        with pytest.raises(ResourceLimitError, match=rf"^{re.escape(message)}$"):
+            gw_to_gv(GWSeries({((1,), -2): Fraction(1)}, Fraction(n), 2, ONE))
+        assert len(built) == 1 and len(products) == done
 
     def test_forward_on_shared_multiples(self):
         rng = random.Random(68)
