@@ -680,13 +680,22 @@ class TestGw:
         doc = json.loads(out)
         assert doc["warnings"]["nonintegral"] == [[0, [1], "1/2"]]
 
+    def test_direction_kind_mismatch_exit_two(self, capsys):
+        code, _, err = run(
+            capsys,
+            "gw",
+            "--input", f"{SAMPLES}/conifold.gv_table.json",
+            "--direction", "to-gv",
+        )
+        assert code == EXIT_SCHEMA
+        assert json.loads(err)["error"]["type"] == "SchemaError"
+
     def test_direction_flag_is_a_usage_error(self, capsys):
-        # the document's kind picks the direction, so there is no flag to agree or disagree with it
-        for path, direction in [("conifold.gv_table.json", "to-gv"), ("conifold.gw_series.json", "to-gw"), ("conifold.gv_table.json", "to-gw")]:
-            code, out, err = run(capsys, "gw", "--input", f"{SAMPLES}/{path}", "--direction", direction, "--json")
-            assert (code, out) == (EXIT_SCHEMA, "")
-            message = f"gvmot: unrecognized arguments: --direction {direction}"
-            assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
+        # the document's kind picks the direction, so even a flag that agrees with it is refused
+        code, out, err = run(capsys, "gw", "--input", f"{SAMPLES}/conifold.gv_table.json", "--direction", "to-gw", "--json")
+        assert (code, out) == (EXIT_SCHEMA, "")
+        message = "gvmot: unrecognized arguments: --direction to-gw"
+        assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
 
     def test_json_matches_golden_bytes(self, capsys, tmp_path):
         # stdout of `gw --json` in both directions, rank 1 and rank 2 with
@@ -900,9 +909,11 @@ class TestErrorMapping:
         [
             (["upsilon", "--input", f"{SAMPLES}/conifold.gv_table.json"],
              f"{SAMPLES}/conifold.gv_table.json: expected kind in ('motive', 'betti_variety'), got 'gv_table'"),
+            (["gw", "--input", f"{SAMPLES}/conifold.gw_series.json", "--direction", "to-gw"],
+             "gvmot: unrecognized arguments: --direction to-gw"),
             (["upsilon", "--input", "{tmp}/not.json"], "{tmp}/not.json: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
         ],
-        ids=["wrong-kind", "not-json"],
+        ids=["wrong-kind", "to-gw-on-a-series", "not-json"],
     )
     def test_document_errors_exit_two_with_one_line(self, capsys, tmp_path, argv, message):
         (tmp_path / "not.json").write_text("not json")
