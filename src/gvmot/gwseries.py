@@ -79,30 +79,39 @@ def _tangent_bernoulli(n_max: int) -> list[Fraction]:
     return [Fraction(1)] + [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(1, n_max + 1)]
 
 
-def _sin_table(genus_max: int, order: int, ledger: Ledger) -> tuple[list[list[int]], list[int]]:
-    """Rows g = 0..genus_max of (2 sin(u/2))^{2g-2} to j = order, as integer numerators.
+def _sin_table(genus_max: int, order: int, ledger: Ledger, top: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Rows g = 0..genus_max of (2 sin(u/2))^{2g-2} as integer numerators, row g to j = min(order, top - g).
 
     rows[g][j] / den[g + j] is the coefficient of u^{2g-2+2j}: every row
-    shares the denominator den[n] at u^{2n-2}.  Row 0 is sum_n (-1)^{n+1}
-    (2n-1) B_2n u^{2n-2} / (2n)!.  Row m + 1 is (2 - 2 cos u)^m =
+    shares the denominator den[n] at u^{2n-2}, for n = 0..top.  By default
+    top = genus_max + order, and every row runs to j = order: the square
+    table.  A transform reads row g only up to its top slot, so it asks for
+    the triangle g + j <= top, whose rows are prefixes of the square's rows
+    and whose den is the square's up to slot top.  Row 0 is sum_n
+    (-1)^{n+1} (2n-1) B_2n u^{2n-2} / (2n)!.  Row m + 1 is (2 - 2 cos u)^m =
     sum_{|k|<=m} (-1)^k C(2m, m+k) e^{iku}, whose u^{2m+2j} coefficient is
     (-1)^j (2m)! T(2m+2j, 2m) / (2m+2j)!, T the central factorial numbers:
     T(2m+2j, 2m) = T(2m+2j-2, 2m-2) + m^2 T(2m+2j-2, 2m), one integer step
-    each.  den[n] is (2n)! den(B_2n) up to n = order, where row 0 stops;
-    beyond, it is (2n-2)! / (2n-2-2 order)!, the largest denominator
-    (2n-2)! / (2m)! that a row m + 1 reaching u^{2n-2} needs.
+    each, for the j that the rows from m + 1 on still hold.  den[n] is
+    (2n)! den(B_2n) up to n = order, where row 0 stops; beyond, it is
+    (2n-2)! / (2n-2-2 order)!, the largest denominator (2n-2)! / (2m)! that
+    a row m + 1 reaching u^{2n-2} needs.  A row of n entries is charged
+    n (n + 1) / 2 products.
     """
-    ledger.spend("sin table", (genus_max + 1) * (order + 1) * (order + 2) // 2, "products")
-    bernoulli = _tangent_bernoulli(order)
+    top = genus_max + order if top is None else top
+    lengths = [max(min(order, top - g) + 1, 0) for g in range(genus_max + 1)]
+    ledger.spend("sin table", sum(n * (n + 1) // 2 for n in lengths), "products")
+    bernoulli = _tangent_bernoulli(lengths[0] - 1) if lengths[0] else []
     den, factorial_2n = [], 1
     for n, b in enumerate(bernoulli):
         factorial_2n *= max(2 * n * (2 * n - 1), 1)
         den.append(factorial_2n * b.denominator)
-    den += [perm(2 * n - 2, 2 * order) for n in range(order + 1, genus_max + order + 1)]
+    den += [perm(2 * n - 2, 2 * order) for n in range(order + 1, top + 1)]
     rows = [[(-1) ** (n + 1) * (2 * n - 1) * b.numerator for n, b in enumerate(bernoulli)]]
     central = [1] + [0] * order  # T(2m+2j, 2m) for j = 0..order, at m = 0
-    for m in range(genus_max):
-        for j in range(1, order + 1):
+    for m, n in enumerate(lengths[1:]):
+        del central[n:]
+        for j in range(1, n):
             central[j] += m * m * central[j - 1]
         rows.append([(-1) ** j * t * (den[m + 1 + j] // perm(2 * m + 2 * j, 2 * j)) for j, t in enumerate(central)])
     return rows, den
@@ -398,7 +407,7 @@ def gv_to_gw(
             genus_top, order, start[m] = max(genus_top, g), max(order, slots - g - 1), min(start.get(m, g), g)
     ledger = Ledger()
     ledger.spend("gw forward", terms, "kernel terms")
-    rows, den = _sin_table(genus_top, order, ledger)
+    rows, den = _sin_table(genus_top, order, ledger, slots - 1)
     cover_rows = _cover_rows(start, slots)
     acc: dict[Beta, list[int]] = {}
     for beta, counts in genera.items():
@@ -458,7 +467,7 @@ def gw_to_gv(
     slots = max(genus_max + 1, 0)
     terms = pairs * slots * (slots + 3) // 2  # per pair, a push of every slot and a triangular solve of the class it may reach
     ledger.spend("gw inverse", terms, "kernel terms")
-    rows, den = _sin_table(genus_max, genus_max, ledger) if terms else ([], [])
+    rows, den = _sin_table(genus_max, genus_max, ledger, genus_max) if terms else ([], [])
     cover_rows = _cover_rows({k_max: 0} if terms else {}, slots, mu)
 
     read: dict[Beta, list] = {}

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import comb, lcm
+from operator import mul
 from typing import Mapping
 
 from . import linalg
@@ -307,34 +308,54 @@ def jordan_census(x: GradedNilpotent) -> JordanCensus:
     columns, tags raised by one, are the flag of degree a+2; each is a
     column of a composite, so entries grow no larger than the composites'.
     The census asks of the pivot rows only that their minor be nonsingular,
-    so pivots may take, of the rows that could serve, the one whose entries
-    are bounded smallest: every later entry of the elimination is a minor
-    through it, which keeps the packed rows short, and the e_i completing
-    the next flag are those of the rows left.
-    M_a applied to the flag is one int_product, a sum over packed rows for
-    each row of M_a; the e_i part is columns of M_a.
+    so the elimination may take, of the rows that could serve, the one whose
+    entries are bounded smallest: every later entry of the elimination is a
+    minor through it, which keeps the packed rows short, and the e_i
+    completing the next flag are those of the rows left.
+
+    Every matrix stays in packed rows (linalg's Kronecker substitution) from
+    the product to the next degree's flag.  The basis [flag | e_free] is
+    packed as rows of V_a: the flag part arrives packed from the previous
+    degree, moved to this product's slots by one struct format, and each
+    free e_i adds a 1 in its own slot.  A row of M_a then gives a whole row
+    of the product as one sum over the basis rows, in slots sized by the
+    row-sum bound max_i sum_p |M_ip| times the flag's bound.  The exact-fit
+    test narrows the product to the least slots that hold its entries, and
+    the elimination starts from that bound.  The pivot columns' slots of
+    the product are the next flag.
     """
     if not x.dims:
         return JordanCensus()
 
     ranks: dict[tuple[int, int], int] = {}
-    # degree -> (the flag columns as rows, their tags, pivot rows of the elimination that made them)
-    flags: dict[int, tuple[linalg.Matrix, list[int], list[int]]] = {}
+    # degree -> the packed product that made its flag (slots of width bits,
+    # every entry at most bound), the flag's columns of it, their tags, and
+    # the pivot rows of its elimination
+    flags: dict[int, tuple[list[int], int, int, list[int], list[int], list[int]]] = {}
     for alpha, dim_alpha in x.dims.items():
         ranks[(alpha, 0)] = dim_alpha
-        flag, tags, taken = flags.pop(alpha, ([[]] * dim_alpha, [], []))
+        product, width, bound, cols, tags, taken = flags.pop(alpha, ([], 8, 1, [], [], []))
         step = x.maps.get(alpha)
         if step is None:  # a missing map is zero, and so is every composite through it
             continue
+        bound *= max(max(sum(map(abs, row)) for row in step), 1)
+        wide = linalg._slot_width(bound)
+        basis = linalg._respace(product, width, x.dims[alpha - 2], cols, wide) if cols else [0] * dim_alpha
         taken = set(taken)
         free = [i for i in range(dim_alpha) if i not in taken]
-        rows = [f + list(map(row.__getitem__, free)) for f, row in zip(linalg.int_product(step, flag), step)]
+        for slot, i in enumerate(free, len(cols)):
+            basis[i] += 1 << (wide * slot)
+        rows = [sum(map(mul, row, basis)) for row in step]
+        bound = min(1 << linalg._fit(rows, wide, dim_alpha), bound)
+        width = linalg._slot_width(bound)
+        if width < wide:
+            rows = linalg._respace(rows, wide, dim_alpha, range(dim_alpha), width)
         tags = tags + [0] * len(free)
-        cols, pivot_rows = linalg.pivots(rows)
+        cols, pivot_rows = linalg._eliminate(rows, width, dim_alpha, bound)
         picked = [tags[j] for j in cols]
         for k in range(picked[0] + 1 if picked else 0):
             ranks[(alpha - 2 * k, k + 1)] = sum(t >= k for t in picked)
-        flags[alpha + 2] = ([list(map(row.__getitem__, cols)) for row in rows], [t + 1 for t in picked], pivot_rows)
+        flags[alpha + 2] = (rows, width, bound, cols, [t + 1 for t in picked], pivot_rows)
 
     def r(alpha: int, k: int) -> int:
         return ranks.get((alpha, k), 0)

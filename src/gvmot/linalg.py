@@ -11,16 +11,22 @@ a rational matrix is scaled to integers before it gets here (GradedNilpotent
 does this once per map).  mat_mul works over any exact ring; only dot pairs
 with a rational functional.
 
-pivots and int_product keep a row of ints as one int with a signed slot of
-a fixed number of bits per entry (Kronecker substitution), so one big-int
-operation does the work of a loop over the row's entries.
+The elimination works on packed rows: a row of ints is one int with a signed
+slot of a fixed number of bits per entry (Kronecker substitution), so one
+big-int operation does the work of a loop over the row's entries.  Its core,
+_eliminate, takes rows already packed, and three kernels keep a caller's
+rows packed from one elimination to the next: _fits and _fit read the least
+b with every slot in [-2^b, 2^b) without unpacking a row, and _respace moves
+any selection of slots to slots of another width with one struct format.
+pivots packs a list matrix and calls the core; Jordan censuses call the
+core on products they never unpack.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import lshift, mul, sub
+from itertools import chain, compress
+from operator import lshift
 from struct import Struct
 
 Matrix = list[list[int]]
@@ -74,81 +80,67 @@ def _pack(rows: Matrix, width: int) -> list[int]:
     return [sum(map(lshift, row, shifts)) for row in rows]
 
 
-def _splitter(width: int, n: int):
-    """A function from a packed row of n slots to their bytes, each slot plus 2^(width - 1).
+def _fits(rows: list[int], width: int, n: int, b: int) -> bool:
+    """Whether every slot x of packed rows of n slots has -2^b <= x < 2^b, for 0 <= b < width.
 
-    The offset makes every slot a nonnegative number below 2^width, so the
-    bytes of the offset row split into the slots with no borrow between them.
+    Adding 2^b to every slot leaves each slot x that fits in [0, 2^(b+1)),
+    with no borrow into the next, so bits b+1..width-1 of every slot are
+    clear.  Nothing borrows into the lowest slot that does not fit, and
+    there x + 2^b mod 2^width lies in [2^(b+1), 2^width), as
+    -2^(width-1) <= x < 2^(width-1): one of its bits b+1..width-1 is set.
     """
-    k = width // 8
-    offset = (1 << (width - 1)) * _ones(width, n)
-    split = Struct(f"{k}s" * n).unpack
-    return lambda row: split((row + offset).to_bytes(n * k, "little"))
+    ones = _ones(width, n)
+    low, high = ones << b, ((1 << width) - (2 << b)) * ones
+    return not any((row + low) & high for row in rows)
 
 
-def _widen(rows: list[int], width: int, n: int) -> list[int]:
-    """Packed rows of n slots moved to slots of twice the width."""
-    split = _splitter(width, n)
-    spread = Struct(f"{width // 8}s{width // 8}x" * n).pack  # pads each slot with zero bytes
-    offset = (1 << (width - 1)) * _ones(2 * width, n)
-    return [int.from_bytes(spread(*split(row)), "little") - offset for row in rows]
+def _fit(rows: list[int], width: int, n: int) -> int:
+    """The least b with -2^b <= x < 2^b for every slot x, by bisecting _fits.
 
-
-def int_product(a: Matrix, b: Matrix) -> Matrix:
-    """a times b over Z, one sum over the packed rows of b per row of a.
-
-    With the rows of b packed, sum(map(mul, row, packed)) is a whole row of
-    the product, packed in the same slots.  Its entries are at most
-    len(b) max|a| max|b| in absolute value, which fixes the slot width.
+    Every slot of a packed row of this width lies in [-2^(width-1), 2^(width-1)),
+    so b = width - 1 fits.
     """
-    n = len(b[0]) if b else 0
-    if not n:
-        return [[] for _ in a]
-    bound = len(b) * max(map(abs, chain.from_iterable(a)), default=0) * max(map(abs, chain.from_iterable(b)))
-    width = _slot_width(bound)
-    packed = _pack(b, width)
-    split, half = _splitter(width, n), 1 << (width - 1)
-    slots = (split(sum(map(mul, row, packed))) for row in a)
-    return [list(map(sub, map(int.from_bytes, row, repeat("little")), repeat(half))) for row in slots]
+    lo, hi = 0, width - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _fits(rows, width, n, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
-def pivots(a: Matrix) -> tuple[list[int], list[int]]:
-    """Bareiss elimination over Z: (pivot columns, pivot rows).
+def _respace(rows: list[int], width: int, n: int, keep, new_width: int) -> list[int]:
+    """The slots keep (increasing) of packed rows of n slots, packed again in slots of new_width bits.
 
-    The pivot columns are the leftmost independent columns of a, in order,
-    and the pivot rows are indices into a's original rows; the minor on
-    pivot rows x pivot columns is nonsingular.  The exact // of the
-    fraction-free steps needs int entries.
-
-    The pivot row of a column is the row with the smallest entry bound
-    among the live rows with a nonzero entry there, the first in the
-    current row order on a tie.  After k steps the entry of row r in column
-    j is the minor of a on the k pivot rows and row r, the k pivot columns
-    and column j (Bareiss, Math. Comp. 22, 1968), so rows whose entries
-    stayed small keep the later minors, the slots and the divisions small.
-    Any row with a nonzero entry gives the same pivot columns and a
-    nonsingular minor, so only which rows are taken depends on the rule.
-
-    Each row is one int with a signed slot of width bits per column
-    (Kronecker substitution), so a step updates a whole row with
-    ((piv P_r - lead P_k) >> width) // prev: the shift drops the eliminated
-    column, and the division is exact because it is exact in every slot.
-    Before each step the new entries of row r are bounded by
-    (|piv| X_r + |lead| X_k) // |prev|, from the bounds X of the two rows;
-    when a bound could reach 2^(width - 1), every live row is first moved
-    to slots twice as wide, so no slot ever spills into the next.
+    The offset 2^(m-1), m the narrower of the two widths, makes every slot a
+    nonnegative number below 2^m, so the bytes of the offset row split into
+    slots with no borrow between them.  One struct format unpacks the kept
+    slots' low m bits and skips the dropped slots as pad bytes; a second
+    packs them with zero bytes above.  Narrowing needs every slot to fit a
+    signed slot of new_width bits, as a dropped slot below -2^(m-1) would
+    borrow from the slot above it.
     """
-    if not a or not a[0]:
-        return [], []
-    if not set(map(type, chain.from_iterable(a))) <= {int}:
-        raise TypeError("elimination needs int entries")
-    ncols = len(a[0])
-    # the rows below the pivots, in the order the row swaps leave them, with
-    # a bound on the entries of each and its index in a
-    bound = [max(map(abs, chain.from_iterable(a)))] * len(a)
-    width = _slot_width(bound[0])
-    rows = _pack(a, width)
-    order = list(range(len(a)))
+    k, new_k = width // 8, new_width // 8
+    m = min(k, new_k)
+    kept = set(keep)
+    split = Struct("".join(f"{m}s{k - m}x" if j in kept else f"{k}x" for j in range(n))).unpack
+    join = Struct(f"{m}s{new_k - m}x" * len(kept)).pack
+    half = 1 << (8 * m - 1)
+    offset, back = half * _ones(width, n), half * _ones(new_width, len(kept))
+    return [int.from_bytes(join(*split((row + offset).to_bytes(n * k, "little"))), "little") - back for row in rows]
+
+
+def _eliminate(rows: list[int], width: int, ncols: int, bound: int) -> tuple[list[int], list[int]]:
+    """Bareiss elimination of packed rows of ncols slots: (pivot columns, pivot rows).
+
+    The packed core of pivots.  Every entry is at most bound in absolute
+    value, and bound < 2^(width - 1); every row's bound starts there.  The
+    list rows is left as it is.
+    """
+    rows = list(rows)
+    bound = [bound] * len(rows)
+    order = list(range(len(rows)))
     cols: list[int] = []
     taken: list[int] = []
     prev = 1
@@ -170,11 +162,47 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
         scale, shrink = abs(piv), abs(prev)
         bound = [(scale * x + abs(lead) * pivot_bound) // shrink for x, lead in zip(bound, leads)]
         if bound and max(bound) >= half:  # below 2^(2 width - 1), as every factor is below 2^(width - 1)
-            pivot, *rows = _widen([pivot, *rows], width, ncols - col)
+            pivot, *rows = _respace([pivot, *rows], width, ncols - col, range(ncols - col), 2 * width)
             width *= 2
         rows = [((piv * row - lead * pivot) >> width) // prev for row, lead in zip(rows, leads)]
         prev = piv
     return cols, taken
+
+
+def pivots(a: Matrix) -> tuple[list[int], list[int]]:
+    """Bareiss elimination over Z: (pivot columns, pivot rows).
+
+    The pivot columns are the leftmost independent columns of a, in order,
+    and the pivot rows are indices into a's original rows; the minor on
+    pivot rows x pivot columns is nonsingular.  The exact // of the
+    fraction-free steps needs int entries.
+
+    The pivot row of a column is the row with the smallest entry bound
+    among the live rows with a nonzero entry there, the first in the
+    current row order on a tie.  After k steps the entry of row r in column
+    j is the minor of a on the k pivot rows and row r, the k pivot columns
+    and column j (Bareiss, Math. Comp. 22, 1968), so rows whose entries
+    stayed small keep the later minors, the slots and the divisions small.
+    Any row with a nonzero entry gives the same pivot columns and a
+    nonsingular minor, so only which rows are taken depends on the rule.
+
+    The rows are packed, each one int with a signed slot of width bits per
+    column (Kronecker substitution), and _eliminate does the steps: a step
+    updates a whole row with ((piv P_r - lead P_k) >> width) // prev, where
+    the shift drops the eliminated column and the division is exact because
+    it is exact in every slot.  Every bound starts at the largest |entry|
+    of a.  Before each step the new entries of row r are bounded by
+    (|piv| X_r + |lead| X_k) // |prev|, from the bounds X of the two rows;
+    when a bound could reach 2^(width - 1), every live row is first moved
+    to slots twice as wide, so no slot ever spills into the next.
+    """
+    if not a or not a[0]:
+        return [], []
+    if not set(map(type, chain.from_iterable(a))) <= {int}:
+        raise TypeError("elimination needs int entries")
+    bound = max(map(abs, chain.from_iterable(a)))
+    width = _slot_width(bound)
+    return _eliminate(_pack(a, width), width, len(a[0]), bound)
 
 
 def mat_rank(a: Matrix) -> int:

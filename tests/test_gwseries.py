@@ -238,6 +238,24 @@ class TestSinPowerCoefficients:
                 total = sum((-1) ** abs(k) * comb(2 * m, m + k) * k ** (2 * n) for k in range(-m, m + 1))
                 assert Fraction(rows[m + 1][j], den[m + 1 + j]) == Fraction((-1) ** n * total, factorial(2 * n))
 
+    def test_triangle_rows_are_prefixes_of_the_square(self):
+        # the transforms ask for the triangle g + j <= top; the square table
+        # (top = genus_max + order) is the one the triangle replaced
+        rng = random.Random(41)
+        for _ in range(300):
+            genus_max, order = rng.randint(0, 14), rng.randint(0, 14)
+            top = rng.randint(-1, genus_max + order)
+            square_ledger, triangle_ledger = Ledger(), Ledger()
+            square, square_den = _sin_table(genus_max, order, square_ledger)
+            rows, den = _sin_table(genus_max, order, triangle_ledger, top)
+            assert len(rows) == len(square) == genus_max + 1
+            for g, (row, full) in enumerate(zip(rows, square)):
+                assert row == full[: max(min(order, top - g) + 1, 0)], (genus_max, order, top, g)
+            assert den == square_den[: top + 1]
+            lengths = [len(row) for row in rows]
+            assert triangle_ledger.spent == sum(n * (n + 1) // 2 for n in lengths) <= square_ledger.spent
+            assert square_ledger.spent == (genus_max + 1) * (order + 1) * (order + 2) // 2
+
     def test_high_rows_of_a_short_table(self):
         # a table far deeper than it is long, as a high-genus entry at a low lambda cut asks for
         rows, den = _sin_table(2000, 2, Ledger())

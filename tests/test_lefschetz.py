@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from test_linalg import bareiss_oracle, gauss_rank_oracle
+from test_linalg import bareiss_oracle, gauss_rank_oracle, int_product
 
 from gvmot import linalg
 from gvmot.errors import NotRepresentationError, ShapeMismatchError, VirtualInputError
@@ -453,6 +453,28 @@ class TestFlagCensus:
             assert 40 <= op.dimension() <= 80 and max(abs(c) for m in op.maps.values() for row in m for c in row) > 100
             assert jordan_census(op) == jordan_census_oracle(op) == cells
 
+    def test_conjugated_strings_past_64_bit_slots(self, monkeypatch):
+        # bases with entries up to 2^40 make maps whose products, and so the
+        # eliminations, need slots wider than 64 bits
+        rng = random.Random(33)
+        widths = []
+        eliminate = linalg._eliminate
+
+        def recorded(rows, width, ncols, bound):
+            widths.append(width)
+            return eliminate(rows, width, ncols, bound)
+
+        monkeypatch.setattr(linalg, "_eliminate", recorded)
+        wide = 0
+        for _ in range(40):
+            cells = JordanCensus(random_cells(rng))
+            op = strings_operator(cells)
+            op = op.conjugate({d: linalg.random_invertible(rng, n, spread=2**40) for d, n in op.dims.items()})
+            widths.clear()
+            assert jordan_census(op) == jordan_census_oracle(op) == cells
+            wide += max(widths, default=0) > 64
+        assert wide >= 20, wide
+
     def test_benchmark_size_conjugated_strings(self):
         # every string shape in degrees -6..6 six times (504 dims); each
         # degree's basis is shuffled, then changed by P = I + N with N dense on
@@ -468,7 +490,7 @@ class TestFlagCensus:
         maps = {}
         for a, m in op.maps.items():
             m = [[m[i][j] for j in shuffled[a]] for i in shuffled[a + 2]]
-            maps[a] = linalg.int_product(linalg.int_product(basis[a + 2], m), inverse[a])
+            maps[a] = int_product(int_product(basis[a + 2], m), inverse[a])
         dense = GradedNilpotent(op.dims, maps)
         assert dense.dimension() == 504 and max(abs(c) for m in maps.values() for row in m for c in row) > 20
         assert jordan_census(dense) == cells
@@ -478,18 +500,22 @@ class TestFlagCensus:
         ops = [parse_document(random_flag_operator(rng))[1] for _ in range(100)]
         ops += [strings_operator(JordanCensus(random_cells(rng))) for _ in range(20)]
         shapes = []
-        pivots = linalg.pivots
+        eliminate = linalg._eliminate
 
-        def counted(a):
-            shapes.append((len(a), len(a[0])))
-            return pivots(a)
+        def counted(rows, width, ncols, bound):
+            shapes.append((len(rows), ncols))
+            return eliminate(rows, width, ncols, bound)
 
         def composite(*args):
             raise AssertionError("the census multiplies or ranks a composite")
 
-        monkeypatch.setattr(linalg, "pivots", counted)
+        def unpacked(*args):
+            raise AssertionError("the census hands list rows to pivots")
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
         monkeypatch.setattr(linalg, "mat_mul", composite)
         monkeypatch.setattr(linalg, "mat_rank", composite)
+        monkeypatch.setattr(linalg, "pivots", unpacked)
         for op in ops:
             shapes.clear()
             jordan_census(op)

@@ -4,11 +4,35 @@ unimodularity."""
 
 import random
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 import pytest
 
 from gvmot import linalg
-from gvmot.linalg import adjugate, identity, int_product, mat_mul, mat_rank, pivots, random_invertible, zero_matrix
+from gvmot.linalg import adjugate, identity, mat_mul, mat_rank, pivots, random_invertible, zero_matrix
+
+
+def int_product(a, b):
+    """a times b over Z, one sum over the packed rows of b per row of a.
+
+    Kronecker substitution: with the rows of b packed, sum(map(mul, row,
+    packed)) is a whole row of the product, packed in the same slots, whose
+    entries are at most len(b) max|a| max|b|.  The dense benchmark-size
+    operators are built with it, where mat_mul would take seconds.
+    """
+    n = len(b[0]) if b else 0
+    if not n:
+        return [[] for _ in a]
+    bound = len(b) * max(map(abs, chain.from_iterable(a)), default=0) * max(map(abs, chain.from_iterable(b)))
+    width = linalg._slot_width(bound)
+    k, half = width // 8, 1 << (width - 1)
+    packed, offset = linalg._pack(b, width), half * linalg._ones(width, n)
+    out = []
+    for row in a:
+        data = (sum(map(mul, row, packed)) + offset).to_bytes(n * k, "little")
+        out.append([int.from_bytes(data[i : i + k], "little") - half for i in range(0, n * k, k)])
+    return out
 
 
 def gauss_pivot_columns(rows):
@@ -146,8 +170,8 @@ class TestPivots:
         # rows are repacked wider again and again
         rng = random.Random(77)
         widened = []
-        widen = linalg._widen
-        monkeypatch.setattr(linalg, "_widen", lambda rows, *args: widened.append(args) or widen(rows, *args))
+        respace = linalg._respace
+        monkeypatch.setattr(linalg, "_respace", lambda rows, *args: widened.append(args) or respace(rows, *args))
         seen = dict.fromkeys(("edge", "wide", "small", "low rank", "zero row", "zero column", "repacked"), 0)
 
         def entry(kind):
@@ -197,6 +221,109 @@ class TestPivots:
         assert pivots([]) == ([], [])
         assert pivots([[]]) == ([], [])
         assert pivots(zero_matrix(2, 3)) == ([], [])
+
+
+def pack_oracle(rows, width):
+    """Packed rows from lists, one slot at a time; an empty row packs to 0."""
+    return [sum(x << (width * j) for j, x in enumerate(row)) for row in rows]
+
+
+def unpack_oracle(row, width, n):
+    """The n signed slots of a packed row, peeled off one at a time from the bottom."""
+    out = []
+    for _ in range(n):
+        x = row & ((1 << width) - 1)
+        x -= (x >> (width - 1)) << width
+        out.append(x)
+        row = (row - x) >> width
+    assert row == 0
+    return out
+
+
+class TestPackedKernels:
+    """The struct respacing, the exact-fit test and the packed elimination core against list oracles."""
+
+    WIDTHS = (8, 16, 24, 32, 64, 128)
+
+    @staticmethod
+    def slot(rng, bits):
+        """An entry of |x| < 2^bits, often at an edge: 0, +-1, +-2^j, +-(2^j - 1), 2^bits - 1 or -2^bits."""
+        j = rng.randint(0, bits - 1)
+        return rng.choice((0, 1, -1, 2**j, -(2**j), 2**j - 1, -(2**j) + 1, 2**bits - 1, -(2**bits) + 1,
+                           rng.randint(-(2**bits) + 1, 2**bits - 1)))
+
+    def test_respace_against_list_oracle(self):
+        # every pair of widths, so narrowing, widening and keeping the width;
+        # kept slots are any increasing selection, the empty one included
+        rng = random.Random(81)
+        seen = dict.fromkeys(("narrow", "wide", "same", "empty", "all", "zero row", "edge"), 0)
+        for _ in range(600):
+            width, new_width = rng.choice(self.WIDTHS), rng.choice(self.WIDTHS)
+            n, nrows = rng.randint(0, 12), rng.randint(0, 6)
+            keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+            bits = min(width, new_width) - 1  # narrowing needs every slot to fit the narrower width
+            rows = [[self.slot(rng, bits) for _ in range(n)] for _ in range(nrows)]
+            if rows and rng.random() < 0.3:
+                rows[rng.randrange(nrows)] = [0] * n
+            got = linalg._respace(pack_oracle(rows, width), width, n, keep, new_width)
+            want = [[row[j] for j in keep] for row in rows]
+            assert got == pack_oracle(want, new_width), (rows, width, keep, new_width)
+            assert [unpack_oracle(row, new_width, len(keep)) for row in got] == want
+            seen["narrow" if new_width < width else "wide" if new_width > width else "same"] += 1
+            seen["empty"] += not keep
+            seen["all"] += len(keep) == n > 0
+            seen["zero row"] += any(not any(row) for row in rows)
+            seen["edge"] += any(abs(x) == 2**bits - 1 for row in want for x in row)
+        assert min(seen.values()) >= 40, seen
+
+    def test_fits_and_fit_against_list_oracle(self):
+        # slots anywhere in [-2^(w-1), 2^(w-1)), often just inside or just
+        # outside [-2^b, 2^b) for the b tested
+        rng = random.Random(82)
+        seen = dict.fromkeys(("fits", "fails", "edge in", "edge out", "zero rows", "wide"), 0)
+        for _ in range(600):
+            width = rng.choice(self.WIDTHS)
+            n, nrows, b = rng.randint(0, 10), rng.randint(0, 5), rng.randrange(width)
+            near = (2**b, -(2**b), 2**b - 1, -(2**b) - 1, 2 ** (width - 1) - 1, -(2 ** (width - 1)))
+            rows = [[rng.choice(near) if rng.random() < 0.3 else self.slot(rng, rng.randint(1, width - 1))
+                     for _ in range(n)] for _ in range(nrows)]
+            rows = [[max(min(x, 2 ** (width - 1) - 1), -(2 ** (width - 1))) for x in row] for row in rows]
+            if rng.random() < 0.15:
+                rows = [[0] * n for _ in rows]
+            entries = [x for row in rows for x in row]
+            fits = all(-(2**b) <= x < 2**b for x in entries)
+            packed = pack_oracle(rows, width)
+            assert linalg._fits(packed, width, n, b) == fits, (rows, width, b)
+            least = next(c for c in range(width) if all(-(2**c) <= x < 2**c for x in entries))
+            assert linalg._fit(packed, width, n) == least, (rows, width)
+            seen["fits" if fits else "fails"] += 1
+            seen["edge in"] += any(x in (-(2**b), 2**b - 1) for x in entries)
+            seen["edge out"] += any(x in (2**b, -(2**b) - 1) for x in entries)
+            seen["zero rows"] += bool(entries) and not any(entries)
+            seen["wide"] += width > 64 and least > 62
+        assert min(seen.values()) >= 20, seen
+
+    def test_eliminate_from_a_fitted_bound(self):
+        # the census hands the core a product narrowed to the least slot that
+        # fits, with 2^b as the starting bound of every row: the pivot columns
+        # are pivots', and the pivot rows still take a nonsingular minor
+        rng = random.Random(83)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+            k = rng.randint(0, min(nrows, ncols))
+            left = [[rng.randint(-(2**40), 2**40) if rng.random() < 0.2 else rng.randint(-4, 4) for _ in range(k)]
+                    for _ in range(nrows)]
+            m = mat_mul(left, random_matrix(rng, k, ncols)) if k else zero_matrix(nrows, ncols)
+            wide = linalg._slot_width(max(abs(c) for row in m for c in row) * 3)
+            packed = linalg._pack(m, wide)
+            b = linalg._fit(packed, wide, ncols)
+            width = linalg._slot_width(1 << b)
+            assert width <= wide
+            narrow = linalg._respace(packed, wide, ncols, range(ncols), width)
+            assert narrow == linalg._pack(m, width)
+            cols, rows = linalg._eliminate(narrow, width, ncols, 1 << b)
+            assert cols == pivots(m)[0]
+            assert_gauss_invariants(m, cols, rows)
 
 
 class TestIntProduct:
