@@ -24,6 +24,7 @@ core on products they never unpack.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress
 from operator import lshift
@@ -95,30 +96,23 @@ def _fits(rows: list[int], width: int, n: int, b: int) -> bool:
 
 
 def _fit(rows: list[int], width: int, n: int) -> int:
-    """The least b with -2^b <= x < 2^b for every slot x, by bisecting _fits.
+    """The least b with -2^b <= x < 2^b for every slot x, bisecting on _fits.
 
     Every slot of a packed row of this width lies in [-2^(width-1), 2^(width-1)),
     so b = width - 1 fits.
     """
-    lo, hi = 0, width - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _fits(rows, width, n, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect_left(range(width - 1), True, key=lambda b: _fits(rows, width, n, b))
 
 
 def _respace(rows: list[int], width: int, n: int, keep, new_width: int) -> list[int]:
     """The slots keep (increasing) of packed rows of n slots, packed again in slots of new_width bits.
 
-    The offset 2^(m-1), m the narrower of the two widths, makes every slot a
-    nonnegative number below 2^m, so the bytes of the offset row split into
+    The offset 2^(w-1), w the narrower of the two widths, makes every slot a
+    nonnegative number below 2^w, so the bytes of the offset row split into
     slots with no borrow between them.  One struct format unpacks the kept
-    slots' low m bits and skips the dropped slots as pad bytes; a second
+    slots' low w bits and skips the dropped slots as pad bytes; a second
     packs them with zero bytes above.  Narrowing needs every slot to fit a
-    signed slot of new_width bits, as a dropped slot below -2^(m-1) would
+    signed slot of new_width bits, as a dropped slot below -2^(w-1) would
     borrow from the slot above it.
     """
     k, new_k = width // 8, new_width // 8
