@@ -4,35 +4,12 @@ unimodularity."""
 
 import random
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 import pytest
 
 from gvmot import linalg
 from gvmot.linalg import adjugate, identity, mat_mul, mat_rank, pivots, random_invertible, zero_matrix
-
-
-def int_product(a, b):
-    """a times b over Z, one sum over the packed rows of b per row of a.
-
-    Kronecker substitution: with the rows of b packed, sum(map(mul, row,
-    packed)) is a whole row of the product, packed in the same slots, whose
-    entries are at most len(b) max|a| max|b|.  The dense benchmark-size
-    operators are built with it, where mat_mul would take seconds.
-    """
-    n = len(b[0]) if b else 0
-    if not n:
-        return [[] for _ in a]
-    bound = len(b) * max(map(abs, chain.from_iterable(a)), default=0) * max(map(abs, chain.from_iterable(b)))
-    width = linalg._slot_width(bound)
-    k, half = width // 8, 1 << (width - 1)
-    packed, offset = linalg._pack(b, width), half * linalg._ones(width, n)
-    out = []
-    for row in a:
-        data = (sum(map(mul, row, packed)) + offset).to_bytes(n * k, "little")
-        out.append([int.from_bytes(data[i : i + k], "little") - half for i in range(0, n * k, k)])
-    return out
 
 
 def gauss_pivot_columns(rows):
@@ -238,6 +215,21 @@ def unpack_oracle(row, width, n):
         row = (row - x) >> width
     assert row == 0
     return out
+
+
+def int_product(a, b):
+    """a times b over Z, one sum over the packed rows of b per row of a.
+
+    Kronecker substitution: with the rows of b packed in slots wider than
+    len(b) max|a| max|b|, sum(map(mul, row, packed)) is a whole row of the
+    product.  The dense benchmark-size operators are built with it, where
+    mat_mul would take seconds.
+    """
+    n = len(b[0]) if b else 0
+    bound = len(b) * max((abs(c) for row in a for c in row), default=0) * max((abs(c) for row in b for c in row), default=0)
+    width = linalg._slot_width(bound)
+    packed = pack_oracle(b, width)
+    return [unpack_oracle(sum(map(mul, row, packed)), width, n) for row in a]
 
 
 class TestPackedKernels:
