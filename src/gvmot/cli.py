@@ -194,7 +194,7 @@ def cmd_gw(args, kind, payload) -> Result:
             EXIT_OK,
             lambda: jsonio.gw_series_to_json(series),
             lambda: _table(
-                [[str(list(beta)), str(lam), jsonio.fraction_str(c)] for (beta, lam), c in sorted(series.coeffs.items())],
+                [[str(list(beta)), str(lam), str(c)] for (beta, lam), c in sorted(series.coeffs.items())],
                 ["beta", "lambda^e", "coeff"],
             ),
         )
@@ -211,7 +211,7 @@ def cmd_gw(args, kind, payload) -> Result:
     def text():
         rows = [[str(g), str(list(beta)), str(n)] for (g, beta), n in sorted(result.table.entries.items())]
         warnings = sorted(result.nonintegral.items())
-        return _table(rows, ["g", "beta", "n_g"]) + [f"warning: nonintegral n_{g}^{list(beta)} = {jsonio.fraction_str(v)}" for (g, beta), v in warnings]
+        return _table(rows, ["g", "beta", "n_g"]) + [f"warning: nonintegral n_{g}^{list(beta)} = {v}" for (g, beta), v in warnings]
 
     return EXIT_OK, doc, text
 

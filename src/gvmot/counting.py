@@ -36,6 +36,7 @@ from .errors import (
     WORK_CAP,
     AsymmetricDefectError,
     ConeNotPointedError,
+    Frozen,
     Ledger,
     MissingAtomError,
     NotEffectiveError,
@@ -70,11 +71,8 @@ class NumClass:
     def __neg__(self) -> "NumClass":
         return NumClass(tuple(-b for b in self.beta), -self.k)
 
-    def __repr__(self) -> str:
-        return f"NumClass(beta={self.beta}, k={self.k})"
 
-
-class ClassLattice:
+class ClassLattice(Frozen):
     """The curve-class lattice with a spanning set of effective-cone generators.
 
     Immutable after construction, and every walk keeps its state in the
@@ -204,7 +202,7 @@ class CentralCharge:
         return re, im
 
 
-class FreeHallElement:
+class FreeHallElement(Frozen):
     """Rational combination of words of delta letters (free concatenation).
 
     Coefficients are plain Fractions: the log and exp weights are rational
@@ -471,7 +469,7 @@ def semistable_exp(
 # -- evaluation model ----------------------------------------------------------
 
 
-class EvalModel:
+class EvalModel(Frozen):
     """Per-class atoms plus a symmetric ext-defect table.
 
     The defect e(v1, v2) is the constant difference dim Ext^1 - dim Hom on the

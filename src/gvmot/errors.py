@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the work ledger.
+"""Exception hierarchy shared across the package, the work ledger, and the
+base that keeps the value types immutable.
 
 Every domain error derives from GvmotError so the CLI can map failures to
 stable exit codes in one place.  Every cap on work is one Ledger: a command
@@ -7,6 +8,18 @@ the one place a ResourceLimitError is raised.
 """
 
 from __future__ import annotations
+
+
+class Frozen:
+    """Base of the immutable value types: __init__ sets their slots through
+    object.__setattr__, and nothing sets or deletes an attribute after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 class GvmotError(Exception):

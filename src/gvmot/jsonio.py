@@ -146,11 +146,6 @@ def _rows(doc: Any, where: str, shape: str, items: tuple) -> Iterator[tuple]:
         yield values
 
 
-def fraction_str(f: int | Fraction) -> str:
-    """The text of a rational: "p/q" in lowest terms, or "p" when q is 1, which is str of an int or a Fraction."""
-    return str(f)
-
-
 # -- polynomials ----------------------------------------------------------------
 
 
@@ -249,7 +244,10 @@ def abs_motive_from_json(doc: Any, where: str = "abs") -> motives.AbsMotive:
         if group == "gm":
             return motives.AbsMotive.multiplicative_group()
         if group == "gl":
-            return motives.AbsMotive.general_linear(_int(doc.get("n"), f"{where}.n"))
+            try:
+                return motives.AbsMotive.general_linear(_int(doc.get("n"), f"{where}.n"))
+            except ValueError as exc:
+                raise SchemaError(f"{where}.n: {exc}") from exc
         raise SchemaError(f"{where}: unknown group {group!r}")
     doc = _fields(doc, where, ("poly",), ("name",))
     poly = poly_from_json(doc["poly"], f"{where}.poly")
@@ -492,7 +490,7 @@ class _ClassTexts(dict):
 
 
 # one f-string per row; each row starts on a line at, its items on lines sub, a class's entries on the lines
-# of texts, and a rational is written as fraction_str writes it, str(c)
+# of texts, and a rational is written as str(c)
 
 def _entry_rows(items: Iterable, at: str, sub: str, texts: _ClassTexts) -> list[str]:
     """[g, [beta], n] per ((g, beta), n), n an int."""
@@ -515,8 +513,8 @@ def _coeff_rows(items: Iterable, at: str, sub: str, texts: _ClassTexts) -> list[
 def gv_table_to_json(table: GVTable) -> dict:
     cuts = {
         "genus": table.genus_max,
-        "degree": fraction_str(table.degree_max),
-        "omega": [fraction_str(w) for w in table.omega],
+        "degree": str(table.degree_max),
+        "omega": [str(w) for w in table.omega],
     }
     return envelope("gv_table", entries=Rows(table.entries, _entry_rows), cuts=cuts)
 
@@ -552,9 +550,9 @@ def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
 
 def gw_series_to_json(series: GWSeries) -> dict:
     cuts = {
-        "degree": fraction_str(series.degree_max),
+        "degree": str(series.degree_max),
         "lambda": series.lambda_max,
-        "omega": [fraction_str(w) for w in series.omega],
+        "omega": [str(w) for w in series.omega],
     }
     return envelope("gw_series", coeffs=Rows(series.coeffs, _coeff_rows), cuts=cuts)
 

@@ -19,12 +19,13 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import (
+    Frozen,
     NotPolynomialError,
     OddWeightedDegreeError,
     ZeroPolynomialError,
 )
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Immutable sparse Laurent polynomial in t (any power) and s (power >= 0)."""
 
     __slots__ = ("_terms",)
@@ -382,7 +383,7 @@ def _uni_gcd(p: LaurentPoly, q: LaurentPoly, var: str) -> LaurentPoly:
     return LaurentPoly({(0, i): c for i, c in enumerate(a) if c})
 
 
-class RationalFn:
+class RationalFn(Frozen):
     """Element of Q(t, s) as a normalized fraction of Laurent polynomials.
 
     Both parts lie in Z[t^{+-1}, s], so a rational scalar such as 1/2 is the
@@ -473,10 +474,8 @@ class RationalFn:
         """
         if self.den == LaurentPoly.one():
             return self.num
-        q = exact_div(self.num, self.den)
-        if q is not None:
-            return q
-        # den divides num over Q exactly when it divides content(den) * num over Z
+        # normalisation leaves den = 1 whenever den divides num over Z, and den
+        # divides num over Q exactly when it divides content(den) * num over Z
         if exact_div(self.num.scale(self.den.content()), self.den) is None:
             raise NotPolynomialError(f"{self} is not a polynomial")
         raise NotPolynomialError(f"{self} has non-integer coefficients")

@@ -18,10 +18,10 @@ from operator import mul
 from typing import Mapping
 
 from . import linalg
-from .errors import NotRepresentationError, ShapeMismatchError, VirtualInputError
+from .errors import Frozen, NotRepresentationError, ShapeMismatchError, VirtualInputError
 
 
-class IntegerCombination:
+class IntegerCombination(Frozen):
     """Frozen formal integer combination of keyed basis elements.
 
     Keys are kept sorted and zero values are dropped, so equal combinations
@@ -36,9 +36,6 @@ class IntegerCombination:
         check = self._check_key
         clean = {check(key): int(m) for key, m in (mult or {}).items()}
         object.__setattr__(self, "_mult", {k: m for k, m in sorted(clean.items()) if m})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def mult(self) -> dict:
@@ -133,7 +130,7 @@ def _denominator(c) -> int:
     raise TypeError(f"matrix entries are int or Fraction, not {type(c).__name__}")
 
 
-class GradedNilpotent:
+class GradedNilpotent(Frozen):
     """A graded vector space with a degree +2 operator given by exact matrices.
 
     dims maps degree -> dimension; maps[alpha] is the matrix of

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import ZeroGroupClassError
+from .errors import Frozen, ZeroGroupClassError
 from .laurent import LaurentPoly, RationalFn, rational_sum
 from .motives import AbsMotive, MotiveExpr, upsilon_rel
 
 
-class StackClass:
+class StackClass(Frozen):
     """Finite formal sum of (coefficient in Lambda, motive expression) pairs."""
 
     __slots__ = ("parts",)

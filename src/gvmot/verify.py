@@ -1,14 +1,17 @@
 """Seeded randomized property suites, shared by the CLI and the test suite.
 
-Each property is a function (rng, scale) -> cases run, raising
-PropertyFailure with a counterexample dump on violation.  Given a seed the
-whole run is deterministic, so reports are byte-identical across runs.
+A property is a function (rng, scale) -> cases run, raising PropertyFailure
+with a counterexample dump on violation.  Most are written as a check of one
+case drawn from rng, which `register` runs per_scale * scale times and files
+under its suite in SUITES, in definition order.  Given a seed the whole run
+is deterministic, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import wraps
 from itertools import product
 from math import lcm
 from typing import Callable
@@ -67,6 +70,34 @@ class PropertyFailure(AssertionError):
 
 def _fail(name: str, case: object) -> None:
     raise PropertyFailure(f"{name}: counterexample {case!r}")
+
+
+Property = Callable[[random.Random, int], int]
+
+SUITES: dict[str, list[tuple[str, Property]]] = {}
+
+
+def register(suite: str, per_scale: int | None = None) -> Callable[[Callable], Property]:
+    """File the decorated prop_* in SUITES[suite], named without its prefix.
+
+    With per_scale the definition checks one case drawn from rng and the
+    property runs it per_scale * scale times; without, the definition is the
+    property and counts its own cases.
+    """
+
+    def add(check: Callable) -> Property:
+        prop = check
+        if per_scale is not None:
+            @wraps(check)
+            def prop(rng: random.Random, scale: int) -> int:
+                cases = per_scale * scale
+                for _ in range(cases):
+                    check(rng)
+                return cases
+        SUITES.setdefault(suite, []).append((check.__name__.removeprefix("prop_"), prop))
+        return prop
+
+    return add
 
 
 # -- random generators ----------------------------------------------------------
@@ -149,136 +180,113 @@ def random_atom_class(rng: random.Random) -> StackClass:
 # -- sl2 suite -------------------------------------------------------------------
 
 
-def prop_spin_roundtrip(rng: random.Random, scale: int) -> int:
-    cases = 200 * scale
-    for _ in range(cases):
-        x = random_spins(rng)
-        if spin_decompose(x.weight_dims()) != x:
-            _fail("spin_roundtrip", x)
-    return cases
+@register("sl2", 200)
+def prop_spin_roundtrip(rng: random.Random) -> None:
+    x = random_spins(rng)
+    if spin_decompose(x.weight_dims()) != x:
+        _fail("spin_roundtrip", x)
 
 
-def prop_tensor_dimension(rng: random.Random, scale: int) -> int:
-    cases = 500 * scale
-    for _ in range(cases):
-        x, y = random_spins(rng, 4, 3), random_spins(rng, 4, 3)
-        if tensor(x, y).dimension() != x.dimension() * y.dimension():
-            _fail("tensor_dimension", (x, y))
-    return cases
+@register("sl2", 500)
+def prop_tensor_dimension(rng: random.Random) -> None:
+    x, y = random_spins(rng, 4, 3), random_spins(rng, 4, 3)
+    if tensor(x, y).dimension() != x.dimension() * y.dimension():
+        _fail("tensor_dimension", (x, y))
 
 
-def prop_tensor_weight_oracle(rng: random.Random, scale: int) -> int:
-    cases = 150 * scale
-    for _ in range(cases):
-        x, y = random_spins(rng, 4, 3), random_spins(rng, 4, 3)
-        if x.is_zero() or y.is_zero():
-            continue
-        wx, wy = x.weight_dims(), y.weight_dims()
-        conv: dict[int, int] = {}
-        for u, du in wx.items():
-            for w, dw in wy.items():
-                conv[u + w] = conv.get(u + w, 0) + du * dw
-        if spin_decompose(conv) != tensor(x, y):
-            _fail("tensor_weight_oracle", (x, y))
-    return cases
+@register("sl2", 150)
+def prop_tensor_weight_oracle(rng: random.Random) -> None:
+    x, y = random_spins(rng, 4, 3), random_spins(rng, 4, 3)
+    if x.is_zero() or y.is_zero():
+        return
+    wx, wy = x.weight_dims(), y.weight_dims()
+    conv: dict[int, int] = {}
+    for u, du in wx.items():
+        for w, dw in wy.items():
+            conv[u + w] = conv.get(u + w, 0) + du * dw
+    if spin_decompose(conv) != tensor(x, y):
+        _fail("tensor_weight_oracle", (x, y))
 
 
-def prop_genus_reconstruction(rng: random.Random, scale: int) -> int:
-    cases = 150 * scale
-    for _ in range(cases):
-        v = random_bispin(rng, 4, 3, virtual=True)
-        rebuilt: dict[tuple[int, int], int] = {}
-        for g, right in genus_decompose(v).items():
-            left = torus_rep(g)
-            for two_jl, ml in left.items():
-                for two_jr, mr in right.items():
-                    key = (two_jl, two_jr)
-                    rebuilt[key] = rebuilt.get(key, 0) + ml * mr
-        if BispinContent(rebuilt) != v:
-            _fail("genus_reconstruction", v)
-    return cases
+@register("sl2", 150)
+def prop_genus_reconstruction(rng: random.Random) -> None:
+    v = random_bispin(rng, 4, 3, virtual=True)
+    rebuilt: dict[tuple[int, int], int] = {}
+    for g, right in genus_decompose(v).items():
+        left = torus_rep(g)
+        for two_jl, ml in left.items():
+            for two_jr, mr in right.items():
+                key = (two_jl, two_jr)
+                rebuilt[key] = rebuilt.get(key, 0) + ml * mr
+    if BispinContent(rebuilt) != v:
+        _fail("genus_reconstruction", v)
 
 
-def prop_hst_equals_census(rng: random.Random, scale: int) -> int:
-    cases = 1000 * scale
-    for _ in range(cases):
-        v = random_bispin(rng, 6, 5)
-        lhs = [genus_count(v, g) for g in range(6)]
-        rhs = census_count(census_from_bispin(v), 5)
-        if lhs != rhs:
-            _fail("hst_equals_census", (v, lhs, rhs))
-    return cases
+@register("sl2", 1000)
+def prop_hst_equals_census(rng: random.Random) -> None:
+    v = random_bispin(rng, 6, 5)
+    lhs = [genus_count(v, g) for g in range(6)]
+    rhs = census_count(census_from_bispin(v), 5)
+    if lhs != rhs:
+        _fail("hst_equals_census", (v, lhs, rhs))
 
 
-def prop_ample_independence(rng: random.Random, scale: int) -> int:
-    cases = 50 * scale
-    for _ in range(cases):
-        v = random_bispin(rng, 4, 2)
-        base = realize_bispin(v)
-        basis = {d: linalg.random_invertible(rng, n) for d, n in base.dims.items()}
-        other = base.conjugate(basis)
-        if jordan_census(base) != jordan_census(other):
-            _fail("ample_independence", v)
-    return cases
+@register("sl2", 50)
+def prop_ample_independence(rng: random.Random) -> None:
+    v = random_bispin(rng, 4, 2)
+    base = realize_bispin(v)
+    basis = {d: linalg.random_invertible(rng, n) for d, n in base.dims.items()}
+    if jordan_census(base) != jordan_census(base.conjugate(basis)):
+        _fail("ample_independence", v)
 
 
 # -- census suite -----------------------------------------------------------------
 
 
-def prop_census_dimension(rng: random.Random, scale: int) -> int:
-    cases = 100 * scale
-    for _ in range(cases):
-        op = random_graded_nilpotent(rng)
-        if jordan_census(op).total_dimension() != op.dimension():
-            _fail("census_dimension", op.dims)
-    return cases
+@register("census", 100)
+def prop_census_dimension(rng: random.Random) -> None:
+    op = random_graded_nilpotent(rng)
+    if jordan_census(op).total_dimension() != op.dimension():
+        _fail("census_dimension", op.dims)
 
 
-def prop_census_conjugation(rng: random.Random, scale: int) -> int:
-    cases = 100 * scale
-    for _ in range(cases):
-        op = random_graded_nilpotent(rng, max_dim=8)
-        basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
-        if jordan_census(op) != jordan_census(op.conjugate(basis)):
-            _fail("census_conjugation", op.dims)
-    return cases
+@register("census", 100)
+def prop_census_conjugation(rng: random.Random) -> None:
+    op = random_graded_nilpotent(rng, max_dim=8)
+    basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
+    if jordan_census(op) != jordan_census(op.conjugate(basis)):
+        _fail("census_conjugation", op.dims)
 
 
-def prop_census_realize(rng: random.Random, scale: int) -> int:
-    cases = 200 * scale
-    for _ in range(cases):
-        v = random_bispin(rng, 5, 3)
-        if jordan_census(realize_bispin(v)) != census_from_bispin(v):
-            _fail("census_realize", v)
-    return cases
+@register("census", 200)
+def prop_census_realize(rng: random.Random) -> None:
+    v = random_bispin(rng, 5, 3)
+    if jordan_census(realize_bispin(v)) != census_from_bispin(v):
+        _fail("census_realize", v)
 
 
-def prop_census_ground_truth(rng: random.Random, scale: int) -> int:
-    cases = 60 * scale
-    for _ in range(cases):
-        cells: dict[tuple[int, int], int] = {}
-        for _ in range(rng.randint(1, 5)):
-            key = (rng.randint(-4, 3), rng.randint(1, 4))
-            cells[key] = cells.get(key, 0) + rng.randint(1, 2)
-        op = strings_operator(JordanCensus(cells))
-        basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
-        if jordan_census(op.conjugate(basis)) != JordanCensus(cells):
-            _fail("census_ground_truth", cells)
-    return cases
+@register("census", 60)
+def prop_census_ground_truth(rng: random.Random) -> None:
+    cells: dict[tuple[int, int], int] = {}
+    for _ in range(rng.randint(1, 5)):
+        key = (rng.randint(-4, 3), rng.randint(1, 4))
+        cells[key] = cells.get(key, 0) + rng.randint(1, 2)
+    op = strings_operator(JordanCensus(cells))
+    basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
+    if jordan_census(op.conjugate(basis)) != JordanCensus(cells):
+        _fail("census_ground_truth", cells)
 
 
-def prop_census_size_oracle(rng: random.Random, scale: int) -> int:
-    cases = 60 * scale
-    for _ in range(cases):
-        op = random_graded_nilpotent(rng)
-        census = jordan_census(op)
-        sizes: dict[int, int] = {}
-        for (_, l), n in census.items():
-            sizes[l] = sizes.get(l, 0) + n
-        oracle = _dense_size_distribution(op)
-        if sizes != oracle:
-            _fail("census_size_oracle", (op.dims, sizes, oracle))
-    return cases
+@register("census", 60)
+def prop_census_size_oracle(rng: random.Random) -> None:
+    op = random_graded_nilpotent(rng)
+    census = jordan_census(op)
+    sizes: dict[int, int] = {}
+    for (_, l), n in census.items():
+        sizes[l] = sizes.get(l, 0) + n
+    oracle = _dense_size_distribution(op)
+    if sizes != oracle:
+        _fail("census_size_oracle", (op.dims, sizes, oracle))
 
 
 def _dense_size_distribution(op: GradedNilpotent) -> dict[int, int]:
@@ -344,120 +352,102 @@ def _random_geometric_expr(rng: random.Random):
     return expr
 
 
-def prop_blowup_identity(rng: random.Random, scale: int) -> int:
-    cases = 200 * scale
-    for _ in range(cases):
-        r = rng.randint(2, 4)
-        dc = rng.randint(0, 2)
-        center = smooth_from_betti(random_betti(rng, dc), dc)
-        ambient = smooth_from_betti(random_betti(rng, dc + r), dc + r)
-        if not blowup_relation_check(ambient, center, r):
-            _fail("blowup_identity", (ambient.name, center.name, r))
-    return cases
+@register("motive", 200)
+def prop_blowup_identity(rng: random.Random) -> None:
+    r = rng.randint(2, 4)
+    dc = rng.randint(0, 2)
+    center = smooth_from_betti(random_betti(rng, dc), dc)
+    ambient = smooth_from_betti(random_betti(rng, dc + r), dc + r)
+    if not blowup_relation_check(ambient, center, r):
+        _fail("blowup_identity", (ambient.name, center.name, r))
 
 
-def prop_degree_equals_twice_dim(rng: random.Random, scale: int) -> int:
-    cases = 100 * scale
-    for _ in range(cases):
-        expr = _random_geometric_expr(rng)
-        value = upsilon_rel(expr)
-        d = dim(expr)
-        if value.is_zero() or d is None:
-            continue
-        m = weighted_degree(value)
-        if m % 2 != 0 or m != 2 * d:
-            _fail("degree_equals_twice_dim", (expr, m, d))
-    return cases
+@register("motive", 100)
+def prop_degree_equals_twice_dim(rng: random.Random) -> None:
+    expr = _random_geometric_expr(rng)
+    value = upsilon_rel(expr)
+    d = dim(expr)
+    if value.is_zero() or d is None:
+        return
+    m = weighted_degree(value)
+    if m % 2 != 0 or m != 2 * d:
+        _fail("degree_equals_twice_dim", (expr, m, d))
 
 
-def prop_finite_push_transparent(rng: random.Random, scale: int) -> int:
-    cases = 50 * scale
-    for _ in range(cases):
-        expr = _random_geometric_expr(rng)
-        if upsilon_rel(FinitePush(expr)) != upsilon_rel(expr):
-            _fail("finite_push_transparent", expr)
-    return cases
+@register("motive", 50)
+def prop_finite_push_transparent(rng: random.Random) -> None:
+    expr = _random_geometric_expr(rng)
+    if upsilon_rel(FinitePush(expr)) != upsilon_rel(expr):
+        _fail("finite_push_transparent", expr)
 
 
-def prop_abs_product_bilinear(rng: random.Random, scale: int) -> int:
-    cases = 100 * scale
-    for _ in range(cases):
-        t = AbsMotive.general_linear(1) if rng.random() < 0.5 else AbsMotive.affine_line()
-        e1 = _random_geometric_expr(rng)
-        e2 = _random_geometric_expr(rng)
-        lhs = upsilon_rel(AbsProduct(t, Sum((e1, e2))))
-        rhs = upsilon_rel(AbsProduct(t, e1)) + upsilon_rel(AbsProduct(t, e2))
-        if lhs != rhs:
-            _fail("abs_product_bilinear", (e1, e2))
-        lhs = upsilon_rel(AbsProduct(t, Diff(e1, e2)))
-        rhs = upsilon_rel(AbsProduct(t, e1)) - upsilon_rel(AbsProduct(t, e2))
-        if lhs != rhs:
-            _fail("abs_product_bilinear_diff", (e1, e2))
-    return cases
+@register("motive", 100)
+def prop_abs_product_bilinear(rng: random.Random) -> None:
+    t = AbsMotive.general_linear(1) if rng.random() < 0.5 else AbsMotive.affine_line()
+    e1 = _random_geometric_expr(rng)
+    e2 = _random_geometric_expr(rng)
+    lhs = upsilon_rel(AbsProduct(t, Sum((e1, e2))))
+    rhs = upsilon_rel(AbsProduct(t, e1)) + upsilon_rel(AbsProduct(t, e2))
+    if lhs != rhs:
+        _fail("abs_product_bilinear", (e1, e2))
+    lhs = upsilon_rel(AbsProduct(t, Diff(e1, e2)))
+    rhs = upsilon_rel(AbsProduct(t, e1)) - upsilon_rel(AbsProduct(t, e2))
+    if lhs != rhs:
+        _fail("abs_product_bilinear_diff", (e1, e2))
 
 
-def prop_point_base_specialization(rng: random.Random, scale: int) -> int:
-    cases = 50 * scale
-    for _ in range(cases):
-        d = rng.randint(0, 3)
-        bettis = random_betti(rng, d)
-        value = upsilon_rel(over_point_from_betti(bettis))
-        expected = LaurentPoly({(i, 0): b for i, b in enumerate(bettis) if b})
-        if value != expected or not value.is_t_only():
-            _fail("point_base_specialization", bettis)
-    return cases
+@register("motive", 50)
+def prop_point_base_specialization(rng: random.Random) -> None:
+    d = rng.randint(0, 3)
+    bettis = random_betti(rng, d)
+    value = upsilon_rel(over_point_from_betti(bettis))
+    expected = LaurentPoly({(i, 0): b for i, b in enumerate(bettis) if b})
+    if value != expected or not value.is_t_only():
+        _fail("point_base_specialization", bettis)
 
 
 # -- stack suite ---------------------------------------------------------------------
 
 
-def prop_gm_cancellation(rng: random.Random, scale: int) -> int:
-    cases = 100 * scale
-    gm = RationalFn.from_poly(AbsMotive.multiplicative_group().poly)
-    for _ in range(cases):
-        expr = _random_geometric_expr(rng)
-        value = gm * upsilon_stack(quotient_by_special_group(expr, AbsMotive.multiplicative_group()))
-        if value != RationalFn.from_poly(upsilon_rel(expr)):
-            _fail("gm_cancellation", expr)
-    return cases
+@register("stack", 100)
+def prop_gm_cancellation(rng: random.Random) -> None:
+    expr = _random_geometric_expr(rng)
+    gm = AbsMotive.multiplicative_group()
+    value = RationalFn.from_poly(gm.poly) * upsilon_stack(quotient_by_special_group(expr, gm))
+    if value != RationalFn.from_poly(upsilon_rel(expr)):
+        _fail("gm_cancellation", expr)
 
 
-def prop_stack_linearity(rng: random.Random, scale: int) -> int:
-    cases = 100 * scale
-    for _ in range(cases):
-        c1 = random_atom_class(rng)
-        c2 = random_atom_class(rng)
-        if upsilon_stack(c1 + c2) != upsilon_stack(c1) + upsilon_stack(c2):
-            _fail("stack_linearity", (c1, c2))
-    return cases
+@register("stack", 100)
+def prop_stack_linearity(rng: random.Random) -> None:
+    c1 = random_atom_class(rng)
+    c2 = random_atom_class(rng)
+    if upsilon_stack(c1 + c2) != upsilon_stack(c1) + upsilon_stack(c2):
+        _fail("stack_linearity", (c1, c2))
 
 
-def prop_stack_scale(rng: random.Random, scale: int) -> int:
-    cases = 100 * scale
-    for _ in range(cases):
-        c = random_atom_class(rng)
-        t = AbsMotive.general_linear(rng.randint(1, 2))
-        lhs = upsilon_stack(scale_by_variety(t, c))
-        rhs = RationalFn.from_poly(t.poly) * upsilon_stack(c)
-        if lhs != rhs:
-            _fail("stack_scale", (c, t.name))
-    return cases
+@register("stack", 100)
+def prop_stack_scale(rng: random.Random) -> None:
+    c = random_atom_class(rng)
+    t = AbsMotive.general_linear(rng.randint(1, 2))
+    lhs = upsilon_stack(scale_by_variety(t, c))
+    rhs = RationalFn.from_poly(t.poly) * upsilon_stack(c)
+    if lhs != rhs:
+        _fail("stack_scale", (c, t.name))
 
 
 # -- counting suite ---------------------------------------------------------------------
 
 
-def prop_log_exp_roundtrip(rng: random.Random, scale: int) -> int:
-    cases = 40 * scale
-    for _ in range(cases):
-        lattice, charge = random_pointed_setup(rng)
-        beta = random_effective(rng, lattice, charge.omega, bound=4)
-        if beta is None:
-            continue
-        v = NumClass(beta, rng.randint(-2, 2))
-        if semistable_exp(lattice, charge, v) != FreeHallElement.letter(v):
-            _fail("log_exp_roundtrip", (lattice.generators, charge, v))
-    return cases
+@register("counting", 40)
+def prop_log_exp_roundtrip(rng: random.Random) -> None:
+    lattice, charge = random_pointed_setup(rng)
+    beta = random_effective(rng, lattice, charge.omega, bound=4)
+    if beta is None:
+        return
+    v = NumClass(beta, rng.randint(-2, 2))
+    if semistable_exp(lattice, charge, v) != FreeHallElement.letter(v):
+        _fail("log_exp_roundtrip", (lattice.generators, charge, v))
 
 
 def _random_model(rng: random.Random, classes: list[NumClass]) -> EvalModel:
@@ -471,100 +461,87 @@ def _random_model(rng: random.Random, classes: list[NumClass]) -> EvalModel:
     return EvalModel(atoms, defects)
 
 
-def prop_commutator_vanishing(rng: random.Random, scale: int) -> int:
-    cases = 40 * scale
-    zero = RationalFn.zero()
-    for _ in range(cases):
-        classes = [NumClass((i + 1,), rng.randint(-1, 2)) for i in range(3)]
-        model = _random_model(rng, classes)
-        f1 = FreeHallElement.letter(classes[0])
-        f2 = FreeHallElement.letter(classes[1])
-        if evaluate(f1.commutator(f2), model) != zero:
-            _fail("commutator_vanishing", classes)
-        word = [rng.choice(classes) for _ in range(rng.randint(2, 4))]
-        shuffled = word[:]
-        rng.shuffle(shuffled)
-        lhs = evaluate(FreeHallElement({tuple(word): 1}), model)
-        rhs = evaluate(FreeHallElement({tuple(shuffled): 1}), model)
-        if lhs != rhs:
-            _fail("word_permutation_invariance", (word, shuffled))
-    return cases
+@register("counting", 40)
+def prop_commutator_vanishing(rng: random.Random) -> None:
+    classes = [NumClass((i + 1,), rng.randint(-1, 2)) for i in range(3)]
+    model = _random_model(rng, classes)
+    f1 = FreeHallElement.letter(classes[0])
+    f2 = FreeHallElement.letter(classes[1])
+    if evaluate(f1.commutator(f2), model) != RationalFn.zero():
+        _fail("commutator_vanishing", classes)
+    word = [rng.choice(classes) for _ in range(rng.randint(2, 4))]
+    shuffled = word[:]
+    rng.shuffle(shuffled)
+    lhs = evaluate(FreeHallElement({tuple(word): 1}), model)
+    rhs = evaluate(FreeHallElement({tuple(shuffled): 1}), model)
+    if lhs != rhs:
+        _fail("word_permutation_invariance", (word, shuffled))
 
 
-def prop_asymmetric_rejected(rng: random.Random, scale: int) -> int:
-    cases = 20 * scale
-    for _ in range(cases):
-        v1 = NumClass((1,), 0)
-        v2 = NumClass((2,), 1)
-        e = rng.randint(0, 3)
-        try:
-            EvalModel({}, [(v1, v2, e), (v2, v1, e + rng.randint(1, 2))])
-        except AsymmetricDefectError:
-            continue
-        _fail("asymmetric_rejected", (v1, v2))
-    return cases
+@register("counting", 20)
+def prop_asymmetric_rejected(rng: random.Random) -> None:
+    v1 = NumClass((1,), 0)
+    v2 = NumClass((2,), 1)
+    e = rng.randint(0, 3)
+    try:
+        EvalModel({}, [(v1, v2, e), (v2, v1, e + rng.randint(1, 2))])
+    except AsymmetricDefectError:
+        return
+    _fail("asymmetric_rejected", (v1, v2))
 
 
-def prop_stable_single_letter(rng: random.Random, scale: int) -> int:
-    cases = 40 * scale
-    for _ in range(cases):
-        lattice, charge = random_pointed_setup(rng)
-        charge = CentralCharge((Fraction(0),) * lattice.rank, charge.omega)
-        beta = random_effective(rng, lattice, charge.omega, bound=4)
-        if beta is None:
-            continue
-        v = NumClass(beta, 1)
-        if semistable_log(lattice, charge, v) != FreeHallElement.letter(v):
-            _fail("stable_single_letter", (lattice.generators, v))
-    return cases
+@register("counting", 40)
+def prop_stable_single_letter(rng: random.Random) -> None:
+    lattice, charge = random_pointed_setup(rng)
+    charge = CentralCharge((Fraction(0),) * lattice.rank, charge.omega)
+    beta = random_effective(rng, lattice, charge.omega, bound=4)
+    if beta is None:
+        return
+    v = NumClass(beta, 1)
+    if semistable_log(lattice, charge, v) != FreeHallElement.letter(v):
+        _fail("stable_single_letter", (lattice.generators, v))
 
 
-def prop_betti_shadow(rng: random.Random, scale: int) -> int:
-    cases = 20 * scale
+@register("counting", 20)
+def prop_betti_shadow(rng: random.Random) -> None:
     lattice = ClassLattice(1, [(1,)])
     charge = CentralCharge([Fraction(0)], [Fraction(1)])
-    gm = AbsMotive.multiplicative_group()
-    for _ in range(cases):
-        b2, b3 = rng.randint(0, 100), rng.randint(0, 100)
-        bettis = [1, 0, b2, b3, b2, 0, 1]
-        atom = over_point_from_betti(bettis)
-        v = NumClass((0,), 1)
-        model = EvalModel({v: quotient_by_special_group(atom, gm)})
-        value = counting_polynomial(lattice, charge, v, model)
-        expected = RationalFn.from_poly(LaurentPoly({(i, 0): b for i, b in enumerate(bettis) if b}))
-        if value != expected:
-            _fail("betti_shadow", (b2, b3))
-    return cases
+    b2, b3 = rng.randint(0, 100), rng.randint(0, 100)
+    bettis = [1, 0, b2, b3, b2, 0, 1]
+    atom = over_point_from_betti(bettis)
+    v = NumClass((0,), 1)
+    model = EvalModel({v: quotient_by_special_group(atom, AbsMotive.multiplicative_group())})
+    value = counting_polynomial(lattice, charge, v, model)
+    expected = RationalFn.from_poly(LaurentPoly({(i, 0): b for i, b in enumerate(bettis) if b}))
+    if value != expected:
+        _fail("betti_shadow", (b2, b3))
 
 
-def prop_multiset_log_oracle(rng: random.Random, scale: int) -> int:
+@register("counting", 20)
+def prop_multiset_log_oracle(rng: random.Random) -> None:
     """counting_polynomial, summed over multisets, equals (L-1) times the
     evaluated ordered-word log, on random rank-1 and rank-2 setups."""
-    cases = 20 * scale
-    gm = RationalFn.from_poly(AbsMotive.multiplicative_group().poly)
-    for _ in range(cases):
-        rank = rng.randint(1, 2)
-        lattice, charge = random_pointed_setup(rng, rank=rank)
-        if rng.random() < 0.25:
-            v = NumClass((0,) * rank, rng.randint(1, 5))
-        else:
-            beta = random_effective(rng, lattice, charge.omega, bound=6 - 2 * rank)
-            if beta is None:
-                continue
-            k = rng.randint(-2, 2)
-            if rng.random() < 0.5:
-                # k = B.beta makes Re Z vanish, so every piece's k = B.beta' is
-                # integral and the class splits in many ways
-                k = int(sum(b * c for b, c in zip(charge.b_field, beta)))
-            v = NumClass(beta, k)
-        words = same_phase_decompositions(lattice, charge, v)
-        pieces = sorted({piece for word in words for piece in word})
-        model = _random_model(rng, pieces)
-        oracle = gm * evaluate(semistable_log(lattice, charge, v), model)
-        for target in (v, -v):
-            if counting_polynomial(lattice, charge, target, model) != oracle:
-                _fail("multiset_log_oracle", (lattice.generators, charge, target))
-    return cases
+    rank = rng.randint(1, 2)
+    lattice, charge = random_pointed_setup(rng, rank=rank)
+    if rng.random() < 0.25:
+        v = NumClass((0,) * rank, rng.randint(1, 5))
+    else:
+        beta = random_effective(rng, lattice, charge.omega, bound=6 - 2 * rank)
+        if beta is None:
+            return
+        k = rng.randint(-2, 2)
+        if rng.random() < 0.5:
+            # k = B.beta makes Re Z vanish, so every piece's k = B.beta' is
+            # integral and the class splits in many ways
+            k = int(sum(b * c for b, c in zip(charge.b_field, beta)))
+        v = NumClass(beta, k)
+    words = same_phase_decompositions(lattice, charge, v)
+    pieces = sorted({piece for word in words for piece in word})
+    model = _random_model(rng, pieces)
+    oracle = RationalFn.from_poly(AbsMotive.multiplicative_group().poly) * evaluate(semistable_log(lattice, charge, v), model)
+    for target in (v, -v):
+        if counting_polynomial(lattice, charge, target, model) != oracle:
+            _fail("multiset_log_oracle", (lattice.generators, charge, target))
 
 
 # -- gw suite ------------------------------------------------------------------------
@@ -610,6 +587,7 @@ def _oracle_sin_power(g: int, k: int, order: int) -> dict[int, Fraction]:
     return {e - 2: c for e, c in inv.items() if c != 0}
 
 
+@register("gw")
 def prop_sin_scaling_oracle(rng: random.Random, scale: int) -> int:
     cases = 0
     for g in range(4):
@@ -624,6 +602,16 @@ def prop_sin_scaling_oracle(rng: random.Random, scale: int) -> int:
     return cases
 
 
+@register("gw")
+def prop_conifold_column(rng: random.Random, scale: int) -> int:
+    table = GVTable({(0, (1,)): 1}, 0, Fraction(10), (Fraction(1),))
+    series = gv_to_gw(table, lambda_max=0)
+    for d in range(1, 11):
+        if series.coefficient((d,), -2) != Fraction(1, d**3):
+            _fail("conifold_column", d)
+    return 10
+
+
 def random_gv_table(rng: random.Random, degree_max: int = 6, genus_max: int = 3) -> GVTable:
     omega = (Fraction(1),)
     entries = {}
@@ -636,15 +624,13 @@ def random_gv_table(rng: random.Random, degree_max: int = 6, genus_max: int = 3)
     return GVTable(entries, genus_max, Fraction(degree_max), omega)
 
 
-def prop_gw_roundtrip(rng: random.Random, scale: int) -> int:
-    cases = 200 * scale
-    for _ in range(cases):
-        table = random_gv_table(rng)
-        series = gv_to_gw(table, lambda_max=2 * table.genus_max - 2)
-        result = gw_to_gv(series)
-        if result.nonintegral or result.table != table:
-            _fail("gw_roundtrip", (table.entries, result.table.entries, result.nonintegral))
-    return cases
+@register("gw", 200)
+def prop_gw_roundtrip(rng: random.Random) -> None:
+    table = random_gv_table(rng)
+    series = gv_to_gw(table, lambda_max=2 * table.genus_max - 2)
+    result = gw_to_gv(series)
+    if result.nonintegral or result.table != table:
+        _fail("gw_roundtrip", (table.entries, result.table.entries, result.nonintegral))
 
 
 def random_gw_series(rng: random.Random) -> GWSeries:
@@ -661,106 +647,43 @@ def random_gw_series(rng: random.Random) -> GWSeries:
     return GWSeries(coeffs, degree_max, lambda_max, omega)
 
 
-def prop_inverse_is_solution(rng: random.Random, scale: int) -> int:
+@register("gw", 100)
+def prop_inverse_is_solution(rng: random.Random) -> None:
     """The solved values, scaled by the lcm D of their denominators, map forward to D times the series."""
-    cases = 100 * scale
-    for _ in range(cases):
-        series = random_gw_series(rng)
-        genus_max = rng.randint(0, (series.lambda_max + 2) // 2)
-        degree_max = series.degree_max - rng.choice([0, 0, 1, 2])
-        result = gw_to_gv(series, genus_max=genus_max, degree_max=degree_max)
-        solved = {**result.table.entries, **result.nonintegral}
-        d = lcm(*(value.denominator for value in solved.values()))
-        table = GVTable({key: int(d * value) for key, value in solved.items()}, genus_max, degree_max, series.omega)
-        expected = {
-            (beta, lam): d * c
-            for (beta, lam), c in series.coeffs.items()
-            if lam <= 2 * genus_max - 2 and linalg.dot(series.omega, beta) <= degree_max
-        }
-        if gv_to_gw(table, lambda_max=2 * genus_max - 2).coeffs != expected:
-            _fail("inverse_is_solution", (series.coeffs, series.omega, genus_max, degree_max))
-    return cases
+    series = random_gw_series(rng)
+    genus_max = rng.randint(0, (series.lambda_max + 2) // 2)
+    degree_max = series.degree_max - rng.choice([0, 0, 1, 2])
+    result = gw_to_gv(series, genus_max=genus_max, degree_max=degree_max)
+    solved = {**result.table.entries, **result.nonintegral}
+    d = lcm(*(value.denominator for value in solved.values()))
+    table = GVTable({key: int(d * value) for key, value in solved.items()}, genus_max, degree_max, series.omega)
+    expected = {
+        (beta, lam): d * c
+        for (beta, lam), c in series.coeffs.items()
+        if lam <= 2 * genus_max - 2 and linalg.dot(series.omega, beta) <= degree_max
+    }
+    if gv_to_gw(table, lambda_max=2 * genus_max - 2).coeffs != expected:
+        _fail("inverse_is_solution", (series.coeffs, series.omega, genus_max, degree_max))
 
 
-def prop_conifold_column(rng: random.Random, scale: int) -> int:
-    omega = (Fraction(1),)
-    table = GVTable({(0, (1,)): 1}, 0, Fraction(10), omega)
-    series = gv_to_gw(table, lambda_max=0)
-    for d in range(1, 11):
-        if series.coefficient((d,), -2) != Fraction(1, d**3):
-            _fail("conifold_column", d)
-    return 10
+@register("gw", 50)
+def prop_gv_linearity(rng: random.Random) -> None:
+    t1 = random_gv_table(rng)
+    t2 = random_gv_table(rng)
+    merged = dict(t1.entries)
+    for key, n in t2.entries.items():
+        merged[key] = merged.get(key, 0) + n
+    total = GVTable(merged, 3, Fraction(6), t1.omega)
+    s_total = gv_to_gw(total, lambda_max=4)
+    s1 = gv_to_gw(t1, lambda_max=4)
+    s2 = gv_to_gw(t2, lambda_max=4)
+    summed = dict(s1.coeffs)
+    for key, c in s2.coeffs.items():
+        summed[key] = summed.get(key, Fraction(0)) + c
+    summed = {k: c for k, c in summed.items() if c}
+    if summed != s_total.coeffs:
+        _fail("gv_linearity", (t1.entries, t2.entries))
 
-
-def prop_gv_linearity(rng: random.Random, scale: int) -> int:
-    cases = 50 * scale
-    for _ in range(cases):
-        t1 = random_gv_table(rng)
-        t2 = random_gv_table(rng)
-        merged = dict(t1.entries)
-        for key, n in t2.entries.items():
-            merged[key] = merged.get(key, 0) + n
-        total = GVTable(merged, 3, Fraction(6), t1.omega)
-        s_total = gv_to_gw(total, lambda_max=4)
-        s1 = gv_to_gw(t1, lambda_max=4)
-        s2 = gv_to_gw(t2, lambda_max=4)
-        summed = dict(s1.coeffs)
-        for key, c in s2.coeffs.items():
-            summed[key] = summed.get(key, Fraction(0)) + c
-        summed = {k: c for k, c in summed.items() if c}
-        if summed != s_total.coeffs:
-            _fail("gv_linearity", (t1.entries, t2.entries))
-    return cases
-
-
-# -- registry ------------------------------------------------------------------------
-
-Property = Callable[[random.Random, int], int]
-
-SUITES: dict[str, list[tuple[str, Property]]] = {
-    "sl2": [
-        ("spin_roundtrip", prop_spin_roundtrip),
-        ("tensor_dimension", prop_tensor_dimension),
-        ("tensor_weight_oracle", prop_tensor_weight_oracle),
-        ("genus_reconstruction", prop_genus_reconstruction),
-        ("hst_equals_census", prop_hst_equals_census),
-        ("ample_independence", prop_ample_independence),
-    ],
-    "census": [
-        ("census_dimension", prop_census_dimension),
-        ("census_conjugation", prop_census_conjugation),
-        ("census_realize", prop_census_realize),
-        ("census_ground_truth", prop_census_ground_truth),
-        ("census_size_oracle", prop_census_size_oracle),
-    ],
-    "motive": [
-        ("blowup_identity", prop_blowup_identity),
-        ("degree_equals_twice_dim", prop_degree_equals_twice_dim),
-        ("finite_push_transparent", prop_finite_push_transparent),
-        ("abs_product_bilinear", prop_abs_product_bilinear),
-        ("point_base_specialization", prop_point_base_specialization),
-    ],
-    "stack": [
-        ("gm_cancellation", prop_gm_cancellation),
-        ("stack_linearity", prop_stack_linearity),
-        ("stack_scale", prop_stack_scale),
-    ],
-    "counting": [
-        ("log_exp_roundtrip", prop_log_exp_roundtrip),
-        ("commutator_vanishing", prop_commutator_vanishing),
-        ("asymmetric_rejected", prop_asymmetric_rejected),
-        ("stable_single_letter", prop_stable_single_letter),
-        ("betti_shadow", prop_betti_shadow),
-        ("multiset_log_oracle", prop_multiset_log_oracle),
-    ],
-    "gw": [
-        ("sin_scaling_oracle", prop_sin_scaling_oracle),
-        ("conifold_column", prop_conifold_column),
-        ("gw_roundtrip", prop_gw_roundtrip),
-        ("inverse_is_solution", prop_inverse_is_solution),
-        ("gv_linearity", prop_gv_linearity),
-    ],
-}
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 

@@ -922,6 +922,27 @@ class TestErrorMapping:
         assert (code, out) == (EXIT_SCHEMA, "")
         assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("command, kind", [("upsilon", "motive"), ("stack", "stack_class"), ("gv", "count_model")])
+    def test_general_linear_below_one_exit_two_with_one_line(self, capsys, tmp_path, command, kind, n):
+        # an abs_product factor and a fibration fiber both read {"group": "gl", "n": n}
+        point = {"kind": "betti_over_point", "bettis": [1]}
+        fibration = {"kind": "fibration", "expr": point, "fiber": {"group": "gl", "n": n}}
+        argv = []
+        if kind == "motive":
+            doc = {"v": 1, "kind": kind, "expr": {"kind": "abs_product", "abs": {"group": "gl", "n": n}, "expr": point}}
+            field = "expr.abs.n"
+        elif kind == "stack_class":
+            doc = {"v": 1, "kind": kind, "parts": [{"coeff": {"num": [[0, 0, "1"]], "den": [[0, 0, "1"]]}, "expr": fibration}]}
+            field = "parts[0].expr.fiber.n"
+        else:
+            doc = json.loads(Path(f"{SAMPLES}/conifold.count_model.json").read_text())
+            doc["atoms"]["1,1"][0]["expr"] = fibration
+            field, argv = "count_model.atoms[1,1][0].expr.fiber.n", ["--target", "1,1"]
+        code, out, err = run(capsys, command, "--input", write_doc(tmp_path, "gl.json", doc), *argv, "--json")
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err == json.dumps({"error": {"message": f"{field}: general linear group needs n >= 1", "type": "SchemaError"}}) + "\n"
+
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run(capsys, "hst", "--input", "no/such/file.json")
         assert code == EXIT_SCHEMA

@@ -33,10 +33,33 @@ from gvmot.errors import (
     ResourceLimitError,
 )
 from gvmot.laurent import LaurentPoly, RationalFn
+from gvmot.lefschetz import GradedNilpotent, JordanCensus
 from gvmot.linalg import dot
 from gvmot.motives import AbsMotive, over_point_from_betti, point_atom, smooth_from_betti, upsilon_rel
 from gvmot.stacks import StackClass, quotient_by_special_group, upsilon_stack
 from gvmot.verify import random_atom_class, random_betti, random_effective, random_pointed_setup
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        (LaurentPoly.one(), "_terms"),
+        (RationalFn.one(), "num"),
+        (ClassLattice(1, [(1,)]), "rank"),
+        (FreeHallElement.letter(NumClass((1,), 0)), "words"),
+        (EvalModel({}), "atoms"),
+        (GradedNilpotent({0: 1}), "dims"),
+        (StackClass.zero(), "parts"),
+        (JordanCensus({(0, 1): 1}), "_mult"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else type(x).__name__,
+)
+def test_values_reject_setting_and_deleting_attributes(value, name):
+    before = repr(value)
+    for change in (lambda: setattr(value, name, None), lambda: delattr(value, name), lambda: setattr(value, "extra", 1)):
+        with pytest.raises(AttributeError, match="is immutable"):
+            change()
+    assert repr(value) == before
 
 
 def rank1() -> tuple[ClassLattice, CentralCharge]:

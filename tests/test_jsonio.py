@@ -438,7 +438,7 @@ class TestDumpJson:
                 yield json.loads(value)
 
         paths = sorted((Path(__file__).resolve().parent / "data").glob("*_golden.json"))
-        assert len(paths) == 5
+        assert len(paths) == 6
         for path in paths:
             golden = json.loads(path.read_text())
             assert dump_json(golden) == _oracle(golden)

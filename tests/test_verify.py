@@ -1,15 +1,22 @@
 """The randomized suites behind `gvmot verify` all pass with a fixed seed."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from gvmot.cli import main
 from gvmot.verify import SUITES, suite_results
 
+GOLDEN_VERIFY = Path(__file__).resolve().parent / "data" / "verify_golden.json"
+
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_suite_passes(suite):
+    # each entry, case count included, is pinned in the golden
     results = suite_results(suite, seed=42)
     assert all(entry["ok"] for entry in results), [entry for entry in results if not entry["ok"]]
+    assert results == json.loads(GOLDEN_VERIFY.read_text())["suite_results seed 42"][suite]
 
 
 def test_reports_are_deterministic(capsys):
