@@ -14,7 +14,7 @@ while the work runs, and main lifts it only to render and print the result.
 Exit codes: 0 ok, 1 property failure, 2 schema, usage or resource-cap error,
 3 internal cross-check disagreement, 4 missing model data, 5 non-polynomial
 count, 6 internal error (an exception that is not a domain error).  Each run
-of gv, gw or hst spends one Ledger, whose cap bounds all of its work.
+of gv, gw, hst or a bispin census spends one Ledger, capping all its work.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ def cmd_hst(args, kind, content) -> Result:
 
 
 def cmd_census(args, kind, payload) -> Result:
+    if kind == "bispin":  # the cells hst charges for the same content
+        Ledger().spend("census", sum(jl + 1 for (jl, _) in payload.mult), "census terms")
     census = jordan_census(payload) if kind == "graded_nilpotent" else census_from_bispin(payload)
     return (
         EXIT_OK,

@@ -132,8 +132,8 @@ class ClassLattice(Frozen):
             return sum(w * c for w, c in zip(scaled, b))
 
         steps = [(g, degree(g)) for g in self.generators]
-        sign_floor = [min(g[i] for g in self.generators) for i in range(self.rank)]
-        sign_ceil = [max(g[i] for g in self.generators) for i in range(self.rank)]
+        sign_floor = [min((g[i] for g in self.generators), default=0) for i in range(self.rank)]
+        sign_ceil = [max((g[i] for g in self.generators), default=0) for i in range(self.rank)]
         degrees: dict[tuple[int, ...], int] = {}  # expanded class -> scaled degree
 
         def children(b: tuple[int, ...], deg: int):

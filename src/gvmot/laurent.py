@@ -588,10 +588,8 @@ def _normalize_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly
     elif num.is_s_only() and den.is_s_only():
         shared_var = "s"
     if shared_var is not None:
+        # primitive, positive lead, nonzero constant: the quotients stay normalised
         g_poly = _uni_gcd(num, den, shared_var)
         if g_poly != LaurentPoly.one():
-            num2 = exact_div(num, g_poly)
-            den2 = exact_div(den, g_poly)
-            if num2 is not None and den2 is not None:
-                return _normalize_fraction(num2, den2)
+            return exact_div(num, g_poly), exact_div(den, g_poly)
     return num, den

@@ -289,21 +289,20 @@ def genus_count(v: BispinContent, g: int) -> int:
 
 
 def jordan_census(x: GradedNilpotent) -> JordanCensus:
-    """Census of Jordan strings by minimal degree and size, from exact ranks.
+    """Census of Jordan strings by minimal degree and size, read off the
+    pivots of one elimination per stored map.
 
-    With r(a, k) the rank of the k-fold composite out of degree a, the number
-    of strings of length >= l starting at a is r(a, l-1) - r(a-2, l), and the
-    census is the difference of consecutive tail counts.
-
-    Every rank comes from one elimination per stored map, in a basis adapted
-    to the flag of images F_k = M^k V_(a-2k) in degree a.  The flag columns
-    carry tags that do not increase along the list, and those tagged >= k
-    span F_k.  Standard vectors e_i complete them to a basis of V_a, for
-    every i that is not a pivot row of the elimination that made the flag.
-    Eliminating M_a applied to that basis, the pivots among the columns
-    tagged >= k number r(a-2k, k+1), for every k at once.  The pivot
-    columns, tags raised by one, are the flag of degree a+2; each is a
-    column of a composite, so entries grow no larger than the composites'.
+    The elimination of M_a works in a basis adapted to the flag of images
+    F_k = M^k V_(a-2k) in degree a.  The flag columns carry tags that do not
+    increase along the list, and those tagged >= k span F_k.  Standard
+    vectors e_i complete them to a basis of V_a, for every i that is not a
+    pivot row of the elimination that made the flag.  The pivots tagged >= k
+    number the rank of M^(k+1) out of degree a-2k, so one tagged k closes a
+    string that starts at a-2k and has length at least k+2; the strings
+    starting at a number dim V_a less the pivots of M_(a-2).  Each cell is a
+    difference of consecutive tail counts.  The pivot columns, tags raised
+    by one, are the flag of degree a+2; each is a column of a composite, so
+    entries grow no larger than the composites'.
     The census asks of the pivot rows only that their minor be nonsingular,
     so the elimination may take, of the rows that could serve, the one whose
     entries are bounded smallest: every later entry of the elimination is a
@@ -321,17 +320,15 @@ def jordan_census(x: GradedNilpotent) -> JordanCensus:
     the elimination starts from that bound.  The pivot columns' slots of
     the product are the next flag.
     """
-    if not x.dims:
-        return JordanCensus()
-
-    ranks: dict[tuple[int, int], int] = {}
+    # (start, length) -> the strings that start there with at least that length
+    tails: dict[tuple[int, int], int] = {}
     # degree -> the packed product that made its flag (slots of width bits,
     # every entry at most bound), the flag's columns of it, their tags, and
     # the pivot rows of its elimination
     flags: dict[int, tuple[list[int], int, int, list[int], list[int], list[int]]] = {}
     for alpha, dim_alpha in x.dims.items():
-        ranks[(alpha, 0)] = dim_alpha
         product, width, bound, cols, tags, taken = flags.pop(alpha, ([], 8, 1, [], [], []))
+        tails[(alpha, 1)] = dim_alpha - len(cols)
         step = x.maps.get(alpha)
         if step is None:  # a missing map is zero, and so is every composite through it
             continue
@@ -350,27 +347,10 @@ def jordan_census(x: GradedNilpotent) -> JordanCensus:
         tags = tags + [0] * len(free)
         cols, pivot_rows = linalg._eliminate(rows, width, dim_alpha, bound)
         picked = [tags[j] for j in cols]
-        for k in range(picked[0] + 1 if picked else 0):
-            ranks[(alpha - 2 * k, k + 1)] = sum(t >= k for t in picked)
+        for k in picked:
+            tails[(alpha - 2 * k, k + 2)] = tails.get((alpha - 2 * k, k + 2), 0) + 1
         flags[alpha + 2] = (rows, width, bound, cols, [t + 1 for t in picked], pivot_rows)
-
-    def r(alpha: int, k: int) -> int:
-        return ranks.get((alpha, k), 0)
-
-    # r(alpha, k) is 0 beyond the longest composite out of alpha that was
-    # ranked, and r(alpha - 2, k + 1) is ranked only where r(alpha, k) is
-    longest: dict[int, int] = {}
-    for alpha, k in ranks:
-        longest[alpha] = max(longest.get(alpha, 0), k)
-    cells: dict[tuple[int, int], int] = {}
-    for alpha in x.dims:
-        for l in range(1, longest[alpha] + 2):
-            tail_l = r(alpha, l - 1) - r(alpha - 2, l)
-            tail_next = r(alpha, l) - r(alpha - 2, l + 1)
-            n = tail_l - tail_next
-            if n:
-                cells[(alpha, l)] = n
-    return JordanCensus(cells)
+    return JordanCensus({(b, l): n - tails.get((b, l + 1), 0) for (b, l), n in tails.items()})
 
 
 def census_from_bispin(v: BispinContent) -> JordanCensus:

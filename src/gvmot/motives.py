@@ -279,9 +279,7 @@ def point_atom() -> Atom:
 
 def projective_bundle_value(base: MotiveExpr, r: int) -> LaurentPoly:
     """Value of the projective bundle with fiber of projective dimension r - 1."""
-    if r < 1:
-        raise DimMismatchError("fiber rank must be at least 1")
-    return upsilon_rel(base) * _bundle_factor(r)
+    return upsilon_rel(ProjBundle(base, r))
 
 
 def blowup_relation_check(ambient: MotiveExpr, center: MotiveExpr, r: int) -> bool:
@@ -290,9 +288,6 @@ def blowup_relation_check(ambient: MotiveExpr, center: MotiveExpr, r: int) -> bo
     The exceptional divisor is the projective bundle of rank r over the center;
     the identity holds for every well-formed input pair.
     """
-    da, dc = dim(ambient), dim(center)
-    if da is not None and dc is not None and da != dc + r:
-        raise DimMismatchError(f"ambient dim {da} != center dim {dc} + codim {r}")
     blown = upsilon_rel(BlowUpRel(ambient=ambient, center=center, codim=r))
     exceptional = projective_bundle_value(center, r)
     return blown - exceptional == upsilon_rel(ambient) - upsilon_rel(center)

@@ -68,8 +68,12 @@ class PropertyFailure(AssertionError):
     """A randomized property found a counterexample."""
 
 
-def _fail(name: str, case: object) -> None:
-    raise PropertyFailure(f"{name}: counterexample {case!r}")
+class _Counterexample(Exception):
+    """A check's case, and the label of the sub-check it broke if not the property's name."""
+
+
+def _fail(case: object, label: str = "") -> None:
+    raise _Counterexample(case, label)
 
 
 Property = Callable[[random.Random, int], int]
@@ -81,20 +85,26 @@ def register(suite: str, per_scale: int | None = None) -> Callable[[Callable], P
     """File the decorated prop_* in SUITES[suite], named without its prefix.
 
     With per_scale the definition checks one case drawn from rng and the
-    property runs it per_scale * scale times; without, the definition is the
-    property and counts its own cases.
+    property runs it per_scale * scale times; without, it counts its own
+    cases.  A _fail is reported under the property's name or its own label.
     """
 
     def add(check: Callable) -> Property:
-        prop = check
-        if per_scale is not None:
-            @wraps(check)
-            def prop(rng: random.Random, scale: int) -> int:
-                cases = per_scale * scale
-                for _ in range(cases):
+        name = check.__name__.removeprefix("prop_")
+
+        @wraps(check)
+        def prop(rng: random.Random, scale: int) -> int:
+            try:
+                if per_scale is None:
+                    return check(rng, scale)
+                for _ in range(per_scale * scale):
                     check(rng)
-                return cases
-        SUITES.setdefault(suite, []).append((check.__name__.removeprefix("prop_"), prop))
+                return per_scale * scale
+            except _Counterexample as exc:
+                case, label = exc.args
+                raise PropertyFailure(f"{label or name}: counterexample {case!r}") from None
+
+        SUITES.setdefault(suite, []).append((name, prop))
         return prop
 
     return add
@@ -184,14 +194,14 @@ def random_atom_class(rng: random.Random) -> StackClass:
 def prop_spin_roundtrip(rng: random.Random) -> None:
     x = random_spins(rng)
     if spin_decompose(x.weight_dims()) != x:
-        _fail("spin_roundtrip", x)
+        _fail(x)
 
 
 @register("sl2", 500)
 def prop_tensor_dimension(rng: random.Random) -> None:
     x, y = random_spins(rng, 4, 3), random_spins(rng, 4, 3)
     if tensor(x, y).dimension() != x.dimension() * y.dimension():
-        _fail("tensor_dimension", (x, y))
+        _fail((x, y))
 
 
 @register("sl2", 150)
@@ -205,7 +215,7 @@ def prop_tensor_weight_oracle(rng: random.Random) -> None:
         for w, dw in wy.items():
             conv[u + w] = conv.get(u + w, 0) + du * dw
     if spin_decompose(conv) != tensor(x, y):
-        _fail("tensor_weight_oracle", (x, y))
+        _fail((x, y))
 
 
 @register("sl2", 150)
@@ -219,7 +229,7 @@ def prop_genus_reconstruction(rng: random.Random) -> None:
                 key = (two_jl, two_jr)
                 rebuilt[key] = rebuilt.get(key, 0) + ml * mr
     if BispinContent(rebuilt) != v:
-        _fail("genus_reconstruction", v)
+        _fail(v)
 
 
 @register("sl2", 1000)
@@ -228,7 +238,7 @@ def prop_hst_equals_census(rng: random.Random) -> None:
     lhs = [genus_count(v, g) for g in range(6)]
     rhs = census_count(census_from_bispin(v), 5)
     if lhs != rhs:
-        _fail("hst_equals_census", (v, lhs, rhs))
+        _fail((v, lhs, rhs))
 
 
 @register("sl2", 50)
@@ -237,7 +247,7 @@ def prop_ample_independence(rng: random.Random) -> None:
     base = realize_bispin(v)
     basis = {d: linalg.random_invertible(rng, n) for d, n in base.dims.items()}
     if jordan_census(base) != jordan_census(base.conjugate(basis)):
-        _fail("ample_independence", v)
+        _fail(v)
 
 
 # -- census suite -----------------------------------------------------------------
@@ -247,7 +257,7 @@ def prop_ample_independence(rng: random.Random) -> None:
 def prop_census_dimension(rng: random.Random) -> None:
     op = random_graded_nilpotent(rng)
     if jordan_census(op).total_dimension() != op.dimension():
-        _fail("census_dimension", op.dims)
+        _fail(op.dims)
 
 
 @register("census", 100)
@@ -255,14 +265,14 @@ def prop_census_conjugation(rng: random.Random) -> None:
     op = random_graded_nilpotent(rng, max_dim=8)
     basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
     if jordan_census(op) != jordan_census(op.conjugate(basis)):
-        _fail("census_conjugation", op.dims)
+        _fail(op.dims)
 
 
 @register("census", 200)
 def prop_census_realize(rng: random.Random) -> None:
     v = random_bispin(rng, 5, 3)
     if jordan_census(realize_bispin(v)) != census_from_bispin(v):
-        _fail("census_realize", v)
+        _fail(v)
 
 
 @register("census", 60)
@@ -274,7 +284,7 @@ def prop_census_ground_truth(rng: random.Random) -> None:
     op = strings_operator(JordanCensus(cells))
     basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
     if jordan_census(op.conjugate(basis)) != JordanCensus(cells):
-        _fail("census_ground_truth", cells)
+        _fail(cells)
 
 
 @register("census", 60)
@@ -286,7 +296,7 @@ def prop_census_size_oracle(rng: random.Random) -> None:
         sizes[l] = sizes.get(l, 0) + n
     oracle = _dense_size_distribution(op)
     if sizes != oracle:
-        _fail("census_size_oracle", (op.dims, sizes, oracle))
+        _fail((op.dims, sizes, oracle))
 
 
 def _dense_size_distribution(op: GradedNilpotent) -> dict[int, int]:
@@ -359,7 +369,7 @@ def prop_blowup_identity(rng: random.Random) -> None:
     center = smooth_from_betti(random_betti(rng, dc), dc)
     ambient = smooth_from_betti(random_betti(rng, dc + r), dc + r)
     if not blowup_relation_check(ambient, center, r):
-        _fail("blowup_identity", (ambient.name, center.name, r))
+        _fail((ambient.name, center.name, r))
 
 
 @register("motive", 100)
@@ -371,14 +381,14 @@ def prop_degree_equals_twice_dim(rng: random.Random) -> None:
         return
     m = weighted_degree(value)
     if m % 2 != 0 or m != 2 * d:
-        _fail("degree_equals_twice_dim", (expr, m, d))
+        _fail((expr, m, d))
 
 
 @register("motive", 50)
 def prop_finite_push_transparent(rng: random.Random) -> None:
     expr = _random_geometric_expr(rng)
     if upsilon_rel(FinitePush(expr)) != upsilon_rel(expr):
-        _fail("finite_push_transparent", expr)
+        _fail(expr)
 
 
 @register("motive", 100)
@@ -389,11 +399,11 @@ def prop_abs_product_bilinear(rng: random.Random) -> None:
     lhs = upsilon_rel(AbsProduct(t, Sum((e1, e2))))
     rhs = upsilon_rel(AbsProduct(t, e1)) + upsilon_rel(AbsProduct(t, e2))
     if lhs != rhs:
-        _fail("abs_product_bilinear", (e1, e2))
+        _fail((e1, e2))
     lhs = upsilon_rel(AbsProduct(t, Diff(e1, e2)))
     rhs = upsilon_rel(AbsProduct(t, e1)) - upsilon_rel(AbsProduct(t, e2))
     if lhs != rhs:
-        _fail("abs_product_bilinear_diff", (e1, e2))
+        _fail((e1, e2), "abs_product_bilinear_diff")
 
 
 @register("motive", 50)
@@ -403,7 +413,7 @@ def prop_point_base_specialization(rng: random.Random) -> None:
     value = upsilon_rel(over_point_from_betti(bettis))
     expected = LaurentPoly({(i, 0): b for i, b in enumerate(bettis) if b})
     if value != expected or not value.is_t_only():
-        _fail("point_base_specialization", bettis)
+        _fail(bettis)
 
 
 # -- stack suite ---------------------------------------------------------------------
@@ -415,7 +425,7 @@ def prop_gm_cancellation(rng: random.Random) -> None:
     gm = AbsMotive.multiplicative_group()
     value = RationalFn.from_poly(gm.poly) * upsilon_stack(quotient_by_special_group(expr, gm))
     if value != RationalFn.from_poly(upsilon_rel(expr)):
-        _fail("gm_cancellation", expr)
+        _fail(expr)
 
 
 @register("stack", 100)
@@ -423,7 +433,7 @@ def prop_stack_linearity(rng: random.Random) -> None:
     c1 = random_atom_class(rng)
     c2 = random_atom_class(rng)
     if upsilon_stack(c1 + c2) != upsilon_stack(c1) + upsilon_stack(c2):
-        _fail("stack_linearity", (c1, c2))
+        _fail((c1, c2))
 
 
 @register("stack", 100)
@@ -433,7 +443,7 @@ def prop_stack_scale(rng: random.Random) -> None:
     lhs = upsilon_stack(scale_by_variety(t, c))
     rhs = RationalFn.from_poly(t.poly) * upsilon_stack(c)
     if lhs != rhs:
-        _fail("stack_scale", (c, t.name))
+        _fail((c, t.name))
 
 
 # -- counting suite ---------------------------------------------------------------------
@@ -447,7 +457,7 @@ def prop_log_exp_roundtrip(rng: random.Random) -> None:
         return
     v = NumClass(beta, rng.randint(-2, 2))
     if semistable_exp(lattice, charge, v) != FreeHallElement.letter(v):
-        _fail("log_exp_roundtrip", (lattice.generators, charge, v))
+        _fail((lattice.generators, charge, v))
 
 
 def _random_model(rng: random.Random, classes: list[NumClass]) -> EvalModel:
@@ -468,14 +478,14 @@ def prop_commutator_vanishing(rng: random.Random) -> None:
     f1 = FreeHallElement.letter(classes[0])
     f2 = FreeHallElement.letter(classes[1])
     if evaluate(f1.commutator(f2), model) != RationalFn.zero():
-        _fail("commutator_vanishing", classes)
+        _fail(classes)
     word = [rng.choice(classes) for _ in range(rng.randint(2, 4))]
     shuffled = word[:]
     rng.shuffle(shuffled)
     lhs = evaluate(FreeHallElement({tuple(word): 1}), model)
     rhs = evaluate(FreeHallElement({tuple(shuffled): 1}), model)
     if lhs != rhs:
-        _fail("word_permutation_invariance", (word, shuffled))
+        _fail((word, shuffled), "word_permutation_invariance")
 
 
 @register("counting", 20)
@@ -487,7 +497,7 @@ def prop_asymmetric_rejected(rng: random.Random) -> None:
         EvalModel({}, [(v1, v2, e), (v2, v1, e + rng.randint(1, 2))])
     except AsymmetricDefectError:
         return
-    _fail("asymmetric_rejected", (v1, v2))
+    _fail((v1, v2))
 
 
 @register("counting", 40)
@@ -499,7 +509,7 @@ def prop_stable_single_letter(rng: random.Random) -> None:
         return
     v = NumClass(beta, 1)
     if semistable_log(lattice, charge, v) != FreeHallElement.letter(v):
-        _fail("stable_single_letter", (lattice.generators, v))
+        _fail((lattice.generators, v))
 
 
 @register("counting", 20)
@@ -514,7 +524,7 @@ def prop_betti_shadow(rng: random.Random) -> None:
     value = counting_polynomial(lattice, charge, v, model)
     expected = RationalFn.from_poly(LaurentPoly({(i, 0): b for i, b in enumerate(bettis) if b}))
     if value != expected:
-        _fail("betti_shadow", (b2, b3))
+        _fail((b2, b3))
 
 
 @register("counting", 20)
@@ -541,7 +551,7 @@ def prop_multiset_log_oracle(rng: random.Random) -> None:
     oracle = RationalFn.from_poly(AbsMotive.multiplicative_group().poly) * evaluate(semistable_log(lattice, charge, v), model)
     for target in (v, -v):
         if counting_polynomial(lattice, charge, target, model) != oracle:
-            _fail("multiset_log_oracle", (lattice.generators, charge, target))
+            _fail((lattice.generators, charge, target))
 
 
 # -- gw suite ------------------------------------------------------------------------
@@ -597,7 +607,7 @@ def prop_sin_scaling_oracle(rng: random.Random, scale: int) -> int:
                 exponent = 2 * g - 2 + 2 * j
                 expected = sin_power_coefficient(g, j) * Fraction(k) ** exponent
                 if oracle.get(exponent, Fraction(0)) != expected:
-                    _fail("sin_scaling_oracle", (g, k, j))
+                    _fail((g, k, j))
                 cases += 1
     return cases
 
@@ -608,7 +618,7 @@ def prop_conifold_column(rng: random.Random, scale: int) -> int:
     series = gv_to_gw(table, lambda_max=0)
     for d in range(1, 11):
         if series.coefficient((d,), -2) != Fraction(1, d**3):
-            _fail("conifold_column", d)
+            _fail(d)
     return 10
 
 
@@ -630,7 +640,7 @@ def prop_gw_roundtrip(rng: random.Random) -> None:
     series = gv_to_gw(table, lambda_max=2 * table.genus_max - 2)
     result = gw_to_gv(series)
     if result.nonintegral or result.table != table:
-        _fail("gw_roundtrip", (table.entries, result.table.entries, result.nonintegral))
+        _fail((table.entries, result.table.entries, result.nonintegral))
 
 
 def random_gw_series(rng: random.Random) -> GWSeries:
@@ -663,7 +673,7 @@ def prop_inverse_is_solution(rng: random.Random) -> None:
         if lam <= 2 * genus_max - 2 and linalg.dot(series.omega, beta) <= degree_max
     }
     if gv_to_gw(table, lambda_max=2 * genus_max - 2).coeffs != expected:
-        _fail("inverse_is_solution", (series.coeffs, series.omega, genus_max, degree_max))
+        _fail((series.coeffs, series.omega, genus_max, degree_max))
 
 
 @register("gw", 50)
@@ -682,7 +692,7 @@ def prop_gv_linearity(rng: random.Random) -> None:
         summed[key] = summed.get(key, Fraction(0)) + c
     summed = {k: c for k, c in summed.items() if c}
     if summed != s_total.coeffs:
-        _fail("gv_linearity", (t1.entries, t2.entries))
+        _fail((t1.entries, t2.entries))
 
 
 SUITE_NAMES = tuple(SUITES) + ("all",)

@@ -409,6 +409,19 @@ class TestGv:
         assert code == EXIT_MISSING_ATOM
         assert json.loads(err)["error"]["type"] == "MissingAtomError"
 
+    def test_no_generators_counts_zero(self, capsys, tmp_path):
+        # every nonzero class is a dead end of the empty cone; a degree-zero
+        # class still asks the model for its atom
+        doc = json.loads(Path(f"{SAMPLES}/conifold.count_model.json").read_text())
+        doc["lattice"]["generators"] = []
+        path = write_doc(tmp_path, "no_generators.json", doc)
+        code, out, _ = run(capsys, "gv", "--input", path, "--target", "1,1", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["counts"] == [[0, 0], [1, 0], [2, 0], [3, 0]]
+        code, _, err = run(capsys, "gv", "--input", path, "--target", "0,1", "--json")
+        assert code == EXIT_MISSING_ATOM
+        assert json.loads(err)["error"]["type"] == "MissingAtomError"
+
     def test_composition_cap_exit_two(self, capsys):
         code, _, err = run(
             capsys,
@@ -831,6 +844,7 @@ CAP_DOCS = {
     },
     "deep": {**SERIES, "cuts": {**SERIES["cuts"], "degree": "100000000"}},
     "spin1500": {"v": 1, "kind": "bispin", "content": [[1500, 0, 1]]},
+    "spin1000000": {"v": 1, "kind": "bispin", "content": [[1000000, 0, 1]]},
     "empty": {"v": 1, "kind": "bispin", "content": []},
 }
 
@@ -846,8 +860,9 @@ CAP_DOCS = {
         (["gw", "conifold.gv_table.json", "--degree-max", "1", "--lambda-order", "1000000"], "sin table", "products", 10**6),
         (["hst", "spin1500"], "hst", "census terms", 10**6),
         (["hst", "empty", "--genus-max", "100000000"], "hst", "census terms", 10**6),
+        (["census", "spin1000000"], "census", "census terms", 10**6),
     ],
-    ids=["walk", "pieces", "readout", "gw-forward", "gw-inverse", "sin-table", "hst-terms", "hst-empty"],
+    ids=["walk", "pieces", "readout", "gw-forward", "gw-inverse", "sin-table", "hst-terms", "hst-empty", "census-bispin"],
 )
 def test_cap_error_is_one_structured_json_line(capsys, tmp_path, argv, stage, what, cap):
     command, name, *flags = argv

@@ -305,6 +305,24 @@ class TestRationalFn:
             if not r.num.is_zero():
                 assert gcd(int(r.num.content()), int(r.den.content())) == 1
 
+    @pytest.mark.parametrize("kind", ["t", "s", "mixed"])
+    def test_normalized_parts_are_a_fixed_point(self, kind):
+        # a normalised pair normalises to itself, so no second pass after the
+        # univariate gcd could change it; half the pairs share a planted factor
+        rng = random.Random(f"fixed point {kind}")
+        ranges = {"t": ((-3, 4), (0, 0)), "s": ((0, 0), (0, 3)), "mixed": ((-3, 4), (0, 3))}[kind]
+        checked = 0
+        while checked < 300:
+            num, den, factor = (random_poly(rng, 4, *ranges) for _ in range(3))
+            if den.is_zero() or factor.is_zero():
+                continue
+            if checked % 2:
+                num, den = num * factor, den * factor
+            r = RationalFn(num, den)
+            again = RationalFn(r.num, r.den)
+            assert (again.num, again.den) == (r.num, r.den)
+            checked += 1
+
     def test_one_term_numerator_is_already_reduced(self):
         # normalisation stops after the content for a one-term numerator:
         # exact division and the univariate gcd would leave it as it is
