@@ -3,9 +3,11 @@
 Expressions form a free algebra over atoms that carry Jordan census data;
 evaluation sends an atom of dimension d with census nu to
 t^d * sum nu_l^alpha t^alpha s^{l-1} and follows the structural rules for
-sums, products with absolute classes, projective bundles, blow-ups, locally
-trivial fibrations, and pushforwards along finite maps.  Equality of
-expressions is not decided, only equality of evaluated values.
+sums, products with absolute classes, and blow-ups.  A projective bundle of
+rank r and a Zariski locally trivial fibration with fiber F are built as
+products with the absolute classes [P^(r-1)] and [F]; a pushforward along a
+finite map is value-transparent, so it builds its argument unchanged.
+Equality of expressions is not decided, only equality of evaluated values.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ class AbsMotive:
         for k in range(n):
             value = value * (LaurentPoly.t(2 * n) - LaurentPoly.t(2 * k))
         return cls(value, f"GL{n}")
+
+    @classmethod
+    def projective_space(cls, n: int) -> "AbsMotive":
+        """[P^n] = 1 + L + ... + L^n, with L = t^2."""
+        return cls(LaurentPoly({(2 * k, 0): 1 for k in range(n + 1)}), f"P{n}")
 
     def dim(self) -> int | None:
         if self.poly.is_zero():
@@ -105,18 +112,6 @@ class AbsProduct:
 
 
 @dataclass(frozen=True)
-class ProjBundle:
-    """Projective bundle with fiber of projective dimension fiber_rank - 1."""
-
-    expr: "MotiveExpr"
-    fiber_rank: int
-
-    def __post_init__(self):
-        if self.fiber_rank < 1:
-            raise DimMismatchError("fiber rank must be at least 1")
-
-
-@dataclass(frozen=True)
 class BlowUpRel:
     """Blow-up of the ambient class along a center of the given codimension."""
 
@@ -134,22 +129,24 @@ class BlowUpRel:
             )
 
 
-@dataclass(frozen=True)
-class Fibration:
+MotiveExpr = Union[Atom, Sum, Diff, IntScale, AbsProduct, BlowUpRel]
+
+
+def ProjBundle(expr: MotiveExpr, fiber_rank: int) -> AbsProduct:
+    """Projective bundle with fiber of projective dimension fiber_rank - 1."""
+    if fiber_rank < 1:
+        raise DimMismatchError("fiber rank must be at least 1")
+    return AbsProduct(AbsMotive.projective_space(fiber_rank - 1), expr)
+
+
+def Fibration(expr: MotiveExpr, fiber: AbsMotive) -> AbsProduct:
     """Zariski locally trivial fibration with absolute fiber."""
-
-    expr: "MotiveExpr"
-    fiber: AbsMotive
+    return AbsProduct(fiber, expr)
 
 
-@dataclass(frozen=True)
-class FinitePush:
+def FinitePush(expr: MotiveExpr) -> MotiveExpr:
     """Pushforward along a finite morphism of bases; value-transparent."""
-
-    expr: "MotiveExpr"
-
-
-MotiveExpr = Union[Atom, Sum, Diff, IntScale, AbsProduct, ProjBundle, BlowUpRel, Fibration, FinitePush]
+    return expr
 
 
 def zero_expr() -> Sum:
@@ -173,21 +170,9 @@ def dim(e: MotiveExpr) -> int | None:
     if isinstance(e, AbsProduct):
         d, dt = dim(e.expr), e.abs.dim()
         return d + dt if d is not None and dt is not None else None
-    if isinstance(e, ProjBundle):
-        d = dim(e.expr)
-        return d + e.fiber_rank - 1 if d is not None else None
     if isinstance(e, BlowUpRel):
         return dim(e.ambient)
-    if isinstance(e, Fibration):
-        d, df = dim(e.expr), e.fiber.dim()
-        return d + df if d is not None and df is not None else None
-    if isinstance(e, FinitePush):
-        return dim(e.expr)
     raise TypeError(f"not a motive expression: {type(e)!r}")
-
-
-def _bundle_factor(r: int) -> LaurentPoly:
-    return LaurentPoly({(2 * k, 0): 1 for k in range(r)})
 
 
 def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
@@ -203,24 +188,21 @@ def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
                 {(node.dim + alpha, l - 1): n for (alpha, l), n in node.census.items()}
             )
         elif isinstance(node, Sum):
-            value = LaurentPoly.zero()
+            # one accumulator: adding term by term would re-sort the running total per term
+            acc: dict[tuple[int, int], int] = {}
             for term in node.terms:
-                value = value + go(term)
+                for key, c in go(term).items():
+                    acc[key] = acc.get(key, 0) + c
+            value = LaurentPoly(acc)
         elif isinstance(node, Diff):
             value = go(node.left) - go(node.right)
         elif isinstance(node, IntScale):
             value = go(node.expr).scale(node.factor)
         elif isinstance(node, AbsProduct):
             value = node.abs.poly * go(node.expr)
-        elif isinstance(node, ProjBundle):
-            value = go(node.expr) * _bundle_factor(node.fiber_rank)
         elif isinstance(node, BlowUpRel):
             # the exceptional divisor adds center x (L + ... + L^(codim-1))
-            value = go(node.ambient) + go(node.center) * _bundle_factor(node.codim - 1).shift(2)
-        elif isinstance(node, Fibration):
-            value = node.fiber.poly * go(node.expr)
-        elif isinstance(node, FinitePush):
-            value = go(node.expr)
+            value = go(node.ambient) + go(node.center) * AbsMotive.projective_space(node.codim - 2).poly.shift(2)
         else:
             raise TypeError(f"not a motive expression: {type(node)!r}")
         memo[id(node)] = value

@@ -51,7 +51,9 @@ from .lefschetz import (
 from .motives import (
     AbsMotive,
     AbsProduct,
+    BlowUpRel,
     Diff,
+    Fibration,
     FinitePush,
     ProjBundle,
     Sum,
@@ -335,8 +337,6 @@ def _dense_size_distribution(op: GradedNilpotent) -> dict[int, int]:
 
 
 def _random_geometric_expr(rng: random.Random):
-    from .motives import BlowUpRel, Fibration, dim
-
     d = rng.randint(0, 2)
     expr = smooth_from_betti(random_betti(rng, d), d)
     for _ in range(rng.randint(0, 2)):

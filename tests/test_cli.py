@@ -272,6 +272,10 @@ KERNEL_STACKS = {
         ({"num": [[0, 0, "7"]], "den": _times(GM, -7)}, {"kind": "betti", "bettis": [1, 2, 1], "dim": 1}),
         ({"num": [[0, 0, "-3"]], "den": _times(GL3, -9)}, {"kind": "betti", "bettis": [1, 0, 1], "dim": 1}),
     ],
+    # s/(t^2 - 1) over the sample that uses every motive expression kind
+    "every_kind": [
+        ({"num": [[0, 1, "1"]], "den": GM}, json.loads((Path(SAMPLES) / "every_kind.motive.json").read_text())["expr"]),
+    ],
 }
 KERNEL_COMMANDS = {
     "stack_class": "stack",
@@ -913,6 +917,15 @@ class TestErrorMapping:
         assert _emit_error(CrossCheckError("boom")) == EXIT_CROSSCHECK
         err = capsys.readouterr().err
         assert json.loads(err)["error"]["type"] == "CrossCheckError"
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_route_disagreement_exits_three_with_one_line(self, capsys, monkeypatch, flags):
+        spin_route = cli.genus_count
+        monkeypatch.setattr(cli, "genus_count", lambda content, g: spin_route(content, g) + (g == 1))
+        code, out, err = run(capsys, "hst", "--input", f"{SAMPLES}/left_spin_one.bispin.json", *flags)
+        assert (code, out) == (EXIT_CROSSCHECK, "")
+        message = "genus 1: spin route -3 != census route -4"
+        assert err == json.dumps({"error": {"message": message, "type": "CrossCheckError"}}) + "\n"
 
     def test_schema_error_exit_two(self, capsys, tmp_path):
         path = write_doc(tmp_path, "bad.json", {"v": 1, "kind": "bispin", "content": [], "x": 1})

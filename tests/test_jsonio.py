@@ -567,6 +567,16 @@ def test_bad_table_row_messages(doc, message):
         ({"v": 1}, "document: unknown kind None"),
         ({"v": 1, "kind": "bispin", "content": [], "extra": 1}, "document: unknown fields ['extra']"),
         ({"v": 1, "kind": "gv_table", "entries": []}, "document: missing fields ['cuts']"),
+        (_stack_doc([[0, 0, "1/2"]]), "parts[0].coeff.num[0]: polynomial coefficients are integers"),
+        ({"v": 1, "kind": "motive", "expr": {"kind": "atom", "name": "x", "dim": 0, "census": [[0, 0, 1]]}},
+         "expr.census[0]: cell size must be positive"),
+        ({"v": 1, "kind": "bispin", "content": [[-2, 0, 1]]}, "content[0]: doubled spins are nonnegative"),
+        (_count_model_doc([[[1, 0, 0], [1, 0], 1]]), "count_model.ext_defect[0][0]: class needs 1 beta parts plus k"),
+        ({**_count_model_doc([]), "lattice": {"rank": 0, "generators": []}}, "count_model.lattice: lattice rank must be positive"),
+        ({**_count_model_doc([]), "lattice": {"rank": 1, "generators": [[1, 2]]}},
+         "count_model.lattice: generator (1, 2) has wrong length for rank 1"),
+        ({**_count_model_doc([]), "lattice": {"rank": 1, "generators": [[0]]}}, "count_model.lattice: generators must be nonzero"),
+        ({**_count_model_doc([]), "charge": {"B": [0, 0], "omega": [1]}}, "count_model.charge: B and omega must have length 1"),
     ],
 )
 def test_envelope_messages(doc, message):

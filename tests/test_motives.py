@@ -1,14 +1,17 @@
 """Evaluation of motive expressions: worked values, scissor identity, bookkeeping."""
 
 import random
+import time
 
 import pytest
 
 from gvmot.errors import DimMismatchError, HardLefschetzError, PoincareDualityError
 from gvmot.laurent import LaurentPoly, weighted_degree
+from gvmot.lefschetz import JordanCensus
 from gvmot.motives import (
     AbsMotive,
     AbsProduct,
+    Atom,
     BlowUpRel,
     Diff,
     Fibration,
@@ -93,6 +96,42 @@ class TestUpsilonRel:
             e = _random_geometric_expr(rng)
             assert upsilon_rel(FinitePush(e)) == upsilon_rel(e)
 
+    def test_wide_sum_quickly(self):
+        # one accumulator for the whole sum, not one re-sorted total per term
+        n = 20000
+        wide = Sum(tuple(Atom(name=f"a{d}", dim=d, census=JordanCensus({(0, 1): 1})) for d in range(n)))
+        start = time.perf_counter()
+        value = upsilon_rel(wide)
+        assert time.perf_counter() - start < 3
+        assert value == LaurentPoly({(d, 0): 1 for d in range(n)})
+
+
+class TestConstructors:
+    # a projective bundle and a fibration are products with an absolute class
+    def test_fibration_is_abs_product(self):
+        p1 = smooth_from_betti([1, 0, 1], 1)
+        fiber = AbsMotive.general_linear(2)
+        assert Fibration(p1, fiber) == AbsProduct(fiber, p1)
+
+    def test_proj_bundle_is_abs_product(self):
+        p1 = smooth_from_betti([1, 0, 1], 1)
+        for r in range(1, 5):
+            assert ProjBundle(p1, r) == AbsProduct(AbsMotive.projective_space(r - 1), p1)
+
+    def test_proj_bundle_rank_below_one(self):
+        with pytest.raises(DimMismatchError, match="^fiber rank must be at least 1$"):
+            ProjBundle(point_atom(), 0)
+
+    def test_finite_push_is_its_argument(self):
+        e = smooth_from_betti([1, 0, 1], 1)
+        assert FinitePush(e) is e
+
+    def test_projective_space(self):
+        for n in range(6):
+            pn = AbsMotive.projective_space(n)
+            assert len(pn.poly.terms) == n + 1
+            assert pn.dim() == n
+
 
 class TestProjectiveBundle:
     def test_line_bundle_over_line(self):
@@ -171,6 +210,13 @@ class TestDimensionBookkeeping:
 
     def test_zero_dim_undefined(self):
         assert dim(zero_expr()) is None
+
+    def test_diff_and_scale_dims(self):
+        p1, p2 = smooth_from_betti([1, 0, 1], 1), smooth_from_betti([1, 0, 1, 0, 1], 2)
+        assert dim(Diff(p1, p1)) == 1
+        assert dim(Diff(p1, p2)) is None
+        assert dim(IntScale(0, p2)) is None
+        assert dim(IntScale(3, p2)) == dim(p2) == 2
 
 
 class TestAbsMotive:
