@@ -225,7 +225,8 @@ def graded_nilpotent_from_json(doc: dict, where: str = "graded_nilpotent") -> Gr
             raise SchemaError(f"{where}.maps: bad degree key {key!r}") from exc
         at = f"{where}.maps[{key}]"
         _require(rows, list, at)
-        maps[degree] = [[c if type(c) is int else _fraction(c, at) for c in _require(row, list, at)] for row in rows]
+        maps[degree] = [row if isinstance(row, list) and set(map(type, row)) <= {int}
+                        else [c if type(c) is int else _fraction(c, at) for c in _require(row, list, at)] for row in rows]
     return GradedNilpotent(dims, maps)
 
 

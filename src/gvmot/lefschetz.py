@@ -317,8 +317,12 @@ def jordan_census(x: GradedNilpotent) -> JordanCensus:
     of the product as one sum over the basis rows, in slots sized by the
     row-sum bound max_i sum_p |M_ip| times the flag's bound.  The exact-fit
     test narrows the product to the least slots that hold its entries, and
-    the elimination starts from that bound.  The pivot columns' slots of
-    the product are the next flag.
+    the elimination starts from that bound.  It keeps the rows in buckets
+    by their first nonzero column and brings a row to the current scale only
+    when a step reads it, so a step touches only the rows with a nonzero
+    entry in its column, about a third of the rows still stored on the
+    benchmark's spectra operators.  The pivot columns' slots of the product
+    are the next flag.
     """
     # (start, length) -> the strings that start there with at least that length
     tails: dict[tuple[int, int], int] = {}

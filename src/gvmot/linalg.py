@@ -3,13 +3,14 @@
 Matrices are lists of row lists.  One fraction-free Bareiss elimination over
 Z, pivots, returns the pivot columns (the leftmost independent columns) and
 the original indices of the pivot rows, whose minor is nonsingular; a rank
-is the length of its pivot list.  Its pivot row is the live row with the
-smallest bound on its entries, since every later entry is a minor through
-the pivot rows.  The fraction-free Gauss-Jordan adjugate gives an inverse
-times its determinant, d a^-1, with no fraction.  Both need int entries, so
-a rational matrix is scaled to integers before it gets here (GradedNilpotent
-does this once per map).  mat_mul works over any exact ring; only dot pairs
-with a rational functional.
+is the length of its pivot list.  Its pivot row is, of the rows with a
+nonzero entry in the pivot column, the one with the smallest bound on its
+entries, since every later entry is a minor through the pivot rows.  The
+fraction-free Gauss-Jordan adjugate gives an inverse times its determinant,
+d a^-1, with no fraction.  Both need int entries, so a rational matrix is
+scaled to integers before it gets here (GradedNilpotent does this once per
+map).  mat_mul works over any exact ring; only dot pairs with a rational
+functional.
 
 The elimination works on packed rows: a row of ints is one int with a signed
 slot of a fixed number of bits per entry (Kronecker substitution), so one
@@ -19,14 +20,16 @@ rows packed from one elimination to the next: _fits and _fit read the least
 b with every slot in [-2^b, 2^b) without unpacking a row, and _respace moves
 any selection of slots to slots of another width with one struct format.
 pivots packs a list matrix and calls the core; Jordan censuses call the
-core on products they never unpack.
+core on products they never unpack.  The core keeps its rows in buckets by
+their lowest nonzero slot and scales a row only when a step reads it, so a
+step touches just the rows with a nonzero entry in its column.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from operator import lshift
 from struct import Struct
 
@@ -130,35 +133,52 @@ def _eliminate(rows: list[int], width: int, ncols: int, bound: int) -> tuple[lis
 
     The packed core of pivots.  Every entry is at most bound in absolute
     value, and bound < 2^(width - 1); every row's bound starts there.  The
-    list rows is left as it is.
+    list rows is left as it is.  A step reads and writes only the rows with
+    a nonzero entry in its column, the bucket of that column; see pivots.
     """
-    rows = list(rows)
-    bound = [bound] * len(rows)
-    order = list(range(len(rows)))
+    # bucket c: (R from slot c on, stamp s, bound at s, index) of the rows led by column c
+    buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        if row:
+            k = ((row & -row).bit_length() - 1) // width
+            buckets[k].append((row >> (k * width), 1, bound, i))
     cols: list[int] = []
     taken: list[int] = []
     prev = 1
-    for col in range(ncols):
-        if not any(rows):
-            break
-        mask, half = (1 << width) - 1, 1 << (width - 1)
-        leads = [((row & mask) ^ half) - half for row in rows]  # the signed low slots: column col
-        if not any(leads):
-            rows = [row >> width for row in rows]
+    for col, bucket in enumerate(buckets):
+        if not bucket:
             continue
-        p = min(compress(range(len(leads)), leads), key=bound.__getitem__)
-        pivot, piv, pivot_bound = rows[p], leads[p], bound[p]
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        # each row's lead and bound now, at the scale prev / s of its stamp
+        leads = [(((row & mask) ^ half) - half) * prev // s for row, s, _, _ in bucket]
+        bounds = [x * abs(prev) // abs(s) for _, s, x, _ in bucket]
+        p = min(range(len(bucket)), key=bounds.__getitem__)
+        pivot, stamp, _, i = bucket.pop(p)
+        piv, pivot_bound = leads.pop(p), bounds.pop(p)
         cols.append(col)
-        taken.append(order[p])
-        # the first live row takes the pivot row's place
-        rows[p], leads[p], bound[p], order[p] = rows[0], leads[0], bound[0], order[0]
-        del rows[0], leads[0], bound[0], order[0]
+        taken.append(i)
         scale, shrink = abs(piv), abs(prev)
-        bound = [(scale * x + abs(lead) * pivot_bound) // shrink for x, lead in zip(bound, leads)]
-        if bound and max(bound) >= half:  # below 2^(2 width - 1), as every factor is below 2^(width - 1)
-            pivot, *rows = _respace([pivot, *rows], width, ncols - col, range(ncols - col), 2 * width)
-            width *= 2
-        rows = [((piv * row - lead * pivot) >> width) // prev for row, lead in zip(rows, leads)]
+        bounds = [(scale * x + abs(lead) * pivot_bound) // shrink for x, lead in zip(bounds, leads)]
+        if bounds and max(bounds) >= half:
+            # every stored row in one call, each at its stamp; a stale row can
+            # be past the slot now, so one doubling need not be enough
+            stored = [pivot, *(row for b in buckets[col:] for row, _, _, _ in b)]
+            new_width = max(2 * width, _slot_width(max(bounds)))
+            moved = iter(_respace(stored, width, ncols - col, range(ncols - col), new_width))
+            pivot = next(moved)
+            for b in buckets[col:]:
+                b[:] = [(next(moved), s, x, j) for _, s, x, j in b]
+            width = new_width
+        if stamp != prev:
+            pivot = pivot * prev // stamp
+        for (row, s, _, j), lead, x in zip(bucket, leads, bounds):
+            if s != prev:
+                row = row * prev // s
+            row = (piv * row - lead * pivot) // prev
+            if row:
+                k = ((row & -row).bit_length() - 1) // width
+                buckets[col + k].append((row >> (k * width), piv, x, j))
+        bucket.clear()
         prev = piv
     return cols, taken
 
@@ -171,24 +191,34 @@ def pivots(a: Matrix) -> tuple[list[int], list[int]]:
     pivot rows x pivot columns is nonsingular.  The exact // of the
     fraction-free steps needs int entries.
 
-    The pivot row of a column is the row with the smallest entry bound
-    among the live rows with a nonzero entry there, the first in the
-    current row order on a tie.  After k steps the entry of row r in column
-    j is the minor of a on the k pivot rows and row r, the k pivot columns
-    and column j (Bareiss, Math. Comp. 22, 1968), so rows whose entries
-    stayed small keep the later minors, the slots and the divisions small.
-    Any row with a nonzero entry gives the same pivot columns and a
-    nonsingular minor, so only which rows are taken depends on the rule.
+    After k steps the entry of row r in column j is the minor of a on the k
+    pivot rows and row r, the k pivot columns and column j (Bareiss, Math.
+    Comp. 22, 1968).  The rows are packed, each one int with a signed slot
+    of width bits per column (Kronecker substitution), and _eliminate does
+    the steps.  Each row waits in the bucket of its lead, the lowest nonzero
+    slot, which is the lowest set bit divided by width because every slot
+    below it is exactly 0; it is stored shifted down to that slot, so the
+    rows of a bucket line up at slot 0.  A stored row R carries the pivot s
+    of the step that last wrote it, its stamp, and a bound X on its entries
+    then.  A step whose lead in a row is 0 only scales the row
+    by piv / prev, and a run of such steps telescopes, so the row's Bareiss
+    value now is R prev // s, exactly, with bound X |prev| // |s|.
 
-    The rows are packed, each one int with a signed slot of width bits per
-    column (Kronecker substitution), and _eliminate does the steps: a step
-    updates a whole row with ((piv P_r - lead P_k) >> width) // prev, where
-    the shift drops the eliminated column and the division is exact because
-    it is exact in every slot.  Every bound starts at the largest |entry|
-    of a.  Before each step the new entries of row r are bounded by
-    (|piv| X_r + |lead| X_k) // |prev|, from the bounds X of the two rows;
-    when a bound could reach 2^(width - 1), every live row is first moved
-    to slots twice as wide, so no slot ever spills into the next.
+    The step at column c reads only bucket c.  Its pivot row is the one
+    with the smallest bound now, the first in the bucket on a tie; rows
+    arrive in a bucket in the order of a's rows, then in the order they are
+    written.  Rows whose entries stayed small keep the later minors, the
+    slots and the divisions small; any row of the bucket would give the
+    same pivot columns and a nonsingular minor, so only which rows are
+    taken depends on the rule.  Every other row of the bucket is brought to
+    scale and updated with (piv R - lead P) // prev, which is exact because
+    it is exact in every slot, then stamped piv with bound
+    (|piv| X_r + |lead| X_p) // |prev| and put in the bucket of its new
+    lead; a row that becomes 0 leaves.  Every bound starts at the largest
+    |entry| of a.  When a new bound could reach 2^(width - 1), every
+    stored row is first moved, at its stamp, to slots of
+    max(2 width, the slot of that bound) bits in one _respace, so no slot
+    ever spills into the next.
     """
     if not a or not a[0]:
         return [], []

@@ -231,6 +231,13 @@ class TestGradedNilpotentDocs:
         _, op = parse_document(doc)
         assert op.maps[-1] == [[3, -7]] and all(type(c) is int for c in op.maps[-1][0])
 
+    def test_int_rows_and_rational_rows_in_one_map(self):
+        # an all-int row is kept whole and a row with a rational string is read
+        # entry by entry; the map is then scaled by the lcm of its denominators
+        doc = {"v": 1, "kind": "graded_nilpotent", "dims": {"-1": 2, "1": 2}, "maps": {"-1": [[1, 2], ["1/2", 3]]}}
+        _, op = parse_document(doc)
+        assert op.maps[-1] == [[2, 4], [1, 6]]
+
     def test_negative_dimension_is_a_schema_error(self):
         # a ValueError here would reach the CLI as an internal error (exit 6)
         with pytest.raises(SchemaError, match=r"^graded_nilpotent\.dims\[0\]: dimensions must be nonnegative$"):

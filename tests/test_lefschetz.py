@@ -475,11 +475,27 @@ class TestFlagCensus:
             wide += max(widths, default=0) > 64
         assert wide >= 20, wide
 
-    def test_benchmark_size_conjugated_strings(self):
+    def test_benchmark_size_conjugated_strings(self, monkeypatch):
         # every string shape in degrees -6..6 six times (504 dims); each
         # degree's basis is shuffled, then changed by P = I + N with N dense on
-        # the top-right quarter, so N^2 = 0 and P^-1 = I - N
+        # the top-right quarter, so N^2 = 0 and P^-1 = I - N.  The pivot rule
+        # keeps every slot the eliminations reach at 32 bits or less
         rng = random.Random(31)
+        widths = []
+        eliminate, respace = linalg._eliminate, linalg._respace
+
+        def recorded(rows, width, ncols, bound):
+            widths.append(width)
+            monkeypatch.setattr(linalg, "_respace", widened)
+            try:
+                return eliminate(rows, width, ncols, bound)
+            finally:
+                monkeypatch.setattr(linalg, "_respace", respace)
+
+        def widened(rows, width, n, keep, new_width):
+            widths.append(new_width)
+            return respace(rows, width, n, keep, new_width)
+
         cells = JordanCensus({(alpha, l): 6 for alpha in range(-6, 7, 2) for l in range(1, (10 - alpha) // 2)})
         op = strings_operator(cells)
         shuffled = {d: rng.sample(range(n), n) for d, n in op.dims.items()}
@@ -493,7 +509,9 @@ class TestFlagCensus:
             maps[a] = int_product(int_product(basis[a + 2], m), inverse[a])
         dense = GradedNilpotent(op.dims, maps)
         assert dense.dimension() == 504 and max(abs(c) for m in maps.values() for row in m for c in row) > 20
+        monkeypatch.setattr(linalg, "_eliminate", recorded)
         assert jordan_census(dense) == cells
+        assert max(widths) <= 32 and len(set(widths)) > 1, sorted(set(widths))
 
     def test_one_elimination_per_stored_map(self, monkeypatch):
         rng = random.Random(30)

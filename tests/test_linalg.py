@@ -3,12 +3,14 @@ one and a plain Gauss oracle, adjugates against a Fraction inverse oracle,
 unimodularity."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
 from gvmot import linalg
+from gvmot.lefschetz import JordanCensus, strings_operator
 from gvmot.linalg import adjugate, identity, mat_mul, mat_rank, pivots, random_invertible, zero_matrix
 
 
@@ -40,44 +42,57 @@ def gauss_rank_oracle(rows):
     return len(gauss_pivot_columns(rows))
 
 
-def bareiss_oracle(a):
+def bareiss_oracle(a, seen=None):
     """Bareiss elimination over Z on lists of entries, one entry at a time.
 
-    The same pivot choice as pivots, so the same (pivot columns, pivot rows):
-    of the rows at or below the rank with a nonzero entry, the one with the
-    smallest entry bound, the first such in the current order on a tie,
-    swapped up.  Every bound starts at the largest |entry| of a and a step
-    makes row r's (|piv| X_r + |lead| X_pivot) // |prev|.  Rows below the
-    pivots keep only their entries from column start on.
+    The same pivot choice as pivots, so the same (pivot columns, pivot rows).
+    Rows wait in buckets by their first nonzero column, in the order they
+    arrive there, each with the pivot s of the step that last wrote it and
+    its entry bound X at that step (1 and the largest |entry| of a to start).
+    Column c brings the rows of bucket c to the current scale, entries times
+    prev / s and bound X |prev| // |s|, and takes the one with the smallest
+    bound as its pivot, the first in the bucket on a tie.  Every other row of
+    the bucket becomes (piv x - lead y) // prev with bound
+    (|piv| X_r + |lead| X_pivot) // |prev| and stamp piv, and moves to the
+    bucket of its first nonzero column, or leaves when it is zero.  A Counter
+    seen, if given, counts the (live row, step) pairs with a zero lead and
+    the rows that turn zero.
     """
     if not a or not a[0]:
         return [], []
-    rows = [list(row) for row in a]
-    nrows, ncols = len(rows), len(rows[0])
-    order = list(range(nrows))
-    bound = [max(abs(c) for row in a for c in row)] * nrows
-    cols = []
+    ncols = len(a[0])
+    buckets = [[] for _ in range(ncols)]
+
+    def file(row, s, x, i):
+        lead = next((j for j, c in enumerate(row) if c), None)
+        if lead is not None:
+            buckets[lead].append((row, s, x, i))
+        elif seen is not None:
+            seen["turned zero"] += 1
+
+    top = max(abs(c) for row in a for c in row)
+    for i, row in enumerate(a):
+        if any(row):
+            file(list(row), 1, top, i)
+    cols, taken = [], []
     prev = 1
-    start = 0
     for col in range(ncols):
-        rank, j = len(cols), col - start
-        live = [r for r in range(rank, nrows) if rows[r][j]]
+        live = [([c * prev // s for c in row], x * abs(prev) // abs(s), i) for row, s, x, i in buckets[col]]
         if not live:
             continue
-        pivot_row = min(live, key=lambda r: (bound[r], r))
-        for seq in (rows, order, bound):
-            seq[rank], seq[pivot_row] = seq[pivot_row], seq[rank]
-        piv, tail = rows[rank][j], rows[rank][j + 1 :]
-        for r in range(rank + 1, nrows):
-            row = rows[r]
-            lead = row[j]
-            rows[r] = [(piv * x - lead * y) // prev for x, y in zip(row[j + 1 :], tail)]
-            bound[r] = (abs(piv) * bound[r] + abs(lead) * bound[rank]) // abs(prev)
-        prev, start = piv, col + 1
+        if seen is not None:
+            seen["zero lead"] += sum(map(len, buckets[col + 1 :]))
+            seen["nonzero lead"] += len(live)
+        pivot, pivot_bound, i = live.pop(min(range(len(live)), key=lambda k: live[k][1]))
+        piv = pivot[col]
+        for row, x, i_row in live:
+            lead = row[col]
+            file([(piv * c - lead * y) // prev for c, y in zip(row, pivot)], piv,
+                 (abs(piv) * x + abs(lead) * pivot_bound) // abs(prev), i_row)
         cols.append(col)
-        if rank + 1 == nrows:
-            break
-    return cols, order[: len(cols)]
+        taken.append(i)
+        prev = piv
+    return cols, taken
 
 
 def assert_gauss_invariants(m, cols, rows):
@@ -316,6 +331,103 @@ class TestPackedKernels:
             cols, rows = linalg._eliminate(narrow, width, ncols, 1 << b)
             assert cols == pivots(m)[0]
             assert_gauss_invariants(m, cols, rows)
+
+    @staticmethod
+    def eliminate(m):
+        """_eliminate on m packed in the least slot that holds it, and that slot's width."""
+        bound = max(abs(c) for row in m for c in row)
+        width = linalg._slot_width(bound)
+        return linalg._eliminate(linalg._pack(m, width), width, len(m[0]), bound), width
+
+    @pytest.fixture
+    def respaced(self, monkeypatch):
+        calls = []
+        respace = linalg._respace
+        monkeypatch.setattr(linalg, "_respace", lambda rows, *args: calls.append((len(rows), *args)) or respace(rows, *args))
+        return calls
+
+    def test_eliminate_sparse_leads_against_oracle(self):
+        # maps of strings operators between sparse unit triangular bases, and
+        # block-diagonal rows shuffled, where most (live row, step) pairs have
+        # a zero lead; sums of other rows turn zero in mid-elimination
+        rng = random.Random(84)
+        seen = Counter()
+        for case in range(200):
+            if case % 2:
+                cells = {(rng.randint(-4, 2), rng.randint(2, 5)): rng.randint(1, 3) for _ in range(rng.randint(2, 6))}
+                op = strings_operator(JordanCensus(cells))
+                step = max(op.maps.values(), key=len)
+                n, k = len(step), len(step[0])
+
+                def sparse_unit(d):
+                    return [[int(i == j) + (rng.randint(-3, 3) if i < j and rng.random() < 0.1 else 0) for j in range(d)]
+                            for i in range(d)]
+
+                m = mat_mul(mat_mul(sparse_unit(n), step), sparse_unit(k))
+            else:
+                m = []
+                for _ in range(rng.randint(3, 8)):
+                    height, span = rng.randint(1, 4), rng.randint(1, 4)
+                    block = random_matrix(rng, height, span)
+                    m = [row + [0] * span for row in m] + [[0] * len(m[0] if m else []) + row for row in block]
+                rng.shuffle(m)
+            m += [[x + y for x, y in zip(*rng.sample(m, 2))] for _ in range(rng.randint(0, 3)) if len(m) > 1]
+            rng.shuffle(m)
+            if not any(map(any, m)):
+                continue
+            before = [list(row) for row in m]
+            (cols, rows), _ = self.eliminate(m)
+            assert m == before
+            assert (cols, rows) == bareiss_oracle(m, seen), m
+            assert_gauss_invariants(m, cols, rows)
+        assert seen["zero lead"] > 2 * seen["nonzero lead"] and seen["turned zero"] >= 100, seen
+
+    def test_eliminate_widens_past_one_doubling(self, respaced):
+        # rows that wait in a bucket while the pivots grow are far larger now
+        # than at their stamp: (127 * 100)^2 * 2 // 100 needs 24-bit slots
+        # where doubling 8 gives 16.  Seeded cases: edge-size pivots first,
+        # then rows that only meet them later
+        a = [[100, 0, 0], [0, 127, 1], [0, 127, 2], [0, 0, 3]]
+        assert self.eliminate(a) == (bareiss_oracle(a), 8) == (([0, 1, 2], [0, 1, 3]), 8)
+        # the first call moves the pivot, the rest of its bucket and bucket 2,
+        # each row from column 1 on
+        assert respaced == [(3, 8, 2, range(2), 24), (2, 24, 1, range(1), 48)]
+        rng = random.Random(85)
+        past = 0
+        for _ in range(200):
+            bits = 8 * rng.randint(1, 4) - 1
+            k, rest, ncols = rng.randint(1, 4), rng.randint(2, 5), rng.randint(5, 9)
+            edge = [rng.choice((-1, 1)) * (2**bits - rng.randint(1, 3)) for _ in range(k + rest)]
+            m = [[edge[i] if j == i else rng.randint(-2, 2) * (j > i) for j in range(ncols)] for i in range(k)]
+            m += [[0] * k + [edge[k + i] if rng.random() < 0.7 else rng.randint(-9, 9) for _ in range(ncols - k)]
+                  for i in range(rest)]
+            rng.shuffle(m)
+            respaced.clear()
+            (cols, rows), _ = self.eliminate(m)
+            assert (cols, rows) == bareiss_oracle(m), m
+            assert_gauss_invariants(m, cols, rows)
+            past += any(new > 2 * old for _, old, _, _, new in respaced)
+        assert past >= 150, past
+
+    def test_one_widening_is_one_respace(self, respaced):
+        # a widening moves every stored row in one call, so the calls of one
+        # elimination chain its widths upward, one call per width
+        rng = random.Random(86)
+        widened = 0
+        for _ in range(200):
+            nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
+            m = [[rng.randint(-(2**7), 2**7 - 1) if rng.random() < 0.5 else 0 for _ in range(ncols)] for _ in range(nrows)]
+            if not any(map(any, m)):
+                continue
+            respaced.clear()
+            (cols, rows), width = self.eliminate(m)
+            assert (cols, rows) == bareiss_oracle(m)
+            widths = [width] + [new for *_, new in respaced]
+            assert [old for _, old, _, _, _ in respaced] == widths[:-1]
+            assert all(list(keep) == list(range(n)) for _, _, n, keep, _ in respaced)
+            assert widths == sorted(set(widths))
+            widened += len(respaced) > 1
+        assert widened >= 100, widened
 
 
 class TestIntProduct:
