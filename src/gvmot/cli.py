@@ -190,7 +190,7 @@ def cmd_gv(args, kind, payload) -> Result:
 def cmd_gw(args, kind, payload) -> Result:
     if kind == "gv_table":
         if args.genus_max is not None:
-            raise SchemaError("--genus-max applies only to direction to-gv")
+            raise SchemaError("--genus-max applies only to a gw_series input, not a gv_table")
         series = gv_to_gw(payload, degree_max=args.degree_max, lambda_max=args.lambda_order)
         return (
             EXIT_OK,
@@ -201,7 +201,7 @@ def cmd_gw(args, kind, payload) -> Result:
             ),
         )
     if args.lambda_order is not None:
-        raise SchemaError("--lambda-order applies only to direction to-gw")
+        raise SchemaError("--lambda-order applies only to a gv_table input, not a gw_series")
     result = gw_to_gv(payload, genus_max=args.genus_max, degree_max=args.degree_max)
 
     def doc():
@@ -296,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gv.add_argument("--max-compositions", type=_int_at_least(0), default=WORK_CAP)
 
     p_gw = command("gw", cmd_gw, ("gv_table", "gw_series"), "transform between count tables and generating series")
-    p_gw.add_argument("--genus-max", type=int, default=None)
-    p_gw.add_argument("--degree-max", type=int, default=None)
-    p_gw.add_argument("--lambda-order", type=int, default=None)
+    p_gw.add_argument("--genus-max", type=int, default=None, help="gw_series input only: highest genus solved for (default: all the series determines)")
+    p_gw.add_argument("--degree-max", type=int, default=None, help="either input: degree cut on the classes (default: the document's)")
+    p_gw.add_argument("--lambda-order", type=int, default=None, help="gv_table input only: highest lambda exponent kept (default: 2 * genus cut - 2)")
 
     p_verify = sub.add_parser("verify", help="run a randomized property suite")
     p_verify.add_argument("suite", help="name of a property suite, or all")

@@ -51,7 +51,7 @@ class VirtualInputError(GvmotError):
 
 
 class DimMismatchError(GvmotError):
-    """Expression tree violates its dimension bookkeeping."""
+    """A motive construction violates its dimension bookkeeping."""
 
 
 class PoincareDualityError(GvmotError):

@@ -41,7 +41,8 @@ from .stacks import StackClass
 
 SCHEMA_VERSION = 1
 # how many expressions may enclose a motive expression: each level is a frame of
-# the recursive reader and evaluators, and a gvmot run overflows the default
+# the recursive reader (each constructor computes its value from its arguments'
+# values, so evaluation does not recurse), and a gvmot run overflows the default
 # recursion limit of 1000 from about 986 levels, so the cap leaves 85 frames spare
 MOTIVE_DEPTH_CAP = 900
 

@@ -1,22 +1,27 @@
-"""Relative Grothendieck classes as expression trees, and their evaluation.
+"""Relative Grothendieck classes, each held as its value and its dimension.
 
-Expressions form a free algebra over atoms that carry Jordan census data;
-evaluation sends an atom of dimension d with census nu to
-t^d * sum nu_l^alpha t^alpha s^{l-1} and follows the structural rules for
-sums, products with absolute classes, and blow-ups.  A projective bundle of
-rank r and a Zariski locally trivial fibration with fiber F are built as
-products with the absolute classes [P^(r-1)] and [F]; a pushforward along a
-finite map is value-transparent, so it builds its argument unchanged.
-Equality of expressions is not decided, only equality of evaluated values.
+A motive is its value in Z[t, s] together with its dimension (None when
+undefined: the zero class, or a sum of mixed dimensions).  Each constructor
+computes both from its arguments' two fields, so building a class of any
+depth walks nothing and nothing recurses.  An atom of dimension d with
+census nu has the value t^d * sum nu_l^alpha t^alpha s^{l-1}; a sum, a
+difference, an integer multiple and a product with an absolute class act
+on values; a blow-up adds the center times [P^(codim-2)] L to the ambient.
+A projective bundle of rank r and a Zariski locally trivial fibration with
+fiber F are products with the absolute classes [P^(r-1)] and [F]; a
+pushforward along a finite map is value-transparent, so it returns its
+argument unchanged.  Two classes are equal when their values and dimensions
+are: how a class was written is not kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import (
     DimMismatchError,
+    Frozen,
     HardLefschetzError,
     PoincareDualityError,
 )
@@ -71,75 +76,80 @@ class AbsMotive:
         return f"AbsMotive({self.name or self.poly})"
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Leaf class: a named space over its base, given by census data."""
+class MotiveExpr(Frozen):
+    """A relative class: its value in Z[t, s] and its dimension, None when
+    undefined.  Compared and hashed by both."""
 
-    name: str
-    dim: int
-    census: JordanCensus
+    __slots__ = ("value", "dim")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise DimMismatchError("atom dimension must be nonnegative")
+    def __init__(self, value: LaurentPoly, dim: int | None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "dim", dim)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MotiveExpr) and self.value == other.value and self.dim == other.dim
 
-@dataclass(frozen=True)
-class Sum:
-    """n-ary sum; the empty sum is the zero class."""
+    def __hash__(self) -> int:
+        return hash((self.value, self.dim))
 
-    terms: tuple["MotiveExpr", ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
-class Diff:
-    left: "MotiveExpr"
-    right: "MotiveExpr"
+    def __repr__(self) -> str:
+        return f"MotiveExpr({self.value}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class IntScale:
-    factor: int
-    expr: "MotiveExpr"
+def Atom(name: str, dim: int, census: JordanCensus) -> MotiveExpr:
+    """Leaf class: a space over its base, given by census data; the name only labels it."""
+    if dim < 0:
+        raise DimMismatchError("atom dimension must be nonnegative")
+    return MotiveExpr(LaurentPoly({(dim + alpha, l - 1): n for (alpha, l), n in census.items()}), dim)
 
 
-@dataclass(frozen=True)
-class AbsProduct:
+def Sum(terms: Iterable[MotiveExpr] = ()) -> MotiveExpr:
+    """n-ary sum; the empty sum is the zero class.  Its dimension is the one
+    its terms' defined dimensions share, None when they are none or several."""
+    # one accumulator: adding term by term would re-sort the running total per term
+    acc: dict[tuple[int, int], int] = {}
+    dims = set()
+    for term in terms:
+        dims.add(term.dim)
+        for key, c in term.value.items():
+            acc[key] = acc.get(key, 0) + c
+    dims.discard(None)
+    return MotiveExpr(LaurentPoly(acc), dims.pop() if len(dims) == 1 else None)
+
+
+def Diff(left: MotiveExpr, right: MotiveExpr) -> MotiveExpr:
+    return Sum((left, IntScale(-1, right)))
+
+
+def IntScale(factor: int, expr: MotiveExpr) -> MotiveExpr:
+    return MotiveExpr(expr.value.scale(factor), expr.dim if factor != 0 else None)
+
+
+def AbsProduct(abs: AbsMotive, expr: MotiveExpr) -> MotiveExpr:
     """Product with an absolute class (base-direction factor)."""
+    d, dt = expr.dim, abs.dim()
+    return MotiveExpr(abs.poly * expr.value, d + dt if d is not None and dt is not None else None)
 
-    abs: AbsMotive
-    expr: "MotiveExpr"
 
-
-@dataclass(frozen=True)
-class BlowUpRel:
+def BlowUpRel(ambient: MotiveExpr, center: MotiveExpr, codim: int) -> MotiveExpr:
     """Blow-up of the ambient class along a center of the given codimension."""
-
-    ambient: "MotiveExpr"
-    center: "MotiveExpr"
-    codim: int
-
-    def __post_init__(self):
-        if self.codim < 2:
-            raise DimMismatchError("blow-up codimension must be at least 2")
-        da, dc = dim(self.ambient), dim(self.center)
-        if da is not None and dc is not None and da != dc + self.codim:
-            raise DimMismatchError(
-                f"ambient dim {da} != center dim {dc} + codim {self.codim}"
-            )
+    if codim < 2:
+        raise DimMismatchError("blow-up codimension must be at least 2")
+    da, dc = ambient.dim, center.dim
+    if da is not None and dc is not None and da != dc + codim:
+        raise DimMismatchError(f"ambient dim {da} != center dim {dc} + codim {codim}")
+    # the exceptional divisor adds center x (L + ... + L^(codim-1))
+    return MotiveExpr(ambient.value + center.value * AbsMotive.projective_space(codim - 2).poly.shift(2), da)
 
 
-MotiveExpr = Union[Atom, Sum, Diff, IntScale, AbsProduct, BlowUpRel]
-
-
-def ProjBundle(expr: MotiveExpr, fiber_rank: int) -> AbsProduct:
+def ProjBundle(expr: MotiveExpr, fiber_rank: int) -> MotiveExpr:
     """Projective bundle with fiber of projective dimension fiber_rank - 1."""
     if fiber_rank < 1:
         raise DimMismatchError("fiber rank must be at least 1")
     return AbsProduct(AbsMotive.projective_space(fiber_rank - 1), expr)
 
 
-def Fibration(expr: MotiveExpr, fiber: AbsMotive) -> AbsProduct:
+def Fibration(expr: MotiveExpr, fiber: AbsMotive) -> MotiveExpr:
     """Zariski locally trivial fibration with absolute fiber."""
     return AbsProduct(fiber, expr)
 
@@ -149,66 +159,18 @@ def FinitePush(expr: MotiveExpr) -> MotiveExpr:
     return expr
 
 
-def zero_expr() -> Sum:
+def zero_expr() -> MotiveExpr:
     return Sum(())
 
 
 def dim(e: MotiveExpr) -> int | None:
     """Dimension bookkeeping; None when undefined (zero or mixed sums)."""
-    if isinstance(e, Atom):
-        return e.dim
-    if isinstance(e, Sum):
-        dims = {dim(t) for t in e.terms}
-        dims.discard(None)
-        return dims.pop() if len(dims) == 1 else None
-    if isinstance(e, Diff):
-        dims = {dim(e.left), dim(e.right)}
-        dims.discard(None)
-        return dims.pop() if len(dims) == 1 else None
-    if isinstance(e, IntScale):
-        return dim(e.expr) if e.factor != 0 else None
-    if isinstance(e, AbsProduct):
-        d, dt = dim(e.expr), e.abs.dim()
-        return d + dt if d is not None and dt is not None else None
-    if isinstance(e, BlowUpRel):
-        return dim(e.ambient)
-    raise TypeError(f"not a motive expression: {type(e)!r}")
+    return e.dim
 
 
 def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
-    """Evaluate an expression to its polynomial invariant in Z[t, s]."""
-    # keyed by identity: hashing a frozen node hashes its whole subtree
-    memo: dict[int, LaurentPoly] = {}
-
-    def go(node: MotiveExpr) -> LaurentPoly:
-        if id(node) in memo:
-            return memo[id(node)]
-        if isinstance(node, Atom):
-            value = LaurentPoly(
-                {(node.dim + alpha, l - 1): n for (alpha, l), n in node.census.items()}
-            )
-        elif isinstance(node, Sum):
-            # one accumulator: adding term by term would re-sort the running total per term
-            acc: dict[tuple[int, int], int] = {}
-            for term in node.terms:
-                for key, c in go(term).items():
-                    acc[key] = acc.get(key, 0) + c
-            value = LaurentPoly(acc)
-        elif isinstance(node, Diff):
-            value = go(node.left) - go(node.right)
-        elif isinstance(node, IntScale):
-            value = go(node.expr).scale(node.factor)
-        elif isinstance(node, AbsProduct):
-            value = node.abs.poly * go(node.expr)
-        elif isinstance(node, BlowUpRel):
-            # the exceptional divisor adds center x (L + ... + L^(codim-1))
-            value = go(node.ambient) + go(node.center) * AbsMotive.projective_space(node.codim - 2).poly.shift(2)
-        else:
-            raise TypeError(f"not a motive expression: {type(node)!r}")
-        memo[id(node)] = value
-        return value
-
-    return go(e)
+    """The polynomial invariant of a class in Z[t, s]."""
+    return e.value
 
 
 def _check_poincare_duality(bettis: list[int], d: int) -> None:
@@ -220,13 +182,15 @@ def _check_poincare_duality(bettis: list[int], d: int) -> None:
             raise PoincareDualityError(f"b_{i} != b_{2 * d - i}")
 
 
-def smooth_from_betti(bettis: list[int], d: int) -> Atom:
+def smooth_from_betti(bettis: list[int], d: int) -> MotiveExpr:
     """Atom for a smooth projective space of dimension d over itself.
 
     Cells have size -alpha + 1 and count b_{d+alpha} - b_{d+alpha-2} for
     alpha <= 0; the betti input must satisfy Poincare duality and grow
     monotonically in steps of two up to the middle.
     """
+    if d < 0:
+        raise DimMismatchError("atom dimension must be nonnegative")
     if len(bettis) != 2 * d + 1:
         raise PoincareDualityError(f"need {2 * d + 1} betti numbers for dimension {d}")
     _check_poincare_duality(bettis, d)
@@ -242,7 +206,7 @@ def smooth_from_betti(bettis: list[int], d: int) -> Atom:
     return Atom(name=f"betti{bettis}", dim=d, census=JordanCensus(cells))
 
 
-def over_point_from_betti(bettis: list[int]) -> Atom:
+def over_point_from_betti(bettis: list[int]) -> MotiveExpr:
     """Atom for a smooth projective space mapped to a point: all cells size one.
 
     Its value is the ordinary Poincare polynomial sum b_i t^i.
@@ -255,7 +219,7 @@ def over_point_from_betti(bettis: list[int]) -> Atom:
     return Atom(name=f"pointbase{bettis}", dim=d, census=JordanCensus(cells))
 
 
-def point_atom() -> Atom:
+def point_atom() -> MotiveExpr:
     return Atom(name="pt", dim=0, census=JordanCensus({(0, 1): 1}))
 
 

@@ -369,7 +369,7 @@ def prop_blowup_identity(rng: random.Random) -> None:
     center = smooth_from_betti(random_betti(rng, dc), dc)
     ambient = smooth_from_betti(random_betti(rng, dc + r), dc + r)
     if not blowup_relation_check(ambient, center, r):
-        _fail((ambient.name, center.name, r))
+        _fail((ambient, center, r))
 
 
 @register("motive", 100)

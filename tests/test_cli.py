@@ -775,15 +775,18 @@ class TestGw:
         assert ("kernel terms", 0) in spent and pushed and set(pushed) == {0}
 
     def test_flag_of_the_other_direction_exit_two(self, capsys):
+        # the message names the flag and the input kinds, not a direction flag that no longer exists
         cases = [
-            (f"{SAMPLES}/conifold.gv_table.json", "--genus-max", "5", "--genus-max"),
-            (f"{SAMPLES}/conifold.gw_series.json", "--lambda-order", "8", "--lambda-order"),
+            (f"{SAMPLES}/conifold.gv_table.json", "--genus-max", "5", "gw_series", "gv_table"),
+            (f"{SAMPLES}/conifold.gw_series.json", "--lambda-order", "8", "gv_table", "gw_series"),
         ]
-        for path, flag, value, named in cases:
+        for path, flag, value, applies_to, given in cases:
             code, out, err = run(capsys, "gw", "--input", path, flag, value, "--json")
             assert code == EXIT_SCHEMA and out == ""
             error = json.loads(err)["error"]
-            assert error["type"] == "SchemaError" and named in error["message"]
+            assert error["type"] == "SchemaError"
+            assert error["message"] == f"{flag} applies only to a {applies_to} input, not a {given}"
+            assert "direction" not in error["message"]
 
     def test_byte_identical_runs(self, capsys):
         args = (

@@ -9,7 +9,7 @@ import pytest
 
 from gvmot.cli import _all_digits
 from gvmot.counting import NumClass, counting_polynomial
-from gvmot.errors import SchemaError
+from gvmot.errors import DimMismatchError, GvmotError, SchemaError
 from gvmot.gwseries import GVTable, GWSeries
 from gvmot.jsonio import (
     _decode,
@@ -107,6 +107,17 @@ class TestMotiveDocs:
 
         _, expr = parse_document(doc)
         assert upsilon_rel(expr) == LaurentPoly.s(2) + LaurentPoly.t(2)
+
+    def test_blow_up_chain_at_the_cap(self):
+        # a surface blown up at a point at each of MOTIVE_DEPTH_CAP levels
+        from gvmot.jsonio import MOTIVE_DEPTH_CAP
+        from gvmot.motives import upsilon_rel
+
+        expr = {"kind": "betti", "bettis": [1, 0, 1, 0, 1], "dim": 2}
+        for _ in range(MOTIVE_DEPTH_CAP):
+            expr = {"kind": "blow_up", "ambient": expr, "center": {"kind": "betti", "bettis": [1], "dim": 0}, "codim": 2}
+        _, expr = parse_document({"v": 1, "kind": "motive", "expr": expr})
+        assert upsilon_rel(expr) == LaurentPoly.s(2) + LaurentPoly.t(2).scale(900)
 
     def test_unknown_node_kind(self):
         with pytest.raises(SchemaError):
@@ -584,9 +595,17 @@ def test_bad_table_row_messages(doc, message):
          "count_model.lattice: generator (1, 2) has wrong length for rank 1"),
         ({**_count_model_doc([]), "lattice": {"rank": 1, "generators": [[0]]}}, "count_model.lattice: generators must be nonzero"),
         ({**_count_model_doc([]), "charge": {"B": [0, 0], "omega": [1]}}, "count_model.charge: B and omega must have length 1"),
+        # a negative dimension fails as the atom rule does, before the betti count is checked
+        ({"v": 1, "kind": "motive", "expr": {"kind": "atom", "name": "x", "dim": -1, "census": [[0, 1, 1]]}},
+         DimMismatchError("atom dimension must be nonnegative")),
+        ({"v": 1, "kind": "motive", "expr": {"kind": "betti", "bettis": [1], "dim": -1}},
+         DimMismatchError("atom dimension must be nonnegative")),
+        ({"v": 1, "kind": "betti_variety", "bettis": [1], "dim": -1}, DimMismatchError("atom dimension must be nonnegative")),
     ],
 )
 def test_envelope_messages(doc, message):
-    with pytest.raises(SchemaError) as exc:
+    # a str is a SchemaError's message; a domain error is raised as it stands
+    expected = message if isinstance(message, GvmotError) else SchemaError(message)
+    with pytest.raises(GvmotError) as exc:
         parse_document(doc)
-    assert str(exc.value) == message
+    assert type(exc.value) is type(expected) and str(exc.value) == str(expected)

@@ -99,11 +99,39 @@ class TestUpsilonRel:
     def test_wide_sum_quickly(self):
         # one accumulator for the whole sum, not one re-sorted total per term
         n = 20000
-        wide = Sum(tuple(Atom(name=f"a{d}", dim=d, census=JordanCensus({(0, 1): 1})) for d in range(n)))
+        terms = tuple(Atom(name=f"a{d}", dim=d, census=JordanCensus({(0, 1): 1})) for d in range(n))
         start = time.perf_counter()
-        value = upsilon_rel(wide)
+        value = upsilon_rel(Sum(terms))
         assert time.perf_counter() - start < 3
         assert value == LaurentPoly({(d, 0): 1 for d in range(n)})
+
+    def test_deep_chains_under_the_default_recursion_limit(self):
+        # each constructor reads its arguments' two fields, so no depth recurses
+        depth = 5000
+        blown = smooth_from_betti([1, 0, 1, 0, 1], 2)
+        for _ in range(depth):
+            blown = BlowUpRel(ambient=blown, center=point_atom(), codim=2)
+        assert upsilon_rel(blown) == LaurentPoly.s(2) + LaurentPoly.t(2).scale(depth)
+        assert dim(blown) == 2
+        scaled = point_atom()
+        for i in range(depth):
+            scaled = IntScale(-1, Sum((scaled, zero_expr())) if i % 2 else Diff(scaled, zero_expr()))
+        assert upsilon_rel(scaled) == LaurentPoly.one()
+        assert dim(scaled) == 0
+
+
+class TestEquality:
+    # a class is its value and dimension: how it was written is not kept
+    def test_reordered_sums_are_equal(self):
+        p1, p2 = smooth_from_betti([1, 0, 1], 1), smooth_from_betti([1, 0, 1, 0, 1], 2)
+        assert Sum((p1, p2)) == Sum((p2, p1))
+        assert hash(Sum((p1, p2))) == hash(Sum((p2, p1)))
+        assert Sum((p1, p1)) == IntScale(2, p1)
+
+    def test_dimension_tells_equal_values_apart(self):
+        p1 = smooth_from_betti([1, 0, 1], 1)
+        assert upsilon_rel(Diff(p1, p1)) == upsilon_rel(zero_expr())
+        assert Diff(p1, p1) != zero_expr()
 
 
 class TestConstructors:
