@@ -10,6 +10,12 @@ more digits than the interpreter converts to an int
 (sys.get_int_max_str_digits; the conversion costs time quadratic in the
 digits) fails its schema check where it stands.
 
+Every value is checked once, where it is read.  A reader builds what it
+has checked through the value type's trusted builder (LaurentPoly._built,
+gwseries._built, GradedNilpotent._built), not through the public
+constructor, which checks every value again for library callers; what it
+hands a builder is its own, never a list of the caller's document.
+
 A row's location is formatted only for an error.  A gv_table or gw_series
 document is read in one pass: the loop that reads a row checks its types,
 then its key under the rules GVTable and GWSeries keep (gwseries.ClassRule,
@@ -36,7 +42,7 @@ from .counting import AtomParts, CentralCharge, ClassLattice, EvalModel, NumClas
 from .errors import ConeNotPointedError, SchemaError
 from .gwseries import ClassRule, GVTable, GWSeries, _built, check_genus, check_lambda
 from .laurent import LaurentPoly, RationalFn, _print_order_key
-from .lefschetz import BispinContent, GradedNilpotent, JordanCensus
+from .lefschetz import BispinContent, GradedNilpotent, JordanCensus, _scaled
 from .stacks import StackClass
 
 SCHEMA_VERSION = 1
@@ -155,16 +161,32 @@ def poly_to_json(p: LaurentPoly) -> list[list]:
     return [[a, b, str(c)] for (a, b), c in terms]
 
 
+def _coefficient(obj: Any, where: str) -> int | Fraction:
+    """_fraction's value, with an integer string read straight to its int."""
+    if type(obj) is str and _INTEGER.fullmatch(obj):
+        try:
+            return int(obj)
+        except ValueError:  # more digits than int() converts: _fraction says so
+            pass
+    return _fraction(obj, where)
+
+
 def poly_from_json(doc: Any, where: str = "poly") -> LaurentPoly:
+    """A polynomial's rows [a, b, coeff], repeated exponents summed; the
+    polynomial is built from the checked terms without a second check."""
     terms: dict[tuple[int, int], int] = {}
-    for i, (a, b, c) in enumerate(_rows(doc, where, "[a, b, coeff]", ((_int, ".a"), (_int, ".b"), (_fraction, ".coeff")))):
-        if c.denominator != 1:
-            raise SchemaError(f"{where}[{i}]: polynomial coefficients are integers")
-        terms[(a, b)] = terms.get((a, b), 0) + int(c)
-    try:
-        return LaurentPoly(terms)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    negative_s = False
+    for i, (a, b, c) in enumerate(_rows(doc, where, "[a, b, coeff]", ((_int, ".a"), (_int, ".b"), (_coefficient, ".coeff")))):
+        if type(c) is not int:
+            if c.denominator != 1:
+                raise SchemaError(f"{where}[{i}]: polynomial coefficients are integers")
+            c = int(c)
+        terms[(a, b)] = terms.get((a, b), 0) + c
+        negative_s = negative_s or b < 0
+    # raised once every row is read, so that a later row's type error wins
+    if negative_s:
+        raise SchemaError(f"{where}: s never appears with negative exponent")
+    return LaurentPoly._built(terms)
 
 
 def rational_fn_to_json(r: RationalFn) -> dict:
@@ -225,10 +247,16 @@ def graded_nilpotent_from_json(doc: dict, where: str = "graded_nilpotent") -> Gr
         except ValueError as exc:
             raise SchemaError(f"{where}.maps: bad degree key {key!r}") from exc
         at = f"{where}.maps[{key}]"
-        _require(rows, list, at)
-        maps[degree] = [row if isinstance(row, list) and set(map(type, row)) <= {int}
-                        else [c if type(c) is int else _fraction(c, at) for c in _require(row, list, at)] for row in rows]
-    return GradedNilpotent(dims, maps)
+        # the operator keeps these rows, so each is a new list, never the document's own
+        own, rational = [], False
+        for row in _require(rows, list, at):
+            if isinstance(row, list) and set(map(type, row)) <= {int}:
+                own.append(list(row))
+            else:  # a row read here that does not fail holds a Fraction
+                own.append([c if type(c) is int else _fraction(c, at) for c in _require(row, list, at)])
+                rational = True
+        maps[degree] = _scaled(own) if rational else own
+    return GradedNilpotent._built(dims, maps)
 
 
 # -- motive expressions ------------------------------------------------------------
@@ -262,8 +290,8 @@ def abs_motive_from_json(doc: Any, where: str = "abs") -> motives.AbsMotive:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _bettis(doc: dict, where: str) -> list[int]:
-    return [_int(b, f"{where}.bettis") for b in _require(doc["bettis"], list, f"{where}.bettis")]
+def _bettis(doc: dict, where: str) -> tuple[int, ...]:
+    return _ints(doc["bettis"], f"{where}.bettis")
 
 
 def motive_from_json(doc: Any, where: str = "expr", depth: int = 0) -> motives.MotiveExpr:
@@ -356,8 +384,8 @@ def class_from_list(doc: Any, rank: int, where: str) -> NumClass:
     _require(doc, list, where)
     if len(doc) != rank + 1:
         raise SchemaError(f"{where}: class needs {rank} beta parts plus k")
-    numbers = [_int(x, where) for x in doc]
-    return NumClass(tuple(numbers[:-1]), numbers[-1])
+    numbers = _ints(doc, where)
+    return NumClass(numbers[:-1], numbers[-1])
 
 
 def count_model_from_json(doc: dict, where: str = "count_model") -> tuple[ClassLattice, CentralCharge, EvalModel]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, lcm
 from operator import mul
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import linalg
 from .errors import Frozen, NotRepresentationError, ShapeMismatchError, VirtualInputError
@@ -130,6 +130,12 @@ def _denominator(c) -> int:
     raise TypeError(f"matrix entries are int or Fraction, not {type(c).__name__}")
 
 
+def _scaled(rows: list[list]) -> linalg.Matrix:
+    """Rows of int and Fraction entries times the lcm of their denominators: rows of ints."""
+    scale = lcm(*(_denominator(c) for row in rows for c in row))
+    return [[int(c * scale) for c in row] for row in rows]
+
+
 class GradedNilpotent(Frozen):
     """A graded vector space with a degree +2 operator given by exact matrices.
 
@@ -148,19 +154,33 @@ class GradedNilpotent(Frozen):
     __slots__ = ("dims", "maps")
 
     def __init__(self, dims: Mapping[int, int], maps: Mapping[int, list[list]] | None = None):
-        clean_dims = {int(d): int(n) for d, n in dims.items() if n != 0}
+        clean_dims = {int(d): int(n) for d, n in dims.items()}
         if any(n < 0 for n in clean_dims.values()):
             raise ValueError("dimensions must be nonnegative")
+        # each map is checked and copied, or scaled to ints, when the shape check reaches it
+        owned = (
+            (int(alpha), [list(row) for row in rows] if set(map(type, chain.from_iterable(rows))) <= {int} else _scaled(rows))
+            for alpha, rows in (maps or {}).items()
+        )
+        self._place(clean_dims, owned)
+
+    @classmethod
+    def _built(cls, dims: dict[int, int], maps: dict[int, linalg.Matrix]) -> "GradedNilpotent":
+        """An operator of checked parts that the caller hands over, not checked
+        or copied again: int degrees, nonnegative int dims, and maps of rows
+        of ints that no one else holds.  The shapes are checked as the
+        constructor checks them."""
+        obj = object.__new__(cls)
+        obj._place(dims, maps.items())
+        return obj
+
+    def _place(self, dims: dict[int, int], maps: Iterable[tuple[int, linalg.Matrix]]) -> None:
+        """Set the nonzero dims and the maps of rows of ints, each map checked against its shape."""
+        dims = {d: n for d, n in dims.items() if n}
         clean_maps: dict[int, linalg.Matrix] = {}
-        for alpha, rows in (maps or {}).items():
-            alpha = int(alpha)
-            if set(map(type, chain.from_iterable(rows))) <= {int}:
-                rows = [list(row) for row in rows]
-            else:
-                scale = lcm(*(_denominator(c) for row in rows for c in row))
-                rows = [[int(c * scale) for c in row] for row in rows]
-            src = clean_dims.get(alpha, 0)
-            dst = clean_dims.get(alpha + 2, 0)
+        for alpha, rows in maps:
+            src = dims.get(alpha, 0)
+            dst = dims.get(alpha + 2, 0)
             if src == 0 or dst == 0:
                 if any(any(row) for row in rows):
                     raise ShapeMismatchError(
@@ -170,7 +190,7 @@ class GradedNilpotent(Frozen):
             if len(rows) != dst or any(len(row) != src for row in rows):
                 raise ShapeMismatchError(f"map at degree {alpha}: expected shape {dst}x{src}")
             clean_maps[alpha] = rows
-        object.__setattr__(self, "dims", dict(sorted(clean_dims.items())))
+        object.__setattr__(self, "dims", dict(sorted(dims.items())))
         object.__setattr__(self, "maps", clean_maps)
 
     def dimension(self) -> int:
@@ -281,8 +301,17 @@ def genus_decompose(v: BispinContent) -> dict[int, SpinMultiset]:
 
 
 def genus_count(v: BispinContent, g: int) -> int:
-    """Signed dimension of the genus-g right factor; one genus of genus_decompose."""
-    return _right_factor(v, g).signed_dimension()
+    """Signed dimension of the genus-g right factor; one genus of genus_decompose.
+
+    Read straight off _right_factor's closed form, without building the factor:
+    the sum over summands (l, r) x m with g <= l of (-1)^(l-g+r) (r+1) C(l+g+1, 2g+1) m.
+    """
+    total = 0
+    for (l, r), m in v.items():
+        if 0 <= g <= l:
+            term = (r + 1) * comb(l + g + 1, 2 * g + 1) * m
+            total += -term if (l - g + r) % 2 else term
+    return total
 
 
 # -- Jordan censuses ----------------------------------------------------------

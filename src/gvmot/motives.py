@@ -17,7 +17,7 @@ are: how a class was written is not kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DimMismatchError,
@@ -173,7 +173,7 @@ def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
     return e.value
 
 
-def _check_poincare_duality(bettis: list[int], d: int) -> None:
+def _check_poincare_duality(bettis: Sequence[int], d: int) -> None:
     """The 2d + 1 betti numbers are nonnegative and palindromic."""
     if any(b < 0 for b in bettis):
         raise PoincareDualityError("betti numbers must be nonnegative")
@@ -182,12 +182,13 @@ def _check_poincare_duality(bettis: list[int], d: int) -> None:
             raise PoincareDualityError(f"b_{i} != b_{2 * d - i}")
 
 
-def smooth_from_betti(bettis: list[int], d: int) -> MotiveExpr:
+def smooth_from_betti(bettis: Sequence[int], d: int) -> MotiveExpr:
     """Atom for a smooth projective space of dimension d over itself.
 
     Cells have size -alpha + 1 and count b_{d+alpha} - b_{d+alpha-2} for
     alpha <= 0; the betti input must satisfy Poincare duality and grow
-    monotonically in steps of two up to the middle.
+    monotonically in steps of two up to the middle.  The betti numbers are
+    ints; once checked they make the value with no census built between.
     """
     if d < 0:
         raise DimMismatchError("atom dimension must be nonnegative")
@@ -197,26 +198,22 @@ def smooth_from_betti(bettis: list[int], d: int) -> MotiveExpr:
     for i in range(2, d + 1):
         if bettis[i] < bettis[i - 2]:
             raise HardLefschetzError(f"b_{i} < b_{i - 2}")
-    cells = {}
-    for alpha in range(-d, 1):
-        i = d + alpha
-        n = bettis[i] - (bettis[i - 2] if i >= 2 else 0)
-        if n:
-            cells[(alpha, -alpha + 1)] = n
-    return Atom(name=f"betti{bettis}", dim=d, census=JordanCensus(cells))
+    # the cell (i - d, d - i + 1) of count b_i - b_(i-2) is the term t^i s^(d-i)
+    value = {(i, d - i): bettis[i] - (bettis[i - 2] if i >= 2 else 0) for i in range(d + 1)}
+    return MotiveExpr(LaurentPoly._built(value), d)
 
 
-def over_point_from_betti(bettis: list[int]) -> MotiveExpr:
+def over_point_from_betti(bettis: Sequence[int]) -> MotiveExpr:
     """Atom for a smooth projective space mapped to a point: all cells size one.
 
-    Its value is the ordinary Poincare polynomial sum b_i t^i.
+    Its value is the ordinary Poincare polynomial sum b_i t^i, built from the
+    checked int betti numbers with no census between.
     """
     if len(bettis) % 2 != 1:
         raise PoincareDualityError("betti list must have odd length 2d + 1")
     d = (len(bettis) - 1) // 2
     _check_poincare_duality(bettis, d)
-    cells = {(i - d, 1): b for i, b in enumerate(bettis) if b}
-    return Atom(name=f"pointbase{bettis}", dim=d, census=JordanCensus(cells))
+    return MotiveExpr(LaurentPoly._built({(i, 0): b for i, b in enumerate(bettis)}), d)
 
 
 def point_atom() -> MotiveExpr:

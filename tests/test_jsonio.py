@@ -9,7 +9,7 @@ import pytest
 
 from gvmot.cli import _all_digits
 from gvmot.counting import NumClass, counting_polynomial
-from gvmot.errors import DimMismatchError, GvmotError, SchemaError
+from gvmot.errors import DimMismatchError, GvmotError, SchemaError, ShapeMismatchError
 from gvmot.gwseries import GVTable, GWSeries
 from gvmot.jsonio import (
     _decode,
@@ -27,6 +27,10 @@ from gvmot.jsonio import (
     rational_fn_to_json,
 )
 from gvmot.laurent import LaurentPoly, RationalFn
+from gvmot.lefschetz import GradedNilpotent, JordanCensus
+from gvmot.motives import Atom
+from gvmot.stacks import StackClass
+from gvmot.verify import random_betti
 
 
 class TestEnvelope:
@@ -65,8 +69,32 @@ class TestPolynomials:
         assert poly_from_json([[0, 0, "12"]]) == LaurentPoly.constant(12)
 
     def test_negative_s_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as raised:
             poly_from_json([[0, -1, "1"]])
+        assert str(raised.value) == "poly: s never appears with negative exponent"
+
+    def test_a_later_rows_type_error_wins_over_negative_s(self):
+        # the s-exponent rule is applied once every row is read
+        with pytest.raises(SchemaError) as raised:
+            poly_from_json([[0, -1, "1"], [0, 0, 1.5]])
+        assert str(raised.value) == "poly[1].coeff: expected an integer or rational string"
+
+    @pytest.mark.parametrize(
+        "coeff, message",
+        # int() would read "+3" and "3 "; a coefficient matches the rational grammar first
+        [
+            ("1/2", "poly[0]: polynomial coefficients are integers"),
+            ("+3", "poly[0].coeff: bad rational '+3'"),
+            ("3 ", "poly[0].coeff: bad rational '3 '"),
+            ("9" * 5000, "poly[0].coeff: a number of 5000 digits is over the limit of 4300 digits"),
+            ("-" + "9" * 5000, "poly[0].coeff: a number of 5000 digits is over the limit of 4300 digits"),
+            ("9" * 5000 + "/3", "poly[0].coeff: a number of 5000 digits is over the limit of 4300 digits"),
+        ],
+    )
+    def test_coefficient_messages(self, coeff, message):
+        with pytest.raises(SchemaError) as raised:
+            poly_from_json([[0, 0, coeff]])
+        assert str(raised.value) == message
 
     def test_rational_fn_roundtrip(self):
         r = RationalFn(LaurentPoly.one(), LaurentPoly.t(2) - LaurentPoly.one())
@@ -292,6 +320,148 @@ class TestCountModelDocs:
 
         with pytest.raises(AsymmetricDefectError):
             parse_document(doc)
+
+
+def _coefficient(rng):
+    """A polynomial coefficient as a document may write it, and its value: 0 to 300 bits,
+    as a JSON int, a signed integer string, with leading zeros, or as a multiple over its factor."""
+    value = 0 if rng.random() < 0.1 else rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 300))
+    form = rng.randrange(4)
+    if form == 0:
+        return value, value
+    if form == 1:
+        return ("-0" if not value and rng.random() < 0.5 else str(value)), value
+    if form == 2:
+        return ("-" if value < 0 else "") + "0" * rng.randint(1, 3) + str(abs(value)), value
+    m = rng.randint(1, 9)
+    return f"{value * m}/{m}", value
+
+
+def _poly_rows(rng, nonzero=False):
+    """Rows [a, b, coeff] over a few exponents (negative t, s-terms), some repeated or
+    cancelling, and the polynomial the checking constructor builds from their values."""
+    keys = [(rng.randint(-5, 5), rng.randint(0, 3)) for _ in range(rng.randint(1, 6))]
+    rows, terms = [], {}
+    for _ in range(rng.randint(0, 10)):
+        (a, b), (text, value) = rng.choice(keys), _coefficient(rng)
+        rows.append([a, b, text])
+        terms[(a, b)] = terms.get((a, b), 0) + value
+        if rng.random() < 0.2:
+            rows.append([a, b, str(-value)])
+            terms[(a, b)] -= value
+    if nonzero and not any(terms.values()):
+        rows.append([0, 0, 1])
+        terms[(0, 0)] = terms.get((0, 0), 0) + 1
+    return rows, LaurentPoly(terms)
+
+
+def _motive(rng):
+    """A leaf motive expression and the atom the checking constructors build for it."""
+    kind = rng.choice(["atom", "betti", "betti_over_point"])
+    d = rng.randint(0, 4)
+    if kind == "atom":
+        cells = {(rng.randint(-3, 3), rng.randint(1, 3)): rng.randint(-4, 4) for _ in range(rng.randint(0, 4))}
+        census = [[alpha, l, n] for (alpha, l), n in cells.items()]
+        return {"kind": "atom", "name": "x", "dim": d, "census": census}, Atom("x", d, JordanCensus(cells))
+    bettis = random_betti(random.Random(rng.random()), d)
+    if kind == "betti":
+        cells = {(i - d, d - i + 1): bettis[i] - (bettis[i - 2] if i >= 2 else 0) for i in range(d + 1)}
+        return {"kind": "betti", "bettis": bettis, "dim": d}, Atom("x", d, JordanCensus(cells))
+    bettis = [rng.randint(0, 3) for _ in range(d)]
+    bettis = bettis + [rng.randint(0, 3)] + bettis[::-1]
+    cells = {(i - d, 1): b for i, b in enumerate(bettis)}
+    return {"kind": "betti_over_point", "bettis": bettis}, Atom("x", d, JordanCensus(cells))
+
+
+def _parts(rng):
+    """A stack class's parts as a document writes them, and the (num, den, expr) the constructors build."""
+    doc, built = [], []
+    for _ in range(rng.randint(0, 4)):
+        (num_rows, num), (den_rows, den) = _poly_rows(rng), _poly_rows(rng, nonzero=True)
+        expr_doc, expr = _motive(rng)
+        doc.append({"coeff": {"num": num_rows, "den": den_rows}, "expr": expr_doc})
+        built.append((num, den, expr))
+    return doc, tuple(built)
+
+
+class TestReadersBuildWhatTheyCheck:
+    """Each reader builds the values it has checked directly; on seeded documents
+    every value it reads equals the one the checking constructors build."""
+
+    def test_polynomials(self):
+        rng = random.Random(2901)
+        for _ in range(500):
+            rows, expected = _poly_rows(rng)
+            read = poly_from_json(rows)
+            assert read == expected and list(read.items()) == list(expected.items()), rows
+            assert all(type(c) is int for _, c in read.items())
+
+    def test_stack_classes(self):
+        rng = random.Random(2902)
+        for _ in range(200):
+            doc, built = _parts(rng)
+            _, read = parse_document({"v": 1, "kind": "stack_class", "parts": doc})
+            assert read.parts == StackClass.from_fractions(built).parts
+
+    def test_count_models(self):
+        rng = random.Random(2903)
+        for _ in range(100):
+            atoms = {j: _parts(rng) for j in rng.sample(range(1, 9), rng.randint(0, 4))}
+            doc = {
+                "v": 1,
+                "kind": "count_model",
+                "lattice": {"rank": 1, "generators": [[1]]},
+                "charge": {"B": ["0"], "omega": ["1"]},
+                "atoms": {f"0,{j}": parts for j, (parts, _) in atoms.items()},
+            }
+            _, (_, _, model) = parse_document(doc)
+            assert model.atoms == {NumClass((0,), j): built for j, (_, built) in atoms.items()}
+
+    def test_graded_nilpotents(self):
+        rng = random.Random(2904)
+
+        def entry():
+            r = rng.random()
+            if r < 0.6:
+                return rng.randint(-3, 3)
+            if r < 0.7:
+                return rng.choice([-1, 1]) * rng.getrandbits(rng.randint(64, 200))
+            den = rng.randint(1, 6)
+            return f"{rng.randint(-3 * den, 3 * den)}/{den}"
+
+        for _ in range(300):
+            dims = {d: rng.randint(0, 3) for d in rng.sample(range(-4, 5), rng.randint(0, 5))}
+            maps = {}
+            for d in dims:
+                if rng.random() < 0.6:
+                    # a wrong shape now and then, and maps out of or into absent degrees
+                    rows = dims.get(d + 2, 0) + (rng.random() < 0.05)
+                    maps[d] = [[entry() for _ in range(dims[d])] for _ in range(rows)]
+            doc = {"v": 1, "kind": "graded_nilpotent", "dims": {str(d): n for d, n in dims.items()},
+                   "maps": {str(d): rows for d, rows in maps.items()}}
+            fractions = {d: [[c if type(c) is int else Fraction(c) for c in row] for row in rows] for d, rows in maps.items()}
+            try:
+                expected = GradedNilpotent(dims, fractions)
+            except ShapeMismatchError as exc:
+                with pytest.raises(ShapeMismatchError) as raised:
+                    parse_document(doc)
+                assert str(raised.value) == str(exc)
+                continue
+            _, op = parse_document(doc)
+            assert (op.dims, op.maps) == (expected.dims, expected.maps), doc
+            assert list(op.dims) == list(expected.dims)
+            assert all(type(c) is int for rows in op.maps.values() for row in rows for c in row)
+
+    def test_no_document_list_ends_up_inside_the_operator(self):
+        doc = {"v": 1, "kind": "graded_nilpotent", "dims": {"-1": 2, "1": 2, "3": 1},
+               "maps": {"-1": [[1, 2], [3, 4]], "1": [["1/2", 3]]}}
+        lists = {id(doc["maps"])} | {id(rows) for rows in doc["maps"].values()}
+        lists |= {id(row) for rows in doc["maps"].values() for row in rows}
+        _, op = parse_document(doc)
+        held = [op.maps] + list(op.maps.values()) + [row for rows in op.maps.values() for row in rows]
+        assert not lists & {id(x) for x in held}
+        doc["maps"]["-1"][0][0] = 9
+        assert op.maps == {-1: [[1, 2], [3, 4]], 1: [[1, 6]]}
 
 
 class TestTablesAndSeries:

@@ -15,6 +15,7 @@ from gvmot.lefschetz import (
     GradedNilpotent,
     JordanCensus,
     SpinMultiset,
+    _right_factor,
     census_count,
     census_from_bispin,
     genus_count,
@@ -349,6 +350,16 @@ class TestGenusCount:
             top = max(jl for (jl, _) in v.mult)
             assert genus_count(v, top + 1) == 0
             assert genus_count(v, top + 3) == 0
+
+    @pytest.mark.parametrize("virtual", [False, True])
+    def test_closed_form_equals_the_right_factor(self, virtual):
+        # the count read off the closed form against the signed dimension of the built factor
+        rng = random.Random(1607 + virtual)
+        for _ in range(300):
+            v = random_bispin(rng, 14, 9, virtual=virtual)
+            top = max((jl for (jl, _) in v.mult), default=0)
+            for g in range(-1, top + 3):
+                assert genus_count(v, g) == _right_factor(v, g).signed_dimension(), (v, g)
 
 
 class TestJordanCensus:

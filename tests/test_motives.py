@@ -55,6 +55,21 @@ class TestSmoothFromBetti:
                     expected[(i, d - i)] = n
             assert value == LaurentPoly(expected)
 
+    def test_betti_atoms_equal_their_census_atoms(self):
+        # both Betti readers build the value directly; it is the Atom of the census they describe
+        rng = random.Random(2905)
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            bettis = random_betti(rng, d)
+            cells = {(i - d, d - i + 1): bettis[i] - (bettis[i - 2] if i >= 2 else 0) for i in range(d + 1)}
+            half = [rng.randint(0, 5) for _ in range(d)]
+            over = half + [rng.randint(0, 5)] + half[::-1]
+            for read, atom in [
+                (smooth_from_betti(bettis, d), Atom("x", d, JordanCensus(cells))),
+                (over_point_from_betti(over), Atom("x", d, JordanCensus({(i - d, 1): b for i, b in enumerate(over)}))),
+            ]:
+                assert read == atom and list(read.value.items()) == list(atom.value.items())
+
     def test_duality_violation(self):
         with pytest.raises(PoincareDualityError):
             smooth_from_betti([1, 2, 1, 0, 1], 2)
