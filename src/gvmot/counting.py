@@ -13,7 +13,11 @@ Every piece of a splitting of v lies below v: v minus the piece is
 effective or zero.  So a count walks down from its target once, subtracting
 generators, and labels each class it reaches effective or not; that one
 labelled set says whether the target is in range, whether each remainder is,
-and which classes can be pieces.
+and which classes can be pieces.  One decomposition walk then lists the words
+of every class, degree-zero classes (0, k) included, whose pieces are (0, j)
+for j = 1..k.  It keeps only its current path, each frame's descendable
+pieces in a bytearray, and makes a piece's NumClass when a word first takes
+it, so its memory grows with the pieces and the path, not with the words.
 
 Each count spends one Ledger, as gv's readout then does: the walk down (stage
 "membership test"), the candidate pieces and the decomposition walk all draw
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, lcm, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     WORK_CAP,
@@ -57,16 +61,11 @@ MODEL_NOTE = (
 AtomParts = tuple[tuple[LaurentPoly, LaurentPoly, MotiveExpr], ...]  # an atom's parts, not normalised
 
 
-@dataclass(frozen=True, order=True)
-class NumClass:
-    """A numerical class: curve part beta (integer vector) and Euler pairing k."""
+class NumClass(NamedTuple):
+    """A numerical class: curve part beta (a tuple of ints) and Euler pairing k, stored as given."""
 
     beta: tuple[int, ...]
     k: int
-
-    def __init__(self, beta, k: int):
-        object.__setattr__(self, "beta", tuple(int(b) for b in beta))
-        object.__setattr__(self, "k", int(k))
 
     def __neg__(self) -> "NumClass":
         return NumClass(tuple(-b for b in self.beta), -self.k)
@@ -286,15 +285,23 @@ def _same_phase_words(
     """Words of same-phase pieces summing to v, or None when v is outside the
     phase-(0,1] range.
 
-    A degree-zero class is in range when k > 0, and its pieces are the
-    zero-dimensional classes (0, k').  Any other class is in range when beta
-    is effective, and one walk down from beta (ClassLattice.classes_below)
-    answers that, the range of every remainder and the candidate pieces: a
-    piece p of a splitting leaves an effective or zero remainder, so p.beta
-    is an effective class the walk reaches.  Each piece's k is forced by
-    phase proportionality and must come out integral.  With multisets, each
-    multiset of pieces is listed once, as the word whose pieces are in
-    non-increasing order.
+    A degree-zero class (0, k) is in range when k > 0, and its pieces are the
+    zero-dimensional classes (0, j) for j = 1..k.  Any other class is in range
+    when beta is effective, and one walk down from beta
+    (ClassLattice.classes_below) answers that, the range of every remainder
+    and the candidate pieces: a piece p of a splitting leaves an effective or
+    zero remainder, so p.beta is an effective class the walk reaches.  Each
+    piece's k is forced by phase proportionality and must come out integral.
+
+    One walk then lists the words of either kind of class.  It keeps only
+    the frames on its current path: a remainder, its word so far, and a
+    bytearray marking the pieces it can descend by.  A frame spends its steps
+    in ascending order, then descends by its marked pieces from the top.  A
+    remainder is descended into when it is (0, k') with k' > 0, or when its
+    beta is effective and nonzero.  Pieces are held as their betas and ks,
+    and a piece's NumClass is made when a word first takes it.  With
+    multisets, each multiset of pieces is listed once, as the word whose
+    pieces are in non-increasing order.
     """
     if len(v.beta) != lattice.rank:
         raise ValueError(f"class {v} has wrong rank for this lattice")
@@ -304,85 +311,55 @@ def _same_phase_words(
         if v.k <= 0:
             return None
         ledger.spend("pieces", v.k)
-        return _degree_zero_words(zero_beta, v.k, ledger, multisets)
-    effective = lattice.classes_below(v.beta, charge.omega, ledger)
-    if not effective[v.beta]:
-        return None
-    re_v, im_v = charge.value(v)
-    slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
-    pieces = []
-    for beta in sorted(b for b, label in effective.items() if label and b != zero_beta):
-        ledger.spend("pieces")
-        k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
-        if k_frac.denominator == 1:
-            pieces.append(NumClass(beta, int(k_frac)))
-
-    # only the frames on the current path are kept: a remainder, its word so far and the pieces
-    # it can descend by; a frame spends its steps in ascending order, then descends from its last
-    words, path = [], []
-    rem, acc, bound = v, (), len(pieces)
-    while True:
-        down = []
-        for i in range(bound):
-            ledger.spend("decompositions")
-            p = pieces[i]
-            beta, k = tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k
-            if beta == zero_beta and k == 0:
-                ledger.spend("decompositions")
-                words.append(acc + (p,))
-            elif effective.get(beta, False):  # a zero-beta remainder has zero charge, so k == 0 there
-                down.append(i)
-        path.append((rem, acc, down))
-        while path and not path[-1][2]:
-            path.pop()
-        if not path:
-            return words
-        rem, acc, down = path[-1]
-        i = down.pop()
-        p = pieces[i]
-        rem, acc = NumClass(tuple(x - y for x, y in zip(rem.beta, p.beta)), rem.k - p.k), acc + (p,)
-        bound = i + 1 if multisets else len(pieces)
-
-
-def _degree_zero_words(
-    zero_beta: tuple[int, ...],
-    k: int,
-    ledger: Ledger,
-    multisets: bool,
-) -> list[tuple[NumClass, ...]]:
-    """The walk of _same_phase_words for the class (0, k), on integers.
-
-    Its pieces are (0, j) for j = 1..k, and piece j leaves a remainder r - j:
-    a word when zero, a frame to descend to when positive.  So a frame
-    descends by the pieces 1..min(bound, r - 1), largest first, and keeps
-    only how many are left.  A piece is made when a word first takes it.
-    """
+        effective, betas, ks = {}, [zero_beta] * v.k, range(1, v.k + 1)
+    else:
+        effective = lattice.classes_below(v.beta, charge.omega, ledger)
+        if not effective[v.beta]:
+            return None
+        re_v, im_v = charge.value(v)
+        slope = (-re_v) / im_v  # k - B.beta over omega.beta, shared by all pieces
+        betas, ks = [], []
+        for beta in sorted(b for b, label in effective.items() if label and b != zero_beta):
+            ledger.spend("pieces")
+            k_frac = dot(charge.b_field, beta) + slope * dot(charge.omega, beta)
+            if k_frac.denominator == 1:
+                betas.append(beta)
+                ks.append(int(k_frac))
     made: dict[int, NumClass] = {}
 
-    def piece(j: int) -> NumClass:
-        p = made.get(j)
+    def piece(i: int) -> NumClass:
+        p = made.get(i)
         if p is None:
-            p = made[j] = NumClass(zero_beta, j)
+            p = made[i] = NumClass(betas[i], ks[i])
         return p
 
+    def minus(beta: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return beta if b is zero_beta else tuple([x - y for x, y in zip(beta, b)])
+
     words, path = [], []
-    r, acc, bound = k, (), k
+    beta, k, acc, bound = v.beta, v.k, (), len(ks)
     while True:
-        for j in range(1, bound + 1):
+        down = bytearray(bound)
+        for i, b, j in zip(range(bound), betas, ks):
             ledger.spend("decompositions")
-            if j == r:
-                ledger.spend("decompositions")
-                words.append(acc + (piece(r),))
-        path.append([r, acc, min(bound, r - 1)])
-        while path and not path[-1][2]:
+            rest, left = minus(beta, b), k - j
+            if rest == zero_beta:  # unless v is (0, k), a zero-beta remainder has zero charge: left == 0
+                if left == 0:
+                    ledger.spend("decompositions")
+                    words.append(acc + (piece(i),))
+                elif left > 0:
+                    down[i] = 1
+            elif effective.get(rest, False):
+                down[i] = 1
+        path.append((beta, k, acc, down))
+        while path and (i := path[-1][3].rfind(1)) < 0:
             path.pop()
         if not path:
             return words
-        frame = path[-1]
-        r, acc, j = frame
-        frame[2] = j - 1
-        r, acc = r - j, acc + (piece(j),)
-        bound = j if multisets else k
+        beta, k, acc, down = path[-1]
+        del down[i:]
+        beta, k, acc = minus(beta, betas[i]), k - ks[i], acc + (piece(i),)
+        bound = i + 1 if multisets else len(ks)
 
 
 def same_phase_decompositions(

@@ -440,7 +440,8 @@ class TestGv:
     def test_membership_and_pieces_spend_the_cap_quickly(self, capsys, tmp_path):
         # a tiny document whose target is not effective: the membership search
         # alone would visit ~640k lattice points; a degree-zero target with a
-        # huge k would build one piece per unit of k
+        # huge k would build one piece per unit of k; one with k just under
+        # the cap reaches the decomposition walk and is stopped in its frames
         doc = {
             "v": 1,
             "kind": "count_model",
@@ -452,6 +453,7 @@ class TestGv:
         cases = [
             (["--input", even, "--target", "1601,1600,0", "--max-compositions", "10"], "membership test", 10),
             (["--input", f"{SAMPLES}/cy3_degree_zero.count_model.json", "--target", "0,100000000"], "pieces", 10**6),
+            (["--input", f"{SAMPLES}/cy3_degree_zero.count_model.json", "--target", "0,400000"], "decompositions", 10**6),
         ]
         for argv, stage, cap in cases:
             start = time.perf_counter()

@@ -815,6 +815,22 @@ class TestPathWalk:
                     outcomes["out of range" if words is None else "capped"] += 1
         assert outcomes["split"] >= 100 and outcomes["capped"] >= 10, outcomes
 
+    def test_matches_pushed_walk_on_degree_zero_targets(self):
+        # random_walk_setup draws (0, k) only with |k| <= 4; here k runs to 40,
+        # through full enumerations and walks the cap stops part way
+        rng = random.Random(67)
+        outcomes = Counter()
+        for _ in range(120):
+            lattice, charge, _, _ = random_walk_setup(rng)
+            v = NumClass((0,) * lattice.rank, rng.randint(1, 40))
+            cap = int(10 ** rng.uniform(1, 5))
+            for multisets in (False, True) if v.k <= 18 else (True,):
+                expected = self.outcome(pushed_walk_oracle, lattice, charge, v, cap, multisets)
+                got = self.outcome(counting._same_phase_words, lattice, charge, v, cap, multisets)
+                assert got == expected, (lattice.rank, v, cap, multisets)
+                outcomes["finished" if isinstance(expected[0], list) else "capped"] += 1
+        assert outcomes["finished"] >= 40 and outcomes["capped"] >= 40, outcomes
+
     def test_capped_walk_keeps_only_its_path(self):
         # the old walk held every remainder of the first level, each with its
         # word so far, at once; the path holds one index per remainder
