@@ -28,16 +28,9 @@ from typing import Callable
 
 from . import jsonio
 from .counting import MODEL_NOTE, counting_polynomial, polynomial_census
-from .errors import (
-    WORK_CAP,
-    GvmotError,
-    Ledger,
-    MissingAtomError,
-    NotPolynomialError,
-    OddWeightedDegreeError,
-    ResourceLimitError,
-    SchemaError,
-)
+# every exit code, which callers may import from here as well
+from .errors import EXIT_CROSSCHECK, EXIT_INTERNAL, EXIT_MISSING_ATOM, EXIT_NOT_POLYNOMIAL, EXIT_OK, EXIT_PROPERTY, EXIT_SCHEMA
+from .errors import WORK_CAP, GvmotError, Ledger, ResourceLimitError, SchemaError
 from .gwseries import gv_to_gw, gw_to_gv
 from .jsonio import dump_json
 from .laurent import format_poly
@@ -45,35 +38,19 @@ from .lefschetz import census_count, census_from_bispin, genus_count, jordan_cen
 from .motives import upsilon_rel
 from .stacks import upsilon_stack
 
-EXIT_OK = 0
-EXIT_PROPERTY = 1
-EXIT_SCHEMA = 2
-EXIT_CROSSCHECK = 3
-EXIT_MISSING_ATOM = 4
-EXIT_NOT_POLYNOMIAL = 5
-EXIT_INTERNAL = 6
-
 
 class CrossCheckError(GvmotError):
     """The two computation routes disagreed; the artifact is inconsistent."""
 
+    exit_code = EXIT_CROSSCHECK
+
 
 def _emit_error(exc: Exception) -> int:
-    if not isinstance(exc, GvmotError):
-        code = EXIT_INTERNAL
-    elif isinstance(exc, CrossCheckError):
-        code = EXIT_CROSSCHECK
-    elif isinstance(exc, MissingAtomError):
-        code = EXIT_MISSING_ATOM
-    elif isinstance(exc, (NotPolynomialError, OddWeightedDegreeError)):
-        code = EXIT_NOT_POLYNOMIAL
-    else:
-        code = EXIT_SCHEMA
     body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, ResourceLimitError):
         body["error"].update(stage=exc.stage, spent=exc.spent, cap=exc.cap)
     print(json.dumps(body, sort_keys=True), file=sys.stderr)
-    return code
+    return exc.exit_code if isinstance(exc, GvmotError) else EXIT_INTERNAL
 
 
 @contextmanager

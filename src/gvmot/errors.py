@@ -1,13 +1,21 @@
 """Exception hierarchy shared across the package, the work ledger, and the
 base that keeps the value types immutable.
 
-Every domain error derives from GvmotError so the CLI can map failures to
-stable exit codes in one place.  Every cap on work is one Ledger: a command
-run creates one, each stage spends its work on it, and the ledger's spend is
-the one place a ResourceLimitError is raised.
+Every domain error derives from GvmotError and carries its stable exit code
+as exit_code.  Every cap on work is one Ledger: a command run creates one,
+each stage spends its work on it, and the ledger's spend is the one place a
+ResourceLimitError is raised.
 """
 
 from __future__ import annotations
+
+EXIT_OK = 0
+EXIT_PROPERTY = 1
+EXIT_SCHEMA = 2
+EXIT_CROSSCHECK = 3
+EXIT_MISSING_ATOM = 4
+EXIT_NOT_POLYNOMIAL = 5
+EXIT_INTERNAL = 6  # an exception that is not a domain error
 
 
 class Frozen:
@@ -25,6 +33,8 @@ class Frozen:
 class GvmotError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = EXIT_SCHEMA
+
 
 class ZeroPolynomialError(GvmotError):
     """Operation undefined on the zero polynomial."""
@@ -33,9 +43,13 @@ class ZeroPolynomialError(GvmotError):
 class OddWeightedDegreeError(GvmotError):
     """Flattening needs an even weighted degree; odd signals non-geometric input."""
 
+    exit_code = EXIT_NOT_POLYNOMIAL
+
 
 class NotPolynomialError(GvmotError):
     """A rational function was required to reduce to an integer polynomial."""
+
+    exit_code = EXIT_NOT_POLYNOMIAL
 
 
 class NotRepresentationError(GvmotError):
@@ -76,6 +90,8 @@ class ConeNotPointedError(GvmotError):
 
 class MissingAtomError(GvmotError):
     """Evaluation model has no atom for a required class."""
+
+    exit_code = EXIT_MISSING_ATOM
 
 
 class AsymmetricDefectError(GvmotError):

@@ -24,8 +24,10 @@ result without the constructors' second pass; errors come in the order of
 a reader that checks every row's types before the cuts and the keys.  It is
 written in one pass too: gv_table_to_json and gw_series_to_json keep the
 rows as Rows, the sorted keys of the result's own mapping, and dump_json
-writes each row into the text with one f-string.  A motive expression nests
-at most MOTIVE_DEPTH_CAP levels deep.
+writes each row into the text with one f-string.  A motive expression is
+read by one loop with its own stack of open nodes, from a table that gives
+each expression kind once: its builder and its fields in reading order.  A
+node opens inside at most MOTIVE_DEPTH_CAP others.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ from .lefschetz import BispinContent, GradedNilpotent, JordanCensus, _scaled
 from .stacks import StackClass
 
 SCHEMA_VERSION = 1
-# how many expressions may enclose a motive expression: each level is a frame of
-# the recursive reader (each constructor computes its value from its arguments'
-# values, so evaluation does not recurse), and a gvmot run overflows the default
-# recursion limit of 1000 from about 986 levels, so the cap leaves 85 frames spare
+# how many expressions may enclose a motive expression: the nodes the reader holds
+# open when one more opens.  The reader keeps its own stack and no constructor
+# recurses, so this bounds the nesting a document may ask for, not interpreter frames
 MOTIVE_DEPTH_CAP = 900
 
 
@@ -261,24 +262,23 @@ def graded_nilpotent_from_json(doc: dict, where: str = "graded_nilpotent") -> Gr
 
 # -- motive expressions ------------------------------------------------------------
 
+# the groups named without a parameter; "gl" takes n, so it has its own branch
+_GROUPS = {"point": motives.AbsMotive.point, "affine_line": motives.AbsMotive.affine_line, "gm": motives.AbsMotive.multiplicative_group}
+
 
 def abs_motive_from_json(doc: Any, where: str = "abs") -> motives.AbsMotive:
     _require(doc, dict, where)
     if "group" in doc:
         doc = _fields(doc, where, ("group",), ("n",))
         group = doc["group"]
-        if group == "point":
-            return motives.AbsMotive.point()
-        if group == "affine_line":
-            return motives.AbsMotive.affine_line()
-        if group == "gm":
-            return motives.AbsMotive.multiplicative_group()
         if group == "gl":
             try:
                 return motives.AbsMotive.general_linear(_int(doc.get("n"), f"{where}.n"))
             except ValueError as exc:
                 raise SchemaError(f"{where}.n: {exc}") from exc
-        raise SchemaError(f"{where}: unknown group {group!r}")
+        if type(group) is not str or group not in _GROUPS:
+            raise SchemaError(f"{where}: unknown group {group!r}")
+        return _GROUPS[group]()
     doc = _fields(doc, where, ("poly",), ("name",))
     poly = poly_from_json(doc["poly"], f"{where}.poly")
     name = doc.get("name")
@@ -290,62 +290,64 @@ def abs_motive_from_json(doc: Any, where: str = "abs") -> motives.AbsMotive:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _bettis(doc: dict, where: str) -> tuple[int, ...]:
-    return _ints(doc["bettis"], f"{where}.bettis")
+# the checks of the fields that hold nested expressions: one, or a list of them
+_EXPR, _EXPRS = "one nested expression", "a list of nested expressions"
+
+# kind -> (builder, the names _fields checks, each field's (name, check) in reading order); the
+# builder takes the fields' values in that order, and the items of a list of expressions, only
+# ever a kind's last field, as its last arguments
+_EXPRESSIONS = {
+    kind: (build, ("kind", *(name for name, _ in fields)), tuple(fields))
+    for kind, build, *fields in [
+        ("atom", motives.Atom, ("name", lambda obj, where: _require(obj, str, where)), ("dim", _int), ("census", census_from_json)),
+        ("betti", motives.smooth_from_betti, ("bettis", _ints), ("dim", _int)),
+        ("betti_over_point", motives.over_point_from_betti, ("bettis", _ints)),
+        ("sum", lambda *terms: motives.Sum(terms), ("terms", _EXPRS)),
+        ("diff", motives.Diff, ("left", _EXPR), ("right", _EXPR)),
+        ("int_scale", motives.IntScale, ("factor", _int), ("expr", _EXPR)),
+        ("abs_product", motives.AbsProduct, ("abs", abs_motive_from_json), ("expr", _EXPR)),
+        ("proj_bundle", motives.ProjBundle, ("expr", _EXPR), ("fiber_rank", _int)),
+        ("blow_up", motives.BlowUpRel, ("ambient", _EXPR), ("center", _EXPR), ("codim", _int)),
+        ("fibration", motives.Fibration, ("expr", _EXPR), ("fiber", abs_motive_from_json)),
+        ("finite_push", motives.FinitePush, ("expr", _EXPR)),
+    ]
+}
 
 
-def motive_from_json(doc: Any, where: str = "expr", depth: int = 0) -> motives.MotiveExpr:
-    """A motive expression; depth counts the expressions around it, at most MOTIVE_DEPTH_CAP."""
-    if depth > MOTIVE_DEPTH_CAP:
-        raise SchemaError(f"{where}: a motive expression is nested more than {MOTIVE_DEPTH_CAP} levels deep")
-    _require(doc, dict, where)
-    kind = doc.get("kind")
-    if kind == "atom":
-        doc = _fields(doc, where, ("kind", "name", "dim", "census"))
-        return motives.Atom(
-            name=_require(doc["name"], str, f"{where}.name"),
-            dim=_int(doc["dim"], f"{where}.dim"),
-            census=census_from_json(doc["census"], f"{where}.census"),
-        )
-    if kind == "betti":
-        doc = _fields(doc, where, ("kind", "bettis", "dim"))
-        return motives.smooth_from_betti(_bettis(doc, where), _int(doc["dim"], f"{where}.dim"))
-    if kind == "betti_over_point":
-        doc = _fields(doc, where, ("kind", "bettis"))
-        return motives.over_point_from_betti(_bettis(doc, where))
-    if kind == "sum":
-        doc = _fields(doc, where, ("kind", "terms"))
-        terms = _require(doc["terms"], list, f"{where}.terms")
-        return motives.Sum(tuple(motive_from_json(t, f"{where}.terms[{i}]", depth + 1) for i, t in enumerate(terms)))
-    if kind == "diff":
-        doc = _fields(doc, where, ("kind", "left", "right"))
-        return motives.Diff(
-            motive_from_json(doc["left"], f"{where}.left", depth + 1),
-            motive_from_json(doc["right"], f"{where}.right", depth + 1),
-        )
-    if kind == "int_scale":
-        doc = _fields(doc, where, ("kind", "factor", "expr"))
-        return motives.IntScale(_int(doc["factor"], f"{where}.factor"), motive_from_json(doc["expr"], f"{where}.expr", depth + 1))
-    if kind == "abs_product":
-        doc = _fields(doc, where, ("kind", "abs", "expr"))
-        return motives.AbsProduct(abs_motive_from_json(doc["abs"], f"{where}.abs"), motive_from_json(doc["expr"], f"{where}.expr", depth + 1))
-    if kind == "proj_bundle":
-        doc = _fields(doc, where, ("kind", "expr", "fiber_rank"))
-        return motives.ProjBundle(motive_from_json(doc["expr"], f"{where}.expr", depth + 1), _int(doc["fiber_rank"], f"{where}.fiber_rank"))
-    if kind == "blow_up":
-        doc = _fields(doc, where, ("kind", "ambient", "center", "codim"))
-        return motives.BlowUpRel(
-            ambient=motive_from_json(doc["ambient"], f"{where}.ambient", depth + 1),
-            center=motive_from_json(doc["center"], f"{where}.center", depth + 1),
-            codim=_int(doc["codim"], f"{where}.codim"),
-        )
-    if kind == "fibration":
-        doc = _fields(doc, where, ("kind", "expr", "fiber"))
-        return motives.Fibration(motive_from_json(doc["expr"], f"{where}.expr", depth + 1), abs_motive_from_json(doc["fiber"], f"{where}.fiber"))
-    if kind == "finite_push":
-        doc = _fields(doc, where, ("kind", "expr"))
-        return motives.FinitePush(motive_from_json(doc["expr"], f"{where}.expr", depth + 1))
-    raise SchemaError(f"{where}: unknown expression kind {kind!r}")
+def _read_fields(doc: dict, where: str, fields: tuple, values: list) -> Iterator[tuple[Any, str]]:
+    """Read a node's fields in order, appending each checked value to values,
+    and yield each nested expression with its location for the reader to open."""
+    for name, check in fields:
+        at = f"{where}.{name}"
+        if check is _EXPR:
+            yield doc[name], at
+        elif check is _EXPRS:
+            for i, term in enumerate(_require(doc[name], list, at)):
+                yield term, f"{at}[{i}]"
+        else:
+            values.append(check(doc[name], at))
+
+
+def motive_from_json(doc: Any, where: str = "expr") -> motives.MotiveExpr:
+    """A motive expression, read depth first; each node is built, its value
+    appended to its parent's, once its last field is read."""
+    stack: list[tuple[Callable, list, Iterator]] = []  # the open nodes: (builder, values read, nested expressions to come)
+    while True:
+        if len(stack) > MOTIVE_DEPTH_CAP:
+            raise SchemaError(f"{where}: a motive expression is nested more than {MOTIVE_DEPTH_CAP} levels deep")
+        kind = _require(doc, dict, where).get("kind")
+        if type(kind) is not str or kind not in _EXPRESSIONS:
+            raise SchemaError(f"{where}: unknown expression kind {kind!r}")
+        build, names, fields = _EXPRESSIONS[kind]
+        values: list = []
+        stack.append((build, values, _read_fields(_fields(doc, where, names), where, fields, values)))
+        # read on to the next nested expression, building each node whose fields are all read
+        while (child := next(stack[-1][2], None)) is None:
+            build, values, _ = stack.pop()
+            if not stack:
+                return build(*values)
+            stack[-1][1].append(build(*values))
+        doc, where = child
 
 
 # -- stack classes -----------------------------------------------------------------
@@ -589,15 +591,14 @@ def gw_series_to_json(series: GWSeries) -> dict:
 
 # -- top-level documents ----------------------------------------------------------------
 
-def _betti_variety_from_json(doc: dict) -> motives.MotiveExpr:
-    return motives.smooth_from_betti(_bettis(doc, "betti_variety"), _int(doc["dim"], "betti_variety.dim"))
-
+# a betti_variety document holds the fields of a betti expression but its kind
+_build_betti, _betti_names, _betti_fields = _EXPRESSIONS["betti"]
 
 # kind -> (required payload fields, optional payload fields, payload parser)
 KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable[[dict], Any]]] = {
     "bispin": (("content",), (), lambda doc: bispin_from_json(doc["content"])),
     "graded_nilpotent": (("dims",), ("maps",), graded_nilpotent_from_json),
-    "betti_variety": (("bettis", "dim"), (), _betti_variety_from_json),
+    "betti_variety": (_betti_names[1:], (), lambda doc: _build_betti(*[check(doc[name], f"betti_variety.{name}") for name, check in _betti_fields])),
     "motive": (("expr",), (), lambda doc: motive_from_json(doc["expr"])),
     "stack_class": (("parts",), (), lambda doc: stack_class_from_json(doc["parts"])),
     "count_model": (("lattice", "charge", "atoms"), ("ext_defect",), count_model_from_json),

@@ -215,6 +215,20 @@ class TestUpsilon:
         assert (code, out) == (EXIT_SCHEMA, "")
         assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ({"kind": ["atom"]}, "expr: unknown expression kind ['atom']"),
+            ({"kind": "abs_product", "abs": {"group": {"x": 1}}, "expr": ONE}, "expr.abs: unknown group {'x': 1}"),
+        ],
+        ids=["list-kind", "dict-group"],
+    )
+    def test_unhashable_kind_or_group_exit_two(self, capsys, tmp_path, expr, message):
+        path = write_doc(tmp_path, "expr.json", {"v": 1, "kind": "motive", "expr": expr})
+        code, out, err = run(capsys, "upsilon", "--input", path, "--json")
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err == json.dumps({"error": {"message": message, "type": "SchemaError"}}) + "\n"
+
 
 class TestCensus:
     def test_identity_chain(self, capsys):

@@ -1,7 +1,10 @@
 """Strict document parsing: versioning, unknown-field rejection, round trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,6 +188,43 @@ class TestMotiveDocs:
         with pytest.raises(SchemaError) as raised:
             parse_document({"v": 1, "kind": "motive", "expr": wrap(expr)})
         assert str(raised.value) == "expr" + step * 7 + ": a motive expression is nested more than 6 levels deep"
+
+    def test_deep_chains_read_under_a_low_recursion_limit(self):
+        # the reader keeps its own stack of open nodes: 900-level chains of each
+        # nesting kind read under a recursion limit of 120, to the values the
+        # constructors build.  A fresh process, so that the limit is its own.
+        script = """
+import sys
+from gvmot import motives
+from gvmot.jsonio import parse_document
+
+leaf = {"kind": "betti_over_point", "bettis": [1, 0, 1]}
+point = {"kind": "betti", "bettis": [1], "dim": 0}
+surface = {"kind": "betti", "bettis": [1, 0, 1, 0, 1], "dim": 2}
+chains = {
+    "int_scale": (leaf, lambda e: {"kind": "int_scale", "factor": -2, "expr": e}, lambda v: motives.IntScale(-2, v)),
+    "blow_up": (surface, lambda e: {"kind": "blow_up", "ambient": e, "center": point, "codim": 2},
+                lambda v: motives.BlowUpRel(v, motives.smooth_from_betti([1], 0), 2)),
+    "diff": (leaf, lambda e: {"kind": "diff", "left": point, "right": e}, lambda v: motives.Diff(motives.smooth_from_betti([1], 0), v)),
+    "sum": (leaf, lambda e: {"kind": "sum", "terms": [e, point]}, lambda v: motives.Sum((v, motives.smooth_from_betti([1], 0)))),
+}
+docs, values = {}, {}
+for name, (doc, wrap, build) in chains.items():
+    _, value = parse_document({"v": 1, "kind": "motive", "expr": doc})
+    for _ in range(900):
+        doc, value = wrap(doc), build(value)
+    docs[name], values[name] = doc, value
+sys.setrecursionlimit(120)
+for name, doc in docs.items():
+    assert parse_document({"v": 1, "kind": "motive", "expr": doc}) == ("motive", values[name]), name
+print("ok")
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 class TestNumbers:
