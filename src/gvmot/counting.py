@@ -45,6 +45,8 @@ from .errors import (
     MissingAtomError,
     NotEffectiveError,
     NotPolynomialError,
+    check_int,
+    check_rational,
 )
 from .laurent import LaurentPoly, RationalFn, flat, rational_sum
 from .lefschetz import JordanCensus, census_count
@@ -81,8 +83,8 @@ class ClassLattice(Frozen):
     __slots__ = ("rank", "generators")
 
     def __init__(self, rank: int, generators: Iterable[tuple[int, ...]]):
-        rank = int(rank)
-        gens = tuple(tuple(int(c) for c in g) for g in generators)
+        rank = check_int(rank, "lattice rank")
+        gens = tuple(tuple(check_int(c, "generator entry") for c in g) for g in generators)
         if rank < 1:
             raise ValueError("lattice rank must be positive")
         for g in gens:
@@ -118,7 +120,7 @@ class ClassLattice(Frozen):
         classes cannot overflow the interpreter stack.
         """
         self.check_positive(omega)
-        beta = tuple(int(b) for b in beta)
+        beta = tuple(check_int(b, "class entry") for b in beta)
         if len(beta) != self.rank:
             raise ValueError(f"class {beta} has wrong rank for this lattice")
         labels: dict[tuple[int, ...], bool] = {}
@@ -187,8 +189,8 @@ class CentralCharge:
     omega: tuple[Fraction, ...]
 
     def __init__(self, b_field, omega):
-        object.__setattr__(self, "b_field", tuple(Fraction(x) for x in b_field))
-        object.__setattr__(self, "omega", tuple(Fraction(x) for x in omega))
+        object.__setattr__(self, "b_field", tuple(check_rational(x, "B entry") for x in b_field))
+        object.__setattr__(self, "omega", tuple(check_rational(x, "omega entry") for x in omega))
         if len(self.b_field) != len(self.omega):
             raise ValueError("B and omega must have the same length")
 
@@ -472,10 +474,11 @@ class EvalModel(Frozen):
     ):
         table: dict[tuple[NumClass, NumClass], int] = {}
         for v1, v2, e in ext_defect:
+            check_int(e, "ext defect")
             for key in ((v1, v2), (v2, v1)):
-                if key in table and table[key] != int(e):
+                if key in table and table[key] != e:
                     raise AsymmetricDefectError(f"ext defect not symmetric on {key[0]} and {key[1]}")
-                table[key] = int(e)
+                table[key] = e
         split = lambda a: tuple((c.num, c.den, expr) for c, expr in a.parts) if isinstance(a, StackClass) else a
         object.__setattr__(self, "atoms", {v: split(a) for v, a in atoms.items()})
         object.__setattr__(self, "ext_defect", table)

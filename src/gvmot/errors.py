@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, the work ledger, and the
-base that keeps the value types immutable.
+"""Exception hierarchy shared across the package, the work ledger, the
+base that keeps the value types immutable, and the one rule for the ints and
+rationals a constructor takes.
 
 Every domain error derives from GvmotError and carries its stable exit code
 as exit_code.  Every cap on work is one Ledger: a command run creates one,
@@ -8,6 +9,8 @@ ResourceLimitError is raised.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -28,6 +31,20 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+
+def check_int(x, what: str) -> int:
+    """x, which must be an int: bool, float, str and Fraction are not.  Raises TypeError naming what."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be int, got {type(x).__name__}")
+    return x
+
+
+def check_rational(x, what: str) -> Fraction:
+    """x as a Fraction, which must be an int or a Fraction.  Raises TypeError naming what."""
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
 
 
 class GvmotError(Exception):

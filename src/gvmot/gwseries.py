@@ -55,7 +55,7 @@ from math import gcd, lcm, perm
 from operator import add, mul
 from typing import Iterable, Mapping
 
-from .errors import ConeNotPointedError, InsufficientTruncationError, Ledger
+from .errors import ConeNotPointedError, InsufficientTruncationError, Ledger, check_int, check_rational
 
 Beta = tuple[int, ...]
 
@@ -222,18 +222,6 @@ def _degree(weights: tuple[int, ...], beta: Beta) -> int:
     return sum(map(mul, weights, beta))
 
 
-def _int(x, what: str) -> int:
-    if type(x) is not int:  # bool, float, str and Fraction are not
-        raise TypeError(f"{what} must be int, got {type(x).__name__}")
-    return x
-
-
-def _rational(x, what: str) -> Fraction:
-    if type(x) is int or isinstance(x, Fraction):
-        return Fraction(x)
-    raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
-
-
 def check_genus(g: int, genus_max: int) -> None:
     """The rule of a table's genus: 0 <= g <= genus_max.  Raises ValueError."""
     if g < 0:
@@ -288,7 +276,7 @@ class ClassRule:
 def _class(rule: ClassRule, beta) -> Beta:
     """A class given to a constructor: its entries must be ints, then it must keep the rule."""
     for b in beta:
-        _int(b, "class entry")
+        check_int(b, "class entry")
     return rule(beta)
 
 
@@ -306,13 +294,13 @@ class GVTable:
     omega: tuple[Fraction, ...]
 
     def __init__(self, entries: Mapping[tuple[int, Beta], int], genus_max: int, degree_max, omega):
-        omega = tuple(_rational(x, "omega entry") for x in omega)
-        degree_max = _rational(degree_max, "degree_max")
-        genus_max = _int(genus_max, "genus_max")
+        omega = tuple(check_rational(x, "omega entry") for x in omega)
+        degree_max = check_rational(degree_max, "degree_max")
+        genus_max = check_int(genus_max, "genus_max")
         classes = ClassRule(omega, degree_max)
         clean: dict[tuple[int, Beta], int] = {}
         for (g, beta), n in entries.items():
-            g, n = _int(g, "genus"), _int(n, "count")
+            g, n = check_int(g, "genus"), check_int(n, "count")
             check_genus(g, genus_max)
             beta = _class(classes, beta)
             if n:
@@ -339,16 +327,16 @@ class GWSeries:
     omega: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Mapping[tuple[Beta, int], Fraction], degree_max, lambda_max: int, omega):
-        omega = tuple(_rational(x, "omega entry") for x in omega)
-        degree_max = _rational(degree_max, "degree_max")
-        lambda_max = _int(lambda_max, "lambda_max")
+        omega = tuple(check_rational(x, "omega entry") for x in omega)
+        degree_max = check_rational(degree_max, "degree_max")
+        lambda_max = check_int(lambda_max, "lambda_max")
         classes = ClassRule(omega, degree_max)
         clean: dict[tuple[Beta, int], Fraction] = {}
         for (beta, lam), c in coeffs.items():
-            lam = _int(lam, "lambda exponent")
+            lam = check_int(lam, "lambda exponent")
             check_lambda(lam, lambda_max)
             beta = _class(classes, beta)
-            c = c if type(c) is Fraction else _rational(c, "coefficient")
+            c = c if type(c) is Fraction else check_rational(c, "coefficient")
             if c:
                 clean[(beta, lam)] = c
         vars(self).update(coeffs=clean, degree_max=degree_max, lambda_max=lambda_max, omega=omega)

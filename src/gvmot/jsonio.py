@@ -5,8 +5,9 @@ typo cannot silently change mathematical input.  Every number in transit is
 an integer or a rational string "p/q", matched by -?[0-9]+(/[0-9]+)?;
 nothing is ever parsed as a float.  An integer written in a key (a degree,
 or a part of a class "b1,...,k") matches -?[0-9]+ whole.  A JSON integer
-stays an int, and only a rational string becomes a Fraction.  A number with
-more digits than the interpreter converts to an int
+or an integer string "p" is an int, and only a rational string "p/q" is a
+Fraction; the series readers hand on every rational as a Fraction.  A
+number with more digits than the interpreter converts to an int
 (sys.get_int_max_str_digits; the conversion costs time quadratic in the
 digits) fails its schema check where it stands.
 
@@ -17,17 +18,18 @@ constructor, which checks every value again for library callers; what it
 hands a builder is its own, never a list of the caller's document.
 
 A row's location is formatted only for an error.  A gv_table or gw_series
-document is read in one pass: the loop that reads a row checks its types,
-then its key under the rules GVTable and GWSeries keep (gwseries.ClassRule,
-check_genus, check_lambda: the one copy of those rules), and builds the
-result without the constructors' second pass; errors come in the order of
-a reader that checks every row's types before the cuts and the keys.  It is
-written in one pass too: gv_table_to_json and gw_series_to_json keep the
-rows as Rows, the sorted keys of the result's own mapping, and dump_json
-writes each row into the text with one f-string.  A motive expression is
-read by one loop with its own stack of open nodes, from a table that gives
-each expression kind once: its builder and its fields in reading order.  A
-node opens inside at most MOTIVE_DEPTH_CAP others.
+document is read in this order: the cut fields and omega; every row's
+types; the genus and degree cuts (the degree and lambda cuts of a series);
+then each row's key under the rules GVTable and GWSeries keep
+(gwseries.ClassRule, check_genus, check_lambda: the one copy of those
+rules), the first bad key raised at once.  The result is built without the
+constructors' second pass.  A table or series is written in one pass:
+gv_table_to_json and gw_series_to_json keep the rows as Rows, the sorted
+keys of the result's own mapping, and dump_json writes each row into the
+text with one f-string.  A motive expression is read by one loop with its
+own stack of open nodes, from a table that gives each expression kind once:
+its builder and its fields in reading order.  A node opens inside at most
+MOTIVE_DEPTH_CAP others.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import motives
 from .counting import AtomParts, CentralCharge, ClassLattice, EvalModel, NumClass
-from .errors import ConeNotPointedError, SchemaError
+from .errors import SchemaError
 from .gwseries import ClassRule, GVTable, GWSeries, _built, check_genus, check_lambda
 from .laurent import LaurentPoly, RationalFn, _print_order_key
 from .lefschetz import BispinContent, GradedNilpotent, JordanCensus, _scaled
@@ -105,14 +107,14 @@ def _key_int(key: str) -> int:
 
 
 def _fraction(obj: Any, where: str) -> int | Fraction:
-    """A JSON integer as itself, or a rational string "p/q" as a Fraction."""
+    """A JSON integer or an integer string "p" as an int, or a rational string "p/q" as a Fraction."""
     if type(obj) is int:
         return obj
     if type(obj) is str:
         match = _RATIONAL.fullmatch(obj)
         if match:
             try:
-                return Fraction(int(match[1]), int(match[2] or 1))
+                return int(match[1]) if match[2] is None else Fraction(int(match[1]), int(match[2]))
             except (ValueError, ZeroDivisionError):  # more digits than int() converts, or a zero denominator
                 pass
         digits = max(map(len, re.findall(r"[0-9]+", obj)), default=0)
@@ -162,22 +164,12 @@ def poly_to_json(p: LaurentPoly) -> list[list]:
     return [[a, b, str(c)] for (a, b), c in terms]
 
 
-def _coefficient(obj: Any, where: str) -> int | Fraction:
-    """_fraction's value, with an integer string read straight to its int."""
-    if type(obj) is str and _INTEGER.fullmatch(obj):
-        try:
-            return int(obj)
-        except ValueError:  # more digits than int() converts: _fraction says so
-            pass
-    return _fraction(obj, where)
-
-
 def poly_from_json(doc: Any, where: str = "poly") -> LaurentPoly:
     """A polynomial's rows [a, b, coeff], repeated exponents summed; the
     polynomial is built from the checked terms without a second check."""
     terms: dict[tuple[int, int], int] = {}
     negative_s = False
-    for i, (a, b, c) in enumerate(_rows(doc, where, "[a, b, coeff]", ((_int, ".a"), (_int, ".b"), (_coefficient, ".coeff")))):
+    for i, (a, b, c) in enumerate(_rows(doc, where, "[a, b, coeff]", ((_int, ".a"), (_int, ".b"), (_fraction, ".coeff")))):
         if type(c) is not int:
             if c.denominator != 1:
                 raise SchemaError(f"{where}[{i}]: polynomial coefficients are integers")
@@ -229,24 +221,25 @@ def bispin_from_json(doc: Any, where: str = "content") -> BispinContent:
     return BispinContent(mult)
 
 
+def _degree_key(key: str, where: str) -> int:
+    try:
+        return _key_int(key)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: bad degree key {key!r}") from exc
+
+
 def graded_nilpotent_from_json(doc: dict, where: str = "graded_nilpotent") -> GradedNilpotent:
     dims_doc = _require(doc.get("dims"), dict, f"{where}.dims")
     maps_doc = _require(doc.get("maps", {}), dict, f"{where}.maps")
     dims = {}
     for key, value in dims_doc.items():
-        try:
-            degree = _key_int(key)
-        except ValueError as exc:
-            raise SchemaError(f"{where}.dims: bad degree key {key!r}") from exc
+        degree = _degree_key(key, f"{where}.dims")
         dims[degree] = _int(value, f"{where}.dims[{key}]")
         if dims[degree] < 0:
             raise SchemaError(f"{where}.dims[{key}]: dimensions must be nonnegative")
     maps = {}
     for key, rows in maps_doc.items():
-        try:
-            degree = _key_int(key)
-        except ValueError as exc:
-            raise SchemaError(f"{where}.maps: bad degree key {key!r}") from exc
+        degree = _degree_key(key, f"{where}.maps")
         at = f"{where}.maps[{key}]"
         # the operator keeps these rows, so each is a new list, never the document's own
         own, rational = [], False
@@ -393,10 +386,8 @@ def class_from_list(doc: Any, rank: int, where: str) -> NumClass:
 def count_model_from_json(doc: dict, where: str = "count_model") -> tuple[ClassLattice, CentralCharge, EvalModel]:
     lattice_doc = _fields(doc["lattice"], f"{where}.lattice", ("rank", "generators"))
     rank = _int(lattice_doc["rank"], f"{where}.lattice.rank")
-    generators = []
-    for i, g in enumerate(_require(lattice_doc["generators"], list, f"{where}.lattice.generators")):
-        _require(g, list, f"{where}.lattice.generators[{i}]")
-        generators.append(tuple(_int(c, f"{where}.lattice.generators[{i}]") for c in g))
+    generators_doc = _require(lattice_doc["generators"], list, f"{where}.lattice.generators")
+    generators = [_ints(g, f"{where}.lattice.generators[{i}]") for i, g in enumerate(generators_doc)]
     try:
         lattice = ClassLattice(rank, generators)
     except ValueError as exc:
@@ -436,28 +427,20 @@ def _omega(cuts: dict, where: str) -> tuple[Fraction, ...]:
     return tuple([_rational(x, f"{where}.cuts.omega") for x in _require(cuts["omega"], list, f"{where}.cuts.omega")])
 
 
-def _read_rest(rows: Iterator) -> None:
-    """Read the rows left, so that a row's type error is raised before an error met earlier:
-    the error order of a reader that checks every row's types before the cuts and keys."""
-    for _ in rows:
-        pass
+def _summed(rows: list[tuple], key: Callable, where: str) -> dict:
+    """The values of a table's or series' checked rows (a, b, value), summed by key(a, b).
 
-
-def _summed(rows: Iterator[tuple], key: Callable, where: str) -> dict:
-    """The values of a table's or series' rows (a, b, value), summed by key(a, b) in one pass.
-
-    key applies the rules of the document's keys, raising ValueError or
-    ConeNotPointedError; the first key it rejects is raised once every row
-    has been read.  Keys whose values sum to zero are dropped.
+    key applies the rules of the document's keys, raising ValueError (raised
+    on as a SchemaError) or ConeNotPointedError at the first key it rejects.
+    Keys whose values sum to zero are dropped.
     """
     out: dict = {}
     zeros = False
     for a, b, value in rows:
         try:
             k = key(a, b)
-        except (ValueError, ConeNotPointedError) as exc:
-            _read_rest(rows)
-            raise SchemaError(f"{where}: {exc}") if isinstance(exc, ValueError) else exc
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
         if k in out:
             out[k] += value
             zeros = True
@@ -468,18 +451,15 @@ def _summed(rows: Iterator[tuple], key: Callable, where: str) -> dict:
 
 
 def gv_table_from_json(doc: dict, where: str = "gv_table") -> GVTable:
-    """A gv_table document, read in one pass: each row's types, then its key
-    under the rules GVTable keeps (check_genus, ClassRule), repeated keys
-    summed; the table is built without a second check."""
+    """A gv_table document: the cut fields and omega, every row's types, the
+    genus and degree cuts, then each key under the rules GVTable keeps
+    (check_genus, ClassRule), repeated keys summed; the table is built
+    without a second check."""
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("genus", "degree", "omega"))
     omega = _omega(cuts, where)
-    rows = _rows(doc["entries"], f"{where}.entries", "[g, beta, n]", ((_int, ".g"), (_ints, ".beta"), (_int, ".n")))
-    try:
-        genus_max = _int(cuts["genus"], f"{where}.cuts.genus")
-        degree_max = _rational(cuts["degree"], f"{where}.cuts.degree")
-    except SchemaError:
-        _read_rest(rows)
-        raise
+    rows = list(_rows(doc["entries"], f"{where}.entries", "[g, beta, n]", ((_int, ".g"), (_ints, ".beta"), (_int, ".n"))))
+    genus_max = _int(cuts["genus"], f"{where}.cuts.genus")
+    degree_max = _rational(cuts["degree"], f"{where}.cuts.degree")
     classes = ClassRule(omega, degree_max)
 
     def key(g: int, beta: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -557,19 +537,15 @@ def nonintegral_to_json(values: dict[tuple[int, tuple[int, ...]], Fraction]) -> 
 
 
 def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
-    """A gw_series document, read in one pass as gv_table_from_json reads a
-    table, under the rules GWSeries keeps (check_lambda, ClassRule); each
-    coefficient is a Fraction."""
+    """A gw_series document, read in the order gv_table_from_json reads a
+    table, with the degree and lambda cuts, under the rules GWSeries keeps
+    (check_lambda, ClassRule); each coefficient is a Fraction."""
     cuts = _fields(doc["cuts"], f"{where}.cuts", ("degree", "lambda", "omega"))
     omega = _omega(cuts, where)
     items = ((_ints, ".beta"), (_int, ".lambda"), (_rational, ".coeff"))
-    rows = _rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]", items)
-    try:
-        degree_max = _rational(cuts["degree"], f"{where}.cuts.degree")
-        lambda_max = _int(cuts["lambda"], f"{where}.cuts.lambda")
-    except SchemaError:
-        _read_rest(rows)
-        raise
+    rows = list(_rows(doc["coeffs"], f"{where}.coeffs", "[beta, lambda, coeff]", items))
+    degree_max = _rational(cuts["degree"], f"{where}.cuts.degree")
+    lambda_max = _int(cuts["lambda"], f"{where}.cuts.lambda")
     classes = ClassRule(omega, degree_max)
 
     def key(beta: tuple[int, ...], lam: int) -> tuple[tuple[int, ...], int]:

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable, Mapping
 
 from . import linalg
-from .errors import Frozen, NotRepresentationError, ShapeMismatchError, VirtualInputError
+from .errors import Frozen, NotRepresentationError, ShapeMismatchError, VirtualInputError, check_int
 
 
 class IntegerCombination(Frozen):
@@ -26,15 +26,15 @@ class IntegerCombination(Frozen):
 
     Keys are kept sorted and zero values are dropped, so equal combinations
     have equal dicts.  Values may be negative (virtual combinations).
-    Each subclass names its basis through a static _check_key, which
-    validates one key and returns it in canonical form.
+    Keys and multiplicities are ints (errors.check_int).  Each subclass
+    names its basis through a static _check_key, which validates one key.
     """
 
     __slots__ = ("_mult",)
 
     def __init__(self, mult: Mapping | None = None):
         check = self._check_key
-        clean = {check(key): int(m) for key, m in (mult or {}).items()}
+        clean = {check(key): check_int(m, "multiplicity") for key, m in (mult or {}).items()}
         object.__setattr__(self, "_mult", {k: m for k, m in sorted(clean.items()) if m})
 
     @property
@@ -71,9 +71,9 @@ class SpinMultiset(IntegerCombination):
 
     @staticmethod
     def _check_key(two_j: int) -> int:
-        if two_j < 0:
+        if check_int(two_j, "doubled spin") < 0:
             raise ValueError("doubled spin must be nonnegative")
-        return int(two_j)
+        return two_j
 
     @classmethod
     def zero(cls) -> "SpinMultiset":
@@ -103,9 +103,9 @@ class BispinContent(IntegerCombination):
     @staticmethod
     def _check_key(key: tuple[int, int]) -> tuple[int, int]:
         two_jl, two_jr = key
-        if two_jl < 0 or two_jr < 0:
+        if check_int(two_jl, "doubled spin") < 0 or check_int(two_jr, "doubled spin") < 0:
             raise ValueError("doubled spins must be nonnegative")
-        return int(two_jl), int(two_jr)
+        return two_jl, two_jr
 
 
 class JordanCensus(IntegerCombination):
@@ -116,9 +116,9 @@ class JordanCensus(IntegerCombination):
     @staticmethod
     def _check_key(key: tuple[int, int]) -> tuple[int, int]:
         alpha, l = key
-        if l < 1:
+        if check_int(l, "cell size") < 1:
             raise ValueError("cell size must be positive")
-        return int(alpha), int(l)
+        return check_int(alpha, "string degree"), l
 
     def total_dimension(self) -> int:
         return sum(l * n for (_, l), n in self._mult.items())
@@ -154,12 +154,12 @@ class GradedNilpotent(Frozen):
     __slots__ = ("dims", "maps")
 
     def __init__(self, dims: Mapping[int, int], maps: Mapping[int, list[list]] | None = None):
-        clean_dims = {int(d): int(n) for d, n in dims.items()}
+        clean_dims = {check_int(d, "degree"): check_int(n, "dimension") for d, n in dims.items()}
         if any(n < 0 for n in clean_dims.values()):
             raise ValueError("dimensions must be nonnegative")
         # each map is checked and copied, or scaled to ints, when the shape check reaches it
         owned = (
-            (int(alpha), [list(row) for row in rows] if set(map(type, chain.from_iterable(rows))) <= {int} else _scaled(rows))
+            (check_int(alpha, "degree"), [list(row) for row in rows] if set(map(type, chain.from_iterable(rows))) <= {int} else _scaled(rows))
             for alpha, rows in (maps or {}).items()
         )
         self._place(clean_dims, owned)

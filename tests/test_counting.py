@@ -959,3 +959,25 @@ class TestGvFromPolynomial:
     def test_rejects_odd_degree(self):
         with pytest.raises(OddWeightedDegreeError):
             gv_from_polynomial(LaurentPoly({(1, 1): 1}), 0)
+
+
+class TestIntegerArguments:
+    """A constructor takes ints and rationals only: a float never truncates to an int or rounds to a Fraction."""
+
+    def test_central_charge_rejects_float(self):
+        with pytest.raises(TypeError, match="B entry must be int or Fraction, got float"):
+            CentralCharge([0.1], [1])
+
+    def test_ext_defect_not_truncated(self):
+        v = NumClass((1,), 0)
+        with pytest.raises(TypeError, match="ext defect must be int, got float"):
+            EvalModel({}, [(v, v, 2.7)])
+
+    def test_lattice_generator_not_truncated(self):
+        with pytest.raises(TypeError, match="generator entry must be int, got float"):
+            ClassLattice(1, [(1.5,)])
+
+    def test_class_below_not_truncated(self):
+        lattice = ClassLattice(1, [(1,)])
+        with pytest.raises(TypeError, match="class entry must be int, got float"):
+            lattice.classes_below((2.5,), (Fraction(1),), Ledger())

@@ -693,3 +693,27 @@ class TestNilpotentByConstruction:
             assert_span_fold_composites_vanish(op)
             basis = {d: linalg.random_invertible(rng, n) for d, n in op.dims.items()}
             assert_span_fold_composites_vanish(op.conjugate(basis))
+
+
+class TestIntegerArguments:
+    """A constructor takes ints only: a float, a Fraction or a bool never truncates to one."""
+
+    def test_census_key_not_truncated(self):
+        with pytest.raises(TypeError, match="string degree must be int, got float"):
+            JordanCensus({(0.5, 1): 1, (0, 1): 2})
+
+    def test_bispin_key_not_truncated(self):
+        with pytest.raises(TypeError, match="doubled spin must be int, got float"):
+            BispinContent({(2, 0): 1, (2.5, 0): 5})
+
+    def test_spin_key_not_truncated(self):
+        with pytest.raises(TypeError, match="doubled spin must be int, got Fraction"):
+            SpinMultiset({Fraction(3, 2): 1})
+
+    def test_multiplicity_is_not_a_bool(self):
+        with pytest.raises(TypeError, match="multiplicity must be int, got bool"):
+            SpinMultiset({1: True})
+
+    def test_graded_dimension_not_truncated(self):
+        with pytest.raises(TypeError, match="dimension must be int, got float"):
+            GradedNilpotent({0: 2.5, 2: 1})

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -302,3 +303,107 @@ class TestBilinearity:
             assert upsilon_rel(AbsProduct(t, Diff(e1, e2))) == upsilon_rel(
                 AbsProduct(t, e1)
             ) - upsilon_rel(AbsProduct(t, e2))
+
+
+# -- points over F_q ---------------------------------------------------------------
+#
+# For a polynomial-count variety the number of points over F_q is its
+# E-polynomial at q (Katz, appendix to arXiv:math/0612668).  A term t^a s^b of
+# a value is a Lefschetz string of length b + 1 starting in degree a, so it
+# counts q^(a/2) (1 + q + ... + q^b).  The enumerators below list the points
+# of explicit varieties over the prime fields F_2 and F_3; every class is
+# over a point or smooth projective over itself.
+
+
+def points_at(value: LaurentPoly, q: int) -> int:
+    total = 0
+    for (a, b), c in value.items():
+        assert a % 2 == 0, value
+        total += c * q ** (a // 2) * sum(q**i for i in range(b + 1))
+    return total
+
+
+def proj(n: int, q: int) -> list[tuple[int, ...]]:
+    """The points of P^n over F_q: nonzero vectors whose first nonzero entry is 1."""
+    return [x for x in product(range(q), repeat=n + 1) if any(x) and x[next(i for i, c in enumerate(x) if c)] == 1]
+
+
+def det(m: list[list[int]]) -> int:
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m)))
+
+
+def gl(n: int, q: int) -> list[tuple[int, ...]]:
+    """The invertible n x n matrices over F_q, each as its entries row by row."""
+    return [x for x in product(range(q), repeat=n * n) if det([list(x[i * n:(i + 1) * n]) for i in range(n)]) % q]
+
+
+def blown_up_p2(q: int) -> list:
+    """Bl_p P^2 for p = [0:0:1], the incidence variety x v = y u in P^2 x P^1."""
+    return [(x, u) for x, u in product(proj(2, q), proj(1, q)) if (x[0] * u[1] - x[1] * u[0]) % q == 0]
+
+
+def blown_up_p3(q: int) -> list:
+    """Bl_L P^3 for the line L: x0 = x1 = 0, the incidence variety x0 v = x1 u in P^3 x P^1."""
+    return [(x, u) for x, u in product(proj(3, q), proj(1, q)) if (x[0] * u[1] - x[1] * u[0]) % q == 0]
+
+
+def p_over_point(n: int):
+    return over_point_from_betti([1, 0] * n + [1])
+
+
+def p_smooth(n: int):
+    return smooth_from_betti([1, 0] * n + [1], n)
+
+
+def point_count_cases(q: int):
+    """(name, points, class) triples at q."""
+    pt = point_atom()
+    cases = [("point", [()], pt)]
+    for n in range(4):
+        cases += [
+            (f"P{n} over a point", proj(n, q), p_over_point(n)),
+            (f"P{n} as an absolute class", proj(n, q), AbsProduct(AbsMotive.projective_space(n), pt)),
+            (f"P{n} smooth", proj(n, q), p_smooth(n)),
+        ]
+    cases += [
+        ("A1", list(range(q)), AbsProduct(AbsMotive.affine_line(), pt)),
+        ("Gm", list(range(1, q)), AbsProduct(AbsMotive.multiplicative_group(), pt)),
+    ]
+    for n in range(1, 4 if q == 2 else 3):
+        cases.append((f"GL{n}", gl(n, q), AbsProduct(AbsMotive.general_linear(n), pt)))
+    bl_p2, bl_p3 = blown_up_p2(q), blown_up_p3(q)
+    cases += [
+        ("Bl_p P2 over a point", bl_p2, BlowUpRel(p_over_point(2), pt, 2)),
+        ("Bl_p P2 smooth", bl_p2, BlowUpRel(p_smooth(2), pt, 2)),
+        ("Bl_p P2 from its bettis", bl_p2, smooth_from_betti([1, 0, 2, 0, 1], 2)),
+        ("Bl_p P2 fibred over P1", bl_p2, Fibration(p_over_point(1), AbsMotive.projective_space(1))),
+        ("Bl_L P3 over a point", bl_p3, BlowUpRel(p_over_point(3), p_over_point(1), 2)),
+        ("Bl_L P3 smooth", bl_p3, BlowUpRel(p_smooth(3), p_smooth(1), 2)),
+        ("Bl_L P3 from its bettis", bl_p3, smooth_from_betti([1, 0, 2, 0, 2, 0, 1], 3)),
+        ("Bl_L P3 fibred over P1", bl_p3, Fibration(p_over_point(1), AbsMotive.projective_space(2))),
+        ("Gm x P2", list(product(range(1, q), proj(2, q))), AbsProduct(AbsMotive.multiplicative_group(), p_smooth(2))),
+        ("GL2 x Bl_p P2", list(product(gl(2, q), bl_p2)), AbsProduct(AbsMotive.general_linear(2), BlowUpRel(p_over_point(2), pt, 2))),
+        ("A1 x Bl_L P3", list(product(range(q), bl_p3)), AbsProduct(AbsMotive.affine_line(), smooth_from_betti([1, 0, 2, 0, 2, 0, 1], 3))),
+        ("P1 bundle over Bl_p P2", list(product(proj(1, q), bl_p2)), ProjBundle(smooth_from_betti([1, 0, 2, 0, 1], 2), 2)),
+        ("P2 bundle over P1", list(product(proj(2, q), proj(1, q))), ProjBundle(p_smooth(1), 3)),
+        ("GL2 fibred over Bl_L P3", list(product(gl(2, q), bl_p3)), Fibration(BlowUpRel(p_over_point(3), p_over_point(1), 2), AbsMotive.general_linear(2))),
+        ("Gm fibred over P3", list(product(range(1, q), proj(3, q))), Fibration(p_smooth(3), AbsMotive.multiplicative_group())),
+        ("P2 minus a point", [x for x in proj(2, q) if x != (0, 0, 1)], Diff(p_over_point(2), pt)),
+        ("P1 and a point apart", proj(1, q) + [()], Sum([p_over_point(1), pt])),
+    ]
+    return cases
+
+
+class TestPointCounts:
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_values_count_points(self, q):
+        for name, points, expr in point_count_cases(q):
+            assert len(points) == len(set(points)), name
+            assert points_at(upsilon_rel(expr), q) == len(points), name
+
+    def test_known_counts(self):
+        counts = {name: len(points) for name, points, _ in point_count_cases(2)}
+        assert counts["GL3"] == 168 and counts["Bl_p P2 smooth"] == 9 and counts["Bl_L P3 smooth"] == 21
+        assert {name: len(points) for name, points, _ in point_count_cases(3)}["Bl_p P2 smooth"] == 16
