@@ -11,6 +11,12 @@ JSON document and text lines, each built only when called; main prints the
 one asked for.  The interpreter's limit on int-str digits holds on input and
 while the work runs, and main lifts it only to render and print the result.
 
+The subcommands are declared once, in COMMANDS.  main builds only the one its
+first argument names, as argparse's set-up of the other six costs more than a
+short command's own work, and all of them when that argument names none, so
+every message that lists the commands is unchanged.  No parser is kept across
+calls: a gvmot process parses once, so a cache would save nothing there.
+
 Exit codes: 0 ok, 1 property failure, 2 schema, usage or resource-cap error,
 3 internal cross-check disagreement, 4 missing model data, 5 non-polynomial
 count, 6 internal error (an exception that is not a domain error).  Each run
@@ -241,7 +247,34 @@ def _int_at_least(low: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name, handler, input kinds, help, then the options after --input and --json; a
+# command of no input kind has neither and declares all its arguments
+COMMANDS = (
+    ("hst", cmd_hst, ("bispin",), "genus counts from bigraded spin content, both routes", {"--genus-max": dict(type=int, default=None)}),
+    ("census", cmd_census, ("graded_nilpotent", "bispin"), "Jordan cell census of a graded operator or spin content", {}),
+    ("upsilon", cmd_upsilon, ("motive", "betti_variety"), "evaluate a motive expression to its polynomial", {}),
+    ("stack", cmd_stack, ("stack_class",), "evaluate a stack class to a rational function", {}),
+    ("gv", cmd_gv, ("count_model",), "genus counts of a class in a counting model", {
+        "--target": dict(required=True, help="class as comma-joined integers: beta parts, then k"),
+        "--genus-max": dict(type=int, default=None),
+        "--max-compositions": dict(type=_int_at_least(0), default=WORK_CAP),
+    }),
+    ("gw", cmd_gw, ("gv_table", "gw_series"), "transform between count tables and generating series", {
+        "--genus-max": dict(type=int, default=None, help="gw_series input only: highest genus solved for (default: all the series determines)"),
+        "--degree-max": dict(type=int, default=None, help="either input: degree cut on the classes (default: the document's)"),
+        "--lambda-order": dict(type=int, default=None, help="gv_table input only: highest lambda exponent kept (default: 2 * genus cut - 2)"),
+    }),
+    ("verify", cmd_verify, (), "run a randomized property suite", {
+        "suite": dict(help="name of a property suite, or all"),
+        "--seed": dict(type=int, default=0),
+        "--cases": dict(type=_int_at_least(1), default=1, help="case-count multiplier"),
+        "--json": dict(action="store_true"),
+    }),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gvmot parser, holding only command's subparser when command names one, else all."""
     parser = _Parser(
         prog="gvmot",
         description=(
@@ -251,45 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, kinds, help):
-        """A subparser whose --input document must be of one of kinds."""
+    for name, func, kinds, help, options in [entry for entry in COMMANDS if entry[0] == command] or COMMANDS:
         p = sub.add_parser(name, help=help)
-        p.add_argument("--input", required=True, help="path to a JSON input document")
-        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+        if kinds:
+            p.add_argument("--input", required=True, help="path to a JSON input document")
+            p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+        for name_or_flag, kwargs in options.items():
+            p.add_argument(name_or_flag, **kwargs)
         p.set_defaults(func=func, kinds=kinds)
-        return p
-
-    p_hst = command("hst", cmd_hst, ("bispin",), "genus counts from bigraded spin content, both routes")
-    p_hst.add_argument("--genus-max", type=int, default=None)
-
-    command("census", cmd_census, ("graded_nilpotent", "bispin"), "Jordan cell census of a graded operator or spin content")
-    command("upsilon", cmd_upsilon, ("motive", "betti_variety"), "evaluate a motive expression to its polynomial")
-    command("stack", cmd_stack, ("stack_class",), "evaluate a stack class to a rational function")
-
-    p_gv = command("gv", cmd_gv, ("count_model",), "genus counts of a class in a counting model")
-    p_gv.add_argument("--target", required=True, help="class as comma-joined integers: beta parts, then k")
-    p_gv.add_argument("--genus-max", type=int, default=None)
-    p_gv.add_argument("--max-compositions", type=_int_at_least(0), default=WORK_CAP)
-
-    p_gw = command("gw", cmd_gw, ("gv_table", "gw_series"), "transform between count tables and generating series")
-    p_gw.add_argument("--genus-max", type=int, default=None, help="gw_series input only: highest genus solved for (default: all the series determines)")
-    p_gw.add_argument("--degree-max", type=int, default=None, help="either input: degree cut on the classes (default: the document's)")
-    p_gw.add_argument("--lambda-order", type=int, default=None, help="gv_table input only: highest lambda exponent kept (default: 2 * genus cut - 2)")
-
-    p_verify = sub.add_parser("verify", help="run a randomized property suite")
-    p_verify.add_argument("suite", help="name of a property suite, or all")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=_int_at_least(1), default=1, help="case-count multiplier")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify, kinds=())
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         kind = payload = None
         if args.kinds:
             kind, payload = jsonio.load_path(args.input)

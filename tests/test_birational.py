@@ -10,19 +10,23 @@ must give the same value after either:
 - a line-bundle shift by l, k -> k + l.beta, with B -> B + l.
 
 Both keep every central charge.  Values are compared, not ledger spends,
-since the size of the walk depends on the basis.
+since the size of the walk depends on the basis.  The GV/GW series transform
+follows the first too, as its cuts read omega-degrees only.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from gvmot import cli
+from gvmot import cli, jsonio
 from gvmot.counting import CentralCharge, ClassLattice, EvalModel, NumClass, counting_polynomial, same_phase_decompositions
 from gvmot.errors import NotEffectiveError
+from gvmot.gwseries import GVTable, gv_to_gw, gw_to_gv
 from gvmot.verify import random_atom_class, random_effective, random_pointed_setup
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_data"
@@ -136,3 +140,46 @@ def test_conifold_reflected_gives_the_same_count_polynomial(capsys, tmp_path, ta
 
     before = count_polynomial(SAMPLES / "conifold.count_model.json", target)
     assert count_polynomial(path, negated(target)) == before
+
+
+def _moved_table(table, m, inverse):
+    """The table with every class beta moved to M beta, and omega to omega M^-1."""
+    entries = {(g, _apply(m, beta)): n for (g, beta), n in table.entries.items()}
+    return GVTable(entries, table.genus_max, table.degree_max, _row_times(table.omega, inverse))
+
+
+def _check_transform_follows(table, m, inverse):
+    moved = _moved_table(table, m, inverse)
+    series = gv_to_gw(table)
+    assert series.coeffs  # something to move
+    assert gv_to_gw(moved).coeffs == {(_apply(m, beta), lam): c for (beta, lam), c in series.coeffs.items()}
+    back = gw_to_gv(gv_to_gw(moved))
+    assert back.table.entries == moved.entries and not back.nonintegral
+
+
+def _seeded_tables(seed: int, cases: int):
+    """Seeded rank-2 and rank-3 tables, each with a unimodular M and M^-1."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        rank = 2 + case % 2
+        omega = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rank)]
+        degree_max = Fraction(rng.randint(3, 6))
+        classes = [beta for beta in itertools.product(range(-1, 4), repeat=rank) if 0 < sum(map(mul, omega, beta)) <= degree_max]
+        entries = {(rng.randint(0, 2), rng.choice(classes)): rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(rng.randint(1, 6))}
+        yield GVTable(entries, 2, degree_max, omega), *_unimodular(rng, rank)
+
+
+def test_series_transform_follows_a_change_of_basis():
+    for table, m, inverse in _seeded_tables(13, 40):
+        _check_transform_follows(table, m, inverse)
+
+
+@pytest.mark.parametrize(
+    "m, inverse",
+    [([[1, 1], [0, 1]], [[1, -1], [0, 1]]), ([[-1, 0], [0, 1]], [[-1, 0], [0, 1]]), ([[2, 1], [1, 1]], [[1, -1], [-1, 2]])],
+    ids=["shear", "reflection", "cat-map"],
+)
+def test_rank2_sample_transform_follows_a_change_of_basis(m, inverse):
+    kind, table = jsonio.load_path(str(SAMPLES / "rank2_multiples.gv_table.json"))
+    assert kind == "gv_table"
+    _check_transform_follows(table, m, inverse)

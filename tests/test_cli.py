@@ -931,6 +931,72 @@ def test_help_exits_zero(capsys):
     assert "--max-compositions" in capsys.readouterr().out
 
 
+def outcome(capsys, argv):
+    """main's exit code, stdout and stderr on argv; -h leaves main by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+MODEL = f"{SAMPLES}/conifold.count_model.json"
+TABLE = f"{SAMPLES}/conifold.gv_table.json"
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["bogus"], ["GV"], ["g"], ["-x", "gv"], ["--json", "gv"], ["--", "gv"],
+    *([name, "-h"] for name, *_ in cli.COMMANDS),
+    ["gv"], ["verify"], ["gv", "--input", MODEL], ["gv", "--target", "1,1"], ["gv", "--input", MODEL, "--help"],
+    ["gv", "--input", MODEL, "--target", "1,1", "--max-compositions", "-1"],
+    ["gv", "--input", MODEL, "--target", "1,1", "--max-compositions", "abc"],
+    ["gv", "--input", MODEL, "--target", "1,1", "--genus-max", "x"],
+    ["gv", "--input", MODEL, "--target", "1,1", "extra"],
+    ["gv", "--input", MODEL, "--target", "1,1", "--bogus"],
+    ["gv", "--input", MODEL, "--target"],
+    ["gv", "--in", MODEL, "--targ", "1,1", "--j"],
+    ["gv", "--input", MODEL, "--target", "-1,-1"],
+    ["gv", "--input", MODEL, "--target=-1,-1", "--json"],
+    ["gv", "--input", TABLE, "--target", "1,1"],
+    ["gw", "--input", TABLE, "--genus-max", "1"],
+    ["gw", "--input", TABLE, "--lambda-order", "2", "--degree-max", "2"],
+    ["hst", "--input", f"{SAMPLES}/left_spin_one.bispin.json", "--genus-max", "2"],
+    ["census", "--input", f"{SAMPLES}/left_spin_one.bispin.json", "--json"],
+    ["upsilon", "--input", f"{SAMPLES}/p2.betti.json", "--json", "--json"],
+    ["stack", "--input", f"{SAMPLES}/cy3_mod_gm.stack_class.json"],
+    ["verify", "sl2", "--cases", "0"],
+    ["verify", "sl2", "--seed"],
+    ["verify", "bogus", "--input", MODEL],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv).replace(f"{SAMPLES}/", "") or "no-arguments")
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only the named command's parser; the parser of every command is the oracle
+    monkeypatch.setenv("COLUMNS", "80")
+    got = outcome(capsys, list(argv))
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert got == outcome(capsys, list(argv))
+
+
+def test_parser_holds_only_the_named_command():
+    with pytest.raises(cli.SchemaError, match="invalid choice"):
+        cli.build_parser("gv").parse_args(["hst", "--input", MODEL])
+    assert cli.build_parser("gvv").parse_args(["hst", "--input", MODEL]).func is cli.cmd_hst
+
+
+@pytest.mark.parametrize("argv", [["gv", "--input", MODEL, "--target", "1,1", "--json"], []], ids=["gv", "no-arguments"])
+def test_main_without_argv_reads_the_command_from_sys_argv(capsys, monkeypatch, argv):
+    # the console script and python -m gvmot call main(), which parses sys.argv[1:]
+    expected = outcome(capsys, list(argv))
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+    monkeypatch.setattr(sys, "argv", ["gvmot", *argv])
+    assert outcome(capsys, None) == expected
+    assert built == [argv[0] if argv else None]
+
+
 class TestErrorMapping:
     def test_cross_check_maps_to_three(self, capsys):
         assert _emit_error(CrossCheckError("boom")) == EXIT_CROSSCHECK
