@@ -8,6 +8,9 @@ decompositions, and evaluation happens in a split-stratum model: a word is
 worth L^(sum of pairwise ext defects) times the product of its letters'
 values.  Because that value ignores letter order, counting_polynomial sums
 the log over multisets of pieces; the ordered log stays as its reference.
+evaluate sums a word over its choices of one atom part per letter with
+laurent.word_sum: one walk over packed numerators, one bucket sum per
+denominator key.
 
 Every piece of a splitting of v lies below v: v minus the piece is
 effective or zero.  So a count walks down from its target once, subtracting
@@ -32,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
 from math import factorial, lcm, prod
 from typing import Iterable, Mapping, NamedTuple
 
@@ -48,7 +50,7 @@ from .errors import (
     check_int,
     check_rational,
 )
-from .laurent import LaurentPoly, RationalFn, flat, rational_sum
+from .laurent import LaurentPoly, RationalFn, flat, word_sum
 from .lefschetz import JordanCensus, census_count
 from .linalg import dot
 from .motives import MotiveExpr
@@ -499,28 +501,16 @@ def evaluate(f: FreeHallElement, model: EvalModel) -> RationalFn:
     A word contributes L^{sum of pairwise defects} times the product of its
     letters' atom values, extended multilinearly over the atom parts and
     linearly over words.  A letter with an empty atom (empty moduli) kills
-    its word; the empty word is the unit and evaluates to 1.  Every part
-    choice becomes one unnormalised fraction, and rational_sum adds them
-    all.  The parts of each class the words take are normalised and made
-    into part terms (stacks.part_terms) once per call, in the order the
-    words first take the classes.
+    its word; the empty word is the unit and evaluates to 1.  The parts of
+    each class the words take are normalised and made into part terms
+    (stacks.part_terms) once per call, in the order the words first take
+    the classes, and laurent.word_sum adds every choice of one part per
+    letter: a walk over packed numerators, each prefix multiplied once.
     """
     letters = dict.fromkeys(v for word in f.words for v in word)
     terms = {v: part_terms(StackClass.from_fractions(model.atom(v))) for v in letters}
-
-    def fractions():
-        for word, coeff in f.items():
-            exponent = sum(model.defect(a, b) for i, a in enumerate(word) for b in word[i + 1 :])
-            scaled = LaurentPoly({(2 * exponent, 0): coeff.numerator})
-            coeff_den = LaurentPoly.constant(coeff.denominator)
-            for choice in _iproduct(*(terms[v] for v in word)):
-                num, den = scaled, coeff_den
-                for part_num, part_den in choice:
-                    num = num * part_num
-                    den = den * part_den
-                yield num, den
-
-    return rational_sum(fractions())
+    defects = lambda word: sum(model.defect(a, b) for i, a in enumerate(word) for b in word[i + 1 :])
+    return word_sum(terms, ((coeff, 2 * defects(word), word) for word, coeff in f.items()))
 
 
 def counting_polynomial(

@@ -8,14 +8,16 @@ fractions.  Nothing in this module (or package) touches floating point.
 
 The weighted degree of a term is a + 2b; this weighting drives both the
 canonical printing order and the flattening operation used to read Jordan
-cell data off a polynomial invariant.
+cell data off a polynomial invariant.  word_sum adds sums of products of
+fractions with one packed int per numerator (linalg's Kronecker
+substitution); rational_sum is its one-letter case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -24,6 +26,12 @@ from .errors import (
     OddWeightedDegreeError,
     ZeroPolynomialError,
 )
+from .linalg import _slot_width, _unpack
+
+# word_sum packs its numerators while their slots number at most this many
+# times the terms of the parts
+SLOTS_PER_TERM = 4
+
 
 class LaurentPoly(Frozen):
     """Immutable sparse Laurent polynomial in t (any power) and s (power >= 0)."""
@@ -501,46 +509,105 @@ class RationalFn(Frozen):
         return f"({format_poly(self.num)}) / ({format_poly(self.den)})"
 
 
-def rational_sum(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> RationalFn:
-    """Exact sum of the fractions num/den over (num, den) pairs, not yet normalised.
+def word_sum(letters: Mapping, words: Iterable[tuple[Fraction | int, int, tuple]]) -> RationalFn:
+    """Exact sum over words (c, e, w) of c t^e times the product over the
+    letters of w of the sum of letters[letter]'s fractions num/den.
 
-    Each denominator is brought to a canonical bucket key -- content divided
-    out, leading coefficient positive, lowest t-exponent shifted to zero --
-    by a signed unit and a shift.  A bucket keeps one integer numerator over
-    key times the lcm m of the units seen in it: a numerator enters shifted
-    and times m / unit, after the bucket is rescaled to a grown lcm.  Each
-    bucket is normalised once, and the buckets add as RationalFn values.
-    Pairs are consumed as they stream in.
+    A part is split once: num = t^low p, and den = unit t^dt key with unit
+    den's content signed as its leading coefficient.  By Gauss's lemma the
+    fraction of a choice of one part per letter is then t^(e + sum(low - dt))
+    c prod p / (d prod unit prod key), in the bucket of prod key.  One
+    depth-first walk per word, in the order of the choices' part indices,
+    multiplies each prefix once.  A bucket keeps one numerator over its key
+    times the lcm m of the units seen in it: a choice enters times m / its
+    unit, after the bucket is rescaled to a grown lcm.  The nonzero buckets
+    are normalised and added as RationalFn values in the order they opened;
+    normalising a normalised fraction returns it unchanged, so a bucket
+    that cancels changes no byte of the sum.
+
+    Each p is packed into one int, p at t = 2^w and s = 2^(w span)
+    (linalg's Kronecker substitution), so a product or a bucket sum is one
+    int operation.  span holds every choice's t-extent, and w is
+    linalg._slot_width of a bound on every bucket's coefficients: the sum
+    over words of |c| prod over letters of the sum of the parts' |p|_1,
+    times the lcm over words of d prod over letters of the lcm of |unit|.
+    The slots must number at most SLOTS_PER_TERM times the terms of the
+    parts' p; otherwise (a sparse p of wide t-spread, say) the same walk
+    runs on the p as LaurentPoly values.
     """
-    buckets: dict[LaurentPoly, tuple[int, dict[tuple[int, int], int]]] = {}
-    for num, den in pairs:
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            continue
-        unit = den.content()
-        if den.leading_term()[1] < 0:
-            unit = -unit
-        dt = den.min_t_exponent()
-        key = _divide_content(den.shift(-dt), unit)
-        m, acc = buckets.get(key, (1, {}))
-        m_new = lcm(m, unit)
-        if m_new != m:
-            up = m_new // m
-            for term in acc:
-                acc[term] *= up
-        mult = m_new // unit
-        for (a, b), c in num.items():
-            term = (a - dt, b)
-            acc[term] = acc.get(term, 0) + c * mult
-        buckets[key] = (m_new, acc)
-    parts = [RationalFn(LaurentPoly._built(acc), key.scale(m)) for key, (m, acc) in buckets.items()]
-    if not parts:
+    keys: list[LaurentPoly] = []  # bucket keys by id
+    ids: dict[LaurentPoly, int] = {}
+
+    def key_id(key: LaurentPoly) -> int:
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+        return ids[key]
+
+    key_id(LaurentPoly.one())
+    parts, sizes, count = {}, {}, 0
+    for letter, pairs in letters.items():
+        parts[letter], stats = [], []
+        for num, den in pairs:
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
+            if num:
+                unit = den.content() if den.leading_term()[1] > 0 else -den.content()
+                dt, low = den.min_t_exponent(), num.min_t_exponent()
+                p = num.shift(-low)
+                parts[letter].append((p, low - dt, unit, key_id(_divide_content(den.shift(-dt), unit))))
+                stats.append((low - dt, low - dt + p.leading_term()[0][0], max(b for (_, b), _ in p.items()), sum(abs(c) for _, c in p.items()), unit))
+                count += len(p.items())
+        if stats:  # the letter's lowest and highest t-exponent, top s-exponent, sum of |p|_1 and lcm of |unit|
+            lo, hi, ds, norm, unit = zip(*stats)
+            sizes[letter] = (min(lo), max(hi), max(ds), sum(norm), lcm(*unit))
+    words = [(Fraction(c), e, w) for c, e, w in words if all(parts[letter] for letter in w)]
+    if not words:
         return RationalFn.zero()
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
+    extents = []
+    for c, e, w in words:
+        size = [sizes[letter] for letter in w]
+        extents.append((e + sum(x[0] for x in size), e + sum(x[1] for x in size), sum(x[2] for x in size),
+                        abs(c.numerator) * prod(x[3] for x in size), c.denominator * prod(x[4] for x in size)))
+    lows, highs, s_tops, norms, units = zip(*extents)
+    low, span = min(lows), max(highs) - min(lows) + 1
+    n = span * (max(s_tops) + 1)
+    if n <= SLOTS_PER_TERM * count:
+        width = _slot_width(sum(norms) * lcm(*units))
+        value = lambda p: sum(c << (width * (a + span * b)) for (a, b), c in p.items())
+        start, lift = int, lambda x, o: x << (width * o)
+        finish = lambda x: LaurentPoly._built({(low + j % span, j // span): c for j, c in enumerate(_unpack(x, width, n)) if c})
+    else:
+        value, start, lift, finish = (lambda p: p), LaurentPoly.constant, LaurentPoly.shift, (lambda x: x.shift(low))
+    parts = {letter: [(value(p), lo, unit, key) for p, lo, unit, key in split] for letter, split in parts.items()}
+    products: dict[tuple[int, int], int] = {}  # (key id, part's key id) -> id of their product
+    buckets: dict[int, tuple] = {}  # key id -> (lcm m of the units seen, numerator sum over key m)
+    for c, e, w in words:
+        stack = [(0, start(c.numerator), e - low, c.denominator, 0)]
+        while stack:
+            depth, num, o, unit, key = stack.pop()
+            if depth < len(w):
+                for p, dlo, dunit, dkey in reversed(parts[w[depth]]):
+                    if (key, dkey) not in products:
+                        products[(key, dkey)] = key_id(keys[key] * keys[dkey])
+                    stack.append((depth + 1, num * p, o + dlo, unit * dunit, products[(key, dkey)]))
+                continue
+            m, acc = buckets.get(key, (1, start(0)))
+            m_new = lcm(m, unit)
+            buckets[key] = (m_new, acc * (m_new // m) + lift(num * (m_new // unit), o))
+    total = None
+    for key, (m, acc) in buckets.items():
+        if acc:
+            part = RationalFn(finish(acc), keys[key].scale(m))
+            total = part if total is None else total + part
+    return RationalFn.zero() if total is None else total
+
+
+def rational_sum(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> RationalFn:
+    """Exact sum of the fractions num/den over (num, den) pairs, not yet
+    normalised: word_sum over one word of one letter, so each bucket is
+    normalised once and the buckets are added in the order they opened."""
+    return word_sum({0: pairs}, [(1, 0, (0,))])
 
 
 def _coerce(value) -> RationalFn:

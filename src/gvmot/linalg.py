@@ -18,9 +18,10 @@ big-int operation does the work of a loop over the row's entries.  Its core,
 _eliminate, takes rows already packed, and three kernels keep a caller's
 rows packed from one elimination to the next: _fits and _fit read the least
 b with every slot in [-2^b, 2^b) without unpacking a row, and _respace moves
-any selection of slots to slots of another width with one struct format.
-pivots packs a list matrix and calls the core; Jordan censuses call the
-core on products they never unpack.  The core keeps its rows in buckets by
+any selection of slots to slots of another width with one struct format;
+_unpack reads one packed int's slots back as ints.  pivots packs a list
+matrix and calls the core; Jordan censuses call the core on products they
+never unpack.  The core keeps its rows in buckets by
 their lowest nonzero slot and scales a row only when a step reads it, so a
 step touches just the rows with a nonzero entry in its column.
 """
@@ -82,6 +83,18 @@ def _pack(rows: Matrix, width: int) -> list[int]:
     """Each row as one int, sum(x_j 2^(width j)) (Kronecker substitution)."""
     shifts = range(0, width * len(rows[0]), width)
     return [sum(map(lshift, row, shifts)) for row in rows]
+
+
+def _unpack(value: int, width: int, n: int) -> list[int]:
+    """The n signed slots of one packed int, lowest first: _pack's inverse on a row.
+
+    Every slot must lie in [-2^(width-1), 2^(width-1)).  The offset 2^(width-1)
+    in every slot makes each one a nonnegative number below 2^width, so the
+    bytes split into slots with no borrow between them.
+    """
+    k, half = width // 8, 1 << (width - 1)
+    data = (value + half * _ones(width, n)).to_bytes(n * k, "little")
+    return [int.from_bytes(data[i : i + k], "little") - half for i in range(0, n * k, k)]
 
 
 def _fits(rows: list[int], width: int, n: int, b: int) -> bool:

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .laurent import LaurentPoly
 from .lefschetz import JordanCensus
+from .linalg import _slot_width, _unpack
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,22 @@ class AbsMotive:
 
     @classmethod
     def general_linear(cls, n: int) -> "AbsMotive":
+        """[GL_n] = L^(n(n-1)/2) prod_{i=1..n} (L^i - 1), with L = t^2.
+
+        The product is packed, one slot per power of L (linalg's Kronecker
+        substitution), and each factor is one shift-subtract.  Its
+        coefficients sum in absolute value to at most 2^n, which sizes the
+        slots; the slots are unpacked once.
+        """
         if n < 1:
             raise ValueError("general linear group needs n >= 1")
-        value = LaurentPoly.one()
-        for k in range(n):
-            value = value * (LaurentPoly.t(2 * n) - LaurentPoly.t(2 * k))
-        return cls(value, f"GL{n}")
+        width = _slot_width(1 << n)
+        value = 1
+        for i in range(1, n + 1):
+            value = (value << (width * i)) - value
+        low = n * (n - 1) // 2
+        slots = _unpack(value, width, low + n + 1)
+        return cls(LaurentPoly._built({(2 * (low + j), 0): c for j, c in enumerate(slots) if c}), f"GL{n}")
 
     @classmethod
     def projective_space(cls, n: int) -> "AbsMotive":

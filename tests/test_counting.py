@@ -4,10 +4,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
 import pytest
 
-from gvmot import counting
+from gvmot import counting, laurent
 from gvmot.counting import (
     CentralCharge,
     ClassLattice,
@@ -34,9 +35,9 @@ from gvmot.errors import (
 )
 from gvmot.laurent import LaurentPoly, RationalFn
 from gvmot.lefschetz import GradedNilpotent, JordanCensus
-from gvmot.linalg import dot
-from gvmot.motives import AbsMotive, over_point_from_betti, point_atom, smooth_from_betti, upsilon_rel
-from gvmot.stacks import StackClass, quotient_by_special_group, upsilon_stack
+from gvmot.linalg import _unpack, dot
+from gvmot.motives import AbsMotive, Atom, over_point_from_betti, point_atom, smooth_from_betti, upsilon_rel
+from gvmot.stacks import StackClass, part_terms, quotient_by_special_group, upsilon_stack
 from gvmot.verify import random_atom_class, random_betti, random_effective, random_pointed_setup
 
 
@@ -375,6 +376,145 @@ class TestEvaluate:
             assert lhs == rhs
 
 
+# -- oracle: every part choice multiplied out, the expansion evaluate's walk replaced --
+
+
+def rational_sum_oracle(pairs) -> RationalFn:
+    """The sum of the fractions num/den, bucketed by denominator up to a signed
+    unit and a t-shift: one dict numerator per bucket over the key times the
+    lcm of the units seen, each bucket normalised, added in opening order."""
+    buckets = {}
+    for num, den in pairs:
+        if num.is_zero():
+            continue
+        unit = den.content() if den.leading_term()[1] > 0 else -den.content()
+        dt = den.min_t_exponent()
+        key = LaurentPoly({(a - dt, b): c // unit for (a, b), c in den.items()})
+        m, acc = buckets.get(key, (1, {}))
+        m_new = lcm(m, unit)
+        acc = {term: c * (m_new // m) for term, c in acc.items()}
+        for (a, b), c in num.items():
+            acc[(a - dt, b)] = acc.get((a - dt, b), 0) + c * (m_new // unit)
+        buckets[key] = (m_new, acc)
+    parts = [RationalFn(LaurentPoly(acc), key.scale(m)) for key, (m, acc) in buckets.items()]
+    return sum(parts[1:], parts[0]) if parts else RationalFn.zero()
+
+
+def evaluate_oracle(f: FreeHallElement, model: EvalModel) -> RationalFn:
+    """Each part choice of each word as one LaurentPoly product of numerators
+    over one of denominators, all added by rational_sum_oracle."""
+    letters = dict.fromkeys(v for word in f.words for v in word)
+    terms = {v: part_terms(StackClass.from_fractions(model.atom(v))) for v in letters}
+
+    def fractions():
+        for word, coeff in f.items():
+            exponent = sum(model.defect(a, b) for i, a in enumerate(word) for b in word[i + 1 :])
+            scaled = LaurentPoly({(2 * exponent, 0): coeff.numerator})
+            coeff_den = LaurentPoly.constant(coeff.denominator)
+            for choice in iproduct(*(terms[v] for v in word)):
+                num, den = scaled, coeff_den
+                for part_num, part_den in choice:
+                    num = num * part_num
+                    den = den * part_den
+                yield num, den
+
+    return rational_sum_oracle(fractions())
+
+
+def edge_int(rng: random.Random, bits: int) -> int:
+    """An int of at most bits bits, often at an edge: 0, 1, 2^j - 1 or 2^j, either sign."""
+    j = rng.randint(0, bits)
+    c = rng.choice((0, 1, 2**j - 1, 2**j, rng.randint(0, 2**j)))
+    return c if rng.random() < 0.5 else -c
+
+
+T, S, ONE = LaurentPoly.t(1), LaurentPoly.s(1), LaurentPoly.one()
+KEYS = [ONE, T * T - ONE, (T * T - ONE) * (T * T - ONE), T + ONE, S + T * T, T.scale(2) - ONE.scale(3)]
+EXPRS = [point_atom(), over_point_from_betti([1, 0, 1]), smooth_from_betti([1, 0, 2, 0, 1], 2), Atom("x", 1, JordanCensus({(0, 2): 1, (-1, 1): 2}))]
+
+
+def random_eval_case(rng: random.Random):
+    """A free Hall element over up to three classes and a model for it.
+
+    Parts have s-terms, negative t-exponents and coefficients of 0-300 bits
+    of both signs, over denominators that are a pool key times a t-shift and
+    a signed unit (2, 4, 6 ...: products of units over a word need not
+    divide their lcm).  Atoms may be empty and numerators zero; defects run
+    -3..3; words repeat letters.  On some cases the element is g - g', g'
+    being g with a letter renamed to a copy of it (same atom, same
+    defects), so every bucket cancels.
+    """
+    bits = rng.choice((0, 8, 64, 300))
+    classes = [NumClass((i,), 0) for i in range(1, 4)]
+
+    def part():
+        num = LaurentPoly({(rng.randint(-3, 3), rng.choice((0, 0, 1, 2))): edge_int(rng, bits) for _ in range(rng.randint(0, 3))})
+        unit = rng.choice((1, -1, 2, -2, 3, 4, 6, -9, edge_int(rng, bits) or 5))
+        den = rng.choice(KEYS).shift(rng.randint(-2, 2)).scale(unit)
+        return num, den, rng.choice(EXPRS)
+
+    atoms = {v: tuple(part() for _ in range(rng.choice((0, 1, 1, 2, 3)))) for v in classes}
+    defects = {(a, b): rng.randint(-3, 3) for i, a in enumerate(classes) for b in classes[i:]}
+    words = {}
+    for _ in range(rng.randint(1, 4)):
+        word = tuple(rng.choice(classes) for _ in range(rng.randint(0, 3)))
+        words[word] = Fraction(edge_int(rng, bits) or 1, abs(edge_int(rng, bits)) or 1)
+    if rng.random() < 0.25:
+        v, copy = classes[0], NumClass((9,), 0)
+        atoms[copy] = atoms[v]
+        defects.update({(copy, b): e for (a, b), e in defects.items() if a == v})
+        defects.update({(copy, a): e for (a, b), e in defects.items() if b == v})
+        defects[(copy, copy)] = defects[(copy, v)] = defects[(v, v)]
+        words.update({tuple(copy if x == v else x for x in word): -c for word, c in list(words.items()) if v in word})
+    return FreeHallElement(words), EvalModel(atoms, [(a, b, e) for (a, b), e in defects.items()])
+
+
+class TestEvaluateOracle:
+    """evaluate's walk gives the exact (num, den) of the part-choice expansion it
+    replaced, in the packed layout and on LaurentPoly values alike."""
+
+    def test_matches_expansion_on_random_models(self, monkeypatch):
+        rng = random.Random(34)
+        unpacked = []
+        monkeypatch.setattr(laurent, "_unpack", lambda *args: unpacked.append(args) or _unpack(*args))
+        seen = Counter()
+        for _ in range(300):
+            f, model = random_eval_case(rng)
+            want = evaluate_oracle(f, model)
+            for rule, side in ((0, "dict"), (laurent.SLOTS_PER_TERM, None), (10**9, "packed")):
+                monkeypatch.setattr(laurent, "SLOTS_PER_TERM", rule)
+                calls = len(unpacked)
+                got = evaluate(f, model)
+                assert (got.num, got.den) == (want.num, want.den), (f.words, model.atoms)
+                if side is None and len(unpacked) > calls:
+                    seen["rule packs"] += 1
+                elif side is None:
+                    seen["rule keeps dicts"] += 1
+            seen["all buckets cancel"] += want.is_zero() and any(word and all(model.atom(v) for v in word) for word in f.words)
+            seen["s-terms"] += any(b for p in model.atoms.values() for num, _, _ in p for (_, b) in num.terms)
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("bits", [1, 7, 8, 9, 16, 63, 64, 300])
+    def test_slot_holds_a_coefficient_at_its_bound(self, bits):
+        # one word of one letter, one or two constant parts over the key 1:
+        # the bound on the slots is the coefficient the bucket holds
+        v = NumClass((1,), 0)
+        c = 2**bits - 1
+        for parts in ([c], [-c], [c - 1, 1], [-(c - 1), -1]):
+            model = EvalModel({v: tuple((LaurentPoly.constant(x), ONE, point_atom()) for x in parts)})
+            got = evaluate(FreeHallElement.letter(v), model)
+            assert (got.num, got.den) == (LaurentPoly.constant(sum(parts)), ONE)
+
+    def test_every_bucket_cancels(self):
+        v, w = NumClass((1,), 0), NumClass((2,), 0)
+        atom = ((T.shift(-3) + S, (T * T - ONE).scale(-4), point_atom()), (ONE.scale(7), T + ONE, point_atom()))
+        model = EvalModel({v: atom, w: atom}, [(v, v, -2), (w, w, -2), (v, w, -2)])
+        f = FreeHallElement({(v, v): Fraction(3, 5), (w, w): Fraction(-3, 5), (v,): 2, (w,): -2})
+        assert evaluate_oracle(f, model).is_zero()
+        got = evaluate(f, model)
+        assert (got.num, got.den) == (LaurentPoly.zero(), ONE)
+
+
 class TestCountingPolynomial:
     def test_conifold_unit_class(self):
         lat, z, model = conifold_model()
@@ -631,7 +771,7 @@ def counting_polynomial_oracle(lattice, charge, v, model, budget):
         words = same_phase_words_oracle(lattice, charge, w, budget, True, memo)
         if words is not None:
             gm = RationalFn.from_poly(LaurentPoly.t(2) - LaurentPoly.one())
-            return gm * evaluate(_multiset_log(words), model)
+            return gm * evaluate_oracle(_multiset_log(words), model)
     return RationalFn.zero()
 
 

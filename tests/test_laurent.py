@@ -352,6 +352,26 @@ class TestRationalFn:
         assert p != RationalFn.zero()
 
 
+class TestNormalisation:
+    def test_normalising_a_normalised_pair_changes_nothing(self):
+        # common factors in t alone, s alone or both, so every step of the
+        # normalisation runs: shifts, contents, exact division and the gcd
+        rng = random.Random(35)
+        gcds = 0
+        for _ in range(400):
+            var = rng.choice(["t", "s", None])
+            make = (lambda: random_uni(rng, var)) if var else (lambda: random_poly(rng, 3))
+            factor = make() * LaurentPoly.monomial(rng.randint(-2, 2), 0, rng.choice([1, -2, 3]))
+            num, den = make() * factor, make() * factor
+            if den.is_zero():
+                continue
+            once = RationalFn(num, den)
+            twice = RationalFn(once.num, once.den)
+            assert (twice.num, twice.den) == (once.num, once.den), (num, den)
+            gcds += len(once.den.terms) < len(den.terms) and once.den != LaurentPoly.one()
+        assert gcds >= 20
+
+
 class TestRationalSum:
     @staticmethod
     def left_fold(pairs):
@@ -398,6 +418,17 @@ class TestRationalSum:
             (one, s + t),
         ]
         assert rational_sum(pairs) == self.left_fold(pairs)
+
+    def test_cancelling_bucket_changes_no_byte(self):
+        # a bucket whose sum is zero is left out of the final additions
+        rng = random.Random(13)
+        for _ in range(100):
+            pairs = [(random_poly(rng, 3), random_poly(rng, 2) or LaurentPoly.one()) for _ in range(rng.randint(0, 4))]
+            num, den = random_poly(rng, 3) or LaurentPoly.one(), random_poly(rng, 2) * LaurentPoly.s(3) or LaurentPoly.t(2)
+            at = rng.randint(0, len(pairs))
+            total = rational_sum(pairs[:at] + [(num, den), (-num, den)] + pairs[at:])
+            expected = rational_sum(pairs)
+            assert (str(total), total.num, total.den) == (str(expected), expected.num, expected.den)
 
     def test_empty_and_zero_denominator(self):
         assert rational_sum([]) == RationalFn.zero()

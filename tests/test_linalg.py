@@ -259,6 +259,14 @@ class TestPackedKernels:
         return rng.choice((0, 1, -1, 2**j, -(2**j), 2**j - 1, -(2**j) + 1, 2**bits - 1, -(2**bits) + 1,
                            rng.randint(-(2**bits) + 1, 2**bits - 1)))
 
+    def test_unpack_against_list_oracle(self):
+        rng = random.Random(36)
+        for _ in range(300):
+            width, n = rng.choice(self.WIDTHS + (408,)), rng.randint(1, 12)
+            row = [self.slot(rng, width - 1) for _ in range(n)]
+            packed = pack_oracle([row], width)[0]
+            assert linalg._unpack(packed, width, n) == unpack_oracle(packed, width, n) == row
+
     def test_respace_against_list_oracle(self):
         # every pair of widths, so narrowing, widening and keeping the width;
         # kept slots are any increasing selection, the empty one included

@@ -277,6 +277,15 @@ class TestAbsMotive:
         expected = (q * q - LaurentPoly.one()) * (q * q - q)
         assert AbsMotive.general_linear(2).poly == expected
 
+    def test_general_linear_against_dict_product(self):
+        # prod_{k<n} (L^n - L^k), one LaurentPoly product per factor
+        for n in [*range(1, 13), 40]:
+            expected = LaurentPoly.one()
+            for k in range(n):
+                expected = expected * (LaurentPoly.t(2 * n) - LaurentPoly.t(2 * k))
+            got = AbsMotive.general_linear(n)
+            assert (got.poly, got.poly.terms, got.name) == (expected, expected.terms, f"GL{n}")
+
     def test_s_dependence_rejected(self):
         with pytest.raises(ValueError):
             AbsMotive(LaurentPoly.s(1))
