@@ -29,8 +29,9 @@ from .errors import (
 from .linalg import _slot_width, _unpack
 
 # word_sum packs its numerators while their slots number at most this many
-# times the terms of the parts
-SLOTS_PER_TERM = 4
+# times the terms of the parts: about the lowest ratio at which, timed on
+# sparse numerators and on spread defects, the packed walk stops being faster
+SLOTS_PER_TERM = 16
 
 
 class LaurentPoly(Frozen):
@@ -509,6 +510,12 @@ class RationalFn(Frozen):
         return f"({format_poly(self.num)}) / ({format_poly(self.den)})"
 
 
+def _unpacked(value: int, width: int, n: int, span: int, low: int, step: int = 1) -> LaurentPoly:
+    """The polynomial whose coefficient of t^(low + step (j % span)) s^(j // span)
+    is slot j of value's n packed slots of width bits (linalg._unpack)."""
+    return LaurentPoly._built({(low + step * (j % span), j // span): c for j, c in enumerate(_unpack(value, width, n)) if c})
+
+
 def word_sum(letters: Mapping, words: Iterable[tuple[Fraction | int, int, tuple]]) -> RationalFn:
     """Exact sum over words (c, e, w) of c t^e times the product over the
     letters of w of the sum of letters[letter]'s fractions num/den.
@@ -532,19 +539,9 @@ def word_sum(letters: Mapping, words: Iterable[tuple[Fraction | int, int, tuple]
     over words of |c| prod over letters of the sum of the parts' |p|_1,
     times the lcm over words of d prod over letters of the lcm of |unit|.
     The slots must number at most SLOTS_PER_TERM times the terms of the
-    parts' p; otherwise (a sparse p of wide t-spread, say) the same walk
-    runs on the p as LaurentPoly values.
+    parts' p; otherwise (a sparse p, or words whose t-shifts e lie far
+    apart) the same walk runs on the p as LaurentPoly values.
     """
-    keys: list[LaurentPoly] = []  # bucket keys by id
-    ids: dict[LaurentPoly, int] = {}
-
-    def key_id(key: LaurentPoly) -> int:
-        if key not in ids:
-            ids[key] = len(keys)
-            keys.append(key)
-        return ids[key]
-
-    key_id(LaurentPoly.one())
     parts, sizes, count = {}, {}, 0
     for letter, pairs in letters.items():
         parts[letter], stats = [], []
@@ -555,7 +552,7 @@ def word_sum(letters: Mapping, words: Iterable[tuple[Fraction | int, int, tuple]
                 unit = den.content() if den.leading_term()[1] > 0 else -den.content()
                 dt, low = den.min_t_exponent(), num.min_t_exponent()
                 p = num.shift(-low)
-                parts[letter].append((p, low - dt, unit, key_id(_divide_content(den.shift(-dt), unit))))
+                parts[letter].append((p, low - dt, unit, _divide_content(den.shift(-dt), unit)))
                 stats.append((low - dt, low - dt + p.leading_term()[0][0], max(b for (_, b), _ in p.items()), sum(abs(c) for _, c in p.items()), unit))
                 count += len(p.items())
         if stats:  # the letter's lowest and highest t-exponent, top s-exponent, sum of |p|_1 and lcm of |unit|
@@ -576,21 +573,22 @@ def word_sum(letters: Mapping, words: Iterable[tuple[Fraction | int, int, tuple]
         width = _slot_width(sum(norms) * lcm(*units))
         value = lambda p: sum(c << (width * (a + span * b)) for (a, b), c in p.items())
         start, lift = int, lambda x, o: x << (width * o)
-        finish = lambda x: LaurentPoly._built({(low + j % span, j // span): c for j, c in enumerate(_unpack(x, width, n)) if c})
+        finish = lambda x: _unpacked(x, width, n, span, low)
     else:
         value, start, lift, finish = (lambda p: p), LaurentPoly.constant, LaurentPoly.shift, (lambda x: x.shift(low))
     parts = {letter: [(value(p), lo, unit, key) for p, lo, unit, key in split] for letter, split in parts.items()}
-    products: dict[tuple[int, int], int] = {}  # (key id, part's key id) -> id of their product
-    buckets: dict[int, tuple] = {}  # key id -> (lcm m of the units seen, numerator sum over key m)
+    products: dict[tuple[LaurentPoly, LaurentPoly], LaurentPoly] = {}  # (key, part's key) -> their product
+    buckets: dict[LaurentPoly, tuple] = {}  # key -> (lcm m of the units seen, numerator sum over key m)
+    one = LaurentPoly.one()
     for c, e, w in words:
-        stack = [(0, start(c.numerator), e - low, c.denominator, 0)]
+        stack = [(0, start(c.numerator), e - low, c.denominator, one)]
         while stack:
             depth, num, o, unit, key = stack.pop()
             if depth < len(w):
                 for p, dlo, dunit, dkey in reversed(parts[w[depth]]):
                     if (key, dkey) not in products:
-                        products[(key, dkey)] = key_id(keys[key] * keys[dkey])
-                    stack.append((depth + 1, num * p, o + dlo, unit * dunit, products[(key, dkey)]))
+                        products[key, dkey] = key * dkey
+                    stack.append((depth + 1, num * p, o + dlo, unit * dunit, products[key, dkey]))
                 continue
             m, acc = buckets.get(key, (1, start(0)))
             m_new = lcm(m, unit)
@@ -598,7 +596,7 @@ def word_sum(letters: Mapping, words: Iterable[tuple[Fraction | int, int, tuple]
     total = None
     for key, (m, acc) in buckets.items():
         if acc:
-            part = RationalFn(finish(acc), keys[key].scale(m))
+            part = RationalFn(finish(acc), key.scale(m))
             total = part if total is None else total + part
     return RationalFn.zero() if total is None else total
 

@@ -25,9 +25,9 @@ from .errors import (
     HardLefschetzError,
     PoincareDualityError,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _unpacked
 from .lefschetz import JordanCensus
-from .linalg import _slot_width, _unpack
+from .linalg import _slot_width
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,8 @@ class AbsMotive:
         value = 1
         for i in range(1, n + 1):
             value = (value << (width * i)) - value
-        low = n * (n - 1) // 2
-        slots = _unpack(value, width, low + n + 1)
-        return cls(LaurentPoly._built({(2 * (low + j), 0): c for j, c in enumerate(slots) if c}), f"GL{n}")
+        low, slots = n * (n - 1) // 2, n * (n + 1) // 2 + 1
+        return cls(_unpacked(value, width, slots, slots, 2 * low, 2), f"GL{n}")
 
     @classmethod
     def projective_space(cls, n: int) -> "AbsMotive":

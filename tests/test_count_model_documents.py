@@ -17,6 +17,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -124,23 +125,78 @@ def _exit_two_with_one_json_line(doc, target: str) -> None:
     assert len(lines) == 1 and set(json.loads(lines[0])["error"]) == {"type", "message"}
 
 
-@settings(SETTINGS, max_examples=60)
-@given(case=_model())
-def test_valid_models_count_as_the_oracles_do(case):
-    doc, target_key, lattice, charge, model, target = case
+def _oracle(lattice, charge, target, model):
+    """The exit code the oracles end with, and their count polynomial when it is 0."""
     try:
         poly = counting_polynomial_oracle(lattice, charge, target, model, Ledger())
         census_count(polynomial_census(poly), GENUS_MAX)
-        expected = EXIT_OK
+        return EXIT_OK, poly
     except GvmotError as exc:
-        expected = exc.exit_code
-    code, out, err = _gv(doc, target_key)
+        return exc.exit_code, None
+
+
+def _ends_as_the_oracles_do(code, out, err, expected, poly):
     assert code == expected, err
     if code == EXIT_OK:
         printed = json.loads(out)["count_polynomial"]
         assert printed == json.loads(json.dumps(jsonio.rational_fn_to_json(poly)))
     else:
         assert out == "" and len(err.splitlines()) == 1
+
+
+@settings(SETTINGS, max_examples=60)
+@given(case=_model())
+def test_valid_models_count_as_the_oracles_do(case):
+    doc, target_key, lattice, charge, model, target = case
+    _ends_as_the_oracles_do(*_gv(doc, target_key), *_oracle(lattice, charge, target, model))
+
+
+# (num rows, ext defect of (0,1) with itself, target k): one part num/1 on a
+# point on (0,1), 2 on (0,2), none on (0,3).  The word (0,1)(0,1) carries
+# L^defect, so the words of (0,2) lie 2 defect apart in t, and the words of
+# (0,3) over 6s + 6t^N spread over 3N: each spread is at least 10^5 slots
+# against 3 terms
+WIDE = [
+    ([[0, 1, 6], [100_000, 0, 6]], 0, 3),  # 6s + 6t^(10^5)
+    ([[0, 0, 2], [1, 0, 2]], 10**6, 2),
+    ([[0, 0, 2], [1, 0, 2]], 10**9, 2),
+]
+
+
+def test_wide_t_spreads_are_summed_on_laurent_values():
+    """A t-spread far wider than the parts' terms, from a sparse numerator or
+    from a large ext defect (both unchecked document input), is summed on
+    LaurentPoly values: the count is the oracles', and the run never holds an
+    int as wide as the spread (a packed walk takes 14 MB on the first case,
+    21 MB on the second and GBs on the third).  The cases run in order, so a
+    layout rule that packed wide spreads fails before the third."""
+    lattice, charge = ClassLattice(1, [[1]]), CentralCharge([Fraction(0)], [Fraction(1)])
+    point_doc, point = EXPRS[0]
+    for rows, defect, k in WIDE:
+        v, w = NumClass((0,), 1), NumClass((0,), 2)
+        model = EvalModel({v: ((_poly(rows), LaurentPoly.one(), point),), w: ((LaurentPoly.constant(2), LaurentPoly.one(), point),),
+                           NumClass((0,), 3): ()}, [(v, v, defect)])
+        doc = {
+            "v": 1,
+            "kind": "count_model",
+            "lattice": {"rank": 1, "generators": [[1]]},
+            "charge": {"B": ["0"], "omega": ["1"]},
+            "atoms": {
+                "0,1": [{"coeff": {"num": [[a, b, str(c)] for a, b, c in rows], "den": [[0, 0, "1"]]}, "expr": point_doc}],
+                "0,2": [{"coeff": {"num": [[0, 0, "2"]], "den": [[0, 0, "1"]]}, "expr": point_doc}],
+                "0,3": [],
+            },
+            "ext_defect": [[[0, 1], [0, 1], defect]],
+        }
+        expected = _oracle(lattice, charge, NumClass((0,), k), model)
+        tracemalloc.start()
+        try:
+            ran = _gv(doc, f"0,{k}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _ends_as_the_oracles_do(*ran, *expected)
+        assert peak < 1 << 20, (rows, defect, peak)
 
 
 # (path to the field, wrong values for it)
