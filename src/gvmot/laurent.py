@@ -25,6 +25,7 @@ from .errors import (
     NotPolynomialError,
     OddWeightedDegreeError,
     ZeroPolynomialError,
+    check_rational,
 )
 from .linalg import _slot_width, _unpack
 
@@ -35,7 +36,9 @@ SLOTS_PER_TERM = 16
 
 
 class LaurentPoly(Frozen):
-    """Immutable sparse Laurent polynomial in t (any power) and s (power >= 0)."""
+    """Immutable sparse Laurent polynomial in t (any power) and s (power >= 0):
+    its map of nonzero terms, whose order in items() and terms is unspecified
+    (format_poly and poly_to_json fix the printed order)."""
 
     __slots__ = ("_terms",)
 
@@ -52,15 +55,13 @@ class LaurentPoly(Frozen):
                     raise ValueError("s never appears with negative exponent")
                 if c:
                     clean[(a, b)] = c
-        # lex order on (a, b) keeps equality/hash/printing structural
-        object.__setattr__(self, "_terms", dict(sorted(clean.items())))
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def _built(cls, terms: dict[tuple[int, int], int]) -> "LaurentPoly":
         """A polynomial of terms a ring op made from checked ones, not checked
         again: int exponent pairs with s-exponent >= 0 and int coefficients.
-        Zero terms are dropped and the rest sorted, as the constructor does."""
-        terms = dict(sorted(terms.items()))
+        Zero terms are dropped, as the constructor does."""
         if 0 in terms.values():
             terms = {key: c for key, c in terms.items() if c}
         obj = object.__new__(cls)
@@ -142,21 +143,16 @@ class LaurentPoly(Frozen):
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __add__(self, other: "LaurentPoly", sign: int = 1) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
+            out[key] = out.get(key, 0) + sign * c
         return LaurentPoly._built(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) - c
-        return LaurentPoly._built(out)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._built({key: -c for key, c in self._terms.items()})
@@ -210,7 +206,7 @@ class LaurentPoly(Frozen):
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -307,7 +303,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     na, nb = num.min_lex_exponent()
     ma, mb = den.min_lex_exponent()
     floor = (na - ma, nb - mb)
-    below = list(den.items())[:-1]  # the terms sort lex, so the leading one is last
+    below = [(key, c) for key, c in den.items() if key != (la, lb)]
     quotient: dict[tuple[int, int], int] = {}
     rem = dict(num.items())
     heap = [(-a, -b) for a, b in rem]
@@ -428,7 +424,7 @@ class RationalFn(Frozen):
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "RationalFn":
-        value = Fraction(value)
+        value = check_rational(value, "value")
         return cls(
             LaurentPoly.constant(value.numerator),
             LaurentPoly.constant(value.denominator),
@@ -586,9 +582,10 @@ def word_sum(letters: Mapping, words: Iterable[tuple[Fraction | int, int, tuple]
             depth, num, o, unit, key = stack.pop()
             if depth < len(w):
                 for p, dlo, dunit, dkey in reversed(parts[w[depth]]):
-                    if (key, dkey) not in products:
-                        products[key, dkey] = key * dkey
-                    stack.append((depth + 1, num * p, o + dlo, unit * dunit, products[key, dkey]))
+                    product = products.get((key, dkey))
+                    if product is None:
+                        product = products[key, dkey] = key * dkey
+                    stack.append((depth + 1, num * p, o + dlo, unit * dunit, product))
                 continue
             m, acc = buckets.get(key, (1, start(0)))
             m_new = lcm(m, unit)

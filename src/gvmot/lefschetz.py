@@ -226,7 +226,8 @@ def spin_decompose(dims: Mapping[int, int]) -> SpinMultiset:
     mult(2j = k) = dim(-k) - dim(-k-2); the reconstruction of weight spaces
     from the output reproduces the input exactly.
     """
-    clean = {int(k): int(n) for k, n in dims.items() if n != 0}
+    clean = {check_int(k, "weight"): check_int(n, "weight dimension") for k, n in dims.items()}
+    clean = {k: n for k, n in clean.items() if n}
     if any(n < 0 for n in clean.values()):
         raise NotRepresentationError("negative weight dimension")
     if not clean:

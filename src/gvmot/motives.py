@@ -116,7 +116,7 @@ def Atom(name: str, dim: int, census: JordanCensus) -> MotiveExpr:
 def Sum(terms: Iterable[MotiveExpr] = ()) -> MotiveExpr:
     """n-ary sum; the empty sum is the zero class.  Its dimension is the one
     its terms' defined dimensions share, None when they are none or several."""
-    # one accumulator: adding term by term would re-sort the running total per term
+    # one accumulator: adding term by term would copy the running total per term
     acc: dict[tuple[int, int], int] = {}
     dims = set()
     for term in terms:

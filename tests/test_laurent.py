@@ -6,19 +6,23 @@ from math import gcd
 
 import pytest
 
+import gvmot.laurent as laurent
 from gvmot.errors import NotPolynomialError, OddWeightedDegreeError, ZeroPolynomialError
+from gvmot.jsonio import poly_to_json
 from gvmot.laurent import (
     LaurentPoly,
     RationalFn,
     _divide_content,
     _prem,
     _uni_gcd,
+    _unpacked,
     exact_div,
     flat,
     format_poly,
     rational_sum,
     weighted_degree,
 )
+from gvmot.linalg import _slot_width
 
 
 def random_poly(rng, max_terms=6, t_range=(-3, 4), s_range=(0, 3), coeff_range=(-9, 9)):
@@ -287,6 +291,15 @@ class TestRationalFn:
     def test_fraction_scalars(self):
         half = RationalFn.from_fraction(Fraction(1, 2))
         assert half + half == RationalFn.one()
+        assert RationalFn.from_fraction(-3) == RationalFn(LaurentPoly.constant(-3))
+
+    def test_float_scalars_rejected(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        for bad in (0.1, 0.5, 2.0, True):
+            with pytest.raises(TypeError, match=f"value must be int or Fraction, got {type(bad).__name__}"):
+                RationalFn.from_fraction(bad)
+        with pytest.raises(TypeError, match="got bool"):
+            RationalFn.one() + True
 
     def test_normalization_preserves_value(self):
         # the one contract normalization must never break: n'/d' == n/d,
@@ -506,8 +519,6 @@ class TestExactDiv:
         # (t^n - 1) / (t - 1) takes n steps of one update each: only the
         # quotient is built as a polynomial, and the leading-term heap is
         # popped once per remainder term, never per term per step
-        import gvmot.laurent as laurent
-
         pops, built = [0], []
         real_pop, real_built = laurent.heappop, LaurentPoly._built.__func__
 
@@ -642,10 +653,9 @@ def big_poly(rng, max_terms=5):
 
 
 def assert_public_form(got, terms):
-    """got is what the public constructor makes of terms: the same terms in
-    the same key order, the same hash, and no zero coefficient."""
+    """got is what the public constructor makes of terms: the same terms,
+    the same hash, and no zero coefficient."""
     want = LaurentPoly(dict(terms))
-    assert list(got.items()) == list(want.items())
     assert got == want and hash(got) == hash(want)
     assert all(c for _, c in got.items())
 
@@ -707,6 +717,62 @@ class TestTrustedConstructor:
         assert s.shift(3, -1) == LaurentPoly.t(3)
         with pytest.raises(ValueError, match="s never appears with negative exponent"):
             s.shift(0, -2)
+
+
+class TestOrderFree:
+    """A polynomial is its map of terms: the order they went in changes no
+    comparison, hash or printed form."""
+
+    @staticmethod
+    def shuffled(rng, terms):
+        items = list(terms.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    @staticmethod
+    def assert_same(p, q):
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert (format_poly(p), repr(p), poly_to_json(p)) == (format_poly(q), repr(q), poly_to_json(q))
+
+    @staticmethod
+    def packed(p):
+        """_unpacked's arguments for p, its slots in (b, a) order from (min a, 0)."""
+        low = p.min_t_exponent()
+        span = max(a for a, _ in p.terms) - low + 1
+        width = _slot_width(max(abs(c) for _, c in p.items()))
+        value = sum(c << (width * (a - low + span * b)) for (a, b), c in p.items())
+        return value, width, span * (max(b for _, b in p.terms) + 1), span, low
+
+    def test_insertion_order_is_not_seen(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            terms, other = big_poly(rng, 8).terms, random_poly(rng).terms
+            a, b = LaurentPoly(self.shuffled(rng, terms)), LaurentPoly(self.shuffled(rng, terms))
+            q1, q2 = LaurentPoly(self.shuffled(rng, other)), LaurentPoly(self.shuffled(rng, other))
+            self.assert_same(a, b)
+            self.assert_same(a, LaurentPoly._built(self.shuffled(rng, terms)))
+            self.assert_same(a + q1, q2 + b)
+            self.assert_same(a - q1, -(q2 - b))
+            self.assert_same(a * q1, q2 * b)
+            self.assert_same(a.shift(3, 1).scale(-2), b.scale(-2).shift(3, 1))
+            if terms:
+                self.assert_same(a, _unpacked(*self.packed(b)))
+            if other:
+                self.assert_same(exact_div(a * q1, q2), b)
+
+    @pytest.mark.parametrize("slots", [0, 10**9])  # the LaurentPoly walk, the packed one
+    def test_equal_denominators_fill_one_bucket(self, monkeypatch, slots):
+        t, s = LaurentPoly.t(), LaurentPoly.s()
+        terms = {(2, 0): 1, (1, 1): 2, (0, 1): 3, (0, 0): -1}
+        up, down = LaurentPoly(dict(sorted(terms.items()))), LaurentPoly(dict(sorted(terms.items(), reverse=True)))
+        assert list(up.items()) != list(down.items())
+        normalised = []
+        real = laurent._normalize_fraction
+        monkeypatch.setattr(laurent, "SLOTS_PER_TERM", slots)
+        monkeypatch.setattr(laurent, "_normalize_fraction", lambda num, den: normalised.append(den) or real(num, den))
+        total = rational_sum([(t, up), (s, down)])
+        assert normalised == [up]  # one bucket, normalised once, and no addition
+        assert (total.num, total.den) == (t + s, up)
 
 
 class TestPrinting:

@@ -714,6 +714,15 @@ class TestIntegerArguments:
         with pytest.raises(TypeError, match="multiplicity must be int, got bool"):
             SpinMultiset({1: True})
 
+    def test_weight_not_truncated(self):
+        with pytest.raises(TypeError, match="weight must be int, got float"):
+            spin_decompose({-1.5: 2, 1.5: 2})
+
+    def test_weight_dimension_not_truncated(self):
+        for bad in (2.7, Fraction(5, 2), True):
+            with pytest.raises(TypeError, match=f"weight dimension must be int, got {type(bad).__name__}"):
+                spin_decompose({-1: bad, 1: bad})
+
     def test_graded_dimension_not_truncated(self):
         with pytest.raises(TypeError, match="dimension must be int, got float"):
             GradedNilpotent({0: 2.5, 2: 1})
