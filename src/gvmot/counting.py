@@ -33,7 +33,6 @@ exactly when their (Im Z, -Re Z) pairs are proportional with positive ratio.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterable, Mapping, NamedTuple
@@ -183,18 +182,25 @@ class ClassLattice(Frozen):
         return sorted(seen)
 
 
-@dataclass(frozen=True)
-class CentralCharge:
+class CentralCharge(Frozen):
     """The linear functional (beta, k) -> -k + (B + i omega) . beta."""
 
-    b_field: tuple[Fraction, ...]
-    omega: tuple[Fraction, ...]
+    __slots__ = ("b_field", "omega")
 
     def __init__(self, b_field, omega):
         object.__setattr__(self, "b_field", tuple(check_rational(x, "B entry") for x in b_field))
         object.__setattr__(self, "omega", tuple(check_rational(x, "omega entry") for x in omega))
         if len(self.b_field) != len(self.omega):
             raise ValueError("B and omega must have the same length")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CentralCharge) and self.b_field == other.b_field and self.omega == other.omega
+
+    def __hash__(self) -> int:
+        return hash((self.b_field, self.omega))
+
+    def __repr__(self) -> str:
+        return f"CentralCharge(b_field={self.b_field!r}, omega={self.omega!r})"
 
     def value(self, v: NumClass) -> tuple[Fraction, Fraction]:
         """Exact (real, imaginary) parts of the charge on v."""

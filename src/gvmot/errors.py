@@ -22,8 +22,9 @@ EXIT_INTERNAL = 6  # an exception that is not a domain error
 
 
 class Frozen:
-    """Base of the immutable value types: __init__ sets their slots through
-    object.__setattr__, and nothing sets or deletes an attribute after."""
+    """Base of every value type of the package but NumClass, a NamedTuple:
+    __init__ sets its slots through object.__setattr__, and nothing sets or
+    deletes an attribute after."""
 
     __slots__ = ()
 
@@ -31,6 +32,11 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        # pickle and copy rebuild a value from its slots, as (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def check_int(x, what: str) -> int:

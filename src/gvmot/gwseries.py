@@ -49,13 +49,12 @@ cover) and one triangular solve per class it may reach.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, perm
 from operator import add, mul
 from typing import Iterable, Mapping
 
-from .errors import ConeNotPointedError, InsufficientTruncationError, Ledger, check_int, check_rational
+from .errors import ConeNotPointedError, Frozen, InsufficientTruncationError, Ledger, check_int, check_rational
 
 Beta = tuple[int, ...]
 
@@ -280,18 +279,14 @@ def _class(rule: ClassRule, beta) -> Beta:
     return rule(beta)
 
 
-@dataclass(frozen=True)
-class GVTable:
+class GVTable(Frozen):
     """Integer counts indexed by (genus, curve class), with truncation data.
 
     The constructor checks every key; a document reader or a transform that
     has checked them builds the table with _built instead.
     """
 
-    entries: dict[tuple[int, Beta], int]
-    genus_max: int
-    degree_max: Fraction
-    omega: tuple[Fraction, ...]
+    __slots__ = ("entries", "genus_max", "degree_max", "omega")
 
     def __init__(self, entries: Mapping[tuple[int, Beta], int], genus_max: int, degree_max, omega):
         omega = tuple(check_rational(x, "omega entry") for x in omega)
@@ -305,26 +300,25 @@ class GVTable:
             beta = _class(classes, beta)
             if n:
                 clean[(g, beta)] = n
-        vars(self).update(entries=clean, genus_max=genus_max, degree_max=degree_max, omega=omega)
+        _set(self, entries=clean, genus_max=genus_max, degree_max=degree_max, omega=omega)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GVTable) and self.entries == other.entries
 
     __hash__ = None
 
+    def __repr__(self) -> str:
+        return f"GVTable(entries={self.entries!r}, genus_max={self.genus_max!r}, degree_max={self.degree_max!r}, omega={self.omega!r})"
 
-@dataclass(frozen=True)
-class GWSeries:
+
+class GWSeries(Frozen):
     """Rational coefficients indexed by (curve class, lambda exponent).
 
     The constructor checks every key; a document reader or a transform that
     has checked them builds the series with _built instead.
     """
 
-    coeffs: dict[tuple[Beta, int], Fraction]
-    degree_max: Fraction
-    lambda_max: int
-    omega: tuple[Fraction, ...]
+    __slots__ = ("coeffs", "degree_max", "lambda_max", "omega")
 
     def __init__(self, coeffs: Mapping[tuple[Beta, int], Fraction], degree_max, lambda_max: int, omega):
         omega = tuple(check_rational(x, "omega entry") for x in omega)
@@ -339,15 +333,27 @@ class GWSeries:
             c = c if type(c) is Fraction else check_rational(c, "coefficient")
             if c:
                 clean[(beta, lam)] = c
-        vars(self).update(coeffs=clean, degree_max=degree_max, lambda_max=lambda_max, omega=omega)
+        _set(self, coeffs=clean, degree_max=degree_max, lambda_max=lambda_max, omega=omega)
 
     def coefficient(self, beta: Beta, lam: int) -> Fraction:
-        return self.coeffs.get((tuple(beta), int(lam)), Fraction(0))
+        """The coefficient of class beta at lambda^lam, 0 where none is stored.
+        beta's entries and lam must be ints."""
+        beta = tuple([check_int(b, "class entry") for b in beta])
+        return self.coeffs.get((beta, check_int(lam, "lambda exponent")), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GWSeries) and self.coeffs == other.coeffs
 
     __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"GWSeries(coeffs={self.coeffs!r}, degree_max={self.degree_max!r}, lambda_max={self.lambda_max!r}, omega={self.omega!r})"
+
+
+def _set(obj: Frozen, **fields) -> None:
+    """Set the slots of a value that is being built."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
 
 def _built(cls, **fields):
@@ -355,20 +361,29 @@ def _built(cls, **fields):
     int entries or Fraction coefficients, none zero, on classes the cuts admit; omega a tuple
     of Fractions, degree_max a Fraction."""
     obj = object.__new__(cls)
-    vars(obj).update(fields)
+    _set(obj, **fields)
     return obj
 
 
-@dataclass
-class InversionResult:
+class InversionResult(Frozen):
     """Inverse-transform output: the integer table plus any non-integral values.
 
     Integrality is conjectural for arbitrary input series, so violations are
     reported as data instead of being rounded or raised.
     """
 
-    table: GVTable
-    nonintegral: dict[tuple[int, Beta], Fraction] = field(default_factory=dict)
+    __slots__ = ("table", "nonintegral")
+
+    def __init__(self, table: GVTable, nonintegral: dict[tuple[int, Beta], Fraction] | None = None):
+        _set(self, table=table, nonintegral={} if nonintegral is None else nonintegral)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, InversionResult) and self.table == other.table and self.nonintegral == other.nonintegral
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"InversionResult(table={self.table!r}, nonintegral={self.nonintegral!r})"
 
 
 def gv_to_gw(
@@ -377,9 +392,8 @@ def gv_to_gw(
     lambda_max: int | None = None,
 ) -> GWSeries:
     """Forward transform, truncated at the given degree and lambda order."""
-    degree_max = table.degree_max if degree_max is None else Fraction(degree_max)
-    if lambda_max is None:
-        lambda_max = 2 * table.genus_max - 2
+    degree_max = table.degree_max if degree_max is None else check_rational(degree_max, "degree_max")
+    lambda_max = 2 * table.genus_max - 2 if lambda_max is None else check_int(lambda_max, "lambda_max")
     slots = max(lambda_max // 2 + 2, 0)
     genera: dict[Beta, dict[int, int]] = {}
     for (g, beta), n in table.entries.items():
@@ -412,7 +426,7 @@ def gv_to_gw(
         for h, (c, scale) in enumerate(zip(series, map(mul, den[lo:slots], _lifts(gcd(*gamma), lo, slots))), lo):
             if c:
                 coeffs[(gamma, 2 * h - 2)] = Fraction(c, scale)
-    return _built(GWSeries, coeffs=coeffs, degree_max=degree_max, lambda_max=int(lambda_max), omega=table.omega)
+    return _built(GWSeries, coeffs=coeffs, degree_max=degree_max, lambda_max=lambda_max, omega=table.omega)
 
 
 def gw_to_gv(
@@ -431,14 +445,13 @@ def gw_to_gv(
     raises InsufficientTruncationError.
     """
     max_solvable_genus = (series.lambda_max + 2) // 2
-    if genus_max is None:
-        genus_max = max_solvable_genus
+    genus_max = max_solvable_genus if genus_max is None else check_int(genus_max, "genus_max")
     if genus_max > max_solvable_genus:
         raise InsufficientTruncationError(
             f"solving genus {genus_max} needs lambda order {2 * genus_max - 2}, "
             f"series stops at {series.lambda_max}"
         )
-    degree_max = series.degree_max if degree_max is None else Fraction(degree_max)
+    degree_max = series.degree_max if degree_max is None else check_rational(degree_max, "degree_max")
     if degree_max > series.degree_max:
         raise InsufficientTruncationError(
             f"degree {degree_max} beyond the stored cutoff {series.degree_max}"
@@ -485,5 +498,5 @@ def gw_to_gv(
                     entries[(g, gamma)] = value
                 else:
                     nonintegral[(g, gamma)] = value
-    table = _built(GVTable, entries=entries, genus_max=int(genus_max), degree_max=degree_max, omega=series.omega)
+    table = _built(GVTable, entries=entries, genus_max=genus_max, degree_max=degree_max, omega=series.omega)
     return InversionResult(table=table, nonintegral=nonintegral)

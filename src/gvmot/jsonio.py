@@ -607,8 +607,9 @@ def load_path(path: str) -> tuple[str, Any]:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
-        # the decoder recurses once per nested array or object
-        raise SchemaError(f"{path}: invalid JSON (nested too deeply to decode)") from exc
+        # the decoder recurses once per nested array or object, so valid JSON
+        # under MOTIVE_DEPTH_CAP can still run out of interpreter frames
+        raise SchemaError(f"{path}: nested too deeply for the JSON decoder") from exc
     return parse_document(doc)
 
 

@@ -16,7 +16,6 @@ are: how a class was written is not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,16 +29,17 @@ from .lefschetz import JordanCensus
 from .linalg import _slot_width
 
 
-@dataclass(frozen=True)
-class AbsMotive:
-    """An absolute class: a polynomial in t alone (all Jordan cells size one)."""
+class AbsMotive(Frozen):
+    """An absolute class: a polynomial in t alone (all Jordan cells size one),
+    with an optional name.  Compared and hashed by both."""
 
-    poly: LaurentPoly
-    name: str | None = None
+    __slots__ = ("poly", "name")
 
-    def __post_init__(self):
-        if not self.poly.is_t_only():
+    def __init__(self, poly: LaurentPoly, name: str | None = None):
+        if not poly.is_t_only():
             raise ValueError("absolute classes cannot involve s")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "name", name)
 
     @classmethod
     def point(cls) -> "AbsMotive":
@@ -81,6 +81,12 @@ class AbsMotive:
             return None
         top = max(a for (a, _) in self.poly.terms)
         return top // 2 if top % 2 == 0 else None
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AbsMotive) and self.poly == other.poly and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.poly, self.name))
 
     def __repr__(self) -> str:
         return f"AbsMotive({self.name or self.poly})"

@@ -1073,7 +1073,36 @@ class TestErrorMapping:
         code, out, err = run(capsys, "upsilon", "--input", str(path), "--json")
         assert code == EXIT_SCHEMA and out == ""
         error = json.loads(err)["error"]
-        assert error["type"] == "SchemaError" and "invalid JSON" in error["message"]
+        assert error["type"] == "SchemaError" and "nested too deeply for the JSON decoder" in error["message"]
+
+    def test_valid_sum_chain_too_deep_to_decode_is_not_called_invalid(self, capsys, tmp_path):
+        # 5000 sum levels are valid JSON and 10,000 containers deep, more than
+        # the decoder's recursion allows: exit 2 with one JSON line on stderr.
+        # The text is written by hand, as json.dumps recurses the same way.
+        chain = '{"kind": "sum", "terms": [' * 5000 + '{"kind": "betti", "bettis": [1], "dim": 0}' + "]}" * 5000
+        path = tmp_path / "deep_sum.motive.json"
+        path.write_text('{"v": 1, "kind": "motive", "expr": ' + chain + "}")
+        code, out, err = run(capsys, "upsilon", "--input", str(path), "--json")
+        assert code == EXIT_SCHEMA and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "SchemaError" and "invalid JSON" not in error["message"]
+
+    def test_import_loads_no_dataclasses(self):
+        # every value type is a plain class on errors.Frozen, so importing the
+        # CLI loads neither dataclasses nor the introspection modules it pulls
+        # in.  Only the modules the import adds count: a site hook that loaded
+        # one first cannot fail this.  A fresh process, so nothing is cached.
+        code = (
+            "import sys; before = set(sys.modules); import gvmot.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - before)))"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     def test_internal_error_exit_six_with_one_json_line(self, capsys, monkeypatch):
         # any exception that is not a domain error maps to exit 6

@@ -1,5 +1,7 @@
 """Phases, inclusion-exclusion decompositions, evaluation, and genus extraction."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,6 +35,7 @@ from gvmot.errors import (
     OddWeightedDegreeError,
     ResourceLimitError,
 )
+from gvmot.gwseries import GVTable, GWSeries, InversionResult
 from gvmot.laurent import LaurentPoly, RationalFn
 from gvmot.lefschetz import GradedNilpotent, JordanCensus
 from gvmot.linalg import _unpack, dot
@@ -41,26 +44,67 @@ from gvmot.stacks import StackClass, part_terms, quotient_by_special_group, upsi
 from gvmot.verify import random_atom_class, random_betti, random_effective, random_pointed_setup
 
 
-@pytest.mark.parametrize(
-    "value, name",
-    [
-        (LaurentPoly.one(), "_terms"),
-        (RationalFn.one(), "num"),
-        (ClassLattice(1, [(1,)]), "rank"),
-        (FreeHallElement.letter(NumClass((1,), 0)), "words"),
-        (EvalModel({}), "atoms"),
-        (GradedNilpotent({0: 1}), "dims"),
-        (StackClass.zero(), "parts"),
-        (JordanCensus({(0, 1): 1}), "_mult"),
-    ],
-    ids=lambda x: x if isinstance(x, str) else type(x).__name__,
-)
+VALUES = [
+    (LaurentPoly.one(), "_terms"),
+    (RationalFn.one(), "num"),
+    (ClassLattice(1, [(1,)]), "rank"),
+    (FreeHallElement.letter(NumClass((1,), 0)), "words"),
+    (EvalModel({}), "atoms"),
+    (GradedNilpotent({0: 1}), "dims"),
+    (StackClass.zero(), "parts"),
+    (JordanCensus({(0, 1): 1}), "_mult"),
+    (CentralCharge([0], [1]), "omega"),
+    (AbsMotive.point(), "poly"),
+    (GVTable({(0, (1,)): 1}, 0, 1, [1]), "entries"),
+    (GWSeries({((1,), -2): 1}, 1, 0, [1]), "coeffs"),
+    (InversionResult(GVTable({}, 0, 1, [1])), "nonintegral"),
+]
+
+
+def value_id(x) -> str:
+    return x if isinstance(x, str) else type(x).__name__
+
+
+@pytest.mark.parametrize("value, name", VALUES, ids=value_id)
 def test_values_reject_setting_and_deleting_attributes(value, name):
     before = repr(value)
     for change in (lambda: setattr(value, name, None), lambda: delattr(value, name), lambda: setattr(value, "extra", 1)):
         with pytest.raises(AttributeError, match="is immutable"):
             change()
     assert repr(value) == before
+
+
+@pytest.mark.parametrize("value, name", VALUES, ids=value_id)
+def test_values_survive_pickle_and_copy(value, name):
+    # both rebuild a value from its slots, which Frozen.__setstate__ sets
+    slots = [slot for cls in type(value).__mro__ for slot in getattr(cls, "__slots__", ())]
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value)
+        assert [getattr(clone, slot) for slot in slots] == [getattr(value, slot) for slot in slots]
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(clone, name, None)
+
+
+def test_equal_charges_and_absolute_classes_hash_equal():
+    a, b = CentralCharge([0, 1], [1, Fraction(1, 2)]), CentralCharge((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1, 2)))
+    assert a == b and hash(a) == hash(b) and a != CentralCharge([0, 1], [1, 1])
+    p, q = AbsMotive(LaurentPoly.t(2), "A1"), AbsMotive.affine_line()
+    assert p == q and hash(p) == hash(q)
+    # the name is part of the value, as the poly is
+    assert len({p, q, AbsMotive(LaurentPoly.t(2)), AbsMotive(LaurentPoly.t(4), "A1")}) == 3
+
+
+def test_tables_series_and_inversions_stay_unhashable():
+    table = GVTable({(0, (1,)): 1}, 0, 1, [1])
+    for value in (table, GWSeries({((1,), -2): 1}, 1, 0, [1]), InversionResult(table)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
+def test_default_inversion_results_share_no_nonintegral_dict():
+    table = GVTable({}, 0, 1, [1])
+    a, b = InversionResult(table), InversionResult(table)
+    assert a == b and a.nonintegral == {} and a.nonintegral is not b.nonintegral
 
 
 def rank1() -> tuple[ClassLattice, CentralCharge]:

@@ -434,6 +434,32 @@ class TestValidation:
         with pytest.raises(TypeError, match="^class entry must be int, got bool$"):
             GVTable({(0, (1,)): 1, (1, (True,)): 2}, 1, 10, ONE)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 2.0, "3"], ids=["bool", "float", "whole-float", "str"])
+    def test_transform_arguments_are_checked_like_the_constructors(self, bad):
+        # before, degree_max 2.5 and "3" were taken, lambda_max True ran as 1,
+        # and a float lambda_max or genus_max failed with an unrelated TypeError
+        table = GVTable({(0, (1,)): 1, (1, (2,)): 2}, 1, 3, ONE)
+        series = gv_to_gw(table)
+        calls = [
+            ("degree_max", "int or Fraction", lambda: gv_to_gw(table, degree_max=bad)),
+            ("degree_max", "int or Fraction", lambda: gw_to_gv(series, degree_max=bad)),
+            ("lambda_max", "int", lambda: gv_to_gw(table, lambda_max=bad)),
+            ("genus_max", "int", lambda: gw_to_gv(series, genus_max=bad)),
+        ]
+        for what, kinds, call in calls:
+            with pytest.raises(TypeError, match=f"^{what} must be {kinds}, got {type(bad).__name__}$"):
+                call()
+
+    def test_coefficient_keys_are_ints(self):
+        # before, (True,) read the coefficient of (1,) and lam 2.7 read lambda^2
+        series = gv_to_gw(GVTable({(0, (1,)): 1}, 1, 1, ONE))
+        assert series.coefficient((1,), 0) == series.coefficient([1], 0) == Fraction(1, 12)
+        assert series.coefficient((1,), 4) == 0
+        with pytest.raises(TypeError, match="^class entry must be int, got bool$"):
+            series.coefficient((True,), 0)
+        with pytest.raises(TypeError, match="^lambda exponent must be int, got float$"):
+            series.coefficient((1,), 2.7)
+
     def test_ints_and_fractions_accepted(self):
         table = GVTable({(0, (1,)): 3}, 0, Fraction(5, 2), (Fraction(1, 2),))
         assert table.entries == {(0, (1,)): 3} and table.degree_max == Fraction(5, 2)
