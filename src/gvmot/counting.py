@@ -93,8 +93,7 @@ class ClassLattice(Frozen):
                 raise ValueError(f"generator {g} has wrong length for rank {rank}")
             if all(c == 0 for c in g):
                 raise ValueError("generators must be nonzero")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "generators", gens)
+        self._set(rank=rank, generators=gens)
 
     def check_positive(self, omega: tuple[Fraction, ...]) -> None:
         for g in self.generators:
@@ -185,22 +184,14 @@ class ClassLattice(Frozen):
 class CentralCharge(Frozen):
     """The linear functional (beta, k) -> -k + (B + i omega) . beta."""
 
-    __slots__ = ("b_field", "omega")
+    __slots__ = _key = ("b_field", "omega")
 
     def __init__(self, b_field, omega):
-        object.__setattr__(self, "b_field", tuple(check_rational(x, "B entry") for x in b_field))
-        object.__setattr__(self, "omega", tuple(check_rational(x, "omega entry") for x in omega))
-        if len(self.b_field) != len(self.omega):
+        b_field = tuple(check_rational(x, "B entry") for x in b_field)
+        omega = tuple(check_rational(x, "omega entry") for x in omega)
+        if len(b_field) != len(omega):
             raise ValueError("B and omega must have the same length")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CentralCharge) and self.b_field == other.b_field and self.omega == other.omega
-
-    def __hash__(self) -> int:
-        return hash((self.b_field, self.omega))
-
-    def __repr__(self) -> str:
-        return f"CentralCharge(b_field={self.b_field!r}, omega={self.omega!r})"
+        self._set(b_field=b_field, omega=omega)
 
     def value(self, v: NumClass) -> tuple[Fraction, Fraction]:
         """Exact (real, imaginary) parts of the charge on v."""
@@ -218,7 +209,8 @@ class FreeHallElement(Frozen):
     numbers, and evaluate() supplies every power of L.
     """
 
-    __slots__ = ("words",)
+    __slots__ = _key = ("words",)
+    __hash__ = None
 
     def __init__(self, words: Mapping[tuple[NumClass, ...], Fraction | int] | None = None):
         clean: dict[tuple[NumClass, ...], Fraction] = {}
@@ -226,7 +218,7 @@ class FreeHallElement(Frozen):
             for word, coeff in words.items():
                 if coeff:
                     clean[tuple(word)] = Fraction(coeff)
-        object.__setattr__(self, "words", clean)
+        self._set(words=clean)
 
     @classmethod
     def zero(cls) -> "FreeHallElement":
@@ -270,13 +262,6 @@ class FreeHallElement(Frozen):
 
     def commutator(self, other: "FreeHallElement") -> "FreeHallElement":
         return self.star(other) - other.star(self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeHallElement):
-            return NotImplemented
-        return self.words == other.words
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"FreeHallElement({len(self.words)} words)"
@@ -488,8 +473,7 @@ class EvalModel(Frozen):
                     raise AsymmetricDefectError(f"ext defect not symmetric on {key[0]} and {key[1]}")
                 table[key] = e
         split = lambda a: tuple((c.num, c.den, expr) for c, expr in a.parts) if isinstance(a, StackClass) else a
-        object.__setattr__(self, "atoms", {v: split(a) for v, a in atoms.items()})
-        object.__setattr__(self, "ext_defect", table)
+        self._set(atoms={v: split(a) for v, a in atoms.items()}, ext_defect=table)
 
     def atom(self, v: NumClass) -> AtomParts:
         try:

@@ -1,11 +1,12 @@
-"""Exception hierarchy shared across the package, the work ledger, the
-base that keeps the value types immutable, and the one rule for the ints and
-rationals a constructor takes.
+"""Exit codes, the domain exceptions, the work ledger, Frozen (the base of
+the value types), and the one rule for the ints and rationals a constructor
+takes.
 
 Every domain error derives from GvmotError and carries its stable exit code
 as exit_code.  Every cap on work is one Ledger: a command run creates one,
 each stage spends its work on it, and the ledger's spend is the one place a
-ResourceLimitError is raised.
+ResourceLimitError is raised.  Frozen sets, builds, compares, hashes and
+prints every value type by its slots.
 """
 
 from __future__ import annotations
@@ -22,11 +23,25 @@ EXIT_INTERNAL = 6  # an exception that is not a domain error
 
 
 class Frozen:
-    """Base of every value type of the package but NumClass, a NamedTuple:
-    __init__ sets its slots through object.__setattr__, and nothing sets or
-    deletes an attribute after."""
+    """Base of every value type of the package but NumClass, a NamedTuple.
+    A subclass names its fields once, in __slots__.  __init__ writes them
+    once through _set, _new builds a value of slots its caller has checked,
+    and nothing sets or deletes an attribute after.  Two values of one type
+    are equal, and hash equal, when the slots named in _key are; a type that
+    names none compares by identity.  The repr prints every slot by keyword."""
 
     __slots__ = ()
+    _key: tuple[str, ...] = ()
+
+    def _set(self, **slots) -> None:
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _new(cls, **slots):
+        obj = object.__new__(cls)
+        obj._set(**slots)
+        return obj
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -35,8 +50,22 @@ class Frozen:
 
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
         # pickle and copy rebuild a value from its slots, as (None, {slot: value})
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+        self._set(**state[1])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._key])
+
+    def __eq__(self, other: object) -> bool:
+        if self._key and type(other) is type(self):
+            return self._values() == other._values()
+        return self is other or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values()) if self._key else object.__hash__(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def check_int(x, what: str) -> int:

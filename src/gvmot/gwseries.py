@@ -36,7 +36,7 @@ inverse reads each input coefficient times its scale once, so a series the
 forward made stays in ints, and divides out the scale with one divmod per
 solved value; a nonintegral value simply stays a Fraction in the same sums.
 The results are built inside the cuts, so they are returned without a
-second check (_built).
+second check (_new).
 
 Each transform spends one Ledger, counting its work from the cuts before
 doing any: candidate classes, kernel terms and sin-table products all add
@@ -283,10 +283,14 @@ class GVTable(Frozen):
     """Integer counts indexed by (genus, curve class), with truncation data.
 
     The constructor checks every key; a document reader or a transform that
-    has checked them builds the table with _built instead.
+    has checked them builds the table with _new instead: int entries, none
+    zero, on classes the cuts admit, omega a tuple of Fractions and
+    degree_max a Fraction.
     """
 
     __slots__ = ("entries", "genus_max", "degree_max", "omega")
+    _key = ("entries",)
+    __hash__ = None
 
     def __init__(self, entries: Mapping[tuple[int, Beta], int], genus_max: int, degree_max, omega):
         omega = tuple(check_rational(x, "omega entry") for x in omega)
@@ -300,25 +304,20 @@ class GVTable(Frozen):
             beta = _class(classes, beta)
             if n:
                 clean[(g, beta)] = n
-        _set(self, entries=clean, genus_max=genus_max, degree_max=degree_max, omega=omega)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GVTable) and self.entries == other.entries
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"GVTable(entries={self.entries!r}, genus_max={self.genus_max!r}, degree_max={self.degree_max!r}, omega={self.omega!r})"
+        self._set(entries=clean, genus_max=genus_max, degree_max=degree_max, omega=omega)
 
 
 class GWSeries(Frozen):
     """Rational coefficients indexed by (curve class, lambda exponent).
 
     The constructor checks every key; a document reader or a transform that
-    has checked them builds the series with _built instead.
+    has checked them builds the series with _new instead: Fraction
+    coefficients, none zero, and the rest as GVTable._new takes it.
     """
 
     __slots__ = ("coeffs", "degree_max", "lambda_max", "omega")
+    _key = ("coeffs",)
+    __hash__ = None
 
     def __init__(self, coeffs: Mapping[tuple[Beta, int], Fraction], degree_max, lambda_max: int, omega):
         omega = tuple(check_rational(x, "omega entry") for x in omega)
@@ -333,36 +332,13 @@ class GWSeries(Frozen):
             c = c if type(c) is Fraction else check_rational(c, "coefficient")
             if c:
                 clean[(beta, lam)] = c
-        _set(self, coeffs=clean, degree_max=degree_max, lambda_max=lambda_max, omega=omega)
+        self._set(coeffs=clean, degree_max=degree_max, lambda_max=lambda_max, omega=omega)
 
     def coefficient(self, beta: Beta, lam: int) -> Fraction:
         """The coefficient of class beta at lambda^lam, 0 where none is stored.
         beta's entries and lam must be ints."""
         beta = tuple([check_int(b, "class entry") for b in beta])
         return self.coeffs.get((beta, check_int(lam, "lambda exponent")), Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GWSeries) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"GWSeries(coeffs={self.coeffs!r}, degree_max={self.degree_max!r}, lambda_max={self.lambda_max!r}, omega={self.omega!r})"
-
-
-def _set(obj: Frozen, **fields) -> None:
-    """Set the slots of a value that is being built."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-
-
-def _built(cls, **fields):
-    """A GVTable or GWSeries whose keys were checked where they were made, not checked again:
-    int entries or Fraction coefficients, none zero, on classes the cuts admit; omega a tuple
-    of Fractions, degree_max a Fraction."""
-    obj = object.__new__(cls)
-    _set(obj, **fields)
-    return obj
 
 
 class InversionResult(Frozen):
@@ -372,18 +348,11 @@ class InversionResult(Frozen):
     reported as data instead of being rounded or raised.
     """
 
-    __slots__ = ("table", "nonintegral")
-
-    def __init__(self, table: GVTable, nonintegral: dict[tuple[int, Beta], Fraction] | None = None):
-        _set(self, table=table, nonintegral={} if nonintegral is None else nonintegral)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InversionResult) and self.table == other.table and self.nonintegral == other.nonintegral
-
+    __slots__ = _key = ("table", "nonintegral")
     __hash__ = None
 
-    def __repr__(self) -> str:
-        return f"InversionResult(table={self.table!r}, nonintegral={self.nonintegral!r})"
+    def __init__(self, table: GVTable, nonintegral: dict[tuple[int, Beta], Fraction] | None = None):
+        self._set(table=table, nonintegral={} if nonintegral is None else nonintegral)
 
 
 def gv_to_gw(
@@ -426,7 +395,7 @@ def gv_to_gw(
         for h, (c, scale) in enumerate(zip(series, map(mul, den[lo:slots], _lifts(gcd(*gamma), lo, slots))), lo):
             if c:
                 coeffs[(gamma, 2 * h - 2)] = Fraction(c, scale)
-    return _built(GWSeries, coeffs=coeffs, degree_max=degree_max, lambda_max=lambda_max, omega=table.omega)
+    return GWSeries._new(coeffs=coeffs, degree_max=degree_max, lambda_max=lambda_max, omega=table.omega)
 
 
 def gw_to_gv(
@@ -498,5 +467,5 @@ def gw_to_gv(
                     entries[(g, gamma)] = value
                 else:
                     nonintegral[(g, gamma)] = value
-    table = _built(GVTable, entries=entries, genus_max=genus_max, degree_max=degree_max, omega=series.omega)
+    table = GVTable._new(entries=entries, genus_max=genus_max, degree_max=degree_max, omega=series.omega)
     return InversionResult(table=table, nonintegral=nonintegral)

@@ -13,7 +13,7 @@ digits) fails its schema check where it stands.
 
 Every value is checked once, where it is read.  A reader builds what it
 has checked through the value type's trusted builder (LaurentPoly._built,
-gwseries._built, GradedNilpotent._built), not through the public
+GVTable._new, GWSeries._new, GradedNilpotent._built), not through the public
 constructor, which checks every value again for library callers; what it
 hands a builder is its own, never a list of the caller's document.
 
@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from . import motives
 from .counting import AtomParts, CentralCharge, ClassLattice, EvalModel, NumClass
 from .errors import SchemaError
-from .gwseries import ClassRule, GVTable, GWSeries, _built, check_genus, check_lambda
+from .gwseries import ClassRule, GVTable, GWSeries, check_genus, check_lambda
 from .laurent import LaurentPoly, RationalFn, _print_order_key
 from .lefschetz import BispinContent, GradedNilpotent, JordanCensus, _scaled
 from .stacks import StackClass
@@ -467,7 +467,7 @@ def gv_table_from_json(doc: dict, where: str = "gv_table") -> GVTable:
         return g, classes(beta)
 
     entries = _summed(rows, key, where)
-    return _built(GVTable, entries=entries, genus_max=genus_max, degree_max=degree_max, omega=omega)
+    return GVTable._new(entries=entries, genus_max=genus_max, degree_max=degree_max, omega=omega)
 
 
 class Rows:
@@ -553,7 +553,7 @@ def gw_series_from_json(doc: dict, where: str = "gw_series") -> GWSeries:
         return classes(beta), lam
 
     coeffs = _summed(rows, key, where)
-    return _built(GWSeries, coeffs=coeffs, degree_max=degree_max, lambda_max=lambda_max, omega=omega)
+    return GWSeries._new(coeffs=coeffs, degree_max=degree_max, lambda_max=lambda_max, omega=omega)
 
 
 def gw_series_to_json(series: GWSeries) -> dict:

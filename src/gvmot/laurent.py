@@ -409,8 +409,7 @@ class RationalFn(Frozen):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         num, den = _normalize_fraction(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set(num=num, den=den)
 
     # -- constructors ------------------------------------------------------
 
@@ -486,7 +485,8 @@ class RationalFn(Frozen):
         raise NotPolynomialError(f"{self} has non-integer coefficients")
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        # a bool, like any other operand that is not a value of Q(t, s), is left to the other side
+        if type(other) is int or isinstance(other, (Fraction, LaurentPoly)):
             other = _coerce(other)
         if not isinstance(other, RationalFn):
             return NotImplemented

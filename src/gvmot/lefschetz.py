@@ -30,12 +30,12 @@ class IntegerCombination(Frozen):
     names its basis through a static _check_key, which validates one key.
     """
 
-    __slots__ = ("_mult",)
+    __slots__ = _key = ("_mult",)
 
     def __init__(self, mult: Mapping | None = None):
         check = self._check_key
         clean = {check(key): check_int(m, "multiplicity") for key, m in (mult or {}).items()}
-        object.__setattr__(self, "_mult", {k: m for k, m in sorted(clean.items()) if m})
+        self._set(_mult={k: m for k, m in sorted(clean.items()) if m})
 
     @property
     def mult(self) -> dict:
@@ -50,10 +50,8 @@ class IntegerCombination(Frozen):
     def is_virtual(self) -> bool:
         return any(m < 0 for m in self._mult.values())
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._mult == other._mult
-
     def __hash__(self) -> int:
+        # the key slot is a dict, which does not hash; its sorted items do
         return hash(tuple(self._mult.items()))
 
     def __repr__(self) -> str:
@@ -190,8 +188,7 @@ class GradedNilpotent(Frozen):
             if len(rows) != dst or any(len(row) != src for row in rows):
                 raise ShapeMismatchError(f"map at degree {alpha}: expected shape {dst}x{src}")
             clean_maps[alpha] = rows
-        object.__setattr__(self, "dims", dict(sorted(dims.items())))
-        object.__setattr__(self, "maps", clean_maps)
+        self._set(dims=dict(sorted(dims.items())), maps=clean_maps)
 
     def dimension(self) -> int:
         return sum(self.dims.values())

@@ -23,6 +23,7 @@ from .errors import (
     Frozen,
     HardLefschetzError,
     PoincareDualityError,
+    check_int,
 )
 from .laurent import LaurentPoly, _unpacked
 from .lefschetz import JordanCensus
@@ -33,13 +34,12 @@ class AbsMotive(Frozen):
     """An absolute class: a polynomial in t alone (all Jordan cells size one),
     with an optional name.  Compared and hashed by both."""
 
-    __slots__ = ("poly", "name")
+    __slots__ = _key = ("poly", "name")
 
     def __init__(self, poly: LaurentPoly, name: str | None = None):
         if not poly.is_t_only():
             raise ValueError("absolute classes cannot involve s")
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "name", name)
+        self._set(poly=poly, name=name)
 
     @classmethod
     def point(cls) -> "AbsMotive":
@@ -62,7 +62,7 @@ class AbsMotive(Frozen):
         coefficients sum in absolute value to at most 2^n, which sizes the
         slots; the slots are unpacked once.
         """
-        if n < 1:
+        if check_int(n, "n") < 1:
             raise ValueError("general linear group needs n >= 1")
         width = _slot_width(1 << n)
         value = 1
@@ -74,6 +74,7 @@ class AbsMotive(Frozen):
     @classmethod
     def projective_space(cls, n: int) -> "AbsMotive":
         """[P^n] = 1 + L + ... + L^n, with L = t^2."""
+        check_int(n, "n")
         return cls(LaurentPoly({(2 * k, 0): 1 for k in range(n + 1)}), f"P{n}")
 
     def dim(self) -> int | None:
@@ -81,12 +82,6 @@ class AbsMotive(Frozen):
             return None
         top = max(a for (a, _) in self.poly.terms)
         return top // 2 if top % 2 == 0 else None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AbsMotive) and self.poly == other.poly and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.poly, self.name))
 
     def __repr__(self) -> str:
         return f"AbsMotive({self.name or self.poly})"
@@ -96,17 +91,10 @@ class MotiveExpr(Frozen):
     """A relative class: its value in Z[t, s] and its dimension, None when
     undefined.  Compared and hashed by both."""
 
-    __slots__ = ("value", "dim")
+    __slots__ = _key = ("value", "dim")
 
     def __init__(self, value: LaurentPoly, dim: int | None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "dim", dim)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MotiveExpr) and self.value == other.value and self.dim == other.dim
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.dim))
+        self._set(value=value, dim=dim)
 
     def __repr__(self) -> str:
         return f"MotiveExpr({self.value}, dim={self.dim})"
@@ -114,7 +102,7 @@ class MotiveExpr(Frozen):
 
 def Atom(name: str, dim: int, census: JordanCensus) -> MotiveExpr:
     """Leaf class: a space over its base, given by census data; the name only labels it."""
-    if dim < 0:
+    if check_int(dim, "atom dimension") < 0:
         raise DimMismatchError("atom dimension must be nonnegative")
     return MotiveExpr(LaurentPoly({(dim + alpha, l - 1): n for (alpha, l), n in census.items()}), dim)
 
@@ -149,7 +137,7 @@ def AbsProduct(abs: AbsMotive, expr: MotiveExpr) -> MotiveExpr:
 
 def BlowUpRel(ambient: MotiveExpr, center: MotiveExpr, codim: int) -> MotiveExpr:
     """Blow-up of the ambient class along a center of the given codimension."""
-    if codim < 2:
+    if check_int(codim, "codim") < 2:
         raise DimMismatchError("blow-up codimension must be at least 2")
     da, dc = ambient.dim, center.dim
     if da is not None and dc is not None and da != dc + codim:
@@ -160,7 +148,7 @@ def BlowUpRel(ambient: MotiveExpr, center: MotiveExpr, codim: int) -> MotiveExpr
 
 def ProjBundle(expr: MotiveExpr, fiber_rank: int) -> MotiveExpr:
     """Projective bundle with fiber of projective dimension fiber_rank - 1."""
-    if fiber_rank < 1:
+    if check_int(fiber_rank, "fiber rank") < 1:
         raise DimMismatchError("fiber rank must be at least 1")
     return AbsProduct(AbsMotive.projective_space(fiber_rank - 1), expr)
 
@@ -190,7 +178,10 @@ def upsilon_rel(e: MotiveExpr) -> LaurentPoly:
 
 
 def _check_poincare_duality(bettis: Sequence[int], d: int) -> None:
-    """The 2d + 1 betti numbers are nonnegative and palindromic."""
+    """The 2d + 1 betti numbers are nonnegative ints and palindromic."""
+    if not set(map(type, bettis)) <= {int}:
+        for b in bettis:
+            check_int(b, "betti number")
     if any(b < 0 for b in bettis):
         raise PoincareDualityError("betti numbers must be nonnegative")
     for i in range(2 * d + 1):
@@ -206,7 +197,7 @@ def smooth_from_betti(bettis: Sequence[int], d: int) -> MotiveExpr:
     monotonically in steps of two up to the middle.  The betti numbers are
     ints; once checked they make the value with no census built between.
     """
-    if d < 0:
+    if check_int(d, "atom dimension") < 0:
         raise DimMismatchError("atom dimension must be nonnegative")
     if len(bettis) != 2 * d + 1:
         raise PoincareDualityError(f"need {2 * d + 1} betti numbers for dimension {d}")

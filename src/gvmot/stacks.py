@@ -20,7 +20,7 @@ class StackClass(Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[tuple[RationalFn, MotiveExpr]] = ()):
-        object.__setattr__(self, "parts", tuple(parts))
+        self._set(parts=tuple(parts))
 
     @classmethod
     def zero(cls) -> "StackClass":

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, error paths."""
 
+import ast
 import json
 import os
 import re
@@ -1103,6 +1104,23 @@ class TestErrorMapping:
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_no_module_imports_a_name_it_does_not_use(self):
+        # deleting code leaves its imports behind.  __init__ re-exports the
+        # public names, and cli re-exports every exit code for its callers.
+        unused = []
+        for path in sorted((Path(__file__).resolve().parent.parent / "src" / "gvmot").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                    for alias in node.names:
+                        name = alias.asname or alias.name.partition(".")[0]
+                        if name not in used and not (path.name == "cli.py" and name.startswith("EXIT_")):
+                            unused.append(f"{path.name}:{node.lineno} {name}")
+        assert unused == []
 
     def test_internal_error_exit_six_with_one_json_line(self, capsys, monkeypatch):
         # any exception that is not a domain error maps to exit 6

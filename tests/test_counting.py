@@ -37,9 +37,9 @@ from gvmot.errors import (
 )
 from gvmot.gwseries import GVTable, GWSeries, InversionResult
 from gvmot.laurent import LaurentPoly, RationalFn
-from gvmot.lefschetz import GradedNilpotent, JordanCensus
+from gvmot.lefschetz import BispinContent, GradedNilpotent, JordanCensus, SpinMultiset
 from gvmot.linalg import _unpack, dot
-from gvmot.motives import AbsMotive, Atom, over_point_from_betti, point_atom, smooth_from_betti, upsilon_rel
+from gvmot.motives import AbsMotive, Atom, MotiveExpr, over_point_from_betti, point_atom, smooth_from_betti, upsilon_rel
 from gvmot.stacks import StackClass, part_terms, quotient_by_special_group, upsilon_stack
 from gvmot.verify import random_atom_class, random_betti, random_effective, random_pointed_setup
 
@@ -55,6 +55,7 @@ VALUES = [
     (JordanCensus({(0, 1): 1}), "_mult"),
     (CentralCharge([0], [1]), "omega"),
     (AbsMotive.point(), "poly"),
+    (point_atom(), "value"),
     (GVTable({(0, (1,)): 1}, 0, 1, [1]), "entries"),
     (GWSeries({((1,), -2): 1}, 1, 0, [1]), "coeffs"),
     (InversionResult(GVTable({}, 0, 1, [1])), "nonintegral"),
@@ -99,6 +100,71 @@ def test_tables_series_and_inversions_stay_unhashable():
     for value in (table, GWSeries({((1,), -2): 1}, 1, 0, [1]), InversionResult(table)):
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
+
+
+def table(entries=None, genus_max=1, degree_max=2, omega=(1,)) -> GVTable:
+    return GVTable({(0, (1,)): 1, (1, (2,)): -2} if entries is None else entries, genus_max, degree_max, omega)
+
+
+def series(coeffs=None, degree_max=2, lambda_max=0, omega=(1,)) -> GWSeries:
+    return GWSeries({((1,), -2): 1, ((2,), 0): Fraction(-1, 12)} if coeffs is None else coeffs, degree_max, lambda_max, omega)
+
+
+# each value type: a builder of one value, and values that differ from it in one key slot
+EQUALITY = [
+    (lambda: CentralCharge([0, 1], [1, Fraction(1, 2)]), [CentralCharge([1, 1], [1, Fraction(1, 2)]), CentralCharge([0, 1], [1, 1])]),
+    (AbsMotive.affine_line, [AbsMotive(LaurentPoly.t(2)), AbsMotive(LaurentPoly.t(4), "A1")]),
+    (point_atom, [MotiveExpr(LaurentPoly.t(), 0), MotiveExpr(LaurentPoly.one(), None)]),
+    (lambda: JordanCensus({(0, 1): 2}), [JordanCensus({(0, 1): 1}), SpinMultiset({0: 2}), BispinContent({(0, 1): 2})]),
+    (lambda: FreeHallElement.letter(NumClass((1,), 0)), [FreeHallElement.letter(NumClass((1,), 1)), FreeHallElement()]),
+    (table, [table({(0, (1,)): 1}), table({(0, (1,)): 2, (1, (2,)): -2})]),
+    (series, [series({((1,), -2): 1}), series({((1,), -2): 2, ((2,), 0): Fraction(-1, 12)})]),
+    (lambda: InversionResult(table(), {(0, (2,)): Fraction(1, 2)}), [InversionResult(table()), InversionResult(table({}), {(0, (2,)): Fraction(1, 2)})]),
+    (lambda: LaurentPoly({(1, 0): 2, (0, 1): -1}), [LaurentPoly({(1, 0): 2}), LaurentPoly({(1, 0): 2, (0, 1): 1})]),
+    (lambda: RationalFn(LaurentPoly.t(), LaurentPoly.constant(2)), [RationalFn(LaurentPoly.t()), RationalFn.zero()]),
+]
+
+
+@pytest.mark.parametrize("make, others", EQUALITY, ids=[type(make()).__name__ for make, _ in EQUALITY])
+def test_values_compare_and_hash_by_their_key_slots(make, others):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    if type(a).__hash__ is not None:
+        assert hash(a) == hash(b)
+    for other in others:
+        assert a != other and not a == other and other != a
+
+
+def test_tables_and_series_compare_by_entries_not_cuts():
+    assert table() == table(genus_max=3, degree_max=4, omega=(Fraction(1, 2),))
+    assert series() == series(degree_max=5, lambda_max=4, omega=(Fraction(1, 3),))
+    assert InversionResult(table()) == InversionResult(table(genus_max=2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ClassLattice(1, [(1,)]), lambda: EvalModel({}), StackClass.zero, lambda: GradedNilpotent({0: 1})],
+    ids=["ClassLattice", "EvalModel", "StackClass", "GradedNilpotent"],
+)
+def test_structural_types_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == object.__hash__(a) and len({a, b}) == 2
+
+
+def test_value_reprs_are_pinned():
+    assert repr(CentralCharge([0, 1], [1, Fraction(1, 2)])) == (
+        "CentralCharge(b_field=(Fraction(0, 1), Fraction(1, 1)), omega=(Fraction(1, 1), Fraction(1, 2)))"
+    )
+    pinned_table = "GVTable(entries={(0, (1,)): 1, (1, (2,)): -2}, genus_max=1, degree_max=Fraction(2, 1), omega=(Fraction(1, 1),))"
+    assert repr(table()) == pinned_table
+    assert repr(series()) == (
+        "GWSeries(coeffs={((1,), -2): Fraction(1, 1), ((2,), 0): Fraction(-1, 12)}, "
+        "degree_max=Fraction(2, 1), lambda_max=0, omega=(Fraction(1, 1),))"
+    )
+    assert repr(InversionResult(table(), {(0, (2,)): Fraction(1, 2)})) == (
+        f"InversionResult(table={pinned_table}, nonintegral={{(0, (2,)): Fraction(1, 2)}})"
+    )
 
 
 def test_default_inversion_results_share_no_nonintegral_dict():

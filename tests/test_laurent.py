@@ -301,6 +301,12 @@ class TestRationalFn:
         with pytest.raises(TypeError, match="got bool"):
             RationalFn.one() + True
 
+    def test_equality_with_scalars_never_raises(self):
+        one = RationalFn.one()
+        assert one == 1 and one == Fraction(2, 2) and one == LaurentPoly.one()
+        for other in (True, False, 1.0, "1", None):
+            assert one != other and not one == other and other != one
+
     def test_normalization_preserves_value(self):
         # the one contract normalization must never break: n'/d' == n/d,
         # plus the canonical-form promises (positive lead, coprime contents)

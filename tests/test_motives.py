@@ -176,6 +176,26 @@ class TestConstructors:
             assert len(pn.poly.terms) == n + 1
             assert pn.dim() == n
 
+    # bool is an int subclass and a float can equal an int: neither is a count or a dimension
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: over_point_from_betti([1.0]), "betti number"),
+            (lambda: over_point_from_betti([True]), "betti number"),
+            (lambda: smooth_from_betti([1, 0.0, 1], 1), "betti number"),
+            (lambda: smooth_from_betti([1, 0, 1], True), "atom dimension"),
+            (lambda: Atom("a", True, JordanCensus({(0, 1): 1})), "atom dimension"),
+            (lambda: AbsMotive.projective_space(True), "n"),
+            (lambda: AbsMotive.general_linear(True), "n"),
+            (lambda: AbsMotive.general_linear(2.0), "n"),
+            (lambda: ProjBundle(point_atom(), 2.5), "fiber rank"),
+            (lambda: BlowUpRel(point_atom(), point_atom(), codim=2.0), "codim"),
+        ],
+    )
+    def test_counts_and_dimensions_must_be_ints(self, build, what):
+        with pytest.raises(TypeError, match=f"^{what} must be int, got (float|bool)$"):
+            build()
+
 
 class TestProjectiveBundle:
     def test_line_bundle_over_line(self):
