@@ -6,12 +6,14 @@ Every domain error derives from GvmotError and carries its stable exit code
 as exit_code.  Every cap on work is one Ledger: a command run creates one,
 each stage spends its work on it, and the ledger's spend is the one place a
 ResourceLimitError is raised.  Frozen sets, builds, compares, hashes and
-prints every value type by its slots.
+prints every value type by its slots, and fraction builds the Fractions of
+the series path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -73,6 +75,15 @@ def check_int(x, what: str) -> int:
     if type(x) is not int:
         raise TypeError(f"{what} must be int, got {type(x).__name__}")
     return x
+
+
+def fraction(n: int, d: int) -> Fraction:
+    """n / d in lowest terms, for ints n and d > 0: the value Fraction(n, d)
+    is, from one gcd, with no checks of the arguments."""
+    g = gcd(n, d)
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = n // g, d // g
+    return value
 
 
 def check_rational(x, what: str) -> Fraction:

@@ -16,14 +16,18 @@ reaches for its genera against its own sine rows.  No class waits on
 another's solved values.  Integrality of the solved values is conjectural;
 non-integer results are reported alongside the table, never rounded.
 
-The kernel works in integers, on slot rows.  A class's series is a list of
+The kernel works in integers, on slots.  A class's series is a list of
 slots h, slot h holding the coefficient of lambda^e, e = 2h - 2; it runs from
 the class's lowest genus up to the top slot of the lambda cut, so every list
 ends at the top slot and none holds the zero slots below its class.  The
 sine table is read off closed forms as integer numerators over one
 denominator D_h per slot (Bernoulli numbers from tangent numbers for genus 0,
-central factorial numbers above), and row g of it starts at slot g, so a
-genus is added into a class's series slot by slot.  Slot h of the series at
+central factorial numbers above); row g of it starts at slot g, and each
+transform reads it by columns, column h holding slot h of the rows g <= h
+that the transform needs.  So
+slot h of a class's series is one dot product of its counts with column h,
+and the inverse solves genus g with one dot product of the genera solved
+so far with column g.  Slot h of the series at
 gamma is held as an int times D_h c(gamma)^max(0, 1-e), c(gamma) the gcd of
 gamma's entries.  As c(k beta) = k c(beta), cover k of beta adds slot h
 times c(beta)^3 at h = 0, c(beta) at h = 1 and k^{2h-3} above: the multiplier
@@ -31,10 +35,12 @@ row (c^3, c, k, k^3, ..., k^{2h-3}), integers all.  Its class part is
 applied once per class, as a lift of the class's series before the kernel
 takes it, and its cover part (1, 1, k, k^3, ...), signed by mu(k) in the
 inverse, is built once per k, from the lowest slot that a class with k
-covers or more holds.  A Fraction is built once per output coefficient; the
-inverse reads each input coefficient times its scale once, so a series the
-forward made stays in ints, and divides out the scale with one divmod per
-solved value; a nonintegral value simply stays a Fraction in the same sums.
+covers or more holds.  Every Fraction the transforms make comes from
+errors.fraction, one gcd each: an output coefficient of the forward, or an
+inexact quotient of the inverse.  The inverse reads each input coefficient
+times its scale once, so a series the forward made stays in ints, and
+divides out the scale with one divmod per solved value; a nonintegral value
+simply stays a Fraction in the same sums.
 The results are built inside the cuts, so they are returned without a
 second check (_new).
 
@@ -54,7 +60,7 @@ from math import gcd, lcm, perm
 from operator import add, mul
 from typing import Iterable, Mapping
 
-from .errors import ConeNotPointedError, Frozen, InsufficientTruncationError, Ledger, check_int, check_rational
+from .errors import ConeNotPointedError, Frozen, InsufficientTruncationError, Ledger, check_int, check_rational, fraction
 
 Beta = tuple[int, ...]
 
@@ -94,8 +100,11 @@ def _sin_table(genus_max: int, order: int, ledger: Ledger, top: int | None = Non
     each, for the j that the rows from m + 1 on still hold.  den[n] is
     (2n)! den(B_2n) up to n = order, where row 0 stops; beyond, it is
     (2n-2)! / (2n-2-2 order)!, the largest denominator (2n-2)! / (2m)! that
-    a row m + 1 reaching u^{2n-2} needs.  A row of n entries is charged
-    n (n + 1) / 2 products.
+    a row m + 1 reaching u^{2n-2} needs.  So row m + 1 holds T(2m+2j, 2m)
+    times the quotient den[n] / perm(2n-2, 2j) at n = m + 1 + j, and along
+    the anti-diagonal n each row on (j one less) multiplies the quotient by
+    one small int, 2(m+1) (2m+1).  A row of n entries is charged n (n + 1) / 2
+    products.
     """
     top = genus_max + order if top is None else top
     lengths = [max(min(order, top - g) + 1, 0) for g in range(genus_max + 1)]
@@ -107,12 +116,16 @@ def _sin_table(genus_max: int, order: int, ledger: Ledger, top: int | None = Non
         den.append(factorial_2n * b.denominator)
     den += [perm(2 * n - 2, 2 * order) for n in range(order + 1, top + 1)]
     rows = [[(-1) ** (n + 1) * (2 * n - 1) * b.numerator for n, b in enumerate(bernoulli)]]
+    # the quotient at slot n where the next row meets it: at j = n - 1 in row 1,
+    # (2n)! den(B_2n) / (2n-2)!, and at j = order further on, 1
+    quotient = [2 * n * (2 * n - 1) * b.denominator for n, b in enumerate(bernoulli)] + [1] * (top - order)
     central = [1] + [0] * order  # T(2m+2j, 2m) for j = 0..order, at m = 0
     for m, n in enumerate(lengths[1:]):
         del central[n:]
         for j in range(1, n):
             central[j] += m * m * central[j - 1]
-        rows.append([(-1) ** j * t * (den[m + 1 + j] // perm(2 * m + 2 * j, 2 * j)) for j, t in enumerate(central)])
+        rows.append([(-1) ** j * t * q for j, (t, q) in enumerate(zip(central, quotient[m + 1 :]))])
+        quotient[m + 2 : m + 1 + n] = [q * (2 * m + 2) * (2 * m + 1) for q in quotient[m + 2 : m + 1 + n]]
     return rows, den
 
 
@@ -166,12 +179,12 @@ def _cover_rows(start: Mapping[int, int], slots: int, mu: list[int] | None = Non
     return rows
 
 
-def _add_row(f: list, i: int, n, row: list[int]) -> None:
-    """Add n times a sine row to a class series f, the row's first entry at f[i], up to f's last slot.
+def _columns(rows: list[list[int]], low: int, slots: int) -> list[list[int]]:
+    """The sine table read by slot from row low on: col[h][g - low] = rows[g][h - g] for g = low..h.
 
-    Every sine row reaches the last slot, since the table is sized from the cuts.
+    Every row from low on reaches the last slot, since the table is sized from the cuts.
     """
-    f[i:] = map(add, f[i:], map(n.__mul__, row))
+    return [[row[h - g] for g, row in enumerate(rows[low : h + 1], low)] for h in range(slots)]
 
 
 def _push(acc: dict[Beta, list], beta: Beta, lifted: list, covers: Iterable[int], cover_rows: list[list[int]]) -> None:
@@ -202,9 +215,11 @@ def _push(acc: dict[Beta, list], beta: Beta, lifted: list, covers: Iterable[int]
 
 
 def _quotient(num: int | Fraction, den: int) -> int | Fraction:
-    """num / den: an int when den divides num, else a Fraction."""
+    """num / den for den > 0: an int when den divides num, else a Fraction."""
     q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+    if not r:
+        return q
+    return fraction(num, den) if type(num) is int else fraction(num.numerator, num.denominator * den)
 
 
 # -- tables and series ---------------------------------------------------------
@@ -369,32 +384,36 @@ def gv_to_gw(
         genera.setdefault(beta, {})[g] = n
     weights, top = _weights(table.omega, degree_max)
     covers = {beta: _cover_count(_degree(weights, beta), top) for beta in genera}
-    terms = genus_top = order = 0
+    terms = genus_top = 0
+    low = slots  # the lowest genus under the cut of a class with covers
     start: dict[int, int] = {}  # cover count -> the lowest slot a class with that many covers starts at
-    for g, beta in table.entries:
+    classes: dict[Beta, tuple[int, list[int]]] = {}  # class -> its lowest genus under the cut, and its counts from there
+    for beta, counts in genera.items():
         m = covers[beta]
-        if m and g < slots:
-            terms += m * (slots - g)
-            genus_top, order, start[m] = max(genus_top, g), max(order, slots - g - 1), min(start.get(m, g), g)
+        if m:
+            held = [g for g in counts if g < slots]
+            lo, hi = (min(held), max(held)) if held else (slots, -1)  # a class past the cut has an empty series
+            classes[beta] = lo, [counts.get(g, 0) for g in range(lo, hi + 1)]
+            if held:
+                terms += m * (slots * len(held) - sum(held))
+                genus_top, low, start[m] = max(genus_top, hi), min(low, lo), min(start.get(m, lo), lo)
     ledger = Ledger()
     ledger.spend("gw forward", terms, "kernel terms")
-    rows, den = _sin_table(genus_top, order, ledger, slots - 1)
+    rows, den = _sin_table(genus_top, max(slots - 1 - low, 0), ledger, slots - 1)
+    col = _columns(rows, low, slots)
     cover_rows = _cover_rows(start, slots)
     acc: dict[Beta, list[int]] = {}
-    for beta, counts in genera.items():
-        if covers[beta]:
-            lo = min(counts)  # the class series starts at its lowest genus; it is empty if that is past the cut
-            f = [0] * (slots - lo)
-            for g, n in counts.items():
-                if g < slots:
-                    _add_row(f, g - lo, n, rows[g])
-            _push(acc, beta, list(map(mul, f, _lifts(gcd(*beta), lo, slots))), range(1, covers[beta] + 1), cover_rows)
+    for beta, (lo, counts) in classes.items():
+        f = [sum(map(mul, counts, col[h] if lo == low else col[h][lo - low :])) for h in range(lo, slots)]
+        c = gcd(*beta)
+        _push(acc, beta, f if c == 1 else list(map(mul, f, _lifts(c, lo, slots))), range(1, covers[beta] + 1), cover_rows)
     coeffs = {}
-    for gamma, series in acc.items():
-        lo = slots - len(series)
-        for h, (c, scale) in enumerate(zip(series, map(mul, den[lo:slots], _lifts(gcd(*gamma), lo, slots))), lo):
-            if c:
-                coeffs[(gamma, 2 * h - 2)] = Fraction(c, scale)
+    for gamma, f in acc.items():
+        lo, c = slots - len(f), gcd(*gamma)
+        scales = den[lo:slots] if c == 1 else map(mul, den[lo:slots], _lifts(c, lo, slots))
+        for h, (n, scale) in enumerate(zip(f, scales), lo):
+            if n:
+                coeffs[(gamma, 2 * h - 2)] = fraction(n, scale)
     return GWSeries._new(coeffs=coeffs, degree_max=degree_max, lambda_max=lambda_max, omega=table.omega)
 
 
@@ -438,6 +457,7 @@ def gw_to_gv(
     terms = pairs * slots * (slots + 3) // 2  # per pair, a push of every slot and a triangular solve of the class it may reach
     ledger.spend("gw inverse", terms, "kernel terms")
     rows, den = _sin_table(genus_max, genus_max, ledger, genus_max) if terms else ([], [])
+    col = _columns(rows, 0, slots) if terms else []
     cover_rows = _cover_rows({k_max: 0} if terms else {}, slots, mu)
 
     read: dict[Beta, list] = {}
@@ -450,19 +470,20 @@ def gw_to_gv(
             f[h] = c
     acc: dict[Beta, list] = {}
     for beta, f in read.items():
-        scales = map(mul, den, _lifts(gcd(*beta), 0, slots))
-        lifted = [_quotient(c.numerator * scale, c.denominator) for c, scale in zip(f, scales)]
+        c = gcd(*beta)
+        scales = den if c == 1 else map(mul, den, _lifts(c, 0, slots))
+        lifted = [_quotient(x.numerator * scale, x.denominator) for x, scale in zip(f, scales)]
         _push(acc, beta, lifted, squarefree[: bisect(squarefree, covers[beta])], cover_rows)
 
     entries: dict[tuple[int, Beta], int] = {}
     nonintegral: dict[tuple[int, Beta], Fraction] = {}
     for gamma, total in acc.items():
-        f = [0] * slots
+        values: list[int | Fraction] = []
         for g, (lift, d, p) in enumerate(zip(_lifts(gcd(*gamma), 0, slots), den, total)):
-            # slot g holds f_gamma at lambda^(2g-2) times d * lift, and the genera below g add f[g] * lift
-            value = _quotient(p - f[g] * lift, d * lift)
+            # slot g holds f_gamma at lambda^(2g-2) times d * lift, and the genera below g add their column products
+            value = _quotient(p - sum(map(mul, values, col[g])) * lift, d * lift)
+            values.append(value)
             if value:
-                _add_row(f, g, value, rows[g])
                 if value.denominator == 1:
                     entries[(g, gamma)] = value
                 else:

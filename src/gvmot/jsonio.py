@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import motives
 from .counting import AtomParts, CentralCharge, ClassLattice, EvalModel, NumClass
-from .errors import SchemaError
+from .errors import SchemaError, fraction
 from .gwseries import ClassRule, GVTable, GWSeries, check_genus, check_lambda
 from .laurent import LaurentPoly, RationalFn, _print_order_key
 from .lefschetz import BispinContent, GradedNilpotent, JordanCensus, _scaled
@@ -114,8 +114,12 @@ def _fraction(obj: Any, where: str) -> int | Fraction:
         match = _RATIONAL.fullmatch(obj)
         if match:
             try:
-                return int(match[1]) if match[2] is None else Fraction(int(match[1]), int(match[2]))
-            except (ValueError, ZeroDivisionError):  # more digits than int() converts, or a zero denominator
+                if match[2] is None:
+                    return int(match[1])
+                q = int(match[2])
+                if q:  # "p/0" is a bad rational
+                    return fraction(int(match[1]), q)
+            except ValueError:  # more digits than int() converts
                 pass
         digits = max(map(len, re.findall(r"[0-9]+", obj)), default=0)
         if digits > _digit_limit() > 0:

@@ -6,7 +6,8 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, perm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,12 @@ from gvmot.errors import ConeNotPointedError, InsufficientTruncationError, Ledge
 from gvmot.gwseries import (
     GVTable,
     GWSeries,
-    _add_row,
+    _columns,
     _cover_rows,
     _mobius,
     _push,
     _sin_table,
+    _tangent_bernoulli,
     gv_to_gw,
     gw_to_gv,
     sin_power_coefficient,
@@ -48,6 +50,27 @@ def sin_powers_oracle(genus_max, order):
     for _ in range(genus_max):
         rows.append([sum(rows[-1][i] * v[n - i] for i in range(n + 1)) for n in range(order + 1)])
     return rows
+
+
+def sin_table_oracle(genus_max, order, top=None):
+    """_sin_table's rows and den by its former route: row m + 1's entry j
+    divides den[m+1+j] by perm(2m+2j, 2j), one perm and one big division each."""
+    top = genus_max + order if top is None else top
+    lengths = [max(min(order, top - g) + 1, 0) for g in range(genus_max + 1)]
+    bernoulli = _tangent_bernoulli(lengths[0] - 1) if lengths[0] else []
+    den, factorial_2n = [], 1
+    for n, b in enumerate(bernoulli):
+        factorial_2n *= max(2 * n * (2 * n - 1), 1)
+        den.append(factorial_2n * b.denominator)
+    den += [perm(2 * n - 2, 2 * order) for n in range(order + 1, top + 1)]
+    rows = [[(-1) ** (n + 1) * (2 * n - 1) * b.numerator for n, b in enumerate(bernoulli)]]
+    central = [1] + [0] * order  # T(2m+2j, 2m) for j = 0..order, at m = 0
+    for m, n in enumerate(lengths[1:]):
+        del central[n:]
+        for j in range(1, n):
+            central[j] += m * m * central[j - 1]
+        rows.append([(-1) ** j * t * (den[m + 1 + j] // perm(2 * m + 2 * j, 2 * j)) for j, t in enumerate(central)])
+    return rows, den
 
 
 @cache
@@ -144,6 +167,20 @@ def random_covered_table(rng):
     entries = {(rng.randint(0, genus_max), rng.choice(classes)): rng.randint(-9, 9) for _ in range(rng.randint(0, 4))}
     entries[(rng.randint(0, genus_max), unit)] = rng.choice([-1, 1]) * rng.randint(1, 9)
     return GVTable(entries, genus_max, Fraction(rng.randint(15, 18)), omega)
+
+
+def random_sparse_table(rng):
+    """Rank 1 or 2, one to five classes each holding a count at a single genus of 0..8."""
+    rank = rng.randint(1, 2)
+    omega = tuple(Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rank))
+    degree_max = Fraction(rng.randint(3, 8))
+    genus_max = rng.randint(0, 8)
+    classes = [beta for beta in product(range(-1, 5), repeat=rank) if 0 < dot(omega, beta) <= degree_max]
+    entries = {
+        (rng.randint(0, genus_max), beta): rng.choice([-1, 1]) * rng.randint(1, 9)
+        for beta in rng.sample(classes, min(len(classes), rng.randint(1, 5)))
+    }
+    return GVTable(entries, genus_max, degree_max, omega)
 
 
 def mobius_oracle(n):
@@ -255,6 +292,17 @@ class TestSinPowerCoefficients:
             lengths = [len(row) for row in rows]
             assert triangle_ledger.spent == sum(n * (n + 1) // 2 for n in lengths) <= square_ledger.spent
             assert square_ledger.spent == (genus_max + 1) * (order + 1) * (order + 2) // 2
+
+    def test_running_quotients_match_the_division_table(self):
+        # the inverse's square triangles at the genera of the benchmark, a wide
+        # series and a deep one, then the forward's shapes: order and top apart
+        for genus_max in (12, 178, 300):
+            assert _sin_table(genus_max, genus_max, Ledger(10**9), genus_max) == sin_table_oracle(genus_max, genus_max, genus_max)
+        rng = random.Random(42)
+        for _ in range(300):
+            genus_max, order = rng.randint(0, 30), rng.randint(0, 30)
+            top = rng.choice([None, rng.randint(-1, genus_max + order)])
+            assert _sin_table(genus_max, order, Ledger(), top) == sin_table_oracle(genus_max, order, top), (genus_max, order, top)
 
     def test_high_rows_of_a_short_table(self):
         # a table far deeper than it is long, as a high-genus entry at a low lambda cut asks for
@@ -502,6 +550,28 @@ class TestPushOracle:
             deep += genus_max >= 0 and any(dot(series.omega, beta) == 1 and degree_max >= 12 for beta, _ in series.coeffs)
         assert nonintegral > 30 and rank3 > 20 and deep > 50
 
+    def test_sparse_shapes_match_the_oracles(self):
+        # shapes the benchmark's dense tables never make: each class holds a
+        # single genus, some genera lie past the lambda cut, and the cut is
+        # -2 or -4 in two cases of three; the inverse reads the forward's image
+        rng = random.Random(70)
+        past = cuts = solved = 0
+        for case in range(240):
+            table = random_sparse_table(rng)
+            lambda_max = [-4, -2, rng.randint(-2, 2 * table.genus_max)][case % 3]
+            series = gv_to_gw(table, lambda_max=lambda_max)
+            assert series.coeffs == forward_oracle(table, table.degree_max, lambda_max), (table.entries, table.omega)
+            genus_max = rng.randint(-1, (lambda_max + 2) // 2)
+            result = gw_to_gv(series, genus_max=genus_max)
+            expected = inverse_oracle(series, genus_max, series.degree_max)
+            assert result.table.entries == {key: v for key, v in expected.items() if v.denominator == 1}
+            assert result.nonintegral == {key: v for key, v in expected.items() if v.denominator != 1}
+            assert result.table.entries == {(g, beta): n for (g, beta), n in table.entries.items() if g <= genus_max}
+            past += any(2 * g - 2 > lambda_max for g, _ in table.entries) and bool(series.coeffs)
+            cuts += lambda_max < 0 and any(g > 1 for g, _ in table.entries)
+            solved += bool(result.table.entries)
+        assert past > 30 and cuts > 80 and solved > 50
+
     def test_mobius_matches_trial_division(self):
         mu = [mobius_oracle(n) for n in range(2001)]
         assert _mobius(2000) == mu
@@ -535,31 +605,43 @@ class TestScaledKernel:
         # slot h holds lambda^(2h-2): seven slots reach lambda^10; the class
         # (2, -4) has gcd 2, so its series is lifted by 2^3 and 2 at slots 0 and 1
         rows, den = _sin_table(3, 6, Ledger())
-        f = [0] * 7
-        _add_row(f, 2, -7, rows[2])
-        _add_row(f, 0, 3, rows[0])
+        col = _columns(rows, 0, 7)
+        f = [sum(map(mul, [3, 0, -7], c)) for c in col]  # 3 at genus 0 and -7 at genus 2, one column product per slot
+        assert f == [3 * rows[0][h] - 7 * (rows[2][h - 2] if h >= 2 else 0) for h in range(7)]
         acc = {}
         _push(acc, (2, -4), [8 * f[0], 2 * f[1], *f[2:]], range(1, 6), _cover_rows({5: 0}, 7))
         assert len(f) == 7 and f[0] and f[2] and sorted(acc) == [(2 * k, -4 * k) for k in range(1, 6)]
         assert all(len(row) == 7 for row in acc.values())
         assert all(type(c) is int for c in [*den, *f, *(c for row in acc.values() for c in row)])
         # the inverse reads a series the forward made times its scales: every
-        # slot it lifts, and every slot its signed covers add up, is an int
+        # slot it lifts, every slot its signed covers add up, and every sine
+        # column entry its solve multiplies a solved genus by is an int
         import gvmot.gwseries as gwseries
 
-        pushed = []
+        pushed, pulled, reached = [], [], set()
 
         def push(acc, beta, lifted, covers, rows):
             gwseries_push(acc, beta, lifted, covers, rows)
             pushed.append([*lifted, *(c for row in acc.values() for c in row)])
+            reached.update(acc)
 
-        gwseries_push = gwseries._push
+        class Column(list):
+            def __iter__(self):
+                for c in list.__iter__(self):
+                    pulled.append(c)
+                    yield c
+
+        gwseries_push, gwseries_columns = gwseries._push, gwseries._columns
         monkeypatch.setattr(gwseries, "_push", push)
+        monkeypatch.setattr(gwseries, "_columns", lambda rows, low, slots: [Column(c) for c in gwseries_columns(rows, low, slots)])
         table = GVTable({(0, (2, -4)): 3, (2, (2, -4)): -7, (1, (1, -2)): 5, (3, (3, -6)): 2}, 3, Fraction(30), (Fraction(1), Fraction(1, 4)))
         series = gv_to_gw(table, lambda_max=10)
         assert any(c.denominator > 1 for c in series.coeffs.values())
+        del pulled[:]  # the forward's column products; the inverse's follow
         assert gw_to_gv(series, genus_max=3).table == table
         assert len(pushed) > 10 and all(type(c) is int for slots in pushed for c in slots)
+        # each class reached solves genera 0..3 against 0, 1, 2 and 3 solved values
+        assert len(pulled) == 6 * len(reached) and all(type(c) is int for c in pulled)
 
     def test_work_stays_within_the_charged_kernel_terms(self, monkeypatch):
         # at lambda order 60 the genus-30 class reaches slots 30 and 31 only:
@@ -599,6 +681,60 @@ class TestScaledKernel:
             gv_to_gw(GVTable({(30, (1,)): 1}, 30, Fraction(500001), ONE), lambda_max=60)
         assert len(built) == 1
 
+    def test_columns_start_at_the_lowest_genus_held(self, monkeypatch):
+        # genera 2999 and 3000 under a lambda cut at genus 3000 ask for 3001
+        # sine rows of one or two entries; the columns hold the rows from genus
+        # 2999 on, three entries, not the 4.5 million of a column of every row
+        import gvmot.gwseries as gwseries
+
+        sizes = []
+
+        def columns(rows, low, slots):
+            col = gwseries_columns(rows, low, slots)
+            sizes.append(sum(map(len, col)))
+            return col
+
+        gwseries_columns = gwseries._columns
+        monkeypatch.setattr(gwseries, "_columns", columns)
+        table = GVTable({(3000, (1,)): 1, (2999, (2,)): 5}, 3000, Fraction(2), ONE)
+        got = gv_to_gw(table)
+        assert got.coeffs == forward_oracle(table, table.degree_max, 5998) and len(got.coeffs) == 3
+        assert sizes == [3]
+
+    def test_forward_charge_counts_every_entry(self, monkeypatch):
+        # the forward charges class by class; that must come to covers times
+        # slots from the genus up, summed over the entries under the lambda
+        # cut, and to the sine triangle that those entries' genera bound
+        import gvmot.gwseries as gwseries
+
+        spent = []
+
+        class Ledger(gwseries.Ledger):
+            def spend(self, stage, n=1, what="enumeration steps"):
+                spent.append((what, n))
+                super().spend(stage, n, what)
+
+        monkeypatch.setattr(gwseries, "Ledger", Ledger)
+        rng = random.Random(71)
+        several = 0
+        for _ in range(200):
+            table = random_table(rng)
+            entries = dict(table.entries)
+            for (g, beta), n in table.entries.items():  # most classes get a second genus
+                entries[(rng.randint(0, table.genus_max), beta)] = n + 1
+            table = GVTable(entries, table.genus_max, table.degree_max, table.omega)
+            lambda_max = rng.randint(-4, 2 * table.genus_max + 2)
+            slots = max(lambda_max // 2 + 2, 0)
+            held = [(g, beta, int(table.degree_max // dot(table.omega, beta))) for g, beta in table.entries if g < slots]
+            genera = [g for g, _, m in held if m]
+            genus_top, order = max(genera, default=0), max((slots - g - 1 for g in genera), default=0)
+            lengths = [max(min(order, slots - 1 - g) + 1, 0) for g in range(genus_top + 1)]
+            del spent[:]
+            gv_to_gw(table, lambda_max=lambda_max)
+            assert spent == [("kernel terms", sum(m * (slots - g) for g, _, m in held)), ("products", sum(n * (n + 1) // 2 for n in lengths))]
+            several += len(genera) > len({beta for _, beta, m in held if m})
+        assert several > 40
+
     def test_inverse_work_stays_within_the_charged_kernel_terms(self, monkeypatch):
         # the inverse charges one push of every slot per (class, squarefree
         # cover) and one triangular solve per class it may reach; the pushes
@@ -623,23 +759,30 @@ class TestScaledKernel:
             products.append(len(lifted) * len(covers))
             gwseries_push(acc, beta, lifted, covers, rows)
 
-        def add_row(f, i, n, row):
-            products.append(len(f) - i)
-            gwseries_add_row(f, i, n, row)
+        class Column(list):
+            # the solve's column product at genus g pulls one entry per solved genus below g
+            def __iter__(self):
+                for c in list.__iter__(self):
+                    products.append(1)
+                    yield c
+
+        def columns(rows, low, slots):
+            return [Column(c) for c in gwseries_columns(rows, low, slots)]
 
         table = GVTable({(g, (d,)): d - 3 * g for d in (1, 2, 4, 6) for g in range(4)}, 3, Fraction(60), ONE)
         series = gv_to_gw(table)
-        gwseries_cover_rows, gwseries_push, gwseries_add_row = gwseries._cover_rows, gwseries._push, gwseries._add_row
-        for name, spy in [("Ledger", Ledger), ("_cover_rows", cover_rows), ("_push", push), ("_add_row", add_row)]:
+        gwseries_cover_rows, gwseries_push, gwseries_columns = gwseries._cover_rows, gwseries._push, gwseries._columns
+        for name, spy in [("Ledger", Ledger), ("_cover_rows", cover_rows), ("_push", push), ("_columns", columns)]:
             monkeypatch.setattr(gwseries, name, spy)
         result = gw_to_gv(series)
         assert result.table == table and not result.nonintegral
         # the series holds every class (d) up to 60, with squarefree covers k <= 60 / d: a pair
-        # pushes 4 slots and may reach a class whose solve adds rows of 4 + 3 + 2 + 1 products
+        # pushes 4 slots and may reach a class whose solve takes 0 + 1 + 2 + 3 column products
         support = {beta for beta, _ in series.coeffs}
         pairs = sum(sum(1 for k in range(1, 60 // d + 1) if mobius_oracle(k)) for (d,) in support)
         assert len(support) == 60 and charged == [pairs * (4 + 10)]
-        assert sum(products) <= charged[0] and built == [37 * 4]  # 37 squarefree k <= 60, 4 slots each
+        assert sum(products) == pairs * 4 + 60 * 6 <= charged[0]
+        assert built == [37 * 4]  # 37 squarefree k <= 60, 4 slots each
         # past the cap, the charge refuses the run before any row is built:
         # squarefree k <= n number sum_{d*d <= n} mu(d) floor(n / d^2)
         n, slots = 200001, 3

@@ -12,7 +12,7 @@ import pytest
 
 from gvmot.cli import _all_digits
 from gvmot.counting import NumClass, counting_polynomial
-from gvmot.errors import DimMismatchError, GvmotError, SchemaError, ShapeMismatchError
+from gvmot.errors import DimMismatchError, GvmotError, SchemaError, ShapeMismatchError, fraction
 from gvmot.gwseries import GVTable, GWSeries
 from gvmot.jsonio import (
     _decode,
@@ -247,6 +247,23 @@ class TestNumbers:
         with pytest.raises(SchemaError) as raised:
             _fraction(text, "n")
         assert str(raised.value) == f"n: bad rational {text!r}"
+
+    def test_fraction_helper_equals_fraction(self):
+        # the series path's Fractions come from errors.fraction: one gcd, no checks
+        rng = random.Random(1602)
+        numbers = lambda: rng.choice([0, rng.randint(1, 10**6), rng.randint(1, 10**300)]) * rng.choice([-1, 1])
+        for _ in range(2000):
+            common = rng.choice([1, rng.randint(2, 10**6), rng.randint(2, 10**300)])  # pairs not in lowest terms
+            n, d = numbers() * common, max(abs(numbers()), 1) * common
+            got, want = fraction(n, d), Fraction(n, d)
+            assert type(got) is Fraction and got == want and hash(got) == hash(want) and str(got) == str(want), (n, d)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert fraction(0, 10**300) == 0 and str(fraction(-6, 4)) == "-3/2"
+        # the reader builds its "p/q" values with it; "p/0" stays a bad rational
+        assert type(_fraction("-6/4", "n")) is Fraction and str(_fraction("-6/4", "n")) == "-3/2"
+        for text in ("0/0", "5/000", "-7/0"):
+            with pytest.raises(SchemaError, match=f"^n: bad rational '{text}'$"):
+                _fraction(text, "n")
 
     def test_strict_parse_equals_fraction(self):
         rng = random.Random(1601)
